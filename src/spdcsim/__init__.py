@@ -20,7 +20,6 @@ from spdcsim.biphoton import (
     evaluate_grid,
     mismatch,
     pump_envelope,
-    sinc_efficiency,
 )
 from spdcsim.camera import (
     CameraJPD,
@@ -64,7 +63,7 @@ from spdcsim.stats import (
     reid_product,
     ridge_slope,
 )
-from spdcsim.sweep import SweepRow, SweepSpec, run_sweep, rows_to_csv, trend_checks
+from spdcsim.sweep import SweepRow, run_sweep, rows_to_csv, trend_checks
 
 __version__ = "0.1.0"
 
@@ -89,7 +88,6 @@ __all__ = [
     "evaluate_grid",
     "mismatch",
     "pump_envelope",
-    "sinc_efficiency",
     # spectral
     "FilterSpec",
     "JointDistribution",
@@ -119,7 +117,6 @@ __all__ = [
     "walkoff_correct",
     # sweep
     "SweepRow",
-    "SweepSpec",
     "run_sweep",
     "rows_to_csv",
     "trend_checks",

@@ -3,9 +3,9 @@
 The full transverse problem is four-dimensional — (q_sx, q_sy) for the
 signal and (q_ix, q_iy) for the idler.  Everything here works on 2D
 slices of it: one transverse axis at a time, the orthogonal components
-held fixed (at zero unless a probe value is requested).  The x-plane
-slice sees no walk-off; the y-plane slice carries the walk-off tilt of
-the pump, which lives in the y-z plane by convention.
+held at zero.  The x-plane slice sees no walk-off; the y-plane slice
+carries the walk-off tilt of the pump, which lives in the y-z plane by
+convention.
 
 All mismatch components are reported **relative to the aligned
 operating point** (collinear emission at the nominal wavelengths): the
@@ -39,7 +39,6 @@ __all__ = [
     "EvanescentInputError",
     "GridMemoryError",
     "mismatch",
-    "sinc_efficiency",
     "pump_envelope",
     "amplitude",
     "evaluate_grid",
@@ -71,8 +70,8 @@ class PumpSpec:
     The pump propagates at the crystal angle ``theta_p``; its wavevector
     (magnitude ``k_mag``, set by the angle-dependent extraordinary index)
     splits into a longitudinal part ``k_z = k cos(rho)`` and a transverse
-    carrier ``k_y = k sin(rho)`` along the walk-off axis.  ``k_x`` is
-    identically zero under the y-z optic-axis convention.
+    carrier ``k_y = k sin(rho)`` along the walk-off axis; there is no x
+    component under the y-z optic-axis convention.
     """
 
     wavelength_nm: float
@@ -88,10 +87,6 @@ class PumpSpec:
             self.k_y**2 + self.k_z**2, self.k_mag**2, rel_tol=1e-10
         ):
             raise ValueError("pump wavevector components do not compose to k_mag")
-
-    @property
-    def k_x(self) -> float:
-        return 0.0
 
     @classmethod
     def from_crystal(
@@ -111,9 +106,9 @@ class PumpSpec:
 @dataclass(frozen=True)
 class TransverseSlice:
     """One 2D slice of the transverse problem: an axis tag, the signal
-    and idler momentum grids along that axis, the wavelength pair of the
-    spectral slice being evaluated, and the (fixed) orthogonal momentum
-    component, zero by default.
+    and idler momentum grids along that axis, and the wavelength pair of
+    the spectral slice being evaluated.  The orthogonal momentum
+    components are zero.
 
     Grids must be uniform and symmetric about zero — in the re-centered
     coordinates of this package the correlation ridge passes through the
@@ -125,7 +120,6 @@ class TransverseSlice:
     q_idler: np.ndarray
     lambda_signal_nm: float
     lambda_idler_nm: float
-    q_orthogonal: float = 0.0
 
     def __post_init__(self) -> None:
         if self.axis not in ("x", "y"):
@@ -265,19 +259,6 @@ def mismatch(
     return PhaseMismatch(dk_x=dk_x, dk_y=dk_y, dk_z=dk_z)
 
 
-def sinc_efficiency(dk_z, length_m: float):
-    """Phase-matching efficiency sinc^2(dk_z L / 2), in [0, 1].
-
-    sinc(u) = sin(u)/u with sinc(0) = 1; the first zero falls at
-    dk_z = 2 pi / L.
-    """
-    if length_m <= 0:
-        raise ValueError(f"crystal length must be positive, got {length_m}")
-    u = np.asarray(dk_z) * (length_m / 2.0)
-    s = np.sinc(u / np.pi)
-    return s * s
-
-
 def pump_envelope(dk_x, dk_y, waist_m: float):
     """Gaussian pump angular spectrum at the transverse mismatch:
     exp[-w0^2 (dk_x^2 + dk_y^2) / 4].
@@ -323,11 +304,10 @@ def amplitude(
     """
     q_signal = np.asarray(q_signal, dtype=float)
     q_idler = np.asarray(q_idler, dtype=float)
-    orth = sl.q_orthogonal
     if sl.axis == "x":
-        q_s, q_i = (q_signal, orth), (q_idler, orth)
+        q_s, q_i = (q_signal, 0.0), (q_idler, 0.0)
     else:
-        q_s, q_i = (orth, q_signal), (orth, q_idler)
+        q_s, q_i = (0.0, q_signal), (0.0, q_idler)
     mm = mismatch(
         q_s, q_i, wl, crystal, pump,
         pair=(sl.lambda_signal_nm, sl.lambda_idler_nm),

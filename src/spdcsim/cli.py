@@ -35,23 +35,22 @@ from spdcsim.camera import (
     slope_report,
     uncorrected_jpd,
 )
-from spdcsim.config import Built, ConfigError, RunConfig, load_config
+from spdcsim.config import ConfigError, RunConfig, load_config
 from spdcsim.dispersion import (
     PhaseMatchingError,
     WavelengthRangeError,
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv
-from spdcsim.spectral import JointDistribution, far_field_jid, near_field_jid
+from spdcsim.spectral import JointDistribution
 from spdcsim.stats import (
     DegenerateDistributionError,
     moments,
     normalize,
     reid_inference,
-    reid_product,
     ridge_slope,
 )
-from spdcsim.sweep import rows_to_csv, run_sweep
+from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
 
 __all__ = ["main"]
 
@@ -74,21 +73,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
-
-
-def _compute_jid(cfg: RunConfig, built: Built, plane: str, axis: str) -> JointDistribution:
-    fn = far_field_jid if plane == "far" else near_field_jid
-    return fn(
-        axis,
-        built.crystal,
-        built.pump,
-        built.wl,
-        built.filt,
-        n_slices=cfg.n_slices,
-        grid=cfg.grid(built, axis),
-        kernel=cfg.kernel,
-        memory_budget_bytes=cfg.memory_budget_bytes,
-    )
 
 
 def _stats_payload(jid: JointDistribution) -> dict:
@@ -157,7 +141,7 @@ def cmd_pm_angle(args: argparse.Namespace) -> int:
 def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
     built = cfg.build()
-    jid = _compute_jid(cfg, built, args.plane, args.axis)
+    jid = cfg.jid(built, args.plane, args.axis)
     payload = _stats_payload(jid)
     files = _write_matrix(
         Path(cfg.out_dir),
@@ -180,7 +164,7 @@ def cmd_jid(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     cfg = _config(args)
     built = cfg.build()
-    jid = _compute_jid(cfg, built, args.plane, args.axis)
+    jid = cfg.jid(built, args.plane, args.axis)
     _emit(_stats_payload(jid))
     return 0
 
@@ -191,9 +175,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     axes = (args.axis,) if args.axis else cfg.axes
     per_axis = {}
     for axis in axes:
-        near = reid_inference(moments(normalize(_compute_jid(cfg, built, "near", axis))))
-        far = reid_inference(moments(normalize(_compute_jid(cfg, built, "far", axis))))
-        report = reid_product(near, far)
+        near, far, report = cfg.certify_axis(built, axis)
         per_axis[axis] = {
             **report.to_json_dict(),
             "near": near.to_json_dict(),
@@ -214,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fmt = cfg.out_formats[0]
     if fmt == "bin":
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
-    rows = run_sweep(cfg.sweep_spec(), convergence_check=args.check_convergence)
+    rows = run_sweep(cfg, convergence_check=args.check_convergence)
     if fmt == "json":
         text = json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
         name = "sweep.json"
@@ -322,19 +304,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (error classes, stderr label, exit code), as in the module docstring
+_FAILURES = (
+    ((ConfigError, WavelengthRangeError), "config error", 2),
+    ((GridMemoryError, OSError), "resource error", 3),
+    ((PhaseMatchingError, DegenerateDistributionError, EvanescentInputError),
+     "numerical error", 4),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WavelengthRangeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (GridMemoryError, OSError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 3
-    except (PhaseMatchingError, DegenerateDistributionError, EvanescentInputError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        # a failed sweep point exits as its cause does; the message names the value
+        cause = exc.__cause__ if isinstance(exc, SweepError) else exc
+        for classes, label, code in _FAILURES:
+            if isinstance(cause, classes):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

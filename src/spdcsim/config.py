@@ -19,7 +19,9 @@ dotted-path error so typos cannot silently fall back to defaults.
 
 Physical invariants of the assembled objects (positive lengths, valid
 wavelength ranges, phase matching) are enforced by ``build()``, which
-the command layer runs immediately after parsing.
+the command layer runs immediately after parsing.  ``certify_axis()``
+is the one near+far computation behind both ``certify`` and every
+``sweep`` point.
 """
 
 from __future__ import annotations
@@ -30,22 +32,28 @@ from pathlib import Path
 
 import yaml
 
-from spdcsim.biphoton import (
-    DEFAULT_GRID_N,
-    PumpSpec,
-    TransverseSlice,
-)
+from spdcsim.biphoton import DEFAULT_GRID_N, PumpSpec, TransverseSlice
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import DEFAULT_SPECTRAL_SLICES, FilterSpec
-from spdcsim.sweep import (
-    DEFAULT_FWHM_VALUES_NM,
-    DEFAULT_LENGTH_VALUES_MM,
-    DEFAULT_WAIST_VALUES_UM,
-    SWEEPABLE,
-    SweepSpec,
+from spdcsim.spectral import (
+    DEFAULT_SPECTRAL_SLICES,
+    FilterSpec,
+    JointDistribution,
+    far_field_jid,
+    near_field_jid,
+)
+from spdcsim.stats import (
+    ReidReport,
+    StatsSummary,
+    moments,
+    normalize,
+    reid_inference,
+    reid_product,
 )
 
-__all__ = ["ConfigError", "RunConfig", "Built", "load_config", "parse_config"]
+__all__ = [
+    "ConfigError", "RunConfig", "Built", "load_config", "parse_config",
+    "SWEEP_FIELDS", "SWEEPABLE", "SWEEP_DEFAULT_VALUES",
+]
 
 
 class ConfigError(ValueError):
@@ -107,18 +115,27 @@ def _section(mapping, name, known):
     return raw
 
 
+# sweepable parameter -> the RunConfig field a sweep point replaces
+SWEEP_FIELDS = {
+    "filter_fwhm_nm": "filter_fwhm_nm",
+    "crystal_length_mm": "length_mm",
+    "pump_waist_um": "waist_um",
+}
+SWEEPABLE = tuple(SWEEP_FIELDS)
+
+# Representative value ladders bracketing the regimes of interest.
+SWEEP_DEFAULT_VALUES = {
+    "filter_fwhm_nm": (1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
+    "crystal_length_mm": (0.5, 1.0, 2.0, 4.0),
+    "pump_waist_um": (100.0, 250.0, 500.0, 1000.0),
+}
+
 # accepted spellings of the sweepable parameters -> canonical names
 _SWEEP_ALIASES = {
     "filter_fwhm": "filter_fwhm_nm",
     "crystal_length": "crystal_length_mm",
     "pump_waist": "pump_waist_um",
     **{name: name for name in SWEEPABLE},
-}
-
-_SWEEP_DEFAULT_VALUES = {
-    "filter_fwhm_nm": DEFAULT_FWHM_VALUES_NM,
-    "crystal_length_mm": DEFAULT_LENGTH_VALUES_MM,
-    "pump_waist_um": DEFAULT_WAIST_VALUES_UM,
 }
 
 _FORMATS = ("csv", "json", "bin")
@@ -164,11 +181,35 @@ class RunConfig:
     out_dir: str = "."
     out_formats: tuple[str, ...] = ("csv",)
 
+    def __post_init__(self) -> None:
+        if self.sweep_parameter not in SWEEP_FIELDS:
+            _fail(
+                "sweep.parameter",
+                f"unknown sweep parameter {self.sweep_parameter!r}; "
+                f"expected one of {SWEEPABLE}",
+            )
+        values = self.sweep_values
+        if values is not None:
+            if not values:
+                _fail("sweep.values", "must be a non-empty list")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                _fail("sweep.values", "must be strictly increasing")
+        if not self.axes or any(a not in ("x", "y") for a in self.axes):
+            _fail("axes", f"must be a non-empty list of 'x'/'y', got {list(self.axes)!r}")
+        if len(set(self.axes)) != len(self.axes):
+            _fail("axes", f"duplicate axis in {list(self.axes)}")
+
     @property
     def effective_signal_nm(self) -> float:
         if self.signal_nm is not None:
             return self.signal_nm
         return 2.0 * self.pump_nm if self.degenerate else 780.0
+
+    @property
+    def effective_sweep_values(self) -> tuple[float, ...]:
+        if self.sweep_values is not None:
+            return self.sweep_values
+        return SWEEP_DEFAULT_VALUES[self.sweep_parameter]
 
     @property
     def memory_budget_bytes(self) -> int:
@@ -218,32 +259,28 @@ class RunConfig:
             diff_halfwidth=self.diff_halfwidth,
         )
 
-    def sweep_spec(self) -> SweepSpec:
-        values = self.sweep_values
-        if values is None:
-            values = _SWEEP_DEFAULT_VALUES[self.sweep_parameter]
-        return SweepSpec(
-            parameter=self.sweep_parameter,
-            values=tuple(values),
-            axes=self.axes,
-            degenerate=self.degenerate,
-            pump_nm=self.pump_nm,
-            signal_nm=self.signal_nm,
-            length_mm=self.length_mm,
-            waist_um=self.waist_um,
-            filter_shape=self.filter_shape,
-            filter_fwhm_nm=self.filter_fwhm_nm,
-            filter_arm=self.filter_arm,
+    def jid(self, built: Built, plane: str, axis: str) -> JointDistribution:
+        """The far- or near-field joint distribution of one axis."""
+        fn = far_field_jid if plane == "far" else near_field_jid
+        return fn(
+            axis,
+            built.crystal,
+            built.pump,
+            built.wl,
+            built.filt,
             n_slices=self.n_slices,
-            grid_n=self.grid_n,
+            grid=self.grid(built, axis),
             kernel=self.kernel,
-            focal_length_m=self.focal_length_m,
-            sellmeier=(
-                SellmeierSet.from_file(self.sellmeier_file)
-                if self.sellmeier_file is not None
-                else SellmeierSet.bbo()
-            ),
+            memory_budget_bytes=self.memory_budget_bytes,
         )
+
+    def certify_axis(
+        self, built: Built, axis: str
+    ) -> tuple[StatsSummary, StatsSummary, ReidReport]:
+        """Near- and far-field inference of one axis and their Reid report."""
+        near = reid_inference(moments(normalize(self.jid(built, "near", axis))))
+        far = reid_inference(moments(normalize(self.jid(built, "far", axis))))
+        return near, far, reid_product(near, far)
 
 
 _TOP_LEVEL = (
@@ -279,23 +316,18 @@ def parse_config(mapping: dict | None) -> RunConfig:
     axes_raw = mapping.get("axes", ["x", "y"])
     if isinstance(axes_raw, str):
         axes_raw = [axes_raw]
-    if not isinstance(axes_raw, list) or not axes_raw:
+    if not isinstance(axes_raw, list):
         _fail("axes", f"must be a non-empty list of 'x'/'y', got {axes_raw!r}")
-    axes = tuple(_choice(a, "axes", ("x", "y")) for a in axes_raw)
-    if len(set(axes)) != len(axes):
-        _fail("axes", f"duplicate axis in {list(axes)}")
 
     parameter_raw = sweep.get("parameter", "filter_fwhm_nm")
     _choice(parameter_raw, "sweep.parameter", tuple(_SWEEP_ALIASES))
     values = sweep.get("values")
     if values is not None:
-        if not isinstance(values, list) or not values:
+        if not isinstance(values, list):
             _fail("sweep.values", f"must be a non-empty list, got {values!r}")
         values = tuple(
             _number(v, f"sweep.values[{i}]", positive=True) for i, v in enumerate(values)
         )
-        if any(b <= a for a, b in zip(values, values[1:])):
-            _fail("sweep.values", "must be strictly increasing")
 
     formats_raw = output.get("formats", ["csv"])
     if isinstance(formats_raw, str):
@@ -340,7 +372,7 @@ def parse_config(mapping: dict | None) -> RunConfig:
                            ("fitted", "literal")),
         magnification=_number(camera.get("magnification", 1.0),
                               "camera.magnification", positive=True),
-        axes=axes,
+        axes=tuple(axes_raw),
         sweep_parameter=_SWEEP_ALIASES[parameter_raw],
         sweep_values=values,
         out_dir=_string(output.get("directory", "."), "output.directory"),

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
 
 import yaml
 from scipy.optimize import brentq
@@ -326,21 +325,6 @@ class CrystalSetup:
         if not (0.0 <= self.rho < 0.2):
             raise ValueError(f"walk-off angle {self.rho} rad is outside [0, 0.2)")
 
-    def check_walkoff(self, pump_nm: float, tol_rad: float = 1e-12) -> None:
-        """Assert that ``rho`` matches a recomputation from ``theta_p``.
-
-        The walk-off angle is stored rather than derived on demand (it
-        needs the pump wavelength, which this object doesn't carry), so
-        pipelines that know the pump call this once to catch a stale or
-        hand-edited value.
-        """
-        expected = walkoff_angle(self.sellmeier, self.theta_p, pump_nm)
-        if abs(expected - self.rho) > tol_rad:
-            raise ValueError(
-                f"stored walk-off {self.rho!r} rad disagrees with the value "
-                f"{expected!r} rad recomputed from theta_p at {pump_nm} nm"
-            )
-
     @classmethod
     def collinear(
         cls, wl: SpdcWavelengths, sell: SellmeierSet, length_m: float
@@ -365,11 +349,3 @@ class CrystalSetup:
             theta_p=theta_p,
             rho=walkoff_angle(sell, theta_p, wl.pump_nm),
         )
-
-
-def index_table(sell: SellmeierSet, wavelengths_nm: Iterable[float]) -> list[tuple[float, float, float]]:
-    """(wavelength, n_o, n_e) rows — convenience for quick inspection."""
-    return [
-        (w, sell.index_ordinary(w), sell.index_extraordinary(w))
-        for w in wavelengths_nm
-    ]

@@ -1,11 +1,13 @@
 """Parameter sweeps: inferred widths and Reid products vs source settings.
 
-A sweep fixes a base configuration (pump, crystal, filter, grids) and
-scans one parameter — filter FWHM, crystal length, or pump waist —
-rebuilding the full far- and near-field pipeline at every value and
-recording the per-axis inferred widths and their product.  Rows come
-out ordered by swept value, and the whole run is a pure function of the
-spec, so repeated runs are bitwise identical.
+A sweep scans one parameter of a run config — filter FWHM, crystal
+length, or pump waist.  Each point is the config with that one field
+replaced (``config.SWEEP_FIELDS``), built, and run through the same
+per-axis near+far computation as ``certify``
+(``RunConfig.certify_axis``), so a one-value sweep reports exactly what
+``certify`` reports for the same config.  Rows come out ordered by
+swept value, and the whole run is a pure function of the config, so
+repeated runs are bitwise identical.
 
 Swept values are quoted in the units the parameters are configured in
 (nm for filter FWHM, mm for crystal length, um for pump waist); widths
@@ -14,22 +16,12 @@ in the output rows are um for position and rad/m for momentum.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from spdcsim.biphoton import DEFAULT_GRID_N, PumpSpec
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import (
-    DEFAULT_SPECTRAL_SLICES,
-    FilterSpec,
-    far_field_jid,
-    near_field_jid,
-)
-from spdcsim.stats import moments, normalize, reid_inference, reid_product
+from spdcsim.config import SWEEP_FIELDS, RunConfig
 
 __all__ = [
-    "SweepSpec",
     "SweepRow",
     "SweepError",
     "TrendCheck",
@@ -37,69 +29,14 @@ __all__ = [
     "rows_to_csv",
     "trend_checks",
     "CSV_HEADER",
-    "DEFAULT_FWHM_VALUES_NM",
-    "DEFAULT_LENGTH_VALUES_MM",
-    "DEFAULT_WAIST_VALUES_UM",
 ]
 
 CSV_HEADER = "swept_value,axis,dx_inferred_um,dq_inferred_radm,reid_product,certified"
 
-SWEEPABLE = ("filter_fwhm_nm", "crystal_length_mm", "pump_waist_um")
-
-# Representative value lists bracketing the regimes of interest.
-DEFAULT_FWHM_VALUES_NM = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
-DEFAULT_LENGTH_VALUES_MM = (0.5, 1.0, 2.0, 4.0)
-DEFAULT_WAIST_VALUES_UM = (100.0, 250.0, 500.0, 1000.0)
-
 
 class SweepError(RuntimeError):
-    """A sweep aborted; the message identifies the offending value."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Base configuration plus the parameter scan to run over it.
-
-    ``degenerate`` picks the 810 nm self-paired signal; otherwise the
-    780/842.4 nm pair is used.  ``focal_length_m`` is carried for
-    camera-based studies sharing the same base configuration; the width
-    sweep itself never looks at it.
-    """
-
-    parameter: str
-    values: tuple[float, ...]
-    axes: tuple[str, ...] = ("x", "y")
-    degenerate: bool = False
-    pump_nm: float = 405.0
-    signal_nm: float | None = None
-    length_mm: float = 1.0
-    waist_um: float = 500.0
-    filter_shape: str = "gaussian"
-    filter_fwhm_nm: float = 5.0
-    filter_arm: str = "signal"
-    n_slices: int = DEFAULT_SPECTRAL_SLICES
-    grid_n: int = DEFAULT_GRID_N
-    kernel: str = "sinc"
-    focal_length_m: float = 0.25
-    sellmeier: SellmeierSet = field(default_factory=SellmeierSet.bbo)
-
-    def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEPABLE}"
-            )
-        if not self.values:
-            raise ValueError("sweep value list must be non-empty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-        if not self.axes or any(a not in ("x", "y") for a in self.axes):
-            raise ValueError(f"axes must be a non-empty subset of ('x','y'), got {self.axes}")
-
-    @property
-    def base_signal_nm(self) -> float:
-        if self.signal_nm is not None:
-            return self.signal_nm
-        return 2.0 * self.pump_nm if self.degenerate else 780.0
+    """A sweep aborted; the message identifies the offending value and the
+    underlying error is chained as ``__cause__``."""
 
 
 @dataclass(frozen=True)
@@ -116,31 +53,14 @@ class SweepRow:
             raise ValueError("widths must be non-negative")
 
 
-def _evaluate_point(
-    spec: SweepSpec, value: float, axis: str
-) -> SweepRow:
-    length_mm = spec.length_mm
-    waist_um = spec.waist_um
-    fwhm_nm = spec.filter_fwhm_nm
-    if spec.parameter == "crystal_length_mm":
-        length_mm = value
-    elif spec.parameter == "pump_waist_um":
-        waist_um = value
-    else:
-        fwhm_nm = value
-
-    wl = SpdcWavelengths.from_pump_signal(spec.pump_nm, spec.base_signal_nm)
-    crystal = CrystalSetup.collinear(wl, spec.sellmeier, length_mm * 1e-3)
-    pump = PumpSpec.from_crystal(spec.pump_nm, waist_um * 1e-6, crystal)
-    center = wl.signal_nm if spec.filter_arm == "signal" else wl.idler_nm
-    filt = FilterSpec(spec.filter_shape, center, fwhm_nm, arm=spec.filter_arm)
-
-    common = dict(n_slices=spec.n_slices, grid_n=spec.grid_n, kernel=spec.kernel)
-    far = far_field_jid(axis, crystal, pump, wl, filt, **common)
-    near = near_field_jid(axis, crystal, pump, wl, filt, **common)
-    far_stats = reid_inference(moments(normalize(far)))
-    near_stats = reid_inference(moments(normalize(near)))
-    report = reid_product(near_stats, far_stats)
+def _sweep_row(cfg: RunConfig, value: float, axis: str) -> SweepRow:
+    point = replace(cfg, **{SWEEP_FIELDS[cfg.sweep_parameter]: value})
+    try:
+        _, _, report = point.certify_axis(point.build(), axis)
+    except Exception as exc:
+        raise SweepError(
+            f"sweep aborted at {cfg.sweep_parameter} = {value} (axis {axis}): {exc}"
+        ) from exc
     return SweepRow(
         swept_value=value,
         axis=axis,
@@ -151,39 +71,32 @@ def _evaluate_point(
     )
 
 
-def run_sweep(spec: SweepSpec, *, convergence_check: bool = False) -> list[SweepRow]:
-    """Evaluate every (value, axis) point of the sweep, in spec order.
+def run_sweep(cfg: RunConfig, *, convergence_check: bool = False) -> list[SweepRow]:
+    """Evaluate every (value, axis) point of the config's sweep, in order.
 
     Any failure in the underlying pipeline aborts the whole sweep with
     the offending value named.  With ``convergence_check`` the extreme
     values are re-run at doubled grid resolution and a warning is issued
     if any reported position width moves by more than 1%.
     """
-    rows = []
-    for value in spec.values:
-        for axis in spec.axes:
-            try:
-                rows.append(_evaluate_point(spec, value, axis))
-            except Exception as exc:
-                raise SweepError(
-                    f"sweep aborted at {spec.parameter} = {value} (axis {axis}): {exc}"
-                ) from exc
+    values = cfg.effective_sweep_values
+    rows = [_sweep_row(cfg, value, axis) for value in values for axis in cfg.axes]
     if convergence_check:
-        fine = replace(spec, grid_n=2 * spec.grid_n)
-        for value in (spec.values[0], spec.values[-1]):
-            for axis in spec.axes:
+        fine = replace(cfg, grid_n=2 * cfg.grid_n)
+        for value in (values[0], values[-1]):
+            for axis in cfg.axes:
                 coarse = next(
                     r for r in rows if r.swept_value == value and r.axis == axis
                 )
-                refined = _evaluate_point(fine, value, axis)
+                refined = _sweep_row(fine, value, axis)
                 drift = abs(refined.dx_inferred_um - coarse.dx_inferred_um) / max(
                     coarse.dx_inferred_um, 1e-300
                 )
                 if drift > 0.01:
                     warnings.warn(
-                        f"{spec.parameter} = {value} (axis {axis}): position width "
+                        f"{cfg.sweep_parameter} = {value} (axis {axis}): position width "
                         f"moves {drift:.1%} when the grid is doubled; results are "
-                        f"not converged at grid_n = {spec.grid_n}",
+                        f"not converged at grid_n = {cfg.grid_n}",
                         stacklevel=2,
                     )
     return rows

@@ -15,8 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from spdcsim.biphoton import PumpSpec, TransverseSlice, mismatch, sinc_efficiency
+from spdcsim.biphoton import PumpSpec, TransverseSlice, _kernel, mismatch
 from spdcsim.camera import camera_slices, corrected_jpd, slope_report, uncorrected_jpd
+from spdcsim.config import RunConfig
 from spdcsim.dispersion import (
     CrystalSetup,
     SellmeierSet,
@@ -35,7 +36,7 @@ from spdcsim.spectral import (
     position_grid,
 )
 from spdcsim.stats import moments, normalize, reid_inference, reid_product
-from spdcsim.sweep import SweepSpec, run_sweep, trend_checks
+from spdcsim.sweep import run_sweep, trend_checks
 
 SELL = SellmeierSet.bbo()
 PUMP_NM = 405.0
@@ -160,8 +161,8 @@ def test_camera_corrected_slope_stable_across_bandwidth(fwhm_nm):
 
 
 def test_degenerate_product_flat_across_bandwidth():
-    rows = run_sweep(SweepSpec(
-        parameter="filter_fwhm_nm", values=(1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
+    rows = run_sweep(RunConfig(
+        sweep_parameter="filter_fwhm_nm", sweep_values=(1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
         axes=("x",), degenerate=True, grid_n=1024, n_slices=31,
     ))
     (check,) = trend_checks(rows, {"x": "flat"}, tolerance=0.02)
@@ -171,8 +172,8 @@ def test_degenerate_product_flat_across_bandwidth():
 def test_nondegenerate_product_grows_with_bandwidth():
     # evaluated on a 4 mm crystal, where the chromatic detuning dominates
     # the conditional widths and the growth is unambiguous
-    rows = run_sweep(SweepSpec(
-        parameter="filter_fwhm_nm", values=(1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
+    rows = run_sweep(RunConfig(
+        sweep_parameter="filter_fwhm_nm", sweep_values=(1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
         axes=("x",), degenerate=False, length_mm=4.0, grid_n=1024, n_slices=31,
     ))
     (product,) = trend_checks(rows, {"x": "nondecreasing"}, tolerance=0.02)
@@ -184,8 +185,8 @@ def test_nondegenerate_product_grows_with_bandwidth():
 def test_degenerate_product_decreasing_with_waist():
     # 2048-point grids: the 1000 um waist pins the momentum ridge to a
     # few thousand rad/m, below the 1024-grid pixel
-    rows = run_sweep(SweepSpec(
-        parameter="pump_waist_um", values=(100.0, 250.0, 500.0, 1000.0),
+    rows = run_sweep(RunConfig(
+        sweep_parameter="pump_waist_um", sweep_values=(100.0, 250.0, 500.0, 1000.0),
         axes=("x",), degenerate=True, grid_n=2048, n_slices=31,
     ))
     (check,) = trend_checks(rows, {"x": "decreasing"}, tolerance=0.02)
@@ -193,8 +194,8 @@ def test_degenerate_product_decreasing_with_waist():
 
 
 def test_degenerate_product_decreasing_with_length():
-    rows = run_sweep(SweepSpec(
-        parameter="crystal_length_mm", values=(0.5, 1.0, 2.0, 4.0),
+    rows = run_sweep(RunConfig(
+        sweep_parameter="crystal_length_mm", sweep_values=(0.5, 1.0, 2.0, 4.0),
         axes=("x",), degenerate=True, grid_n=1024, n_slices=31,
     ))
     # The name records the claim this check was first written against;
@@ -211,8 +212,8 @@ def test_degenerate_product_decreasing_with_length():
 
 
 def test_nondegenerate_widefilter_product_increasing_with_length():
-    rows = run_sweep(SweepSpec(
-        parameter="crystal_length_mm", values=(0.5, 1.0, 2.0, 4.0),
+    rows = run_sweep(RunConfig(
+        sweep_parameter="crystal_length_mm", sweep_values=(0.5, 1.0, 2.0, 4.0),
         axes=("x",), degenerate=False, filter_fwhm_nm=10.0, grid_n=1024, n_slices=31,
     ))
     (check,) = trend_checks(rows, {"x": "increasing"}, tolerance=0.02)
@@ -313,7 +314,8 @@ def test_normalization_sinc_zero_paraxial():
     assert abs(total - 1.0) < 1e-9, f"normalization off: {total}"
 
     # first sinc zero: momentum mismatch of one full cycle over the crystal
-    assert sinc_efficiency(2.0 * math.pi / crystal.length_m, crystal.length_m) < 1e-12
+    u = (2.0 * math.pi / crystal.length_m) * (crystal.length_m / 2.0)
+    assert _kernel(u, "sinc") ** 2 < 1e-12
 
     # exact vs paraxial longitudinal mismatch within 1e-3 relative
     # for transverse momenta up to 2% of the wavevector

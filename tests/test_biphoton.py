@@ -12,11 +12,11 @@ from spdcsim.biphoton import (
     GridMemoryError,
     PumpSpec,
     TransverseSlice,
+    _kernel,
     amplitude,
     evaluate_grid,
     mismatch,
     pump_envelope,
-    sinc_efficiency,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 
@@ -94,28 +94,28 @@ def test_exact_vs_paraxial_within_cone():
 # -- kernels ----------------------------------------------------------------
 
 
+def sinc_squared(dk_z, length_m):
+    """Phase-matching efficiency sinc^2(dk_z L / 2) from the amplitude kernel."""
+    return _kernel(dk_z * (length_m / 2.0), "sinc") ** 2
+
+
 def test_sinc_efficiency_peak_and_first_zero():
     L = 1e-3
-    assert sinc_efficiency(0.0, L) == 1.0
-    assert sinc_efficiency(2 * math.pi / L, L) < 1e-12
+    assert sinc_squared(0.0, L) == 1.0
+    assert sinc_squared(2 * math.pi / L, L) < 1e-12
 
 
 def test_sinc_efficiency_half_lobe():
     # dk_z L/2 = pi/2 -> sinc = 2/pi -> efficiency (2/pi)^2
     L = 2e-3
     dkz = math.pi / L
-    assert sinc_efficiency(dkz, L) == pytest.approx((2 / math.pi) ** 2, rel=1e-12)
-
-
-def test_sinc_efficiency_rejects_bad_length():
-    with pytest.raises(ValueError):
-        sinc_efficiency(0.0, 0.0)
+    assert sinc_squared(dkz, L) == pytest.approx((2 / math.pi) ** 2, rel=1e-12)
 
 
 @given(dkz=st.floats(-1e6, 1e6), length_mm=st.floats(0.1, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_sinc_efficiency_bounded(dkz, length_mm):
-    val = float(sinc_efficiency(dkz, length_mm * 1e-3))
+    val = float(sinc_squared(dkz, length_mm * 1e-3))
     assert 0.0 <= val <= 1.0
 
 
@@ -148,7 +148,6 @@ def test_pump_envelope_underflows_cleanly():
 
 def test_pump_spec_decomposition():
     wl, crystal, pump = make_setup()
-    assert pump.k_x == 0.0
     assert pump.k_y == pytest.approx(pump.k_mag * math.sin(crystal.rho), rel=1e-14)
     assert pump.k_y**2 + pump.k_z**2 == pytest.approx(pump.k_mag**2, rel=1e-12)
     # Collinear phase matching: the longitudinal pump carrier nearly

@@ -174,6 +174,40 @@ class TestSweep:
         assert code == 2
         assert out == ""
 
+    # sets every key the sweep once ignored: theta_deg, filter.center_nm
+    # and both grid half-widths
+    AGREEMENT = (
+        "crystal:\n  theta_deg: 28.9\n"
+        "filter:\n  center_nm: 781.0\n"
+        "grid:\n  n: 128\n  sum_halfwidth: 40000.0\n  diff_halfwidth: 1500000.0\n"
+        "spectral:\n  slices: 3\n"
+        "axes: [x]\n"
+        "sweep:\n  values: [5.0]\n"
+    )
+
+    def test_one_value_sweep_equals_certify(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, self.AGREEMENT)
+        code, out, _ = run_cli(capsys, "certify", "--config", cfg)
+        assert code == 0
+        report = json.loads(out)["axes"]["x"]
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg, "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["dx_inferred_um"] == report["dx_inferred_m"] * 1e6
+        assert row["dq_inferred_radm"] == report["dq_inferred_radm"]
+        assert row["reid_product"] == report["reid_product"]
+        assert row["certified"] == report["certified"]
+
+    def test_memory_budget_bounds_sweep_like_certify(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path, self.AGREEMENT.replace("  n: 128\n", "  n: 128\n  memory_budget_mb: 1\n")
+        )
+        for command in ("certify", "sweep"):
+            code, out, err = run_cli(capsys, command, "--config", cfg)
+            assert code == 3, command
+            assert out == ""
+            assert err.startswith("resource error:")
+
 
 class TestCamera:
     def test_files_and_slope_report(self, capsys, tmp_path):
@@ -213,6 +247,23 @@ class TestExitCodes:
         )
         assert code == 3  # unreadable file is a resource error
         assert out == ""
+
+    def test_failing_sweep_point_exits_as_its_cause(self, capsys, tmp_path):
+        """A sweep point fails as certify does on the same value (exit 4
+        here), with one stderr line naming the value and no traceback."""
+        common = "grid:\n  n: 64\nspectral:\n  slices: 1\naxes: [x]\n"
+        cfg = write_config(tmp_path, "crystal:\n  length_mm: 0.0001\n" + common, "one.yaml")
+        code, _, _ = run_cli(capsys, "certify", "--config", cfg)
+        assert code == 4
+        cfg = write_config(
+            tmp_path,
+            "sweep:\n  parameter: crystal_length_mm\n  values: [0.0001, 1.0]\n" + common,
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical error: sweep aborted at crystal_length_mm = 0.0001")
+        assert err.count("\n") == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -98,7 +98,7 @@ class TestParsing:
 
     def test_sweep_spec_defaults_per_parameter(self):
         cfg = parse_config({"sweep": {"parameter": "crystal_length"}})
-        assert cfg.sweep_spec().values == (0.5, 1.0, 2.0, 4.0)
+        assert cfg.effective_sweep_values == (0.5, 1.0, 2.0, 4.0)
 
     def test_int_values_coerced_to_float(self):
         cfg = parse_config({"crystal": {"length_mm": 2}})
@@ -168,7 +168,9 @@ class TestLoadFile:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1] / "configs"
-        for name in ("nondegenerate_780.yaml", "degenerate_810.yaml"):
-            cfg = load_config(root / name)
+        paths = sorted(root.glob("*.yaml"))
+        assert {"nondegenerate_780.yaml", "degenerate_810.yaml"} <= {p.name for p in paths}
+        for path in paths:
+            cfg = load_config(path)
             built = cfg.build()
             assert built.crystal.length_m == pytest.approx(1e-3)

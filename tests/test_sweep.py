@@ -10,6 +10,7 @@ import math
 import pytest
 
 from spdcsim.biphoton import PumpSpec
+from spdcsim.config import RunConfig
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, far_field_jid, near_field_jid
 from spdcsim.stats import moments, normalize, reid_inference, reid_product
@@ -17,7 +18,6 @@ from spdcsim.sweep import (
     CSV_HEADER,
     SweepError,
     SweepRow,
-    SweepSpec,
     TrendCheck,
     rows_to_csv,
     run_sweep,
@@ -25,52 +25,54 @@ from spdcsim.sweep import (
 )
 
 
-def small_spec(**overrides):
+def small_cfg(**overrides):
     base = dict(
-        parameter="filter_fwhm_nm",
-        values=(2.0, 6.0),
+        sweep_parameter="filter_fwhm_nm",
+        sweep_values=(2.0, 6.0),
         axes=("x",),
         n_slices=3,
         grid_n=128,
     )
     base.update(overrides)
-    return SweepSpec(**base)
+    return RunConfig(**base)
 
 
 class TestSpecValidation:
+    """A RunConfig handed to run_sweep is validated when it is made
+    (RunConfig.__post_init__), the one place these rules live."""
+
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
-            small_spec(parameter="pump_power")
+            run_sweep(small_cfg(sweep_parameter="pump_power"))
 
     def test_empty_values(self):
         with pytest.raises(ValueError, match="non-empty"):
-            small_spec(values=())
+            run_sweep(small_cfg(sweep_values=()))
 
     def test_values_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            small_spec(values=(2.0, 2.0, 6.0))
+            run_sweep(small_cfg(sweep_values=(2.0, 2.0, 6.0)))
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axes"):
-            small_spec(axes=("z",))
+            run_sweep(small_cfg(axes=("z",)))
 
     def test_signal_defaults(self):
-        assert small_spec().base_signal_nm == 780.0
-        assert small_spec(degenerate=True).base_signal_nm == 810.0
-        assert small_spec(signal_nm=800.0).base_signal_nm == 800.0
+        assert small_cfg().effective_signal_nm == 780.0
+        assert small_cfg(degenerate=True).effective_signal_nm == 810.0
+        assert small_cfg(signal_nm=800.0).effective_signal_nm == 800.0
 
 
 class TestRunSweep:
     def test_row_ordering_value_major(self):
-        rows = run_sweep(small_spec(axes=("x", "y")))
+        rows = run_sweep(small_cfg(axes=("x", "y")))
         assert [(r.swept_value, r.axis) for r in rows] == [
             (2.0, "x"), (2.0, "y"), (6.0, "x"), (6.0, "y"),
         ]
 
     def test_single_point_matches_direct_pipeline(self):
         """A one-value sweep is exactly one pass of the plain pipeline."""
-        spec = small_spec(values=(4.0,))
-        row = run_sweep(spec)[0]
+        row = run_sweep(small_cfg(sweep_values=(4.0,)))[0]
 
         wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
         sell = SellmeierSet.bbo()
@@ -90,8 +92,8 @@ class TestRunSweep:
         assert row.certified == report.certified
 
     def test_deterministic(self):
-        spec = small_spec()
-        assert run_sweep(spec) == run_sweep(spec)
+        cfg = small_cfg()
+        assert run_sweep(cfg) == run_sweep(cfg)
 
     @pytest.mark.parametrize(
         "parameter,value,length_mm,waist_um",
@@ -106,7 +108,7 @@ class TestRunSweep:
         Verified by equality against a hand-built single run — trend
         physics at realistic grids is exercised by the acceptance suite.
         """
-        row = run_sweep(small_spec(parameter=parameter, values=(value,)))[0]
+        row = run_sweep(small_cfg(sweep_parameter=parameter, sweep_values=(value,)))[0]
 
         wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
         crystal = CrystalSetup.collinear(wl, SellmeierSet.bbo(), length_mm * 1e-3)
@@ -122,18 +124,18 @@ class TestRunSweep:
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
 
     def test_abort_names_the_offending_value(self):
-        spec = small_spec(signal_nm=1100.0)  # outside the dispersion data range
+        cfg = small_cfg(signal_nm=1100.0)  # outside the dispersion data range
         with pytest.raises(SweepError, match=r"filter_fwhm_nm = 2\.0"):
-            run_sweep(spec)
+            run_sweep(cfg)
 
     def test_convergence_check_leaves_rows_unchanged(self):
         import warnings
 
-        spec = small_spec(values=(4.0,))
-        plain = run_sweep(spec)
+        cfg = small_cfg(sweep_values=(4.0,))
+        plain = run_sweep(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            checked = run_sweep(spec, convergence_check=True)
+            checked = run_sweep(cfg, convergence_check=True)
         assert checked == plain
 
 
