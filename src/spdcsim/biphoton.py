@@ -206,6 +206,25 @@ def _ordinary_k(crystal: CrystalSetup, wavelength_nm: float) -> float:
     )
 
 
+def _arm_dk_z(crystal: CrystalSetup, lam_nm: float, lam0_nm: float, q_x, q_y):
+    """One arm's share of dk_z: [k0 - k_z] + q_y tan(rho), with
+    k_z = sqrt(k^2 - q_x^2 - q_y^2) at ``lam_nm`` and k0 at ``lam0_nm``.
+
+    dk_z is the sum of the two arms' shares, so it separates additively
+    into a signal term and an idler term.
+    """
+    k = _ordinary_k(crystal, lam_nm)
+    q_y = np.asarray(q_y)
+    q_sq = np.asarray(q_x) ** 2 + q_y**2
+    if np.any(q_sq >= k * k):
+        raise EvanescentInputError(
+            "transverse momentum at or beyond the propagation cone |q| >= k"
+        )
+    return (_ordinary_k(crystal, lam0_nm) - np.sqrt(k * k - q_sq)) + q_y * math.tan(
+        crystal.rho
+    )
+
+
 def mismatch(
     q_s: tuple,
     q_i: tuple,
@@ -225,7 +244,7 @@ def mismatch(
 
         dk_x = -(q_sx + q_ix)
         dk_y = -(q_sy + q_iy)
-        dk_z = [k_s0 - k_zs] + [k_i0 - k_zi] + (q_sy + q_iy) tan(rho)
+        dk_z = [k_s0 - k_zs + q_sy tan(rho)] + [k_i0 - k_zi + q_iy tan(rho)]
 
     with k_zs = sqrt(k_s^2 - |q_s|^2) (exact, no paraxial expansion),
     k_s evaluated at the slice wavelength and k_s0 at the nominal one.
@@ -234,28 +253,13 @@ def mismatch(
     """
     if pair is None:
         pair = (wl.signal_nm, wl.idler_nm)
-    lam_s, lam_i = pair
-    k_s = _ordinary_k(crystal, lam_s)
-    k_i = _ordinary_k(crystal, lam_i)
-    k_s0 = _ordinary_k(crystal, wl.signal_nm)
-    k_i0 = _ordinary_k(crystal, wl.idler_nm)
-
     q_sx, q_sy = q_s
     q_ix, q_iy = q_i
-    qs_sq = np.asarray(q_sx) ** 2 + np.asarray(q_sy) ** 2
-    qi_sq = np.asarray(q_ix) ** 2 + np.asarray(q_iy) ** 2
-    if np.any(qs_sq >= k_s * k_s) or np.any(qi_sq >= k_i * k_i):
-        raise EvanescentInputError(
-            "transverse momentum at or beyond the propagation cone |q| >= k"
-        )
-
+    dk_z = _arm_dk_z(crystal, pair[0], wl.signal_nm, q_sx, q_sy) + _arm_dk_z(
+        crystal, pair[1], wl.idler_nm, q_ix, q_iy
+    )
     dk_x = -(np.asarray(q_sx) + np.asarray(q_ix))
     dk_y = -(np.asarray(q_sy) + np.asarray(q_iy))
-    dk_z = (
-        (k_s0 - np.sqrt(k_s * k_s - qs_sq))
-        + (k_i0 - np.sqrt(k_i * k_i - qi_sq))
-        + (np.asarray(q_sy) + np.asarray(q_iy)) * math.tan(crystal.rho)
-    )
     return PhaseMismatch(dk_x=dk_x, dk_y=dk_y, dk_z=dk_z)
 
 
@@ -284,6 +288,27 @@ def _kernel(u, kind: str):
     raise ValueError(f"unknown phase-matching kernel {kind!r}")
 
 
+#: below this |u| the separable sin(a + b)/u loses digits to cancellation
+#: (about 1e-16/|u| absolute); np.sinc takes over there
+_SEPARABLE_SINC_MIN_U = 1e-4
+
+
+def _separable_sinc(a, b):
+    """sin(a + b) / (a + b) from sin a cos b + cos a sin b.
+
+    For a column ``a`` and a row ``b`` this is a rank-2 broadcast: four
+    1-D transcendental calls instead of one per grid point.
+    """
+    u = np.asarray(a + b)
+    out = np.asarray(np.sin(a) * np.cos(b))
+    out += np.cos(a) * np.sin(b)
+    small = np.abs(u) < _SEPARABLE_SINC_MIN_U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= u
+    out[small] = np.sinc(u[small] / np.pi)
+    return out
+
+
 def amplitude(
     q_signal,
     q_idler,
@@ -301,20 +326,26 @@ def amplitude(
     ``wl``.  The intensity |Psi|^2 is the per-slice far-field JID.  No
     propagation phase is attached: with the kernel real the amplitude is
     real, and only |Psi|^2 enters every downstream quantity.
+
+    dk_z L / 2 = a(q_signal) + b(q_idler) is taken per arm, so on a
+    column x row broadcast the mismatch and the sinc kernel cost O(N)
+    transcendental calls; only the envelope is evaluated per point.
     """
     q_signal = np.asarray(q_signal, dtype=float)
     q_idler = np.asarray(q_idler, dtype=float)
-    if sl.axis == "x":
-        q_s, q_i = (q_signal, 0.0), (q_idler, 0.0)
+
+    def on_axis(q):  # (x, y) components, the orthogonal one zero
+        return (q, 0.0) if sl.axis == "x" else (0.0, q)
+
+    half_length = crystal.length_m / 2.0
+    a = half_length * _arm_dk_z(crystal, sl.lambda_signal_nm, wl.signal_nm, *on_axis(q_signal))
+    b = half_length * _arm_dk_z(crystal, sl.lambda_idler_nm, wl.idler_nm, *on_axis(q_idler))
+    env = pump_envelope(*on_axis(-(q_signal + q_idler)), pump.waist_m)
+    if kernel == "sinc":
+        env *= _separable_sinc(a, b)
     else:
-        q_s, q_i = (0.0, q_signal), (0.0, q_idler)
-    mm = mismatch(
-        q_s, q_i, wl, crystal, pump,
-        pair=(sl.lambda_signal_nm, sl.lambda_idler_nm),
-    )
-    env = pump_envelope(mm.dk_x, mm.dk_y, pump.waist_m)
-    u = np.asarray(mm.dk_z) * (crystal.length_m / 2.0)
-    return env * _kernel(u, kernel)
+        env *= _kernel(a + b, kernel)
+    return env
 
 
 def evaluate_grid(

@@ -77,11 +77,9 @@ def _number(value, path, *, positive=False, nullable=False):
     return out
 
 
-def _integer(value, path, *, minimum=1):
+def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"must be an integer, got {value!r}")
-    if value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -182,6 +180,13 @@ class RunConfig:
     out_formats: tuple[str, ...] = ("csv",)
 
     def __post_init__(self) -> None:
+        for path, value, minimum in (
+            ("grid.n", self.grid_n, 16),
+            ("grid.memory_budget_mb", self.memory_budget_mb, 1),
+            ("spectral.slices", self.n_slices, 1),
+        ):
+            if value < minimum:
+                _fail(path, f"must be >= {minimum}, got {value}")
         if self.sweep_parameter not in SWEEP_FIELDS:
             _fail(
                 "sweep.parameter",
@@ -230,7 +235,10 @@ class RunConfig:
                     f"{2.0 * self.pump_nm} nm, got {self.signal_nm}",
                 )
         if self.sellmeier_file is not None:
-            sell = SellmeierSet.from_file(self.sellmeier_file)
+            try:
+                sell = SellmeierSet.from_file(self.sellmeier_file)
+            except ValueError as exc:
+                raise ConfigError(f"crystal.sellmeier_file: {exc}") from exc
         else:
             sell = SellmeierSet.bbo()
         wl = SpdcWavelengths.from_pump_signal(self.pump_nm, self.effective_signal_nm)
@@ -356,15 +364,13 @@ def parse_config(mapping: dict | None) -> RunConfig:
                                  positive=True, nullable=True),
         filter_fwhm_nm=_number(filt.get("fwhm_nm", 5.0), "filter.fwhm_nm", positive=True),
         filter_arm=_choice(filt.get("arm", "signal"), "filter.arm", ("signal", "idler")),
-        grid_n=_integer(grid.get("n", DEFAULT_GRID_N), "grid.n", minimum=16),
+        grid_n=_integer(grid.get("n", DEFAULT_GRID_N), "grid.n"),
         sum_halfwidth=_number(grid.get("sum_halfwidth"), "grid.sum_halfwidth",
                               positive=True, nullable=True),
         diff_halfwidth=_number(grid.get("diff_halfwidth"), "grid.diff_halfwidth",
                                positive=True, nullable=True),
-        memory_budget_mb=_integer(grid.get("memory_budget_mb", 2048),
-                                  "grid.memory_budget_mb", minimum=1),
-        n_slices=_integer(spectral.get("slices", DEFAULT_SPECTRAL_SLICES),
-                          "spectral.slices", minimum=1),
+        memory_budget_mb=_integer(grid.get("memory_budget_mb", 2048), "grid.memory_budget_mb"),
+        n_slices=_integer(spectral.get("slices", DEFAULT_SPECTRAL_SLICES), "spectral.slices"),
         kernel=_choice(model.get("kernel", "sinc"), "model.kernel", ("sinc", "gauss")),
         focal_length_m=_number(camera.get("focal_length_m", 0.25),
                                "camera.focal_length_m", positive=True),

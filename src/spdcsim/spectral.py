@@ -16,6 +16,11 @@ on conjugate position grids x = 2*pi * (index - N//2) / (N * dq), so
 per-slice Parseval holds exactly up to roundoff:
 
     sum |Psi|^2 dq_s dq_i = sum |psi|^2 dx_s dx_i.
+
+Only |psi|^2 is ever used, so the implementation takes a real FFT of the
+real amplitude, fills the other half-spectrum by Hermitian symmetry,
+omits the input ``ifftshift`` (a unit-modulus phase), and sums the
+slices in FFT order before one ``fftshift`` of the total.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+import scipy.fft
 
 from spdcsim.biphoton import (
     DEFAULT_GRID_N,
@@ -267,10 +273,27 @@ def position_grid(q_grid: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(n) - n // 2) / (n * dq)
 
 
-def _near_field_slice(amp: np.ndarray, dq_s: float, dq_i: float) -> np.ndarray:
+def _near_field_intensity(amp: np.ndarray, dq_s: float, dq_i: float) -> np.ndarray:
+    """|psi|^2 of the centered unitary transform of a real amplitude,
+    in unshifted FFT order (``fftshift`` gives the centered grid).
+
+    The input ``ifftshift`` only multiplies psi by a unit-modulus phase,
+    so it is skipped.  ``amp`` is real, so a half-spectrum ``rfft2``
+    suffices: |F[k, l]| = |F[-k, -l]| fills the missing columns.
+    """
     n, m = amp.shape
-    scale = dq_s * dq_i * n * m / (2.0 * math.pi)
-    return scale * np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(amp)))
+    half = scipy.fft.rfft2(amp)
+    out = np.empty((n, m))
+    h = half.shape[1]
+    lhs = out[:, :h]
+    np.multiply(half.real, half.real, out=lhs)
+    lhs += half.imag * half.imag
+    lhs *= (dq_s * dq_i / (2.0 * math.pi)) ** 2
+    # columns h .. m-1 of row k are columns m-h .. 1 of row -k mod n
+    mirror = lhs[:, m - h:0:-1]
+    out[0, h:] = mirror[0]
+    out[1:, h:] = mirror[:0:-1]
+    return out
 
 
 def near_field_jid(
@@ -296,14 +319,17 @@ def near_field_jid(
         n_slices=n_slices, grid=grid, grid_n=grid_n,
         kernel=kernel, memory_budget_bytes=memory_budget_bytes,
     ):
-        psi = _near_field_slice(amp, sl.dq_signal, sl.dq_idler)
-        contrib = weight * np.abs(psi) ** 2
-        out = contrib if out is None else out + contrib
+        contrib = _near_field_intensity(amp, sl.dq_signal, sl.dq_idler)
+        contrib *= weight
+        if out is None:
+            out = contrib
+        else:
+            out += contrib
         grid_used = sl
     return JointDistribution(
         plane="near",
         axis=axis,
         axis_signal=position_grid(grid_used.q_signal),
         axis_idler=position_grid(grid_used.q_idler),
-        intensity=out,
+        intensity=np.fft.fftshift(out),
     )

@@ -30,7 +30,7 @@ from spdcsim.dispersion import (
 from spdcsim.spectral import (
     FilterSpec,
     JointDistribution,
-    _near_field_slice,
+    _near_field_intensity,
     far_field_jid,
     near_field_jid,
     position_grid,
@@ -271,10 +271,10 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     from spdcsim.biphoton import evaluate_grid
 
     amp = evaluate_grid(grid, crystal, pump, wl)
-    psi = _near_field_slice(amp, grid.dq_signal, grid.dq_idler)
+    near = _near_field_intensity(amp, grid.dq_signal, grid.dq_idler)
     lhs = np.sum(amp * amp) * grid.dq_signal * grid.dq_idler
     dx = 2.0 * math.pi / (grid.q_signal.size * grid.dq_signal)
-    rhs = np.sum(np.abs(psi) ** 2) * dx * dx
+    rhs = np.sum(near) * dx * dx
     assert abs(lhs - rhs) / lhs < 1e-9, f"Parseval violated: {lhs} vs {rhs}"
 
     # (b) correlated double-Gaussian through the same transform + stats
@@ -289,11 +289,10 @@ def test_fourier_parseval_and_double_gaussian_oracle():
         plane="far", axis="x", axis_signal=q, axis_idler=q.copy(),
         intensity=amp * amp,
     ))))
-    psi = _near_field_slice(amp, dq, dq)
     x = position_grid(q)
     near = reid_inference(moments(normalize(JointDistribution(
         plane="near", axis="x", axis_signal=x, axis_idler=x.copy(),
-        intensity=np.abs(psi) ** 2,
+        intensity=np.fft.fftshift(_near_field_intensity(amp, dq, dq)),
     ))))
     dq_expected = 1.0 / (2.0 * math.sqrt(a_sum + b_diff))
     dx_expected = 2.0 * math.sqrt(a_sum * b_diff / (a_sum + b_diff))

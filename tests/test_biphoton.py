@@ -19,6 +19,7 @@ from spdcsim.biphoton import (
     pump_envelope,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
+from spdcsim.spectral import FilterSpec, sample_spectrum
 
 BBO = SellmeierSet.bbo()
 SINC_MIN = -0.21723362821122166  # global minimum of sin(u)/u
@@ -273,6 +274,38 @@ def test_evaluate_grid_matches_pointwise():
             amplitude(sl.q_signal[k], sl.q_idler[l], sl, crystal, pump, wl)
         )
         assert mat[k, l] == pt
+
+
+def composed_amplitude(sl, crystal, pump, wl, kernel):
+    """The amplitude as the plain product of its documented factors:
+    pump_envelope(mismatch) * kernel(dk_z L / 2), one kernel call per point."""
+    if sl.axis == "x":
+        q_s, q_i = (sl.q_signal[:, None], 0.0), (sl.q_idler[None, :], 0.0)
+    else:
+        q_s, q_i = (0.0, sl.q_signal[:, None]), (0.0, sl.q_idler[None, :])
+    mm = mismatch(q_s, q_i, wl, crystal, pump, pair=(sl.lambda_signal_nm, sl.lambda_idler_nm))
+    env = pump_envelope(mm.dk_x, mm.dk_y, pump.waist_m)
+    return env * _kernel(mm.dk_z * (crystal.length_m / 2.0), kernel)
+
+
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("edge", [False, True], ids=["nominal", "filter-edge"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_evaluate_grid_matches_composed_amplitude(axis, edge, n, kernel):
+    # Non-degenerate with walk-off; the filter-edge slice (2.5 FWHM off
+    # center) has per-arm kernel arguments of ~100 rad that cancel in the sum.
+    wl, crystal, pump = make_setup(signal_nm=780.0)
+    sl = TransverseSlice.centered(axis, wl, crystal, pump, n=n)
+    if edge:
+        lam_s, lam_i, _ = sample_spectrum(FilterSpec("gaussian", 780.0, 5.0), 405.0).triples[0]
+        sl = sl.with_pair(lam_s, lam_i)
+    got = evaluate_grid(sl, crystal, pump, wl, kernel=kernel)
+    np.testing.assert_allclose(got, composed_amplitude(sl, crystal, pump, wl, kernel),
+                               rtol=0, atol=1e-11)
+    if n % 2 and not edge:
+        # the odd grid holds q = 0, where the kernel argument is exactly 0
+        assert got[n // 2, n // 2] == 1.0
 
 
 def test_evaluate_grid_point_inversion_symmetry():

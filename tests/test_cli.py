@@ -265,6 +265,35 @@ class TestExitCodes:
         assert err.startswith("numerical error: sweep aborted at crystal_length_mm = 0.0001")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [(("--grid-n", "1"), "grid.n"), (("--grid-n", "64", "--slices", "0"), "spectral.slices")],
+        ids=["grid-n-1", "slices-0"],
+    )
+    def test_bad_cli_override_exits_2(self, capsys, override, key):
+        code, out, err = run_cli(capsys, "stats", *override)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {key}: must be >= ")
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            "- 1.0\n- 2.0\n",
+            "ordinary: {A: 2.7, B: 0.018, C: 0.018}\n"
+            "extraordinary: {A: 2.4, B: 0.012, C: 0.016, D: 0.015}\n"
+            "range_um: [0.2, 2.0]\n",
+        ],
+        ids=["list", "missing-coefficient"],
+    )
+    def test_bad_sellmeier_file_exits_2(self, capsys, tmp_path, coefficients):
+        sell = write_config(tmp_path, coefficients, "sellmeier.yaml")
+        cfg = write_config(tmp_path, f"crystal:\n  sellmeier_file: {sell}\n")
+        code, out, err = run_cli(capsys, "pm-angle", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: crystal.sellmeier_file: ")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -30,7 +30,7 @@ from spdcsim.spectral import (
     spectral_slices,
     transmission,
 )
-from spdcsim.spectral import _near_field_slice
+from spdcsim.spectral import _near_field_intensity
 
 BBO = SellmeierSet.bbo()
 
@@ -239,8 +239,7 @@ def test_double_gaussian_transform_widths():
     amp = double_gaussian(q, q, a, b)
     dq = float(q[1] - q[0])
     x = position_grid(q)
-    psi = _near_field_slice(amp, dq, dq)
-    near = np.abs(psi) ** 2
+    near = np.fft.fftshift(_near_field_intensity(amp, dq, dq))
 
     dq_cond = conditional_widths(q, q, amp * amp)
     dx_cond = conditional_widths(x, x, near)
@@ -252,6 +251,22 @@ def test_double_gaussian_transform_widths():
     assert product < 0.5
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (65, 65), (48, 65)])
+def test_near_field_intensity_matches_centered_unitary_transform(shape):
+    # the documented convention, written out with np.fft
+    n, m = shape
+    dq_s, dq_i = 1.3e3, 2.1e3
+    amp = np.random.default_rng(3).standard_normal(shape)
+    psi = (dq_s * dq_i * n * m / (2 * math.pi)) * np.fft.fftshift(
+        np.fft.ifft2(np.fft.ifftshift(amp))
+    )
+    expected = np.abs(psi) ** 2
+    got = np.fft.fftshift(_near_field_intensity(amp, dq_s, dq_i))
+    assert got.shape == shape
+    # relative to the peak: entries near zero carry only absolute roundoff
+    assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
+
+
 def test_double_gaussian_minimum_uncertainty_case():
     # a = b factorizes the state; the width product sits on the 1/2 bound.
     a = b = 4.0e-10
@@ -259,6 +274,6 @@ def test_double_gaussian_minimum_uncertainty_case():
     amp = double_gaussian(q, q, a, b)
     dq = float(q[1] - q[0])
     x = position_grid(q)
-    near = np.abs(_near_field_slice(amp, dq, dq)) ** 2
+    near = np.fft.fftshift(_near_field_intensity(amp, dq, dq))
     product = conditional_widths(q, q, amp * amp) * conditional_widths(x, x, near)
     assert product == pytest.approx(0.5, rel=0.01)
