@@ -4,7 +4,8 @@ The pipeline, bottom to top:
 
 - :mod:`spdcsim.dispersion` — Sellmeier indices, phase matching, walk-off
 - :mod:`spdcsim.biphoton` — phase mismatch and the two-photon angular amplitude
-- :mod:`spdcsim.spectral` — filters, spectral sampling, far/near-field JIDs
+- :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
+  every slice loop takes, far/near-field JIDs
 - :mod:`spdcsim.stats` — moments, conditional inference, EPR width products
 - :mod:`spdcsim.camera` — chromatic camera mapping and its compensation
 - :mod:`spdcsim.sweep` — parameter studies over bandwidth/length/waist
@@ -47,6 +48,7 @@ from spdcsim.dispersion import (
 from spdcsim.spectral import (
     FilterSpec,
     JointDistribution,
+    Problem,
     far_field_jid,
     near_field_jid,
     sample_spectrum,
@@ -91,6 +93,7 @@ __all__ = [
     # spectral
     "FilterSpec",
     "JointDistribution",
+    "Problem",
     "far_field_jid",
     "near_field_jid",
     "sample_spectrum",

@@ -42,6 +42,7 @@ __all__ = [
     "pump_envelope",
     "amplitude",
     "evaluate_grid",
+    "check_memory_budget",
     "DEFAULT_GRID_N",
     "DEFAULT_MEMORY_BUDGET_BYTES",
 ]
@@ -348,6 +349,18 @@ def amplitude(
     return env
 
 
+def check_memory_budget(n_s: int, n_i: int, budget_bytes: int, *, held_matrices: int = 0) -> None:
+    """Raise GridMemoryError unless one ``evaluate_grid`` on an n_s x n_i
+    grid plus ``held_matrices`` float64 matrices of that size fit."""
+    needed = n_s * n_i * 8 * (_TEMPORARIES_PER_GRID + held_matrices)
+    if needed > budget_bytes:
+        held = f" holding {held_matrices} slice matrices" if held_matrices else ""
+        raise GridMemoryError(
+            f"{n_s} x {n_i} grid{held} needs ~{needed / 2**20:.0f} MiB "
+            f"(budget {budget_bytes / 2**20:.0f} MiB)"
+        )
+
+
 def evaluate_grid(
     sl: TransverseSlice,
     crystal: CrystalSetup,
@@ -365,13 +378,7 @@ def evaluate_grid(
     it is scheduled).  Peak working memory is estimated up front and
     checked against ``memory_budget_bytes``.
     """
-    n_s, n_i = sl.q_signal.size, sl.q_idler.size
-    needed = n_s * n_i * 8 * _TEMPORARIES_PER_GRID
-    if needed > memory_budget_bytes:
-        raise GridMemoryError(
-            f"{n_s} x {n_i} grid needs ~{needed / 2**20:.0f} MiB "
-            f"(budget {memory_budget_bytes / 2**20:.0f} MiB)"
-        )
+    check_memory_budget(sl.q_signal.size, sl.q_idler.size, memory_budget_bytes)
     return amplitude(
         sl.q_signal[:, None],
         sl.q_idler[None, :],

@@ -12,6 +12,10 @@ offset on the y axis.  The correction pipeline undoes both slice by
 slice — rescale the idler axis to the signal's scale, subtract the
 ridge offset — before accumulating onto a common grid.
 
+``camera_slices`` takes the run's ``spectral.Problem`` and keeps every
+slice matrix until accumulation, so it checks the memory budget for all
+of them before the first amplitude is evaluated.
+
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
 distributions are drawn.  Both the principal-axis and the regression
@@ -27,19 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from spdcsim.biphoton import (
-    DEFAULT_GRID_N,
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    PumpSpec,
-    TransverseSlice,
-)
-from spdcsim.dispersion import CrystalSetup, SpdcWavelengths
-from spdcsim.spectral import (
-    DEFAULT_SPECTRAL_SLICES,
-    FilterSpec,
-    JointDistribution,
-    spectral_slices,
-)
+from spdcsim.biphoton import PumpSpec, check_memory_budget
+from spdcsim.spectral import JointDistribution, Problem, spectral_slices
 from spdcsim.stats import ProbabilityTable, normalize, ridge_slope
 
 __all__ = [
@@ -162,29 +155,16 @@ def map_to_camera(
 
 
 def camera_slices(
-    axis: str,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    wl: SpdcWavelengths,
-    filt: FilterSpec,
-    focal_length_m: float,
-    *,
-    n_slices: int = DEFAULT_SPECTRAL_SLICES,
-    grid: TransverseSlice | None = None,
-    grid_n: int = DEFAULT_GRID_N,
-    kernel: str = "sinc",
-    magnification: float = 1.0,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
 ) -> list[CameraSlice]:
     """Run the source model per spectral slice and map each slice onto
     the camera (no accumulation — feed the result to uncorrected_jpd or
-    corrected_jpd)."""
+    corrected_jpd).  The memory budget is checked up front for every
+    held slice matrix plus one amplitude evaluation."""
+    n = problem.grid_n
+    check_memory_budget(n, n, problem.memory_budget_bytes, held_matrices=problem.n_slices)
     out = []
-    for sl, weight, amp in spectral_slices(
-        axis, crystal, pump, wl, filt,
-        n_slices=n_slices, grid=grid, grid_n=grid_n,
-        kernel=kernel, memory_budget_bytes=memory_budget_bytes,
-    ):
+    for sl, weight, amp in spectral_slices(problem, axis):
         jid = JointDistribution(
             plane="far",
             axis=axis,

@@ -35,14 +35,14 @@ from spdcsim.camera import (
     slope_report,
     uncorrected_jpd,
 )
-from spdcsim.config import ConfigError, RunConfig, load_config
+from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config
 from spdcsim.dispersion import (
     PhaseMatchingError,
     WavelengthRangeError,
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv
-from spdcsim.spectral import JointDistribution
+from spdcsim.spectral import JointDistribution, far_field_jid, near_field_jid
 from spdcsim.stats import (
     DegenerateDistributionError,
     moments,
@@ -117,9 +117,8 @@ def _write_matrix(
 
 
 def cmd_pm_angle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    built = cfg.build()
-    crystal, wl, sell = built.crystal, built.wl, built.sellmeier
+    problem = _config(args).build()
+    crystal, wl, sell = problem.crystal, problem.wl, problem.crystal.sellmeier
     _emit(
         {
             "pump_nm": wl.pump_nm,
@@ -138,10 +137,14 @@ def cmd_pm_angle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jid(args: argparse.Namespace, cfg: RunConfig) -> JointDistribution:
+    fn = far_field_jid if args.plane == "far" else near_field_jid
+    return fn(cfg.build(), args.axis)
+
+
 def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    built = cfg.build()
-    jid = cfg.jid(built, args.plane, args.axis)
+    jid = _jid(args, cfg)
     payload = _stats_payload(jid)
     files = _write_matrix(
         Path(cfg.out_dir),
@@ -162,20 +165,17 @@ def cmd_jid(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    built = cfg.build()
-    jid = cfg.jid(built, args.plane, args.axis)
-    _emit(_stats_payload(jid))
+    _emit(_stats_payload(_jid(args, _config(args))))
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    built = cfg.build()
+    problem = cfg.build()
     axes = (args.axis,) if args.axis else cfg.axes
     per_axis = {}
     for axis in axes:
-        near, far, report = cfg.certify_axis(built, axis)
+        near, far, report = certify_axis(problem, axis)
         per_axis[axis] = {
             **report.to_json_dict(),
             "near": near.to_json_dict(),
@@ -213,23 +213,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_camera(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    built = cfg.build()
+    problem = cfg.build()
     axis = args.axis or "y"
-    slices = camera_slices(
-        axis,
-        built.crystal,
-        built.pump,
-        built.wl,
-        built.filt,
-        cfg.focal_length_m,
-        n_slices=cfg.n_slices,
-        grid=cfg.grid(built, axis),
-        kernel=cfg.kernel,
-        magnification=cfg.magnification,
-        memory_budget_bytes=cfg.memory_budget_bytes,
-    )
+    slices = camera_slices(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
     raw = uncorrected_jpd(slices)
-    fixed = corrected_jpd(slices, shift_mode=cfg.shift_mode, pump=built.pump)
+    fixed = corrected_jpd(slices, shift_mode=cfg.shift_mode, pump=problem.pump)
     files = []
     for tag, jpd in (("uncorrected", raw), ("corrected", fixed)):
         files += _write_matrix(

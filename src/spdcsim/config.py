@@ -17,11 +17,12 @@ dotted-path error so typos cannot silently fall back to defaults.
     sweep:       parameter, values
     output:      directory, formats
 
-Physical invariants of the assembled objects (positive lengths, valid
-wavelength ranges, phase matching) are enforced by ``build()``, which
-the command layer runs immediately after parsing.  ``certify_axis()``
-is the one near+far computation behind both ``certify`` and every
-``sweep`` point.
+``RunConfig.build()`` assembles the one ``spectral.Problem`` every
+slice loop takes, and enforces the physical invariants the schema
+cannot see (positive lengths, valid wavelength ranges, phase matching,
+a filter support above the pump wavelength); the command layer runs it
+immediately after parsing.  ``certify_axis()`` is the one near+far
+computation behind both ``certify`` and every ``sweep`` point.
 """
 
 from __future__ import annotations
@@ -32,14 +33,15 @@ from pathlib import Path
 
 import yaml
 
-from spdcsim.biphoton import DEFAULT_GRID_N, PumpSpec, TransverseSlice
+from spdcsim.biphoton import DEFAULT_GRID_N, PumpSpec
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import (
     DEFAULT_SPECTRAL_SLICES,
     FilterSpec,
-    JointDistribution,
+    Problem,
     far_field_jid,
     near_field_jid,
+    sample_spectrum,
 )
 from spdcsim.stats import (
     ReidReport,
@@ -51,7 +53,7 @@ from spdcsim.stats import (
 )
 
 __all__ = [
-    "ConfigError", "RunConfig", "Built", "load_config", "parse_config",
+    "ConfigError", "RunConfig", "certify_axis", "load_config", "parse_config",
     "SWEEP_FIELDS", "SWEEPABLE", "SWEEP_DEFAULT_VALUES",
 ]
 
@@ -140,17 +142,6 @@ _FORMATS = ("csv", "json", "bin")
 
 
 @dataclass(frozen=True)
-class Built:
-    """The physics objects a validated config assembles into."""
-
-    wl: SpdcWavelengths
-    sellmeier: SellmeierSet
-    crystal: CrystalSetup
-    pump: PumpSpec
-    filt: FilterSpec
-
-
-@dataclass(frozen=True)
 class RunConfig:
     crystal_material: str = "bbo"
     sellmeier_file: str | None = None
@@ -216,15 +207,12 @@ class RunConfig:
             return self.sweep_values
         return SWEEP_DEFAULT_VALUES[self.sweep_parameter]
 
-    @property
-    def memory_budget_bytes(self) -> int:
-        return self.memory_budget_mb * 1024**2
-
-    def build(self) -> Built:
-        """Assemble and validate the physics objects this config describes.
+    def build(self) -> Problem:
+        """Assemble and validate the slice-loop inputs this config describes.
 
         Raises ConfigError for contradictions the schema cannot see
-        (e.g. a degenerate flag fighting an explicit signal wavelength);
+        (e.g. a degenerate flag fighting an explicit signal wavelength,
+        or a filter whose sampled support reaches the pump wavelength);
         domain errors from the physics layer propagate as themselves.
         """
         if self.degenerate and self.signal_nm is not None:
@@ -254,41 +242,24 @@ class RunConfig:
         if center is None:
             center = wl.signal_nm if self.filter_arm == "signal" else wl.idler_nm
         filt = FilterSpec(self.filter_shape, center, self.filter_fwhm_nm, arm=self.filter_arm)
-        return Built(wl=wl, sellmeier=sell, crystal=crystal, pump=pump, filt=filt)
-
-    def grid(self, built: Built, axis: str) -> TransverseSlice:
-        return TransverseSlice.centered(
-            axis,
-            built.wl,
-            built.crystal,
-            built.pump,
-            n=self.grid_n,
-            sum_halfwidth=self.sum_halfwidth,
-            diff_halfwidth=self.diff_halfwidth,
+        try:
+            sample_spectrum(filt, wl.pump_nm, self.n_slices)
+        except ValueError as exc:
+            key = "filter.fwhm_nm" if center > wl.pump_nm else "filter.center_nm"
+            raise ConfigError(f"{key}: {exc}") from exc
+        return Problem(
+            wl, crystal, pump, filt,
+            n_slices=self.n_slices, grid_n=self.grid_n,
+            sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
+            kernel=self.kernel, memory_budget_bytes=self.memory_budget_mb * 1024**2,
         )
 
-    def jid(self, built: Built, plane: str, axis: str) -> JointDistribution:
-        """The far- or near-field joint distribution of one axis."""
-        fn = far_field_jid if plane == "far" else near_field_jid
-        return fn(
-            axis,
-            built.crystal,
-            built.pump,
-            built.wl,
-            built.filt,
-            n_slices=self.n_slices,
-            grid=self.grid(built, axis),
-            kernel=self.kernel,
-            memory_budget_bytes=self.memory_budget_bytes,
-        )
 
-    def certify_axis(
-        self, built: Built, axis: str
-    ) -> tuple[StatsSummary, StatsSummary, ReidReport]:
-        """Near- and far-field inference of one axis and their Reid report."""
-        near = reid_inference(moments(normalize(self.jid(built, "near", axis))))
-        far = reid_inference(moments(normalize(self.jid(built, "far", axis))))
-        return near, far, reid_product(near, far)
+def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
+    """Near- and far-field inference of one axis and their Reid report."""
+    near = reid_inference(moments(normalize(near_field_jid(problem, axis))))
+    far = reid_inference(moments(normalize(far_field_jid(problem, axis))))
+    return near, far, reid_product(near, far)
 
 
 _TOP_LEVEL = (

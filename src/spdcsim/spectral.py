@@ -7,6 +7,11 @@ wavelength pair contributes its own amplitude matrix, transformed (for
 the near field) and squared on its own, then added with the filter
 transmission as weight.
 
+Every slice loop takes one ``Problem`` -- the physics objects, the
+slice count, the grid settings, the kernel and the memory budget -- and
+the transverse axis; ``RunConfig.build()`` assembles it, so each knob
+reaches the amplitude the same way in every command.
+
 DFT convention (fixed): the near field uses the centered, unitary
 inverse transform
 
@@ -45,6 +50,7 @@ __all__ = [
     "FilterSpec",
     "SpectralSampling",
     "JointDistribution",
+    "Problem",
     "transmission",
     "sample_spectrum",
     "spectral_slices",
@@ -202,66 +208,62 @@ class JointDistribution:
         return float(self.axis_idler[1] - self.axis_idler[0])
 
 
-def spectral_slices(
-    axis: str,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    wl: SpdcWavelengths,
-    filt: FilterSpec,
-    *,
-    n_slices: int = DEFAULT_SPECTRAL_SLICES,
-    grid: TransverseSlice | None = None,
-    grid_n: int = DEFAULT_GRID_N,
-    kernel: str = "sinc",
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> Iterator[tuple[TransverseSlice, float, np.ndarray]]:
+@dataclass(frozen=True)
+class Problem:
+    """One run's slice-loop inputs: the physics objects, the slice
+    count, the grid settings, the kernel and the memory budget.
+
+    ``RunConfig.build()`` assembles it; the JID builders here and
+    ``camera.camera_slices`` take it with the transverse axis.
+    """
+
+    wl: SpdcWavelengths
+    crystal: CrystalSetup
+    pump: PumpSpec
+    filt: FilterSpec
+    n_slices: int = DEFAULT_SPECTRAL_SLICES
+    grid_n: int = DEFAULT_GRID_N
+    sum_halfwidth: float | None = None
+    diff_halfwidth: float | None = None
+    kernel: str = "sinc"
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
+
+    def grid(self, axis: str) -> TransverseSlice:
+        """The momentum grid of ``axis``, built for the nominal wavelengths."""
+        return TransverseSlice.centered(
+            axis, self.wl, self.crystal, self.pump, n=self.grid_n,
+            sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
+        )
+
+
+def spectral_slices(problem: Problem, axis: str) -> Iterator[tuple[TransverseSlice, float, np.ndarray]]:
     """Yield (slice, weight, amplitude matrix) per spectral slice.
 
-    All slices share one momentum grid (built for the nominal
-    wavelengths unless ``grid`` is supplied), so their intensities can
-    be accumulated directly.  Slices are yielded in sampling order.
+    All slices share ``problem.grid(axis)``, so their intensities can be
+    accumulated directly.  Slices are yielded in sampling order.
     """
-    if grid is None:
-        grid = TransverseSlice.centered(axis, wl, crystal, pump, n=grid_n)
-    sampling = sample_spectrum(filt, wl.pump_nm, n_slices)
+    grid = problem.grid(axis)
+    sampling = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
     for lam_s, lam_i, weight in sampling.triples:
         sl = grid.with_pair(lam_s, lam_i)
         amp = evaluate_grid(
-            sl, crystal, pump, wl,
-            kernel=kernel, memory_budget_bytes=memory_budget_bytes,
+            sl, problem.crystal, problem.pump, problem.wl,
+            kernel=problem.kernel, memory_budget_bytes=problem.memory_budget_bytes,
         )
         yield sl, weight, amp
 
 
-def far_field_jid(
-    axis: str,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    wl: SpdcWavelengths,
-    filt: FilterSpec,
-    *,
-    n_slices: int = DEFAULT_SPECTRAL_SLICES,
-    grid: TransverseSlice | None = None,
-    grid_n: int = DEFAULT_GRID_N,
-    kernel: str = "sinc",
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> JointDistribution:
+def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2."""
-    out = None
-    grid_used = None
-    for sl, weight, amp in spectral_slices(
-        axis, crystal, pump, wl, filt,
-        n_slices=n_slices, grid=grid, grid_n=grid_n,
-        kernel=kernel, memory_budget_bytes=memory_budget_bytes,
-    ):
-        contrib = weight * (amp * amp)
-        out = contrib if out is None else out + contrib
-        grid_used = sl
+    grid = problem.grid(axis)
+    out = np.zeros((grid.q_signal.size, grid.q_idler.size))
+    for _, weight, amp in spectral_slices(problem, axis):
+        out += weight * (amp * amp)
     return JointDistribution(
         plane="far",
         axis=axis,
-        axis_signal=grid_used.q_signal,
-        axis_idler=grid_used.q_idler,
+        axis_signal=grid.q_signal,
+        axis_idler=grid.q_idler,
         intensity=out,
     )
 
@@ -296,40 +298,20 @@ def _near_field_intensity(amp: np.ndarray, dq_s: float, dq_i: float) -> np.ndarr
     return out
 
 
-def near_field_jid(
-    axis: str,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    wl: SpdcWavelengths,
-    filt: FilterSpec,
-    *,
-    n_slices: int = DEFAULT_SPECTRAL_SLICES,
-    grid: TransverseSlice | None = None,
-    grid_n: int = DEFAULT_GRID_N,
-    kernel: str = "sinc",
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> JointDistribution:
+def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Position-plane JID: per-slice centered unitary 2D transform of the
     amplitude (coherent within the slice), |.|^2, then the weighted
     incoherent sum across slices."""
-    out = None
-    grid_used = None
-    for sl, weight, amp in spectral_slices(
-        axis, crystal, pump, wl, filt,
-        n_slices=n_slices, grid=grid, grid_n=grid_n,
-        kernel=kernel, memory_budget_bytes=memory_budget_bytes,
-    ):
+    grid = problem.grid(axis)
+    out = np.zeros((grid.q_signal.size, grid.q_idler.size))
+    for sl, weight, amp in spectral_slices(problem, axis):
         contrib = _near_field_intensity(amp, sl.dq_signal, sl.dq_idler)
         contrib *= weight
-        if out is None:
-            out = contrib
-        else:
-            out += contrib
-        grid_used = sl
+        out += contrib
     return JointDistribution(
         plane="near",
         axis=axis,
-        axis_signal=position_grid(grid_used.q_signal),
-        axis_idler=position_grid(grid_used.q_idler),
+        axis_signal=position_grid(grid.q_signal),
+        axis_idler=position_grid(grid.q_idler),
         intensity=np.fft.fftshift(out),
     )

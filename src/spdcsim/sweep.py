@@ -4,7 +4,7 @@ A sweep scans one parameter of a run config — filter FWHM, crystal
 length, or pump waist.  Each point is the config with that one field
 replaced (``config.SWEEP_FIELDS``), built, and run through the same
 per-axis near+far computation as ``certify``
-(``RunConfig.certify_axis``), so a one-value sweep reports exactly what
+(``config.certify_axis``), so a one-value sweep reports exactly what
 ``certify`` reports for the same config.  Rows come out ordered by
 swept value, and the whole run is a pure function of the config, so
 repeated runs are bitwise identical.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 
-from spdcsim.config import SWEEP_FIELDS, RunConfig
+from spdcsim.config import SWEEP_FIELDS, RunConfig, certify_axis
 
 __all__ = [
     "SweepRow",
@@ -56,7 +56,7 @@ class SweepRow:
 def _sweep_row(cfg: RunConfig, value: float, axis: str) -> SweepRow:
     point = replace(cfg, **{SWEEP_FIELDS[cfg.sweep_parameter]: value})
     try:
-        _, _, report = point.certify_axis(point.build(), axis)
+        _, _, report = certify_axis(point.build(), axis)
     except Exception as exc:
         raise SweepError(
             f"sweep aborted at {cfg.sweep_parameter} = {value} (axis {axis}): {exc}"

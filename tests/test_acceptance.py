@@ -30,6 +30,7 @@ from spdcsim.dispersion import (
 from spdcsim.spectral import (
     FilterSpec,
     JointDistribution,
+    Problem,
     _near_field_intensity,
     far_field_jid,
     near_field_jid,
@@ -51,10 +52,9 @@ def build(signal_nm, *, length_mm=1.0, waist_um=500.0, fwhm_nm=5.0):
 
 
 def reid_for(axis, wl, crystal, pump, filt, *, grid_n=1024, n_slices=31):
-    far = reid_inference(moments(normalize(
-        far_field_jid(axis, crystal, pump, wl, filt, n_slices=n_slices, grid_n=grid_n))))
-    near = reid_inference(moments(normalize(
-        near_field_jid(axis, crystal, pump, wl, filt, n_slices=n_slices, grid_n=grid_n))))
+    problem = Problem(wl, crystal, pump, filt, n_slices=n_slices, grid_n=grid_n)
+    far = reid_inference(moments(normalize(far_field_jid(problem, axis))))
+    near = reid_inference(moments(normalize(near_field_jid(problem, axis))))
     return reid_product(near, far)
 
 
@@ -114,7 +114,7 @@ def camera_run():
     wl, crystal, pump, filt = build(780.0)
     t0 = time.perf_counter()
     slices = camera_slices(
-        "y", crystal, pump, wl, filt, 0.25, n_slices=31, grid_n=1024,
+        Problem(wl, crystal, pump, filt, n_slices=31, grid_n=1024), "y", 0.25,
     )
     raw = uncorrected_jpd(slices)
     skew_seconds = time.perf_counter() - t0
@@ -148,7 +148,7 @@ def test_camera_corrected_slope(camera_run):
 def test_camera_corrected_slope_stable_across_bandwidth(fwhm_nm):
     wl, crystal, pump, filt = build(780.0, fwhm_nm=fwhm_nm)
     slices = camera_slices(
-        "y", crystal, pump, wl, filt, 0.25, n_slices=31, grid_n=1024,
+        Problem(wl, crystal, pump, filt, n_slices=31, grid_n=1024), "y", 0.25,
     )
     fixed = corrected_jpd(slices, shift_mode="fitted", pump=pump)
     slope = slope_report(fixed)["slope_regression"]
@@ -307,7 +307,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
 def test_normalization_sinc_zero_paraxial():
     # probability tables integrate to 1 within 1e-9
     wl, crystal, pump, filt = build(780.0)
-    jid = far_field_jid("x", crystal, pump, wl, filt, n_slices=5, grid_n=256)
+    jid = far_field_jid(Problem(wl, crystal, pump, filt, n_slices=5, grid_n=256), "x")
     table = normalize(jid)
     total = float(table.p.sum()) * table.d_signal * table.d_idler
     assert abs(total - 1.0) < 1e-9, f"normalization off: {total}"

@@ -18,7 +18,7 @@ from spdcsim.camera import (
     walkoff_correct,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, JointDistribution, far_field_jid
+from spdcsim.spectral import FilterSpec, JointDistribution, Problem, far_field_jid
 from spdcsim.stats import normalize, ridge_slope
 
 BBO = SellmeierSet.bbo()
@@ -35,9 +35,8 @@ def make_setup(signal_nm=780.0, length_m=1e-3, waist_m=500e-6):
 def far_slice(axis="y", signal_nm=780.0, n=256):
     wl, crystal, pump = make_setup(signal_nm=signal_nm)
     jid = far_field_jid(
-        axis, crystal, pump, wl,
-        FilterSpec("gaussian", signal_nm, 5.0),
-        n_slices=1, grid_n=n,
+        Problem(wl, crystal, pump, FilterSpec("gaussian", signal_nm, 5.0), n_slices=1, grid_n=n),
+        axis,
     )
     return wl, crystal, pump, jid
 
@@ -214,7 +213,7 @@ def build_slices(axis="y", signal_nm=780.0, n_slices=7, grid_n=256, waist_m=500e
     wl, crystal, pump = make_setup(signal_nm=signal_nm, waist_m=waist_m)
     filt = FilterSpec("gaussian", signal_nm, 5.0)
     slices = camera_slices(
-        axis, crystal, pump, wl, filt, F, n_slices=n_slices, grid_n=grid_n
+        Problem(wl, crystal, pump, filt, n_slices=n_slices, grid_n=grid_n), axis, F
     )
     return wl, crystal, pump, slices
 

@@ -199,17 +199,37 @@ class TestSweep:
         assert row["certified"] == report["certified"]
 
     def test_memory_budget_bounds_sweep_like_certify(self, capsys, tmp_path):
+        """Every grid command reads the budget from the one Problem."""
         cfg = write_config(
             tmp_path, self.AGREEMENT.replace("  n: 128\n", "  n: 128\n  memory_budget_mb: 1\n")
         )
-        for command in ("certify", "sweep"):
-            code, out, err = run_cli(capsys, command, "--config", cfg)
+        out_dir = tmp_path / "out"
+        for command in ("stats", "jid", "camera", "certify", "sweep"):
+            extra = ("--out", str(out_dir)) if command in ("jid", "camera") else ()
+            code, out, err = run_cli(capsys, command, "--config", cfg, *extra)
             assert code == 3, command
             assert out == ""
             assert err.startswith("resource error:")
+        assert not out_dir.exists()
 
 
 class TestCamera:
+    def test_memory_budget_covers_held_slices(self, capsys, tmp_path):
+        """31 held 512 x 512 slices exceed a budget one evaluation fits in."""
+        cfg = write_config(
+            tmp_path, "grid:\n  n: 512\n  memory_budget_mb: 21\naxes: [y]\n"
+        )
+        code, _, _ = run_cli(capsys, "certify", "--config", cfg)
+        assert code == 0
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "camera", "--config", cfg, "--out", str(out_dir),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource error: 512 x 512 grid holding 31 slice matrices")
+        assert not out_dir.exists()
+
     def test_files_and_slope_report(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(
@@ -293,6 +313,36 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: crystal.sellmeier_file: ")
+
+    @pytest.mark.parametrize(
+        "filt, key",
+        [("fwhm_nm: 200", "fwhm_nm"), ("fwhm_nm: 400", "fwhm_nm"), ("center_nm: 300.0", "center_nm")],
+        ids=["fwhm-200", "fwhm-400", "center-300"],
+    )
+    def test_filter_wider_than_the_spectrum_exits_2(self, capsys, tmp_path, filt, key):
+        """A Gaussian filter sampled over center +- 2.5 FWHM reaches the
+        pump wavelength (FWHM 200 nm) or zero (FWHM 400 nm); a center
+        below the pump is named as the cause."""
+        cfg = write_config(
+            tmp_path, f"filter:\n  {filt}\ngrid:\n  n: 64\nspectral:\n  slices: 5\n"
+        )
+        code, out, err = run_cli(capsys, "certify", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: filter.{key}: ")
+        assert err.count("\n") == 1
+
+    def test_sweep_to_a_filter_wider_than_the_spectrum_exits_2(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "grid:\n  n: 64\nspectral:\n  slices: 5\naxes: [x]\n"
+            "sweep:\n  parameter: filter_fwhm_nm\n  values: [5.0, 400.0]\n",
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: sweep aborted at filter_fwhm_nm = 400.0")
+        assert err.count("\n") == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -107,21 +107,21 @@ class TestParsing:
 
 class TestBuild:
     def test_canonical_build(self):
-        built = RunConfig().build()
-        assert built.wl.idler_nm == pytest.approx(842.4, abs=0.05)
+        problem = RunConfig().build()
+        assert problem.wl.idler_nm == pytest.approx(842.4, abs=0.05)
         # collinear angle the dispersion data actually gives for 405 -> 780
-        assert math.degrees(built.crystal.theta_p) == pytest.approx(28.7965, abs=0.01)
-        assert built.pump.waist_m == 500e-6
-        assert built.filt.center_nm == 780.0
+        assert math.degrees(problem.crystal.theta_p) == pytest.approx(28.7965, abs=0.01)
+        assert problem.pump.waist_m == 500e-6
+        assert problem.filt.center_nm == 780.0
 
     def test_degenerate_build(self):
-        built = parse_config({"wavelengths": {"degenerate": True}}).build()
-        assert built.wl.signal_nm == built.wl.idler_nm == 810.0
-        assert math.degrees(built.crystal.theta_p) == pytest.approx(28.81, abs=0.05)
+        problem = parse_config({"wavelengths": {"degenerate": True}}).build()
+        assert problem.wl.signal_nm == problem.wl.idler_nm == 810.0
+        assert math.degrees(problem.crystal.theta_p) == pytest.approx(28.81, abs=0.05)
 
     def test_idler_arm_filter_centers_on_idler(self):
-        built = parse_config({"filter": {"arm": "idler"}}).build()
-        assert built.filt.center_nm == built.wl.idler_nm
+        problem = parse_config({"filter": {"arm": "idler"}}).build()
+        assert problem.filt.center_nm == problem.wl.idler_nm
 
     def test_degenerate_with_contradictory_signal(self):
         cfg = parse_config(
@@ -131,14 +131,28 @@ class TestBuild:
             cfg.build()
 
     def test_explicit_angle(self):
-        built = parse_config({"crystal": {"theta_deg": 30.0}}).build()
-        assert built.crystal.theta_p == pytest.approx(math.radians(30.0))
+        problem = parse_config({"crystal": {"theta_deg": 30.0}}).build()
+        assert problem.crystal.theta_p == pytest.approx(math.radians(30.0))
 
     def test_grid_override_threads_through(self):
-        cfg = parse_config({"grid": {"n": 64, "sum_halfwidth": 1e4}})
-        built = cfg.build()
-        grid = cfg.grid(built, "x")
-        assert grid.q_signal.size == 64
+        """Every numerical RunConfig field reaches the Problem, and the
+        grid settings reach its grid."""
+        cfg = parse_config({
+            "grid": {"n": 64, "sum_halfwidth": 1e4, "diff_halfwidth": 2e6,
+                     "memory_budget_mb": 7},
+            "spectral": {"slices": 5},
+            "model": {"kernel": "gauss"},
+        })
+        problem = cfg.build()
+        assert problem.n_slices == 5
+        assert problem.grid_n == 64
+        assert problem.sum_halfwidth == 1e4
+        assert problem.diff_halfwidth == 2e6
+        assert problem.kernel == "gauss"
+        assert problem.memory_budget_bytes == 7 * 1024**2
+        grid = problem.grid("x")
+        assert grid.q_signal.size == grid.q_idler.size == 64
+        assert grid.q_signal[-1] == pytest.approx(0.5 * (1e4 + 2e6), rel=1e-12)
 
 
 class TestLoadFile:
@@ -172,5 +186,5 @@ class TestLoadFile:
         assert {"nondegenerate_780.yaml", "degenerate_810.yaml"} <= {p.name for p in paths}
         for path in paths:
             cfg = load_config(path)
-            built = cfg.build()
-            assert built.crystal.length_m == pytest.approx(1e-3)
+            problem = cfg.build()
+            assert problem.crystal.length_m == pytest.approx(1e-3)

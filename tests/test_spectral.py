@@ -22,6 +22,7 @@ from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import (
     FilterSpec,
     JointDistribution,
+    Problem,
     SpectralSampling,
     far_field_jid,
     near_field_jid,
@@ -164,8 +165,9 @@ def test_jid_validation():
 
 def test_single_slice_far_field_equals_squared_amplitude():
     wl, crystal, pump = make_setup()
-    jid = far_field_jid("x", crystal, pump, wl,
-                        FilterSpec("gaussian", 810.0, 5.0), n_slices=1, grid_n=64)
+    jid = far_field_jid(
+        Problem(wl, crystal, pump, FilterSpec("gaussian", 810.0, 5.0), n_slices=1, grid_n=64), "x"
+    )
     sl = TransverseSlice.centered("x", wl, crystal, pump, n=64)
     amp = evaluate_grid(sl, crystal, pump, wl)
     np.testing.assert_array_equal(jid.intensity, amp * amp)
@@ -174,12 +176,9 @@ def test_single_slice_far_field_equals_squared_amplitude():
 def test_spectral_sum_order_invariance():
     wl, crystal, pump = make_setup(signal_nm=780.0)
     filt = FilterSpec("gaussian", 780.0, 5.0)
-    jid = far_field_jid("y", crystal, pump, wl, filt, n_slices=7, grid_n=64)
-    pieces = [
-        w * amp * amp
-        for _, w, amp in spectral_slices("y", crystal, pump, wl, filt,
-                                         n_slices=7, grid_n=64)
-    ]
+    problem = Problem(wl, crystal, pump, filt, n_slices=7, grid_n=64)
+    jid = far_field_jid(problem, "y")
+    pieces = [w * amp * amp for _, w, amp in spectral_slices(problem, "y")]
     reversed_sum = sum(pieces[::-1])
     np.testing.assert_allclose(jid.intensity, reversed_sum, rtol=1e-12)
 
@@ -195,8 +194,9 @@ def test_position_grid_conjugate():
 def test_parseval_per_slice():
     wl, crystal, pump = make_setup()
     filt = FilterSpec("gaussian", 810.0, 5.0)
-    far = far_field_jid("x", crystal, pump, wl, filt, n_slices=1, grid_n=256)
-    near = near_field_jid("x", crystal, pump, wl, filt, n_slices=1, grid_n=256)
+    problem = Problem(wl, crystal, pump, filt, n_slices=1, grid_n=256)
+    far = far_field_jid(problem, "x")
+    near = near_field_jid(problem, "x")
     mass_far = far.intensity.sum() * far.d_signal * far.d_idler
     mass_near = near.intensity.sum() * near.d_signal * near.d_idler
     assert mass_near == pytest.approx(mass_far, rel=1e-9)
@@ -206,9 +206,10 @@ def test_near_field_degenerate_ridge_positive():
     # Photons are born at the same transverse point: position JID ridge
     # has slope +1 (finite pump size correlates birth positions).
     wl, crystal, pump = make_setup()
-    near = near_field_jid("x", crystal, pump, wl,
-                          FilterSpec("gaussian", 810.0, 5.0),
-                          n_slices=1, grid_n=512)
+    near = near_field_jid(
+        Problem(wl, crystal, pump, FilterSpec("gaussian", 810.0, 5.0), n_slices=1, grid_n=512),
+        "x",
+    )
     mu_s, mu_i, v_s, v_i, c = table_moments(
         near.axis_signal, near.axis_idler, near.intensity
     )

@@ -12,7 +12,7 @@ import pytest
 from spdcsim.biphoton import PumpSpec
 from spdcsim.config import RunConfig
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, far_field_jid, near_field_jid
+from spdcsim.spectral import FilterSpec, Problem, far_field_jid, near_field_jid
 from spdcsim.stats import moments, normalize, reid_inference, reid_product
 from spdcsim.sweep import (
     CSV_HEADER,
@@ -79,11 +79,9 @@ class TestRunSweep:
         crystal = CrystalSetup.collinear(wl, sell, 1.0e-3)
         pump = PumpSpec.from_crystal(405.0, 500e-6, crystal)
         filt = FilterSpec("gaussian", 780.0, 4.0, arm="signal")
-        kwargs = dict(n_slices=3, grid_n=128)
-        far = reid_inference(moments(normalize(
-            far_field_jid("x", crystal, pump, wl, filt, **kwargs))))
-        near = reid_inference(moments(normalize(
-            near_field_jid("x", crystal, pump, wl, filt, **kwargs))))
+        problem = Problem(wl, crystal, pump, filt, n_slices=3, grid_n=128)
+        far = reid_inference(moments(normalize(far_field_jid(problem, "x"))))
+        near = reid_inference(moments(normalize(near_field_jid(problem, "x"))))
         report = reid_product(near, far)
 
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
@@ -114,11 +112,9 @@ class TestRunSweep:
         crystal = CrystalSetup.collinear(wl, SellmeierSet.bbo(), length_mm * 1e-3)
         pump = PumpSpec.from_crystal(405.0, waist_um * 1e-6, crystal)
         filt = FilterSpec("gaussian", 780.0, 5.0, arm="signal")
-        kwargs = dict(n_slices=3, grid_n=128)
-        far = reid_inference(moments(normalize(
-            far_field_jid("x", crystal, pump, wl, filt, **kwargs))))
-        near = reid_inference(moments(normalize(
-            near_field_jid("x", crystal, pump, wl, filt, **kwargs))))
+        problem = Problem(wl, crystal, pump, filt, n_slices=3, grid_n=128)
+        far = reid_inference(moments(normalize(far_field_jid(problem, "x"))))
+        near = reid_inference(moments(normalize(near_field_jid(problem, "x"))))
         report = reid_product(near, far)
         assert row.reid_product == report.product
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
