@@ -32,6 +32,7 @@ __all__ = [
     "write_jid_binary",
     "read_jid_binary",
     "write_matrix_csv",
+    "read_matrix_csv",
     "write_matrix_binary",
     "read_matrix_binary",
 ]
@@ -66,7 +67,9 @@ def write_jid_csv(jid: JointDistribution, path: str | Path) -> None:
     )
 
 
-def read_jid_csv(path: str | Path) -> JointDistribution:
+def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Read what ``write_matrix_csv`` wrote: the signal axis, the idler
+    axis, the matrix, and the ``# key: value`` comment lines as strings."""
     meta = {}
     rows = []
     axis_idler = None
@@ -88,13 +91,13 @@ def read_jid_csv(path: str | Path) -> JointDistribution:
             rows.append([float(v) for v in cells[1:]])
     if axis_idler is None or not rows:
         raise ValueError(f"{path}: no matrix data found")
-    return JointDistribution(
-        plane=meta.get("plane", "far"),
-        axis=meta.get("axis", "x"),
-        axis_signal=np.array(axis_signal),
-        axis_idler=axis_idler,
-        intensity=np.array(rows),
-    )
+    return np.array(axis_signal), axis_idler, np.array(rows), meta
+
+
+def read_jid_csv(path: str | Path) -> JointDistribution:
+    axis_signal, axis_idler, matrix, meta = read_matrix_csv(path)
+    plane, axis = meta.get("plane", "far"), meta.get("axis", "x")
+    return JointDistribution(plane, axis, axis_signal, axis_idler, matrix)
 
 
 def write_matrix_binary(

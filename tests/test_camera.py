@@ -206,6 +206,90 @@ def test_resample_zero_outside_support():
     assert out[0, -1] == 0.0
 
 
+def _reference_edges(axis):
+    mid = 0.5 * (axis[1:] + axis[:-1])
+    first = axis[0] - (axis[1] - axis[0]) / 2.0
+    last = axis[-1] + (axis[-1] - axis[-2]) / 2.0
+    return np.concatenate([[first], mid, [last]])
+
+
+def reference_resample(values, src_axis, dst_axis, axis=1):
+    """The cumulative-antiderivative form of the same map: the exact
+    integral of the piecewise-linear density, differenced at the clipped
+    destination edges."""
+    if axis == 0:
+        return reference_resample(values.T, src_axis, dst_axis, axis=1).T
+    src = np.asarray(src_axis, dtype=float)
+    d = np.asarray(values, dtype=float)
+    h = np.diff(src)
+    seg = 0.5 * (d[..., 1:] + d[..., :-1]) * h
+    f_knots = np.concatenate(
+        [np.zeros(d.shape[:-1] + (1,)), np.cumsum(seg, axis=-1)], axis=-1
+    )
+    edges = np.clip(_reference_edges(np.asarray(dst_axis, dtype=float)), src[0], src[-1])
+    j = np.clip(np.searchsorted(src, edges, side="right") - 1, 0, src.size - 2)
+    t = edges - src[j]
+    slope = (d[..., j + 1] - d[..., j]) / h[j]
+    f_edges = f_knots[..., j] + d[..., j] * t + 0.5 * slope * t * t
+    masses = np.diff(f_edges, axis=-1)
+    widths = np.diff(_reference_edges(np.asarray(dst_axis, dtype=float)))
+    return masses / widths
+
+
+# (rows, source knots, destination cells): even, odd, and non-square both ways
+SHAPES = [(5, 64, 64), (5, 65, 65), (7, 48, 65), (7, 65, 48)]
+# source centred on the destination; shifted so each sticks out of the
+# other; shifted so most destination cells lie beyond the source
+SHIFTS = [0.0, 0.5, -1.5]
+
+
+def resample_case(shape, scale, shift, seed=0):
+    rows, n_src, n_dst = shape
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, size=(rows, n_src))
+    src = scale * np.linspace(-1.0, 1.0, n_src) + shift
+    dst = np.linspace(-1.0, 1.0, n_dst)
+    return values, src, dst
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("scale", [0.9259, 1.0, 1.08])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_resample_matches_antiderivative_reference(shape, scale, shift, axis):
+    values, src, dst = resample_case(shape, scale, shift)
+    if axis == 0:
+        values = values.T
+    out = resample_conserving(values, src, dst, axis=axis)
+    ref = reference_resample(values, src, dst, axis=axis)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("scale", [0.9259, 1.0, 1.08])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_resample_properties(shape, scale, shift):
+    values, src, dst = resample_case(shape, scale, shift, seed=1)
+    out = resample_conserving(values, src, dst, axis=1)
+    # the two axes are one map
+    assert np.array_equal(resample_conserving(values.T, src, dst, axis=0), out.T)
+    assert out.min() >= 0.0
+    # every cell wholly outside the source support is exactly empty
+    edges = _reference_edges(dst)
+    outside = (edges[1:] <= src[0]) | (edges[:-1] >= src[-1])
+    assert np.all(out[:, outside] == 0.0)
+    assert np.all(out[:, ~outside].max(axis=0) > 0.0)
+    # mass inside the destination range: the exact integral of the
+    # piecewise-linear density between the clipped outer edges
+    lo, hi = max(edges[0], src[0]), min(edges[-1], src[-1])
+    knots = np.concatenate([[lo], src[(src > lo) & (src < hi)], [hi]])
+    for row, out_row in zip(values, out):
+        density = np.interp(knots, src, row)
+        mass = np.sum(0.5 * (density[1:] + density[:-1]) * np.diff(knots))
+        assert np.sum(out_row * np.diff(edges)) == pytest.approx(mass, rel=1e-12)
+
+
 # -- accumulation and slopes -----------------------------------------------------
 
 
@@ -277,3 +361,21 @@ def test_accumulation_preserves_mass():
     )
     total_out = jpd.intensity.sum() * jpd.d_signal * jpd.d_idler
     assert total_out == pytest.approx(total_in, rel=1e-4)
+
+
+@pytest.mark.parametrize("accumulate", [uncorrected_jpd, corrected_jpd])
+def test_accumulation_matches_reference_resampler(accumulate):
+    """Signal resampled along rows, idler along columns, each slice
+    weighted, onto the central slice's grid."""
+    wl, crystal, pump, slices = build_slices(axis="y", n_slices=7, grid_n=256)
+    jpd = accumulate(slices)
+    if accumulate is corrected_jpd:
+        slices = [walkoff_correct(rescale_idler(cs)) for cs in slices]
+    central = slices[len(slices) // 2]
+    total = np.zeros((central.y_signal.size, central.y_idler.size))
+    for cs in slices:
+        resampled = reference_resample(cs.intensity, cs.y_idler, central.y_idler, axis=1)
+        total += cs.weight * reference_resample(resampled, cs.y_signal, central.y_signal, axis=0)
+    np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
+    np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
+    assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()

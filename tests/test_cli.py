@@ -5,12 +5,15 @@ heavy commands run at deliberately tiny grids via --grid-n/--slices.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spdcsim.camera import camera_slices, corrected_jpd, uncorrected_jpd
 from spdcsim.cli import main
-from spdcsim.io import read_jid_csv, read_matrix_binary
+from spdcsim.config import load_config
+from spdcsim.io import read_jid_csv, read_matrix_binary, read_matrix_csv
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +249,25 @@ class TestCamera:
         # chromatic skew visible even at a coarse grid
         assert data["uncorrected"]["slope_regression"] > -1.0
         assert data["corrected"]["slope_regression"] == pytest.approx(-1.0, abs=0.05)
+
+    def test_csv_matrices_read_back_as_accumulated(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "camera", "--axis", "y", "--out", str(out_dir), *SMALL,
+        )
+        assert code == 0
+        cfg = replace(load_config(None), grid_n=128, n_slices=3)
+        problem = cfg.build()
+        slices = camera_slices(problem, "y", cfg.focal_length_m, magnification=cfg.magnification)
+        for tag, jpd in (
+            ("uncorrected", uncorrected_jpd(slices)),
+            ("corrected", corrected_jpd(slices, shift_mode=cfg.shift_mode, pump=problem.pump)),
+        ):
+            y_s, y_i, matrix, meta = read_matrix_csv(out_dir / f"camera_{tag}_y.csv")
+            assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}
+            assert np.array_equal(y_s, jpd.y_signal)
+            assert np.array_equal(y_i, jpd.y_idler)
+            assert np.array_equal(matrix, jpd.intensity)
 
     def test_degenerate_no_skew(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "wavelengths:\n  degenerate: true\n")
