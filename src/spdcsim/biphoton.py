@@ -16,6 +16,13 @@ walk-off offset would extinguish collinear emission entirely for any
 realistic waist.  The aligned point therefore sits at exactly zero
 mismatch, and off-nominal spectral slices retain their genuine
 longitudinal detuning.
+
+The pump envelope confines the sum coordinate q_s + q_i to ~2/w0, two
+orders of magnitude inside the phase-matching width of the difference
+coordinate, so on the square (q_s, q_i) grid the amplitude lives in a
+thin anti-diagonal band.  ``evaluate_grid`` evaluates only that band:
+outside it the float64 envelope is exactly 0, so the matrix equals the
+dense evaluation of ``amplitude`` (up to the sign of zeros).
 """
 
 from __future__ import annotations
@@ -49,10 +56,14 @@ __all__ = [
 
 DEFAULT_GRID_N = 1024
 
-#: Default ceiling on evaluate_grid working memory.  A dense evaluation
-#: holds roughly ten matrix-sized float64 temporaries at peak.
+#: Default ceiling on one slice's working memory, as ``check_memory_budget``
+#: estimates it.
 DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
 
+#: Matrix-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
+#: holds its output plus row-block temporaries; the rest covers what a slice
+#: loop holds beside it (accumulator, near-field FFT spectrum and intensity).
+#: Changing it moves every exit-3 threshold.
 _TEMPORARIES_PER_GRID = 10
 
 
@@ -310,6 +321,36 @@ def _separable_sinc(a, b):
     return out
 
 
+def _arm_arguments(q_signal, q_idler, sl: TransverseSlice, crystal: CrystalSetup,
+                   wl: SpdcWavelengths):
+    """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2.
+
+    Raises EvanescentInputError if any momentum of either grid reaches the
+    propagation cone.
+    """
+
+    def on_axis(q):  # (x, y) components, the orthogonal one zero
+        return (q, 0.0) if sl.axis == "x" else (0.0, q)
+
+    half_length = crystal.length_m / 2.0
+    a = half_length * _arm_dk_z(crystal, sl.lambda_signal_nm, wl.signal_nm, *on_axis(q_signal))
+    b = half_length * _arm_dk_z(crystal, sl.lambda_idler_nm, wl.idler_nm, *on_axis(q_idler))
+    return a, b
+
+
+def _envelope_times_kernel(a, b, q_sum, waist_m: float, kernel: str):
+    """pump_envelope(q_sum) * kernel(a + b), broadcast over a, b and q_sum.
+
+    The pump envelope depends on q_s + q_i only, whatever the axis.
+    """
+    out = pump_envelope(q_sum, 0.0, waist_m)
+    if kernel == "sinc":
+        out *= _separable_sinc(a, b)
+    else:
+        out *= _kernel(a + b, kernel)
+    return out
+
+
 def amplitude(
     q_signal,
     q_idler,
@@ -334,23 +375,12 @@ def amplitude(
     """
     q_signal = np.asarray(q_signal, dtype=float)
     q_idler = np.asarray(q_idler, dtype=float)
-
-    def on_axis(q):  # (x, y) components, the orthogonal one zero
-        return (q, 0.0) if sl.axis == "x" else (0.0, q)
-
-    half_length = crystal.length_m / 2.0
-    a = half_length * _arm_dk_z(crystal, sl.lambda_signal_nm, wl.signal_nm, *on_axis(q_signal))
-    b = half_length * _arm_dk_z(crystal, sl.lambda_idler_nm, wl.idler_nm, *on_axis(q_idler))
-    env = pump_envelope(*on_axis(-(q_signal + q_idler)), pump.waist_m)
-    if kernel == "sinc":
-        env *= _separable_sinc(a, b)
-    else:
-        env *= _kernel(a + b, kernel)
-    return env
+    a, b = _arm_arguments(q_signal, q_idler, sl, crystal, wl)
+    return _envelope_times_kernel(a, b, q_signal + q_idler, pump.waist_m, kernel)
 
 
 def check_memory_budget(n_s: int, n_i: int, budget_bytes: int, *, held_matrices: int = 0) -> None:
-    """Raise GridMemoryError unless one ``evaluate_grid`` on an n_s x n_i
+    """Raise GridMemoryError unless one slice's working set on an n_s x n_i
     grid plus ``held_matrices`` float64 matrices of that size fit."""
     needed = n_s * n_i * 8 * (_TEMPORARIES_PER_GRID + held_matrices)
     if needed > budget_bytes:
@@ -359,6 +389,14 @@ def check_memory_budget(n_s: int, n_i: int, budget_bytes: int, *, held_matrices:
             f"{n_s} x {n_i} grid{held} needs ~{needed / 2**20:.0f} MiB "
             f"(budget {budget_bytes / 2**20:.0f} MiB)"
         )
+
+
+#: float64 exp(-x) is exactly 0.0 for x >= 745.14, so the pump envelope
+#: exp(-w0^2 (q_s + q_i)^2 / 4) vanishes wherever its exponent passes this
+_ENVELOPE_ZERO_EXPONENT = 746.0
+
+#: signal rows per block of the banded evaluation in ``evaluate_grid``
+_BAND_ROWS = 32
 
 
 def evaluate_grid(
@@ -370,21 +408,34 @@ def evaluate_grid(
     kernel: str = "sinc",
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
 ) -> np.ndarray:
-    """Dense amplitude matrix over the slice grids, signal-major.
+    """Amplitude matrix over the slice grids, signal-major.
 
-    Output[k, l] = amplitude(q_signal[k], q_idler[l]).  Evaluation is a
-    single fixed-order broadcast (rows are independent, so the work is
-    embarrassingly parallel, but the output is bitwise identical however
-    it is scheduled).  Peak working memory is estimated up front and
-    checked against ``memory_budget_bytes``.
+    Output[k, l] = amplitude(q_signal[k], q_idler[l]).  In float64 the
+    pump envelope is exactly 0 outside the anti-diagonal band
+    |q_s + q_i| <= 2 sqrt(746) / w0, so the matrix starts as zeros and
+    each block of signal rows is evaluated, with ``amplitude``'s
+    envelope x kernel formula, only over the idler columns the band
+    reaches from the block.  Values equal a dense evaluation bit for
+    bit; a skipped zero is +0.0 where the dense product may give -0.0.
+    The kernel arguments, and with them the evanescent-input check,
+    cover both full grids.  Peak working memory is estimated up front
+    and checked against ``memory_budget_bytes``.
     """
     check_memory_budget(sl.q_signal.size, sl.q_idler.size, memory_budget_bytes)
-    return amplitude(
-        sl.q_signal[:, None],
-        sl.q_idler[None, :],
-        sl,
-        crystal,
-        pump,
-        wl,
-        kernel=kernel,
-    )
+    q_s, q_i = sl.q_signal, sl.q_idler
+    a, b = _arm_arguments(q_s, q_i, sl, crystal, wl)
+    half_band = 2.0 * math.sqrt(_ENVELOPE_ZERO_EXPONENT) / pump.waist_m
+    out = np.zeros((q_s.size, q_i.size))
+    for start in range(0, q_s.size, _BAND_ROWS):
+        rows = slice(start, start + _BAND_ROWS)
+        block = q_s[rows]
+        # both grids increase, so the block's lowest and highest signal
+        # rows bound the union of its rows' column windows
+        cols = slice(
+            np.searchsorted(q_i, -half_band - block[-1], side="left"),
+            np.searchsorted(q_i, half_band - block[0], side="right"),
+        )
+        out[rows, cols] = _envelope_times_kernel(
+            a[rows, None], b[None, cols], block[:, None] + q_i[None, cols], pump.waist_m, kernel
+        )
+    return out

@@ -1,4 +1,4 @@
-"""Phase mismatch, kernels, pump envelope, and dense amplitude grids."""
+"""Phase mismatch, kernels, pump envelope, and amplitude grids."""
 
 import math
 
@@ -274,6 +274,15 @@ def test_evaluate_grid_matches_pointwise():
             amplitude(sl.q_signal[k], sl.q_idler[l], sl, crystal, pump, wl)
         )
         assert mat[k, l] == pt
+    # the amplitude lives in a narrow band around the anti-diagonal
+    # q_i = -q_s, which is q_idler[63 - k] on this symmetric grid
+    for k in rng.integers(0, 64, size=10):
+        for l in range(max(62 - int(k), 0), min(66 - int(k), 64)):
+            pt = float(
+                amplitude(sl.q_signal[k], sl.q_idler[l], sl, crystal, pump, wl)
+            )
+            assert pt != 0.0
+            assert mat[k, l] == pt
 
 
 def composed_amplitude(sl, crystal, pump, wl, kernel):
@@ -306,6 +315,60 @@ def test_evaluate_grid_matches_composed_amplitude(axis, edge, n, kernel):
     if n % 2 and not edge:
         # the odd grid holds q = 0, where the kernel argument is exactly 0
         assert got[n // 2, n // 2] == 1.0
+
+
+def dense_amplitude(sl, crystal, pump, wl, kernel="sinc"):
+    """Every grid point evaluated, as one column x row broadcast."""
+    return amplitude(sl.q_signal[:, None], sl.q_idler[None, :], sl, crystal, pump, wl,
+                     kernel=kernel)
+
+
+@pytest.mark.parametrize("waist_um", [20, 100, 500, 2000])
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("edge", [False, True], ids=["nominal", "filter-edge"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_evaluate_grid_equals_dense_broadcast(axis, edge, n, kernel, waist_um):
+    # The envelope band covers the whole grid at 20 um, most of it at
+    # 100 um, ~10 % at 500 um, and fewer columns than one row block at 2000 um.
+    wl, crystal, pump = make_setup(signal_nm=780.0, waist_m=waist_um * 1e-6)
+    sl = TransverseSlice.centered(axis, wl, crystal, pump, n=n)
+    if edge:
+        lam_s, lam_i, _ = sample_spectrum(FilterSpec("gaussian", 780.0, 5.0), 405.0).triples[0]
+        sl = sl.with_pair(lam_s, lam_i)
+    assert np.array_equal(evaluate_grid(sl, crystal, pump, wl, kernel=kernel),
+                          dense_amplitude(sl, crystal, pump, wl, kernel))
+
+
+def test_evaluate_grid_keeps_subnormal_envelope_edge():
+    # float64 exp(-x) is subnormal, not 0, for x up to 745.14.  This grid
+    # puts q_s + q_i exactly where w0^2 (q_s + q_i)^2 / 4 = 744.6, so the
+    # band must reach past exponent 744 to keep those entries.
+    wl, crystal, pump = make_setup(waist_m=2000e-6)
+    q_edge = math.sqrt(744.6) / pump.waist_m  # q_s = q_i = q_edge hits 744.6
+    q = np.linspace(-1.28, 1.28, 257) * q_edge
+    sl = TransverseSlice("x", q, q.copy(), wl.signal_nm, wl.idler_nm)
+    dense = dense_amplitude(sl, crystal, pump, wl)
+    exponent = pump.waist_m**2 * (q[:, None] + q[None, :]) ** 2 / 4
+    edge = (exponent > 744.0) & (exponent < 745.14)
+    assert np.count_nonzero(dense[edge]) > 0
+    assert np.array_equal(evaluate_grid(sl, crystal, pump, wl), dense)
+
+
+def test_evaluate_grid_checks_evanescent_columns_outside_band():
+    # The idler grid reaches the propagation cone only in its outer
+    # columns, far outside the envelope band of every signal row; the
+    # evanescent check covers the whole grid all the same.
+    wl, crystal, pump = make_setup()
+    k_i = 2 * math.pi * BBO.index_ordinary(wl.idler_nm) / (wl.idler_nm * 1e-9)
+    q_s = np.linspace(-1e4, 1e4, 64)
+    q_i = np.linspace(-1.1 * k_i, 1.1 * k_i, 257)
+    evanescent = np.abs(q_i) >= k_i
+    assert evanescent.any()
+    assert np.all(np.abs(q_i[evanescent]) - 1e4 > 2 * math.sqrt(746.0) / pump.waist_m)
+    sl = TransverseSlice("x", q_s, q_i, wl.signal_nm, wl.idler_nm)
+    with pytest.raises(EvanescentInputError):
+        evaluate_grid(sl, crystal, pump, wl)
 
 
 def test_evaluate_grid_point_inversion_symmetry():
