@@ -12,6 +12,8 @@ offset on the y axis.  The correction pipeline undoes both slice by
 slice — rescale the idler axis to the signal's scale, subtract the
 ridge offset — and resamples each slice onto the common grid with one
 banded, mass-conserving operator per axis (about 3 nonzeros per row).
+The operator is a ``scipy.sparse`` matrix, imported by
+``resample_conserving`` itself, so no other command loads it.
 
 ``camera_slices`` takes the run's ``spectral.Problem`` and keeps every
 slice matrix until accumulation, so it checks the memory budget for all
@@ -31,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from spdcsim.biphoton import PumpSpec, check_memory_budget
 from spdcsim.spectral import JointDistribution, Problem, spectral_slices
@@ -263,6 +264,8 @@ def resample_conserving(
     applied in one pass: ``R @ values`` on axis 0, ``(R @ values.T).T`` on
     axis 1.  Its entries are products of nonnegative factors, so R >= 0.
     """
+    from scipy import sparse  # here, so commands that never resample skip its import
+
     src = np.asarray(src_axis, dtype=float)
     h = np.diff(src)
     dst_edges = _cell_edges(np.asarray(dst_axis, dtype=float))

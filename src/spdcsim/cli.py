@@ -14,7 +14,7 @@ keys, or CSV); diagnostics go to stderr.  Outputs are byte-reproducible
 for identical config and version.  Exit codes: 0 success; 2 config
 error (including wavelengths outside the dispersion data's validity);
 3 resource exhaustion (grid memory budget, file-system failures);
-4 numerical degeneracy (phase-matching solver failure, collapsed
+4 numerical degeneracy (no checked phase-matching angle, collapsed
 distributions, evanescent grid corners).
 """
 

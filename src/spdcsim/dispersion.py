@@ -18,6 +18,9 @@ boundaries in nanometers, lengths in meters, angles in radians (helpers
 that speak degrees say so in their names).  The pump propagates as the
 extraordinary ray at angle ``theta`` to the optic axis; signal and
 idler are ordinary rays, so their indices carry no angle dependence.
+That makes the collinear type-I angle a closed form: the pump must see
+the index n_t = (k_s + k_i) lam_p / (2 pi), and the index ellipse is
+inverted for sin^2(theta) exactly, so no numerical root find is needed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from importlib import resources
 from pathlib import Path
 
 import yaml
-from scipy.optimize import brentq
 
 __all__ = [
     "SellmeierSet",
@@ -257,13 +259,15 @@ def phase_matching_angle(
 ) -> float:
     """Collinear phase-matching angle (rad) for an e -> o + o process.
 
-    Computed two independent ways — closed-form inversion of the index
-    ellipse, and a bracketing root solve of the collinear mismatch
-    k_p(theta) - k_s - k_i — and cross-checked to ``agreement_tol_rad``.
-    A disagreement beyond that indicates a broken coefficient set and
-    raises :class:`PhaseMatchingError` rather than returning either value.
+    The angle comes from the exact inversion of the index ellipse for the
+    pump index that makes k_p(theta) = k_s + k_i.  It is then checked
+    against the collinear mismatch k_p(theta) - k_s - k_i itself: the
+    mismatch must change sign on (0, pi/2), and again within
+    ``agreement_tol_rad`` of the returned angle, so a root lies that
+    close to it.  A failed check indicates a broken coefficient set and
+    raises :class:`PhaseMatchingError` rather than returning the angle.
     """
-    theta_closed = _phase_matching_angle_closed(wl, sell)
+    theta = _phase_matching_angle_closed(wl, sell)
     lo, hi = 1e-9, math.pi / 2 - 1e-9
     f_lo = _collinear_mismatch(lo, wl, sell)
     f_hi = _collinear_mismatch(hi, wl, sell)
@@ -273,15 +277,16 @@ def phase_matching_angle(
             residual_lo=f_lo,
             residual_hi=f_hi,
         )
-    theta_num = brentq(_collinear_mismatch, lo, hi, args=(wl, sell), xtol=1e-12)
-    if abs(theta_num - theta_closed) > agreement_tol_rad:
+    below = _collinear_mismatch(max(lo, theta - agreement_tol_rad), wl, sell)
+    above = _collinear_mismatch(min(hi, theta + agreement_tol_rad), wl, sell)
+    if below * above > 0.0:
         raise PhaseMatchingError(
-            f"closed-form ({theta_closed!r}) and numeric ({theta_num!r}) "
-            f"phase-matching angles disagree by {abs(theta_num - theta_closed):.3e} rad",
+            f"closed-form phase-matching angle {theta!r} has no mismatch root "
+            f"within {agreement_tol_rad:.3e} rad",
             residual_lo=f_lo,
             residual_hi=f_hi,
         )
-    return theta_num
+    return theta
 
 
 def walkoff_angle(sell: SellmeierSet, theta: float, wavelength_nm: float) -> float:

@@ -23,19 +23,22 @@ per-slice Parseval holds exactly up to roundoff:
     sum |Psi|^2 dq_s dq_i = sum |psi|^2 dx_s dx_i.
 
 Only |psi|^2 is ever used, so the implementation takes a real FFT of the
-real amplitude, fills the other half-spectrum by Hermitian symmetry,
-omits the input ``ifftshift`` (a unit-modulus phase), and sums the
-slices in FFT order before one ``fftshift`` of the total.
+real amplitude and omits the input ``ifftshift`` (a unit-modulus phase).
+The weighted slices are summed on the (N, N//2 + 1) half-spectrum in FFT
+order, in two buffers allocated once per axis; the other half is filled
+by Hermitian symmetry once, on the sum, before one ``fftshift`` of the
+total.  A mirrored entry is a copy, so this equals the per-slice
+full-matrix sum bit for bit.  ``scipy.fft`` is imported by the transform
+itself, so far-field-only commands never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.fft
 
 from spdcsim.biphoton import (
     DEFAULT_GRID_N,
@@ -257,8 +260,11 @@ def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2."""
     grid = problem.grid(axis)
     out = np.zeros((grid.q_signal.size, grid.q_idler.size))
+    term = np.empty_like(out)
     for _, weight, amp in spectral_slices(problem, axis):
-        out += weight * (amp * amp)
+        np.multiply(amp, amp, out=term)
+        term *= weight
+        out += term
     return JointDistribution(
         plane="far",
         axis=axis,
@@ -275,24 +281,37 @@ def position_grid(q_grid: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(n) - n // 2) / (n * dq)
 
 
-def _near_field_intensity(amp: np.ndarray, dq_s: float, dq_i: float) -> np.ndarray:
-    """|psi|^2 of the centered unitary transform of a real amplitude,
-    in unshifted FFT order (``fftshift`` gives the centered grid).
+def _near_field_intensity(
+    terms: Iterable[tuple[np.ndarray, float, float, float]], shape: tuple[int, int]
+) -> np.ndarray:
+    """sum of weight * |psi|^2 over ``(amp, dq_s, dq_i, weight)`` terms,
+    where psi is the centered unitary transform of the real amplitude
+    ``amp`` of ``shape``; in unshifted FFT order (``fftshift`` gives the
+    centered grid).
 
     The input ``ifftshift`` only multiplies psi by a unit-modulus phase,
     so it is skipped.  ``amp`` is real, so a half-spectrum ``rfft2``
-    suffices: |F[k, l]| = |F[-k, -l]| fills the missing columns.
+    suffices: the terms are summed on it, and |F[k, l]| = |F[-k, -l]|
+    fills the missing columns of the sum.
     """
-    n, m = amp.shape
-    half = scipy.fft.rfft2(amp)
+    import scipy.fft  # here, so commands without a near field skip its import
+
+    n, m = shape
+    h = m // 2 + 1
+    total = np.zeros((n, h))
+    term = np.empty((n, h))
+    for amp, dq_s, dq_i, weight in terms:
+        half = scipy.fft.rfft2(amp)
+        np.multiply(half.real, half.real, out=term)
+        np.multiply(half.imag, half.imag, out=half.imag)
+        term += half.imag
+        term *= (dq_s * dq_i / (2.0 * math.pi)) ** 2
+        term *= weight
+        total += term
     out = np.empty((n, m))
-    h = half.shape[1]
-    lhs = out[:, :h]
-    np.multiply(half.real, half.real, out=lhs)
-    lhs += half.imag * half.imag
-    lhs *= (dq_s * dq_i / (2.0 * math.pi)) ** 2
+    out[:, :h] = total
     # columns h .. m-1 of row k are columns m-h .. 1 of row -k mod n
-    mirror = lhs[:, m - h:0:-1]
+    mirror = total[:, m - h:0:-1]
     out[0, h:] = mirror[0]
     out[1:, h:] = mirror[:0:-1]
     return out
@@ -303,11 +322,11 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     amplitude (coherent within the slice), |.|^2, then the weighted
     incoherent sum across slices."""
     grid = problem.grid(axis)
-    out = np.zeros((grid.q_signal.size, grid.q_idler.size))
-    for sl, weight, amp in spectral_slices(problem, axis):
-        contrib = _near_field_intensity(amp, sl.dq_signal, sl.dq_idler)
-        contrib *= weight
-        out += contrib
+    terms = (
+        (amp, sl.dq_signal, sl.dq_idler, weight)
+        for sl, weight, amp in spectral_slices(problem, axis)
+    )
+    out = _near_field_intensity(terms, (grid.q_signal.size, grid.q_idler.size))
     return JointDistribution(
         plane="near",
         axis=axis,

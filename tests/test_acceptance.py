@@ -271,7 +271,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     from spdcsim.biphoton import evaluate_grid
 
     amp = evaluate_grid(grid, crystal, pump, wl)
-    near = _near_field_intensity(amp, grid.dq_signal, grid.dq_idler)
+    near = _near_field_intensity([(amp, grid.dq_signal, grid.dq_idler, 1.0)], amp.shape)
     lhs = np.sum(amp * amp) * grid.dq_signal * grid.dq_idler
     dx = 2.0 * math.pi / (grid.q_signal.size * grid.dq_signal)
     rhs = np.sum(near) * dx * dx
@@ -292,7 +292,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     x = position_grid(q)
     near = reid_inference(moments(normalize(JointDistribution(
         plane="near", axis="x", axis_signal=x, axis_idler=x.copy(),
-        intensity=np.fft.fftshift(_near_field_intensity(amp, dq, dq)),
+        intensity=np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
     ))))
     dq_expected = 1.0 / (2.0 * math.sqrt(a_sum + b_diff))
     dx_expected = 2.0 * math.sqrt(a_sum * b_diff / (a_sum + b_diff))

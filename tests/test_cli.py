@@ -5,15 +5,22 @@ heavy commands run at deliberately tiny grids via --grid-n/--slices.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdcsim
 from spdcsim.camera import camera_slices, corrected_jpd, uncorrected_jpd
 from spdcsim.cli import main
 from spdcsim.config import load_config
 from spdcsim.io import read_jid_csv, read_matrix_binary, read_matrix_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +36,28 @@ def write_config(tmp_path, text, name="run.yaml"):
 
 
 SMALL = ["--grid-n", "128", "--slices", "3"]
+
+
+class TestStartup:
+    def test_import_and_pm_angle_load_no_scipy(self):
+        # Other tests load SciPy into this process, so check a fresh interpreter.
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "from spdcsim.cli import main\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "assert main(['pm-angle', '--config', 'configs/degenerate_810.yaml']) == 0\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        src = str(Path(spdcsim.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["theta_p_deg"] == pytest.approx(28.81, abs=0.05)
 
 
 class TestPmAngle:

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from spdcsim import dispersion
 from spdcsim.dispersion import (
     CrystalSetup,
     PhaseMatchingError,
@@ -142,6 +143,30 @@ def test_phase_matching_angle_zeroes_collinear_mismatch():
     k_p = wavevector_magnitude(effective_index(BBO, theta, 405.0), 405.0)
     k_s = wavevector_magnitude(BBO.index_ordinary(810.0), 810.0)
     assert k_p == pytest.approx(2.0 * k_s, rel=1e-12)
+
+
+def test_phase_matching_angle_zeroes_nondegenerate_mismatch():
+    wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
+    theta = phase_matching_angle(wl, BBO)
+    k_p = wavevector_magnitude(effective_index(BBO, theta, 405.0), 405.0)
+    k_s = wavevector_magnitude(BBO.index_ordinary(780.0), 780.0)
+    k_i = wavevector_magnitude(BBO.index_ordinary(wl.idler_nm), wl.idler_nm)
+    assert k_p == pytest.approx(k_s + k_i, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset_tol, raises", [(10.0, True), (0.5, False)])
+def test_phase_matching_check_catches_wrong_closed_form(monkeypatch, offset_tol, raises):
+    # The returned angle is checked against the mismatch itself: a
+    # closed form off by more than the tolerance is refused.
+    wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
+    tol = 1e-6
+    shifted = phase_matching_angle(wl, BBO) + offset_tol * tol
+    monkeypatch.setattr(dispersion, "_phase_matching_angle_closed", lambda wl, sell: shifted)
+    if raises:
+        with pytest.raises(PhaseMatchingError):
+            phase_matching_angle(wl, BBO, agreement_tol_rad=tol)
+    else:
+        assert phase_matching_angle(wl, BBO, agreement_tol_rad=tol) == shifted
 
 
 def test_phase_matching_unreachable_raises():

@@ -202,6 +202,43 @@ def test_parseval_per_slice():
     assert mass_near == pytest.approx(mass_far, rel=1e-9)
 
 
+def per_slice_full_matrix_sums(problem, axis):
+    """Reference: each slice's intensity built as a full matrix, then
+    weight-summed (far: w |Psi|^2; near: w |psi|^2 via rfft2 + mirror)."""
+    import scipy.fft
+
+    grid = problem.grid(axis)
+    far = np.zeros((grid.q_signal.size, grid.q_idler.size))
+    near = np.zeros_like(far)
+    for sl, weight, amp in spectral_slices(problem, axis):
+        far += weight * (amp * amp)
+        n, m = amp.shape
+        half = scipy.fft.rfft2(amp)
+        contrib = np.empty((n, m))
+        h = half.shape[1]
+        lhs = contrib[:, :h]
+        np.multiply(half.real, half.real, out=lhs)
+        lhs += half.imag * half.imag
+        lhs *= (sl.dq_signal * sl.dq_idler / (2.0 * math.pi)) ** 2
+        mirror = lhs[:, m - h:0:-1]
+        contrib[0, h:] = mirror[0]
+        contrib[1:, h:] = mirror[:0:-1]
+        contrib *= weight
+        near += contrib
+    return far, np.fft.fftshift(near)
+
+
+@pytest.mark.parametrize("grid_n", [64, 65])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis):
+    wl, crystal, pump = make_setup(signal_nm=780.0)
+    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
+                      n_slices=5, grid_n=grid_n)
+    far, near = per_slice_full_matrix_sums(problem, axis)
+    assert np.array_equal(far_field_jid(problem, axis).intensity, far)
+    assert np.array_equal(near_field_jid(problem, axis).intensity, near)
+
+
 def test_near_field_degenerate_ridge_positive():
     # Photons are born at the same transverse point: position JID ridge
     # has slope +1 (finite pump size correlates birth positions).
@@ -240,7 +277,7 @@ def test_double_gaussian_transform_widths():
     amp = double_gaussian(q, q, a, b)
     dq = float(q[1] - q[0])
     x = position_grid(q)
-    near = np.fft.fftshift(_near_field_intensity(amp, dq, dq))
+    near = np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
 
     dq_cond = conditional_widths(q, q, amp * amp)
     dx_cond = conditional_widths(x, x, near)
@@ -262,7 +299,7 @@ def test_near_field_intensity_matches_centered_unitary_transform(shape):
         np.fft.ifft2(np.fft.ifftshift(amp))
     )
     expected = np.abs(psi) ** 2
-    got = np.fft.fftshift(_near_field_intensity(amp, dq_s, dq_i))
+    got = np.fft.fftshift(_near_field_intensity([(amp, dq_s, dq_i, 1.0)], amp.shape))
     assert got.shape == shape
     # relative to the peak: entries near zero carry only absolute roundoff
     assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
@@ -275,6 +312,6 @@ def test_double_gaussian_minimum_uncertainty_case():
     amp = double_gaussian(q, q, a, b)
     dq = float(q[1] - q[0])
     x = position_grid(q)
-    near = np.fft.fftshift(_near_field_intensity(amp, dq, dq))
+    near = np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
     product = conditional_widths(q, q, amp * amp) * conditional_widths(x, x, near)
     assert product == pytest.approx(0.5, rel=0.01)
