@@ -27,7 +27,6 @@ from spdcsim.camera import (
     CameraSlice,
     camera_slices,
     corrected_jpd,
-    map_to_camera,
     rescale_idler,
     slope_report,
     uncorrected_jpd,
@@ -113,7 +112,6 @@ __all__ = [
     "CameraSlice",
     "camera_slices",
     "corrected_jpd",
-    "map_to_camera",
     "rescale_idler",
     "slope_report",
     "uncorrected_jpd",

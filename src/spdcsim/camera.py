@@ -10,14 +10,16 @@ ideal -1 (to about -lambda_s/lambda_i when the signal coordinate is
 plotted against the idler), and the walk-off carrier leaves a ridge
 offset on the y axis.  The correction pipeline undoes both slice by
 slice — rescale the idler axis to the signal's scale, subtract the
-ridge offset — and resamples each slice onto the common grid with one
-banded, mass-conserving operator per axis (about 3 nonzeros per row).
-The operator is a ``scipy.sparse`` matrix, imported by
+ridge offset fitted to the slice's own momentum distribution — and
+resamples each slice onto the common grid with one banded,
+mass-conserving operator per axis (about 3 nonzeros per row).  The
+operator is a ``scipy.sparse`` matrix, imported by
 ``resample_conserving`` itself, so no other command loads it.
 
-``camera_slices`` takes the run's ``spectral.Problem`` and keeps every
-slice matrix until accumulation, so it checks the memory budget for all
-of them before the first amplitude is evaluated.
+``camera_slices`` takes the run's ``spectral.Problem``, puts each
+slice's axes on the camera, and keeps every slice matrix until
+accumulation, so it checks the memory budget for all of them before the
+first amplitude is evaluated.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -34,16 +36,14 @@ from typing import Sequence
 
 import numpy as np
 
-from spdcsim.biphoton import PumpSpec, check_memory_budget
+from spdcsim.biphoton import check_memory_budget
 from spdcsim.spectral import JointDistribution, Problem, spectral_slices
 from spdcsim.stats import ProbabilityTable, normalize, ridge_slope
 
 __all__ = [
-    "CameraMapping",
     "CameraSlice",
     "CameraJPD",
     "camera_slices",
-    "map_to_camera",
     "rescale_idler",
     "walkoff_correct",
     "uncorrected_jpd",
@@ -51,29 +51,6 @@ __all__ = [
     "slope_report",
     "resample_conserving",
 ]
-
-
-@dataclass(frozen=True)
-class CameraMapping:
-    """One arm's momentum-to-camera map Y = M (f/k) q, k = 2 pi / lambda."""
-
-    focal_length_m: float
-    lambda_nm: float
-    magnification: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.focal_length_m <= 0:
-            raise ValueError(f"focal length must be positive, got {self.focal_length_m}")
-        if self.lambda_nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.lambda_nm}")
-        if self.magnification <= 0:
-            raise ValueError(f"magnification must be positive, got {self.magnification}")
-
-    @property
-    def scale(self) -> float:
-        """Meters of camera coordinate per rad/m of transverse momentum."""
-        k = 2.0 * math.pi / (self.lambda_nm * 1e-9)
-        return self.magnification * self.focal_length_m / k
 
 
 @dataclass(frozen=True)
@@ -94,8 +71,7 @@ class CameraSlice:
     weight: float
     scale_signal: float
     scale_idler: float
-    source: JointDistribution | None = None
-    shift_m: float = 0.0
+    source: JointDistribution
 
 
 @dataclass(frozen=True)
@@ -122,48 +98,22 @@ class CameraJPD:
         return float(self.y_idler[1] - self.y_idler[0])
 
 
-def map_to_camera(
-    jid: JointDistribution,
-    focal_length_m: float,
-    lambda_signal_nm: float,
-    lambda_idler_nm: float,
-    *,
-    weight: float = 1.0,
-    magnification: float = 1.0,
-) -> CameraSlice:
-    """Relabel one far-field slice's axes onto the camera: Y = (f/k) q.
-
-    Pure coordinate scaling, each arm with its own vacuum wavenumber;
-    intensities are untouched.
-    """
-    if jid.plane != "far":
-        raise ValueError(
-            "camera mapping expects a momentum-plane (far-field) slice; "
-            f"got plane={jid.plane!r}"
-        )
-    ms = CameraMapping(focal_length_m, lambda_signal_nm, magnification)
-    mi = CameraMapping(focal_length_m, lambda_idler_nm, magnification)
-    return CameraSlice(
-        axis=jid.axis,
-        y_signal=ms.scale * jid.axis_signal,
-        y_idler=mi.scale * jid.axis_idler,
-        intensity=jid.intensity,
-        lambda_signal_nm=lambda_signal_nm,
-        lambda_idler_nm=lambda_idler_nm,
-        weight=weight,
-        scale_signal=ms.scale,
-        scale_idler=mi.scale,
-        source=jid,
-    )
+def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> float:
+    """Meters of camera coordinate per rad/m of momentum: M f / k, k = 2 pi / lambda."""
+    return magnification * focal_length_m / (2.0 * math.pi / (lambda_nm * 1e-9))
 
 
 def camera_slices(
     problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
 ) -> list[CameraSlice]:
     """Run the source model per spectral slice and map each slice onto
-    the camera (no accumulation — feed the result to uncorrected_jpd or
-    corrected_jpd).  The memory budget is checked up front for every
-    held slice matrix plus one amplitude evaluation."""
+    the camera, Y = M (f/k) q per arm (no accumulation — feed the result
+    to uncorrected_jpd or corrected_jpd).  The memory budget is checked
+    up front for every held slice matrix plus one amplitude evaluation."""
+    if focal_length_m <= 0:
+        raise ValueError(f"focal length must be positive, got {focal_length_m}")
+    if magnification <= 0:
+        raise ValueError(f"magnification must be positive, got {magnification}")
     n = problem.grid_n
     check_memory_budget(n, n, problem.memory_budget_bytes, held_matrices=problem.n_slices)
     out = []
@@ -175,11 +125,20 @@ def camera_slices(
             axis_idler=sl.q_idler,
             intensity=amp * amp,
         )
+        scale_s = _scale(focal_length_m, sl.lambda_signal_nm, magnification)
+        scale_i = _scale(focal_length_m, sl.lambda_idler_nm, magnification)
         out.append(
-            map_to_camera(
-                jid, focal_length_m,
-                sl.lambda_signal_nm, sl.lambda_idler_nm,
-                weight=weight, magnification=magnification,
+            CameraSlice(
+                axis=axis,
+                y_signal=scale_s * jid.axis_signal,
+                y_idler=scale_i * jid.axis_idler,
+                intensity=jid.intensity,
+                lambda_signal_nm=sl.lambda_signal_nm,
+                lambda_idler_nm=sl.lambda_idler_nm,
+                weight=weight,
+                scale_signal=scale_s,
+                scale_idler=scale_i,
+                source=jid,
             )
         )
     return out
@@ -201,44 +160,21 @@ def rescale_idler(cs: CameraSlice) -> CameraSlice:
     )
 
 
-def _q_space_intercept(source: JointDistribution) -> float:
-    """Ridge intercept of the momentum slice, idler vs signal orientation."""
-    fit = ridge_slope(normalize(source))
-    return fit.intercept
-
-
-def walkoff_correct(
-    cs: CameraSlice,
-    shift_mode: str = "fitted",
-    pump: PumpSpec | None = None,
-) -> CameraSlice:
+def walkoff_correct(cs: CameraSlice) -> CameraSlice:
     """Remove the y-axis ridge offset from a rescaled slice.
 
-    Translates the idler axis by -(f/k_s) b.  ``shift_mode='fitted'``
-    (default) takes b from the stationary line fitted to this slice's
-    own momentum distribution — the offset the model actually produces.
-    ``shift_mode='literal'`` uses the pump's transverse carrier
-    b = k_y directly; at realistic waists that overshoots by orders of
-    magnitude (the pump envelope pins the sum coordinate near zero, so
-    the carrier never appears in full on the ridge) and is provided for
-    comparison only.
+    Translates the idler axis by -(f/k_s) b, where b is the intercept of
+    the stationary line fitted to this slice's own momentum distribution
+    — the offset the model actually produces.  (The pump's transverse
+    carrier k_y never appears in full on the ridge: the pump envelope
+    pins the sum coordinate near zero.)
     """
     if cs.axis != "y":
         raise ValueError("walk-off correction applies to the y axis only")
     if not math.isclose(cs.scale_idler, cs.scale_signal, rel_tol=1e-12):
         raise ValueError("slice must be rescaled to the signal scale first")
-    if shift_mode == "fitted":
-        if cs.source is None:
-            raise ValueError("fitted shift needs the momentum-space source slice")
-        b = _q_space_intercept(cs.source)
-    elif shift_mode == "literal":
-        if pump is None:
-            raise ValueError("literal shift needs the pump specification")
-        b = pump.k_y
-    else:
-        raise ValueError(f"unknown shift_mode {shift_mode!r}")
-    shift = cs.scale_signal * b
-    return replace(cs, y_idler=cs.y_idler - shift, shift_m=cs.shift_m + shift)
+    b = ridge_slope(normalize(cs.source)).intercept
+    return replace(cs, y_idler=cs.y_idler - cs.scale_signal * b)
 
 
 def _cell_edges(axis: np.ndarray) -> np.ndarray:
@@ -323,11 +259,7 @@ def uncorrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
     return _accumulate(slices, corrected=False)
 
 
-def corrected_jpd(
-    slices: Sequence[CameraSlice],
-    shift_mode: str = "fitted",
-    pump: PumpSpec | None = None,
-) -> CameraJPD:
+def corrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
     """Accumulate slices after per-slice compensation: idler rescaled to
     the signal scale, then (y axis only) the walk-off ridge offset
     removed.  The x axis carries no walk-off, so only the rescale
@@ -336,7 +268,7 @@ def corrected_jpd(
     for cs in slices:
         cs = rescale_idler(cs)
         if cs.axis == "y":
-            cs = walkoff_correct(cs, shift_mode=shift_mode, pump=pump)
+            cs = walkoff_correct(cs)
         fixed.append(cs)
     return _accumulate(fixed, corrected=True)
 

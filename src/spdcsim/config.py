@@ -12,7 +12,7 @@ dotted-path error so typos cannot silently fall back to defaults.
     grid:        n, sum_halfwidth, diff_halfwidth, memory_budget_mb
     spectral:    slices
     model:       kernel
-    camera:      focal_length_m, shift_mode, magnification
+    camera:      focal_length_m, magnification
     axes:        [x, y] (list or single string)
     sweep:       parameter, values
     output:      directory, formats
@@ -162,7 +162,6 @@ class RunConfig:
     n_slices: int = DEFAULT_SPECTRAL_SLICES
     kernel: str = "sinc"
     focal_length_m: float = 0.25
-    shift_mode: str = "fitted"
     magnification: float = 1.0
     axes: tuple[str, ...] = ("x", "y")
     sweep_parameter: str = "filter_fwhm_nm"
@@ -288,7 +287,7 @@ def parse_config(mapping: dict | None) -> RunConfig:
     grid = _section(mapping, "grid", {"n", "sum_halfwidth", "diff_halfwidth", "memory_budget_mb"})
     spectral = _section(mapping, "spectral", {"slices"})
     model = _section(mapping, "model", {"kernel"})
-    camera = _section(mapping, "camera", {"focal_length_m", "shift_mode", "magnification"})
+    camera = _section(mapping, "camera", {"focal_length_m", "magnification"})
     sweep = _section(mapping, "sweep", {"parameter", "values"})
     output = _section(mapping, "output", {"directory", "formats"})
 
@@ -345,8 +344,6 @@ def parse_config(mapping: dict | None) -> RunConfig:
         kernel=_choice(model.get("kernel", "sinc"), "model.kernel", ("sinc", "gauss")),
         focal_length_m=_number(camera.get("focal_length_m", 0.25),
                                "camera.focal_length_m", positive=True),
-        shift_mode=_choice(camera.get("shift_mode", "fitted"), "camera.shift_mode",
-                           ("fitted", "literal")),
         magnification=_number(camera.get("magnification", 1.0),
                               "camera.magnification", positive=True),
         axes=tuple(axes_raw),

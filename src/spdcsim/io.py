@@ -14,7 +14,7 @@ Binary layout (little-endian throughout):
     N*M float64 row-major intensity matrix (signal-major)
 
 The binary format carries no plane/axis tags; callers that need them
-use the CSV form or supply them on read.
+use the CSV form, whose tags ``read_matrix_csv`` returns as its meta.
 """
 
 from __future__ import annotations
@@ -23,14 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from spdcsim.spectral import JointDistribution
-
 __all__ = [
     "MAGIC",
-    "write_jid_csv",
-    "read_jid_csv",
-    "write_jid_binary",
-    "read_jid_binary",
     "write_matrix_csv",
     "read_matrix_csv",
     "write_matrix_binary",
@@ -55,16 +49,6 @@ def write_matrix_csv(
     for coord, row in zip(axis_signal, intensity):
         lines.append(",".join([repr(float(coord))] + [repr(float(v)) for v in row]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_jid_csv(jid: JointDistribution, path: str | Path) -> None:
-    write_matrix_csv(
-        path,
-        jid.axis_signal,
-        jid.axis_idler,
-        jid.intensity,
-        meta={"plane": jid.plane, "axis": jid.axis},
-    )
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -92,12 +76,6 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if axis_idler is None or not rows:
         raise ValueError(f"{path}: no matrix data found")
     return np.array(axis_signal), axis_idler, np.array(rows), meta
-
-
-def read_jid_csv(path: str | Path) -> JointDistribution:
-    axis_signal, axis_idler, matrix, meta = read_matrix_csv(path)
-    plane, axis = meta.get("plane", "far"), meta.get("axis", "x")
-    return JointDistribution(plane, axis, axis_signal, axis_idler, matrix)
 
 
 def write_matrix_binary(
@@ -134,17 +112,3 @@ def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nda
     axis_signal = np.linspace(header[0], header[1], n_s)
     axis_idler = np.linspace(header[3], header[4], n_i)
     return axis_signal, axis_idler, matrix.copy()
-
-
-def write_jid_binary(jid: JointDistribution, path: str | Path) -> None:
-    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, jid.intensity)
-
-
-def read_jid_binary(
-    path: str | Path, plane: str = "far", axis: str = "x"
-) -> JointDistribution:
-    axis_signal, axis_idler, matrix = read_matrix_binary(path)
-    return JointDistribution(
-        plane=plane, axis=axis,
-        axis_signal=axis_signal, axis_idler=axis_idler, intensity=matrix,
-    )

@@ -239,27 +239,24 @@ def reid_product(near: StatsSummary, far: StatsSummary) -> ReidReport:
 
 @dataclass(frozen=True)
 class RidgeFit:
-    """Fitted ridge line a_i = slope * a_s + intercept.
+    """Fitted ridge line a_i = slope_principal_axis * a_s + intercept.
 
-    ``slope`` is the estimate of the requested method;
-    ``slope_principal_axis`` and ``slope_regression`` carry both
-    estimators for comparison.  ``isotropic`` flags tables whose
-    second-moment eigenvalues differ by less than 1%, where the
-    principal direction is not meaningful.
+    ``slope_regression`` carries the regression estimator for
+    comparison.  ``isotropic`` flags tables whose second-moment
+    eigenvalues differ by less than 1%, where the principal direction is
+    not meaningful.
     """
 
-    slope: float
     intercept: float
-    method: str
     slope_principal_axis: float
     slope_regression: float
     isotropic: bool
 
 
-def ridge_slope(table: ProbabilityTable, method: str = "principal_axis") -> RidgeFit:
+def ridge_slope(table: ProbabilityTable) -> RidgeFit:
     """Fit the bright ridge of a joint table with a straight line.
 
-    Default is the intensity-weighted principal axis (orthogonal / total
+    The line is the intensity-weighted principal axis (orthogonal / total
     least squares from the 2x2 second-moment matrix): unlike ordinary
     regression, it does not shrink toward zero with ridge width.  The
     regression slope C_si/V_s is always computed alongside.  The line
@@ -267,8 +264,6 @@ def ridge_slope(table: ProbabilityTable, method: str = "principal_axis") -> Ridg
     an isotropy warning instead of an error — both slopes are still
     reported, but neither orientation is trustworthy.
     """
-    if method not in ("principal_axis", "regression"):
-        raise ValueError(f"unknown ridge-fit method {method!r}")
     s = moments(table)
     if s.V_s <= 0.0 or s.V_i <= 0.0:
         raise DegenerateDistributionError("ridge fit needs spread on both axes")
@@ -284,11 +279,8 @@ def ridge_slope(table: ProbabilityTable, method: str = "principal_axis") -> Ridg
     v = evecs[:, 1]  # eigenvector of the larger eigenvalue
     slope_pa = math.inf if v[0] == 0.0 else float(v[1] / v[0])
     slope_reg = s.C_si / s.V_s
-    slope = slope_pa if method == "principal_axis" else slope_reg
     return RidgeFit(
-        slope=slope,
-        intercept=s.mu_i - slope * s.mu_s,
-        method=method,
+        intercept=s.mu_i - slope_pa * s.mu_s,
         slope_principal_axis=slope_pa,
         slope_regression=slope_reg,
         isotropic=isotropic,

@@ -118,7 +118,7 @@ def camera_run():
     )
     raw = uncorrected_jpd(slices)
     skew_seconds = time.perf_counter() - t0
-    fixed = corrected_jpd(slices, shift_mode="fitted", pump=pump)
+    fixed = corrected_jpd(slices)
     return {
         "wl": wl,
         "raw": slope_report(raw),
@@ -150,7 +150,7 @@ def test_camera_corrected_slope_stable_across_bandwidth(fwhm_nm):
     slices = camera_slices(
         Problem(wl, crystal, pump, filt, n_slices=31, grid_n=1024), "y", 0.25,
     )
-    fixed = corrected_jpd(slices, shift_mode="fitted", pump=pump)
+    fixed = corrected_jpd(slices)
     slope = slope_report(fixed)["slope_regression"]
     assert 0.99 <= abs(slope) <= 1.01, (
         f"corrected |slope| {abs(slope):.5f} at FWHM {fwhm_nm} nm outside [0.99, 1.01]"

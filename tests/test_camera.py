@@ -7,10 +7,8 @@ import pytest
 
 from spdcsim.biphoton import PumpSpec
 from spdcsim.camera import (
-    CameraMapping,
     camera_slices,
     corrected_jpd,
-    map_to_camera,
     rescale_idler,
     resample_conserving,
     slope_report,
@@ -32,55 +30,64 @@ def make_setup(signal_nm=780.0, length_m=1e-3, waist_m=500e-6):
     return wl, crystal, pump
 
 
-def far_slice(axis="y", signal_nm=780.0, n=256):
+def one_slice_problem(signal_nm=780.0, n=256):
     wl, crystal, pump = make_setup(signal_nm=signal_nm)
-    jid = far_field_jid(
-        Problem(wl, crystal, pump, FilterSpec("gaussian", signal_nm, 5.0), n_slices=1, grid_n=n),
-        axis,
-    )
-    return wl, crystal, pump, jid
+    filt = FilterSpec("gaussian", signal_nm, 5.0)
+    return wl, Problem(wl, crystal, pump, filt, n_slices=1, grid_n=n)
+
+
+def camera_slice(axis="y", signal_nm=780.0, n=256):
+    """The one camera slice of a monochromatic run, with its wavelengths."""
+    wl, problem = one_slice_problem(signal_nm=signal_nm, n=n)
+    (cs,) = camera_slices(problem, axis, F)
+    return wl, cs
 
 
 # -- mapping ------------------------------------------------------------------
 
 
 def test_camera_mapping_scale():
-    m = CameraMapping(F, 780.0)
+    wl, cs = camera_slice(n=64)
+    assert cs.lambda_signal_nm == 780.0
     # Y = f lambda q / (2 pi)
-    assert m.scale * 1e5 == pytest.approx(F * 780e-9 * 1e5 / (2 * math.pi), rel=1e-12)
-    assert m.scale * 1e5 == pytest.approx(3.1036e-3, rel=1e-4)
+    assert cs.scale_signal * 1e5 == pytest.approx(F * 780e-9 * 1e5 / (2 * math.pi), rel=1e-12)
+    assert cs.scale_signal * 1e5 == pytest.approx(3.1036e-3, rel=1e-4)
 
 
 def test_camera_mapping_validation():
+    wl, problem = one_slice_problem(n=64)
     with pytest.raises(ValueError):
-        CameraMapping(0.0, 780.0)
+        camera_slices(problem, "y", 0.0)
     with pytest.raises(ValueError):
-        CameraMapping(F, 780.0, magnification=-1.0)
+        camera_slices(problem, "y", F, magnification=-1.0)
+    with pytest.raises(ValueError):
+        camera_slices(problem, "y", F, magnification=0.0)
 
 
 def test_map_to_camera_scales_axes():
-    wl, crystal, pump, jid = far_slice()
-    cs = map_to_camera(jid, F, wl.signal_nm, wl.idler_nm)
+    wl, problem = one_slice_problem()
+    jid = far_field_jid(problem, "y")
+    (cs,) = camera_slices(problem, "y", F)
     assert cs.y_signal[0] == pytest.approx(
         jid.axis_signal[0] * F * 780e-9 / (2 * math.pi), rel=1e-12
     )
+    assert cs.y_idler[0] == pytest.approx(
+        jid.axis_idler[0] * F * wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
+    )
     # intensities untouched
-    assert cs.intensity is jid.intensity
+    assert np.array_equal(cs.intensity, jid.intensity)
+    assert cs.intensity is cs.source.intensity
     # on-axis point stays on axis
     mid = jid.axis_signal.size // 2
     assert cs.y_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
-
-
-def test_map_to_camera_rejects_near_field():
-    grid = np.linspace(-1e-3, 1e-3, 8)
-    near = JointDistribution("near", "y", grid, grid.copy(), np.ones((8, 8)))
-    with pytest.raises(ValueError):
-        map_to_camera(near, F, 780.0, 842.4)
+    # the magnification scales both arms
+    (magnified,) = camera_slices(problem, "y", F, magnification=2.0)
+    assert magnified.scale_signal == pytest.approx(2.0 * cs.scale_signal, rel=1e-15)
+    assert magnified.scale_idler == pytest.approx(2.0 * cs.scale_idler, rel=1e-15)
 
 
 def test_degenerate_pair_has_identical_scales():
-    wl, crystal, pump, jid = far_slice(signal_nm=810.0)
-    cs = map_to_camera(jid, F, 810.0, 810.0)
+    wl, cs = camera_slice(signal_nm=810.0)
     assert cs.scale_signal == cs.scale_idler
 
 
@@ -88,15 +95,13 @@ def test_degenerate_pair_has_identical_scales():
 
 
 def test_rescale_degenerate_is_identity():
-    wl, crystal, pump, jid = far_slice(signal_nm=810.0)
-    cs = map_to_camera(jid, F, 810.0, 810.0)
+    wl, cs = camera_slice(signal_nm=810.0)
     rs = rescale_idler(cs)
     np.testing.assert_array_equal(rs.y_idler, cs.y_idler)
 
 
 def test_rescale_factor_and_roundtrip():
-    wl, crystal, pump, jid = far_slice()
-    cs = map_to_camera(jid, F, wl.signal_nm, wl.idler_nm)
+    wl, cs = camera_slice()
     rs = rescale_idler(cs)
     factor = 780.0 / wl.idler_nm
     assert factor == pytest.approx(0.925926, abs=1e-6)
@@ -111,42 +116,29 @@ def test_rescale_factor_and_roundtrip():
 
 
 def test_walkoff_correct_rejects_x_axis():
-    wl, crystal, pump, jid = far_slice(axis="x")
-    cs = rescale_idler(map_to_camera(jid, F, wl.signal_nm, wl.idler_nm))
+    wl, cs = camera_slice(axis="x")
     with pytest.raises(ValueError):
-        walkoff_correct(cs)
+        walkoff_correct(rescale_idler(cs))
 
 
 def test_walkoff_correct_requires_rescale():
-    wl, crystal, pump, jid = far_slice(axis="y")
-    cs = map_to_camera(jid, F, wl.signal_nm, wl.idler_nm)
+    wl, cs = camera_slice(axis="y")
     with pytest.raises(ValueError):
         walkoff_correct(cs)
 
 
-def test_literal_shift_is_pump_carrier():
-    wl, crystal, pump, jid = far_slice(axis="y")
-    cs = rescale_idler(map_to_camera(jid, F, wl.signal_nm, wl.idler_nm))
-    corr = walkoff_correct(cs, shift_mode="literal", pump=pump)
-    assert corr.shift_m == pytest.approx(cs.scale_signal * pump.k_y, rel=1e-12)
-    # the literal carrier shift is macroscopic — centimeters at these
-    # parameters — while the fitted shift stays within the ridge scale
-    assert abs(corr.shift_m) > 1e-2
-
-
 def test_fitted_shift_small_for_degenerate():
-    wl, crystal, pump, jid = far_slice(axis="y", signal_nm=810.0)
-    cs = rescale_idler(map_to_camera(jid, F, 810.0, 810.0))
-    corr = walkoff_correct(cs, shift_mode="fitted")
+    wl, cs = camera_slice(axis="y", signal_nm=810.0)
+    cs = rescale_idler(cs)
+    corr = walkoff_correct(cs)
     # symmetric degenerate slice: fitted intercept well under a grid cell
     cell = float(cs.y_idler[1] - cs.y_idler[0])
-    assert abs(corr.shift_m) < cell
+    assert abs(float(cs.y_idler[0] - corr.y_idler[0])) < cell
 
 
 def test_fitted_shift_removes_nondegenerate_intercept():
-    wl, crystal, pump, jid = far_slice(axis="y", signal_nm=780.0)
-    cs = rescale_idler(map_to_camera(jid, F, wl.signal_nm, wl.idler_nm))
-    corr = walkoff_correct(cs, shift_mode="fitted")
+    wl, cs = camera_slice(axis="y", signal_nm=780.0)
+    corr = walkoff_correct(rescale_idler(cs))
     shifted = JointDistribution(
         "far", "y",
         corr.y_signal / corr.scale_signal,
@@ -156,13 +148,6 @@ def test_fitted_shift_removes_nondegenerate_intercept():
     fit = ridge_slope(normalize(shifted))
     cell_q = float(shifted.axis_idler[1] - shifted.axis_idler[0])
     assert abs(fit.intercept) < cell_q
-
-
-def test_unknown_shift_mode():
-    wl, crystal, pump, jid = far_slice(axis="y")
-    cs = rescale_idler(map_to_camera(jid, F, wl.signal_nm, wl.idler_nm))
-    with pytest.raises(ValueError):
-        walkoff_correct(cs, shift_mode="guess")
 
 
 # -- resampling ---------------------------------------------------------------
@@ -341,10 +326,9 @@ def test_corrected_equals_uncorrected_for_degenerate_slice():
 def test_pure_scaling_slope_relation():
     # A single slice's camera slope is the q-space slope times the
     # scale ratio (display orientation): pure coordinate scaling.
-    wl, crystal, pump, jid = far_slice(axis="y", signal_nm=780.0, n=512)
-    q_fit = ridge_slope(normalize(jid))
-    q_display = 1.0 / q_fit.slope
-    cs = map_to_camera(jid, F, wl.signal_nm, wl.idler_nm)
+    wl, cs = camera_slice(axis="y", signal_nm=780.0, n=512)
+    q_fit = ridge_slope(normalize(cs.source))
+    q_display = 1.0 / q_fit.slope_principal_axis
     rep = slope_report(uncorrected_jpd([cs]))
     expected = q_display * cs.scale_signal / cs.scale_idler
     assert rep["slope_principal_axis"] == pytest.approx(expected, rel=0.01)

@@ -18,7 +18,7 @@ import spdcsim
 from spdcsim.camera import camera_slices, corrected_jpd, uncorrected_jpd
 from spdcsim.cli import main
 from spdcsim.config import load_config
-from spdcsim.io import read_jid_csv, read_matrix_binary, read_matrix_csv
+from spdcsim.io import read_matrix_binary, read_matrix_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,8 +103,8 @@ class TestJid:
         assert (out_dir / "jid_far_x.csv").exists()
         assert (out_dir / "jid_far_x_stats.json").exists()
         assert data["slope_principal_axis"] == pytest.approx(-1.0, abs=0.05)
-        back = read_jid_csv(out_dir / "jid_far_x.csv")
-        assert back.plane == "far" and back.axis == "x"
+        meta = read_matrix_csv(out_dir / "jid_far_x.csv")[3]
+        assert meta["plane"] == "far" and meta["axis"] == "x"
 
     def test_binary_format(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -290,7 +290,7 @@ class TestCamera:
         slices = camera_slices(problem, "y", cfg.focal_length_m, magnification=cfg.magnification)
         for tag, jpd in (
             ("uncorrected", uncorrected_jpd(slices)),
-            ("corrected", corrected_jpd(slices, shift_mode=cfg.shift_mode, pump=problem.pump)),
+            ("corrected", corrected_jpd(slices)),
         ):
             y_s, y_i, matrix, meta = read_matrix_csv(out_dir / f"camera_{tag}_y.csv")
             assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}
@@ -346,6 +346,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith(f"config error: {key}: must be >= ")
+
+    @pytest.mark.parametrize("mode", ["fitted", "literal"])
+    def test_camera_shift_mode_key_exits_2(self, capsys, tmp_path, mode):
+        """The walk-off shift is always fitted; the key that chose it is gone."""
+        cfg = write_config(tmp_path, f"camera:\n  shift_mode: {mode}\n")
+        code, out, err = run_cli(capsys, "camera", "--config", cfg, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert "camera.shift_mode" in err
 
     @pytest.mark.parametrize(
         "coefficients",

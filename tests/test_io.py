@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from spdcsim.io import (
     MAGIC,
-    read_jid_binary,
-    read_jid_csv,
     read_matrix_binary,
-    write_jid_binary,
-    write_jid_csv,
+    read_matrix_csv,
+    write_matrix_binary,
     write_matrix_csv,
 )
 from spdcsim.spectral import JointDistribution
@@ -28,24 +26,35 @@ def make_jid(plane="far", axis="x", n=5, m=4, seed=0):
     )
 
 
+def write_csv(jid, path):
+    write_matrix_csv(
+        path, jid.axis_signal, jid.axis_idler, jid.intensity,
+        meta={"plane": jid.plane, "axis": jid.axis},
+    )
+
+
+def write_binary(jid, path):
+    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, jid.intensity)
+
+
 class TestCsv:
     def test_round_trip_preserves_everything(self, tmp_path):
         jid = make_jid(plane="near", axis="y")
         path = tmp_path / "jid.csv"
-        write_jid_csv(jid, path)
-        back = read_jid_csv(path)
-        assert back.plane == "near"
-        assert back.axis == "y"
+        write_csv(jid, path)
+        axis_signal, axis_idler, matrix, meta = read_matrix_csv(path)
+        assert meta["plane"] == "near"
+        assert meta["axis"] == "y"
         # repr floats round-trip exactly, not merely approximately
-        assert np.array_equal(back.axis_signal, jid.axis_signal)
-        assert np.array_equal(back.axis_idler, jid.axis_idler)
-        assert np.array_equal(back.intensity, jid.intensity)
+        assert np.array_equal(axis_signal, jid.axis_signal)
+        assert np.array_equal(axis_idler, jid.axis_idler)
+        assert np.array_equal(matrix, jid.intensity)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         jid = make_jid(seed=7)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_jid_csv(jid, a)
-        write_jid_csv(jid, b)
+        write_csv(jid, a)
+        write_csv(jid, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_meta_comments_lead_the_file(self, tmp_path):
@@ -66,7 +75,7 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("# plane: far\n")
         with pytest.raises(ValueError, match="no matrix data"):
-            read_jid_csv(path)
+            read_matrix_csv(path)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -83,30 +92,36 @@ class TestCsv:
             intensity=np.array(values).reshape(2, 3),
         )
         path = tmp_path_factory.mktemp("csv") / "h.csv"
-        write_jid_csv(jid, path)
-        assert np.array_equal(read_jid_csv(path).intensity, jid.intensity)
+        write_csv(jid, path)
+        assert np.array_equal(read_matrix_csv(path)[2], jid.intensity)
 
 
 class TestBinary:
     def test_round_trip(self, tmp_path):
         jid = make_jid(seed=3)
         path = tmp_path / "jid.bin"
-        write_jid_binary(jid, path)
-        back = read_jid_binary(path, plane=jid.plane, axis=jid.axis)
-        assert np.array_equal(back.intensity, jid.intensity)
-        assert np.allclose(back.axis_signal, jid.axis_signal, rtol=1e-12, atol=0.0)
-        assert back.axis_signal[0] == jid.axis_signal[0]
-        assert back.axis_signal[-1] == jid.axis_signal[-1]
+        write_binary(jid, path)
+        axis_signal, axis_idler, matrix = read_matrix_binary(path)
+        assert np.array_equal(matrix, jid.intensity)
+        assert np.allclose(axis_signal, jid.axis_signal, rtol=1e-12, atol=0.0)
+        assert axis_signal[0] == jid.axis_signal[0]
+        assert axis_signal[-1] == jid.axis_signal[-1]
 
     def test_default_tags(self, tmp_path):
+        # The binary carries no tags and none are invented on read: the
+        # caller supplies them, and a CSV written without them reads
+        # back with an empty meta.
+        jid = make_jid()
         path = tmp_path / "jid.bin"
-        write_jid_binary(make_jid(), path)
-        back = read_jid_binary(path)
-        assert (back.plane, back.axis) == ("far", "x")
+        write_binary(jid, path)
+        assert len(read_matrix_binary(path)) == 3
+        csv_path = tmp_path / "untagged.csv"
+        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, jid.intensity)
+        assert read_matrix_csv(csv_path)[3] == {}
 
     def test_file_starts_with_magic(self, tmp_path):
         path = tmp_path / "jid.bin"
-        write_jid_binary(make_jid(), path)
+        write_binary(make_jid(), path)
         assert path.read_bytes()[:8] == MAGIC == b"SPDCJID1"
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -117,7 +132,7 @@ class TestBinary:
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "jid.bin"
-        write_jid_binary(make_jid(), path)
+        write_binary(make_jid(), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             read_matrix_binary(path)
@@ -125,6 +140,6 @@ class TestBinary:
     def test_rewrite_is_byte_identical(self, tmp_path):
         jid = make_jid(seed=11)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_jid_binary(jid, a)
-        write_jid_binary(jid, b)
+        write_binary(jid, a)
+        write_binary(jid, b)
         assert a.read_bytes() == b.read_bytes()

@@ -240,7 +240,7 @@ def antidiagonal_table(n=64):
 
 def test_ridge_slope_antidiagonal():
     fit = ridge_slope(antidiagonal_table())
-    assert fit.slope == pytest.approx(-1.0, rel=1e-12)
+    assert fit.slope_principal_axis == pytest.approx(-1.0, rel=1e-12)
     assert fit.intercept == pytest.approx(0.0, abs=1e-12)
     assert not fit.isotropic
 
@@ -253,14 +253,16 @@ def test_ridge_slope_transpose_inverts():
         np.ascontiguousarray(table.p.T),
     )
     fit_t = ridge_slope(transposed)
-    assert fit_t.slope == pytest.approx(1.0 / fit.slope, rel=1e-9)
+    assert fit_t.slope_principal_axis == pytest.approx(1.0 / fit.slope_principal_axis, rel=1e-9)
 
 
 def test_ridge_regression_method():
     table = bivariate_gaussian_table(0.8, n=256)
-    fit = ridge_slope(table, method="regression")
+    fit = ridge_slope(table)
     s = moments(table)
-    assert fit.slope == pytest.approx(s.C_si / s.V_s, rel=1e-12)
+    assert fit.slope_regression == pytest.approx(s.C_si / s.V_s, rel=1e-12)
+    # the line is the principal axis through the centroid
+    assert fit.intercept == s.mu_i - fit.slope_principal_axis * s.mu_s
     assert fit.slope_principal_axis != fit.slope_regression
     # symmetric unit-variance Gaussian: principal axis is the diagonal
     assert fit.slope_principal_axis == pytest.approx(1.0, abs=1e-9)
@@ -271,8 +273,3 @@ def test_ridge_isotropic_warns():
     with pytest.warns(UserWarning, match="isotropic"):
         fit = ridge_slope(table)
     assert fit.isotropic
-
-
-def test_ridge_bad_method():
-    with pytest.raises(ValueError):
-        ridge_slope(antidiagonal_table(), method="hough")
