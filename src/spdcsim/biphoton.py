@@ -379,12 +379,14 @@ def amplitude(
     return _envelope_times_kernel(a, b, q_signal + q_idler, pump.waist_m, kernel)
 
 
-def check_memory_budget(n_s: int, n_i: int, budget_bytes: int, *, held_matrices: int = 0) -> None:
+def check_memory_budget(
+    n_s: int, n_i: int, budget_bytes: int, *, held_bytes: int = 0, holding: str = ""
+) -> None:
     """Raise GridMemoryError unless one slice's working set on an n_s x n_i
-    grid plus ``held_matrices`` float64 matrices of that size fit."""
-    needed = n_s * n_i * 8 * (_TEMPORARIES_PER_GRID + held_matrices)
+    grid plus ``held_bytes`` of held arrays (``holding`` names them) fit."""
+    needed = n_s * n_i * 8 * _TEMPORARIES_PER_GRID + held_bytes
     if needed > budget_bytes:
-        held = f" holding {held_matrices} slice matrices" if held_matrices else ""
+        held = f" holding {holding}" if holding else ""
         raise GridMemoryError(
             f"{n_s} x {n_i} grid{held} needs ~{needed / 2**20:.0f} MiB "
             f"(budget {budget_bytes / 2**20:.0f} MiB)"

@@ -12,14 +12,15 @@ offset on the y axis.  The correction pipeline undoes both slice by
 slice — rescale the idler axis to the signal's scale, subtract the
 ridge offset fitted to the slice's own momentum distribution — and
 resamples each slice onto the common grid with one banded,
-mass-conserving operator per axis (about 3 nonzeros per row).  The
-operator is a ``scipy.sparse`` matrix, imported by
-``resample_conserving`` itself, so no other command loads it.
+mass-conserving operator per axis (about 3 nonzeros per row).
 
 ``camera_slices`` takes the run's ``spectral.Problem``, puts each
-slice's axes on the camera, and keeps every slice matrix until
-accumulation, so it checks the memory budget for all of them before the
-first amplitude is evaluated.
+slice's axes on the camera, and holds each slice intensity until
+accumulation as a ``scipy.sparse`` CSR matrix, which the resampler
+multiplies directly: the pump-envelope band leaves most entries exactly
+zero (92 % at the default config).  The memory budget is charged for
+the bytes held (see ``camera_slices``).  ``scipy.sparse`` is imported
+where it runs, so no other command loads it.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -32,13 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from spdcsim.biphoton import check_memory_budget
 from spdcsim.spectral import JointDistribution, Problem, spectral_slices
 from spdcsim.stats import ProbabilityTable, normalize, ridge_slope
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "CameraSlice",
@@ -57,21 +61,22 @@ __all__ = [
 class CameraSlice:
     """One spectral slice on the camera: position axes, intensity, weight.
 
-    ``source`` keeps the originating momentum-space slice so that the
-    walk-off correction can fit the ridge offset from the model's own
-    momentum distribution.
+    ``intensity`` is a ``scipy.sparse`` CSR matrix (signal rows, idler
+    columns) holding the slice's nonzero entries.  ``ridge_intercept`` is
+    the intercept (rad/m) of the ridge fitted to the slice's own momentum
+    distribution, which the walk-off correction removes; ``None`` on x.
     """
 
     axis: str
     y_signal: np.ndarray
     y_idler: np.ndarray
-    intensity: np.ndarray
+    intensity: sparse.csr_matrix
     lambda_signal_nm: float
     lambda_idler_nm: float
     weight: float
     scale_signal: float
     scale_idler: float
-    source: JointDistribution
+    ridge_intercept: float | None
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,24 @@ def camera_slices(
 ) -> list[CameraSlice]:
     """Run the source model per spectral slice and map each slice onto
     the camera, Y = M (f/k) q per arm (no accumulation — feed the result
-    to uncorrected_jpd or corrected_jpd).  The memory budget is checked
-    up front for every held slice matrix plus one amplitude evaluation."""
+    to uncorrected_jpd or corrected_jpd).
+
+    Each slice is held as a CSR matrix of its nonzero intensities, with
+    its y-axis ridge intercept fitted while it is still dense.  The
+    budget is charged for one amplitude evaluation plus the two
+    accumulated JPDs before the first evaluation, then for each slice's
+    CSR bytes as it is stored (``GridMemoryError`` once over): a slice
+    whose band covers the grid costs 12 bytes per entry, more than the
+    dense matrix, so no up-front charge bounds it."""
+    from scipy import sparse  # here, so commands without a camera skip its import
+
     if focal_length_m <= 0:
         raise ValueError(f"focal length must be positive, got {focal_length_m}")
     if magnification <= 0:
         raise ValueError(f"magnification must be positive, got {magnification}")
-    n = problem.grid_n
-    check_memory_budget(n, n, problem.memory_budget_bytes, held_matrices=problem.n_slices)
+    n, budget = problem.grid_n, problem.memory_budget_bytes
+    held = 2 * n * n * 8  # the uncorrected and the corrected JPD
+    check_memory_budget(n, n, budget, held_bytes=held, holding="2 camera JPDs")
     out = []
     for sl, weight, amp in spectral_slices(problem, axis):
         jid = JointDistribution(
@@ -125,20 +140,27 @@ def camera_slices(
             axis_idler=sl.q_idler,
             intensity=amp * amp,
         )
+        intercept = ridge_slope(normalize(jid)).intercept if axis == "y" else None
+        intensity = sparse.csr_matrix(jid.intensity)
+        held += intensity.data.nbytes + intensity.indices.nbytes + intensity.indptr.nbytes
+        check_memory_budget(
+            n, n, budget, held_bytes=held,
+            holding=f"2 camera JPDs and {len(out) + 1} of {problem.n_slices} slice matrices",
+        )
         scale_s = _scale(focal_length_m, sl.lambda_signal_nm, magnification)
         scale_i = _scale(focal_length_m, sl.lambda_idler_nm, magnification)
         out.append(
             CameraSlice(
                 axis=axis,
-                y_signal=scale_s * jid.axis_signal,
-                y_idler=scale_i * jid.axis_idler,
-                intensity=jid.intensity,
+                y_signal=scale_s * sl.q_signal,
+                y_idler=scale_i * sl.q_idler,
+                intensity=intensity,
                 lambda_signal_nm=sl.lambda_signal_nm,
                 lambda_idler_nm=sl.lambda_idler_nm,
                 weight=weight,
                 scale_signal=scale_s,
                 scale_idler=scale_i,
-                source=jid,
+                ridge_intercept=intercept,
             )
         )
     return out
@@ -165,7 +187,8 @@ def walkoff_correct(cs: CameraSlice) -> CameraSlice:
 
     Translates the idler axis by -(f/k_s) b, where b is the intercept of
     the stationary line fitted to this slice's own momentum distribution
-    — the offset the model actually produces.  (The pump's transverse
+    (``ridge_intercept``, fitted by ``camera_slices``) — the offset the
+    model actually produces.  (The pump's transverse
     carrier k_y never appears in full on the ridge: the pump envelope
     pins the sum coordinate near zero.)
     """
@@ -173,8 +196,7 @@ def walkoff_correct(cs: CameraSlice) -> CameraSlice:
         raise ValueError("walk-off correction applies to the y axis only")
     if not math.isclose(cs.scale_idler, cs.scale_signal, rel_tol=1e-12):
         raise ValueError("slice must be rescaled to the signal scale first")
-    b = ridge_slope(normalize(cs.source)).intercept
-    return replace(cs, y_idler=cs.y_idler - cs.scale_signal * b)
+    return replace(cs, y_idler=cs.y_idler - cs.scale_signal * cs.ridge_intercept)
 
 
 def _cell_edges(axis: np.ndarray) -> np.ndarray:
@@ -187,7 +209,8 @@ def _cell_edges(axis: np.ndarray) -> np.ndarray:
 def resample_conserving(
     values: np.ndarray, src_axis: np.ndarray, dst_axis: np.ndarray, axis: int = 1
 ) -> np.ndarray:
-    """Resample a density table onto a new uniform axis, conserving mass.
+    """Resample a density table (dense, or a ``scipy.sparse`` matrix) onto
+    a new uniform axis, conserving mass.
 
     The rows (or columns) are treated as samples of a piecewise-linear
     density on ``src_axis``; the output value in each destination cell is
@@ -199,6 +222,9 @@ def resample_conserving(
     per row; R[k, m] is source knot m's hat function averaged over cell k),
     applied in one pass: ``R @ values`` on axis 0, ``(R @ values.T).T`` on
     axis 1.  Its entries are products of nonnegative factors, so R >= 0.
+    A sparse ``values`` gives a sparse result with the same entries: each
+    is the same sum over the same source knots in the same order, minus
+    the terms whose value is zero.
     """
     from scipy import sparse  # here, so commands that never resample skip its import
 
@@ -238,8 +264,9 @@ def _accumulate(
     provenance = []
     for cs in slices:
         resampled = resample_conserving(cs.intensity, cs.y_idler, y_i, axis=1)
-        resampled = resample_conserving(resampled, cs.y_signal, y_s, axis=0)
-        total += cs.weight * resampled
+        resampled = resample_conserving(resampled, cs.y_signal, y_s, axis=0).tocoo()
+        # only stored entries: every other term of the dense sum is weight * 0 = +0
+        total[resampled.row, resampled.col] += cs.weight * resampled.data
         provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
     # Already >= 0: R >= 0 entrywise and the intensities are squares.
     np.clip(total, 0.0, None, out=total)

@@ -105,9 +105,9 @@ def _write_matrix(
         else:
             blob = {
                 **meta,
-                "axis_signal": [float(v) for v in axis_signal],
-                "axis_idler": [float(v) for v in axis_idler],
-                "intensity": [[float(v) for v in row] for row in intensity],
+                "axis_signal": axis_signal.tolist(),
+                "axis_idler": axis_idler.tolist(),
+                "intensity": intensity.tolist(),
             }
             path.write_text(
                 json.dumps(blob, sort_keys=True) + "\n", encoding="utf-8"

@@ -74,9 +74,10 @@ def test_map_to_camera_scales_axes():
     assert cs.y_idler[0] == pytest.approx(
         jid.axis_idler[0] * F * wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
     )
-    # intensities untouched
-    assert np.array_equal(cs.intensity, jid.intensity)
-    assert cs.intensity is cs.source.intensity
+    # intensities untouched, held as CSR with only the nonzero entries
+    assert cs.intensity.format == "csr"
+    assert np.array_equal(cs.intensity.toarray(), jid.intensity)
+    assert cs.intensity.nnz == np.count_nonzero(jid.intensity)
     # on-axis point stays on axis
     mid = jid.axis_signal.size // 2
     assert cs.y_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
@@ -84,6 +85,16 @@ def test_map_to_camera_scales_axes():
     (magnified,) = camera_slices(problem, "y", F, magnification=2.0)
     assert magnified.scale_signal == pytest.approx(2.0 * cs.scale_signal, rel=1e-15)
     assert magnified.scale_idler == pytest.approx(2.0 * cs.scale_idler, rel=1e-15)
+
+
+def test_ridge_intercept_is_the_slice_fit():
+    """Fitted once, on y only, from the slice's own momentum distribution."""
+    wl, problem = one_slice_problem()
+    (cs,) = camera_slices(problem, "y", F)
+    assert cs.ridge_intercept == ridge_slope(normalize(far_field_jid(problem, "y"))).intercept
+    assert cs.ridge_intercept != 0.0
+    (cs_x,) = camera_slices(problem, "x", F)
+    assert cs_x.ridge_intercept is None
 
 
 def test_degenerate_pair_has_identical_scales():
@@ -143,7 +154,7 @@ def test_fitted_shift_removes_nondegenerate_intercept():
         "far", "y",
         corr.y_signal / corr.scale_signal,
         corr.y_idler / corr.scale_idler,
-        corr.intensity,
+        corr.intensity.toarray(),
     )
     fit = ridge_slope(normalize(shifted))
     cell_q = float(shifted.axis_idler[1] - shifted.axis_idler[0])
@@ -275,6 +286,27 @@ def test_resample_properties(shape, scale, shift):
         assert np.sum(out_row * np.diff(edges)) == pytest.approx(mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("scale", [0.9259, 1.0, 1.08])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_resample_sparse_equals_dense(shape, scale, shift, axis):
+    """A CSR input gives the dense result exactly, zeros' signs included."""
+    from scipy import sparse
+
+    values, src, dst = resample_case(shape, scale, shift, seed=2)
+    values[values < 0.6] = 0.0  # scattered zeros
+    values[1] = 0.0  # and an empty row
+    if axis == 0:
+        values = values.T
+    dense = resample_conserving(values, src, dst, axis=axis)
+    out = resample_conserving(sparse.csr_matrix(values), src, dst, axis=axis)
+    assert sparse.issparse(out)
+    out = out.toarray()
+    assert np.array_equal(out, dense)
+    assert np.array_equal(np.signbit(out), np.signbit(dense))
+
+
 # -- accumulation and slopes -----------------------------------------------------
 
 
@@ -326,8 +358,9 @@ def test_corrected_equals_uncorrected_for_degenerate_slice():
 def test_pure_scaling_slope_relation():
     # A single slice's camera slope is the q-space slope times the
     # scale ratio (display orientation): pure coordinate scaling.
-    wl, cs = camera_slice(axis="y", signal_nm=780.0, n=512)
-    q_fit = ridge_slope(normalize(cs.source))
+    wl, problem = one_slice_problem(signal_nm=780.0, n=512)
+    (cs,) = camera_slices(problem, "y", F)
+    q_fit = ridge_slope(normalize(far_field_jid(problem, "y")))
     q_display = 1.0 / q_fit.slope_principal_axis
     rep = slope_report(uncorrected_jpd([cs]))
     expected = q_display * cs.scale_signal / cs.scale_idler
@@ -358,7 +391,9 @@ def test_accumulation_matches_reference_resampler(accumulate):
     central = slices[len(slices) // 2]
     total = np.zeros((central.y_signal.size, central.y_idler.size))
     for cs in slices:
-        resampled = reference_resample(cs.intensity, cs.y_idler, central.y_idler, axis=1)
+        resampled = reference_resample(
+            cs.intensity.toarray(), cs.y_idler, central.y_idler, axis=1
+        )
         total += cs.weight * reference_resample(resampled, cs.y_signal, central.y_signal, axis=0)
     np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
     np.testing.assert_array_equal(jpd.y_idler, central.y_idler)

@@ -19,6 +19,7 @@ from spdcsim.camera import camera_slices, corrected_jpd, uncorrected_jpd
 from spdcsim.cli import main
 from spdcsim.config import load_config
 from spdcsim.io import read_matrix_binary, read_matrix_csv
+from spdcsim.spectral import far_field_jid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,9 +39,21 @@ def write_config(tmp_path, text, name="run.yaml"):
 SMALL = ["--grid-n", "128", "--slices", "3"]
 
 
+def fresh_python(script):
+    """Run ``script`` in a new interpreter at the repository root: other
+    tests load SciPy into this process."""
+    src = str(Path(spdcsim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestStartup:
     def test_import_and_pm_angle_load_no_scipy(self):
-        # Other tests load SciPy into this process, so check a fresh interpreter.
         script = (
             "import sys\n"
             "def scipy_modules():\n"
@@ -50,14 +63,21 @@ class TestStartup:
             "assert main(['pm-angle', '--config', 'configs/degenerate_810.yaml']) == 0\n"
             "assert not scipy_modules(), scipy_modules()\n"
         )
-        src = str(Path(spdcsim.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        out = fresh_python(script)
+        assert json.loads(out)["theta_p_deg"] == pytest.approx(28.81, abs=0.05)
+
+    def test_only_camera_loads_scipy_sparse(self, tmp_path):
+        fresh_python(
+            "import sys\n"
+            "from spdcsim.cli import main\n"
+            "small = ['--grid-n', '64', '--slices', '3']\n"
+            f"out = ['--out', {str(tmp_path)!r}]\n"
+            "for argv in (['certify'], ['stats', '--plane', 'near'], ['jid', *out]):\n"
+            "    assert main(argv + small) == 0\n"
+            "    assert 'scipy.sparse' not in sys.modules, argv\n"
+            "assert main(['camera', *out] + small) == 0\n"
+            "assert 'scipy.sparse' in sys.modules\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["theta_p_deg"] == pytest.approx(28.81, abs=0.05)
 
 
 class TestPmAngle:
@@ -115,6 +135,24 @@ class TestJid:
         _, _, matrix = read_matrix_binary(out_dir / "jid_far_x.bin")
         assert matrix.shape == (128, 128)
         assert np.all(matrix >= 0)
+
+    def test_json_format_matches_per_element_floats(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "jid", "--format", "json", "--out", str(out_dir),
+            "--grid-n", "64", "--slices", "3",
+        )
+        assert code == 0
+        jid = far_field_jid(replace(load_config(None), grid_n=64, n_slices=3).build(), "x")
+        blob = {
+            "plane": "far",
+            "axis": "x",
+            "axis_signal": [float(v) for v in jid.axis_signal],
+            "axis_idler": [float(v) for v in jid.axis_idler],
+            "intensity": [[float(v) for v in row] for row in jid.intensity],
+        }
+        expected = json.dumps(blob, sort_keys=True) + "\n"
+        assert (out_dir / "jid_far_x.json").read_text(encoding="utf-8") == expected
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -247,7 +285,7 @@ class TestSweep:
 
 class TestCamera:
     def test_memory_budget_covers_held_slices(self, capsys, tmp_path):
-        """31 held 512 x 512 slices exceed a budget one evaluation fits in."""
+        """The camera's held matrices exceed a budget one evaluation fits in."""
         cfg = write_config(
             tmp_path, "grid:\n  n: 512\n  memory_budget_mb: 21\naxes: [y]\n"
         )
@@ -259,7 +297,26 @@ class TestCamera:
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("resource error: 512 x 512 grid holding 31 slice matrices")
+        assert err.startswith("resource error: 512 x 512 grid holding 2 camera JPDs")
+        assert not out_dir.exists()
+
+    def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path):
+        """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
+        held CSR slice (12 bytes per entry) outweighs a dense matrix: a
+        budget that one evaluation plus 31 dense slices fit in is exceeded."""
+        n, slices, budget_mb = 256, 31, 25
+        assert n * n * 8 * (10 + slices) <= budget_mb * 2**20  # the dense charge fits
+        cfg = write_config(
+            tmp_path,
+            f"pump:\n  waist_um: 20\ngrid:\n  n: {n}\n  memory_budget_mb: {budget_mb}\n"
+            f"spectral:\n  slices: {slices}\naxes: [y]\n",
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "camera", "--config", cfg, "--out", str(out_dir))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource error: 256 x 256 grid holding 2 camera JPDs and ")
+        assert f" of {slices} slice matrices needs ~" in err
         assert not out_dir.exists()
 
     def test_files_and_slope_report(self, capsys, tmp_path):

@@ -71,6 +71,41 @@ class TestCsv:
         assert lines[1] == "# axis: x"
         assert lines[2].startswith("signal,")
 
+    @staticmethod
+    def reference_csv(axis_signal, axis_idler, intensity, meta):
+        """The per-element writer: every float through ``repr(float(v))``."""
+        lines = [f"# {key}: {value}" for key, value in meta.items()]
+        lines.append(",".join(["signal"] + [repr(float(v)) for v in axis_idler]))
+        for coord, row in zip(axis_signal, intensity):
+            lines.append(",".join([repr(float(coord))] + [repr(float(v)) for v in row]))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("case", ["banded", "transposed", "one_by_one", "zero_1x1"])
+    def test_bytes_match_per_element_repr(self, tmp_path, case):
+        tiny = np.nextafter(0.0, 1.0)
+        rng = np.random.default_rng(3)
+        matrix = rng.uniform(0.0, 2.0, size=(6, 9))
+        matrix[:, :2] = 0.0  # leading zeros
+        matrix[:, 7:] = 0.0  # trailing zeros
+        matrix[1] = 0.0  # an all-zero row
+        matrix[2] = rng.uniform(0.5, 1.0, size=9)  # a fully nonzero row
+        matrix[3, 0], matrix[3, 8], matrix[3, 4] = -0.0, -0.0, 0.0  # signed zeros
+        matrix[4, 1], matrix[4, 6] = tiny, 3 * tiny  # subnormals at the span ends
+        matrix[5, 2:7] = [0.0, -0.0, 1e-300, 0.0, 0.0]
+        if case == "transposed":
+            matrix = matrix.T  # non-contiguous
+        elif case == "one_by_one":
+            matrix = np.array([[0.25]])
+        elif case == "zero_1x1":
+            matrix = np.array([[0.0]])
+        axis_signal = np.linspace(-1.0, 1.0, matrix.shape[0])
+        axis_idler = np.linspace(-0.5, 0.5, matrix.shape[1])
+        meta = {"plane": "camera", "axis": "y"}
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, axis_signal, axis_idler, matrix, meta=meta)
+        assert path.read_bytes() == self.reference_csv(axis_signal, axis_idler, matrix, meta)
+        assert b"-0.0" in path.read_bytes() or not np.signbit(matrix).any()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# plane: far\n")
