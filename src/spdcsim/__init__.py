@@ -5,7 +5,7 @@ The pipeline, bottom to top:
 - :mod:`spdcsim.dispersion` — Sellmeier indices, phase matching, walk-off
 - :mod:`spdcsim.biphoton` — phase mismatch and the two-photon angular amplitude
 - :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
-  every slice loop takes, far/near-field JIDs
+  every slice loop takes, the moment engine, far/near-field JIDs
 - :mod:`spdcsim.stats` — moments, conditional inference, EPR width products
 - :mod:`spdcsim.camera` — chromatic camera mapping and its compensation
 - :mod:`spdcsim.sweep` — parameter studies over bandwidth/length/waist

@@ -50,6 +50,7 @@ __all__ = [
     "amplitude",
     "evaluate_grid",
     "check_memory_budget",
+    "default_diff_halfwidth",
     "DEFAULT_GRID_N",
     "DEFAULT_MEMORY_BUDGET_BYTES",
 ]
@@ -60,10 +61,11 @@ DEFAULT_GRID_N = 1024
 #: estimates it.
 DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
 
-#: Matrix-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
+#: Grid-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
 #: holds its output plus row-block temporaries; the rest covers what a slice
-#: loop holds beside it (accumulator, near-field FFT spectrum and intensity).
-#: Changing it moves every exit-3 threshold.
+#: loop holds beside it (accumulator, and for ``jid --plane near`` the
+#: near-field FFT spectrum and intensity).  The moment engine's node grid
+#: is charged at the same rate.  Changing it moves every exit-3 threshold.
 _TEMPORARIES_PER_GRID = 10
 
 
@@ -180,18 +182,15 @@ class TransverseSlice:
         *difference* coordinate to the much larger main-lobe width
         ~sqrt(4 pi k / L); the two differ by two orders of magnitude at
         typical parameters, so the square grid must be sized from both.
-        Default half-extents are 5x each scale (truncated mass < 1e-5);
-        a square grid accommodating sum extent S and difference extent D
-        needs per-axis half-extent (S + D) / 2.
+        Default half-extents are 5x each scale (truncated mass < 1e-5;
+        the difference one is ``default_diff_halfwidth``); a square grid
+        accommodating sum extent S and difference extent D needs per-axis
+        half-extent (S + D) / 2.
         """
-        sell = crystal.sellmeier
-        k_s = wavevector_magnitude(sell.index_ordinary(wl.signal_nm), wl.signal_nm)
-        k_i = wavevector_magnitude(sell.index_ordinary(wl.idler_nm), wl.idler_nm)
-        k_bar = 0.5 * (k_s + k_i)
         if sum_halfwidth is None:
             sum_halfwidth = 5.0 * (2.0 / pump.waist_m)
         if diff_halfwidth is None:
-            diff_halfwidth = 5.0 * math.sqrt(4.0 * math.pi * k_bar / crystal.length_m)
+            diff_halfwidth = default_diff_halfwidth(wl, crystal)
         half = 0.5 * (sum_halfwidth + diff_halfwidth)
         q = np.linspace(-half, half, n)
         return cls(
@@ -201,6 +200,14 @@ class TransverseSlice:
             lambda_signal_nm=wl.signal_nm,
             lambda_idler_nm=wl.idler_nm,
         )
+
+
+def default_diff_halfwidth(wl: SpdcWavelengths, crystal: CrystalSetup) -> float:
+    """Default half-extent D of the difference coordinate q_s - q_i:
+    5 phase-matching main-lobe widths, 5 sqrt(4 pi k_bar / L), with k_bar
+    the mean ordinary wavenumber of the nominal pair."""
+    k_bar = 0.5 * (_ordinary_k(crystal, wl.signal_nm) + _ordinary_k(crystal, wl.idler_nm))
+    return 5.0 * math.sqrt(4.0 * math.pi * k_bar / crystal.length_m)
 
 
 @dataclass(frozen=True)
@@ -219,11 +226,12 @@ def _ordinary_k(crystal: CrystalSetup, wavelength_nm: float) -> float:
 
 
 def _arm_dk_z(crystal: CrystalSetup, lam_nm: float, lam0_nm: float, q_x, q_y):
-    """One arm's share of dk_z: [k0 - k_z] + q_y tan(rho), with
+    """One arm's share of dk_z, [k0 - k_z] + q_y tan(rho), and k_z, with
     k_z = sqrt(k^2 - q_x^2 - q_y^2) at ``lam_nm`` and k0 at ``lam0_nm``.
 
     dk_z is the sum of the two arms' shares, so it separates additively
-    into a signal term and an idler term.
+    into a signal term and an idler term.  The share's gradient in
+    (q_x, q_y) is (q_x / k_z, q_y / k_z + tan(rho)).
     """
     k = _ordinary_k(crystal, lam_nm)
     q_y = np.asarray(q_y)
@@ -232,9 +240,8 @@ def _arm_dk_z(crystal: CrystalSetup, lam_nm: float, lam0_nm: float, q_x, q_y):
         raise EvanescentInputError(
             "transverse momentum at or beyond the propagation cone |q| >= k"
         )
-    return (_ordinary_k(crystal, lam0_nm) - np.sqrt(k * k - q_sq)) + q_y * math.tan(
-        crystal.rho
-    )
+    k_z = np.sqrt(k * k - q_sq)
+    return (_ordinary_k(crystal, lam0_nm) - k_z) + q_y * math.tan(crystal.rho), k_z
 
 
 def mismatch(
@@ -267,9 +274,9 @@ def mismatch(
         pair = (wl.signal_nm, wl.idler_nm)
     q_sx, q_sy = q_s
     q_ix, q_iy = q_i
-    dk_z = _arm_dk_z(crystal, pair[0], wl.signal_nm, q_sx, q_sy) + _arm_dk_z(
+    dk_z = _arm_dk_z(crystal, pair[0], wl.signal_nm, q_sx, q_sy)[0] + _arm_dk_z(
         crystal, pair[1], wl.idler_nm, q_ix, q_iy
-    )
+    )[0]
     dk_x = -(np.asarray(q_sx) + np.asarray(q_ix))
     dk_y = -(np.asarray(q_sy) + np.asarray(q_iy))
     return PhaseMismatch(dk_x=dk_x, dk_y=dk_y, dk_z=dk_z)
@@ -300,6 +307,26 @@ def _kernel(u, kind: str):
     raise ValueError(f"unknown phase-matching kernel {kind!r}")
 
 
+#: below this |u| the sinc slope (cos u - sinc u) / u loses digits to
+#: cancellation (about 1e-16/u^2 relative, 1e-12 here); its Taylor series
+#: -u/3 + u^3/30 - u^5/840 is exact to float64 there
+_SINC_SLOPE_SERIES_U = 1e-2
+
+
+def _kernel_with_slope(u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel K(u) and its derivative K'(u) on an array ``u``."""
+    k = _kernel(u, kind)
+    if kind == "gauss":
+        return k, -(u / 3.0) * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (np.cos(u) - k) / u
+    small = np.abs(u) < _SINC_SLOPE_SERIES_U
+    u_small = u[small]
+    u2 = u_small * u_small
+    slope[small] = u_small * (-1.0 / 3.0 + u2 * (1.0 / 30.0 - u2 / 840.0))
+    return k, slope
+
+
 #: below this |u| the separable sin(a + b)/u loses digits to cancellation
 #: (about 1e-16/|u| absolute); np.sinc takes over there
 _SEPARABLE_SINC_MIN_U = 1e-4
@@ -321,21 +348,24 @@ def _separable_sinc(a, b):
     return out
 
 
-def _arm_arguments(q_signal, q_idler, sl: TransverseSlice, crystal: CrystalSetup,
-                   wl: SpdcWavelengths):
-    """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2.
+def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
+                   crystal: CrystalSetup, wl: SpdcWavelengths):
+    """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2
+    at the (signal, idler) wavelengths ``pair``, and their derivatives along
+    ``axis``, a' = (L/2)(q_signal / k_z + tan(rho) on y) and likewise b'.
 
     Raises EvanescentInputError if any momentum of either grid reaches the
     propagation cone.
     """
-
-    def on_axis(q):  # (x, y) components, the orthogonal one zero
-        return (q, 0.0) if sl.axis == "x" else (0.0, q)
-
     half_length = crystal.length_m / 2.0
-    a = half_length * _arm_dk_z(crystal, sl.lambda_signal_nm, wl.signal_nm, *on_axis(q_signal))
-    b = half_length * _arm_dk_z(crystal, sl.lambda_idler_nm, wl.idler_nm, *on_axis(q_idler))
-    return a, b
+    tilt = math.tan(crystal.rho) if axis == "y" else 0.0
+
+    def arm(q, lam_nm, lam0_nm):  # the orthogonal momentum component is zero
+        share, k_z = _arm_dk_z(crystal, lam_nm, lam0_nm, *((q, 0.0) if axis == "x" else (0.0, q)))
+        return half_length * share, half_length * (q / k_z + tilt)
+
+    (a, da), (b, db) = arm(q_signal, pair[0], wl.signal_nm), arm(q_idler, pair[1], wl.idler_nm)
+    return a, b, da, db
 
 
 def _envelope_times_kernel(a, b, q_sum, waist_m: float, kernel: str):
@@ -375,7 +405,8 @@ def amplitude(
     """
     q_signal = np.asarray(q_signal, dtype=float)
     q_idler = np.asarray(q_idler, dtype=float)
-    a, b = _arm_arguments(q_signal, q_idler, sl, crystal, wl)
+    pair = (sl.lambda_signal_nm, sl.lambda_idler_nm)
+    a, b, _, _ = _arm_arguments(q_signal, q_idler, sl.axis, pair, crystal, wl)
     return _envelope_times_kernel(a, b, q_signal + q_idler, pump.waist_m, kernel)
 
 
@@ -425,7 +456,8 @@ def evaluate_grid(
     """
     check_memory_budget(sl.q_signal.size, sl.q_idler.size, memory_budget_bytes)
     q_s, q_i = sl.q_signal, sl.q_idler
-    a, b = _arm_arguments(q_s, q_i, sl, crystal, wl)
+    pair = (sl.lambda_signal_nm, sl.lambda_idler_nm)
+    a, b, _, _ = _arm_arguments(q_s, q_i, sl.axis, pair, crystal, wl)
     half_band = 2.0 * math.sqrt(_ENVELOPE_ZERO_EXPONENT) / pump.waist_m
     out = np.zeros((q_s.size, q_i.size))
     for start in range(0, q_s.size, _BAND_ROWS):

@@ -4,7 +4,7 @@ Commands
 --------
 pm-angle   phase-matching angle, walk-off, and indices for a config
 jid        compute one joint distribution, write it, print its stats
-stats      print the statistics JSON for one plane/axis (no files)
+stats      print the moment engine's statistics JSON for one plane/axis
 certify    near+far inference per axis -> EPR width-product report
 sweep      parameter sweep -> CSV (stdout, and a file with --out)
 camera     uncorrected + corrected camera-plane JPD files + slope report
@@ -42,13 +42,14 @@ from spdcsim.dispersion import (
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv
-from spdcsim.spectral import JointDistribution, far_field_jid, near_field_jid
+from spdcsim.spectral import far_field_jid, near_field_jid
 from spdcsim.stats import (
     DegenerateDistributionError,
+    StatsSummary,
     moments,
     normalize,
     reid_inference,
-    ridge_slope,
+    ridge_fit,
 )
 from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
 
@@ -75,14 +76,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _stats_payload(jid: JointDistribution) -> dict:
-    table = normalize(jid)
-    summary = reid_inference(moments(table))
-    fit = ridge_slope(table)
+def _stats_payload(summary: StatsSummary) -> dict:
+    """A summary with inference fields, and the ridge fitted to its moments."""
+    fit = ridge_fit(summary)
     payload = summary.to_json_dict()
     payload.update(
-        plane=jid.plane,
-        axis=jid.axis,
+        plane=summary.plane,
+        axis=summary.axis,
         slope_principal_axis=fit.slope_principal_axis,
         slope_regression=fit.slope_regression,
         intercept=fit.intercept,
@@ -137,15 +137,11 @@ def cmd_pm_angle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jid(args: argparse.Namespace, cfg: RunConfig) -> JointDistribution:
-    fn = far_field_jid if args.plane == "far" else near_field_jid
-    return fn(cfg.build(), args.axis)
-
-
 def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    jid = _jid(args, cfg)
-    payload = _stats_payload(jid)
+    fn = far_field_jid if args.plane == "far" else near_field_jid
+    jid = fn(cfg.build(), args.axis)
+    payload = _stats_payload(reid_inference(moments(normalize(jid))))
     files = _write_matrix(
         Path(cfg.out_dir),
         f"jid_{args.plane}_{args.axis}",
@@ -165,7 +161,8 @@ def cmd_jid(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    _emit(_stats_payload(_jid(args, _config(args))))
+    near, far, _ = certify_axis(_config(args).build(), args.axis)
+    _emit(_stats_payload(near if args.plane == "near" else far))
     return 0
 
 

@@ -22,7 +22,7 @@ slice loop takes, and enforces the physical invariants the schema
 cannot see (positive lengths, valid wavelength ranges, phase matching,
 a filter support above the pump wavelength); the command layer runs it
 immediately after parsing.  ``certify_axis()`` is the one near+far
-computation behind both ``certify`` and every ``sweep`` point.
+computation behind ``certify``, every ``sweep`` point and ``stats``.
 """
 
 from __future__ import annotations
@@ -39,18 +39,10 @@ from spdcsim.spectral import (
     DEFAULT_SPECTRAL_SLICES,
     FilterSpec,
     Problem,
-    far_field_jid,
-    near_field_jid,
+    moment_sums,
     sample_spectrum,
 )
-from spdcsim.stats import (
-    ReidReport,
-    StatsSummary,
-    moments,
-    normalize,
-    reid_inference,
-    reid_product,
-)
+from spdcsim.stats import ReidReport, StatsSummary, reid_inference, reid_product
 
 __all__ = [
     "ConfigError", "RunConfig", "certify_axis", "load_config", "parse_config",
@@ -254,10 +246,28 @@ class RunConfig:
         )
 
 
+def _summary(plane: str, axis: str, norm: float, s: float, i: float,
+             ss: float, ii: float, si: float) -> StatsSummary:
+    """Means, variances and covariance from raw sums of {a_s, a_i, a_s^2,
+    a_i^2, a_s a_i} and their common normalisation ``norm``."""
+    mu_s, mu_i = s / norm, i / norm
+    return StatsSummary(
+        plane=plane, axis=axis, mu_s=mu_s, mu_i=mu_i,
+        V_s=ss / norm - mu_s * mu_s, V_i=ii / norm - mu_i * mu_i,
+        C_si=si / norm - mu_s * mu_i,
+    )
+
+
 def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
-    """Near- and far-field inference of one axis and their Reid report."""
-    near = reid_inference(moments(normalize(near_field_jid(problem, axis))))
-    far = reid_inference(moments(normalize(far_field_jid(problem, axis))))
+    """Near- and far-field inference of one axis and their Reid report.
+
+    Both planes come from one ``spectral.moment_sums`` pass: the far
+    field from the momentum moments of Psi^2, the near field from the
+    gradient moments, whose means are exactly 0.
+    """
+    m = moment_sums(problem, axis)
+    near = reid_inference(_summary("near", axis, m.norm, 0.0, 0.0, m.g_ss, m.g_ii, m.g_si))
+    far = reid_inference(_summary("far", axis, m.norm, m.q_s, m.q_i, m.q_ss, m.q_ii, m.q_si))
     return near, far, reid_product(near, far)
 
 

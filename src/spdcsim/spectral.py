@@ -1,19 +1,36 @@
-"""Spectral filtering and the far-/near-field joint intensity builders.
+"""Spectral filtering, the moment engine, and the far-/near-field JID builders.
 
 A filtered, frequency-insensitive detector cannot tell spectral slices
-apart, so the joint intensity is built **coherently within** each
+apart, so every quantity is built **coherently within** each
 monochromatic slice and **incoherently across** slices: every sampled
-wavelength pair contributes its own amplitude matrix, transformed (for
-the near field) and squared on its own, then added with the filter
-transmission as weight.
+wavelength pair contributes its own amplitude, squared on its own, then
+added with the filter transmission as weight, in sampling order.
 
 Every slice loop takes one ``Problem`` -- the physics objects, the
 slice count, the grid settings, the kernel and the memory budget -- and
 the transverse axis; ``RunConfig.build()`` assembles it, so each knob
 reaches the amplitude the same way in every command.
 
-DFT convention (fixed): the near field uses the centered, unitary
-inverse transform
+Moment engine (``moment_sums``; ``certify``, ``sweep`` and ``stats``).
+Per slice it works in the sum and difference coordinates
+q_+ = q_s + q_i and q_- = q_s - q_i.  The pump intensity
+exp(-w0^2 q_+^2 / 2) is exactly the Gauss-Hermite weight, so q_+ is
+sampled at ``_SUM_NODES`` Hermite nodes q_+ = sqrt(2) t / w0; q_- takes
+``grid_n`` uniform points over [-D, D], D = ``diff_halfwidth``.  For a
+real amplitude Psi = E(q_+) K(a(q_s) + b(q_i)) position is i d/dq, so
+the near-field moments are gradient moments,
+
+    <x_s^2> = int (d_s Psi)^2 / int Psi^2,
+    <x_s x_i> = int d_s Psi d_i Psi / int Psi^2,   <x_s> = <x_i> = 0,
+
+with d_s Psi = E (-(w0^2 q_+ / 2) K + K'(u) a'(q_s)) in closed form.
+No N x N grid and no transform is built, and nothing is cut off at a
+grid edge in position space.
+
+JID builders (``far_field_jid``, ``near_field_jid``; ``jid`` and
+``camera``) evaluate each slice on the square (q_s, q_i) grid, because
+they write a picture.  DFT convention (fixed): the near field uses the
+centered, unitary inverse transform
 
     psi = (dq_s * dq_i * N * M / (2*pi)) * fftshift(ifft2(ifftshift(Psi)))
 
@@ -29,7 +46,7 @@ order, in two buffers allocated once per axis; the other half is filled
 by Hermitian symmetry once, on the sum, before one ``fftshift`` of the
 total.  A mirrored entry is a copy, so this equals the per-slice
 full-matrix sum bit for bit.  ``scipy.fft`` is imported by the transform
-itself, so far-field-only commands never load it.
+itself, so only ``jid --plane near`` loads it.
 """
 
 from __future__ import annotations
@@ -45,6 +62,10 @@ from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     PumpSpec,
     TransverseSlice,
+    _arm_arguments,
+    _kernel_with_slope,
+    check_memory_budget,
+    default_diff_halfwidth,
     evaluate_grid,
 )
 from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
@@ -54,9 +75,11 @@ __all__ = [
     "SpectralSampling",
     "JointDistribution",
     "Problem",
+    "MomentSums",
     "transmission",
     "sample_spectrum",
     "spectral_slices",
+    "moment_sums",
     "far_field_jid",
     "near_field_jid",
     "position_grid",
@@ -216,8 +239,10 @@ class Problem:
     """One run's slice-loop inputs: the physics objects, the slice
     count, the grid settings, the kernel and the memory budget.
 
-    ``RunConfig.build()`` assembles it; the JID builders here and
-    ``camera.camera_slices`` take it with the transverse axis.
+    ``RunConfig.build()`` assembles it; ``moment_sums``, the JID
+    builders here and ``camera.camera_slices`` take it with the
+    transverse axis.  ``diff_halfwidth`` is the moment engine's D;
+    the square grids use both half-widths.
     """
 
     wl: SpdcWavelengths
@@ -238,6 +263,14 @@ class Problem:
             sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
         )
 
+    def diff_grid(self) -> np.ndarray:
+        """The moment engine's q_s - q_i grid: ``grid_n`` uniform points
+        over [-D, D], D = ``diff_halfwidth`` or its default."""
+        d = self.diff_halfwidth
+        if d is None:
+            d = default_diff_halfwidth(self.wl, self.crystal)
+        return np.linspace(-d, d, self.grid_n)
+
 
 def spectral_slices(problem: Problem, axis: str) -> Iterator[tuple[TransverseSlice, float, np.ndarray]]:
     """Yield (slice, weight, amplitude matrix) per spectral slice.
@@ -254,6 +287,72 @@ def spectral_slices(problem: Problem, axis: str) -> Iterator[tuple[TransverseSli
             kernel=problem.kernel, memory_budget_bytes=problem.memory_budget_bytes,
         )
         yield sl, weight, amp
+
+
+#: Gauss-Hermite nodes in q_+ per slice.  Every factor of the moment
+#: integrands but the Hermite weight is smooth in q_+, so 8 suffice: 16
+#: move U by about 2e-12 at the defaults.  ``check_memory_budget``
+#: charges them as grid rows.
+_SUM_NODES = 8
+
+
+@dataclass(frozen=True)
+class MomentSums:
+    """Filter-weighted raw moment sums of one axis.
+
+    ``norm`` is the sum of Psi^2; ``q_s`` ... ``q_si`` are the sums of
+    {q_s, q_i, q_s^2, q_i^2, q_s q_i} Psi^2 (far field); ``g_ss``,
+    ``g_ii``, ``g_si`` are the sums of (d_s Psi)^2, (d_i Psi)^2 and
+    d_s Psi d_i Psi (near field).  Quadrature factors shared by every
+    term are left out, so only ratios to ``norm`` carry meaning.
+    """
+
+    axis: str
+    norm: float
+    q_s: float
+    q_i: float
+    q_ss: float
+    q_ii: float
+    q_si: float
+    g_ss: float
+    g_ii: float
+    g_si: float
+
+
+def moment_sums(problem: Problem, axis: str) -> MomentSums:
+    """Far- and near-field raw moment sums of ``axis``, from one pass
+    over the spectral slices on the (q_+, q_-) node grid (module
+    docstring).  Slices add with the filter weights in sampling order.
+
+    Raises GridMemoryError if the node grid exceeds the memory budget and
+    EvanescentInputError if any node momentum reaches the propagation
+    cone.
+    """
+    from numpy.polynomial.hermite import hermgauss  # numpy does not import it by itself
+
+    q_d = problem.diff_grid()
+    check_memory_budget(_SUM_NODES, q_d.size, problem.memory_budget_bytes)
+    t, h = hermgauss(_SUM_NODES)
+    w0 = problem.pump.waist_m
+    q_plus = (math.sqrt(2.0) / w0 * t)[:, None]
+    q_s = 0.5 * (q_plus + q_d)
+    q_i = 0.5 * (q_plus - q_d)
+    envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
+    node_weights = h[:, None]
+    sampling = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    total = np.zeros(9)
+    for lam_s, lam_i, weight in sampling.triples:
+        a, b, da, db = _arm_arguments(
+            q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl
+        )
+        k, dk = _kernel_with_slope(a + b, problem.kernel)
+        g_s = envelope_slope * k + dk * da
+        g_i = envelope_slope * k + dk * db
+        k2 = node_weights * k * k
+        terms = (k2, k2 * q_s, k2 * q_i, k2 * q_s * q_s, k2 * q_i * q_i, k2 * q_s * q_i,
+                 node_weights * g_s * g_s, node_weights * g_i * g_i, node_weights * g_s * g_i)
+        total += weight * np.array([term.sum() for term in terms])
+    return MomentSums(axis, *total.tolist())
 
 
 def far_field_jid(problem: Problem, axis: str) -> JointDistribution:

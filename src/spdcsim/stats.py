@@ -31,6 +31,7 @@ __all__ = [
     "reid_inference",
     "reid_product",
     "ridge_slope",
+    "ridge_fit",
     "REID_BOUND",
 ]
 
@@ -254,17 +255,22 @@ class RidgeFit:
 
 
 def ridge_slope(table: ProbabilityTable) -> RidgeFit:
-    """Fit the bright ridge of a joint table with a straight line.
+    """Fit the bright ridge of a joint table with a straight line:
+    ``ridge_fit`` of the table's ``moments``."""
+    return ridge_fit(moments(table))
+
+
+def ridge_fit(s: StatsSummary) -> RidgeFit:
+    """Fit a ridge line to the moments of a joint distribution.
 
     The line is the intensity-weighted principal axis (orthogonal / total
     least squares from the 2x2 second-moment matrix): unlike ordinary
     regression, it does not shrink toward zero with ridge width.  The
     regression slope C_si/V_s is always computed alongside.  The line
-    passes through the centroid.  Tables with near-equal eigenvalues get
-    an isotropy warning instead of an error — both slopes are still
-    reported, but neither orientation is trustworthy.
+    passes through the centroid.  Distributions with near-equal
+    eigenvalues get an isotropy warning instead of an error — both slopes
+    are still reported, but neither orientation is trustworthy.
     """
-    s = moments(table)
     if s.V_s <= 0.0 or s.V_i <= 0.0:
         raise DegenerateDistributionError("ridge fit needs spread on both axes")
     cov = np.array([[s.V_s, s.C_si], [s.C_si, s.V_i]])
@@ -274,7 +280,7 @@ def ridge_slope(table: ProbabilityTable) -> RidgeFit:
     if isotropic:
         warnings.warn(
             "joint table is nearly isotropic; ridge orientation is undefined",
-            stacklevel=2,
+            stacklevel=3,
         )
     v = evecs[:, 1]  # eigenvector of the larger eigenvalue
     slope_pa = math.inf if v[0] == 0.0 else float(v[1] / v[0])

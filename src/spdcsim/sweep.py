@@ -3,9 +3,9 @@
 A sweep scans one parameter of a run config — filter FWHM, crystal
 length, or pump waist.  Each point is the config with that one field
 replaced (``config.SWEEP_FIELDS``), built, and run through the same
-per-axis near+far computation as ``certify``
-(``config.certify_axis``), so a one-value sweep reports exactly what
-``certify`` reports for the same config.  Rows come out ordered by
+per-axis near+far moments as ``certify`` (``config.certify_axis`` on
+the ``spectral.moment_sums`` engine), so a one-value sweep reports
+exactly what ``certify`` reports for the same config.  Rows come out ordered by
 swept value, and the whole run is a pure function of the config, so
 repeated runs are bitwise identical.
 
@@ -76,8 +76,9 @@ def run_sweep(cfg: RunConfig, *, convergence_check: bool = False) -> list[SweepR
 
     Any failure in the underlying pipeline aborts the whole sweep with
     the offending value named.  With ``convergence_check`` the extreme
-    values are re-run at doubled grid resolution and a warning is issued
-    if any reported position width moves by more than 1%.
+    values are re-run with ``grid_n`` doubled (the moment engine's
+    difference-coordinate points) and a warning is issued if any
+    reported position width moves by more than 1%.
     """
     values = cfg.effective_sweep_values
     rows = [_sweep_row(cfg, value, axis) for value in values for axis in cfg.axes]

@@ -5,8 +5,12 @@ spectral slices unless a check needs otherwise).
 Each test is a single pass/fail line under ``pytest -v``.  Expected
 values come from closed-form physics or from oracles computed
 independently of the implementation; tolerances are asserted as given.
-This module is the slow part of the suite (several minutes); the
-per-module unit tests cover the same code at small grids.
+The Reid products and the sweeps run on the moment engine
+(``config.certify_axis``), as ``certify`` and ``sweep`` do; at N = 1024
+it resolves every point of the shipped ladders, including the 0.5 mm
+crystal.  The camera checks build the full square grids and are the
+slow part of this module; the per-module unit tests cover the same code
+at small grids.
 """
 
 import math
@@ -17,7 +21,7 @@ import pytest
 
 from spdcsim.biphoton import PumpSpec, TransverseSlice, _kernel, mismatch
 from spdcsim.camera import camera_slices, corrected_jpd, slope_report, uncorrected_jpd
-from spdcsim.config import RunConfig
+from spdcsim.config import RunConfig, certify_axis
 from spdcsim.dispersion import (
     CrystalSetup,
     SellmeierSet,
@@ -33,10 +37,9 @@ from spdcsim.spectral import (
     Problem,
     _near_field_intensity,
     far_field_jid,
-    near_field_jid,
     position_grid,
 )
-from spdcsim.stats import moments, normalize, reid_inference, reid_product
+from spdcsim.stats import moments, normalize, reid_inference
 from spdcsim.sweep import run_sweep, trend_checks
 
 SELL = SellmeierSet.bbo()
@@ -53,9 +56,7 @@ def build(signal_nm, *, length_mm=1.0, waist_um=500.0, fwhm_nm=5.0):
 
 def reid_for(axis, wl, crystal, pump, filt, *, grid_n=1024, n_slices=31):
     problem = Problem(wl, crystal, pump, filt, n_slices=n_slices, grid_n=grid_n)
-    far = reid_inference(moments(normalize(far_field_jid(problem, axis))))
-    near = reid_inference(moments(normalize(near_field_jid(problem, axis))))
-    return reid_product(near, far)
+    return certify_axis(problem, axis)[2]
 
 
 # ---------------------------------------------------------------- dispersion
@@ -202,11 +203,12 @@ def test_degenerate_product_decreasing_with_length():
     # the documented amplitude gives the opposite trend.  The far-field
     # conditional width is pump-limited (~1/w0, independent of L) and the
     # near-field conditional width scales as sqrt(L/k), so U ~ sqrt(L)/w0
-    # (Schneeloch & Howell, J. Opt. 18, 053501 (2016)).  Measured at
-    # N = 2048, 5 slices: dq_inferred flat at ~2000 rad/m, dx_inferred
-    # 5.59 -> 7.86 -> 11.01 -> 15.44 um (ratios 1.41, 1.40, 1.40 against
-    # sqrt(2)).  Only the direction is asserted: at N = 1024 the 0.5 mm
-    # point is under-resolved (dx 5.94 um), so the sqrt(L) ratio is not.
+    # (Schneeloch & Howell, J. Opt. 18, 053501 (2016)).  On the moment
+    # engine at this N = 1024 and 31 slices: dq_inferred flat at
+    # ~2000 rad/m, dx_inferred 5.4525 -> 7.7085 -> 10.8975 -> 15.4027 um,
+    # the same to 5 digits at N = 2048; U ratios 1.4137, 1.4136, 1.4133
+    # against sqrt(2) = 1.4142.  Only the direction is asserted until the
+    # sqrt(L) law gets a tolerance set from the grid refinement deltas.
     (check,) = trend_checks(rows, {"x": "increasing"}, tolerance=0.02)
     assert check.passed, f"degenerate U not increasing with length: {check.values}"
 

@@ -12,7 +12,9 @@ from spdcsim.biphoton import (
     GridMemoryError,
     PumpSpec,
     TransverseSlice,
+    _arm_arguments,
     _kernel,
+    _kernel_with_slope,
     amplitude,
     evaluate_grid,
     mismatch,
@@ -215,6 +217,32 @@ def test_gauss_kernel_matches_sinc_curvature():
     # Both agree with 1 - u^2/6 at small argument.
     assert a_sinc == pytest.approx(1 - u * u / 6, abs=1e-4)
     assert a_gauss == pytest.approx(1 - u * u / 6, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["sinc", "gauss"])
+def test_kernel_slope_matches_central_difference(kind):
+    # either side of the sinc series threshold (1e-2), at 0 and on the tails
+    u = np.array([0.0, 1e-7, -3e-3, 9.99e-3, 1.001e-2, -0.4, 1.0, 2.5, -7.0, 31.4])
+    k, slope = _kernel_with_slope(u, kind)
+    h = 1e-5
+    fd = (_kernel(u + h, kind) - _kernel(u - h, kind)) / (2 * h)
+    assert np.array_equal(k, _kernel(u, kind))
+    assert np.max(np.abs(slope - fd)) < 1e-9
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_arm_slopes_match_central_difference(axis):
+    wl, crystal, pump = make_setup(signal_nm=780.0)
+    pair = (781.5, wl.idler_nm)  # the idler is not energy-matched; each arm stands alone
+    q = np.linspace(-3e5, 3e5, 7)
+    h = 100.0
+    a, b, da, db = _arm_arguments(q, -q, axis, pair, crystal, wl)
+    a_hi, b_hi, _, _ = _arm_arguments(q + h, -q + h, axis, pair, crystal, wl)
+    a_lo, b_lo, _, _ = _arm_arguments(q - h, -q - h, axis, pair, crystal, wl)
+    # the slopes are ~1e-5; arguments ~10 round to ~1e-15, so the central
+    # difference carries ~1e-17 of rounding and ~1e-16 of truncation
+    np.testing.assert_allclose(da, (a_hi - a_lo) / (2 * h), rtol=1e-7, atol=1e-13)
+    np.testing.assert_allclose(db, (b_hi - b_lo) / (2 * h), rtol=1e-7, atol=1e-13)
 
 
 def test_unknown_kernel_rejected():

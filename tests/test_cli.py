@@ -66,6 +66,28 @@ class TestStartup:
         out = fresh_python(script)
         assert json.loads(out)["theta_p_deg"] == pytest.approx(28.81, abs=0.05)
 
+    def test_moment_commands_load_no_scipy(self):
+        """certify, sweep and stats run on the moment engine: no FFT, no SciPy."""
+        fresh_python(
+            "import sys\n"
+            "from spdcsim.cli import main\n"
+            "small = ['--grid-n', '64', '--slices', '3']\n"
+            "for argv in (['certify'], ['sweep'], ['stats', '--plane', 'far'],\n"
+            "             ['stats', '--plane', 'near']):\n"
+            "    assert main(argv + small) == 0\n"
+            "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "    assert not loaded, (argv, loaded)\n"
+        )
+
+    def test_near_jid_loads_scipy_fft(self, tmp_path):
+        fresh_python(
+            "import sys\n"
+            "from spdcsim.cli import main\n"
+            f"argv = ['jid', '--plane', 'near', '--out', {str(tmp_path)!r}, '--grid-n', '64', '--slices', '3']\n"
+            "assert main(argv) == 0\n"
+            "assert 'scipy.fft' in sys.modules\n"
+        )
+
     def test_only_camera_loads_scipy_sparse(self, tmp_path):
         fresh_python(
             "import sys\n"
@@ -269,9 +291,11 @@ class TestSweep:
         assert row["certified"] == report["certified"]
 
     def test_memory_budget_bounds_sweep_like_certify(self, capsys, tmp_path):
-        """Every grid command reads the budget from the one Problem."""
+        """Every grid command reads the budget from the one Problem.  The
+        moment engine behind stats, certify and sweep charges its 8 x n
+        node grid: 1.25 MiB at n = 2048, over a 1 MiB budget."""
         cfg = write_config(
-            tmp_path, self.AGREEMENT.replace("  n: 128\n", "  n: 128\n  memory_budget_mb: 1\n")
+            tmp_path, self.AGREEMENT.replace("  n: 128\n", "  n: 2048\n  memory_budget_mb: 1\n")
         )
         out_dir = tmp_path / "out"
         for command in ("stats", "jid", "camera", "certify", "sweep"):

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdcsim.biphoton import PumpSpec, TransverseSlice, evaluate_grid
+from spdcsim import spectral
+from spdcsim.biphoton import (
+    EvanescentInputError,
+    GridMemoryError,
+    PumpSpec,
+    TransverseSlice,
+    evaluate_grid,
+)
+from spdcsim.config import certify_axis
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import (
     FilterSpec,
@@ -25,6 +33,7 @@ from spdcsim.spectral import (
     Problem,
     SpectralSampling,
     far_field_jid,
+    moment_sums,
     near_field_jid,
     position_grid,
     sample_spectrum,
@@ -32,6 +41,7 @@ from spdcsim.spectral import (
     transmission,
 )
 from spdcsim.spectral import _near_field_intensity
+from spdcsim.stats import moments, normalize, reid_inference, reid_product
 
 BBO = SellmeierSet.bbo()
 
@@ -315,3 +325,89 @@ def test_double_gaussian_minimum_uncertainty_case():
     near = np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
     product = conditional_widths(q, q, amp * amp) * conditional_widths(x, x, near)
     assert product == pytest.approx(0.5, rel=0.01)
+
+
+# -- moment engine ---------------------------------------------------------------
+
+
+def widths(report):
+    return np.array([report.dx_inferred_m, report.dq_inferred_radm, report.product])
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
+    # w0 = 100 um: the 1024-point square grid puts ~10 pixels across the
+    # 2/w0 pump width and the gauss kernel decays inside it, so the FFT
+    # path is itself converged (at w0 = 500 um its pixel is wider than
+    # the pump and it is off by 1e-5).
+    wl, crystal, pump = make_setup(signal_nm=780.0, waist_m=100e-6)
+    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
+                      n_slices=3, grid_n=1024, kernel="gauss")
+    far = reid_inference(moments(normalize(far_field_jid(problem, axis))))
+    near = reid_inference(moments(normalize(near_field_jid(problem, axis))))
+    expected = widths(reid_product(near, far))
+    got = widths(certify_axis(problem, axis)[2])
+    np.testing.assert_allclose(got, expected, rtol=1e-6, atol=0)
+
+
+def test_moment_engine_eight_hermite_nodes_match_sixteen(monkeypatch):
+    wl, crystal, pump = make_setup(signal_nm=780.0, length_m=4e-3)
+    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 10.0))
+    eight = widths(certify_axis(problem, "y")[2])
+    monkeypatch.setattr(spectral, "_SUM_NODES", 16)
+    sixteen = widths(certify_axis(problem, "y")[2])
+    np.testing.assert_allclose(eight, sixteen, rtol=1e-6, atol=0)
+
+
+def test_moment_engine_double_gaussian_oracle(monkeypatch):
+    """Linear per-arm arguments a = c q_s, b = -c q_i under the gauss
+    kernel give Psi = exp(-A q_+^2 - B q_-^2) with A = w0^2 / 4 and
+    B = c^2 / 6: the double Gaussian of the closed forms above, with
+    closed-form gradients."""
+    wl, crystal, pump = make_setup(signal_nm=780.0)
+    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
+                      n_slices=1, kernel="gauss")
+    d = problem.diff_grid()[-1]
+    a_sum, b_diff = pump.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
+    c = math.sqrt(6.0 * b_diff)
+    monkeypatch.setattr(
+        spectral, "_arm_arguments",
+        lambda q_s, q_i, axis, pair, crystal, wl: (
+            c * q_s, -c * q_i, np.full_like(q_s, c), np.full_like(q_i, -c)),
+    )
+    near, far, report = certify_axis(problem, "x")
+    assert far.width_inferred == pytest.approx(1 / (2 * math.sqrt(a_sum + b_diff)), rel=1e-9)
+    assert near.width_inferred == pytest.approx(
+        2 * math.sqrt(a_sum * b_diff / (a_sum + b_diff)), rel=1e-9)
+    assert report.product == pytest.approx(math.sqrt(a_sum * b_diff) / (a_sum + b_diff), rel=1e-9)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_moment_engine_near_means_are_exactly_zero(axis):
+    wl, crystal, pump = make_setup(signal_nm=780.0)
+    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
+                      n_slices=5, grid_n=256)
+    near, far, _ = certify_axis(problem, axis)
+    assert near.mu_s == 0.0 and near.mu_i == 0.0
+    assert near.plane == "near" and far.plane == "far"
+
+
+def test_moment_engine_rejects_evanescent_nodes():
+    wl, crystal, pump = make_setup(length_m=1e-7)  # D = 5 sqrt(4 pi k / L) >> k
+    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 810.0, 5.0),
+                      n_slices=1, grid_n=64)
+    with pytest.raises(EvanescentInputError):
+        moment_sums(problem, "x")
+
+
+def test_moment_engine_charges_its_node_grid():
+    """8 nodes x n points at 80 bytes each: 0.625 MiB at n = 1024,
+    1.25 MiB at n = 2048."""
+    wl, crystal, pump = make_setup()
+    filt = FilterSpec("gaussian", 810.0, 5.0)
+    budget = 2**20
+    moment_sums(Problem(wl, crystal, pump, filt, n_slices=1, grid_n=1024,
+                        memory_budget_bytes=budget), "x")
+    with pytest.raises(GridMemoryError, match=r"^8 x 2048 grid needs"):
+        moment_sums(Problem(wl, crystal, pump, filt, n_slices=1, grid_n=2048,
+                            memory_budget_bytes=budget), "x")

@@ -10,10 +10,9 @@ import math
 import pytest
 
 from spdcsim.biphoton import PumpSpec
-from spdcsim.config import RunConfig
+from spdcsim.config import RunConfig, certify_axis
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, far_field_jid, near_field_jid
-from spdcsim.stats import moments, normalize, reid_inference, reid_product
+from spdcsim.spectral import FilterSpec, Problem
 from spdcsim.sweep import (
     CSV_HEADER,
     SweepError,
@@ -80,9 +79,7 @@ class TestRunSweep:
         pump = PumpSpec.from_crystal(405.0, 500e-6, crystal)
         filt = FilterSpec("gaussian", 780.0, 4.0, arm="signal")
         problem = Problem(wl, crystal, pump, filt, n_slices=3, grid_n=128)
-        far = reid_inference(moments(normalize(far_field_jid(problem, "x"))))
-        near = reid_inference(moments(normalize(near_field_jid(problem, "x"))))
-        report = reid_product(near, far)
+        _, _, report = certify_axis(problem, "x")
 
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
         assert row.dq_inferred_radm == report.dq_inferred_radm
@@ -113,9 +110,7 @@ class TestRunSweep:
         pump = PumpSpec.from_crystal(405.0, waist_um * 1e-6, crystal)
         filt = FilterSpec("gaussian", 780.0, 5.0, arm="signal")
         problem = Problem(wl, crystal, pump, filt, n_slices=3, grid_n=128)
-        far = reid_inference(moments(normalize(far_field_jid(problem, "x"))))
-        near = reid_inference(moments(normalize(near_field_jid(problem, "x"))))
-        report = reid_product(near, far)
+        _, _, report = certify_axis(problem, "x")
         assert row.reid_product == report.product
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
 
