@@ -3,7 +3,7 @@
 The pipeline, bottom to top:
 
 - :mod:`spdcsim.dispersion` — Sellmeier indices, phase matching, walk-off
-- :mod:`spdcsim.biphoton` — phase mismatch and the two-photon angular amplitude
+- :mod:`spdcsim.biphoton` — transverse grids and the two-photon angular amplitude
 - :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
   every slice loop takes, the moment engine, far/near-field JIDs
 - :mod:`spdcsim.stats` — moments, conditional inference, EPR width products
@@ -19,8 +19,6 @@ from spdcsim.biphoton import (
     TransverseSlice,
     amplitude,
     evaluate_grid,
-    mismatch,
-    pump_envelope,
 )
 from spdcsim.camera import (
     CameraJPD,
@@ -55,14 +53,12 @@ from spdcsim.spectral import (
 )
 from spdcsim.stats import (
     DegenerateDistributionError,
-    ProbabilityTable,
     ReidReport,
     StatsSummary,
     moments,
-    normalize,
     reid_inference,
     reid_product,
-    ridge_slope,
+    ridge_fit,
 )
 from spdcsim.sweep import SweepRow, run_sweep, rows_to_csv, trend_checks
 
@@ -87,8 +83,6 @@ __all__ = [
     "TransverseSlice",
     "amplitude",
     "evaluate_grid",
-    "mismatch",
-    "pump_envelope",
     # spectral
     "FilterSpec",
     "JointDistribution",
@@ -99,14 +93,12 @@ __all__ = [
     "transmission",
     # stats
     "DegenerateDistributionError",
-    "ProbabilityTable",
     "ReidReport",
     "StatsSummary",
     "moments",
-    "normalize",
     "reid_inference",
     "reid_product",
-    "ridge_slope",
+    "ridge_fit",
     # camera
     "CameraJPD",
     "CameraSlice",

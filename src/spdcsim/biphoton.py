@@ -7,14 +7,20 @@ held at zero.  The x-plane slice sees no walk-off; the y-plane slice
 carries the walk-off tilt of the pump, which lives in the y-z plane by
 convention.
 
-All mismatch components are reported **relative to the aligned
-operating point** (collinear emission at the nominal wavelengths): the
-constant transverse carrier of the tilted pump and the collinear
-longitudinal offset are subtracted out, mirroring how a real source is
-aligned before data is taken.  Without that re-centering the constant
-walk-off offset would extinguish collinear emission entirely for any
-realistic waist.  The aligned point therefore sits at exactly zero
-mismatch, and off-nominal spectral slices retain their genuine
+The phase mismatch is taken **relative to the aligned operating point**
+(collinear emission at the nominal wavelengths): the constant transverse
+carrier of the tilted pump and the collinear longitudinal offset are
+subtracted out, mirroring how a real source is aligned before data is
+taken.  Without that re-centering the constant walk-off offset would
+extinguish collinear emission entirely for any realistic waist.  The
+transverse mismatch is then -(q_s + q_i), and the longitudinal one
+
+    dk_z = [k_s0 - k_zs + q_sy tan(rho)] + [k_i0 - k_zi + q_iy tan(rho)],
+
+with k_z = sqrt(k^2 - |q|^2) exact (no paraxial expansion), k at the
+slice wavelength and k0 at the nominal one.  It separates into one
+share per arm (``_arm_dk_z``).  The aligned point sits at exactly zero
+mismatch, and off-nominal spectral slices keep their genuine
 longitudinal detuning.
 
 The pump envelope confines the sum coordinate q_s + q_i to ~2/w0, two
@@ -42,11 +48,8 @@ from spdcsim.dispersion import (
 __all__ = [
     "PumpSpec",
     "TransverseSlice",
-    "PhaseMismatch",
     "EvanescentInputError",
     "GridMemoryError",
-    "mismatch",
-    "pump_envelope",
     "amplitude",
     "evaluate_grid",
     "check_memory_budget",
@@ -210,15 +213,6 @@ def default_diff_halfwidth(wl: SpdcWavelengths, crystal: CrystalSetup) -> float:
     return 5.0 * math.sqrt(4.0 * math.pi * k_bar / crystal.length_m)
 
 
-@dataclass(frozen=True)
-class PhaseMismatch:
-    """Mismatch components (rad/m), relative to the aligned operating point."""
-
-    dk_x: np.ndarray | float
-    dk_y: np.ndarray | float
-    dk_z: np.ndarray | float
-
-
 def _ordinary_k(crystal: CrystalSetup, wavelength_nm: float) -> float:
     return wavevector_magnitude(
         crystal.sellmeier.index_ordinary(wavelength_nm), wavelength_nm
@@ -242,59 +236,6 @@ def _arm_dk_z(crystal: CrystalSetup, lam_nm: float, lam0_nm: float, q_x, q_y):
         )
     k_z = np.sqrt(k * k - q_sq)
     return (_ordinary_k(crystal, lam0_nm) - k_z) + q_y * math.tan(crystal.rho), k_z
-
-
-def mismatch(
-    q_s: tuple,
-    q_i: tuple,
-    wl: SpdcWavelengths,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    *,
-    pair: tuple[float, float] | None = None,
-) -> PhaseMismatch:
-    """Phase mismatch for transverse momenta ``q_s = (q_sx, q_sy)`` and
-    ``q_i = (q_ix, q_iy)`` (scalars or broadcastable arrays, rad/m).
-
-    ``wl`` fixes the nominal operating point; ``pair`` optionally gives
-    the (signal, idler) wavelengths of the spectral slice actually being
-    evaluated (defaults to the nominal pair).  Components returned are
-    re-centered on the aligned operating point:
-
-        dk_x = -(q_sx + q_ix)
-        dk_y = -(q_sy + q_iy)
-        dk_z = [k_s0 - k_zs + q_sy tan(rho)] + [k_i0 - k_zi + q_iy tan(rho)]
-
-    with k_zs = sqrt(k_s^2 - |q_s|^2) (exact, no paraxial expansion),
-    k_s evaluated at the slice wavelength and k_s0 at the nominal one.
-    At the aligned point (q = 0, nominal wavelengths) all three vanish;
-    detuned slices keep their genuine longitudinal offset.
-    """
-    if pair is None:
-        pair = (wl.signal_nm, wl.idler_nm)
-    q_sx, q_sy = q_s
-    q_ix, q_iy = q_i
-    dk_z = _arm_dk_z(crystal, pair[0], wl.signal_nm, q_sx, q_sy)[0] + _arm_dk_z(
-        crystal, pair[1], wl.idler_nm, q_ix, q_iy
-    )[0]
-    dk_x = -(np.asarray(q_sx) + np.asarray(q_ix))
-    dk_y = -(np.asarray(q_sy) + np.asarray(q_iy))
-    return PhaseMismatch(dk_x=dk_x, dk_y=dk_y, dk_z=dk_z)
-
-
-def pump_envelope(dk_x, dk_y, waist_m: float):
-    """Gaussian pump angular spectrum at the transverse mismatch:
-    exp[-w0^2 (dk_x^2 + dk_y^2) / 4].
-
-    This is the transfer of the pump's angular spectrum to the pair: the
-    emission amplitude at sum coordinate q_s + q_i is the pump amplitude
-    at that transverse momentum.  Peak 1 at zero mismatch, 1/e at
-    |dk| = 2/w0.
-    """
-    if waist_m <= 0:
-        raise ValueError(f"pump waist must be positive, got {waist_m}")
-    r2 = np.asarray(dk_x) ** 2 + np.asarray(dk_y) ** 2
-    return np.exp(-(waist_m * waist_m) * r2 / 4.0)
 
 
 def _kernel(u, kind: str):
@@ -369,11 +310,13 @@ def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
 
 
 def _envelope_times_kernel(a, b, q_sum, waist_m: float, kernel: str):
-    """pump_envelope(q_sum) * kernel(a + b), broadcast over a, b and q_sum.
+    """exp(-w0^2 q_sum^2 / 4) * kernel(a + b), broadcast over a, b and q_sum.
 
-    The pump envelope depends on q_s + q_i only, whatever the axis.
+    The first factor is the Gaussian pump's angular spectrum at the
+    transverse mismatch q_sum = q_s + q_i, whatever the axis: peak 1 at
+    q_sum = 0, 1/e at |q_sum| = 2/w0.
     """
-    out = pump_envelope(q_sum, 0.0, waist_m)
+    out = np.exp(-(waist_m * waist_m) * q_sum**2 / 4.0)
     if kernel == "sinc":
         out *= _separable_sinc(a, b)
     else:
@@ -393,7 +336,7 @@ def amplitude(
 ):
     """Real biphoton amplitude at active-axis momenta (q_signal, q_idler).
 
-    Psi = pump_envelope(dk_x, dk_y) * kernel(dk_z L / 2), evaluated with
+    Psi = exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2), evaluated with
     the slice's wavelength pair against the nominal operating point
     ``wl``.  The intensity |Psi|^2 is the per-slice far-field JID.  No
     propagation phase is attached: with the kernel real the amplitude is

@@ -15,18 +15,20 @@ resamples each slice onto the common grid with one banded,
 mass-conserving operator per axis (about 3 nonzeros per row).
 
 ``camera_slices`` takes the run's ``spectral.Problem``, puts each
-slice's axes on the camera, and holds each slice intensity until
-accumulation as a ``scipy.sparse`` CSR matrix, which the resampler
-multiplies directly: the pump-envelope band leaves most entries exactly
-zero (92 % at the default config).  The memory budget is charged for
+slice's axes on the camera, fits a y slice's ridge intercept from the
+raw moments of its dense intensity (``stats.moments``), and holds each
+slice intensity until accumulation as a ``scipy.sparse`` CSR matrix,
+which the resampler multiplies directly: the pump-envelope band leaves
+most entries exactly zero (92 % at the default config).  The memory budget is charged for
 the bytes held (see ``camera_slices``).  ``scipy.sparse`` is imported
 where it runs, so no other command loads it.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
-distributions are drawn.  Both the principal-axis and the regression
-estimator are always reported; they differ systematically for ridges of
-finite width.
+distributions are drawn, so ``slope_report`` takes the moments of the
+transposed JPD.  Both the principal-axis and the regression estimator
+are always reported; they differ systematically for ridges of finite
+width.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from spdcsim.biphoton import check_memory_budget
-from spdcsim.spectral import JointDistribution, Problem, spectral_slices
-from spdcsim.stats import ProbabilityTable, normalize, ridge_slope
+from spdcsim.spectral import Problem, spectral_slices
+from spdcsim.stats import moments, ridge_fit
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -115,8 +117,8 @@ def camera_slices(
     the camera, Y = M (f/k) q per arm (no accumulation — feed the result
     to uncorrected_jpd or corrected_jpd).
 
-    Each slice is held as a CSR matrix of its nonzero intensities, with
-    its y-axis ridge intercept fitted while it is still dense.  The
+    Each slice is held as a CSR matrix of its nonzero intensities; on y,
+    its ridge intercept is fitted first, from the dense intensity.  The
     budget is charged for one amplitude evaluation plus the two
     accumulated JPDs before the first evaluation, then for each slice's
     CSR bytes as it is stored (``GridMemoryError`` once over): a slice
@@ -133,15 +135,11 @@ def camera_slices(
     check_memory_budget(n, n, budget, held_bytes=held, holding="2 camera JPDs")
     out = []
     for sl, weight, amp in spectral_slices(problem, axis):
-        jid = JointDistribution(
-            plane="far",
-            axis=axis,
-            axis_signal=sl.q_signal,
-            axis_idler=sl.q_idler,
-            intensity=amp * amp,
-        )
-        intercept = ridge_slope(normalize(jid)).intercept if axis == "y" else None
-        intensity = sparse.csr_matrix(jid.intensity)
+        amp *= amp  # the slice intensity; the amplitude is not needed again
+        intercept = None
+        if axis == "y":
+            intercept = ridge_fit(moments("far", axis, sl.q_signal, sl.q_idler, amp)).intercept
+        intensity = sparse.csr_matrix(amp)
         held += intensity.data.nbytes + intensity.indices.nbytes + intensity.indptr.nbytes
         check_memory_budget(
             n, n, budget, held_bytes=held,
@@ -303,23 +301,9 @@ def corrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
 def slope_report(jpd: CameraJPD) -> dict:
     """Ridge slopes of a camera JPD in display orientation (signal
     against idler), both estimators, plus fit metadata."""
-    table = ProbabilityTable(
-        plane="camera",
-        axis=jpd.axis,
-        axis_signal=jpd.y_signal,
-        axis_idler=jpd.y_idler,
-        p=jpd.intensity / (jpd.intensity.sum() * jpd.d_signal * jpd.d_idler),
-    )
-    # Transpose so the fit returns d(signal)/d(idler) — the orientation
-    # in which these distributions are displayed and quoted.
-    transposed = ProbabilityTable(
-        plane=table.plane,
-        axis=table.axis,
-        axis_signal=table.axis_idler,
-        axis_idler=table.axis_signal,
-        p=np.ascontiguousarray(table.p.T),
-    )
-    fit = ridge_slope(transposed)
+    # The transposed view makes the fit return d(signal)/d(idler): the
+    # orientation in which these distributions are displayed and quoted.
+    fit = ridge_fit(moments("camera", jpd.axis, jpd.y_idler, jpd.y_signal, jpd.intensity.T))
     return {
         "axis": jpd.axis,
         "corrected": jpd.corrected,

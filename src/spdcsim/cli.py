@@ -47,7 +47,6 @@ from spdcsim.stats import (
     DegenerateDistributionError,
     StatsSummary,
     moments,
-    normalize,
     reid_inference,
     ridge_fit,
 )
@@ -141,7 +140,9 @@ def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
     fn = far_field_jid if args.plane == "far" else near_field_jid
     jid = fn(cfg.build(), args.axis)
-    payload = _stats_payload(reid_inference(moments(normalize(jid))))
+    payload = _stats_payload(reid_inference(
+        moments(jid.plane, jid.axis, jid.axis_signal, jid.axis_idler, jid.intensity)
+    ))
     files = _write_matrix(
         Path(cfg.out_dir),
         f"jid_{args.plane}_{args.axis}",

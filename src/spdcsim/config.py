@@ -34,7 +34,7 @@ from pathlib import Path
 import yaml
 
 from spdcsim.biphoton import DEFAULT_GRID_N, PumpSpec
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
+from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, WavelengthRangeError
 from spdcsim.spectral import (
     DEFAULT_SPECTRAL_SLICES,
     FilterSpec,
@@ -65,7 +65,12 @@ def _number(value, path, *, positive=False, nullable=False):
         _fail(path, "must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        _fail(path, f"must be finite, got {value!r}")
     if positive and out <= 0:
         _fail(path, f"must be positive, got {value!r}")
     return out
@@ -201,10 +206,12 @@ class RunConfig:
     def build(self) -> Problem:
         """Assemble and validate the slice-loop inputs this config describes.
 
-        Raises ConfigError for contradictions the schema cannot see
-        (e.g. a degenerate flag fighting an explicit signal wavelength,
-        or a filter whose sampled support reaches the pump wavelength);
-        domain errors from the physics layer propagate as themselves.
+        Raises ConfigError, naming the key, for contradictions the schema
+        cannot see (e.g. a degenerate flag fighting an explicit signal
+        wavelength, a signal not longer than the pump, a pump angle outside
+        [0, 90] degrees, or a filter whose sampled support reaches the pump
+        wavelength); wavelengths outside the dispersion data and failed
+        phase matching propagate as themselves.
         """
         if self.degenerate and self.signal_nm is not None:
             if abs(self.signal_nm - 2.0 * self.pump_nm) > 1e-9:
@@ -220,14 +227,21 @@ class RunConfig:
                 raise ConfigError(f"crystal.sellmeier_file: {exc}") from exc
         else:
             sell = SellmeierSet.bbo()
-        wl = SpdcWavelengths.from_pump_signal(self.pump_nm, self.effective_signal_nm)
+        try:
+            wl = SpdcWavelengths.from_pump_signal(self.pump_nm, self.effective_signal_nm)
+        except ValueError as exc:
+            key = "pump.wavelength_nm" if self.signal_nm is None else "wavelengths.signal_nm"
+            raise ConfigError(f"{key}: {exc}") from exc
         length_m = self.length_mm * 1e-3
         if self.theta_deg is None:
             crystal = CrystalSetup.collinear(wl, sell, length_m)
         else:
-            crystal = CrystalSetup.at_angle(
-                wl, sell, length_m, math.radians(self.theta_deg)
-            )
+            try:
+                crystal = CrystalSetup.at_angle(wl, sell, length_m, math.radians(self.theta_deg))
+            except WavelengthRangeError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"crystal.theta_deg: {exc}") from exc
         pump = PumpSpec.from_crystal(self.pump_nm, self.waist_um * 1e-6, crystal)
         center = self.filter_center_nm
         if center is None:
@@ -246,18 +260,6 @@ class RunConfig:
         )
 
 
-def _summary(plane: str, axis: str, norm: float, s: float, i: float,
-             ss: float, ii: float, si: float) -> StatsSummary:
-    """Means, variances and covariance from raw sums of {a_s, a_i, a_s^2,
-    a_i^2, a_s a_i} and their common normalisation ``norm``."""
-    mu_s, mu_i = s / norm, i / norm
-    return StatsSummary(
-        plane=plane, axis=axis, mu_s=mu_s, mu_i=mu_i,
-        V_s=ss / norm - mu_s * mu_s, V_i=ii / norm - mu_i * mu_i,
-        C_si=si / norm - mu_s * mu_i,
-    )
-
-
 def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
     """Near- and far-field inference of one axis and their Reid report.
 
@@ -266,8 +268,9 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
     gradient moments, whose means are exactly 0.
     """
     m = moment_sums(problem, axis)
-    near = reid_inference(_summary("near", axis, m.norm, 0.0, 0.0, m.g_ss, m.g_ii, m.g_si))
-    far = reid_inference(_summary("far", axis, m.norm, m.q_s, m.q_i, m.q_ss, m.q_ii, m.q_si))
+    summary = StatsSummary.from_sums
+    near = reid_inference(summary("near", axis, m.norm, 0.0, 0.0, m.g_ss, m.g_ii, m.g_si))
+    far = reid_inference(summary("far", axis, m.norm, m.q_s, m.q_i, m.q_ss, m.q_ii, m.q_si))
     return near, far, reid_product(near, far)
 
 

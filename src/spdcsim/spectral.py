@@ -200,7 +200,7 @@ class JointDistribution:
     ``plane`` is 'far' (momentum, axes in rad/m) or 'near' (position,
     axes in meters); ``axis`` tags the transverse axis.  Rows index the
     signal coordinate, columns the idler coordinate.  Intensities are
-    unnormalized — normalization is the statistics layer's job.
+    not normalised; ``stats.moments`` takes them as they are.
     """
 
     plane: str

@@ -1,10 +1,16 @@
-"""Probability tables, moments, Reid inference, and ridge fitting.
+"""Moments, Reid inference, and ridge fitting.
+
+Every statistic here is a function of six intensity-weighted raw sums,
+of {1, a_s, a_i, a_s^2, a_i^2, a_s a_i}: ``StatsSummary.from_sums``
+turns them into means, variances and the covariance, whether the moment
+engine (``config.certify_axis``) or ``moments`` on a matrix supplied
+them.
 
 Slope convention: ridge fits report the idler coordinate as a function
 of the signal coordinate, m = d(a_i)/d(a_s), with the intercept taken
 through the centroid.  (Camera-plane reports, which quote the signal
 plotted against the idler as the distributions are usually displayed,
-fit the transposed table — see :mod:`spdcsim.camera`.)
+fit the transposed matrix — see :mod:`spdcsim.camera`.)
 
 All scalar reductions go through ``math.fsum`` so results are both
 compensated and independent of summation batching.
@@ -18,19 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from spdcsim.spectral import JointDistribution
-
 __all__ = [
-    "ProbabilityTable",
     "StatsSummary",
     "ReidReport",
     "RidgeFit",
     "DegenerateDistributionError",
-    "normalize",
     "moments",
     "reid_inference",
     "reid_product",
-    "ridge_slope",
     "ridge_fit",
     "REID_BOUND",
 ]
@@ -39,7 +40,7 @@ __all__ = [
 #: momentum measured as wavenumber).
 REID_BOUND = 0.5
 
-#: Principal-axis eigenvalue ratio below which a table is considered
+#: Principal-axis eigenvalue ratio below which a distribution is considered
 #: isotropic (no meaningful ridge orientation).
 ISOTROPY_RATIO = 1.01
 
@@ -49,55 +50,8 @@ class DegenerateDistributionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ProbabilityTable:
-    """Discrete probability density over signal x idler coordinates.
-
-    Normalization convention: sum(P) * da_s * da_i = 1, i.e. entries are
-    densities on the grid measure, not cell masses.
-    """
-
-    plane: str
-    axis: str
-    axis_signal: np.ndarray
-    axis_idler: np.ndarray
-    p: np.ndarray
-
-    @property
-    def d_signal(self) -> float:
-        return float(self.axis_signal[1] - self.axis_signal[0])
-
-    @property
-    def d_idler(self) -> float:
-        return float(self.axis_idler[1] - self.axis_idler[0])
-
-    def __post_init__(self) -> None:
-        if np.any(self.p < 0):
-            raise ValueError("probability table contains negative entries")
-        mass = float(self.p.sum() * self.d_signal * self.d_idler)
-        if not math.isclose(mass, 1.0, rel_tol=1e-9):
-            raise ValueError(f"table mass {mass!r} is not 1 within 1e-9")
-
-
-def normalize(jid: JointDistribution) -> ProbabilityTable:
-    """Normalize an intensity matrix to a probability density.
-
-    P = I / (sum(I) * da_s * da_i), so that sum(P) da_s da_i = 1.
-    """
-    total = float(jid.intensity.sum())
-    if total <= 0.0:
-        raise DegenerateDistributionError("cannot normalize an all-zero intensity")
-    return ProbabilityTable(
-        plane=jid.plane,
-        axis=jid.axis,
-        axis_signal=jid.axis_signal,
-        axis_idler=jid.axis_idler,
-        p=jid.intensity / (total * jid.d_signal * jid.d_idler),
-    )
-
-
-@dataclass(frozen=True)
 class StatsSummary:
-    """First and second moments of a table, plus (optionally) the linear
+    """First and second moments of a distribution, plus (optionally) the linear
     inference fields filled in by :func:`reid_inference`."""
 
     plane: str
@@ -121,6 +75,24 @@ class StatsSummary:
                 f"V_s={self.V_s}, V_i={self.V_i}"
             )
 
+    @classmethod
+    def from_sums(cls, plane: str, axis: str, norm: float, s: float, i: float,
+                  ss: float, ii: float, si: float) -> StatsSummary:
+        """Means, variances and covariance from raw sums of {a_s, a_i, a_s^2,
+        a_i^2, a_s a_i} and their common normalisation ``norm``.
+
+        Rounding can leave the variance of a point-like marginal below 0,
+        or the covariance past Cauchy-Schwarz; both are clipped to the
+        bounds the exact values obey, which leaves any other value as is.
+        """
+        mu_s, mu_i = s / norm, i / norm
+        v_s, v_i = max(ss / norm - mu_s * mu_s, 0.0), max(ii / norm - mu_i * mu_i, 0.0)
+        bound = math.sqrt(v_s * v_i)
+        return cls(
+            plane=plane, axis=axis, mu_s=mu_s, mu_i=mu_i, V_s=v_s, V_i=v_i,
+            C_si=min(max(si / norm - mu_s * mu_i, -bound), bound),
+        )
+
     def to_json_dict(self) -> dict:
         out = {
             "mu_s": self.mu_s,
@@ -136,30 +108,28 @@ class StatsSummary:
         return out
 
 
-def moments(table: ProbabilityTable) -> StatsSummary:
-    """Means, marginal variances, and covariance of a probability table.
+def moments(plane: str, axis: str, axis_signal: np.ndarray, axis_idler: np.ndarray,
+            intensity: np.ndarray) -> StatsSummary:
+    """Means, marginal variances and covariance of an unnormalised
+    intensity over signal (rows) x idler (columns) coordinates.
 
-    Computed from the marginals (identical to the joint-based sums on a
-    rectangular grid), with final reductions through math.fsum.
+    The intensity is reduced to its six raw sums, each through
+    ``math.fsum``, and handed to ``StatsSummary.from_sums``; uniform cell
+    areas cancel.  Raises DegenerateDistributionError unless the total
+    intensity is finite and positive.
     """
-    a_s = table.axis_signal
-    a_i = table.axis_idler
-    meas = table.d_signal * table.d_idler
-    m_s = table.p.sum(axis=1)  # signal marginal (density * 1/d_idler scale)
-    m_i = table.p.sum(axis=0)
-    total = math.fsum(m_s) * meas
-    mu_s = math.fsum(m_s * a_s) * meas / total
-    mu_i = math.fsum(m_i * a_i) * meas / total
-    ds = a_s - mu_s
-    di = a_i - mu_i
-    v_s = math.fsum(m_s * ds * ds) * meas / total
-    v_i = math.fsum(m_i * di * di) * meas / total
-    # covariance via a matrix-vector contraction, reduced with fsum
-    row = table.p @ di
-    c_si = math.fsum(ds * row) * meas / total
-    return StatsSummary(
-        plane=table.plane, axis=table.axis,
-        mu_s=mu_s, mu_i=mu_i, V_s=v_s, V_i=v_i, C_si=c_si,
+    m_s = intensity.sum(axis=1)  # signal marginal
+    norm = math.fsum(m_s) if np.all(np.isfinite(m_s)) else math.nan
+    if not norm > 0.0:
+        raise DegenerateDistributionError(
+            f"intensity total {norm!r} is not finite and positive"
+        )
+    m_i = intensity.sum(axis=0)
+    return StatsSummary.from_sums(
+        plane, axis, norm,
+        math.fsum(m_s * axis_signal), math.fsum(m_i * axis_idler),
+        math.fsum(m_s * axis_signal * axis_signal), math.fsum(m_i * axis_idler * axis_idler),
+        math.fsum(axis_signal * (intensity @ axis_idler)),
     )
 
 
@@ -243,7 +213,7 @@ class RidgeFit:
     """Fitted ridge line a_i = slope_principal_axis * a_s + intercept.
 
     ``slope_regression`` carries the regression estimator for
-    comparison.  ``isotropic`` flags tables whose second-moment
+    comparison.  ``isotropic`` flags distributions whose second-moment
     eigenvalues differ by less than 1%, where the principal direction is
     not meaningful.
     """
@@ -252,12 +222,6 @@ class RidgeFit:
     slope_principal_axis: float
     slope_regression: float
     isotropic: bool
-
-
-def ridge_slope(table: ProbabilityTable) -> RidgeFit:
-    """Fit the bright ridge of a joint table with a straight line:
-    ``ridge_fit`` of the table's ``moments``."""
-    return ridge_fit(moments(table))
 
 
 def ridge_fit(s: StatsSummary) -> RidgeFit:
@@ -279,8 +243,8 @@ def ridge_fit(s: StatsSummary) -> RidgeFit:
     isotropic = bool(ratio < ISOTROPY_RATIO)
     if isotropic:
         warnings.warn(
-            "joint table is nearly isotropic; ridge orientation is undefined",
-            stacklevel=3,
+            "joint distribution is nearly isotropic; ridge orientation is undefined",
+            stacklevel=2,
         )
     v = evecs[:, 1]  # eigenvector of the larger eigenvalue
     slope_pa = math.inf if v[0] == 0.0 else float(v[1] / v[0])

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from spdcsim.biphoton import PumpSpec, TransverseSlice, _kernel, mismatch
+from spdcsim.biphoton import PumpSpec, TransverseSlice, _arm_arguments, _kernel
 from spdcsim.camera import camera_slices, corrected_jpd, slope_report, uncorrected_jpd
 from spdcsim.config import RunConfig, certify_axis
 from spdcsim.dispersion import (
@@ -29,17 +29,15 @@ from spdcsim.dispersion import (
     idler_wavelength,
     phase_matching_angle,
     walkoff_angle,
-    wavevector_magnitude,
 )
 from spdcsim.spectral import (
     FilterSpec,
-    JointDistribution,
     Problem,
     _near_field_intensity,
     far_field_jid,
     position_grid,
 )
-from spdcsim.stats import moments, normalize, reid_inference
+from spdcsim.stats import moments, reid_inference
 from spdcsim.sweep import run_sweep, trend_checks
 
 SELL = SellmeierSet.bbo()
@@ -253,10 +251,7 @@ def test_statistics_against_gaussian_oracle():
     s, i = np.meshgrid(a, a, indexing="ij")
     q = (s * s - 2.0 * rho * s * i + i * i) / (1.0 - rho * rho)
     p = np.exp(-0.5 * q)
-    table = normalize(JointDistribution(
-        plane="far", axis="x", axis_signal=a, axis_idler=a.copy(), intensity=p,
-    ))
-    m = moments(table)
+    m = moments("far", "x", a, a.copy(), p)
     assert abs(m.mu_s) < 1e-3 * sigma_s and abs(m.mu_i) < 1e-3 * sigma_i
     assert abs(m.V_s - sigma_s**2) / sigma_s**2 < 1e-3
     assert abs(m.V_i - sigma_i**2) / sigma_i**2 < 1e-3
@@ -287,15 +282,12 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     qs, qi = np.meshgrid(q, q, indexing="ij")
     amp = np.exp(-a_sum * (qs + qi) ** 2 - b_diff * (qs - qi) ** 2)
     dq = float(q[1] - q[0])
-    far = reid_inference(moments(normalize(JointDistribution(
-        plane="far", axis="x", axis_signal=q, axis_idler=q.copy(),
-        intensity=amp * amp,
-    ))))
+    far = reid_inference(moments("far", "x", q, q.copy(), amp * amp))
     x = position_grid(q)
-    near = reid_inference(moments(normalize(JointDistribution(
-        plane="near", axis="x", axis_signal=x, axis_idler=x.copy(),
-        intensity=np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
-    ))))
+    near = reid_inference(moments(
+        "near", "x", x, x.copy(),
+        np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
+    ))
     dq_expected = 1.0 / (2.0 * math.sqrt(a_sum + b_diff))
     dx_expected = 2.0 * math.sqrt(a_sum * b_diff / (a_sum + b_diff))
     assert abs(far.width_inferred - dq_expected) / dq_expected < 0.01, (
@@ -307,12 +299,18 @@ def test_fourier_parseval_and_double_gaussian_oracle():
 
 
 def test_normalization_sinc_zero_paraxial():
-    # probability tables integrate to 1 within 1e-9
+    # the statistics do not depend on the intensity's normalization:
+    # the density scaled to unit mass gives the same moments within 1e-9
     wl, crystal, pump, filt = build(780.0)
     jid = far_field_jid(Problem(wl, crystal, pump, filt, n_slices=5, grid_n=256), "x")
-    table = normalize(jid)
-    total = float(table.p.sum()) * table.d_signal * table.d_idler
-    assert abs(total - 1.0) < 1e-9, f"normalization off: {total}"
+    density = jid.intensity / (jid.intensity.sum() * jid.d_signal * jid.d_idler)
+    raw, unit = (
+        moments("far", "x", jid.axis_signal, jid.axis_idler, p) for p in (jid.intensity, density)
+    )
+    width = math.sqrt(raw.V_s)
+    assert abs(unit.mu_s - raw.mu_s) < 1e-9 * width and abs(unit.mu_i - raw.mu_i) < 1e-9 * width
+    for name in ("V_s", "V_i", "C_si"):
+        assert abs(getattr(unit, name) / getattr(raw, name) - 1.0) < 1e-9, f"{name} moved"
 
     # first sinc zero: momentum mismatch of one full cycle over the crystal
     u = (2.0 * math.pi / crystal.length_m) * (crystal.length_m / 2.0)
@@ -320,10 +318,13 @@ def test_normalization_sinc_zero_paraxial():
 
     # exact vs paraxial longitudinal mismatch within 1e-3 relative
     # for transverse momenta up to 2% of the wavevector
-    k_s = wavevector_magnitude(SELL.index_ordinary(wl.signal_nm), wl.signal_nm)
-    k_i = wavevector_magnitude(SELL.index_ordinary(wl.idler_nm), wl.idler_nm)
+    k_s = 2.0 * math.pi * SELL.index_ordinary(wl.signal_nm) / (wl.signal_nm * 1e-9)
+    k_i = 2.0 * math.pi * SELL.index_ordinary(wl.idler_nm) / (wl.idler_nm * 1e-9)
     q = np.linspace(1e3, 0.02 * min(k_s, k_i), 200)
-    exact = mismatch((q, 0.0), (-q, 0.0), wl, crystal, pump).dk_z
+    exact = (k_s - np.sqrt(k_s**2 - q**2)) + (k_i - np.sqrt(k_i**2 - q**2))
     paraxial = q * q / (2.0 * k_s) + q * q / (2.0 * k_i)
     rel = np.max(np.abs(exact - paraxial) / paraxial)
     assert rel < 1e-3, f"paraxial agreement only to {rel:.2e}"
+    # and the amplitude's kernel argument is that exact mismatch times L / 2
+    a, b, _, _ = _arm_arguments(q, -q, "x", (wl.signal_nm, wl.idler_nm), crystal, wl)
+    np.testing.assert_allclose(a + b, exact * (crystal.length_m / 2.0), rtol=1e-9)

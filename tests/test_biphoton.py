@@ -1,4 +1,4 @@
-"""Phase mismatch, kernels, pump envelope, and amplitude grids."""
+"""Per-arm phase mismatch, kernels, pump envelope, and amplitude grids."""
 
 import math
 
@@ -13,12 +13,12 @@ from spdcsim.biphoton import (
     PumpSpec,
     TransverseSlice,
     _arm_arguments,
+    _arm_dk_z,
+    _envelope_times_kernel,
     _kernel,
     _kernel_with_slope,
     amplitude,
     evaluate_grid,
-    mismatch,
-    pump_envelope,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, sample_spectrum
@@ -37,50 +37,62 @@ def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6):
 # -- mismatch ---------------------------------------------------------------
 
 
+def dk_z(q_s, q_i, wl, crystal, pair=None):
+    """Longitudinal mismatch as the sum of the two arms' shares, for
+    q_s = (q_sx, q_sy) and q_i = (q_ix, q_iy) at the (signal, idler)
+    wavelengths ``pair`` (default nominal)."""
+    if pair is None:
+        pair = (wl.signal_nm, wl.idler_nm)
+    share_s, _ = _arm_dk_z(crystal, pair[0], wl.signal_nm, *q_s)
+    share_i, _ = _arm_dk_z(crystal, pair[1], wl.idler_nm, *q_i)
+    return share_s + share_i
+
+
 def test_mismatch_zero_at_aligned_point():
     wl, crystal, pump = make_setup()
-    mm = mismatch((0.0, 0.0), (0.0, 0.0), wl, crystal, pump)
-    assert float(mm.dk_x) == 0.0
-    assert float(mm.dk_y) == 0.0
-    assert float(mm.dk_z) == 0.0  # exact by re-centering
+    assert float(dk_z((0.0, 0.0), (0.0, 0.0), wl, crystal)) == 0.0  # exact by re-centering
 
 
 def test_mismatch_against_paraxial_oracle():
     # Degenerate 810 nm, q_sx = -q_ix = 1e5 rad/m, y components zero.
     # Independent paraxial evaluation: q^2/(2 k_s) + q^2/(2 k_i).
     wl, crystal, pump = make_setup()
-    mm = mismatch((1e5, 0.0), (-1e5, 0.0), wl, crystal, pump)
-    assert float(mm.dk_z) == pytest.approx(776.4902952648699, rel=1e-12)
-    assert float(mm.dk_z) == pytest.approx(776.4785910710019, rel=1e-3)
+    got = float(dk_z((1e5, 0.0), (-1e5, 0.0), wl, crystal))
+    assert got == pytest.approx(776.4902952648699, rel=1e-12)
+    assert got == pytest.approx(776.4785910710019, rel=1e-3)
 
 
 def test_mismatch_x_mirror_symmetry():
     wl, crystal, pump = make_setup()
-    a = mismatch((3e4, 0.0), (1e4, 0.0), wl, crystal, pump)
-    b = mismatch((-3e4, 0.0), (-1e4, 0.0), wl, crystal, pump)
-    assert float(a.dk_z) == float(b.dk_z)
+    a = dk_z((3e4, 0.0), (1e4, 0.0), wl, crystal)
+    b = dk_z((-3e4, 0.0), (-1e4, 0.0), wl, crystal)
+    assert float(a) == float(b)
 
 
 def test_mismatch_y_walkoff_breaks_mirror_symmetry():
     wl, crystal, pump = make_setup()
-    a = mismatch((0.0, 3e4), (0.0, 1e4), wl, crystal, pump)
-    b = mismatch((0.0, -3e4), (0.0, -1e4), wl, crystal, pump)
-    assert float(a.dk_z) != pytest.approx(float(b.dk_z), rel=1e-6)
+    a = dk_z((0.0, 3e4), (0.0, 1e4), wl, crystal)
+    b = dk_z((0.0, -3e4), (0.0, -1e4), wl, crystal)
+    assert float(a) != pytest.approx(float(b), rel=1e-6)
 
 
 def test_mismatch_rejects_evanescent_input():
     wl, crystal, pump = make_setup()
     with pytest.raises(EvanescentInputError):
-        mismatch((2e7, 0.0), (0.0, 0.0), wl, crystal, pump)
+        dk_z((2e7, 0.0), (0.0, 0.0), wl, crystal)
 
 
 @given(q=st.floats(-1e6, 1e6))
 @settings(max_examples=25, deadline=None)
 def test_mismatch_transverse_components_are_negated_sums(q):
+    # The transverse mismatch -(q_s + q_i) enters only the pump envelope:
+    # the amplitude is the envelope at q_s + q_i times the kernel.
     wl, crystal, pump = make_setup()
-    mm = mismatch((q, 0.0), (0.5 * q, 0.0), wl, crystal, pump)
-    assert float(mm.dk_x) == -(q + 0.5 * q)
-    assert float(mm.dk_y) == 0.0
+    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
+    a, b, _, _ = _arm_arguments(q, 0.5 * q, "x", (wl.signal_nm, wl.idler_nm), crystal, wl)
+    w0 = pump.waist_m
+    expected = np.exp(-(w0 * w0) * (-(q + 0.5 * q)) ** 2 / 4.0) * _kernel(a + b, "gauss")
+    assert float(amplitude(q, 0.5 * q, sl, crystal, pump, wl, kernel="gauss")) == float(expected)
 
 
 def test_exact_vs_paraxial_within_cone():
@@ -89,9 +101,9 @@ def test_exact_vs_paraxial_within_cone():
     k_s = 2 * math.pi * BBO.index_ordinary(810.0) / 810e-9
     for frac in (0.005, 0.01, 0.02):
         q = frac * k_s
-        mm = mismatch((q, 0.0), (q, 0.0), wl, crystal, pump)
+        exact = dk_z((q, 0.0), (q, 0.0), wl, crystal)
         paraxial = q * q / (2 * k_s) + q * q / (2 * k_s)
-        assert float(mm.dk_z) == pytest.approx(paraxial, rel=1e-3)
+        assert float(exact) == pytest.approx(paraxial, rel=1e-3)
 
 
 # -- kernels ----------------------------------------------------------------
@@ -122,28 +134,31 @@ def test_sinc_efficiency_bounded(dkz, length_mm):
     assert 0.0 <= val <= 1.0
 
 
+def envelope(q_sum, w0):
+    """The pump-envelope factor of the amplitude: the kernel argument is 0."""
+    return float(_envelope_times_kernel(0.0, 0.0, q_sum, w0, "gauss"))
+
+
 def test_pump_envelope_values():
     w0 = 500e-6
-    assert pump_envelope(0.0, 0.0, w0) == 1.0
-    assert pump_envelope(2.0 / w0, 0.0, w0) == pytest.approx(math.exp(-1), rel=1e-12)
-    # magnitude 2/w0 split across both components
-    r = 2.0 / w0 / math.sqrt(2)
-    assert pump_envelope(r, r, w0) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert envelope(0.0, w0) == 1.0
+    assert envelope(2.0 / w0, w0) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert envelope(-2.0 / w0, w0) == pytest.approx(math.exp(-1), rel=1e-12)
 
 
-@given(dkx=st.floats(-4e4, 4e4), dky=st.floats(-4e4, 4e4))
+@given(q_sum=st.floats(-4e4, 4e4))
 @settings(max_examples=50, deadline=None)
-def test_pump_envelope_even_and_bounded(dkx, dky):
+def test_pump_envelope_even_and_bounded(q_sum):
     w0 = 500e-6
-    v = float(pump_envelope(dkx, dky, w0))
+    v = envelope(q_sum, w0)
     assert 0.0 < v <= 1.0
-    assert v == float(pump_envelope(-dkx, -dky, w0))
+    assert v == envelope(-q_sum, w0)
 
 
 def test_pump_envelope_underflows_cleanly():
     # Far outside the pump cone the Gaussian underflows to exactly 0.0
     # rather than raising.
-    assert float(pump_envelope(1e7, 0.0, 500e-6)) == 0.0
+    assert envelope(1e7, 500e-6) == 0.0
 
 
 # -- pump spec ---------------------------------------------------------------
@@ -178,8 +193,7 @@ def test_amplitude_on_antidiagonal_is_kernel_only():
     wl, crystal, pump = make_setup()
     sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
     q = 2e5
-    mm = mismatch((q, 0.0), (-q, 0.0), wl, crystal, pump)
-    u = float(mm.dk_z) * crystal.length_m / 2
+    u = float(dk_z((q, 0.0), (-q, 0.0), wl, crystal)) * crystal.length_m / 2
     expected = math.sin(u) / u
     assert float(amplitude(q, -q, sl, crystal, pump, wl)) == pytest.approx(
         expected, rel=1e-12
@@ -212,8 +226,7 @@ def test_gauss_kernel_matches_sinc_curvature():
     q = 8e4  # keeps the kernel argument u ~ 0.25, inside the O(u^2) regime
     a_sinc = float(amplitude(q, -q, sl, crystal, pump, wl, kernel="sinc"))
     a_gauss = float(amplitude(q, -q, sl, crystal, pump, wl, kernel="gauss"))
-    mm = mismatch((q, 0.0), (-q, 0.0), wl, crystal, pump)
-    u = float(mm.dk_z) * crystal.length_m / 2
+    u = float(dk_z((q, 0.0), (-q, 0.0), wl, crystal)) * crystal.length_m / 2
     # Both agree with 1 - u^2/6 at small argument.
     assert a_sinc == pytest.approx(1 - u * u / 6, abs=1e-4)
     assert a_gauss == pytest.approx(1 - u * u / 6, abs=1e-4)
@@ -314,15 +327,20 @@ def test_evaluate_grid_matches_pointwise():
 
 
 def composed_amplitude(sl, crystal, pump, wl, kernel):
-    """The amplitude as the plain product of its documented factors:
-    pump_envelope(mismatch) * kernel(dk_z L / 2), one kernel call per point."""
-    if sl.axis == "x":
-        q_s, q_i = (sl.q_signal[:, None], 0.0), (sl.q_idler[None, :], 0.0)
-    else:
-        q_s, q_i = (0.0, sl.q_signal[:, None]), (0.0, sl.q_idler[None, :])
-    mm = mismatch(q_s, q_i, wl, crystal, pump, pair=(sl.lambda_signal_nm, sl.lambda_idler_nm))
-    env = pump_envelope(mm.dk_x, mm.dk_y, pump.waist_m)
-    return env * _kernel(mm.dk_z * (crystal.length_m / 2.0), kernel)
+    """The amplitude as the plain product of its documented factors,
+    exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2), with dk_z computed
+    here from the ordinary indices, one kernel call per point."""
+    def k(lam_nm):
+        return 2.0 * math.pi * crystal.sellmeier.index_ordinary(lam_nm) / (lam_nm * 1e-9)
+
+    q_s, q_i = sl.q_signal[:, None], sl.q_idler[None, :]
+    tilt = math.tan(crystal.rho) if sl.axis == "y" else 0.0
+    k_s, k_i = k(sl.lambda_signal_nm), k(sl.lambda_idler_nm)
+    dk_z = (k(wl.signal_nm) - np.sqrt(k_s**2 - q_s**2) + q_s * tilt) + (
+        k(wl.idler_nm) - np.sqrt(k_i**2 - q_i**2) + q_i * tilt
+    )
+    env = np.exp(-(pump.waist_m**2) * (q_s + q_i) ** 2 / 4.0)
+    return env * _kernel(dk_z * (crystal.length_m / 2.0), kernel)
 
 
 @pytest.mark.parametrize("kernel", ["sinc", "gauss"])

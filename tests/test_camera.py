@@ -16,8 +16,8 @@ from spdcsim.camera import (
     walkoff_correct,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, JointDistribution, Problem, far_field_jid
-from spdcsim.stats import normalize, ridge_slope
+from spdcsim.spectral import FilterSpec, Problem, far_field_jid
+from spdcsim.stats import moments, ridge_fit
 
 BBO = SellmeierSet.bbo()
 F = 0.25
@@ -91,7 +91,9 @@ def test_ridge_intercept_is_the_slice_fit():
     """Fitted once, on y only, from the slice's own momentum distribution."""
     wl, problem = one_slice_problem()
     (cs,) = camera_slices(problem, "y", F)
-    assert cs.ridge_intercept == ridge_slope(normalize(far_field_jid(problem, "y"))).intercept
+    far = far_field_jid(problem, "y")
+    fit = ridge_fit(moments("far", "y", far.axis_signal, far.axis_idler, far.intensity))
+    assert cs.ridge_intercept == fit.intercept
     assert cs.ridge_intercept != 0.0
     (cs_x,) = camera_slices(problem, "x", F)
     assert cs_x.ridge_intercept is None
@@ -150,14 +152,11 @@ def test_fitted_shift_small_for_degenerate():
 def test_fitted_shift_removes_nondegenerate_intercept():
     wl, cs = camera_slice(axis="y", signal_nm=780.0)
     corr = walkoff_correct(rescale_idler(cs))
-    shifted = JointDistribution(
-        "far", "y",
-        corr.y_signal / corr.scale_signal,
-        corr.y_idler / corr.scale_idler,
-        corr.intensity.toarray(),
-    )
-    fit = ridge_slope(normalize(shifted))
-    cell_q = float(shifted.axis_idler[1] - shifted.axis_idler[0])
+    q_idler = corr.y_idler / corr.scale_idler
+    fit = ridge_fit(moments(
+        "far", "y", corr.y_signal / corr.scale_signal, q_idler, corr.intensity.toarray()
+    ))
+    cell_q = float(q_idler[1] - q_idler[0])
     assert abs(fit.intercept) < cell_q
 
 
@@ -360,7 +359,8 @@ def test_pure_scaling_slope_relation():
     # scale ratio (display orientation): pure coordinate scaling.
     wl, problem = one_slice_problem(signal_nm=780.0, n=512)
     (cs,) = camera_slices(problem, "y", F)
-    q_fit = ridge_slope(normalize(far_field_jid(problem, "y")))
+    far = far_field_jid(problem, "y")
+    q_fit = ridge_fit(moments("far", "y", far.axis_signal, far.axis_idler, far.intensity))
     q_display = 1.0 / q_fit.slope_principal_axis
     rep = slope_report(uncorrected_jpd([cs]))
     expected = q_display * cs.scale_signal / cs.scale_idler

@@ -52,6 +52,15 @@ def fresh_python(script):
     return proc.stdout
 
 
+def test_package_exports_resolve():
+    for name in spdcsim.__all__:
+        assert hasattr(spdcsim, name), name
+    deleted = {"ProbabilityTable", "normalize", "ridge_slope",
+               "PhaseMismatch", "mismatch", "pump_envelope"}
+    assert not deleted & set(spdcsim.__all__)
+    assert not any(hasattr(spdcsim, name) for name in deleted)
+
+
 class TestStartup:
     def test_import_and_pm_angle_load_no_scipy(self):
         script = (
@@ -472,6 +481,48 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith(f"config error: filter.{key}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("crystal:\n  theta_deg: 100", "crystal.theta_deg"),
+            ("crystal:\n  theta_deg: -5", "crystal.theta_deg"),
+            ("pump:\n  wavelength_nm: 900", "pump.wavelength_nm"),
+            ("wavelengths:\n  signal_nm: 300", "wavelengths.signal_nm"),
+        ],
+        ids=["theta-100", "theta-minus-5", "pump-900", "signal-300"],
+    )
+    def test_physics_range_contradiction_exits_2(self, capsys, tmp_path, section, key):
+        """An angle outside [0, 90] degrees or a signal not longer than the
+        pump is named by its key, without a traceback."""
+        cfg = write_config(tmp_path, f"{section}\ngrid:\n  n: 64\nspectral:\n  slices: 3\n")
+        code, out, err = run_cli(capsys, "certify", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {key}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("pump:\n  waist_um: .nan", "pump.waist_um"),
+            ("pump:\n  waist_um: .inf", "pump.waist_um"),
+            ("crystal:\n  length_mm: .inf", "crystal.length_mm"),
+            ("crystal:\n  theta_deg: -.inf", "crystal.theta_deg"),
+            ("filter:\n  fwhm_nm: .nan", "filter.fwhm_nm"),
+            ("pump:\n  waist_um: 1" + "0" * 400, "pump.waist_um"),
+            ("sweep:\n  values: [1.0, .inf]", "sweep.values[1]"),
+        ],
+        ids=["waist-nan", "waist-inf", "length-inf", "theta-minus-inf", "fwhm-nan",
+             "waist-huge-integer", "sweep-value-inf"],
+    )
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, section, key):
+        cfg = write_config(tmp_path, f"{section}\ngrid:\n  n: 64\nspectral:\n  slices: 3\n")
+        code, out, err = run_cli(capsys, "certify", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{key}: must be finite, got " in err
         assert err.count("\n") == 1
 
     def test_sweep_to_a_filter_wider_than_the_spectrum_exits_2(self, capsys, tmp_path):

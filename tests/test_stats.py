@@ -1,76 +1,93 @@
 """Moments, Reid inference, and ridge fits against closed-form Gaussians."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdcsim.spectral import JointDistribution
 from spdcsim.stats import (
     DegenerateDistributionError,
-    ProbabilityTable,
     StatsSummary,
     moments,
-    normalize,
     reid_inference,
     reid_product,
-    ridge_slope,
+    ridge_fit,
 )
 
 
-def make_jid(intensity, axis_s=None, axis_i=None, plane="far", axis="x"):
-    n_s, n_i = intensity.shape
-    if axis_s is None:
-        axis_s = np.linspace(-1.0, 1.0, n_s)
-    if axis_i is None:
-        axis_i = np.linspace(-1.0, 1.0, n_i)
-    return JointDistribution(plane, axis, axis_s, axis_i, intensity)
+def grid(n):
+    return np.linspace(-1.0, 1.0, n)
 
 
-def bivariate_gaussian_table(rho, n=256, span=6.0, plane="far", axis="x"):
-    """Unit-variance correlated Gaussian, discretized on +-span sigma."""
+def bivariate_gaussian(rho, n=256, span=6.0):
+    """Unit-variance correlated Gaussian intensity, discretized on
+    +-span sigma: (axis, intensity), the same axis for both arms."""
     a = np.linspace(-span, span, n)
     s = a[:, None]
     i = a[None, :]
     quad = (s * s - 2 * rho * s * i + i * i) / (2 * (1 - rho * rho))
-    return normalize(make_jid(np.exp(-quad), a, a.copy(), plane=plane, axis=axis))
+    return a, np.exp(-quad)
 
 
-# -- normalize ----------------------------------------------------------------
+def gaussian_moments(rho, n=256):
+    a, intensity = bivariate_gaussian(rho, n)
+    return moments("far", "x", a, a, intensity)
+
+
+# -- normalisation ----------------------------------------------------------------
 
 
 def test_normalize_uniform():
-    jid = make_jid(np.full((16, 16), 3.7))
-    table = normalize(jid)
-    da = table.d_signal * table.d_idler
-    np.testing.assert_allclose(table.p, 1.0 / (16 * 16 * da), rtol=1e-12)
+    # a uniform intensity weighs every cell alike, whatever its value
+    a = grid(16)
+    s = moments("far", "x", a, a, np.full((16, 16), 3.7))
+    assert s.mu_s == pytest.approx(0.0, abs=1e-15)
+    assert s.V_s == pytest.approx(np.mean(a * a), rel=1e-12)
+    assert s.V_i == pytest.approx(np.mean(a * a), rel=1e-12)
+    assert s.C_si == pytest.approx(0.0, abs=1e-15)
 
 
 def test_normalize_scale_invariance():
     base = np.random.default_rng(3).random((32, 32))
-    t1 = normalize(make_jid(base))
-    t2 = normalize(make_jid(7.0 * base))
-    np.testing.assert_allclose(t1.p, t2.p, rtol=1e-12)
+    a = grid(32)
+    s1 = moments("far", "x", a, a, base)
+    s7 = moments("far", "x", a, a, 7.0 * base)
+    for name in ("mu_s", "mu_i", "V_s", "V_i", "C_si"):
+        assert getattr(s7, name) == pytest.approx(getattr(s1, name), rel=1e-12)
 
 
 def test_normalize_mass_is_one():
+    # the moments are those of the density P = I / (sum(I) da_s da_i),
+    # whose mass is one, on a non-square grid
     rng = np.random.default_rng(11)
-    jid = make_jid(rng.random((64, 48)), np.linspace(-2, 2, 64), np.linspace(-1, 1, 48))
-    table = normalize(jid)
-    mass = table.p.sum() * table.d_signal * table.d_idler
+    intensity = rng.random((64, 48))
+    a_s, a_i = np.linspace(-2, 2, 64), np.linspace(-1, 1, 48)
+    s = moments("far", "x", a_s, a_i, intensity)
+    p = intensity / (intensity.sum() * (a_s[1] - a_s[0]) * (a_i[1] - a_i[0]))
+    mass = p.sum() * (a_s[1] - a_s[0]) * (a_i[1] - a_i[0])
     assert mass == pytest.approx(1.0, abs=1e-12)
+    cell = p * (a_s[1] - a_s[0]) * (a_i[1] - a_i[0])
+    mu_s = float((cell.sum(axis=1) * a_s).sum())
+    mu_i = float((cell.sum(axis=0) * a_i).sum())
+    assert s.mu_s == pytest.approx(mu_s, rel=1e-12)
+    assert s.mu_i == pytest.approx(mu_i, rel=1e-12)
+    assert s.C_si == pytest.approx(float((cell * np.outer(a_s, a_i)).sum()) - mu_s * mu_i,
+                                   rel=1e-9)
 
 
 def test_normalize_all_zero_raises():
     with pytest.raises(DegenerateDistributionError):
-        normalize(make_jid(np.zeros((8, 8))))
+        moments("far", "x", grid(8), grid(8), np.zeros((8, 8)))
 
 
-def test_table_validates_mass():
-    a = np.linspace(-1, 1, 8)
-    with pytest.raises(ValueError):
-        ProbabilityTable("far", "x", a, a.copy(), np.ones((8, 8)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_moments_reject_non_finite_total(bad):
+    intensity = np.ones((8, 8))
+    intensity[3, 4] = bad
+    with pytest.raises(DegenerateDistributionError):
+        moments("far", "x", grid(8), grid(8), intensity)
 
 
 # -- moments ------------------------------------------------------------------
@@ -79,49 +96,64 @@ def test_table_validates_mass():
 def test_separable_table_has_zero_covariance():
     a = np.linspace(-3, 3, 128)
     g = np.exp(-(a**2) / 2)
-    table = normalize(make_jid(np.outer(g, g), a, a.copy()))
-    s = moments(table)
+    s = moments("far", "x", a, a, np.outer(g, g))
     assert s.C_si == pytest.approx(0.0, abs=1e-10)
     assert s.mu_s == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mirroring_idler_flips_covariance():
-    table = bivariate_gaussian_table(0.6, n=128)
-    s = moments(table)
-    flipped = ProbabilityTable(
-        table.plane, table.axis, table.axis_signal, table.axis_idler,
-        table.p[:, ::-1],
-    )
-    sf = moments(flipped)
+    a, intensity = bivariate_gaussian(0.6, n=128)
+    s = moments("far", "x", a, a, intensity)
+    sf = moments("far", "x", a, a, intensity[:, ::-1])
     assert sf.C_si == pytest.approx(-s.C_si, rel=1e-9)
     assert sf.V_i == pytest.approx(s.V_i, rel=1e-12)
 
 
 def test_bivariate_gaussian_moments():
-    table = bivariate_gaussian_table(0.8, n=1024)
-    s = moments(table)
+    s = gaussian_moments(0.8, n=1024)
     assert s.V_s == pytest.approx(1.0, rel=1e-3)
     assert s.V_i == pytest.approx(1.0, rel=1e-3)
     assert s.C_si == pytest.approx(0.8, rel=1e-3)
 
 
 def test_marginal_equals_joint_computation():
-    table = bivariate_gaussian_table(0.5, n=96)
-    s = moments(table)
+    a, intensity = bivariate_gaussian(0.5, n=96)
+    s = moments("far", "x", a, a, intensity)
     # joint-based second moments, computed independently
-    w = table.p / table.p.sum()
-    ds = table.axis_signal - s.mu_s
-    di = table.axis_idler - s.mu_i
+    w = intensity / intensity.sum()
+    ds = a - s.mu_s
+    di = a - s.mu_i
     v_s = float((w.sum(axis=1) * ds * ds).sum())
     c = float((ds[:, None] * w * di[None, :]).sum())
     assert s.V_s == pytest.approx(v_s, rel=1e-12)
     assert s.C_si == pytest.approx(c, rel=1e-12)
 
 
+def test_summary_from_sums():
+    # sums of a two-point distribution: (1, 2) with weight 1, (3, -2) with weight 3
+    s = StatsSummary.from_sums("near", "y", 4.0, 10.0, -4.0, 28.0, 16.0, -16.0)
+    assert (s.plane, s.axis) == ("near", "y")
+    assert (s.mu_s, s.mu_i, s.V_s, s.V_i, s.C_si) == (2.5, -1.0, 0.75, 3.0, -1.5)
+
+
+def test_point_mass_moments_stay_valid():
+    # raw sums of a single off-centre cell cancel to roundoff, which may
+    # fall on either side of 0; the summary must still be a valid one
+    a_s, a_i = np.linspace(0.3, 7.9, 16), np.linspace(-2.2, 11.0, 16)
+    for k in range(16):
+        for l in range(16):
+            intensity = np.zeros((16, 16))
+            intensity[k, l] = 2.7
+            s = moments("far", "x", a_s, a_i, intensity)
+            assert s.mu_s == pytest.approx(a_s[k], rel=1e-15)
+            assert 0.0 <= s.V_s <= 1e-14 * a_s[k] ** 2
+            assert 0.0 <= s.V_i <= 1e-14 * a_i[l] ** 2
+
+
 @given(rho=st.floats(-0.95, 0.95))
 @settings(max_examples=20, deadline=None)
 def test_cauchy_schwarz(rho):
-    s = moments(bivariate_gaussian_table(rho, n=64))
+    s = gaussian_moments(rho, n=64)
     assert s.C_si * s.C_si <= s.V_s * s.V_i * (1 + 1e-9)
 
 
@@ -142,7 +174,7 @@ def test_inference_perfect_correlation():
 
 
 def test_inference_gaussian_correlation():
-    done = reid_inference(moments(bivariate_gaussian_table(0.8, n=1024)))
+    done = reid_inference(gaussian_moments(0.8, n=1024))
     assert done.var_inferred == pytest.approx(0.36, rel=1e-3)
     assert done.G == pytest.approx(0.8, rel=1e-3)
 
@@ -154,19 +186,18 @@ def test_inference_degenerate_marginal():
 
 def test_inferred_variance_never_exceeds_marginal():
     for rho in (-0.9, -0.3, 0.0, 0.4, 0.99):
-        done = reid_inference(moments(bivariate_gaussian_table(rho, n=128)))
+        done = reid_inference(gaussian_moments(rho, n=128))
         assert 0.0 <= done.var_inferred <= done.V_i + 1e-12
 
 
 def test_conditional_slice_oracle():
     # The linear inferred variance must agree with the direct estimate:
     # the column-mass-weighted mean of each signal column's idler variance.
-    table = bivariate_gaussian_table(0.7, n=256)
-    s = reid_inference(moments(table))
-    a_i = table.axis_idler
+    a_i, intensity = bivariate_gaussian(0.7, n=256)
+    s = reid_inference(moments("far", "x", a_i, a_i, intensity))
     direct = []
     masses = []
-    for col in table.p:
+    for col in intensity:
         m = col.sum()
         if m <= 0:
             continue
@@ -229,37 +260,30 @@ def test_certification_flag():
 # -- ridge fitting ----------------------------------------------------------------
 
 
-def antidiagonal_table(n=64):
-    a = np.linspace(-1.0, 1.0, n)
-    intensity = np.zeros((n, n))
-    # mass exactly on a_i = -a_s
-    for k in range(n):
-        intensity[k, n - 1 - k] = 1.0
-    return normalize(make_jid(intensity, a, a.copy()))
+def antidiagonal(n=64):
+    """Mass exactly on a_i = -a_s: (axis, intensity)."""
+    a = grid(n)
+    return a, np.eye(n)[:, ::-1].copy()
 
 
 def test_ridge_slope_antidiagonal():
-    fit = ridge_slope(antidiagonal_table())
+    a, intensity = antidiagonal()
+    fit = ridge_fit(moments("far", "x", a, a, intensity))
     assert fit.slope_principal_axis == pytest.approx(-1.0, rel=1e-12)
     assert fit.intercept == pytest.approx(0.0, abs=1e-12)
     assert not fit.isotropic
 
 
 def test_ridge_slope_transpose_inverts():
-    table = bivariate_gaussian_table(0.6, n=128)
-    fit = ridge_slope(table)
-    transposed = ProbabilityTable(
-        table.plane, table.axis, table.axis_idler, table.axis_signal,
-        np.ascontiguousarray(table.p.T),
-    )
-    fit_t = ridge_slope(transposed)
+    a, intensity = bivariate_gaussian(0.6, n=128)
+    fit = ridge_fit(moments("far", "x", a, a, intensity))
+    fit_t = ridge_fit(moments("far", "x", a, a, intensity.T))
     assert fit_t.slope_principal_axis == pytest.approx(1.0 / fit.slope_principal_axis, rel=1e-9)
 
 
 def test_ridge_regression_method():
-    table = bivariate_gaussian_table(0.8, n=256)
-    fit = ridge_slope(table)
-    s = moments(table)
+    s = gaussian_moments(0.8, n=256)
+    fit = ridge_fit(s)
     assert fit.slope_regression == pytest.approx(s.C_si / s.V_s, rel=1e-12)
     # the line is the principal axis through the centroid
     assert fit.intercept == s.mu_i - fit.slope_principal_axis * s.mu_s
@@ -269,7 +293,15 @@ def test_ridge_regression_method():
 
 
 def test_ridge_isotropic_warns():
-    table = bivariate_gaussian_table(0.0, n=128)
+    s = gaussian_moments(0.0, n=128)
     with pytest.warns(UserWarning, match="isotropic"):
-        fit = ridge_slope(table)
+        fit = ridge_fit(s)
     assert fit.isotropic
+
+
+def test_ridge_isotropic_warning_names_the_caller():
+    s = gaussian_moments(0.0, n=128)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ridge_fit(s)
+    assert [w.filename for w in caught] == [__file__]
