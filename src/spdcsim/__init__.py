@@ -3,9 +3,11 @@
 The pipeline, bottom to top:
 
 - :mod:`spdcsim.dispersion` — Sellmeier indices, phase matching, walk-off
-- :mod:`spdcsim.biphoton` — transverse grids and the two-photon angular amplitude
+- :mod:`spdcsim.biphoton` — per-arm phase mismatch and the two-photon
+  angular amplitude on 1-D momentum grids
 - :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
-  every slice loop takes, the moment engine, far/near-field JIDs
+  every slice loop takes down to the amplitude (with its square momentum
+  grid), the moment engine, far/near-field JIDs
 - :mod:`spdcsim.stats` — moments, conditional inference, EPR width products
 - :mod:`spdcsim.camera` — chromatic camera mapping and its compensation
 - :mod:`spdcsim.sweep` — parameter studies over bandwidth/length/waist
@@ -15,8 +17,6 @@ The pipeline, bottom to top:
 from spdcsim.biphoton import (
     EvanescentInputError,
     GridMemoryError,
-    PumpSpec,
-    TransverseSlice,
     amplitude,
     evaluate_grid,
 )
@@ -79,8 +79,6 @@ __all__ = [
     # biphoton
     "EvanescentInputError",
     "GridMemoryError",
-    "PumpSpec",
-    "TransverseSlice",
     "amplitude",
     "evaluate_grid",
     # spectral

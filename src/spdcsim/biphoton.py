@@ -15,13 +15,21 @@ taken.  Without that re-centering the constant walk-off offset would
 extinguish collinear emission entirely for any realistic waist.  The
 transverse mismatch is then -(q_s + q_i), and the longitudinal one
 
-    dk_z = [k_s0 - k_zs + q_sy tan(rho)] + [k_i0 - k_zi + q_iy tan(rho)],
+    dk_z = dk_0 + [k_s0 - k_zs + q_sy tan(rho)] + [k_i0 - k_zi + q_iy tan(rho)],
 
 with k_z = sqrt(k^2 - |q|^2) exact (no paraxial expansion), k at the
-slice wavelength and k0 at the nominal one.  It separates into one
-share per arm (``_arm_dk_z``).  The aligned point sits at exactly zero
-mismatch, and off-nominal spectral slices keep their genuine
+slice wavelength, k0 at the nominal one, and dk_0 = k_p(theta_p) - k_s0
+- k_i0 the collinear mismatch of the cut (``CrystalSetup.collinear_mismatch``,
+exactly 0 at the phase-matching angle).  The bracketed terms are one
+share per arm (``_arm_dk_z``); ``_arm_arguments`` adds dk_0 to the
+signal's.  At the phase-matching cut the aligned point sits at exactly
+zero mismatch, and off-nominal spectral slices keep their genuine
 longitudinal detuning.
+
+Every function here that evaluates the amplitude reads the run's one
+``spectral.Problem`` (crystal, nominal wavelengths, pump waist, kernel,
+memory budget) plus the transverse axis and the slice's (signal, idler)
+wavelength pair; the momentum grids are plain 1-D arrays.
 
 The pump envelope confines the sum coordinate q_s + q_i to ~2/w0, two
 orders of magnitude inside the phase-matching width of the difference
@@ -34,31 +42,24 @@ dense evaluation of ``amplitude`` (up to the sign of zeros).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from spdcsim.dispersion import (
-    CrystalSetup,
-    SpdcWavelengths,
-    effective_index,
-    wavevector_magnitude,
-)
+from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, wavevector_magnitude
+
+if TYPE_CHECKING:
+    from spdcsim.spectral import Problem
 
 __all__ = [
-    "PumpSpec",
-    "TransverseSlice",
     "EvanescentInputError",
     "GridMemoryError",
     "amplitude",
     "evaluate_grid",
     "check_memory_budget",
     "default_diff_halfwidth",
-    "DEFAULT_GRID_N",
     "DEFAULT_MEMORY_BUDGET_BYTES",
 ]
-
-DEFAULT_GRID_N = 1024
 
 #: Default ceiling on one slice's working memory, as ``check_memory_budget``
 #: estimates it.
@@ -78,131 +79,6 @@ class EvanescentInputError(ValueError):
 
 class GridMemoryError(RuntimeError):
     """A requested grid evaluation exceeds the configured memory budget."""
-
-
-@dataclass(frozen=True)
-class PumpSpec:
-    """Pump beam: wavelength, waist, and wavevector decomposition.
-
-    The pump propagates at the crystal angle ``theta_p``; its wavevector
-    (magnitude ``k_mag``, set by the angle-dependent extraordinary index)
-    splits into a longitudinal part ``k_z = k cos(rho)`` and a transverse
-    carrier ``k_y = k sin(rho)`` along the walk-off axis; there is no x
-    component under the y-z optic-axis convention.
-    """
-
-    wavelength_nm: float
-    waist_m: float
-    k_mag: float
-    k_y: float
-    k_z: float
-
-    def __post_init__(self) -> None:
-        if self.waist_m <= 0:
-            raise ValueError(f"pump waist must be positive, got {self.waist_m}")
-        if not math.isclose(
-            self.k_y**2 + self.k_z**2, self.k_mag**2, rel_tol=1e-10
-        ):
-            raise ValueError("pump wavevector components do not compose to k_mag")
-
-    @classmethod
-    def from_crystal(
-        cls, wavelength_nm: float, waist_m: float, crystal: CrystalSetup
-    ) -> "PumpSpec":
-        n = effective_index(crystal.sellmeier, crystal.theta_p, wavelength_nm)
-        k = wavevector_magnitude(n, wavelength_nm)
-        return cls(
-            wavelength_nm=wavelength_nm,
-            waist_m=waist_m,
-            k_mag=k,
-            k_y=k * math.sin(crystal.rho),
-            k_z=k * math.cos(crystal.rho),
-        )
-
-
-@dataclass(frozen=True)
-class TransverseSlice:
-    """One 2D slice of the transverse problem: an axis tag, the signal
-    and idler momentum grids along that axis, and the wavelength pair of
-    the spectral slice being evaluated.  The orthogonal momentum
-    components are zero.
-
-    Grids must be uniform and symmetric about zero — in the re-centered
-    coordinates of this package the correlation ridge passes through the
-    origin, so symmetric grids keep it centered.
-    """
-
-    axis: str
-    q_signal: np.ndarray
-    q_idler: np.ndarray
-    lambda_signal_nm: float
-    lambda_idler_nm: float
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        for name, grid in (("q_signal", self.q_signal), ("q_idler", self.q_idler)):
-            if grid.ndim != 1 or grid.size < 2:
-                raise ValueError(f"{name} must be a 1D grid with >= 2 points")
-            steps = np.diff(grid)
-            if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9)):
-                raise ValueError(f"{name} must be uniform and increasing")
-            if abs(grid[0] + grid[-1]) > 1e-9 * abs(grid[-1] - grid[0]):
-                raise ValueError(f"{name} must be symmetric about zero")
-
-    @property
-    def dq_signal(self) -> float:
-        return float(self.q_signal[1] - self.q_signal[0])
-
-    @property
-    def dq_idler(self) -> float:
-        return float(self.q_idler[1] - self.q_idler[0])
-
-    def with_pair(self, lambda_signal_nm: float, lambda_idler_nm: float) -> "TransverseSlice":
-        """Same grids, different spectral slice."""
-        return replace(
-            self,
-            lambda_signal_nm=lambda_signal_nm,
-            lambda_idler_nm=lambda_idler_nm,
-        )
-
-    @classmethod
-    def centered(
-        cls,
-        axis: str,
-        wl: SpdcWavelengths,
-        crystal: CrystalSetup,
-        pump: PumpSpec,
-        *,
-        n: int = DEFAULT_GRID_N,
-        sum_halfwidth: float | None = None,
-        diff_halfwidth: float | None = None,
-    ) -> "TransverseSlice":
-        """Build default grids sized from the two physical correlation scales.
-
-        The pump envelope confines the *sum* coordinate q_s + q_i to a
-        width ~2/w0, while the phase-matching kernel confines the
-        *difference* coordinate to the much larger main-lobe width
-        ~sqrt(4 pi k / L); the two differ by two orders of magnitude at
-        typical parameters, so the square grid must be sized from both.
-        Default half-extents are 5x each scale (truncated mass < 1e-5;
-        the difference one is ``default_diff_halfwidth``); a square grid
-        accommodating sum extent S and difference extent D needs per-axis
-        half-extent (S + D) / 2.
-        """
-        if sum_halfwidth is None:
-            sum_halfwidth = 5.0 * (2.0 / pump.waist_m)
-        if diff_halfwidth is None:
-            diff_halfwidth = default_diff_halfwidth(wl, crystal)
-        half = 0.5 * (sum_halfwidth + diff_halfwidth)
-        q = np.linspace(-half, half, n)
-        return cls(
-            axis=axis,
-            q_signal=q,
-            q_idler=q.copy(),
-            lambda_signal_nm=wl.signal_nm,
-            lambda_idler_nm=wl.idler_nm,
-        )
 
 
 def default_diff_halfwidth(wl: SpdcWavelengths, crystal: CrystalSetup) -> float:
@@ -294,6 +170,7 @@ def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
     """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2
     at the (signal, idler) wavelengths ``pair``, and their derivatives along
     ``axis``, a' = (L/2)(q_signal / k_z + tan(rho) on y) and likewise b'.
+    The constant (L/2) dk_0 of the cut is added to a.
 
     Raises EvanescentInputError if any momentum of either grid reaches the
     propagation cone.
@@ -306,7 +183,7 @@ def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
         return half_length * share, half_length * (q / k_z + tilt)
 
     (a, da), (b, db) = arm(q_signal, pair[0], wl.signal_nm), arm(q_idler, pair[1], wl.idler_nm)
-    return a, b, da, db
+    return a + half_length * crystal.collinear_mismatch, b, da, db
 
 
 def _envelope_times_kernel(a, b, q_sum, waist_m: float, kernel: str):
@@ -324,33 +201,23 @@ def _envelope_times_kernel(a, b, q_sum, waist_m: float, kernel: str):
     return out
 
 
-def amplitude(
-    q_signal,
-    q_idler,
-    sl: TransverseSlice,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    wl: SpdcWavelengths,
-    *,
-    kernel: str = "sinc",
-):
-    """Real biphoton amplitude at active-axis momenta (q_signal, q_idler).
+def amplitude(q_s, q_i, problem: Problem, axis: str, pair: tuple[float, float]):
+    """Real biphoton amplitude at ``axis`` momenta (q_s, q_i).
 
-    Psi = exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2), evaluated with
-    the slice's wavelength pair against the nominal operating point
-    ``wl``.  The intensity |Psi|^2 is the per-slice far-field JID.  No
-    propagation phase is attached: with the kernel real the amplitude is
-    real, and only |Psi|^2 enters every downstream quantity.
+    Psi = exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2), evaluated at
+    the (signal, idler) wavelengths ``pair`` against the nominal operating
+    point ``problem.wl``.  The intensity |Psi|^2 is the per-slice far-field
+    JID.  No propagation phase is attached: with the kernel real the
+    amplitude is real, and only |Psi|^2 enters every downstream quantity.
 
-    dk_z L / 2 = a(q_signal) + b(q_idler) is taken per arm, so on a
-    column x row broadcast the mismatch and the sinc kernel cost O(N)
-    transcendental calls; only the envelope is evaluated per point.
+    dk_z L / 2 = a(q_s) + b(q_i) is taken per arm, so on a column x row
+    broadcast the mismatch and the sinc kernel cost O(N) transcendental
+    calls; only the envelope is evaluated per point.
     """
-    q_signal = np.asarray(q_signal, dtype=float)
-    q_idler = np.asarray(q_idler, dtype=float)
-    pair = (sl.lambda_signal_nm, sl.lambda_idler_nm)
-    a, b, _, _ = _arm_arguments(q_signal, q_idler, sl.axis, pair, crystal, wl)
-    return _envelope_times_kernel(a, b, q_signal + q_idler, pump.waist_m, kernel)
+    q_s = np.asarray(q_s, dtype=float)
+    q_i = np.asarray(q_i, dtype=float)
+    a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
+    return _envelope_times_kernel(a, b, q_s + q_i, problem.waist_m, problem.kernel)
 
 
 def check_memory_budget(
@@ -376,18 +243,12 @@ _BAND_ROWS = 32
 
 
 def evaluate_grid(
-    sl: TransverseSlice,
-    crystal: CrystalSetup,
-    pump: PumpSpec,
-    wl: SpdcWavelengths,
-    *,
-    kernel: str = "sinc",
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    q_s: np.ndarray, q_i: np.ndarray, problem: Problem, axis: str, pair: tuple[float, float]
 ) -> np.ndarray:
-    """Amplitude matrix over the slice grids, signal-major.
+    """Amplitude matrix over two 1-D strictly increasing grids, signal-major.
 
-    Output[k, l] = amplitude(q_signal[k], q_idler[l]).  In float64 the
-    pump envelope is exactly 0 outside the anti-diagonal band
+    Output[k, l] = amplitude(q_s[k], q_i[l], problem, axis, pair).  In
+    float64 the pump envelope is exactly 0 outside the anti-diagonal band
     |q_s + q_i| <= 2 sqrt(746) / w0, so the matrix starts as zeros and
     each block of signal rows is evaluated, with ``amplitude``'s
     envelope x kernel formula, only over the idler columns the band
@@ -395,13 +256,18 @@ def evaluate_grid(
     bit; a skipped zero is +0.0 where the dense product may give -0.0.
     The kernel arguments, and with them the evanescent-input check,
     cover both full grids.  Peak working memory is estimated up front
-    and checked against ``memory_budget_bytes``.
+    and checked against ``problem.memory_budget_bytes``.
+
+    Raises ValueError unless both grids are 1-D and strictly increasing,
+    which the column search of the band needs.
     """
-    check_memory_budget(sl.q_signal.size, sl.q_idler.size, memory_budget_bytes)
-    q_s, q_i = sl.q_signal, sl.q_idler
-    pair = (sl.lambda_signal_nm, sl.lambda_idler_nm)
-    a, b, _, _ = _arm_arguments(q_s, q_i, sl.axis, pair, crystal, wl)
-    half_band = 2.0 * math.sqrt(_ENVELOPE_ZERO_EXPONENT) / pump.waist_m
+    for name, q in (("signal", q_s), ("idler", q_i)):
+        if q.ndim != 1 or not np.all(np.diff(q) > 0):
+            raise ValueError(f"the {name} grid must be 1-D and strictly increasing")
+    check_memory_budget(q_s.size, q_i.size, problem.memory_budget_bytes)
+    a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
+    waist_m = problem.waist_m
+    half_band = 2.0 * math.sqrt(_ENVELOPE_ZERO_EXPONENT) / waist_m
     out = np.zeros((q_s.size, q_i.size))
     for start in range(0, q_s.size, _BAND_ROWS):
         rows = slice(start, start + _BAND_ROWS)
@@ -413,6 +279,6 @@ def evaluate_grid(
             np.searchsorted(q_i, half_band - block[0], side="right"),
         )
         out[rows, cols] = _envelope_times_kernel(
-            a[rows, None], b[None, cols], block[:, None] + q_i[None, cols], pump.waist_m, kernel
+            a[rows, None], b[None, cols], block[:, None] + q_i[None, cols], waist_m, problem.kernel
         )
     return out

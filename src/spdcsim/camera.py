@@ -133,28 +133,29 @@ def camera_slices(
     n, budget = problem.grid_n, problem.memory_budget_bytes
     held = 2 * n * n * 8  # the uncorrected and the corrected JPD
     check_memory_budget(n, n, budget, held_bytes=held, holding="2 camera JPDs")
+    q = problem.square_grid()
     out = []
-    for sl, weight, amp in spectral_slices(problem, axis):
+    for (lam_s, lam_i), weight, amp in spectral_slices(problem, axis):
         amp *= amp  # the slice intensity; the amplitude is not needed again
         intercept = None
         if axis == "y":
-            intercept = ridge_fit(moments("far", axis, sl.q_signal, sl.q_idler, amp)).intercept
+            intercept = ridge_fit(moments("far", axis, q, q, amp)).intercept
         intensity = sparse.csr_matrix(amp)
         held += intensity.data.nbytes + intensity.indices.nbytes + intensity.indptr.nbytes
         check_memory_budget(
             n, n, budget, held_bytes=held,
             holding=f"2 camera JPDs and {len(out) + 1} of {problem.n_slices} slice matrices",
         )
-        scale_s = _scale(focal_length_m, sl.lambda_signal_nm, magnification)
-        scale_i = _scale(focal_length_m, sl.lambda_idler_nm, magnification)
+        scale_s = _scale(focal_length_m, lam_s, magnification)
+        scale_i = _scale(focal_length_m, lam_i, magnification)
         out.append(
             CameraSlice(
                 axis=axis,
-                y_signal=scale_s * sl.q_signal,
-                y_idler=scale_i * sl.q_idler,
+                y_signal=scale_s * q,
+                y_idler=scale_i * q,
                 intensity=intensity,
-                lambda_signal_nm=sl.lambda_signal_nm,
-                lambda_idler_nm=sl.lambda_idler_nm,
+                lambda_signal_nm=lam_s,
+                lambda_idler_nm=lam_i,
                 weight=weight,
                 scale_signal=scale_s,
                 scale_idler=scale_i,

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import yaml
 
-from spdcsim.biphoton import DEFAULT_GRID_N, PumpSpec
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, WavelengthRangeError
 from spdcsim.spectral import (
+    DEFAULT_GRID_N,
     DEFAULT_SPECTRAL_SLICES,
     FilterSpec,
     Problem,
@@ -242,7 +242,6 @@ class RunConfig:
                 raise
             except ValueError as exc:
                 raise ConfigError(f"crystal.theta_deg: {exc}") from exc
-        pump = PumpSpec.from_crystal(self.pump_nm, self.waist_um * 1e-6, crystal)
         center = self.filter_center_nm
         if center is None:
             center = wl.signal_nm if self.filter_arm == "signal" else wl.idler_nm
@@ -253,7 +252,7 @@ class RunConfig:
             key = "filter.fwhm_nm" if center > wl.pump_nm else "filter.center_nm"
             raise ConfigError(f"{key}: {exc}") from exc
         return Problem(
-            wl, crystal, pump, filt,
+            wl, crystal, self.waist_um * 1e-6, filt,
             n_slices=self.n_slices, grid_n=self.grid_n,
             sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
             kernel=self.kernel, memory_budget_bytes=self.memory_budget_mb * 1024**2,
@@ -371,7 +370,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     """Read and validate a YAML config file (None -> all defaults)."""
     if path is None:
         return RunConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -106,6 +106,10 @@ class SellmeierSet:
             o = doc["ordinary"]
             e = doc["extraordinary"]
             rng = doc["range_um"]
+            if not (isinstance(rng, (list, tuple)) and len(rng) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng
+            )):
+                raise ValueError(f"range_um must be two numbers [lo, hi], got {rng!r}")
             ordinary = (float(o["A"]), float(o["B"]), float(o["C"]), float(o["D"]))
             extraordinary = (float(e["A"]), float(e["B"]), float(e["C"]), float(e["D"]))
         except (KeyError, TypeError) as exc:
@@ -311,16 +315,20 @@ def walkoff_angle(sell: SellmeierSet, theta: float, wavelength_nm: float) -> flo
 class CrystalSetup:
     """Geometry of the nonlinear crystal: cut angle, walk-off, length.
 
-    ``theta_p`` is the pump propagation angle to the optic axis and
-    ``rho`` the pump walk-off at that angle.  The optic axis is taken to
-    lie in the y-z plane, so walk-off tilts the pump envelope along y
-    only; transverse x is walk-off free.
+    ``theta_p`` is the pump propagation angle to the optic axis,
+    ``rho`` the pump walk-off at that angle, and ``collinear_mismatch``
+    the collinear phase mismatch k_p(theta_p) - k_s - k_i (rad/m) at the
+    nominal wavelengths: exactly 0 for a crystal cut at the
+    phase-matching angle.  The optic axis is taken to lie in the y-z
+    plane, so walk-off tilts the pump envelope along y only; transverse
+    x is walk-off free.
     """
 
     sellmeier: SellmeierSet
     length_m: float
     theta_p: float
     rho: float
+    collinear_mismatch: float
 
     def __post_init__(self) -> None:
         if self.length_m <= 0:
@@ -341,6 +349,7 @@ class CrystalSetup:
             length_m=length_m,
             theta_p=theta,
             rho=walkoff_angle(sell, theta, wl.pump_nm),
+            collinear_mismatch=0.0,
         )
 
     @classmethod
@@ -353,4 +362,5 @@ class CrystalSetup:
             length_m=length_m,
             theta_p=theta_p,
             rho=walkoff_angle(sell, theta_p, wl.pump_nm),
+            collinear_mismatch=_collinear_mismatch(theta_p, wl, sell),
         )

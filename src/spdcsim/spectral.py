@@ -6,10 +6,12 @@ monochromatic slice and **incoherently across** slices: every sampled
 wavelength pair contributes its own amplitude, squared on its own, then
 added with the filter transmission as weight, in sampling order.
 
-Every slice loop takes one ``Problem`` -- the physics objects, the
-slice count, the grid settings, the kernel and the memory budget -- and
-the transverse axis; ``RunConfig.build()`` assembles it, so each knob
-reaches the amplitude the same way in every command.
+Every slice loop takes one ``Problem`` -- the crystal, the nominal
+wavelengths, the pump waist, the filter, the slice count, the grid
+settings, the kernel and the memory budget -- and the transverse axis,
+and passes it on down to the amplitude kernel; ``RunConfig.build()``
+assembles it, so each knob reaches the amplitude the same way in every
+command.  A spectral slice is its (lambda_s, lambda_i) pair.
 
 Moment engine (``moment_sums``; ``certify``, ``sweep`` and ``stats``).
 Per slice it works in the sum and difference coordinates
@@ -58,10 +60,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from spdcsim.biphoton import (
-    DEFAULT_GRID_N,
     DEFAULT_MEMORY_BUDGET_BYTES,
-    PumpSpec,
-    TransverseSlice,
     _arm_arguments,
     _kernel_with_slope,
     check_memory_budget,
@@ -72,7 +71,6 @@ from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
 
 __all__ = [
     "FilterSpec",
-    "SpectralSampling",
     "JointDistribution",
     "Problem",
     "MomentSums",
@@ -83,9 +81,12 @@ __all__ = [
     "far_field_jid",
     "near_field_jid",
     "position_grid",
+    "DEFAULT_GRID_N",
     "DEFAULT_SPECTRAL_SLICES",
     "GAUSSIAN_SUPPORT_FWHM",
 ]
+
+DEFAULT_GRID_N = 1024
 
 DEFAULT_SPECTRAL_SLICES = 31
 
@@ -138,38 +139,18 @@ def transmission(f: FilterSpec, wavelength_nm):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SpectralSampling:
-    """Energy-conserving (lambda_s, lambda_i, weight) triples over a filter."""
-
-    pump_nm: float
-    triples: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.triples:
-            raise ValueError("at least one spectral slice is required")
-        for lam_s, lam_i, w in self.triples:
-            lhs = 1.0 / self.pump_nm
-            rhs = 1.0 / lam_s + 1.0 / lam_i
-            if not math.isclose(lhs, rhs, rel_tol=1e-10):
-                raise ValueError(
-                    f"slice ({lam_s}, {lam_i}) violates energy conservation"
-                )
-            if not (0.0 <= w <= 1.0):
-                raise ValueError(f"weight {w} outside [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-
-def sample_spectrum(f: FilterSpec, pump_nm: float, n_slices: int = DEFAULT_SPECTRAL_SLICES) -> SpectralSampling:
-    """Sample the filter support uniformly into energy-conserving triples.
+def sample_spectrum(
+    f: FilterSpec, pump_nm: float, n_slices: int = DEFAULT_SPECTRAL_SLICES
+) -> tuple[tuple[float, float, float], ...]:
+    """Sample the filter support uniformly into ``n_slices`` energy-conserving
+    (lambda_s, lambda_i, weight) triples, in scan order.
 
     The filtered arm's wavelength is scanned over the support (Gaussian:
     center +- 2.5 FWHM; top-hat: its own support), the partner follows
-    from energy conservation, and the weight is the transmission at the
-    sampled wavelength.  ``n_slices = 1`` returns the single center
-    slice at weight 1 (the monochromatic limit).
+    from energy conservation, and the weight in [0, 1] is the
+    transmission at the sampled wavelength.  ``n_slices = 1`` returns the
+    single center slice at weight 1 (the monochromatic limit).  Raises
+    ValueError if a sampled wavelength is not longer than the pump.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
@@ -190,7 +171,7 @@ def sample_spectrum(f: FilterSpec, pump_nm: float, n_slices: int = DEFAULT_SPECT
             triples.append((float(lam), partner, float(w)))
         else:
             triples.append((partner, float(lam), float(w)))
-    return SpectralSampling(pump_nm=pump_nm, triples=tuple(triples))
+    return tuple(triples)
 
 
 @dataclass(frozen=True)
@@ -236,18 +217,21 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class Problem:
-    """One run's slice-loop inputs: the physics objects, the slice
-    count, the grid settings, the kernel and the memory budget.
+    """One run's slice-loop inputs: the nominal wavelengths, the crystal,
+    the pump waist (m), the filter, the slice count, the grid settings,
+    the kernel and the memory budget.
 
     ``RunConfig.build()`` assembles it; ``moment_sums``, the JID
     builders here and ``camera.camera_slices`` take it with the
-    transverse axis.  ``diff_halfwidth`` is the moment engine's D;
-    the square grids use both half-widths.
+    transverse axis, and hand it down to ``biphoton.evaluate_grid``.
+    ``sum_halfwidth`` S and ``diff_halfwidth`` D bound the sum and
+    difference coordinates; ``None`` selects their defaults.  The moment
+    engine samples D only; the square grids cover both.
     """
 
     wl: SpdcWavelengths
     crystal: CrystalSetup
-    pump: PumpSpec
+    waist_m: float
     filt: FilterSpec
     n_slices: int = DEFAULT_SPECTRAL_SLICES
     grid_n: int = DEFAULT_GRID_N
@@ -256,37 +240,54 @@ class Problem:
     kernel: str = "sinc"
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
 
-    def grid(self, axis: str) -> TransverseSlice:
-        """The momentum grid of ``axis``, built for the nominal wavelengths."""
-        return TransverseSlice.centered(
-            axis, self.wl, self.crystal, self.pump, n=self.grid_n,
-            sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
-        )
+    def __post_init__(self) -> None:
+        if not self.waist_m > 0:  # NaN too
+            raise ValueError(f"pump waist must be positive, got {self.waist_m}")
+
+    def _diff_extent(self) -> float:
+        """D: ``diff_halfwidth``, or 5 phase-matching main-lobe widths."""
+        if self.diff_halfwidth is not None:
+            return self.diff_halfwidth
+        return default_diff_halfwidth(self.wl, self.crystal)
+
+    def square_grid(self) -> np.ndarray:
+        """The one momentum grid both arms share on either axis: ``grid_n``
+        uniform points over [-(S + D)/2, (S + D)/2].
+
+        The pump envelope confines the *sum* coordinate q_s + q_i to a
+        width ~2/w0, while the phase-matching kernel confines the
+        *difference* coordinate to the much larger main-lobe width
+        ~sqrt(4 pi k / L); the two differ by two orders of magnitude at
+        typical parameters, so the square grid is sized from both.
+        Default half-extents are 5x each scale (truncated mass < 1e-5):
+        S = 10 / w0 and D from ``default_diff_halfwidth``.
+        """
+        s = self.sum_halfwidth
+        if s is None:
+            s = 5.0 * (2.0 / self.waist_m)
+        half = 0.5 * (s + self._diff_extent())
+        return np.linspace(-half, half, self.grid_n)
 
     def diff_grid(self) -> np.ndarray:
         """The moment engine's q_s - q_i grid: ``grid_n`` uniform points
-        over [-D, D], D = ``diff_halfwidth`` or its default."""
-        d = self.diff_halfwidth
-        if d is None:
-            d = default_diff_halfwidth(self.wl, self.crystal)
+        over [-D, D]."""
+        d = self._diff_extent()
         return np.linspace(-d, d, self.grid_n)
 
 
-def spectral_slices(problem: Problem, axis: str) -> Iterator[tuple[TransverseSlice, float, np.ndarray]]:
-    """Yield (slice, weight, amplitude matrix) per spectral slice.
+def spectral_slices(
+    problem: Problem, axis: str
+) -> Iterator[tuple[tuple[float, float], float, np.ndarray]]:
+    """Yield ((lambda_s, lambda_i), weight, amplitude matrix) per spectral
+    slice, in sampling order.
 
-    All slices share ``problem.grid(axis)``, so their intensities can be
-    accumulated directly.  Slices are yielded in sampling order.
+    Every slice is evaluated on ``problem.square_grid()`` for both arms,
+    so their intensities can be accumulated directly.
     """
-    grid = problem.grid(axis)
-    sampling = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    for lam_s, lam_i, weight in sampling.triples:
-        sl = grid.with_pair(lam_s, lam_i)
-        amp = evaluate_grid(
-            sl, problem.crystal, problem.pump, problem.wl,
-            kernel=problem.kernel, memory_budget_bytes=problem.memory_budget_bytes,
-        )
-        yield sl, weight, amp
+    q = problem.square_grid()
+    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
+        pair = (lam_s, lam_i)
+        yield pair, weight, evaluate_grid(q, q, problem, axis, pair)
 
 
 #: Gauss-Hermite nodes in q_+ per slice.  Every factor of the moment
@@ -333,15 +334,14 @@ def moment_sums(problem: Problem, axis: str) -> MomentSums:
     q_d = problem.diff_grid()
     check_memory_budget(_SUM_NODES, q_d.size, problem.memory_budget_bytes)
     t, h = hermgauss(_SUM_NODES)
-    w0 = problem.pump.waist_m
+    w0 = problem.waist_m
     q_plus = (math.sqrt(2.0) / w0 * t)[:, None]
     q_s = 0.5 * (q_plus + q_d)
     q_i = 0.5 * (q_plus - q_d)
     envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
     node_weights = h[:, None]
-    sampling = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
     total = np.zeros(9)
-    for lam_s, lam_i, weight in sampling.triples:
+    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
         a, b, da, db = _arm_arguments(
             q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl
         )
@@ -357,8 +357,8 @@ def moment_sums(problem: Problem, axis: str) -> MomentSums:
 
 def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2."""
-    grid = problem.grid(axis)
-    out = np.zeros((grid.q_signal.size, grid.q_idler.size))
+    q = problem.square_grid()
+    out = np.zeros((q.size, q.size))
     term = np.empty_like(out)
     for _, weight, amp in spectral_slices(problem, axis):
         np.multiply(amp, amp, out=term)
@@ -367,8 +367,8 @@ def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     return JointDistribution(
         plane="far",
         axis=axis,
-        axis_signal=grid.q_signal,
-        axis_idler=grid.q_idler,
+        axis_signal=q,
+        axis_idler=q,
         intensity=out,
     )
 
@@ -420,16 +420,15 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Position-plane JID: per-slice centered unitary 2D transform of the
     amplitude (coherent within the slice), |.|^2, then the weighted
     incoherent sum across slices."""
-    grid = problem.grid(axis)
-    terms = (
-        (amp, sl.dq_signal, sl.dq_idler, weight)
-        for sl, weight, amp in spectral_slices(problem, axis)
-    )
-    out = _near_field_intensity(terms, (grid.q_signal.size, grid.q_idler.size))
+    q = problem.square_grid()
+    dq = float(q[1] - q[0])
+    terms = ((amp, dq, dq, weight) for _, weight, amp in spectral_slices(problem, axis))
+    out = _near_field_intensity(terms, (q.size, q.size))
+    x = position_grid(q)
     return JointDistribution(
         plane="near",
         axis=axis,
-        axis_signal=position_grid(grid.q_signal),
-        axis_idler=position_grid(grid.q_idler),
+        axis_signal=x,
+        axis_idler=x,
         intensity=np.fft.fftshift(out),
     )

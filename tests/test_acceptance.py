@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from spdcsim.biphoton import PumpSpec, TransverseSlice, _arm_arguments, _kernel
+from spdcsim.biphoton import _arm_arguments, _kernel, evaluate_grid
 from spdcsim.camera import camera_slices, corrected_jpd, slope_report, uncorrected_jpd
 from spdcsim.config import RunConfig, certify_axis
 from spdcsim.dispersion import (
@@ -44,16 +44,16 @@ SELL = SellmeierSet.bbo()
 PUMP_NM = 405.0
 
 
-def build(signal_nm, *, length_mm=1.0, waist_um=500.0, fwhm_nm=5.0):
+def build(signal_nm, *, length_mm=1.0, waist_um=500.0, fwhm_nm=5.0, **settings):
+    """The collinear BBO problem (31 slices, N = 1024 unless ``settings``
+    say otherwise) with a Gaussian filter on the signal."""
     wl = SpdcWavelengths.from_pump_signal(PUMP_NM, signal_nm)
     crystal = CrystalSetup.collinear(wl, SELL, length_mm * 1e-3)
-    pump = PumpSpec.from_crystal(PUMP_NM, waist_um * 1e-6, crystal)
     filt = FilterSpec("gaussian", wl.signal_nm, fwhm_nm, arm="signal")
-    return wl, crystal, pump, filt
+    return Problem(wl, crystal, waist_um * 1e-6, filt, **settings)
 
 
-def reid_for(axis, wl, crystal, pump, filt, *, grid_n=1024, n_slices=31):
-    problem = Problem(wl, crystal, pump, filt, n_slices=n_slices, grid_n=grid_n)
+def reid_for(axis, problem):
     return certify_axis(problem, axis)[2]
 
 
@@ -110,16 +110,14 @@ def test_energy_conservation_idler():
 def camera_run():
     """Non-degenerate y-axis camera accumulation at full resolution,
     with the skew computation timed separately from the compensation."""
-    wl, crystal, pump, filt = build(780.0)
+    problem = build(780.0)
     t0 = time.perf_counter()
-    slices = camera_slices(
-        Problem(wl, crystal, pump, filt, n_slices=31, grid_n=1024), "y", 0.25,
-    )
+    slices = camera_slices(problem, "y", 0.25)
     raw = uncorrected_jpd(slices)
     skew_seconds = time.perf_counter() - t0
     fixed = corrected_jpd(slices)
     return {
-        "wl": wl,
+        "wl": problem.wl,
         "raw": slope_report(raw),
         "fixed": slope_report(fixed),
         "skew_seconds": skew_seconds,
@@ -145,10 +143,7 @@ def test_camera_corrected_slope(camera_run):
 
 @pytest.mark.parametrize("fwhm_nm", [1.0, 10.0])
 def test_camera_corrected_slope_stable_across_bandwidth(fwhm_nm):
-    wl, crystal, pump, filt = build(780.0, fwhm_nm=fwhm_nm)
-    slices = camera_slices(
-        Problem(wl, crystal, pump, filt, n_slices=31, grid_n=1024), "y", 0.25,
-    )
+    slices = camera_slices(build(780.0, fwhm_nm=fwhm_nm), "y", 0.25)
     fixed = corrected_jpd(slices)
     slope = slope_report(fixed)["slope_regression"]
     assert 0.99 <= abs(slope) <= 1.01, (
@@ -225,16 +220,14 @@ def test_nondegenerate_widefilter_product_increasing_with_length():
 
 def test_certification_below_bound_and_order():
     for signal_nm in (810.0, 780.0):
-        wl, crystal, pump, filt = build(signal_nm)
-        report = reid_for("x", wl, crystal, pump, filt)
+        report = reid_for("x", build(signal_nm))
         assert report.product < 0.5, (
             f"signal {signal_nm} nm: U = {report.product:.4f} not below 0.5"
         )
         assert report.certified
     # strong-correlation configuration: the degenerate baseline reaches
     # a product of order 1e-2
-    wl, crystal, pump, filt = build(810.0)
-    product = reid_for("x", wl, crystal, pump, filt).product
+    product = reid_for("x", build(810.0)).product
     assert 1e-3 <= product < 1e-1, f"degenerate U = {product:.4g} not of order 1e-2"
 
 
@@ -263,14 +256,13 @@ def test_statistics_against_gaussian_oracle():
 
 def test_fourier_parseval_and_double_gaussian_oracle():
     # (a) Parseval on a real pipeline slice
-    wl, crystal, pump, filt = build(780.0)
-    grid = TransverseSlice.centered("x", wl, crystal, pump, n=512)
-    from spdcsim.biphoton import evaluate_grid
-
-    amp = evaluate_grid(grid, crystal, pump, wl)
-    near = _near_field_intensity([(amp, grid.dq_signal, grid.dq_idler, 1.0)], amp.shape)
-    lhs = np.sum(amp * amp) * grid.dq_signal * grid.dq_idler
-    dx = 2.0 * math.pi / (grid.q_signal.size * grid.dq_signal)
+    problem = build(780.0, grid_n=512)
+    q = problem.square_grid()
+    dq = float(q[1] - q[0])
+    amp = evaluate_grid(q, q, problem, "x", (problem.wl.signal_nm, problem.wl.idler_nm))
+    near = _near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)
+    lhs = np.sum(amp * amp) * dq * dq
+    dx = 2.0 * math.pi / (q.size * dq)
     rhs = np.sum(near) * dx * dx
     assert abs(lhs - rhs) / lhs < 1e-9, f"Parseval violated: {lhs} vs {rhs}"
 
@@ -301,8 +293,9 @@ def test_fourier_parseval_and_double_gaussian_oracle():
 def test_normalization_sinc_zero_paraxial():
     # the statistics do not depend on the intensity's normalization:
     # the density scaled to unit mass gives the same moments within 1e-9
-    wl, crystal, pump, filt = build(780.0)
-    jid = far_field_jid(Problem(wl, crystal, pump, filt, n_slices=5, grid_n=256), "x")
+    problem = build(780.0, n_slices=5, grid_n=256)
+    wl, crystal = problem.wl, problem.crystal
+    jid = far_field_jid(problem, "x")
     density = jid.intensity / (jid.intensity.sum() * jid.d_signal * jid.d_idler)
     raw, unit = (
         moments("far", "x", jid.axis_signal, jid.axis_idler, p) for p in (jid.intensity, density)

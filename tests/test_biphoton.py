@@ -1,6 +1,7 @@
 """Per-arm phase mismatch, kernels, pump envelope, and amplitude grids."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     EvanescentInputError,
     GridMemoryError,
-    PumpSpec,
-    TransverseSlice,
     _arm_arguments,
     _arm_dk_z,
     _envelope_times_kernel,
@@ -21,17 +20,29 @@ from spdcsim.biphoton import (
     evaluate_grid,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, sample_spectrum
+from spdcsim.spectral import FilterSpec, Problem, sample_spectrum
 
 BBO = SellmeierSet.bbo()
 SINC_MIN = -0.21723362821122166  # global minimum of sin(u)/u
 
 
-def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6):
+def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6, **settings):
+    """The collinear BBO problem with a 5 nm filter on the signal;
+    ``settings`` are further ``Problem`` fields (kernel, grid_n, ...)."""
     wl = SpdcWavelengths.from_pump_signal(405.0, signal_nm)
     crystal = CrystalSetup.collinear(wl, BBO, length_m)
-    pump = PumpSpec.from_crystal(405.0, waist_m, crystal)
-    return wl, crystal, pump
+    return Problem(wl, crystal, waist_m, FilterSpec("gaussian", signal_nm, 5.0), **settings)
+
+
+def nominal(problem):
+    """The nominal (signal, idler) wavelength pair."""
+    return (problem.wl.signal_nm, problem.wl.idler_nm)
+
+
+def edge_pair():
+    """The first (filter-edge) slice of a 5 nm filter at 780 nm: 2.5 FWHM off center."""
+    lam_s, lam_i, _ = sample_spectrum(FilterSpec("gaussian", 780.0, 5.0), 405.0)[0]
+    return (lam_s, lam_i)
 
 
 # -- mismatch ---------------------------------------------------------------
@@ -49,35 +60,40 @@ def dk_z(q_s, q_i, wl, crystal, pair=None):
 
 
 def test_mismatch_zero_at_aligned_point():
-    wl, crystal, pump = make_setup()
-    assert float(dk_z((0.0, 0.0), (0.0, 0.0), wl, crystal)) == 0.0  # exact by re-centering
+    problem = make_setup()
+    # exact by re-centering
+    assert float(dk_z((0.0, 0.0), (0.0, 0.0), problem.wl, problem.crystal)) == 0.0
 
 
 def test_mismatch_against_paraxial_oracle():
     # Degenerate 810 nm, q_sx = -q_ix = 1e5 rad/m, y components zero.
     # Independent paraxial evaluation: q^2/(2 k_s) + q^2/(2 k_i).
-    wl, crystal, pump = make_setup()
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     got = float(dk_z((1e5, 0.0), (-1e5, 0.0), wl, crystal))
     assert got == pytest.approx(776.4902952648699, rel=1e-12)
     assert got == pytest.approx(776.4785910710019, rel=1e-3)
 
 
 def test_mismatch_x_mirror_symmetry():
-    wl, crystal, pump = make_setup()
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     a = dk_z((3e4, 0.0), (1e4, 0.0), wl, crystal)
     b = dk_z((-3e4, 0.0), (-1e4, 0.0), wl, crystal)
     assert float(a) == float(b)
 
 
 def test_mismatch_y_walkoff_breaks_mirror_symmetry():
-    wl, crystal, pump = make_setup()
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     a = dk_z((0.0, 3e4), (0.0, 1e4), wl, crystal)
     b = dk_z((0.0, -3e4), (0.0, -1e4), wl, crystal)
     assert float(a) != pytest.approx(float(b), rel=1e-6)
 
 
 def test_mismatch_rejects_evanescent_input():
-    wl, crystal, pump = make_setup()
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     with pytest.raises(EvanescentInputError):
         dk_z((2e7, 0.0), (0.0, 0.0), wl, crystal)
 
@@ -87,17 +103,18 @@ def test_mismatch_rejects_evanescent_input():
 def test_mismatch_transverse_components_are_negated_sums(q):
     # The transverse mismatch -(q_s + q_i) enters only the pump envelope:
     # the amplitude is the envelope at q_s + q_i times the kernel.
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
-    a, b, _, _ = _arm_arguments(q, 0.5 * q, "x", (wl.signal_nm, wl.idler_nm), crystal, wl)
-    w0 = pump.waist_m
+    problem = make_setup(kernel="gauss")
+    wl, crystal = problem.wl, problem.crystal
+    a, b, _, _ = _arm_arguments(q, 0.5 * q, "x", nominal(problem), crystal, wl)
+    w0 = problem.waist_m
     expected = np.exp(-(w0 * w0) * (-(q + 0.5 * q)) ** 2 / 4.0) * _kernel(a + b, "gauss")
-    assert float(amplitude(q, 0.5 * q, sl, crystal, pump, wl, kernel="gauss")) == float(expected)
+    assert float(amplitude(q, 0.5 * q, problem, "x", nominal(problem))) == float(expected)
 
 
 def test_exact_vs_paraxial_within_cone():
     # Agreement to 1e-3 relative for |q| <= 0.02 k, on both arms.
-    wl, crystal, pump = make_setup()
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     k_s = 2 * math.pi * BBO.index_ordinary(810.0) / 810e-9
     for frac in (0.005, 0.01, 0.02):
         q = frac * k_s
@@ -161,71 +178,60 @@ def test_pump_envelope_underflows_cleanly():
     assert envelope(1e7, 500e-6) == 0.0
 
 
-# -- pump spec ---------------------------------------------------------------
-
-
-def test_pump_spec_decomposition():
-    wl, crystal, pump = make_setup()
-    assert pump.k_y == pytest.approx(pump.k_mag * math.sin(crystal.rho), rel=1e-14)
-    assert pump.k_y**2 + pump.k_z**2 == pytest.approx(pump.k_mag**2, rel=1e-12)
-    # Collinear phase matching: the longitudinal pump carrier nearly
-    # matches k_s + k_i (equality holds for the untilted magnitude).
-    assert pump.k_mag > pump.k_z > 0.99 * pump.k_mag
+# -- pump waist ---------------------------------------------------------------
 
 
 def test_pump_spec_rejects_nonpositive_waist():
-    wl, crystal, _ = make_setup()
-    with pytest.raises(ValueError):
-        PumpSpec.from_crystal(405.0, 0.0, crystal)
+    problem = make_setup()
+    for waist_m in (0.0, -500e-6, math.nan):
+        with pytest.raises(ValueError, match="waist"):
+            replace(problem, waist_m=waist_m)
 
 
 # -- amplitude ---------------------------------------------------------------
 
 
 def test_amplitude_peak_at_aligned_point():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
-    assert float(amplitude(0.0, 0.0, sl, crystal, pump, wl)) == 1.0
+    problem = make_setup()
+    assert float(amplitude(0.0, 0.0, problem, "x", nominal(problem))) == 1.0
 
 
 def test_amplitude_on_antidiagonal_is_kernel_only():
     # q_i = -q_s kills the envelope argument exactly.
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     q = 2e5
     u = float(dk_z((q, 0.0), (-q, 0.0), wl, crystal)) * crystal.length_m / 2
     expected = math.sin(u) / u
-    assert float(amplitude(q, -q, sl, crystal, pump, wl)) == pytest.approx(
+    assert float(amplitude(q, -q, problem, "x", nominal(problem))) == pytest.approx(
         expected, rel=1e-12
     )
 
 
 def test_amplitude_decays_with_envelope():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
+    problem = make_setup()
     # Along the diagonal q_s = q_i the kernel stays near 1 for small q
     # and the envelope dominates: amplitude ~ exp(-w0^2 (2q)^2 / 4).
-    q = 1.0 / pump.waist_m
-    got = float(amplitude(q, q, sl, crystal, pump, wl))
-    env = math.exp(-(pump.waist_m**2) * (2 * q) ** 2 / 4)
+    q = 1.0 / problem.waist_m
+    got = float(amplitude(q, q, problem, "x", nominal(problem)))
+    env = math.exp(-(problem.waist_m**2) * (2 * q) ** 2 / 4)
     assert got == pytest.approx(env, rel=1e-3)
 
 
 @given(q=st.floats(-4e5, 4e5))
 @settings(max_examples=40, deadline=None)
 def test_amplitude_bounded(q):
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("y", wl, crystal, pump, n=16)
-    val = float(amplitude(q, 0.3 * q, sl, crystal, pump, wl))
+    problem = make_setup()
+    val = float(amplitude(q, 0.3 * q, problem, "y", nominal(problem)))
     assert SINC_MIN - 1e-12 <= val <= 1.0
 
 
 def test_gauss_kernel_matches_sinc_curvature():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
+    problem = make_setup()
+    wl, crystal = problem.wl, problem.crystal
     q = 8e4  # keeps the kernel argument u ~ 0.25, inside the O(u^2) regime
-    a_sinc = float(amplitude(q, -q, sl, crystal, pump, wl, kernel="sinc"))
-    a_gauss = float(amplitude(q, -q, sl, crystal, pump, wl, kernel="gauss"))
+    a_sinc = float(amplitude(q, -q, problem, "x", nominal(problem)))
+    a_gauss = float(amplitude(q, -q, replace(problem, kernel="gauss"), "x", nominal(problem)))
     u = float(dk_z((q, 0.0), (-q, 0.0), wl, crystal)) * crystal.length_m / 2
     # Both agree with 1 - u^2/6 at small argument.
     assert a_sinc == pytest.approx(1 - u * u / 6, abs=1e-4)
@@ -245,7 +251,8 @@ def test_kernel_slope_matches_central_difference(kind):
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_arm_slopes_match_central_difference(axis):
-    wl, crystal, pump = make_setup(signal_nm=780.0)
+    problem = make_setup(signal_nm=780.0)
+    wl, crystal = problem.wl, problem.crystal
     pair = (781.5, wl.idler_nm)  # the idler is not energy-matched; each arm stands alone
     q = np.linspace(-3e5, 3e5, 7)
     h = 100.0
@@ -259,88 +266,105 @@ def test_arm_slopes_match_central_difference(axis):
 
 
 def test_unknown_kernel_rejected():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=16)
+    problem = make_setup(kernel="lorentzian")
     with pytest.raises(ValueError):
-        amplitude(0.0, 0.0, sl, crystal, pump, wl, kernel="lorentzian")
+        amplitude(0.0, 0.0, problem, "x", nominal(problem))
 
 
-# -- slices and grids ---------------------------------------------------------
+def test_arm_arguments_carry_the_collinear_mismatch_of_the_cut():
+    # A cut 0.1 degree off the phase-matching angle: at q = 0 the per-arm
+    # shares vanish and a + b is the cut's (L/2) dk_0.
+    problem = make_setup(signal_nm=780.0)
+    wl, crystal = problem.wl, problem.crystal
+    detuned = CrystalSetup.at_angle(wl, BBO, crystal.length_m, crystal.theta_p + math.radians(0.1))
+    assert crystal.collinear_mismatch == 0.0
+    assert detuned.collinear_mismatch != 0.0
+    zero = np.zeros(1)
+    a, b, _, _ = _arm_arguments(zero, zero, "x", nominal(problem), detuned, wl)
+    assert float(a[0] + b[0]) == pytest.approx(
+        0.5 * crystal.length_m * detuned.collinear_mismatch, rel=1e-12
+    )
+    # dk_0 is a constant: it moves a alone, and neither slope
+    shifted = replace(crystal, collinear_mismatch=detuned.collinear_mismatch)
+    q = np.linspace(-3e5, 3e5, 7)
+    for axis in ("x", "y"):
+        a, b, da, db = _arm_arguments(q, -q, axis, nominal(problem), crystal, wl)
+        a2, b2, da2, db2 = _arm_arguments(q, -q, axis, nominal(problem), shifted, wl)
+        np.testing.assert_allclose(a2 - a, 0.5 * crystal.length_m * shifted.collinear_mismatch,
+                                   rtol=1e-12)
+        assert np.array_equal(b2, b) and np.array_equal(da2, da) and np.array_equal(db2, db)
+
+
+# -- grids --------------------------------------------------------------------
 
 
 def test_centered_slice_grid_shape():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=256)
-    assert sl.q_signal.size == 256
-    assert sl.q_signal[0] == -sl.q_signal[-1]
-    assert sl.dq_signal > 0
+    problem = make_setup(grid_n=256)
+    q = problem.square_grid()
+    assert q.size == 256
+    assert q[0] == -q[-1]
+    assert q[1] - q[0] > 0
     # grid must cover both correlation scales
     k_bar = 2 * math.pi * BBO.index_ordinary(810.0) / 810e-9
-    dmax = 5 * math.sqrt(4 * math.pi * k_bar / crystal.length_m)
-    smax = 5 * 2 / pump.waist_m
-    assert sl.q_signal[-1] == pytest.approx((smax + dmax) / 2, rel=1e-12)
+    dmax = 5 * math.sqrt(4 * math.pi * k_bar / problem.crystal.length_m)
+    smax = 5 * 2 / problem.waist_m
+    assert q[-1] == pytest.approx((smax + dmax) / 2, rel=1e-12)
+    # the moment engine's difference grid spans the same default D
+    assert problem.diff_grid()[-1] == pytest.approx(dmax, rel=1e-12)
 
 
-def test_slice_rejects_nonuniform_grid():
-    wl, crystal, pump = make_setup()
-    bad = np.array([-1.0, -0.5, 0.2, 1.0]) * 1e5
-    with pytest.raises(ValueError):
-        TransverseSlice("x", bad, bad.copy(), 810.0, 810.0)
-
-
-def test_slice_rejects_asymmetric_grid():
-    grid = np.linspace(-1e5, 2e5, 64)
-    with pytest.raises(ValueError):
-        TransverseSlice("x", grid, grid.copy(), 810.0, 810.0)
-
-
-def test_with_pair_keeps_grids():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("y", wl, crystal, pump, n=32)
-    sl2 = sl.with_pair(812.0, 808.01)
-    assert sl2.lambda_signal_nm == 812.0
-    assert sl2.q_signal is sl.q_signal
+@pytest.mark.parametrize("bad", [
+    np.array([-1.0, 0.5, 0.2, 1.0]) * 1e5,
+    np.array([-1.0, 0.0, 0.0, 1.0]) * 1e5,
+    np.linspace(-1e5, 1e5, 16).reshape(4, 4),
+], ids=["not-increasing", "repeated-point", "not-1d"])
+def test_evaluate_grid_rejects_unordered_grids(bad):
+    # the column search of the envelope band needs 1-D increasing grids
+    problem = make_setup()
+    good = np.linspace(-1e5, 1e5, 16)
+    for q_s, q_i in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evaluate_grid(q_s, q_i, problem, "x", nominal(problem))
 
 
 def test_evaluate_grid_matches_pointwise():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("y", wl, crystal, pump, n=64)
-    mat = evaluate_grid(sl, crystal, pump, wl)
+    problem = make_setup(grid_n=64)
+    q, pair = problem.square_grid(), nominal(problem)
+    mat = evaluate_grid(q, q, problem, "y", pair)
     assert mat.shape == (64, 64)
     rng = np.random.default_rng(7)
     for _ in range(10):
         k = int(rng.integers(0, 64))
         l = int(rng.integers(0, 64))
-        pt = float(
-            amplitude(sl.q_signal[k], sl.q_idler[l], sl, crystal, pump, wl)
-        )
+        pt = float(amplitude(q[k], q[l], problem, "y", pair))
         assert mat[k, l] == pt
     # the amplitude lives in a narrow band around the anti-diagonal
-    # q_i = -q_s, which is q_idler[63 - k] on this symmetric grid
+    # q_i = -q_s, which is q[63 - k] on this symmetric grid
     for k in rng.integers(0, 64, size=10):
         for l in range(max(62 - int(k), 0), min(66 - int(k), 64)):
-            pt = float(
-                amplitude(sl.q_signal[k], sl.q_idler[l], sl, crystal, pump, wl)
-            )
+            pt = float(amplitude(q[k], q[l], problem, "y", pair))
             assert pt != 0.0
             assert mat[k, l] == pt
 
 
-def composed_amplitude(sl, crystal, pump, wl, kernel):
-    """The amplitude as the plain product of its documented factors,
-    exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2), with dk_z computed
-    here from the ordinary indices, one kernel call per point."""
+def composed_amplitude(q, problem, axis, pair):
+    """The amplitude on the square grid ``q`` as the plain product of its
+    documented factors, exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2),
+    with dk_z computed here from the ordinary indices, one kernel call
+    per point."""
+    crystal, wl = problem.crystal, problem.wl
+
     def k(lam_nm):
         return 2.0 * math.pi * crystal.sellmeier.index_ordinary(lam_nm) / (lam_nm * 1e-9)
 
-    q_s, q_i = sl.q_signal[:, None], sl.q_idler[None, :]
-    tilt = math.tan(crystal.rho) if sl.axis == "y" else 0.0
-    k_s, k_i = k(sl.lambda_signal_nm), k(sl.lambda_idler_nm)
+    q_s, q_i = q[:, None], q[None, :]
+    tilt = math.tan(crystal.rho) if axis == "y" else 0.0
+    k_s, k_i = k(pair[0]), k(pair[1])
     dk_z = (k(wl.signal_nm) - np.sqrt(k_s**2 - q_s**2) + q_s * tilt) + (
         k(wl.idler_nm) - np.sqrt(k_i**2 - q_i**2) + q_i * tilt
     )
-    env = np.exp(-(pump.waist_m**2) * (q_s + q_i) ** 2 / 4.0)
-    return env * _kernel(dk_z * (crystal.length_m / 2.0), kernel)
+    env = np.exp(-(problem.waist_m**2) * (q_s + q_i) ** 2 / 4.0)
+    return env * _kernel(dk_z * (crystal.length_m / 2.0), problem.kernel)
 
 
 @pytest.mark.parametrize("kernel", ["sinc", "gauss"])
@@ -350,23 +374,20 @@ def composed_amplitude(sl, crystal, pump, wl, kernel):
 def test_evaluate_grid_matches_composed_amplitude(axis, edge, n, kernel):
     # Non-degenerate with walk-off; the filter-edge slice (2.5 FWHM off
     # center) has per-arm kernel arguments of ~100 rad that cancel in the sum.
-    wl, crystal, pump = make_setup(signal_nm=780.0)
-    sl = TransverseSlice.centered(axis, wl, crystal, pump, n=n)
-    if edge:
-        lam_s, lam_i, _ = sample_spectrum(FilterSpec("gaussian", 780.0, 5.0), 405.0).triples[0]
-        sl = sl.with_pair(lam_s, lam_i)
-    got = evaluate_grid(sl, crystal, pump, wl, kernel=kernel)
-    np.testing.assert_allclose(got, composed_amplitude(sl, crystal, pump, wl, kernel),
+    problem = make_setup(signal_nm=780.0, grid_n=n, kernel=kernel)
+    q = problem.square_grid()
+    pair = edge_pair() if edge else nominal(problem)
+    got = evaluate_grid(q, q, problem, axis, pair)
+    np.testing.assert_allclose(got, composed_amplitude(q, problem, axis, pair),
                                rtol=0, atol=1e-11)
     if n % 2 and not edge:
         # the odd grid holds q = 0, where the kernel argument is exactly 0
         assert got[n // 2, n // 2] == 1.0
 
 
-def dense_amplitude(sl, crystal, pump, wl, kernel="sinc"):
+def dense_amplitude(q_s, q_i, problem, axis, pair):
     """Every grid point evaluated, as one column x row broadcast."""
-    return amplitude(sl.q_signal[:, None], sl.q_idler[None, :], sl, crystal, pump, wl,
-                     kernel=kernel)
+    return amplitude(q_s[:, None], q_i[None, :], problem, axis, pair)
 
 
 @pytest.mark.parametrize("waist_um", [20, 100, 500, 2000])
@@ -377,69 +398,65 @@ def dense_amplitude(sl, crystal, pump, wl, kernel="sinc"):
 def test_evaluate_grid_equals_dense_broadcast(axis, edge, n, kernel, waist_um):
     # The envelope band covers the whole grid at 20 um, most of it at
     # 100 um, ~10 % at 500 um, and fewer columns than one row block at 2000 um.
-    wl, crystal, pump = make_setup(signal_nm=780.0, waist_m=waist_um * 1e-6)
-    sl = TransverseSlice.centered(axis, wl, crystal, pump, n=n)
-    if edge:
-        lam_s, lam_i, _ = sample_spectrum(FilterSpec("gaussian", 780.0, 5.0), 405.0).triples[0]
-        sl = sl.with_pair(lam_s, lam_i)
-    assert np.array_equal(evaluate_grid(sl, crystal, pump, wl, kernel=kernel),
-                          dense_amplitude(sl, crystal, pump, wl, kernel))
+    problem = make_setup(signal_nm=780.0, waist_m=waist_um * 1e-6, grid_n=n, kernel=kernel)
+    q = problem.square_grid()
+    pair = edge_pair() if edge else nominal(problem)
+    assert np.array_equal(evaluate_grid(q, q, problem, axis, pair),
+                          dense_amplitude(q, q, problem, axis, pair))
 
 
 def test_evaluate_grid_keeps_subnormal_envelope_edge():
     # float64 exp(-x) is subnormal, not 0, for x up to 745.14.  This grid
     # puts q_s + q_i exactly where w0^2 (q_s + q_i)^2 / 4 = 744.6, so the
     # band must reach past exponent 744 to keep those entries.
-    wl, crystal, pump = make_setup(waist_m=2000e-6)
-    q_edge = math.sqrt(744.6) / pump.waist_m  # q_s = q_i = q_edge hits 744.6
+    problem = make_setup(waist_m=2000e-6)
+    q_edge = math.sqrt(744.6) / problem.waist_m  # q_s = q_i = q_edge hits 744.6
     q = np.linspace(-1.28, 1.28, 257) * q_edge
-    sl = TransverseSlice("x", q, q.copy(), wl.signal_nm, wl.idler_nm)
-    dense = dense_amplitude(sl, crystal, pump, wl)
-    exponent = pump.waist_m**2 * (q[:, None] + q[None, :]) ** 2 / 4
+    dense = dense_amplitude(q, q, problem, "x", nominal(problem))
+    exponent = problem.waist_m**2 * (q[:, None] + q[None, :]) ** 2 / 4
     edge = (exponent > 744.0) & (exponent < 745.14)
     assert np.count_nonzero(dense[edge]) > 0
-    assert np.array_equal(evaluate_grid(sl, crystal, pump, wl), dense)
+    assert np.array_equal(evaluate_grid(q, q, problem, "x", nominal(problem)), dense)
 
 
 def test_evaluate_grid_checks_evanescent_columns_outside_band():
     # The idler grid reaches the propagation cone only in its outer
     # columns, far outside the envelope band of every signal row; the
     # evanescent check covers the whole grid all the same.
-    wl, crystal, pump = make_setup()
+    problem = make_setup()
+    wl = problem.wl
     k_i = 2 * math.pi * BBO.index_ordinary(wl.idler_nm) / (wl.idler_nm * 1e-9)
     q_s = np.linspace(-1e4, 1e4, 64)
     q_i = np.linspace(-1.1 * k_i, 1.1 * k_i, 257)
     evanescent = np.abs(q_i) >= k_i
     assert evanescent.any()
-    assert np.all(np.abs(q_i[evanescent]) - 1e4 > 2 * math.sqrt(746.0) / pump.waist_m)
-    sl = TransverseSlice("x", q_s, q_i, wl.signal_nm, wl.idler_nm)
+    assert np.all(np.abs(q_i[evanescent]) - 1e4 > 2 * math.sqrt(746.0) / problem.waist_m)
     with pytest.raises(EvanescentInputError):
-        evaluate_grid(sl, crystal, pump, wl)
+        evaluate_grid(q_s, q_i, problem, "x", nominal(problem))
 
 
 def test_evaluate_grid_point_inversion_symmetry():
     # Degenerate x-axis setup: no walk-off term, so the amplitude is
     # invariant under (q_s, q_i) -> (-q_s, -q_i).
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=33)
-    mat = evaluate_grid(sl, crystal, pump, wl)
+    problem = make_setup(grid_n=33)
+    q = problem.square_grid()
+    mat = evaluate_grid(q, q, problem, "x", nominal(problem))
     np.testing.assert_allclose(mat, mat[::-1, ::-1], rtol=0, atol=1e-15)
 
 
 def test_evaluate_grid_memory_budget():
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=2048)
+    problem = make_setup(grid_n=2048, memory_budget_bytes=2**20)
+    q = problem.square_grid()
     with pytest.raises(GridMemoryError):
-        evaluate_grid(sl, crystal, pump, wl, memory_budget_bytes=2**20)
+        evaluate_grid(q, q, problem, "x", nominal(problem))
     assert 2048 * 2048 * 8 * 10 < DEFAULT_MEMORY_BUDGET_BYTES
 
 
 def test_degenerate_x_jid_is_antidiagonal():
     # Intensity-weighted principal axis of the momentum JID: slope -1.
-    wl, crystal, pump = make_setup()
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=512)
-    weights = evaluate_grid(sl, crystal, pump, wl) ** 2
-    qs, qi = sl.q_signal, sl.q_idler
+    problem = make_setup(grid_n=512)
+    qs = qi = problem.square_grid()
+    weights = evaluate_grid(qs, qi, problem, "x", nominal(problem)) ** 2
     total = weights.sum()
     mu_s = (weights.sum(axis=1) * qs).sum() / total
     mu_i = (weights.sum(axis=0) * qi).sum() / total

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from spdcsim.biphoton import PumpSpec
 from spdcsim.camera import (
     camera_slices,
     corrected_jpd,
@@ -23,24 +22,23 @@ BBO = SellmeierSet.bbo()
 F = 0.25
 
 
-def make_setup(signal_nm=780.0, length_m=1e-3, waist_m=500e-6):
+def make_setup(signal_nm=780.0, length_m=1e-3, waist_m=500e-6, **settings):
+    """The collinear BBO problem with a 5 nm Gaussian filter on the
+    signal; ``settings`` are further ``Problem`` fields."""
     wl = SpdcWavelengths.from_pump_signal(405.0, signal_nm)
     crystal = CrystalSetup.collinear(wl, BBO, length_m)
-    pump = PumpSpec.from_crystal(405.0, waist_m, crystal)
-    return wl, crystal, pump
+    return Problem(wl, crystal, waist_m, FilterSpec("gaussian", signal_nm, 5.0), **settings)
 
 
 def one_slice_problem(signal_nm=780.0, n=256):
-    wl, crystal, pump = make_setup(signal_nm=signal_nm)
-    filt = FilterSpec("gaussian", signal_nm, 5.0)
-    return wl, Problem(wl, crystal, pump, filt, n_slices=1, grid_n=n)
+    return make_setup(signal_nm=signal_nm, n_slices=1, grid_n=n)
 
 
 def camera_slice(axis="y", signal_nm=780.0, n=256):
     """The one camera slice of a monochromatic run, with its wavelengths."""
-    wl, problem = one_slice_problem(signal_nm=signal_nm, n=n)
+    problem = one_slice_problem(signal_nm=signal_nm, n=n)
     (cs,) = camera_slices(problem, axis, F)
-    return wl, cs
+    return problem.wl, cs
 
 
 # -- mapping ------------------------------------------------------------------
@@ -55,7 +53,7 @@ def test_camera_mapping_scale():
 
 
 def test_camera_mapping_validation():
-    wl, problem = one_slice_problem(n=64)
+    problem = one_slice_problem(n=64)
     with pytest.raises(ValueError):
         camera_slices(problem, "y", 0.0)
     with pytest.raises(ValueError):
@@ -65,14 +63,14 @@ def test_camera_mapping_validation():
 
 
 def test_map_to_camera_scales_axes():
-    wl, problem = one_slice_problem()
+    problem = one_slice_problem()
     jid = far_field_jid(problem, "y")
     (cs,) = camera_slices(problem, "y", F)
     assert cs.y_signal[0] == pytest.approx(
         jid.axis_signal[0] * F * 780e-9 / (2 * math.pi), rel=1e-12
     )
     assert cs.y_idler[0] == pytest.approx(
-        jid.axis_idler[0] * F * wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
+        jid.axis_idler[0] * F * problem.wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
     )
     # intensities untouched, held as CSR with only the nonzero entries
     assert cs.intensity.format == "csr"
@@ -89,7 +87,7 @@ def test_map_to_camera_scales_axes():
 
 def test_ridge_intercept_is_the_slice_fit():
     """Fitted once, on y only, from the slice's own momentum distribution."""
-    wl, problem = one_slice_problem()
+    problem = one_slice_problem()
     (cs,) = camera_slices(problem, "y", F)
     far = far_field_jid(problem, "y")
     fit = ridge_fit(moments("far", "y", far.axis_signal, far.axis_idler, far.intensity))
@@ -310,12 +308,8 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
 
 
 def build_slices(axis="y", signal_nm=780.0, n_slices=7, grid_n=256, waist_m=500e-6):
-    wl, crystal, pump = make_setup(signal_nm=signal_nm, waist_m=waist_m)
-    filt = FilterSpec("gaussian", signal_nm, 5.0)
-    slices = camera_slices(
-        Problem(wl, crystal, pump, filt, n_slices=n_slices, grid_n=grid_n), axis, F
-    )
-    return wl, crystal, pump, slices
+    problem = make_setup(signal_nm=signal_nm, waist_m=waist_m, n_slices=n_slices, grid_n=grid_n)
+    return camera_slices(problem, axis, F)
 
 
 def test_empty_slice_list_rejected():
@@ -324,7 +318,7 @@ def test_empty_slice_list_rejected():
 
 
 def test_single_degenerate_slice_slope():
-    wl, crystal, pump, slices = build_slices(signal_nm=810.0, n_slices=1, grid_n=512)
+    slices = build_slices(signal_nm=810.0, n_slices=1, grid_n=512)
     jpd = uncorrected_jpd(slices)
     rep = slope_report(jpd)
     assert rep["slope_principal_axis"] == pytest.approx(-1.0, abs=0.01)
@@ -332,7 +326,7 @@ def test_single_degenerate_slice_slope():
 
 
 def test_uncorrected_nondegenerate_skew():
-    wl, crystal, pump, slices = build_slices(signal_nm=780.0, n_slices=7, grid_n=512)
+    slices = build_slices(signal_nm=780.0, n_slices=7, grid_n=512)
     rep = slope_report(uncorrected_jpd(slices))
     assert rep["slope_regression"] == pytest.approx(-0.92, abs=0.02)
     # analytic: the scale mismatch alone sets the slope to -lam_s/lam_i
@@ -340,14 +334,14 @@ def test_uncorrected_nondegenerate_skew():
 
 
 def test_corrected_nondegenerate_restores_unit_slope():
-    wl, crystal, pump, slices = build_slices(signal_nm=780.0, n_slices=7, grid_n=512)
+    slices = build_slices(signal_nm=780.0, n_slices=7, grid_n=512)
     rep = slope_report(corrected_jpd(slices))
     assert rep["slope_regression"] == pytest.approx(-1.0, abs=0.01)
     assert rep["corrected"]
 
 
 def test_corrected_equals_uncorrected_for_degenerate_slice():
-    wl, crystal, pump, slices = build_slices(signal_nm=810.0, n_slices=1, grid_n=256)
+    slices = build_slices(signal_nm=810.0, n_slices=1, grid_n=256)
     unc = uncorrected_jpd(slices)
     corr = corrected_jpd(slices)
     # corrections are identities up to the sub-cell fitted shift
@@ -357,7 +351,7 @@ def test_corrected_equals_uncorrected_for_degenerate_slice():
 def test_pure_scaling_slope_relation():
     # A single slice's camera slope is the q-space slope times the
     # scale ratio (display orientation): pure coordinate scaling.
-    wl, problem = one_slice_problem(signal_nm=780.0, n=512)
+    problem = one_slice_problem(signal_nm=780.0, n=512)
     (cs,) = camera_slices(problem, "y", F)
     far = far_field_jid(problem, "y")
     q_fit = ridge_fit(moments("far", "y", far.axis_signal, far.axis_idler, far.intensity))
@@ -368,7 +362,7 @@ def test_pure_scaling_slope_relation():
 
 
 def test_accumulation_preserves_mass():
-    wl, crystal, pump, slices = build_slices(signal_nm=780.0, n_slices=5, grid_n=256)
+    slices = build_slices(signal_nm=780.0, n_slices=5, grid_n=256)
     jpd = corrected_jpd(slices)
     total_in = sum(
         cs.weight * cs.intensity.sum()
@@ -384,7 +378,7 @@ def test_accumulation_preserves_mass():
 def test_accumulation_matches_reference_resampler(accumulate):
     """Signal resampled along rows, idler along columns, each slice
     weighted, onto the central slice's grid."""
-    wl, crystal, pump, slices = build_slices(axis="y", n_slices=7, grid_n=256)
+    slices = build_slices(axis="y", n_slices=7, grid_n=256)
     jpd = accumulate(slices)
     if accumulate is corrected_jpd:
         slices = [walkoff_correct(rescale_idler(cs)) for cs in slices]

@@ -237,6 +237,14 @@ class TestCertify:
         assert code == 0
         assert set(json.loads(out)["axes"]) == {"x"}
 
+    def test_cut_angle_reaches_the_report(self, capsys, tmp_path):
+        # BBO does not phase-match at 0 degrees: the report must move
+        _, default, _ = run_cli(capsys, "certify", "--axis", "x", *SMALL)
+        cfg = write_config(tmp_path, "crystal:\n  theta_deg: 0\n")
+        code, detuned, _ = run_cli(capsys, "certify", "--config", cfg, "--axis", "x", *SMALL)
+        assert code == 0
+        assert detuned != default
+
 
 class TestSweep:
     def test_csv_to_stdout_and_file(self, capsys, tmp_path):
@@ -454,8 +462,15 @@ class TestExitCodes:
             "ordinary: {A: 2.7, B: 0.018, C: 0.018}\n"
             "extraordinary: {A: 2.4, B: 0.012, C: 0.016, D: 0.015}\n"
             "range_um: [0.2, 2.0]\n",
+            *(
+                "ordinary: {A: 2.7, B: 0.018, C: 0.018, D: 0.015}\n"
+                "extraordinary: {A: 2.4, B: 0.012, C: 0.016, D: 0.015}\n"
+                f"range_um: {rng}\n"
+                for rng in ("[0.22]", "[0.22, 1.06, 2.0]", "[null, 1.06]", "0.22")
+            ),
         ],
-        ids=["list", "missing-coefficient"],
+        ids=["list", "missing-coefficient", "range-one", "range-three", "range-null",
+             "range-scalar"],
     )
     def test_bad_sellmeier_file_exits_2(self, capsys, tmp_path, coefficients):
         sell = write_config(tmp_path, coefficients, "sellmeier.yaml")
@@ -464,6 +479,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: crystal.sellmeier_file: ")
+
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("# waist in \u00b5m\npump:\n  waist_um: 500\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "pm-angle", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {path}: not UTF-8 text")
 
     @pytest.mark.parametrize(
         "filt, key",

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from spdcsim.config import ConfigError, RunConfig, load_config, parse_config
+from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config, parse_config
 
 
 class TestDefaults:
@@ -111,7 +111,7 @@ class TestBuild:
         assert problem.wl.idler_nm == pytest.approx(842.4, abs=0.05)
         # collinear angle the dispersion data actually gives for 405 -> 780
         assert math.degrees(problem.crystal.theta_p) == pytest.approx(28.7965, abs=0.01)
-        assert problem.pump.waist_m == 500e-6
+        assert problem.waist_m == 500e-6
         assert problem.filt.center_nm == 780.0
 
     def test_degenerate_build(self):
@@ -134,6 +134,26 @@ class TestBuild:
         problem = parse_config({"crystal": {"theta_deg": 30.0}}).build()
         assert problem.crystal.theta_p == pytest.approx(math.radians(30.0))
 
+    def test_cut_angle_detunes_the_product(self):
+        """A cut off the phase-matching angle reaches U through dk_0."""
+        def product(theta_deg):
+            cfg = {} if theta_deg is None else {"crystal": {"theta_deg": theta_deg}}
+            return certify_axis(parse_config(cfg).build(), "x")[2].product
+
+        default = product(None)
+        assert default == pytest.approx(0.015430, abs=1e-6)
+        theta_pm = math.degrees(RunConfig().build().crystal.theta_p)
+        # the phase-matching angle, set explicitly, leaves dk_0 at roundoff
+        assert product(theta_pm) == pytest.approx(default, rel=1e-11)
+        assert product(theta_pm - 0.1) == pytest.approx(0.023504, abs=1e-6)
+        assert product(theta_pm + 0.1) == pytest.approx(0.016618, abs=1e-6)
+
+    def test_zero_degree_cut_shifts_the_kernel_argument(self):
+        problem = parse_config({"crystal": {"theta_deg": 0.0}}).build()
+        half_length = 0.5 * problem.crystal.length_m
+        assert half_length * problem.crystal.collinear_mismatch == pytest.approx(245.05, abs=0.01)
+        assert RunConfig().build().crystal.collinear_mismatch == 0.0
+
     def test_grid_override_threads_through(self):
         """Every numerical RunConfig field reaches the Problem, and the
         grid settings reach its grid."""
@@ -150,9 +170,10 @@ class TestBuild:
         assert problem.diff_halfwidth == 2e6
         assert problem.kernel == "gauss"
         assert problem.memory_budget_bytes == 7 * 1024**2
-        grid = problem.grid("x")
-        assert grid.q_signal.size == grid.q_idler.size == 64
-        assert grid.q_signal[-1] == pytest.approx(0.5 * (1e4 + 2e6), rel=1e-12)
+        q = problem.square_grid()
+        assert q.size == 64
+        assert q[-1] == pytest.approx(0.5 * (1e4 + 2e6), rel=1e-12)
+        assert problem.diff_grid()[-1] == 2e6
 
 
 class TestLoadFile:

@@ -18,20 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim import spectral
-from spdcsim.biphoton import (
-    EvanescentInputError,
-    GridMemoryError,
-    PumpSpec,
-    TransverseSlice,
-    evaluate_grid,
-)
+from spdcsim.biphoton import EvanescentInputError, GridMemoryError, evaluate_grid
 from spdcsim.config import certify_axis
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import (
+    GAUSSIAN_SUPPORT_FWHM,
     FilterSpec,
     JointDistribution,
     Problem,
-    SpectralSampling,
     far_field_jid,
     moment_sums,
     near_field_jid,
@@ -46,11 +40,13 @@ from spdcsim.stats import moments, reid_inference, reid_product
 BBO = SellmeierSet.bbo()
 
 
-def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6):
+def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6, fwhm_nm=5.0, **settings):
+    """The collinear BBO problem with a Gaussian filter centered on the
+    signal; ``settings`` are further ``Problem`` fields."""
     wl = SpdcWavelengths.from_pump_signal(405.0, signal_nm)
     crystal = CrystalSetup.collinear(wl, BBO, length_m)
-    pump = PumpSpec.from_crystal(405.0, waist_m, crystal)
-    return wl, crystal, pump
+    filt = FilterSpec("gaussian", signal_nm, fwhm_nm)
+    return Problem(wl, crystal, waist_m, filt, **settings)
 
 
 def table_moments(axis_s, axis_i, intensity):
@@ -117,7 +113,7 @@ def test_single_slice_is_center():
     f = FilterSpec("gaussian", 780.0, 5.0)
     s = sample_spectrum(f, 405.0, 1)
     assert len(s) == 1
-    lam_s, lam_i, w = s.triples[0]
+    lam_s, lam_i, w = s[0]
     assert lam_s == 780.0
     assert lam_i == pytest.approx(842.4)
     assert w == 1.0
@@ -127,10 +123,10 @@ def test_gaussian_sampling_energy_conserving_and_symmetric():
     f = FilterSpec("gaussian", 780.0, 5.0)
     s = sample_spectrum(f, 405.0, 31)
     assert len(s) == 31
-    weights = [w for (_, _, w) in s.triples]
+    weights = [w for (_, _, w) in s]
     assert weights == pytest.approx(weights[::-1])
     assert max(weights) == 1.0  # center sample hits the peak
-    lams = [l for (l, _, _) in s.triples]
+    lams = [l for (l, _, _) in s]
     assert lams[0] == pytest.approx(780.0 - 12.5)
     assert lams[-1] == pytest.approx(780.0 + 12.5)
 
@@ -138,8 +134,8 @@ def test_gaussian_sampling_energy_conserving_and_symmetric():
 def test_tophat_sampling_flat_weights():
     f = FilterSpec("tophat", 810.0, 4.0)
     s = sample_spectrum(f, 405.0, 7)
-    assert all(w == 1.0 for (_, _, w) in s.triples)
-    lams = [l for (l, _, _) in s.triples]
+    assert all(w == 1.0 for (_, _, w) in s)
+    lams = [l for (l, _, _) in s]
     assert lams[0] == pytest.approx(808.0)
     assert lams[-1] == pytest.approx(812.0)
 
@@ -148,14 +144,28 @@ def test_idler_arm_sampling():
     f = FilterSpec("gaussian", 842.4, 5.0, arm="idler")
     s = sample_spectrum(f, 405.0, 5)
     # sampled wavelengths land on the idler slot
-    idlers = [li for (_, li, _) in s.triples]
+    idlers = [li for (_, li, _) in s]
     assert idlers[0] == pytest.approx(842.4 - 12.5)
     assert idlers[-1] == pytest.approx(842.4 + 12.5)
 
 
-def test_sampling_validates_energy_conservation():
-    with pytest.raises(ValueError):
-        SpectralSampling(pump_nm=405.0, triples=((780.0, 800.0, 1.0),))
+@given(
+    shape=st.sampled_from(["gaussian", "tophat"]),
+    arm=st.sampled_from(["signal", "idler"]),
+    center_nm=st.floats(420.0, 2000.0),
+    width=st.floats(0.001, 0.99),
+    n_slices=st.integers(1, 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_sampling_invariants(shape, arm, center_nm, width, n_slices):
+    # n_slices triples, each energy conserving with a weight in [0, 1];
+    # the widest support (center +- 2.5 FWHM) stays above the 405 nm pump
+    fwhm_nm = width * (center_nm - 405.0) / GAUSSIAN_SUPPORT_FWHM
+    triples = sample_spectrum(FilterSpec(shape, center_nm, fwhm_nm, arm=arm), 405.0, n_slices)
+    assert len(triples) == n_slices
+    for lam_s, lam_i, w in triples:
+        assert math.isclose(1.0 / 405.0, 1.0 / lam_s + 1.0 / lam_i, rel_tol=1e-10)
+        assert 0.0 <= w <= 1.0
 
 
 # -- joint distributions ------------------------------------------------------
@@ -174,19 +184,15 @@ def test_jid_validation():
 
 
 def test_single_slice_far_field_equals_squared_amplitude():
-    wl, crystal, pump = make_setup()
-    jid = far_field_jid(
-        Problem(wl, crystal, pump, FilterSpec("gaussian", 810.0, 5.0), n_slices=1, grid_n=64), "x"
-    )
-    sl = TransverseSlice.centered("x", wl, crystal, pump, n=64)
-    amp = evaluate_grid(sl, crystal, pump, wl)
+    problem = make_setup(n_slices=1, grid_n=64)
+    jid = far_field_jid(problem, "x")
+    q = problem.square_grid()
+    amp = evaluate_grid(q, q, problem, "x", (problem.wl.signal_nm, problem.wl.idler_nm))
     np.testing.assert_array_equal(jid.intensity, amp * amp)
 
 
 def test_spectral_sum_order_invariance():
-    wl, crystal, pump = make_setup(signal_nm=780.0)
-    filt = FilterSpec("gaussian", 780.0, 5.0)
-    problem = Problem(wl, crystal, pump, filt, n_slices=7, grid_n=64)
+    problem = make_setup(signal_nm=780.0, n_slices=7, grid_n=64)
     jid = far_field_jid(problem, "y")
     pieces = [w * amp * amp for _, w, amp in spectral_slices(problem, "y")]
     reversed_sum = sum(pieces[::-1])
@@ -202,9 +208,7 @@ def test_position_grid_conjugate():
 
 
 def test_parseval_per_slice():
-    wl, crystal, pump = make_setup()
-    filt = FilterSpec("gaussian", 810.0, 5.0)
-    problem = Problem(wl, crystal, pump, filt, n_slices=1, grid_n=256)
+    problem = make_setup(n_slices=1, grid_n=256)
     far = far_field_jid(problem, "x")
     near = near_field_jid(problem, "x")
     mass_far = far.intensity.sum() * far.d_signal * far.d_idler
@@ -217,10 +221,11 @@ def per_slice_full_matrix_sums(problem, axis):
     weight-summed (far: w |Psi|^2; near: w |psi|^2 via rfft2 + mirror)."""
     import scipy.fft
 
-    grid = problem.grid(axis)
-    far = np.zeros((grid.q_signal.size, grid.q_idler.size))
+    q = problem.square_grid()
+    dq = q[1] - q[0]
+    far = np.zeros((q.size, q.size))
     near = np.zeros_like(far)
-    for sl, weight, amp in spectral_slices(problem, axis):
+    for _, weight, amp in spectral_slices(problem, axis):
         far += weight * (amp * amp)
         n, m = amp.shape
         half = scipy.fft.rfft2(amp)
@@ -229,7 +234,7 @@ def per_slice_full_matrix_sums(problem, axis):
         lhs = contrib[:, :h]
         np.multiply(half.real, half.real, out=lhs)
         lhs += half.imag * half.imag
-        lhs *= (sl.dq_signal * sl.dq_idler / (2.0 * math.pi)) ** 2
+        lhs *= (dq * dq / (2.0 * math.pi)) ** 2
         mirror = lhs[:, m - h:0:-1]
         contrib[0, h:] = mirror[0]
         contrib[1:, h:] = mirror[:0:-1]
@@ -241,9 +246,7 @@ def per_slice_full_matrix_sums(problem, axis):
 @pytest.mark.parametrize("grid_n", [64, 65])
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis):
-    wl, crystal, pump = make_setup(signal_nm=780.0)
-    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
-                      n_slices=5, grid_n=grid_n)
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=grid_n)
     far, near = per_slice_full_matrix_sums(problem, axis)
     assert np.array_equal(far_field_jid(problem, axis).intensity, far)
     assert np.array_equal(near_field_jid(problem, axis).intensity, near)
@@ -252,11 +255,7 @@ def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis):
 def test_near_field_degenerate_ridge_positive():
     # Photons are born at the same transverse point: position JID ridge
     # has slope +1 (finite pump size correlates birth positions).
-    wl, crystal, pump = make_setup()
-    near = near_field_jid(
-        Problem(wl, crystal, pump, FilterSpec("gaussian", 810.0, 5.0), n_slices=1, grid_n=512),
-        "x",
-    )
+    near = near_field_jid(make_setup(n_slices=1, grid_n=512), "x")
     mu_s, mu_i, v_s, v_i, c = table_moments(
         near.axis_signal, near.axis_idler, near.intensity
     )
@@ -340,9 +339,8 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
     # 2/w0 pump width and the gauss kernel decays inside it, so the FFT
     # path is itself converged (at w0 = 500 um its pixel is wider than
     # the pump and it is off by 1e-5).
-    wl, crystal, pump = make_setup(signal_nm=780.0, waist_m=100e-6)
-    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
-                      n_slices=3, grid_n=1024, kernel="gauss")
+    problem = make_setup(signal_nm=780.0, waist_m=100e-6, n_slices=3, grid_n=1024,
+                         kernel="gauss")
     far, near = (
         reid_inference(moments(j.plane, j.axis, j.axis_signal, j.axis_idler, j.intensity))
         for j in (far_field_jid(problem, axis), near_field_jid(problem, axis))
@@ -353,8 +351,7 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
 
 
 def test_moment_engine_eight_hermite_nodes_match_sixteen(monkeypatch):
-    wl, crystal, pump = make_setup(signal_nm=780.0, length_m=4e-3)
-    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 10.0))
+    problem = make_setup(signal_nm=780.0, length_m=4e-3, fwhm_nm=10.0)
     eight = widths(certify_axis(problem, "y")[2])
     monkeypatch.setattr(spectral, "_SUM_NODES", 16)
     sixteen = widths(certify_axis(problem, "y")[2])
@@ -366,11 +363,9 @@ def test_moment_engine_double_gaussian_oracle(monkeypatch):
     kernel give Psi = exp(-A q_+^2 - B q_-^2) with A = w0^2 / 4 and
     B = c^2 / 6: the double Gaussian of the closed forms above, with
     closed-form gradients."""
-    wl, crystal, pump = make_setup(signal_nm=780.0)
-    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
-                      n_slices=1, kernel="gauss")
+    problem = make_setup(signal_nm=780.0, n_slices=1, kernel="gauss")
     d = problem.diff_grid()[-1]
-    a_sum, b_diff = pump.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
+    a_sum, b_diff = problem.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
     c = math.sqrt(6.0 * b_diff)
     monkeypatch.setattr(
         spectral, "_arm_arguments",
@@ -386,18 +381,14 @@ def test_moment_engine_double_gaussian_oracle(monkeypatch):
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_moment_engine_near_means_are_exactly_zero(axis):
-    wl, crystal, pump = make_setup(signal_nm=780.0)
-    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 780.0, 5.0),
-                      n_slices=5, grid_n=256)
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=256)
     near, far, _ = certify_axis(problem, axis)
     assert near.mu_s == 0.0 and near.mu_i == 0.0
     assert near.plane == "near" and far.plane == "far"
 
 
 def test_moment_engine_rejects_evanescent_nodes():
-    wl, crystal, pump = make_setup(length_m=1e-7)  # D = 5 sqrt(4 pi k / L) >> k
-    problem = Problem(wl, crystal, pump, FilterSpec("gaussian", 810.0, 5.0),
-                      n_slices=1, grid_n=64)
+    problem = make_setup(length_m=1e-7, n_slices=1, grid_n=64)  # D = 5 sqrt(4 pi k / L) >> k
     with pytest.raises(EvanescentInputError):
         moment_sums(problem, "x")
 
@@ -405,11 +396,7 @@ def test_moment_engine_rejects_evanescent_nodes():
 def test_moment_engine_charges_its_node_grid():
     """8 nodes x n points at 80 bytes each: 0.625 MiB at n = 1024,
     1.25 MiB at n = 2048."""
-    wl, crystal, pump = make_setup()
-    filt = FilterSpec("gaussian", 810.0, 5.0)
     budget = 2**20
-    moment_sums(Problem(wl, crystal, pump, filt, n_slices=1, grid_n=1024,
-                        memory_budget_bytes=budget), "x")
+    moment_sums(make_setup(n_slices=1, grid_n=1024, memory_budget_bytes=budget), "x")
     with pytest.raises(GridMemoryError, match=r"^8 x 2048 grid needs"):
-        moment_sums(Problem(wl, crystal, pump, filt, n_slices=1, grid_n=2048,
-                            memory_budget_bytes=budget), "x")
+        moment_sums(make_setup(n_slices=1, grid_n=2048, memory_budget_bytes=budget), "x")

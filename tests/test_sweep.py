@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from spdcsim.biphoton import PumpSpec
 from spdcsim.config import RunConfig, certify_axis
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, Problem
@@ -76,9 +75,8 @@ class TestRunSweep:
         wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
         sell = SellmeierSet.bbo()
         crystal = CrystalSetup.collinear(wl, sell, 1.0e-3)
-        pump = PumpSpec.from_crystal(405.0, 500e-6, crystal)
         filt = FilterSpec("gaussian", 780.0, 4.0, arm="signal")
-        problem = Problem(wl, crystal, pump, filt, n_slices=3, grid_n=128)
+        problem = Problem(wl, crystal, 500e-6, filt, n_slices=3, grid_n=128)
         _, _, report = certify_axis(problem, "x")
 
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
@@ -107,9 +105,8 @@ class TestRunSweep:
 
         wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
         crystal = CrystalSetup.collinear(wl, SellmeierSet.bbo(), length_mm * 1e-3)
-        pump = PumpSpec.from_crystal(405.0, waist_um * 1e-6, crystal)
         filt = FilterSpec("gaussian", 780.0, 5.0, arm="signal")
-        problem = Problem(wl, crystal, pump, filt, n_slices=3, grid_n=128)
+        problem = Problem(wl, crystal, waist_um * 1e-6, filt, n_slices=3, grid_n=128)
         _, _, report = certify_axis(problem, "x")
         assert row.reid_product == report.product
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
