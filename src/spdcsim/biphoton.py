@@ -56,6 +56,7 @@ __all__ = [
     "GridMemoryError",
     "amplitude",
     "evaluate_grid",
+    "envelope_columns",
     "check_memory_budget",
     "default_diff_halfwidth",
     "DEFAULT_MEMORY_BUDGET_BYTES",
@@ -267,18 +268,35 @@ def evaluate_grid(
     check_memory_budget(q_s.size, q_i.size, problem.memory_budget_bytes)
     a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
     waist_m = problem.waist_m
-    half_band = 2.0 * math.sqrt(_ENVELOPE_ZERO_EXPONENT) / waist_m
+    first, stop = envelope_columns(q_s, q_i, waist_m)
     out = np.zeros((q_s.size, q_i.size))
     for start in range(0, q_s.size, _BAND_ROWS):
         rows = slice(start, start + _BAND_ROWS)
         block = q_s[rows]
         # both grids increase, so the block's lowest and highest signal
         # rows bound the union of its rows' column windows
-        cols = slice(
-            np.searchsorted(q_i, -half_band - block[-1], side="left"),
-            np.searchsorted(q_i, half_band - block[0], side="right"),
-        )
+        cols = slice(first[start + block.size - 1], stop[start])
         out[rows, cols] = _envelope_times_kernel(
             a[rows, None], b[None, cols], block[:, None] + q_i[None, cols], waist_m, problem.kernel
         )
     return out
+
+
+def envelope_columns(
+    q_s: np.ndarray, q_i: np.ndarray, waist_m: float, power: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per signal row k, the idler columns [first[k], stop[k]) inside the
+    band |q_s[k] + q_i| <= 2 sqrt(746 / power) / w0 of the increasing
+    grid ``q_i``.
+
+    Outside it the pump envelope's exponent w0^2 (q_s + q_i)^2 / 4 passes
+    746 / power, so in float64 the envelope is exactly 0 (power 1) and
+    an amplitude's square underflows to exactly +0.0 (power 2: the kernel
+    is at most 1 in magnitude, and exp(-746) is under half the smallest
+    subnormal).
+    """
+    half_band = 2.0 * math.sqrt(_ENVELOPE_ZERO_EXPONENT / power) / waist_m
+    return (
+        np.searchsorted(q_i, -half_band - q_s, side="left"),
+        np.searchsorted(q_i, half_band - q_s, side="right"),
+    )

@@ -12,16 +12,16 @@ offset on the y axis.  The correction pipeline undoes both slice by
 slice — rescale the idler axis to the signal's scale, subtract the
 ridge offset fitted to the slice's own momentum distribution — and
 resamples each slice onto the common grid with one banded,
-mass-conserving operator per axis (about 3 nonzeros per row).
+mass-conserving operator per axis (3 or 4 source knots per cell).
 
 ``camera_slices`` takes the run's ``spectral.Problem``, puts each
 slice's axes on the camera, fits a y slice's ridge intercept from the
 raw moments of its dense intensity (``stats.moments``), and holds each
-slice intensity until accumulation as a ``scipy.sparse`` CSR matrix,
-which the resampler multiplies directly: the pump-envelope band leaves
-most entries exactly zero (92 % at the default config).  The memory budget is charged for
-the bytes held (see ``camera_slices``).  ``scipy.sparse`` is imported
-where it runs, so no other command loads it.
+slice intensity until accumulation as a ``RowBand``: per signal row,
+only the idler columns the squared pump envelope leaves nonzero (8 % of
+the grid at the default config).  The resampler works on the band
+directly, and the memory budget is charged for the bytes held (see
+``camera_slices``).
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -35,18 +35,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from spdcsim.biphoton import check_memory_budget
+from spdcsim.biphoton import check_memory_budget, envelope_columns
 from spdcsim.spectral import Problem, spectral_slices
 from spdcsim.stats import moments, ridge_fit
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 __all__ = [
+    "RowBand",
     "CameraSlice",
     "CameraJPD",
     "camera_slices",
@@ -60,11 +58,60 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class RowBand:
+    """A matrix that is +0.0 outside one column window per row.
+
+    Row k holds ``data[k]`` in columns ``start[k]`` ... ``start[k] +
+    width - 1`` of ``n_cols``; every other entry is +0.0.  All rows share
+    the width, so ``data`` is one n_rows x width float64 array.
+    """
+
+    data: np.ndarray
+    start: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray, first: np.ndarray, stop: np.ndarray) -> "RowBand":
+        """The band of ``matrix`` that keeps columns [first[k], stop[k]) of
+        each row k.  Entries outside those windows must be +0.0, so that
+        ``toarray()`` gives ``matrix`` back bit for bit."""
+        start, width = _windows(first, stop, matrix.shape[1])
+        data = np.take_along_axis(matrix, start[:, None] + np.arange(width), axis=1)
+        return cls(data, start, matrix.shape[1])
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.start.nbytes
+
+    def flat_index(self) -> np.ndarray:
+        """Index of each ``data`` entry in the raveled n_rows x n_cols matrix."""
+        rows = np.arange(self.data.shape[0])[:, None] * self.n_cols
+        return rows + self.start[:, None] + np.arange(self.width)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.data.shape[0], self.n_cols))
+        out.reshape(-1)[self.flat_index()] = self.data
+        return out
+
+
+def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
+    width, and per-row starts of windows that wide which cover each one
+    and stay inside 0 ... n - 1."""
+    width = int(np.max(stop - first, initial=0))
+    return np.clip(first, 0, n - width), width
+
+
+@dataclass(frozen=True)
 class CameraSlice:
     """One spectral slice on the camera: position axes, intensity, weight.
 
-    ``intensity`` is a ``scipy.sparse`` CSR matrix (signal rows, idler
-    columns) holding the slice's nonzero entries.  ``ridge_intercept`` is
+    ``intensity`` is a ``RowBand`` (signal rows, idler columns) holding
+    the slice's pump-envelope band.  ``ridge_intercept`` is
     the intercept (rad/m) of the ridge fitted to the slice's own momentum
     distribution, which the walk-off correction removes; ``None`` on x.
     """
@@ -72,7 +119,7 @@ class CameraSlice:
     axis: str
     y_signal: np.ndarray
     y_idler: np.ndarray
-    intensity: sparse.csr_matrix
+    intensity: RowBand
     lambda_signal_nm: float
     lambda_idler_nm: float
     weight: float
@@ -117,15 +164,14 @@ def camera_slices(
     the camera, Y = M (f/k) q per arm (no accumulation — feed the result
     to uncorrected_jpd or corrected_jpd).
 
-    Each slice is held as a CSR matrix of its nonzero intensities; on y,
-    its ridge intercept is fitted first, from the dense intensity.  The
-    budget is charged for one amplitude evaluation plus the two
-    accumulated JPDs before the first evaluation, then for each slice's
-    CSR bytes as it is stored (``GridMemoryError`` once over): a slice
-    whose band covers the grid costs 12 bytes per entry, more than the
-    dense matrix, so no up-front charge bounds it."""
-    from scipy import sparse  # here, so commands without a camera skip its import
-
+    Each slice is held as a ``RowBand`` of the columns where its
+    intensity can be nonzero (``envelope_columns`` of the squared
+    envelope); on y, its ridge intercept is fitted first, from the dense
+    intensity.  The budget is charged for one amplitude evaluation plus
+    the two accumulated JPDs before the first evaluation, then for each
+    slice's band bytes as it is stored (``GridMemoryError`` once over); a
+    slice whose band covers the grid costs its dense bytes plus the row
+    offsets."""
     if focal_length_m <= 0:
         raise ValueError(f"focal length must be positive, got {focal_length_m}")
     if magnification <= 0:
@@ -134,14 +180,15 @@ def camera_slices(
     held = 2 * n * n * 8  # the uncorrected and the corrected JPD
     check_memory_budget(n, n, budget, held_bytes=held, holding="2 camera JPDs")
     q = problem.square_grid()
+    first, stop = envelope_columns(q, q, problem.waist_m, power=2)
     out = []
     for (lam_s, lam_i), weight, amp in spectral_slices(problem, axis):
         amp *= amp  # the slice intensity; the amplitude is not needed again
         intercept = None
         if axis == "y":
             intercept = ridge_fit(moments("far", axis, q, q, amp)).intercept
-        intensity = sparse.csr_matrix(amp)
-        held += intensity.data.nbytes + intensity.indices.nbytes + intensity.indptr.nbytes
+        intensity = RowBand.from_dense(amp, first, stop)
+        held += intensity.nbytes
         check_memory_budget(
             n, n, budget, held_bytes=held,
             holding=f"2 camera JPDs and {len(out) + 1} of {problem.n_slices} slice matrices",
@@ -206,10 +253,10 @@ def _cell_edges(axis: np.ndarray) -> np.ndarray:
 
 
 def resample_conserving(
-    values: np.ndarray, src_axis: np.ndarray, dst_axis: np.ndarray, axis: int = 1
-) -> np.ndarray:
-    """Resample a density table (dense, or a ``scipy.sparse`` matrix) onto
-    a new uniform axis, conserving mass.
+    values: np.ndarray | RowBand, src_axis: np.ndarray, dst_axis: np.ndarray, axis: int = 1
+) -> np.ndarray | RowBand:
+    """Resample a density table (a dense matrix or a ``RowBand``) onto a
+    new uniform axis, conserving mass; the result is of the input's kind.
 
     The rows (or columns) are treated as samples of a piecewise-linear
     density on ``src_axis``; the output value in each destination cell is
@@ -217,16 +264,69 @@ def resample_conserving(
     width.  Mass inside the destination range is preserved exactly
     (up to roundoff); density outside the source support is zero.
 
-    The map is a banded sparse operator R (n_dst x n_src, about 3 nonzeros
-    per row; R[k, m] is source knot m's hat function averaged over cell k),
-    applied in one pass: ``R @ values`` on axis 0, ``(R @ values.T).T`` on
-    axis 1.  Its entries are products of nonnegative factors, so R >= 0.
-    A sparse ``values`` gives a sparse result with the same entries: each
-    is the same sum over the same source knots in the same order, minus
-    the terms whose value is zero.
+    The map is a banded operator R (n_dst x n_src; R[k, m] is source
+    knot m's hat function averaged over cell k), nonzero only on K
+    consecutive knots first[k] ... first[k] + K - 1 per cell (K = 3 or 4
+    at the camera's scale ratios).  It is applied as a K-tap kernel along
+    ``axis``: taps t = 0 ... K - 1 are added in order into a zeroed
+    output.  Its entries are products of nonnegative factors, so R >= 0.
+    A dense matrix is a band of full width; a band gives the dense
+    result's entries bit for bit, because the source entries it skips
+    are +0.0.
     """
-    from scipy import sparse  # here, so commands that never resample skip its import
+    if isinstance(values, RowBand):
+        band = values
+    else:  # a dense matrix is a band of full width
+        matrix = np.asarray(values, dtype=float)
+        band = RowBand(matrix, np.zeros(matrix.shape[0], dtype=np.intp), matrix.shape[1])
+    first, weights = _operator(src_axis, dst_axis)
+    taps = weights.shape[0]
+    # ``taps`` zero columns each side of the band: a read outside a row's
+    # window is clipped onto them, and stays on them for every tap
+    padded = np.zeros((band.data.shape[0], band.width + 2 * taps))
+    padded[:, taps:-taps] = band.data
+    flat = padded.reshape(-1)
 
+    def index(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Index in ``flat`` of entry (rows[k], cols[k, c]) of the band."""
+        at = cols - band.start[rows, None]
+        np.clip(at, -taps, band.width, out=at)
+        at += (rows * padded.shape[1] + taps)[:, None]
+        return at
+
+    if axis == 0:
+        # output row k reads source rows first[k] + t, so its window is
+        # the union of theirs
+        starts = band.start[first[:, None] + np.arange(taps)]
+        start, width = _windows(starts.min(axis=1), starts.max(axis=1) + band.width, band.n_cols)
+        cols, n_cols = start[:, None] + np.arange(width), band.n_cols
+        out = np.zeros((start.size, width))
+        for t in range(taps):
+            terms = flat.take(index(first + t, cols))
+            terms *= weights[t, :, None]
+            out += terms
+    else:
+        # output cell k of row r reads source columns first[k] + t
+        start, width = _windows(
+            np.searchsorted(first + taps - 1, band.start, side="left"),
+            np.searchsorted(first, band.start + band.width - 1, side="right"),
+            first.size,
+        )
+        cells, n_cols = start[:, None] + np.arange(width), first.size
+        at = index(np.arange(start.size), first.take(cells))
+        out = np.zeros((start.size, width))
+        for t in range(taps):
+            terms = flat[t:].take(at)
+            terms *= weights[t].take(cells)
+            out += terms
+    result = RowBand(out, start, n_cols)
+    return result if isinstance(values, RowBand) else result.toarray()
+
+
+def _operator(src_axis: np.ndarray, dst_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First source knot per destination cell and the K x n_dst weight
+    table of the conserving map (``resample_conserving``): tap t of cell
+    k weighs knot first[k] + t."""
     src = np.asarray(src_axis, dtype=float)
     h = np.diff(src)
     dst_edges = _cell_edges(np.asarray(dst_axis, dtype=float))
@@ -238,7 +338,10 @@ def resample_conserving(
     cells, spans = np.arange(widths.size), ja < jb
     # Cell k is made of pieces [u, v] of source segments s: part of segment
     # ja, part of segment jb, and the segments between that no edge falls in.
-    full = np.setdiff1d(np.arange(j[0], j[-1]), j)
+    inside = np.zeros(h.size, dtype=bool)
+    inside[j[0]:j[-1]] = True
+    inside[j] = False
+    full = np.flatnonzero(inside)
     row = np.concatenate([cells, cells, np.searchsorted(j, full) - 1])
     s = np.concatenate([ja, jb, full])
     u = np.concatenate([ta, np.where(spans, 0.0, tb), np.zeros(full.size)])
@@ -246,10 +349,14 @@ def resample_conserving(
     # the linear density's integral over [u, v], split between knots s, s + 1
     scale = (v - u) / (2.0 * h[s] * widths[row])
     weights = np.concatenate([scale * (2.0 * h[s] - u - v), scale * (u + v)])
-    op = sparse.csr_matrix(
-        (weights, (np.tile(row, 2), np.concatenate([s, s + 1]))), shape=(widths.size, src.size)
-    )
-    return op @ values if axis == 0 else (op @ values.T).T
+    # cell k touches knots ja[k] ... jb[k] + 1; a piece's shares of one
+    # knot add in the order the pieces are listed
+    taps = int(np.max(jb - ja)) + 2
+    first = np.minimum(ja, src.size - taps)
+    rows = np.tile(row, 2)
+    table = np.zeros((taps, widths.size))
+    np.add.at(table, (np.concatenate([s, s + 1]) - first[rows], rows), weights)
+    return first, table
 
 
 def _accumulate(
@@ -263,9 +370,9 @@ def _accumulate(
     provenance = []
     for cs in slices:
         resampled = resample_conserving(cs.intensity, cs.y_idler, y_i, axis=1)
-        resampled = resample_conserving(resampled, cs.y_signal, y_s, axis=0).tocoo()
-        # only stored entries: every other term of the dense sum is weight * 0 = +0
-        total[resampled.row, resampled.col] += cs.weight * resampled.data
+        resampled = resample_conserving(resampled, cs.y_signal, y_s, axis=0)
+        # a band's entries are distinct cells; the rest of the dense sum adds +0
+        total.reshape(-1)[resampled.flat_index()] += cs.weight * resampled.data
         provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
     # Already >= 0: R >= 0 entrywise and the intensities are squares.
     np.clip(total, 0.0, None, out=total)

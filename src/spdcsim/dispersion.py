@@ -77,6 +77,19 @@ def sellmeier_index(wavelength_um: float, coeffs: tuple[float, float, float, flo
     return math.sqrt(n2)
 
 
+def _coefficient(ray: dict, label: str, key: str) -> float:
+    """Coefficient ``key`` of one ray's mapping: a finite int or float,
+    not a bool.  Raises ValueError naming ``label.key`` and the value."""
+    value = ray[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(float(value)):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{label}.{key}: must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SellmeierSet:
     """Ordinary/extraordinary Sellmeier coefficients plus validity range.
@@ -110,8 +123,8 @@ class SellmeierSet:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng
             )):
                 raise ValueError(f"range_um must be two numbers [lo, hi], got {rng!r}")
-            ordinary = (float(o["A"]), float(o["B"]), float(o["C"]), float(o["D"]))
-            extraordinary = (float(e["A"]), float(e["B"]), float(e["C"]), float(e["D"]))
+            ordinary = tuple(_coefficient(o, "ordinary", key) for key in "ABCD")
+            extraordinary = tuple(_coefficient(e, "extraordinary", key) for key in "ABCD")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Sellmeier document: missing {exc}") from exc
         return cls(

@@ -17,6 +17,7 @@ from spdcsim.biphoton import (
     _kernel,
     _kernel_with_slope,
     amplitude,
+    envelope_columns,
     evaluate_grid,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
@@ -417,6 +418,26 @@ def test_evaluate_grid_keeps_subnormal_envelope_edge():
     edge = (exponent > 744.0) & (exponent < 745.14)
     assert np.count_nonzero(dense[edge]) > 0
     assert np.array_equal(evaluate_grid(q, q, problem, "x", nominal(problem)), dense)
+
+
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+def test_intensity_is_zero_outside_squared_envelope_columns(kernel):
+    # The squared amplitude is subnormal, not 0, for envelope exponents up
+    # to 372.57.  This grid puts q_s + q_i exactly where the exponent is
+    # 372.4, so the power-2 columns must reach past exponent 372; outside
+    # them the intensity must be exactly +0.0.
+    problem = make_setup(waist_m=2000e-6, kernel=kernel)
+    q_edge = math.sqrt(372.4) / problem.waist_m  # q_s = q_i = q_edge hits 372.4
+    q = np.linspace(-1.28, 1.28, 257) * q_edge
+    intensity = dense_amplitude(q, q, problem, "x", nominal(problem)) ** 2
+    exponent = problem.waist_m**2 * (q[:, None] + q[None, :]) ** 2 / 4
+    assert np.count_nonzero(intensity[(exponent > 372.0) & (exponent < 372.57)]) > 0
+    first, stop = envelope_columns(q, q, problem.waist_m, power=2)
+    cols = np.arange(q.size)
+    outside = (cols < first[:, None]) | (cols >= stop[:, None])
+    assert np.count_nonzero(outside) > 0
+    assert np.all(intensity[outside] == 0.0)
+    assert not np.any(np.signbit(intensity[outside]))
 
 
 def test_evaluate_grid_checks_evanescent_columns_outside_band():

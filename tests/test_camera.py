@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spdcsim.camera import (
+    RowBand,
     camera_slices,
     corrected_jpd,
     rescale_idler,
@@ -72,10 +73,11 @@ def test_map_to_camera_scales_axes():
     assert cs.y_idler[0] == pytest.approx(
         jid.axis_idler[0] * F * problem.wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
     )
-    # intensities untouched, held as CSR with only the nonzero entries
-    assert cs.intensity.format == "csr"
+    # intensities untouched, held as a band of the pump-envelope columns
+    assert isinstance(cs.intensity, RowBand)
     assert np.array_equal(cs.intensity.toarray(), jid.intensity)
-    assert cs.intensity.nnz == np.count_nonzero(jid.intensity)
+    assert np.count_nonzero(cs.intensity.data) == np.count_nonzero(jid.intensity)
+    assert cs.intensity.nbytes < jid.intensity.nbytes / 8
     # on-axis point stays on axis
     mid = jid.axis_signal.size // 2
     assert cs.y_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
@@ -288,20 +290,32 @@ def test_resample_properties(shape, scale, shift):
 @pytest.mark.parametrize("scale", [0.9259, 1.0, 1.08])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_resample_sparse_equals_dense(shape, scale, shift, axis):
-    """A CSR input gives the dense result exactly, zeros' signs included."""
-    from scipy import sparse
-
+    """A ``RowBand`` input, the sparse form the camera holds, gives the
+    dense result exactly, zeros' signs included."""
     values, src, dst = resample_case(shape, scale, shift, seed=2)
-    values[values < 0.6] = 0.0  # scattered zeros
-    values[1] = 0.0  # and an empty row
     if axis == 0:
         values = values.T
+    n_rows, n_cols = values.shape
+    # windows that slide from column 0 to column N - 1 down the rows, as
+    # the camera's anti-diagonal band does, and an empty row
+    width = max(2, n_cols // 4)
+    first = np.arange(n_rows) * (n_cols - width) // (n_rows - 1)
+    stop = first + width
+    first[1] = stop[1] = n_cols // 2
+    cols = np.arange(n_cols)
+    values[(cols < first[:, None]) | (cols >= stop[:, None])] = 0.0
+    values[values < 0.3] = 0.0  # scattered zeros inside the windows
     dense = resample_conserving(values, src, dst, axis=axis)
-    out = resample_conserving(sparse.csr_matrix(values), src, dst, axis=axis)
-    assert sparse.issparse(out)
-    out = out.toarray()
-    assert np.array_equal(out, dense)
-    assert np.array_equal(np.signbit(out), np.signbit(dense))
+    narrow = RowBand.from_dense(values, first, stop)
+    full = RowBand.from_dense(values, np.zeros(n_rows, dtype=int), np.full(n_rows, n_cols))
+    assert narrow.width < n_cols and full.width == n_cols
+    for band in (narrow, full):
+        assert np.array_equal(band.toarray(), values)
+        out = resample_conserving(band, src, dst, axis=axis)
+        assert isinstance(out, RowBand)
+        out = out.toarray()
+        assert np.array_equal(out, dense)
+        assert np.array_equal(np.signbit(out), np.signbit(dense))
 
 
 # -- accumulation and slopes -----------------------------------------------------
@@ -365,7 +379,7 @@ def test_accumulation_preserves_mass():
     slices = build_slices(signal_nm=780.0, n_slices=5, grid_n=256)
     jpd = corrected_jpd(slices)
     total_in = sum(
-        cs.weight * cs.intensity.sum()
+        cs.weight * cs.intensity.data.sum()
         * (cs.y_signal[1] - cs.y_signal[0]) * (cs.y_idler[1] - cs.y_idler[0])
         * (780.0 / 842.4)  # idler axis is rescaled by this factor first
         for cs in slices

@@ -97,17 +97,16 @@ class TestStartup:
             "assert 'scipy.fft' in sys.modules\n"
         )
 
-    def test_only_camera_loads_scipy_sparse(self, tmp_path):
+    def test_certify_jid_and_camera_load_no_scipy(self, tmp_path):
         fresh_python(
             "import sys\n"
             "from spdcsim.cli import main\n"
             "small = ['--grid-n', '64', '--slices', '3']\n"
             f"out = ['--out', {str(tmp_path)!r}]\n"
-            "for argv in (['certify'], ['stats', '--plane', 'near'], ['jid', *out]):\n"
+            "for argv in (['certify'], ['jid', *out], ['camera', *out]):\n"
             "    assert main(argv + small) == 0\n"
-            "    assert 'scipy.sparse' not in sys.modules, argv\n"
-            "assert main(['camera', *out] + small) == 0\n"
-            "assert 'scipy.sparse' in sys.modules\n"
+            "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "    assert not loaded, (argv, loaded)\n"
         )
 
 
@@ -343,10 +342,13 @@ class TestCamera:
 
     def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path):
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
-        held CSR slice (12 bytes per entry) outweighs a dense matrix: a
-        budget that one evaluation plus 31 dense slices fit in is exceeded."""
-        n, slices, budget_mb = 256, 31, 25
+        held band slice costs a dense matrix plus its row offsets: a budget
+        that one evaluation plus 31 dense slices fit in is exceeded once
+        the two JPDs and the held bands are charged."""
+        n, slices, budget_mb = 256, 31, 21
         assert n * n * 8 * (10 + slices) <= budget_mb * 2**20  # the dense charge fits
+        held = n * n * 8 * (10 + 2) + slices * (n * n * 8 + n * 8)
+        assert held > budget_mb * 2**20  # the held bands do not
         cfg = write_config(
             tmp_path,
             f"pump:\n  waist_um: 20\ngrid:\n  n: {n}\n  memory_budget_mb: {budget_mb}\n"
@@ -479,6 +481,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: crystal.sellmeier_file: ")
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(".nan", "nan"), (".inf", "inf"), ("null", "None"), ("abc", "'abc'"), ("true", "True")],
+        ids=["nan", "inf", "null", "text", "bool"],
+    )
+    def test_non_numeric_sellmeier_coefficient_exits_2(self, capsys, tmp_path, value, shown):
+        sell = write_config(
+            tmp_path,
+            f"ordinary: {{A: {value}, B: 0.018, C: 0.018, D: 0.015}}\n"
+            "extraordinary: {A: 2.4, B: 0.012, C: 0.016, D: 0.015}\n"
+            "range_um: [0.2, 2.0]\n",
+            "sellmeier.yaml",
+        )
+        cfg = write_config(tmp_path, f"crystal:\n  sellmeier_file: {sell}\n")
+        code, out, err = run_cli(capsys, "pm-angle", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == ("config error: crystal.sellmeier_file: "
+                               f"ordinary.A: must be a finite number, got {shown}")
 
     def test_non_utf8_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.yaml"

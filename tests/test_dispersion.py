@@ -184,6 +184,29 @@ def test_phase_matching_unreachable_raises():
     assert err.value.residual_hi > 0
 
 
+@pytest.mark.parametrize("ray", ["ordinary", "extraordinary"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("A", float("nan")), ("B", float("inf")), ("C", float("-inf")), ("A", None),
+     ("A", "abc"), ("D", True), ("B", "0.018"), ("C", 10**400)],
+    ids=["nan", "inf", "-inf", "null", "text", "bool", "quoted", "huge-int"],
+)
+def test_sellmeier_coefficient_must_be_finite_number(ray, key, value):
+    def coefficients(coeffs):
+        return dict(zip("ABCD", coeffs))
+
+    doc = {
+        "ordinary": coefficients(BBO.ordinary),
+        "extraordinary": coefficients(BBO.extraordinary),
+        "range_um": list(BBO.range_um),
+    }
+    assert SellmeierSet.from_mapping(doc).ordinary == BBO.ordinary
+    doc[ray][key] = value
+    with pytest.raises(ValueError) as err:
+        SellmeierSet.from_mapping(doc)
+    assert str(err.value) == f"{ray}.{key}: must be a finite number, got {value!r}"
+
+
 # -- walk-off ---------------------------------------------------------------
 
 
