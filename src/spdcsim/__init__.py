@@ -23,6 +23,7 @@ from spdcsim.biphoton import (
 from spdcsim.camera import (
     CameraJPD,
     CameraSlice,
+    camera_jpds,
     camera_slices,
     corrected_jpd,
     rescale_idler,
@@ -100,6 +101,7 @@ __all__ = [
     # camera
     "CameraJPD",
     "CameraSlice",
+    "camera_jpds",
     "camera_slices",
     "corrected_jpd",
     "rescale_idler",

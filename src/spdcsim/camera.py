@@ -14,14 +14,16 @@ ridge offset fitted to the slice's own momentum distribution — and
 resamples each slice onto the common grid with one banded,
 mass-conserving operator per axis (3 or 4 source knots per cell).
 
-``camera_slices`` takes the run's ``spectral.Problem``, puts each
-slice's axes on the camera, fits a y slice's ridge intercept from the
-raw moments of its dense intensity (``stats.moments``), and holds each
-slice intensity until accumulation as a ``RowBand``: per signal row,
-only the idler columns the squared pump envelope leaves nonzero (8 % of
-the grid at the default config).  The resampler works on the band
-directly, and the memory budget is charged for the bytes held (see
-``camera_slices``).
+Each slice is built from the run's ``spectral.Problem`` in one way: its
+axes are put on the camera, a y slice's ridge intercept is fitted from
+the raw moments of its dense intensity (``stats.moments``), and the
+intensity is held as a ``RowBand``: per signal row, only the idler
+columns the squared pump envelope leaves nonzero (8 % of the grid at the
+default config).  The resampler works on the band directly.
+``camera_jpds`` streams the slices into both JPDs and holds two bands
+at a time; ``camera_slices`` holds them all, for ``uncorrected_jpd``
+and ``corrected_jpd``.  The memory budget is checked once, up front,
+for the bytes each of them holds.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from spdcsim.biphoton import check_memory_budget, envelope_columns
-from spdcsim.spectral import Problem, spectral_slices
+from spdcsim.biphoton import check_memory_budget, envelope_columns, evaluate_grid
+from spdcsim.spectral import Problem, sample_spectrum
 from spdcsim.stats import moments, ridge_fit
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "CameraSlice",
     "CameraJPD",
     "camera_slices",
+    "camera_jpds",
     "rescale_idler",
     "walkoff_correct",
     "uncorrected_jpd",
@@ -157,59 +160,100 @@ def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> flo
     return magnification * focal_length_m / (2.0 * math.pi / (lambda_nm * 1e-9))
 
 
+def _slice_builder(
+    problem: Problem, axis: str, focal_length_m: float, magnification: float, held_slices: int
+) -> Callable[[float, float, float], CameraSlice]:
+    """Check the budget for the two JPDs and ``held_slices`` bands beside
+    one evaluation, and return the function that evaluates one slice
+    (lambda_s, lambda_i, weight) onto the camera.  Every band has the
+    width ``envelope_columns`` gives for the grid and w0, so the check
+    comes before any evaluation; a band that covers the grid costs its
+    dense bytes plus the row offsets."""
+    if focal_length_m <= 0:
+        raise ValueError(f"focal length must be positive, got {focal_length_m}")
+    if magnification <= 0:
+        raise ValueError(f"magnification must be positive, got {magnification}")
+    n = problem.grid_n
+    q = problem.square_grid()
+    first, stop = envelope_columns(q, q, problem.waist_m, power=2)
+    band_bytes = n * _windows(first, stop, n)[1] * 8 + n * np.dtype(np.intp).itemsize
+    check_memory_budget(
+        n, n, problem.memory_budget_bytes,
+        held_bytes=2 * n * n * 8 + held_slices * band_bytes,
+        holding=f"2 camera JPDs and {held_slices} slice bands",
+    )
+
+    def build(lam_s: float, lam_i: float, weight: float) -> CameraSlice:
+        amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
+        amp *= amp  # the slice intensity; the amplitude is not needed again
+        intercept = None
+        if axis == "y":
+            intercept = ridge_fit(moments("far", axis, q, q, amp)).intercept
+        scale_s = _scale(focal_length_m, lam_s, magnification)
+        scale_i = _scale(focal_length_m, lam_i, magnification)
+        return CameraSlice(
+            axis=axis,
+            y_signal=scale_s * q,
+            y_idler=scale_i * q,
+            intensity=RowBand.from_dense(amp, first, stop),
+            lambda_signal_nm=lam_s,
+            lambda_idler_nm=lam_i,
+            weight=weight,
+            scale_signal=scale_s,
+            scale_idler=scale_i,
+            ridge_intercept=intercept,
+        )
+
+    return build
+
+
+def _spectrum(problem: Problem) -> tuple[tuple[float, float, float], ...]:
+    return sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+
+
 def camera_slices(
     problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
 ) -> list[CameraSlice]:
     """Run the source model per spectral slice and map each slice onto
     the camera, Y = M (f/k) q per arm (no accumulation — feed the result
-    to uncorrected_jpd or corrected_jpd).
+    to uncorrected_jpd or corrected_jpd; ``camera_jpds`` gives both
+    without holding every slice).
 
     Each slice is held as a ``RowBand`` of the columns where its
     intensity can be nonzero (``envelope_columns`` of the squared
     envelope); on y, its ridge intercept is fitted first, from the dense
-    intensity.  The budget is charged for one amplitude evaluation plus
-    the two accumulated JPDs before the first evaluation, then for each
-    slice's band bytes as it is stored (``GridMemoryError`` once over); a
-    slice whose band covers the grid costs its dense bytes plus the row
-    offsets."""
-    if focal_length_m <= 0:
-        raise ValueError(f"focal length must be positive, got {focal_length_m}")
-    if magnification <= 0:
-        raise ValueError(f"magnification must be positive, got {magnification}")
-    n, budget = problem.grid_n, problem.memory_budget_bytes
-    held = 2 * n * n * 8  # the uncorrected and the corrected JPD
-    check_memory_budget(n, n, budget, held_bytes=held, holding="2 camera JPDs")
-    q = problem.square_grid()
-    first, stop = envelope_columns(q, q, problem.waist_m, power=2)
-    out = []
-    for (lam_s, lam_i), weight, amp in spectral_slices(problem, axis):
-        amp *= amp  # the slice intensity; the amplitude is not needed again
-        intercept = None
-        if axis == "y":
-            intercept = ridge_fit(moments("far", axis, q, q, amp)).intercept
-        intensity = RowBand.from_dense(amp, first, stop)
-        held += intensity.nbytes
-        check_memory_budget(
-            n, n, budget, held_bytes=held,
-            holding=f"2 camera JPDs and {len(out) + 1} of {problem.n_slices} slice matrices",
-        )
-        scale_s = _scale(focal_length_m, lam_s, magnification)
-        scale_i = _scale(focal_length_m, lam_i, magnification)
-        out.append(
-            CameraSlice(
-                axis=axis,
-                y_signal=scale_s * q,
-                y_idler=scale_i * q,
-                intensity=intensity,
-                lambda_signal_nm=lam_s,
-                lambda_idler_nm=lam_i,
-                weight=weight,
-                scale_signal=scale_s,
-                scale_idler=scale_i,
-                ridge_intercept=intercept,
-            )
-        )
-    return out
+    intensity.  The budget is checked once, before the first evaluation,
+    for the two JPDs and every slice's band (``GridMemoryError``)."""
+    build = _slice_builder(problem, axis, focal_length_m, magnification, problem.n_slices)
+    return [build(*sample) for sample in _spectrum(problem)]
+
+
+def camera_jpds(
+    problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
+) -> tuple[CameraJPD, CameraJPD]:
+    """The uncorrected and the corrected JPD of ``camera_slices``, from one
+    pass that holds two slice bands, not all of them.
+
+    The central slice is evaluated first and kept: its axes, and its
+    fitted intercept, fix both JPDs' grids.  Then each slice, in
+    sampling order, is added into both totals (as it is, and corrected)
+    and dropped.  Each total receives the same slices in the same order
+    as ``uncorrected_jpd`` and ``corrected_jpd``, so the matrices are
+    equal bit for bit.  The budget is checked once, up front, for the
+    two JPDs and two bands (``GridMemoryError``).
+    """
+    build = _slice_builder(problem, axis, focal_length_m, magnification, held_slices=2)
+    spectrum = _spectrum(problem)
+    mid = len(spectrum) // 2
+    central = build(*spectrum[mid])
+    fixed_central = _corrected(central)
+    raw, fixed = _Total(central), _Total(fixed_central)
+    for k, sample in enumerate(spectrum):
+        cs = central if k == mid else build(*sample)
+        raw.add(cs)
+        fixed.add(fixed_central if k == mid else _corrected(cs))
+        del cs  # drop this slice's band before the next one is built
+    return raw.jpd(corrected=False), fixed.jpd(corrected=True)
 
 
 def rescale_idler(cs: CameraSlice) -> CameraSlice:
@@ -233,7 +277,7 @@ def walkoff_correct(cs: CameraSlice) -> CameraSlice:
 
     Translates the idler axis by -(f/k_s) b, where b is the intercept of
     the stationary line fitted to this slice's own momentum distribution
-    (``ridge_intercept``, fitted by ``camera_slices``) — the offset the
+    (``ridge_intercept``, fitted when the slice is built) — the offset the
     model actually produces.  (The pump's transverse
     carrier k_y never appears in full on the ridge: the pump envelope
     pins the sum coordinate near zero.)
@@ -359,31 +403,48 @@ def _operator(src_axis: np.ndarray, dst_axis: np.ndarray) -> tuple[np.ndarray, n
     return first, table
 
 
-def _accumulate(
-    slices: Sequence[CameraSlice], corrected: bool
-) -> CameraJPD:
+class _Total:
+    """A JPD being accumulated on one slice's camera axes."""
+
+    def __init__(self, central: CameraSlice) -> None:
+        self.axis, self.y_s, self.y_i = central.axis, central.y_signal, central.y_idler
+        self.total = np.zeros((self.y_s.size, self.y_i.size))
+        self.provenance: list[tuple[float, float, float]] = []
+
+    def add(self, cs: CameraSlice) -> None:
+        """Resample ``cs`` onto the axes and add it with its weight."""
+        resampled = resample_conserving(cs.intensity, cs.y_idler, self.y_i, axis=1)
+        resampled = resample_conserving(resampled, cs.y_signal, self.y_s, axis=0)
+        # a band's entries are distinct cells; the rest of the dense sum adds +0
+        self.total.reshape(-1)[resampled.flat_index()] += cs.weight * resampled.data
+        self.provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
+
+    def jpd(self, corrected: bool) -> CameraJPD:
+        # Already >= 0: R >= 0 entrywise and the intensities are squares.
+        np.clip(self.total, 0.0, None, out=self.total)
+        return CameraJPD(
+            axis=self.axis,
+            y_signal=self.y_s,
+            y_idler=self.y_i,
+            intensity=self.total,
+            corrected=corrected,
+            slices=tuple(self.provenance),
+        )
+
+
+def _accumulate(slices: Sequence[CameraSlice], corrected: bool) -> CameraJPD:
     if not slices:
         raise ValueError("at least one camera slice is required")
-    central = slices[len(slices) // 2]
-    y_s, y_i = central.y_signal, central.y_idler
-    total = np.zeros((y_s.size, y_i.size))
-    provenance = []
+    total = _Total(slices[len(slices) // 2])
     for cs in slices:
-        resampled = resample_conserving(cs.intensity, cs.y_idler, y_i, axis=1)
-        resampled = resample_conserving(resampled, cs.y_signal, y_s, axis=0)
-        # a band's entries are distinct cells; the rest of the dense sum adds +0
-        total.reshape(-1)[resampled.flat_index()] += cs.weight * resampled.data
-        provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
-    # Already >= 0: R >= 0 entrywise and the intensities are squares.
-    np.clip(total, 0.0, None, out=total)
-    return CameraJPD(
-        axis=central.axis,
-        y_signal=y_s,
-        y_idler=y_i,
-        intensity=total,
-        corrected=corrected,
-        slices=tuple(provenance),
-    )
+        total.add(cs)
+    return total.jpd(corrected)
+
+
+def _corrected(cs: CameraSlice) -> CameraSlice:
+    """``cs`` with its idler rescaled and, on y, the walk-off offset removed."""
+    cs = rescale_idler(cs)
+    return walkoff_correct(cs) if cs.axis == "y" else cs
 
 
 def uncorrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
@@ -397,13 +458,7 @@ def corrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
     the signal scale, then (y axis only) the walk-off ridge offset
     removed.  The x axis carries no walk-off, so only the rescale
     applies there."""
-    fixed = []
-    for cs in slices:
-        cs = rescale_idler(cs)
-        if cs.axis == "y":
-            cs = walkoff_correct(cs)
-        fixed.append(cs)
-    return _accumulate(fixed, corrected=True)
+    return _accumulate([_corrected(cs) for cs in slices], corrected=True)
 
 
 def slope_report(jpd: CameraJPD) -> dict:

@@ -29,12 +29,7 @@ from pathlib import Path
 
 from spdcsim import __version__
 from spdcsim.biphoton import EvanescentInputError, GridMemoryError
-from spdcsim.camera import (
-    camera_slices,
-    corrected_jpd,
-    slope_report,
-    uncorrected_jpd,
-)
+from spdcsim.camera import camera_jpds, slope_report
 from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config
 from spdcsim.dispersion import (
     PhaseMatchingError,
@@ -213,9 +208,7 @@ def cmd_camera(args: argparse.Namespace) -> int:
     cfg = _config(args)
     problem = cfg.build()
     axis = args.axis or "y"
-    slices = camera_slices(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
-    raw = uncorrected_jpd(slices)
-    fixed = corrected_jpd(slices)
+    raw, fixed = camera_jpds(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
     files = []
     for tag, jpd in (("uncorrected", raw), ("corrected", fixed)):
         files += _write_matrix(

@@ -42,25 +42,25 @@ def write_matrix_csv(
     meta: dict | None = None,
     signal_label: str = "signal",
 ) -> None:
-    """Write the matrix as CSV, each float as ``repr(float(v))``; each row's
-    leading and trailing runs of +0.0 (not -0.0) are written as ``0.0``
-    without the per-element ``repr``."""
+    """Write the matrix as CSV, each float as ``repr(float(v))``, one row at
+    a time; each row's leading and trailing runs of +0.0 (not -0.0) are
+    written as ``0.0`` without the per-element ``repr``."""
     matrix = np.asarray(intensity, dtype=float)
     n = matrix.shape[1]
     printable = (matrix != 0) | np.signbit(matrix)
     first = np.where(printable.any(axis=1), printable.argmax(axis=1), n)
     stop = n - printable[:, ::-1].argmax(axis=1)
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(",".join([signal_label, *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
-    for coord, row, a, b in zip(
-        np.asarray(axis_signal, dtype=float).tolist(), matrix, first.tolist(), stop.tolist()
-    ):
-        cells = ["0.0"] * n
-        cells[a:b] = map(repr, row[a:b].tolist())
-        lines.append(repr(coord) + "," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for key, value in (meta or {}).items():
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join([signal_label, *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
+        fh.write("\n")
+        for coord, row, a, b in zip(
+            np.asarray(axis_signal, dtype=float).tolist(), matrix, first.tolist(), stop.tolist()
+        ):
+            cells = ["0.0"] * n
+            cells[a:b] = map(repr, row[a:b].tolist())
+            fh.write(repr(coord) + "," + ",".join(cells) + "\n")
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:

@@ -222,7 +222,7 @@ class Problem:
     the kernel and the memory budget.
 
     ``RunConfig.build()`` assembles it; ``moment_sums``, the JID
-    builders here and ``camera.camera_slices`` take it with the
+    builders here and ``camera``'s slice builder take it with the
     transverse axis, and hand it down to ``biphoton.evaluate_grid``.
     ``sum_halfwidth`` S and ``diff_halfwidth`` D bound the sum and
     difference coordinates; ``None`` selects their defaults.  The moment

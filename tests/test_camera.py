@@ -1,12 +1,16 @@
 """Camera mapping, chromatic rescale, walk-off correction, resampling."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import spdcsim.camera
+from spdcsim.biphoton import GridMemoryError
 from spdcsim.camera import (
     RowBand,
+    camera_jpds,
     camera_slices,
     corrected_jpd,
     rescale_idler,
@@ -406,3 +410,72 @@ def test_accumulation_matches_reference_resampler(accumulate):
     np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
     np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
     assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()
+
+
+# -- one streaming pass ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n_slices", [1, 4, 5])
+def test_camera_jpds_equal_list_accumulation(axis, n_slices):
+    """One pass gives both list-API JPDs bit for bit (with 4 slices the
+    central slice, index 2, is not the middle of the scan)."""
+    problem = make_setup(n_slices=n_slices, grid_n=128)
+    slices = camera_slices(problem, axis, F, magnification=1.5)
+    streamed = camera_jpds(problem, axis, F, magnification=1.5)
+    for got, want in zip(streamed, (uncorrected_jpd(slices), corrected_jpd(slices))):
+        assert got.axis == want.axis == axis
+        assert got.corrected is want.corrected
+        assert np.array_equal(got.y_signal, want.y_signal)
+        assert np.array_equal(got.y_idler, want.y_idler)
+        assert np.array_equal(got.intensity, want.intensity)
+        assert np.array_equal(np.signbit(got.intensity), np.signbit(want.intensity))
+        assert got.slices == want.slices
+        assert len(got.slices) == n_slices
+
+
+def test_camera_jpds_hold_two_bands(monkeypatch):
+    """No more than the kept central band and the current slice's band
+    are alive when a band is built."""
+    build = RowBand.from_dense.__func__
+    alive: list[weakref.ref] = []
+    peak = []
+
+    def tracked(cls, *args):
+        band = build(cls, *args)
+        alive[:] = [ref for ref in alive if ref() is not None]
+        alive.append(weakref.ref(band))
+        peak.append(len(alive))
+        return band
+
+    monkeypatch.setattr(RowBand, "from_dense", classmethod(tracked))
+    camera_jpds(make_setup(n_slices=7, grid_n=64), "y", F)
+    assert len(peak) == 7  # each slice is built once
+    assert max(peak) == 2
+
+
+def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
+    """At w0 = 20 um the pump band covers the 256 x 256 grid, so each held
+    band costs a dense matrix plus its row offsets: a budget that one
+    evaluation plus 31 dense slices fit in is exceeded by the two JPDs and
+    31 bands, and that is known before the first slice is evaluated."""
+    n, slices, budget_mb = 256, 31, 21
+    assert n * n * 8 * (10 + slices) <= budget_mb * 2**20  # the dense charge fits
+    held = n * n * 8 * (10 + 2) + slices * (n * n * 8 + n * 8)
+    assert held > budget_mb * 2**20  # the held bands do not
+    calls = []
+    evaluate = spdcsim.camera.evaluate_grid
+    monkeypatch.setattr(
+        spdcsim.camera, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
+    )
+    problem = make_setup(
+        waist_m=20e-6, n_slices=slices, grid_n=n, memory_budget_bytes=budget_mb * 2**20
+    )
+    with pytest.raises(GridMemoryError, match=rf"^256 x 256 grid holding 2 camera JPDs "
+                       rf"and {slices} slice bands needs ~22 MiB \(budget 21 MiB\)$"):
+        camera_slices(problem, "y", F)
+    assert calls == []
+    # the same budget holds the streaming pass's two bands
+    raw, fixed = camera_jpds(problem, "y", F)
+    assert len(calls) == slices
+    assert len(raw.slices) == len(fixed.slices) == slices

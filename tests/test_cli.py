@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spdcsim
+import spdcsim.camera
 from spdcsim.camera import camera_slices, corrected_jpd, uncorrected_jpd
 from spdcsim.cli import main
 from spdcsim.config import load_config
@@ -340,27 +341,44 @@ class TestCamera:
         assert err.startswith("resource error: 512 x 512 grid holding 2 camera JPDs")
         assert not out_dir.exists()
 
-    def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path):
+    def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path, monkeypatch):
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
-        held band slice costs a dense matrix plus its row offsets: a budget
-        that one evaluation plus 31 dense slices fit in is exceeded once
-        the two JPDs and the held bands are charged."""
-        n, slices, budget_mb = 256, 31, 21
-        assert n * n * 8 * (10 + slices) <= budget_mb * 2**20  # the dense charge fits
-        held = n * n * 8 * (10 + 2) + slices * (n * n * 8 + n * 8)
-        assert held > budget_mb * 2**20  # the held bands do not
-        cfg = write_config(
-            tmp_path,
-            f"pump:\n  waist_um: 20\ngrid:\n  n: {n}\n  memory_budget_mb: {budget_mb}\n"
-            f"spectral:\n  slices: {slices}\naxes: [y]\n",
+        held band costs a dense matrix plus its row offsets.  The camera
+        holds two bands beside the two JPDs and one evaluation; a budget
+        one MiB below that charge stops before any slice is evaluated,
+        and the charge itself runs."""
+        n, slices = 256, 31
+        charge = n * n * 8 * (10 + 2) + 2 * (n * n * 8 + n * 8)
+        budget_mb = -(-charge // 2**20)
+        assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
+        calls = []
+        evaluate = spdcsim.camera.evaluate_grid
+        monkeypatch.setattr(
+            spdcsim.camera, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
         )
-        out_dir = tmp_path / "out"
-        code, out, err = run_cli(capsys, "camera", "--config", cfg, "--out", str(out_dir))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("resource error: 256 x 256 grid holding 2 camera JPDs and ")
-        assert f" of {slices} slice matrices needs ~" in err
-        assert not out_dir.exists()
+        for mb in (budget_mb - 1, budget_mb):
+            cfg = write_config(
+                tmp_path,
+                f"pump:\n  waist_um: 20\ngrid:\n  n: {n}\n  memory_budget_mb: {mb}\n"
+                f"spectral:\n  slices: {slices}\naxes: [y]\n",
+            )
+            out_dir = tmp_path / f"out{mb}"
+            code, out, err = run_cli(capsys, "camera", "--config", cfg, "--out", str(out_dir))
+            if mb < budget_mb:
+                assert code == 3
+                assert out == ""
+                assert err.startswith(
+                    "resource error: 256 x 256 grid holding 2 camera JPDs and 2 slice bands "
+                    f"needs ~{charge / 2**20:.0f} MiB (budget {mb} MiB)"
+                )
+                assert not out_dir.exists()
+                assert calls == []
+            else:
+                assert code == 0, err
+                assert len(calls) == slices
+                assert sorted(p.name for p in out_dir.iterdir()) == [
+                    "camera_corrected_y.csv", "camera_uncorrected_y.csv",
+                ]
 
     def test_files_and_slope_report(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

@@ -106,6 +106,39 @@ class TestCsv:
         assert path.read_bytes() == self.reference_csv(axis_signal, axis_idler, matrix, meta)
         assert b"-0.0" in path.read_bytes() or not np.signbit(matrix).any()
 
+    @staticmethod
+    def joined_csv(path, axis_signal, axis_idler, matrix, meta, signal_label):
+        """The whole-file writer: every line joined into one string, written once."""
+        n = matrix.shape[1]
+        printable = (matrix != 0) | np.signbit(matrix)
+        first = np.where(printable.any(axis=1), printable.argmax(axis=1), n)
+        stop = n - printable[:, ::-1].argmax(axis=1)
+        lines = [f"# {key}: {value}" for key, value in meta.items()]
+        lines.append(",".join([signal_label, *map(repr, axis_idler.tolist())]))
+        for coord, row, a, b in zip(axis_signal.tolist(), matrix, first.tolist(), stop.tolist()):
+            cells = ["0.0"] * n
+            cells[a:b] = map(repr, row[a:b].tolist())
+            lines.append(repr(coord) + "," + ",".join(cells))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    def test_row_writes_match_joined_file(self, tmp_path):
+        """Writing row by row gives the bytes of joining the file first."""
+        rng = np.random.default_rng(11)
+        matrix = rng.uniform(0.0, 2.0, size=(5, 8))
+        matrix[:, :3] = 0.0  # leading zero runs
+        matrix[:, 6:] = 0.0  # trailing zero runs
+        matrix[1] = 0.0  # an all-zero row
+        matrix[2, 4] = -0.0
+        matrix[3, 0] = -0.0  # a -0.0 that opens a row's printed span
+        axis_signal = np.linspace(-1.0, 1.0, 5)
+        axis_idler = np.linspace(-0.7, 0.7, 8)
+        meta = {"plane": "camera", "axis": "y", "corrected": True}
+        rows, joined = tmp_path / "rows.csv", tmp_path / "joined.csv"
+        write_matrix_csv(rows, axis_signal, axis_idler, matrix, meta=meta, signal_label="y_s")
+        self.joined_csv(joined, axis_signal, axis_idler, matrix, meta, "y_s")
+        assert rows.read_bytes() == joined.read_bytes()
+        assert rows.read_bytes().count(b",-0.0,") == 2
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# plane: far\n")
