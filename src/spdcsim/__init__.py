@@ -20,17 +20,7 @@ from spdcsim.biphoton import (
     amplitude,
     evaluate_grid,
 )
-from spdcsim.camera import (
-    CameraJPD,
-    CameraSlice,
-    camera_jpds,
-    camera_slices,
-    corrected_jpd,
-    rescale_idler,
-    slope_report,
-    uncorrected_jpd,
-    walkoff_correct,
-)
+from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import ConfigError, RunConfig, load_config, parse_config
 from spdcsim.dispersion import (
     CrystalSetup,
@@ -100,14 +90,8 @@ __all__ = [
     "ridge_fit",
     # camera
     "CameraJPD",
-    "CameraSlice",
     "camera_jpds",
-    "camera_slices",
-    "corrected_jpd",
-    "rescale_idler",
     "slope_report",
-    "uncorrected_jpd",
-    "walkoff_correct",
     # sweep
     "SweepRow",
     "run_sweep",

@@ -173,9 +173,12 @@ def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
     ``axis``, a' = (L/2)(q_signal / k_z + tan(rho) on y) and likewise b'.
     The constant (L/2) dk_0 of the cut is added to a.
 
-    Raises EvanescentInputError if any momentum of either grid reaches the
+    Raises ValueError unless ``axis`` is "x" or "y", and
+    EvanescentInputError if any momentum of either grid reaches the
     propagation cone.
     """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     half_length = crystal.length_m / 2.0
     tilt = math.tan(crystal.rho) if axis == "y" else 0.0
 

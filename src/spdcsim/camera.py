@@ -8,11 +8,12 @@ Non-degenerate pairs therefore land on different scales per arm: summing
 spectral slices without compensation shears the ridge away from the
 ideal -1 (to about -lambda_s/lambda_i when the signal coordinate is
 plotted against the idler), and the walk-off carrier leaves a ridge
-offset on the y axis.  The correction pipeline undoes both slice by
-slice — rescale the idler axis to the signal's scale, subtract the
-ridge offset fitted to the slice's own momentum distribution — and
-resamples each slice onto the common grid with one banded,
-mass-conserving operator per axis (3 or 4 source knots per cell).
+offset on the y axis.  The correction undoes both slice by slice — it
+scales the idler axis by lambda_s/lambda_i onto the slice's signal
+scale, then subtracts the ridge offset fitted to the slice's own
+momentum distribution — and each slice is resampled onto the central
+slice's grid with one banded, mass-conserving operator per axis (3 or 4
+source knots per cell).
 
 Each slice is built from the run's ``spectral.Problem`` in one way: its
 axes are put on the camera, a y slice's ridge intercept is fitted from
@@ -21,9 +22,8 @@ intensity is held as a ``RowBand``: per signal row, only the idler
 columns the squared pump envelope leaves nonzero (8 % of the grid at the
 default config).  The resampler works on the band directly.
 ``camera_jpds`` streams the slices into both JPDs and holds two bands
-at a time; ``camera_slices`` holds them all, for ``uncorrected_jpd``
-and ``corrected_jpd``.  The memory budget is checked once, up front,
-for the bytes each of them holds.
+at a time.  The memory budget is checked once, up front, for the two
+JPDs and the two bands.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,19 +45,7 @@ from spdcsim.biphoton import check_memory_budget, envelope_columns, evaluate_gri
 from spdcsim.spectral import Problem, sample_spectrum
 from spdcsim.stats import moments, ridge_fit
 
-__all__ = [
-    "RowBand",
-    "CameraSlice",
-    "CameraJPD",
-    "camera_slices",
-    "camera_jpds",
-    "rescale_idler",
-    "walkoff_correct",
-    "uncorrected_jpd",
-    "corrected_jpd",
-    "slope_report",
-    "resample_conserving",
-]
+__all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report", "resample_conserving"]
 
 
 @dataclass(frozen=True)
@@ -110,13 +98,14 @@ def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, i
 
 
 @dataclass(frozen=True)
-class CameraSlice:
+class _CameraSlice:
     """One spectral slice on the camera: position axes, intensity, weight.
 
     ``intensity`` is a ``RowBand`` (signal rows, idler columns) holding
-    the slice's pump-envelope band.  ``ridge_intercept`` is
-    the intercept (rad/m) of the ridge fitted to the slice's own momentum
-    distribution, which the walk-off correction removes; ``None`` on x.
+    the slice's pump-envelope band.  ``scale_signal`` is the signal arm's
+    meters per rad/m.  ``ridge_intercept`` is the intercept (rad/m) of the
+    ridge fitted to the slice's own momentum distribution, which the
+    walk-off correction removes; ``None`` on x.
     """
 
     axis: str
@@ -127,7 +116,6 @@ class CameraSlice:
     lambda_idler_nm: float
     weight: float
     scale_signal: float
-    scale_idler: float
     ridge_intercept: float | None
 
 
@@ -161,89 +149,68 @@ def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> flo
 
 
 def _slice_builder(
-    problem: Problem, axis: str, focal_length_m: float, magnification: float, held_slices: int
-) -> Callable[[float, float, float], CameraSlice]:
-    """Check the budget for the two JPDs and ``held_slices`` bands beside
-    one evaluation, and return the function that evaluates one slice
+    problem: Problem, axis: str, focal_length_m: float, magnification: float
+) -> Callable[[float, float, float], _CameraSlice]:
+    """Check the budget for the two JPDs and two bands beside one
+    evaluation, and return the function that evaluates one slice
     (lambda_s, lambda_i, weight) onto the camera.  Every band has the
     width ``envelope_columns`` gives for the grid and w0, so the check
     comes before any evaluation; a band that covers the grid costs its
     dense bytes plus the row offsets."""
-    if focal_length_m <= 0:
-        raise ValueError(f"focal length must be positive, got {focal_length_m}")
-    if magnification <= 0:
-        raise ValueError(f"magnification must be positive, got {magnification}")
+    for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     n = problem.grid_n
     q = problem.square_grid()
     first, stop = envelope_columns(q, q, problem.waist_m, power=2)
     band_bytes = n * _windows(first, stop, n)[1] * 8 + n * np.dtype(np.intp).itemsize
     check_memory_budget(
         n, n, problem.memory_budget_bytes,
-        held_bytes=2 * n * n * 8 + held_slices * band_bytes,
-        holding=f"2 camera JPDs and {held_slices} slice bands",
+        held_bytes=2 * n * n * 8 + 2 * band_bytes,
+        holding="2 camera JPDs and 2 slice bands",
     )
 
-    def build(lam_s: float, lam_i: float, weight: float) -> CameraSlice:
+    def build(lam_s: float, lam_i: float, weight: float) -> _CameraSlice:
         amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
         amp *= amp  # the slice intensity; the amplitude is not needed again
         intercept = None
         if axis == "y":
             intercept = ridge_fit(moments("far", axis, q, q, amp)).intercept
         scale_s = _scale(focal_length_m, lam_s, magnification)
-        scale_i = _scale(focal_length_m, lam_i, magnification)
-        return CameraSlice(
+        return _CameraSlice(
             axis=axis,
             y_signal=scale_s * q,
-            y_idler=scale_i * q,
+            y_idler=_scale(focal_length_m, lam_i, magnification) * q,
             intensity=RowBand.from_dense(amp, first, stop),
             lambda_signal_nm=lam_s,
             lambda_idler_nm=lam_i,
             weight=weight,
             scale_signal=scale_s,
-            scale_idler=scale_i,
             ridge_intercept=intercept,
         )
 
     return build
 
 
-def _spectrum(problem: Problem) -> tuple[tuple[float, float, float], ...]:
-    return sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-
-
-def camera_slices(
-    problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
-) -> list[CameraSlice]:
-    """Run the source model per spectral slice and map each slice onto
-    the camera, Y = M (f/k) q per arm (no accumulation — feed the result
-    to uncorrected_jpd or corrected_jpd; ``camera_jpds`` gives both
-    without holding every slice).
-
-    Each slice is held as a ``RowBand`` of the columns where its
-    intensity can be nonzero (``envelope_columns`` of the squared
-    envelope); on y, its ridge intercept is fitted first, from the dense
-    intensity.  The budget is checked once, before the first evaluation,
-    for the two JPDs and every slice's band (``GridMemoryError``)."""
-    build = _slice_builder(problem, axis, focal_length_m, magnification, problem.n_slices)
-    return [build(*sample) for sample in _spectrum(problem)]
-
-
 def camera_jpds(
     problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
 ) -> tuple[CameraJPD, CameraJPD]:
-    """The uncorrected and the corrected JPD of ``camera_slices``, from one
-    pass that holds two slice bands, not all of them.
+    """The uncorrected and the corrected camera JPD of ``axis``, from one
+    pass over the spectral slices that holds two slice bands, not all.
 
-    The central slice is evaluated first and kept: its axes, and its
-    fitted intercept, fix both JPDs' grids.  Then each slice, in
-    sampling order, is added into both totals (as it is, and corrected)
-    and dropped.  Each total receives the same slices in the same order
-    as ``uncorrected_jpd`` and ``corrected_jpd``, so the matrices are
-    equal bit for bit.  The budget is checked once, up front, for the
-    two JPDs and two bands (``GridMemoryError``).
+    Each slice is evaluated and mapped onto the camera, Y = M (f/k) q per
+    arm; on y its ridge intercept is fitted from the dense intensity
+    before it is held as a ``RowBand``.  The central slice is evaluated
+    first and kept: its axes fix both JPDs' grids (the corrected grid is
+    the central slice's, corrected).  Then each slice, in sampling order,
+    is resampled onto both grids and added with its weight, as it is and
+    after ``_corrected``, and dropped.  The focal length and the
+    magnification must be finite and positive (``ValueError``); the
+    budget is checked once, before any evaluation, for the two JPDs and
+    two bands (``GridMemoryError``).
     """
-    build = _slice_builder(problem, axis, focal_length_m, magnification, held_slices=2)
-    spectrum = _spectrum(problem)
+    build = _slice_builder(problem, axis, focal_length_m, magnification)
+    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
     mid = len(spectrum) // 2
     central = build(*spectrum[mid])
     fixed_central = _corrected(central)
@@ -256,37 +223,24 @@ def camera_jpds(
     return raw.jpd(corrected=False), fixed.jpd(corrected=True)
 
 
-def rescale_idler(cs: CameraSlice) -> CameraSlice:
-    """Bring the idler axis onto the signal's spatial-frequency scale.
+def _corrected(cs: _CameraSlice) -> _CameraSlice:
+    """``cs`` with its idler axis on the signal's scale and, on y, the
+    walk-off ridge offset removed.
 
-    Multiplies the idler camera coordinate by k_i/k_s = lambda_s/lambda_i,
-    after which both arms share scale f/k_s and a slope -1 momentum ridge
-    maps to slope -1 on camera for this slice.  Degenerate slices are
-    untouched (factor exactly 1).
+    The idler coordinate is multiplied by k_i/k_s = lambda_s/lambda_i,
+    after which both arms share the scale M f/k_s and a slope -1
+    momentum ridge maps to slope -1 on camera (a degenerate slice is
+    untouched: the factor is exactly 1).  On y it is then translated by
+    -(M f/k_s) b, where b is the intercept fitted to the slice's own
+    momentum distribution (``ridge_intercept``): the offset the model
+    actually produces.  (The pump's transverse carrier k_y never appears
+    in full on the ridge: the pump envelope pins the sum coordinate near
+    zero.)  The x axis carries no walk-off.
     """
-    factor = cs.lambda_signal_nm / cs.lambda_idler_nm
-    return replace(
-        cs,
-        y_idler=cs.y_idler * factor,
-        scale_idler=cs.scale_idler * factor,
-    )
-
-
-def walkoff_correct(cs: CameraSlice) -> CameraSlice:
-    """Remove the y-axis ridge offset from a rescaled slice.
-
-    Translates the idler axis by -(f/k_s) b, where b is the intercept of
-    the stationary line fitted to this slice's own momentum distribution
-    (``ridge_intercept``, fitted when the slice is built) — the offset the
-    model actually produces.  (The pump's transverse
-    carrier k_y never appears in full on the ridge: the pump envelope
-    pins the sum coordinate near zero.)
-    """
-    if cs.axis != "y":
-        raise ValueError("walk-off correction applies to the y axis only")
-    if not math.isclose(cs.scale_idler, cs.scale_signal, rel_tol=1e-12):
-        raise ValueError("slice must be rescaled to the signal scale first")
-    return replace(cs, y_idler=cs.y_idler - cs.scale_signal * cs.ridge_intercept)
+    y_idler = cs.y_idler * (cs.lambda_signal_nm / cs.lambda_idler_nm)
+    if cs.axis == "y":
+        y_idler = y_idler - cs.scale_signal * cs.ridge_intercept
+    return replace(cs, y_idler=y_idler)
 
 
 def _cell_edges(axis: np.ndarray) -> np.ndarray:
@@ -406,12 +360,12 @@ def _operator(src_axis: np.ndarray, dst_axis: np.ndarray) -> tuple[np.ndarray, n
 class _Total:
     """A JPD being accumulated on one slice's camera axes."""
 
-    def __init__(self, central: CameraSlice) -> None:
+    def __init__(self, central: _CameraSlice) -> None:
         self.axis, self.y_s, self.y_i = central.axis, central.y_signal, central.y_idler
         self.total = np.zeros((self.y_s.size, self.y_i.size))
         self.provenance: list[tuple[float, float, float]] = []
 
-    def add(self, cs: CameraSlice) -> None:
+    def add(self, cs: _CameraSlice) -> None:
         """Resample ``cs`` onto the axes and add it with its weight."""
         resampled = resample_conserving(cs.intensity, cs.y_idler, self.y_i, axis=1)
         resampled = resample_conserving(resampled, cs.y_signal, self.y_s, axis=0)
@@ -430,35 +384,6 @@ class _Total:
             corrected=corrected,
             slices=tuple(self.provenance),
         )
-
-
-def _accumulate(slices: Sequence[CameraSlice], corrected: bool) -> CameraJPD:
-    if not slices:
-        raise ValueError("at least one camera slice is required")
-    total = _Total(slices[len(slices) // 2])
-    for cs in slices:
-        total.add(cs)
-    return total.jpd(corrected)
-
-
-def _corrected(cs: CameraSlice) -> CameraSlice:
-    """``cs`` with its idler rescaled and, on y, the walk-off offset removed."""
-    cs = rescale_idler(cs)
-    return walkoff_correct(cs) if cs.axis == "y" else cs
-
-
-def uncorrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
-    """Accumulate slices as a camera would: each on its own chromatic
-    scale, resampled onto the central slice's grid, weight-summed."""
-    return _accumulate(slices, corrected=False)
-
-
-def corrected_jpd(slices: Sequence[CameraSlice]) -> CameraJPD:
-    """Accumulate slices after per-slice compensation: idler rescaled to
-    the signal scale, then (y axis only) the walk-off ridge offset
-    removed.  The x axis carries no walk-off, so only the rescale
-    applies there."""
-    return _accumulate([_corrected(cs) for cs in slices], corrected=True)
 
 
 def slope_report(jpd: CameraJPD) -> dict:

@@ -1,7 +1,7 @@
 """File formats for joint distributions: CSV and a raw binary.
 
 CSV layout: comment lines carrying the plane/axis tags, then a header
-row with the idler axis values (first cell names the signal axis), then
+row with the idler axis values (first cell ``signal``), then
 one row per signal coordinate.  Floats are written with ``repr``
 (shortest round-trip form), so identical inputs produce byte-identical
 files.
@@ -40,7 +40,6 @@ def write_matrix_csv(
     axis_idler: np.ndarray,
     intensity: np.ndarray,
     meta: dict | None = None,
-    signal_label: str = "signal",
 ) -> None:
     """Write the matrix as CSV, each float as ``repr(float(v))``, one row at
     a time; each row's leading and trailing runs of +0.0 (not -0.0) are
@@ -53,7 +52,7 @@ def write_matrix_csv(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
-        fh.write(",".join([signal_label, *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
+        fh.write(",".join(["signal", *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
         fh.write("\n")
         for coord, row, a, b in zip(
             np.asarray(axis_signal, dtype=float).tolist(), matrix, first.tolist(), stop.tolist()

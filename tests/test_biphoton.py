@@ -20,6 +20,8 @@ from spdcsim.biphoton import (
     envelope_columns,
     evaluate_grid,
 )
+from spdcsim.camera import camera_jpds
+from spdcsim.config import certify_axis
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, Problem, sample_spectrum
 
@@ -270,6 +272,20 @@ def test_unknown_kernel_rejected():
     problem = make_setup(kernel="lorentzian")
     with pytest.raises(ValueError):
         amplitude(0.0, 0.0, problem, "x", nominal(problem))
+
+
+def test_axis_other_than_x_or_y_rejected():
+    """Every evaluation takes its axis through ``_arm_arguments``, which
+    rejects all but "x" and "y" (a "z" was a y slice without the walk-off
+    tilt)."""
+    problem = make_setup(signal_nm=780.0, grid_n=64, n_slices=3)
+    q = problem.square_grid()
+    with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
+        evaluate_grid(q, q, problem, "z", nominal(problem))
+    with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
+        certify_axis(problem, "z")
+    with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
+        camera_jpds(problem, "z", 0.25)
 
 
 def test_arm_arguments_carry_the_collinear_mismatch_of_the_cut():

@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,14 @@ import spdcsim.camera
 from spdcsim.biphoton import GridMemoryError
 from spdcsim.camera import (
     RowBand,
+    _corrected,
+    _slice_builder,
     camera_jpds,
-    camera_slices,
-    corrected_jpd,
-    rescale_idler,
     resample_conserving,
     slope_report,
-    uncorrected_jpd,
-    walkoff_correct,
 )
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, far_field_jid
+from spdcsim.spectral import FilterSpec, Problem, far_field_jid, sample_spectrum
 from spdcsim.stats import moments, ridge_fit
 
 BBO = SellmeierSet.bbo()
@@ -39,11 +37,28 @@ def one_slice_problem(signal_nm=780.0, n=256):
     return make_setup(signal_nm=signal_nm, n_slices=1, grid_n=n)
 
 
+def built_slices(problem, axis, magnification=1.0):
+    """Every slice of ``problem`` on the camera, in sampling order, as
+    ``camera_jpds`` builds it (the private builder)."""
+    build = _slice_builder(problem, axis, F, magnification)
+    return [build(*s) for s in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)]
+
+
 def camera_slice(axis="y", signal_nm=780.0, n=256):
     """The one camera slice of a monochromatic run, with its wavelengths."""
     problem = one_slice_problem(signal_nm=signal_nm, n=n)
-    (cs,) = camera_slices(problem, axis, F)
+    (cs,) = built_slices(problem, axis)
     return problem.wl, cs
+
+
+def counting_evaluations(monkeypatch):
+    """The list each ``evaluate_grid`` call of the camera appends to."""
+    calls = []
+    evaluate = spdcsim.camera.evaluate_grid
+    monkeypatch.setattr(
+        spdcsim.camera, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
+    )
+    return calls
 
 
 # -- mapping ------------------------------------------------------------------
@@ -57,20 +72,24 @@ def test_camera_mapping_scale():
     assert cs.scale_signal * 1e5 == pytest.approx(3.1036e-3, rel=1e-4)
 
 
-def test_camera_mapping_validation():
+def test_camera_mapping_validation(monkeypatch):
+    """The focal length and the magnification must be finite and
+    positive, on either axis; nothing is evaluated otherwise."""
     problem = one_slice_problem(n=64)
-    with pytest.raises(ValueError):
-        camera_slices(problem, "y", 0.0)
-    with pytest.raises(ValueError):
-        camera_slices(problem, "y", F, magnification=-1.0)
-    with pytest.raises(ValueError):
-        camera_slices(problem, "y", F, magnification=0.0)
+    calls = counting_evaluations(monkeypatch)
+    for axis in ("x", "y"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="focal length must be finite and positive"):
+                camera_jpds(problem, axis, bad)
+            with pytest.raises(ValueError, match="magnification must be finite and positive"):
+                camera_jpds(problem, axis, F, magnification=bad)
+    assert calls == []
 
 
 def test_map_to_camera_scales_axes():
     problem = one_slice_problem()
     jid = far_field_jid(problem, "y")
-    (cs,) = camera_slices(problem, "y", F)
+    (cs,) = built_slices(problem, "y")
     assert cs.y_signal[0] == pytest.approx(
         jid.axis_signal[0] * F * 780e-9 / (2 * math.pi), rel=1e-12
     )
@@ -86,77 +105,69 @@ def test_map_to_camera_scales_axes():
     mid = jid.axis_signal.size // 2
     assert cs.y_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
     # the magnification scales both arms
-    (magnified,) = camera_slices(problem, "y", F, magnification=2.0)
+    (magnified,) = built_slices(problem, "y", magnification=2.0)
     assert magnified.scale_signal == pytest.approx(2.0 * cs.scale_signal, rel=1e-15)
-    assert magnified.scale_idler == pytest.approx(2.0 * cs.scale_idler, rel=1e-15)
+    np.testing.assert_allclose(magnified.y_idler, 2.0 * cs.y_idler, rtol=1e-15)
 
 
 def test_ridge_intercept_is_the_slice_fit():
     """Fitted once, on y only, from the slice's own momentum distribution."""
     problem = one_slice_problem()
-    (cs,) = camera_slices(problem, "y", F)
+    (cs,) = built_slices(problem, "y")
     far = far_field_jid(problem, "y")
     fit = ridge_fit(moments("far", "y", far.axis_signal, far.axis_idler, far.intensity))
     assert cs.ridge_intercept == fit.intercept
     assert cs.ridge_intercept != 0.0
-    (cs_x,) = camera_slices(problem, "x", F)
+    (cs_x,) = built_slices(problem, "x")
     assert cs_x.ridge_intercept is None
 
 
 def test_degenerate_pair_has_identical_scales():
     wl, cs = camera_slice(signal_nm=810.0)
-    assert cs.scale_signal == cs.scale_idler
+    assert np.array_equal(cs.y_signal, cs.y_idler)
 
 
-# -- rescale ------------------------------------------------------------------
+# -- rescale (the x axis carries no walk-off: the rescale is all of it) ----------
 
 
 def test_rescale_degenerate_is_identity():
-    wl, cs = camera_slice(signal_nm=810.0)
-    rs = rescale_idler(cs)
+    wl, cs = camera_slice(axis="x", signal_nm=810.0)
+    rs = _corrected(cs)
     np.testing.assert_array_equal(rs.y_idler, cs.y_idler)
 
 
 def test_rescale_factor_and_roundtrip():
-    wl, cs = camera_slice()
-    rs = rescale_idler(cs)
+    wl, cs = camera_slice(axis="x")
+    rs = _corrected(cs)
     factor = 780.0 / wl.idler_nm
     assert factor == pytest.approx(0.925926, abs=1e-6)
     np.testing.assert_allclose(rs.y_idler, cs.y_idler * factor, rtol=1e-15)
     # invertible
     np.testing.assert_allclose(rs.y_idler / factor, cs.y_idler, rtol=1e-12)
     # after rescale both arms sit on the signal scale
-    assert rs.scale_idler == pytest.approx(rs.scale_signal, rel=1e-15)
+    np.testing.assert_allclose(rs.y_idler, rs.y_signal, rtol=1e-15)
+    # on y the same rescale comes first, then the fitted shift
+    wl, cs = camera_slice(axis="y")
+    shifted = cs.y_idler * factor - cs.scale_signal * cs.ridge_intercept
+    assert np.array_equal(_corrected(cs).y_idler, shifted)
 
 
 # -- walk-off correction --------------------------------------------------------
 
 
-def test_walkoff_correct_rejects_x_axis():
-    wl, cs = camera_slice(axis="x")
-    with pytest.raises(ValueError):
-        walkoff_correct(rescale_idler(cs))
-
-
-def test_walkoff_correct_requires_rescale():
-    wl, cs = camera_slice(axis="y")
-    with pytest.raises(ValueError):
-        walkoff_correct(cs)
-
-
 def test_fitted_shift_small_for_degenerate():
     wl, cs = camera_slice(axis="y", signal_nm=810.0)
-    cs = rescale_idler(cs)
-    corr = walkoff_correct(cs)
-    # symmetric degenerate slice: fitted intercept well under a grid cell
+    corr = _corrected(cs)
+    # symmetric degenerate slice (rescale factor 1): fitted intercept well
+    # under a grid cell
     cell = float(cs.y_idler[1] - cs.y_idler[0])
     assert abs(float(cs.y_idler[0] - corr.y_idler[0])) < cell
 
 
 def test_fitted_shift_removes_nondegenerate_intercept():
     wl, cs = camera_slice(axis="y", signal_nm=780.0)
-    corr = walkoff_correct(rescale_idler(cs))
-    q_idler = corr.y_idler / corr.scale_idler
+    corr = _corrected(cs)
+    q_idler = corr.y_idler / corr.scale_signal  # the idler is on the signal scale
     fit = ridge_fit(moments(
         "far", "y", corr.y_signal / corr.scale_signal, q_idler, corr.intensity.toarray()
     ))
@@ -325,43 +336,35 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
 # -- accumulation and slopes -----------------------------------------------------
 
 
-def build_slices(axis="y", signal_nm=780.0, n_slices=7, grid_n=256, waist_m=500e-6):
-    problem = make_setup(signal_nm=signal_nm, waist_m=waist_m, n_slices=n_slices, grid_n=grid_n)
-    return camera_slices(problem, axis, F)
-
-
-def test_empty_slice_list_rejected():
-    with pytest.raises(ValueError):
-        uncorrected_jpd([])
+def build_jpds(signal_nm, n_slices, grid_n):
+    """The uncorrected and the corrected y-axis JPD of ``camera_jpds``."""
+    return camera_jpds(make_setup(signal_nm=signal_nm, n_slices=n_slices, grid_n=grid_n), "y", F)
 
 
 def test_single_degenerate_slice_slope():
-    slices = build_slices(signal_nm=810.0, n_slices=1, grid_n=512)
-    jpd = uncorrected_jpd(slices)
+    jpd, _ = build_jpds(signal_nm=810.0, n_slices=1, grid_n=512)
     rep = slope_report(jpd)
     assert rep["slope_principal_axis"] == pytest.approx(-1.0, abs=0.01)
     assert not jpd.corrected
 
 
 def test_uncorrected_nondegenerate_skew():
-    slices = build_slices(signal_nm=780.0, n_slices=7, grid_n=512)
-    rep = slope_report(uncorrected_jpd(slices))
+    raw, _ = build_jpds(signal_nm=780.0, n_slices=7, grid_n=512)
+    rep = slope_report(raw)
     assert rep["slope_regression"] == pytest.approx(-0.92, abs=0.02)
     # analytic: the scale mismatch alone sets the slope to -lam_s/lam_i
     assert rep["slope_regression"] == pytest.approx(-780.0 / 842.4, rel=0.01)
 
 
 def test_corrected_nondegenerate_restores_unit_slope():
-    slices = build_slices(signal_nm=780.0, n_slices=7, grid_n=512)
-    rep = slope_report(corrected_jpd(slices))
+    _, fixed = build_jpds(signal_nm=780.0, n_slices=7, grid_n=512)
+    rep = slope_report(fixed)
     assert rep["slope_regression"] == pytest.approx(-1.0, abs=0.01)
     assert rep["corrected"]
 
 
 def test_corrected_equals_uncorrected_for_degenerate_slice():
-    slices = build_slices(signal_nm=810.0, n_slices=1, grid_n=256)
-    unc = uncorrected_jpd(slices)
-    corr = corrected_jpd(slices)
+    unc, corr = build_jpds(signal_nm=810.0, n_slices=1, grid_n=256)
     # corrections are identities up to the sub-cell fitted shift
     assert np.abs(corr.intensity - unc.intensity).max() <= 1e-6 * unc.intensity.max()
 
@@ -370,68 +373,56 @@ def test_pure_scaling_slope_relation():
     # A single slice's camera slope is the q-space slope times the
     # scale ratio (display orientation): pure coordinate scaling.
     problem = one_slice_problem(signal_nm=780.0, n=512)
-    (cs,) = camera_slices(problem, "y", F)
+    (cs,) = built_slices(problem, "y")
     far = far_field_jid(problem, "y")
     q_fit = ridge_fit(moments("far", "y", far.axis_signal, far.axis_idler, far.intensity))
     q_display = 1.0 / q_fit.slope_principal_axis
-    rep = slope_report(uncorrected_jpd([cs]))
-    expected = q_display * cs.scale_signal / cs.scale_idler
+    rep = slope_report(camera_jpds(problem, "y", F)[0])
+    expected = q_display * cs.y_signal[-1] / cs.y_idler[-1]  # both arms share the q grid
     assert rep["slope_principal_axis"] == pytest.approx(expected, rel=0.01)
 
 
 def test_accumulation_preserves_mass():
-    slices = build_slices(signal_nm=780.0, n_slices=5, grid_n=256)
-    jpd = corrected_jpd(slices)
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=256)
+    _, jpd = camera_jpds(problem, "y", F)
     total_in = sum(
         cs.weight * cs.intensity.data.sum()
         * (cs.y_signal[1] - cs.y_signal[0]) * (cs.y_idler[1] - cs.y_idler[0])
         * (780.0 / 842.4)  # idler axis is rescaled by this factor first
-        for cs in slices
+        for cs in built_slices(problem, "y")
     )
     total_out = jpd.intensity.sum() * jpd.d_signal * jpd.d_idler
     assert total_out == pytest.approx(total_in, rel=1e-4)
 
 
-@pytest.mark.parametrize("accumulate", [uncorrected_jpd, corrected_jpd])
-def test_accumulation_matches_reference_resampler(accumulate):
-    """Signal resampled along rows, idler along columns, each slice
-    weighted, onto the central slice's grid."""
-    slices = build_slices(axis="y", n_slices=7, grid_n=256)
-    jpd = accumulate(slices)
-    if accumulate is corrected_jpd:
-        slices = [walkoff_correct(rescale_idler(cs)) for cs in slices]
-    central = slices[len(slices) // 2]
-    total = np.zeros((central.y_signal.size, central.y_idler.size))
-    for cs in slices:
-        resampled = reference_resample(
-            cs.intensity.toarray(), cs.y_idler, central.y_idler, axis=1
-        )
-        total += cs.weight * reference_resample(resampled, cs.y_signal, central.y_signal, axis=0)
-    np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
-    np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
-    assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()
-
-
-# -- one streaming pass ---------------------------------------------------------
-
-
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("n_slices", [1, 4, 5])
 def test_camera_jpds_equal_list_accumulation(axis, n_slices):
-    """One pass gives both list-API JPDs bit for bit (with 4 slices the
-    central slice, index 2, is not the middle of the scan)."""
-    problem = make_setup(n_slices=n_slices, grid_n=128)
-    slices = camera_slices(problem, axis, F, magnification=1.5)
+    """Both JPDs of the one streamed pass equal the list of slices summed
+    with the reference resampler: signal resampled along rows, idler
+    along columns, each slice weighted, onto the central slice's grid
+    (corrected, for the corrected JPD).  With 4 slices the central
+    slice, index 2, is not the middle of the scan."""
+    problem = make_setup(n_slices=n_slices, grid_n=256)
+    slices = built_slices(problem, axis, magnification=1.5)
     streamed = camera_jpds(problem, axis, F, magnification=1.5)
-    for got, want in zip(streamed, (uncorrected_jpd(slices), corrected_jpd(slices))):
-        assert got.axis == want.axis == axis
-        assert got.corrected is want.corrected
-        assert np.array_equal(got.y_signal, want.y_signal)
-        assert np.array_equal(got.y_idler, want.y_idler)
-        assert np.array_equal(got.intensity, want.intensity)
-        assert np.array_equal(np.signbit(got.intensity), np.signbit(want.intensity))
-        assert got.slices == want.slices
-        assert len(got.slices) == n_slices
+    for jpd, corrected in zip(streamed, (False, True)):
+        terms = [_corrected(cs) for cs in slices] if corrected else slices
+        central = terms[len(terms) // 2]
+        total = np.zeros((central.y_signal.size, central.y_idler.size))
+        for cs in terms:
+            resampled = reference_resample(
+                cs.intensity.toarray(), cs.y_idler, central.y_idler, axis=1
+            )
+            total += cs.weight * reference_resample(resampled, cs.y_signal, central.y_signal, axis=0)
+        assert jpd.axis == axis
+        assert jpd.corrected is corrected
+        np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
+        np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
+        assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()
+        assert jpd.slices == tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight)
+                                   for cs in slices)
+        assert len(jpd.slices) == n_slices
 
 
 def test_camera_jpds_hold_two_bands(monkeypatch):
@@ -456,26 +447,19 @@ def test_camera_jpds_hold_two_bands(monkeypatch):
 
 def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
     """At w0 = 20 um the pump band covers the 256 x 256 grid, so each held
-    band costs a dense matrix plus its row offsets: a budget that one
-    evaluation plus 31 dense slices fit in is exceeded by the two JPDs and
-    31 bands, and that is known before the first slice is evaluated."""
-    n, slices, budget_mb = 256, 31, 21
-    assert n * n * 8 * (10 + slices) <= budget_mb * 2**20  # the dense charge fits
-    held = n * n * 8 * (10 + 2) + slices * (n * n * 8 + n * 8)
-    assert held > budget_mb * 2**20  # the held bands do not
-    calls = []
-    evaluate = spdcsim.camera.evaluate_grid
-    monkeypatch.setattr(
-        spdcsim.camera, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
-    )
-    problem = make_setup(
-        waist_m=20e-6, n_slices=slices, grid_n=n, memory_budget_bytes=budget_mb * 2**20
-    )
-    with pytest.raises(GridMemoryError, match=rf"^256 x 256 grid holding 2 camera JPDs "
-                       rf"and {slices} slice bands needs ~22 MiB \(budget 21 MiB\)$"):
-        camera_slices(problem, "y", F)
+    band costs a dense matrix plus its row offsets: one evaluation, the
+    two JPDs and two bands need 7.004 MiB, so a 7 MiB budget is exceeded,
+    and that is known before the first slice is evaluated."""
+    n, slices = 256, 31
+    held = n * n * 8 * (10 + 2) + 2 * (n * n * 8 + n * 8)
+    assert 7 * 2**20 < held <= 8 * 2**20
+    calls = counting_evaluations(monkeypatch)
+    problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)
+    with pytest.raises(GridMemoryError, match=r"^256 x 256 grid holding 2 camera JPDs "
+                       r"and 2 slice bands needs ~7 MiB \(budget 7 MiB\)$"):
+        camera_jpds(replace(problem, memory_budget_bytes=7 * 2**20), "y", F)
     assert calls == []
-    # the same budget holds the streaming pass's two bands
-    raw, fixed = camera_jpds(problem, "y", F)
+    # one MiB more holds the streaming pass
+    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=8 * 2**20), "y", F)
     assert len(calls) == slices
     assert len(raw.slices) == len(fixed.slices) == slices

@@ -4,8 +4,10 @@ Each test drives ``main()`` with real argv and captures stdout/stderr;
 heavy commands run at deliberately tiny grids via --grid-n/--slices.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,7 +18,7 @@ import pytest
 
 import spdcsim
 import spdcsim.camera
-from spdcsim.camera import camera_slices, corrected_jpd, uncorrected_jpd
+from spdcsim.camera import camera_jpds
 from spdcsim.cli import main
 from spdcsim.config import load_config
 from spdcsim.io import read_matrix_binary, read_matrix_csv
@@ -56,10 +58,17 @@ def fresh_python(script):
 def test_package_exports_resolve():
     for name in spdcsim.__all__:
         assert hasattr(spdcsim, name), name
+    for info in pkgutil.iter_modules(spdcsim.__path__):
+        module = importlib.import_module(f"spdcsim.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
     deleted = {"ProbabilityTable", "normalize", "ridge_slope",
-               "PhaseMismatch", "mismatch", "pump_envelope"}
+               "PhaseMismatch", "mismatch", "pump_envelope",
+               "camera_slices", "uncorrected_jpd", "corrected_jpd",
+               "rescale_idler", "walkoff_correct", "CameraSlice"}
     assert not deleted & set(spdcsim.__all__)
     assert not any(hasattr(spdcsim, name) for name in deleted)
+    assert not any(hasattr(spdcsim.camera, name) for name in deleted)
 
 
 class TestStartup:
@@ -405,11 +414,8 @@ class TestCamera:
         assert code == 0
         cfg = replace(load_config(None), grid_n=128, n_slices=3)
         problem = cfg.build()
-        slices = camera_slices(problem, "y", cfg.focal_length_m, magnification=cfg.magnification)
-        for tag, jpd in (
-            ("uncorrected", uncorrected_jpd(slices)),
-            ("corrected", corrected_jpd(slices)),
-        ):
+        jpds = camera_jpds(problem, "y", cfg.focal_length_m, magnification=cfg.magnification)
+        for tag, jpd in zip(("uncorrected", "corrected"), jpds):
             y_s, y_i, matrix, meta = read_matrix_csv(out_dir / f"camera_{tag}_y.csv")
             assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}
             assert np.array_equal(y_s, jpd.y_signal)

@@ -107,14 +107,14 @@ class TestCsv:
         assert b"-0.0" in path.read_bytes() or not np.signbit(matrix).any()
 
     @staticmethod
-    def joined_csv(path, axis_signal, axis_idler, matrix, meta, signal_label):
+    def joined_csv(path, axis_signal, axis_idler, matrix, meta):
         """The whole-file writer: every line joined into one string, written once."""
         n = matrix.shape[1]
         printable = (matrix != 0) | np.signbit(matrix)
         first = np.where(printable.any(axis=1), printable.argmax(axis=1), n)
         stop = n - printable[:, ::-1].argmax(axis=1)
         lines = [f"# {key}: {value}" for key, value in meta.items()]
-        lines.append(",".join([signal_label, *map(repr, axis_idler.tolist())]))
+        lines.append(",".join(["signal", *map(repr, axis_idler.tolist())]))
         for coord, row, a, b in zip(axis_signal.tolist(), matrix, first.tolist(), stop.tolist()):
             cells = ["0.0"] * n
             cells[a:b] = map(repr, row[a:b].tolist())
@@ -134,8 +134,8 @@ class TestCsv:
         axis_idler = np.linspace(-0.7, 0.7, 8)
         meta = {"plane": "camera", "axis": "y", "corrected": True}
         rows, joined = tmp_path / "rows.csv", tmp_path / "joined.csv"
-        write_matrix_csv(rows, axis_signal, axis_idler, matrix, meta=meta, signal_label="y_s")
-        self.joined_csv(joined, axis_signal, axis_idler, matrix, meta, "y_s")
+        write_matrix_csv(rows, axis_signal, axis_idler, matrix, meta=meta)
+        self.joined_csv(joined, axis_signal, axis_idler, matrix, meta)
         assert rows.read_bytes() == joined.read_bytes()
         assert rows.read_bytes().count(b",-0.0,") == 2
 
