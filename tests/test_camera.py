@@ -395,26 +395,42 @@ def test_accumulation_preserves_mass():
     assert total_out == pytest.approx(total_in, rel=1e-4)
 
 
+def reference_accumulation(slices, corrected):
+    """The slices summed with the reference resampler: signal resampled
+    along rows, idler along columns, each slice weighted, onto the
+    central slice's grid (corrected, for the corrected JPD); with the
+    central slice."""
+    terms = [_corrected(cs) for cs in slices] if corrected else slices
+    central = terms[len(terms) // 2]
+    total = np.zeros((central.y_signal.size, central.y_idler.size))
+    for cs in terms:
+        resampled = reference_resample(cs.intensity.toarray(), cs.y_idler, central.y_idler, axis=1)
+        total += cs.weight * reference_resample(resampled, cs.y_signal, central.y_signal, axis=0)
+    return total, central
+
+
+@pytest.mark.parametrize("corrected", [False, True], ids=["uncorrected_jpd", "corrected_jpd"])
+def test_accumulation_matches_reference_resampler(corrected):
+    problem = make_setup(n_slices=7, grid_n=256)
+    jpd = camera_jpds(problem, "y", F)[corrected]
+    total, central = reference_accumulation(built_slices(problem, "y"), corrected)
+    assert jpd.corrected is corrected
+    np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
+    np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
+    assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("n_slices", [1, 4, 5])
 def test_camera_jpds_equal_list_accumulation(axis, n_slices):
-    """Both JPDs of the one streamed pass equal the list of slices summed
-    with the reference resampler: signal resampled along rows, idler
-    along columns, each slice weighted, onto the central slice's grid
-    (corrected, for the corrected JPD).  With 4 slices the central
-    slice, index 2, is not the middle of the scan."""
+    """Both JPDs of the one streamed pass equal the reference sum of the
+    list of slices, on either axis and with magnification.  With 4
+    slices the central slice, index 2, is not the middle of the scan."""
     problem = make_setup(n_slices=n_slices, grid_n=256)
     slices = built_slices(problem, axis, magnification=1.5)
     streamed = camera_jpds(problem, axis, F, magnification=1.5)
     for jpd, corrected in zip(streamed, (False, True)):
-        terms = [_corrected(cs) for cs in slices] if corrected else slices
-        central = terms[len(terms) // 2]
-        total = np.zeros((central.y_signal.size, central.y_idler.size))
-        for cs in terms:
-            resampled = reference_resample(
-                cs.intensity.toarray(), cs.y_idler, central.y_idler, axis=1
-            )
-            total += cs.weight * reference_resample(resampled, cs.y_signal, central.y_signal, axis=0)
+        total, central = reference_accumulation(slices, corrected)
         assert jpd.axis == axis
         assert jpd.corrected is corrected
         np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
