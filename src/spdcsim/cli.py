@@ -186,11 +186,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cfg.build()  # surface config/physics errors before the long run
-    fmt = cfg.out_formats[0]
-    if fmt == "bin":
+    if "bin" in cfg.out_formats:
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
     rows = run_sweep(cfg, convergence_check=args.check_convergence)
-    if fmt == "json":
+    if cfg.out_formats[0] == "json":
         text = json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
         name = "sweep.json"
     else:

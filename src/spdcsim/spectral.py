@@ -11,7 +11,8 @@ wavelengths, the pump waist, the filter, the slice count, the grid
 settings, the kernel and the memory budget -- and the transverse axis,
 and passes it on down to the amplitude kernel; ``RunConfig.build()``
 assembles it, so each knob reaches the amplitude the same way in every
-command.  A spectral slice is its (lambda_s, lambda_i) pair.
+command.  A spectral slice is its (lambda_s, lambda_i) pair, and every
+loop -- here and in ``camera`` -- runs over ``sample_spectrum``.
 
 Moment engine (``moment_sums``; ``certify``, ``sweep`` and ``stats``).
 Per slice it works in the sum and difference coordinates
@@ -29,8 +30,8 @@ with d_s Psi = E (-(w0^2 q_+ / 2) K + K'(u) a'(q_s)) in closed form.
 No N x N grid and no transform is built, and nothing is cut off at a
 grid edge in position space.
 
-JID builders (``far_field_jid``, ``near_field_jid``; ``jid`` and
-``camera``) evaluate each slice on the square (q_s, q_i) grid, because
+JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) evaluate
+each slice on the square (q_s, q_i) grid with ``evaluate_grid``, because
 they write a picture.  DFT convention (fixed): the near field uses the
 centered, unitary inverse transform
 
@@ -47,15 +48,14 @@ The weighted slices are summed on the (N, N//2 + 1) half-spectrum in FFT
 order, in two buffers allocated once per axis; the other half is filled
 by Hermitian symmetry once, on the sum, before one ``fftshift`` of the
 total.  A mirrored entry is a copy, so this equals the per-slice
-full-matrix sum bit for bit.  ``scipy.fft`` is imported by the transform
-itself, so only ``jid --plane near`` loads it.
+full-matrix sum bit for bit.  The transform is ``np.fft.rfft2``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,7 +76,6 @@ __all__ = [
     "MomentSums",
     "transmission",
     "sample_spectrum",
-    "spectral_slices",
     "moment_sums",
     "far_field_jid",
     "near_field_jid",
@@ -203,7 +202,8 @@ class JointDistribution:
             raise ValueError("intensity contains negative entries")
         for name, grid in (("axis_signal", self.axis_signal), ("axis_idler", self.axis_idler)):
             steps = np.diff(grid)
-            if not (steps.size and steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9)):
+            if not (steps.size and steps[0] > 0
+                    and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
                 raise ValueError(f"{name} must be a uniform increasing grid")
 
     @property
@@ -273,21 +273,6 @@ class Problem:
         over [-D, D]."""
         d = self._diff_extent()
         return np.linspace(-d, d, self.grid_n)
-
-
-def spectral_slices(
-    problem: Problem, axis: str
-) -> Iterator[tuple[tuple[float, float], float, np.ndarray]]:
-    """Yield ((lambda_s, lambda_i), weight, amplitude matrix) per spectral
-    slice, in sampling order.
-
-    Every slice is evaluated on ``problem.square_grid()`` for both arms,
-    so their intensities can be accumulated directly.
-    """
-    q = problem.square_grid()
-    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
-        pair = (lam_s, lam_i)
-        yield pair, weight, evaluate_grid(q, q, problem, axis, pair)
 
 
 #: Gauss-Hermite nodes in q_+ per slice.  Every factor of the moment
@@ -360,7 +345,8 @@ def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     q = problem.square_grid()
     out = np.zeros((q.size, q.size))
     term = np.empty_like(out)
-    for _, weight, amp in spectral_slices(problem, axis):
+    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
+        amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
         np.multiply(amp, amp, out=term)
         term *= weight
         out += term
@@ -393,14 +379,12 @@ def _near_field_intensity(
     suffices: the terms are summed on it, and |F[k, l]| = |F[-k, -l]|
     fills the missing columns of the sum.
     """
-    import scipy.fft  # here, so commands without a near field skip its import
-
     n, m = shape
     h = m // 2 + 1
     total = np.zeros((n, h))
     term = np.empty((n, h))
     for amp, dq_s, dq_i, weight in terms:
-        half = scipy.fft.rfft2(amp)
+        half = np.fft.rfft2(amp)
         np.multiply(half.real, half.real, out=term)
         np.multiply(half.imag, half.imag, out=half.imag)
         term += half.imag
@@ -422,7 +406,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     incoherent sum across slices."""
     q = problem.square_grid()
     dq = float(q[1] - q[0])
-    terms = ((amp, dq, dq, weight) for _, weight, amp in spectral_slices(problem, axis))
+    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    terms = ((evaluate_grid(q, q, problem, axis, (s, i)), dq, dq, w) for s, i, w in spectrum)
     out = _near_field_intensity(terms, (q.size, q.size))
     x = position_grid(q)
     return JointDistribution(

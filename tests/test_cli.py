@@ -18,6 +18,7 @@ import pytest
 
 import spdcsim
 import spdcsim.camera
+import spdcsim.spectral
 from spdcsim.camera import camera_jpds
 from spdcsim.cli import main
 from spdcsim.config import load_config
@@ -43,8 +44,8 @@ SMALL = ["--grid-n", "128", "--slices", "3"]
 
 
 def fresh_python(script):
-    """Run ``script`` in a new interpreter at the repository root: other
-    tests load SciPy into this process."""
+    """Run ``script`` in a new interpreter at the repository root, so its
+    ``sys.modules`` holds only what the script imports."""
     src = str(Path(spdcsim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -65,10 +66,10 @@ def test_package_exports_resolve():
     deleted = {"ProbabilityTable", "normalize", "ridge_slope",
                "PhaseMismatch", "mismatch", "pump_envelope",
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
-               "rescale_idler", "walkoff_correct", "CameraSlice"}
+               "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices"}
     assert not deleted & set(spdcsim.__all__)
-    assert not any(hasattr(spdcsim, name) for name in deleted)
-    assert not any(hasattr(spdcsim.camera, name) for name in deleted)
+    for module in (spdcsim, spdcsim.camera, spdcsim.spectral):
+        assert not any(hasattr(module, name) for name in deleted), module.__name__
 
 
 class TestStartup:
@@ -98,22 +99,14 @@ class TestStartup:
             "    assert not loaded, (argv, loaded)\n"
         )
 
-    def test_near_jid_loads_scipy_fft(self, tmp_path):
-        fresh_python(
-            "import sys\n"
-            "from spdcsim.cli import main\n"
-            f"argv = ['jid', '--plane', 'near', '--out', {str(tmp_path)!r}, '--grid-n', '64', '--slices', '3']\n"
-            "assert main(argv) == 0\n"
-            "assert 'scipy.fft' in sys.modules\n"
-        )
-
     def test_certify_jid_and_camera_load_no_scipy(self, tmp_path):
         fresh_python(
             "import sys\n"
             "from spdcsim.cli import main\n"
             "small = ['--grid-n', '64', '--slices', '3']\n"
             f"out = ['--out', {str(tmp_path)!r}]\n"
-            "for argv in (['certify'], ['jid', *out], ['camera', *out]):\n"
+            "for argv in (['certify'], ['jid', *out], ['jid', '--plane', 'near', *out],\n"
+            "             ['camera', *out]):\n"
             "    assert main(argv + small) == 0\n"
             "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "    assert not loaded, (argv, loaded)\n"
@@ -289,6 +282,11 @@ class TestSweep:
         code, out, err = run_cli(
             capsys, "sweep", "--config", cfg, "--format", "bin", *SMALL,
         )
+        assert code == 2
+        assert out == ""
+        # bin is rejected wherever it appears in output.formats
+        cfg = write_config(tmp_path, "sweep:\n  values: [4.0]\noutput:\n  formats: [csv, bin]\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg, *SMALL)
         assert code == 2
         assert out == ""
 
