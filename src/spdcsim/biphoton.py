@@ -34,14 +34,16 @@ wavelength pair; the momentum grids are plain 1-D arrays.
 The pump envelope confines the sum coordinate q_s + q_i to ~2/w0, two
 orders of magnitude inside the phase-matching width of the difference
 coordinate, so on the square (q_s, q_i) grid the amplitude lives in a
-thin anti-diagonal band.  ``evaluate_grid`` evaluates only that band:
-outside it the float64 envelope is exactly 0, so the matrix equals the
-dense evaluation of ``amplitude`` (up to the sign of zeros).
+thin anti-diagonal band.  ``evaluate_grid`` evaluates only that band and
+returns it as a ``RowBand``: outside it the float64 envelope is exactly
+0, so ``toarray()`` equals the dense evaluation of ``amplitude`` (up to
+the sign of zeros).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,6 +56,7 @@ if TYPE_CHECKING:
 __all__ = [
     "EvanescentInputError",
     "GridMemoryError",
+    "RowBand",
     "amplitude",
     "evaluate_grid",
     "envelope_columns",
@@ -67,8 +70,8 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 #: Grid-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
-#: holds its output plus row-block temporaries; the rest covers what a slice
-#: loop holds beside it (accumulator, and for ``jid --plane near`` the
+#: holds its band and the temporaries of its gathers; the rest covers what a
+#: slice loop holds beside it (accumulator, and for ``jid --plane near`` the
 #: near-field FFT spectrum and intensity).  The moment engine's node grid
 #: is charged at the same rate.  Changing it moves every exit-3 threshold.
 _TEMPORARIES_PER_GRID = 10
@@ -150,22 +153,6 @@ def _kernel_with_slope(u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray
 _SEPARABLE_SINC_MIN_U = 1e-4
 
 
-def _separable_sinc(a, b):
-    """sin(a + b) / (a + b) from sin a cos b + cos a sin b.
-
-    For a column ``a`` and a row ``b`` this is a rank-2 broadcast: four
-    1-D transcendental calls instead of one per grid point.
-    """
-    u = np.asarray(a + b)
-    out = np.asarray(np.sin(a) * np.cos(b))
-    out += np.cos(a) * np.sin(b)
-    small = np.abs(u) < _SEPARABLE_SINC_MIN_U
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= u
-    out[small] = np.sinc(u[small] / np.pi)
-    return out
-
-
 def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
                    crystal: CrystalSetup, wl: SpdcWavelengths):
     """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2
@@ -190,18 +177,43 @@ def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
     return a + half_length * crystal.collinear_mismatch, b, da, db
 
 
-def _envelope_times_kernel(a, b, q_sum, waist_m: float, kernel: str):
-    """exp(-w0^2 q_sum^2 / 4) * kernel(a + b), broadcast over a, b and q_sum.
+def _idler_tables(q_i, b, kernel: str) -> tuple:
+    """The idler-side inputs of ``_envelope_times_kernel``: q_i and b, and
+    for the sinc kernel sin b and cos b."""
+    return (q_i, b, np.sin(b), np.cos(b)) if kernel == "sinc" else (q_i, b)
+
+
+def _envelope_times_kernel(a, q_s, idler, waist_m: float, kernel: str):
+    """exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(a + b), computed in place in
+    ``idler``, the ``_idler_tables`` arrays spread to the output's shape;
+    ``a`` and ``q_s`` broadcast against them.  Returns ``idler[0]``.
 
     The first factor is the Gaussian pump's angular spectrum at the
-    transverse mismatch q_sum = q_s + q_i, whatever the axis: peak 1 at
-    q_sum = 0, 1/e at |q_sum| = 2/w0.
+    transverse mismatch q_s + q_i, whatever the axis: peak 1 at
+    q_s + q_i = 0, 1/e at |q_s + q_i| = 2/w0.  The sinc kernel sin(u)/u,
+    u = a + b, is taken as (sin a cos b + cos a sin b)/u: for a column
+    ``a`` and a row ``b``, four 1-D transcendental calls instead of one
+    per grid point.
     """
-    out = np.exp(-(waist_m * waist_m) * q_sum**2 / 4.0)
-    if kernel == "sinc":
-        out *= _separable_sinc(a, b)
-    else:
-        out *= _kernel(a + b, kernel)
+    out, u, *trig = idler
+    out += q_s
+    np.square(out, out=out)
+    out *= -(waist_m * waist_m)
+    out /= 4.0
+    np.exp(out, out=out)
+    u += a  # the kernel argument a + b
+    if kernel != "sinc":
+        out *= _kernel(u, kernel)
+        return out
+    sin_b, cos_b = trig
+    cos_b *= np.sin(a)
+    sin_b *= np.cos(a)
+    cos_b += sin_b
+    small = np.abs(u, out=sin_b) < _SEPARABLE_SINC_MIN_U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_b /= u
+    cos_b[small] = np.sinc(u[small] / np.pi)
+    out *= cos_b
     return out
 
 
@@ -221,7 +233,9 @@ def amplitude(q_s, q_i, problem: Problem, axis: str, pair: tuple[float, float]):
     q_s = np.asarray(q_s, dtype=float)
     q_i = np.asarray(q_i, dtype=float)
     a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
-    return _envelope_times_kernel(a, b, q_s + q_i, problem.waist_m, problem.kernel)
+    *idler, _ = np.broadcast_arrays(*_idler_tables(q_i, b, problem.kernel), q_s)
+    idler = [table.copy() for table in idler]
+    return _envelope_times_kernel(a, q_s, idler, problem.waist_m, problem.kernel)
 
 
 def check_memory_budget(
@@ -242,25 +256,75 @@ def check_memory_budget(
 #: exp(-w0^2 (q_s + q_i)^2 / 4) vanishes wherever its exponent passes this
 _ENVELOPE_ZERO_EXPONENT = 746.0
 
-#: signal rows per block of the banded evaluation in ``evaluate_grid``
-_BAND_ROWS = 32
+
+@dataclass(frozen=True)
+class RowBand:
+    """A matrix that is +0.0 outside one column window per row.
+
+    Row k holds ``data[k]`` in columns ``start[k]`` ... ``start[k] +
+    width - 1`` of ``n_cols``; every other entry is +0.0.  All rows share
+    the width, so ``data`` is one n_rows x width float64 array.
+    """
+
+    data: np.ndarray
+    start: np.ndarray
+    n_cols: int
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.start.nbytes
+
+    def flat_index(self) -> np.ndarray:
+        """Index of each ``data`` entry in the raveled n_rows x n_cols matrix."""
+        rows = np.arange(self.data.shape[0])[:, None] * self.n_cols
+        return rows + self.start[:, None] + np.arange(self.width)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.data.shape[0], self.n_cols))
+        out.reshape(-1)[self.flat_index()] = self.data
+        return out
+
+    def narrowed(self, first: np.ndarray, stop: np.ndarray) -> "RowBand":
+        """The band that keeps columns [first[k], stop[k]) of each row k,
+        in windows as wide as the widest of them; a kept column outside
+        this band's window is +0.0, as it is in ``toarray()``."""
+        start, width = _windows(first, stop, self.n_cols)
+        at = (start - self.start)[:, None] + np.arange(width)
+        at[(at < 0) | (at >= self.width)] = self.width  # the +0.0 column padded on
+        padded = np.pad(self.data, ((0, 0), (0, 1)))
+        return RowBand(np.take_along_axis(padded, at, axis=1), start, self.n_cols)
+
+
+def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
+    width, and per-row starts of windows that wide which cover each one
+    and stay inside 0 ... n - 1."""
+    width = int(np.max(stop - first, initial=0))
+    return np.clip(first, 0, n - width), width
 
 
 def evaluate_grid(
     q_s: np.ndarray, q_i: np.ndarray, problem: Problem, axis: str, pair: tuple[float, float]
-) -> np.ndarray:
-    """Amplitude matrix over two 1-D strictly increasing grids, signal-major.
+) -> RowBand:
+    """Amplitude over two 1-D strictly increasing grids, signal-major, as
+    the ``RowBand`` of its pump-envelope band.
 
-    Output[k, l] = amplitude(q_s[k], q_i[l], problem, axis, pair).  In
+    toarray()[k, l] = amplitude(q_s[k], q_i[l], problem, axis, pair).  In
     float64 the pump envelope is exactly 0 outside the anti-diagonal band
-    |q_s + q_i| <= 2 sqrt(746) / w0, so the matrix starts as zeros and
-    each block of signal rows is evaluated, with ``amplitude``'s
-    envelope x kernel formula, only over the idler columns the band
-    reaches from the block.  Values equal a dense evaluation bit for
-    bit; a skipped zero is +0.0 where the dense product may give -0.0.
-    The kernel arguments, and with them the evanescent-input check,
-    cover both full grids.  Peak working memory is estimated up front
-    and checked against ``problem.memory_budget_bytes``.
+    |q_s + q_i| <= 2 sqrt(746) / w0, so each signal row keeps only the
+    idler columns ``envelope_columns`` gives, widened to one shared width.
+    They are evaluated with ``amplitude``'s envelope x kernel formula, on
+    the idler-side 1-D tables (q_i, b and, for the sinc kernel, sin b and
+    cos b) gathered along the windows in one pass; the band's ``data`` is
+    the first of those gathered tables, computed in place.  Values equal a
+    dense evaluation bit for bit; a skipped zero is +0.0 where the dense
+    product may give -0.0.  The kernel arguments, and with them the
+    evanescent-input check, cover both full grids.  The peak working
+    memory is estimated up front and checked against the budget.
 
     Raises ValueError unless both grids are 1-D and strictly increasing,
     which the column search of the band needs.
@@ -270,19 +334,11 @@ def evaluate_grid(
             raise ValueError(f"the {name} grid must be 1-D and strictly increasing")
     check_memory_budget(q_s.size, q_i.size, problem.memory_budget_bytes)
     a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
-    waist_m = problem.waist_m
-    first, stop = envelope_columns(q_s, q_i, waist_m)
-    out = np.zeros((q_s.size, q_i.size))
-    for start in range(0, q_s.size, _BAND_ROWS):
-        rows = slice(start, start + _BAND_ROWS)
-        block = q_s[rows]
-        # both grids increase, so the block's lowest and highest signal
-        # rows bound the union of its rows' column windows
-        cols = slice(first[start + block.size - 1], stop[start])
-        out[rows, cols] = _envelope_times_kernel(
-            a[rows, None], b[None, cols], block[:, None] + q_i[None, cols], waist_m, problem.kernel
-        )
-    return out
+    start, width = _windows(*envelope_columns(q_s, q_i, problem.waist_m), q_i.size)
+    cols = start[:, None] + np.arange(width)
+    idler = np.stack(_idler_tables(q_i, b, problem.kernel)).take(cols, axis=1)
+    data = _envelope_times_kernel(a[:, None], q_s[:, None], idler, problem.waist_m, problem.kernel)
+    return RowBand(data, start, q_i.size)
 
 
 def envelope_columns(

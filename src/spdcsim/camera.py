@@ -16,14 +16,15 @@ slice's grid with one banded, mass-conserving operator per axis (3 or 4
 source knots per cell).
 
 Each slice is built from the run's ``spectral.Problem`` in one way: its
-axes are put on the camera, a y slice's ridge intercept is fitted from
-the raw moments of its dense intensity (``stats.moments``), and the
-intensity is held as a ``RowBand``: per signal row, only the idler
-columns the squared pump envelope leaves nonzero (8 % of the grid at the
-default config).  The resampler works on the band directly.
-``camera_jpds`` streams the slices into both JPDs and holds two bands
-at a time.  The memory budget is checked once, up front, for the two
-JPDs and the two bands.
+axes are put on the camera, and its intensity is the square of the
+amplitude band ``evaluate_grid`` returns, narrowed to a ``RowBand`` of
+the idler columns the squared pump envelope leaves nonzero (8 % of the
+grid at the default config).  No dense slice matrix is built, and the
+resampler works on the band directly.  On y every slice's ridge
+intercept is fitted from its far-field sums of one moment-engine pass
+(``spectral.moment_sums``).  ``camera_jpds`` streams the slices into
+both JPDs and holds two bands at a time.  The memory budget is checked
+once, up front, for the two JPDs and the two bands.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -41,60 +42,11 @@ from typing import Callable
 
 import numpy as np
 
-from spdcsim.biphoton import check_memory_budget, envelope_columns, evaluate_grid
-from spdcsim.spectral import Problem, sample_spectrum
-from spdcsim.stats import moments, ridge_fit
+from spdcsim.biphoton import RowBand, _windows, check_memory_budget, envelope_columns, evaluate_grid
+from spdcsim.spectral import Problem, moment_sums, sample_spectrum
+from spdcsim.stats import StatsSummary, moments, ridge_fit
 
 __all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report", "resample_conserving"]
-
-
-@dataclass(frozen=True)
-class RowBand:
-    """A matrix that is +0.0 outside one column window per row.
-
-    Row k holds ``data[k]`` in columns ``start[k]`` ... ``start[k] +
-    width - 1`` of ``n_cols``; every other entry is +0.0.  All rows share
-    the width, so ``data`` is one n_rows x width float64 array.
-    """
-
-    data: np.ndarray
-    start: np.ndarray
-    n_cols: int
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray, first: np.ndarray, stop: np.ndarray) -> "RowBand":
-        """The band of ``matrix`` that keeps columns [first[k], stop[k]) of
-        each row k.  Entries outside those windows must be +0.0, so that
-        ``toarray()`` gives ``matrix`` back bit for bit."""
-        start, width = _windows(first, stop, matrix.shape[1])
-        data = np.take_along_axis(matrix, start[:, None] + np.arange(width), axis=1)
-        return cls(data, start, matrix.shape[1])
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + self.start.nbytes
-
-    def flat_index(self) -> np.ndarray:
-        """Index of each ``data`` entry in the raveled n_rows x n_cols matrix."""
-        rows = np.arange(self.data.shape[0])[:, None] * self.n_cols
-        return rows + self.start[:, None] + np.arange(self.width)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.data.shape[0], self.n_cols))
-        out.reshape(-1)[self.flat_index()] = self.data
-        return out
-
-
-def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
-    width, and per-row starts of windows that wide which cover each one
-    and stay inside 0 ... n - 1."""
-    width = int(np.max(stop - first, initial=0))
-    return np.clip(first, 0, n - width), width
 
 
 @dataclass(frozen=True)
@@ -150,13 +102,14 @@ def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> flo
 
 def _slice_builder(
     problem: Problem, axis: str, focal_length_m: float, magnification: float
-) -> Callable[[float, float, float], _CameraSlice]:
+) -> Callable[[int], _CameraSlice]:
     """Check the budget for the two JPDs and two bands beside one
-    evaluation, and return the function that evaluates one slice
-    (lambda_s, lambda_i, weight) onto the camera.  Every band has the
-    width ``envelope_columns`` gives for the grid and w0, so the check
-    comes before any evaluation; a band that covers the grid costs its
-    dense bytes plus the row offsets."""
+    evaluation, and return the function that evaluates slice k of
+    ``sample_spectrum`` onto the camera.  Every band has the width
+    ``envelope_columns`` gives for the grid and w0, so the check comes
+    before any evaluation; a band that covers the grid costs its dense
+    bytes plus the row offsets.  On y, every slice's ridge intercept is
+    then fitted from its far-field sums of one ``moment_sums`` pass."""
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -169,24 +122,29 @@ def _slice_builder(
         held_bytes=2 * n * n * 8 + 2 * band_bytes,
         holding="2 camera JPDs and 2 slice bands",
     )
+    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    intercepts = [None] * len(spectrum)
+    if axis == "y":
+        intercepts = [
+            ridge_fit(StatsSummary.from_sums("far", axis, *sums[:6])).intercept
+            for sums in moment_sums(problem, axis).tolist()
+        ]
 
-    def build(lam_s: float, lam_i: float, weight: float) -> _CameraSlice:
-        amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
-        amp *= amp  # the slice intensity; the amplitude is not needed again
-        intercept = None
-        if axis == "y":
-            intercept = ridge_fit(moments("far", axis, q, q, amp)).intercept
+    def build(k: int) -> _CameraSlice:
+        lam_s, lam_i, weight = spectrum[k]
+        band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
+        np.multiply(band.data, band.data, out=band.data)  # the slice intensity, in place
         scale_s = _scale(focal_length_m, lam_s, magnification)
         return _CameraSlice(
             axis=axis,
             y_signal=scale_s * q,
             y_idler=_scale(focal_length_m, lam_i, magnification) * q,
-            intensity=RowBand.from_dense(amp, first, stop),
+            intensity=band.narrowed(first, stop),
             lambda_signal_nm=lam_s,
             lambda_idler_nm=lam_i,
             weight=weight,
             scale_signal=scale_s,
-            ridge_intercept=intercept,
+            ridge_intercept=intercepts[k],
         )
 
     return build
@@ -199,8 +157,8 @@ def camera_jpds(
     pass over the spectral slices that holds two slice bands, not all.
 
     Each slice is evaluated and mapped onto the camera, Y = M (f/k) q per
-    arm; on y its ridge intercept is fitted from the dense intensity
-    before it is held as a ``RowBand``.  The central slice is evaluated
+    arm; on y its ridge intercept comes from the moment engine's
+    far-field sums of the slice.  The central slice is evaluated
     first and kept: its axes fix both JPDs' grids (the corrected grid is
     the central slice's, corrected).  Then each slice, in sampling order,
     is resampled onto both grids and added with its weight, as it is and
@@ -210,13 +168,12 @@ def camera_jpds(
     two bands (``GridMemoryError``).
     """
     build = _slice_builder(problem, axis, focal_length_m, magnification)
-    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    mid = len(spectrum) // 2
-    central = build(*spectrum[mid])
+    mid = problem.n_slices // 2
+    central = build(mid)
     fixed_central = _corrected(central)
     raw, fixed = _Total(central), _Total(fixed_central)
-    for k, sample in enumerate(spectrum):
-        cs = central if k == mid else build(*sample)
+    for k in range(problem.n_slices):
+        cs = central if k == mid else build(k)
         raw.add(cs)
         fixed.add(fixed_central if k == mid else _corrected(cs))
         del cs  # drop this slice's band before the next one is built
@@ -251,10 +208,10 @@ def _cell_edges(axis: np.ndarray) -> np.ndarray:
 
 
 def resample_conserving(
-    values: np.ndarray | RowBand, src_axis: np.ndarray, dst_axis: np.ndarray, axis: int = 1
-) -> np.ndarray | RowBand:
-    """Resample a density table (a dense matrix or a ``RowBand``) onto a
-    new uniform axis, conserving mass; the result is of the input's kind.
+    band: RowBand, src_axis: np.ndarray, dst_axis: np.ndarray, axis: int = 1
+) -> RowBand:
+    """Resample a density table held as a ``RowBand`` onto a new uniform
+    axis, conserving mass; the result is a ``RowBand``.
 
     The rows (or columns) are treated as samples of a piecewise-linear
     density on ``src_axis``; the output value in each destination cell is
@@ -268,15 +225,10 @@ def resample_conserving(
     at the camera's scale ratios).  It is applied as a K-tap kernel along
     ``axis``: taps t = 0 ... K - 1 are added in order into a zeroed
     output.  Its entries are products of nonnegative factors, so R >= 0.
-    A dense matrix is a band of full width; a band gives the dense
-    result's entries bit for bit, because the source entries it skips
-    are +0.0.
+    A dense matrix is a band of full width; a narrower band gives the
+    dense result's entries bit for bit, because the source entries it
+    skips are +0.0.
     """
-    if isinstance(values, RowBand):
-        band = values
-    else:  # a dense matrix is a band of full width
-        matrix = np.asarray(values, dtype=float)
-        band = RowBand(matrix, np.zeros(matrix.shape[0], dtype=np.intp), matrix.shape[1])
     first, weights = _operator(src_axis, dst_axis)
     taps = weights.shape[0]
     # ``taps`` zero columns each side of the band: a read outside a row's
@@ -317,8 +269,7 @@ def resample_conserving(
             terms = flat[t:].take(at)
             terms *= weights[t].take(cells)
             out += terms
-    result = RowBand(out, start, n_cols)
-    return result if isinstance(values, RowBand) else result.toarray()
+    return RowBand(out, start, n_cols)
 
 
 def _operator(src_axis: np.ndarray, dst_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

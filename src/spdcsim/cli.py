@@ -189,17 +189,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if "bin" in cfg.out_formats:
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
     rows = run_sweep(cfg, convergence_check=args.check_convergence)
-    if cfg.out_formats[0] == "json":
-        text = json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
-        name = "sweep.json"
-    else:
-        text = rows_to_csv(rows)
-        name = "sweep.csv"
-    sys.stdout.write(text)
+    texts = {
+        fmt: json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
+        if fmt == "json" else rows_to_csv(rows)
+        for fmt in cfg.out_formats
+    }
+    sys.stdout.write(texts[cfg.out_formats[0]])
     if args.out is not None:
         directory = Path(cfg.out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / name).write_text(text, encoding="utf-8")
+        for fmt, text in texts.items():
+            (directory / f"sweep.{fmt}").write_text(text, encoding="utf-8")
     return 0
 
 

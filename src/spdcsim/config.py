@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, WavelengthRangeError
@@ -262,14 +263,19 @@ class RunConfig:
 def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
     """Near- and far-field inference of one axis and their Reid report.
 
-    Both planes come from one ``spectral.moment_sums`` pass: the far
-    field from the momentum moments of Psi^2, the near field from the
-    gradient moments, whose means are exactly 0.
+    Both planes come from one ``spectral.moment_sums`` pass, its slices
+    added with their filter weights in sampling order: the far field from
+    the momentum moments of Psi^2, the near field from the gradient
+    moments, whose means are exactly 0.
     """
-    m = moment_sums(problem, axis)
+    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    total = np.zeros(9)
+    for (_, _, weight), row in zip(spectrum, moment_sums(problem, axis)):
+        total += weight * row
+    norm, q_s, q_i, q_ss, q_ii, q_si, g_ss, g_ii, g_si = total.tolist()
     summary = StatsSummary.from_sums
-    near = reid_inference(summary("near", axis, m.norm, 0.0, 0.0, m.g_ss, m.g_ii, m.g_si))
-    far = reid_inference(summary("far", axis, m.norm, m.q_s, m.q_i, m.q_ss, m.q_ii, m.q_si))
+    near = reid_inference(summary("near", axis, norm, 0.0, 0.0, g_ss, g_ii, g_si))
+    far = reid_inference(summary("far", axis, norm, q_s, q_i, q_ss, q_ii, q_si))
     return near, far, reid_product(near, far)
 
 

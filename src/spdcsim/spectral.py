@@ -31,9 +31,11 @@ No N x N grid and no transform is built, and nothing is cut off at a
 grid edge in position space.
 
 JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) evaluate
-each slice on the square (q_s, q_i) grid with ``evaluate_grid``, because
-they write a picture.  DFT convention (fixed): the near field uses the
-centered, unitary inverse transform
+each slice's pump-envelope band on the square (q_s, q_i) grid with
+``evaluate_grid``, because they write a picture: the far field adds the
+weighted squared band into its matrix, and the near field transforms
+``toarray()``, the one dense amplitude of the package.  DFT convention
+(fixed): the near field uses the centered, unitary inverse transform
 
     psi = (dq_s * dq_i * N * M / (2*pi)) * fftshift(ifft2(ifftshift(Psi)))
 
@@ -73,7 +75,6 @@ __all__ = [
     "FilterSpec",
     "JointDistribution",
     "Problem",
-    "MomentSums",
     "transmission",
     "sample_spectrum",
     "moment_sums",
@@ -282,33 +283,16 @@ class Problem:
 _SUM_NODES = 8
 
 
-@dataclass(frozen=True)
-class MomentSums:
-    """Filter-weighted raw moment sums of one axis.
+def moment_sums(problem: Problem, axis: str) -> np.ndarray:
+    """Far- and near-field raw moment sums of ``axis`` per spectral slice,
+    from one pass over the slices on the (q_+, q_-) node grid (module
+    docstring).
 
-    ``norm`` is the sum of Psi^2; ``q_s`` ... ``q_si`` are the sums of
-    {q_s, q_i, q_s^2, q_i^2, q_s q_i} Psi^2 (far field); ``g_ss``,
-    ``g_ii``, ``g_si`` are the sums of (d_s Psi)^2, (d_i Psi)^2 and
-    d_s Psi d_i Psi (near field).  Quadrature factors shared by every
-    term are left out, so only ratios to ``norm`` carry meaning.
-    """
-
-    axis: str
-    norm: float
-    q_s: float
-    q_i: float
-    q_ss: float
-    q_ii: float
-    q_si: float
-    g_ss: float
-    g_ii: float
-    g_si: float
-
-
-def moment_sums(problem: Problem, axis: str) -> MomentSums:
-    """Far- and near-field raw moment sums of ``axis``, from one pass
-    over the spectral slices on the (q_+, q_-) node grid (module
-    docstring).  Slices add with the filter weights in sampling order.
+    Row k holds slice k of ``sample_spectrum``, unweighted: the sum of
+    Psi^2; the sums of {q_s, q_i, q_s^2, q_i^2, q_s q_i} Psi^2 (far
+    field); and the sums of (d_s Psi)^2, (d_i Psi)^2 and d_s Psi d_i Psi
+    (near field).  Quadrature factors shared by every term are left out,
+    so only ratios to the first column carry meaning.
 
     Raises GridMemoryError if the node grid exceeds the memory budget and
     EvanescentInputError if any node momentum reaches the propagation
@@ -325,8 +309,8 @@ def moment_sums(problem: Problem, axis: str) -> MomentSums:
     q_i = 0.5 * (q_plus - q_d)
     envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
     node_weights = h[:, None]
-    total = np.zeros(9)
-    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
+    rows = []
+    for lam_s, lam_i, _ in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
         a, b, da, db = _arm_arguments(
             q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl
         )
@@ -336,20 +320,20 @@ def moment_sums(problem: Problem, axis: str) -> MomentSums:
         k2 = node_weights * k * k
         terms = (k2, k2 * q_s, k2 * q_i, k2 * q_s * q_s, k2 * q_i * q_i, k2 * q_s * q_i,
                  node_weights * g_s * g_s, node_weights * g_i * g_i, node_weights * g_s * g_i)
-        total += weight * np.array([term.sum() for term in terms])
-    return MomentSums(axis, *total.tolist())
+        rows.append([term.sum() for term in terms])
+    return np.array(rows)
 
 
 def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2."""
     q = problem.square_grid()
     out = np.zeros((q.size, q.size))
-    term = np.empty_like(out)
     for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
-        amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
-        np.multiply(amp, amp, out=term)
+        band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
+        term = band.data * band.data
         term *= weight
-        out += term
+        # a band's entries are distinct cells; the rest of the matrix would add +0
+        out.reshape(-1)[band.flat_index()] += term
     return JointDistribution(
         plane="far",
         axis=axis,
@@ -407,7 +391,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     q = problem.square_grid()
     dq = float(q[1] - q[0])
     spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    terms = ((evaluate_grid(q, q, problem, axis, (s, i)), dq, dq, w) for s, i, w in spectrum)
+    terms = ((evaluate_grid(q, q, problem, axis, (s, i)).toarray(), dq, dq, w)
+             for s, i, w in spectrum)
     out = _near_field_intensity(terms, (q.size, q.size))
     x = position_grid(q)
     return JointDistribution(

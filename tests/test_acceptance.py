@@ -256,7 +256,8 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     problem = build(780.0, grid_n=512)
     q = problem.square_grid()
     dq = float(q[1] - q[0])
-    amp = evaluate_grid(q, q, problem, "x", (problem.wl.signal_nm, problem.wl.idler_nm))
+    pair = (problem.wl.signal_nm, problem.wl.idler_nm)
+    amp = evaluate_grid(q, q, problem, "x", pair).toarray()
     near = _near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)
     lhs = np.sum(amp * amp) * dq * dq
     dx = 2.0 * math.pi / (q.size * dq)

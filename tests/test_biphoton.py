@@ -11,6 +11,7 @@ from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     EvanescentInputError,
     GridMemoryError,
+    RowBand,
     _arm_arguments,
     _arm_dk_z,
     _envelope_times_kernel,
@@ -156,7 +157,8 @@ def test_sinc_efficiency_bounded(dkz, length_mm):
 
 def envelope(q_sum, w0):
     """The pump-envelope factor of the amplitude: the kernel argument is 0."""
-    return float(_envelope_times_kernel(0.0, 0.0, q_sum, w0, "gauss"))
+    idler = [np.array(float(q_sum)), np.array(0.0)]  # q_i = q_sum at q_s = 0, and b = 0
+    return float(_envelope_times_kernel(0.0, 0.0, idler, w0, "gauss"))
 
 
 def test_pump_envelope_values():
@@ -347,7 +349,7 @@ def test_evaluate_grid_rejects_unordered_grids(bad):
 def test_evaluate_grid_matches_pointwise():
     problem = make_setup(grid_n=64)
     q, pair = problem.square_grid(), nominal(problem)
-    mat = evaluate_grid(q, q, problem, "y", pair)
+    mat = evaluate_grid(q, q, problem, "y", pair).toarray()
     assert mat.shape == (64, 64)
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -394,7 +396,7 @@ def test_evaluate_grid_matches_composed_amplitude(axis, edge, n, kernel):
     problem = make_setup(signal_nm=780.0, grid_n=n, kernel=kernel)
     q = problem.square_grid()
     pair = edge_pair() if edge else nominal(problem)
-    got = evaluate_grid(q, q, problem, axis, pair)
+    got = evaluate_grid(q, q, problem, axis, pair).toarray()
     np.testing.assert_allclose(got, composed_amplitude(q, problem, axis, pair),
                                rtol=0, atol=1e-11)
     if n % 2 and not edge:
@@ -418,8 +420,23 @@ def test_evaluate_grid_equals_dense_broadcast(axis, edge, n, kernel, waist_um):
     problem = make_setup(signal_nm=780.0, waist_m=waist_um * 1e-6, grid_n=n, kernel=kernel)
     q = problem.square_grid()
     pair = edge_pair() if edge else nominal(problem)
-    assert np.array_equal(evaluate_grid(q, q, problem, axis, pair),
+    assert np.array_equal(evaluate_grid(q, q, problem, axis, pair).toarray(),
                           dense_amplitude(q, q, problem, axis, pair))
+
+
+@pytest.mark.parametrize("waist_um", [20, 500])
+def test_evaluate_grid_band_is_the_envelope_windows(waist_um):
+    # Every row keeps one window as wide as the widest envelope_columns
+    # window, covering its own; at 20 um that is the whole grid.
+    problem = make_setup(waist_m=waist_um * 1e-6, grid_n=256)
+    q = problem.square_grid()
+    band = evaluate_grid(q, q, problem, "y", nominal(problem))
+    first, stop = envelope_columns(q, q, problem.waist_m)
+    assert isinstance(band, RowBand)
+    assert band.n_cols == q.size and band.data.shape == (q.size, band.width)
+    assert band.width == np.max(stop - first)
+    assert np.all(band.start <= first) and np.all(band.start + band.width >= stop)
+    assert (band.width == q.size) == (waist_um == 20)
 
 
 def test_evaluate_grid_keeps_subnormal_envelope_edge():
@@ -433,7 +450,8 @@ def test_evaluate_grid_keeps_subnormal_envelope_edge():
     exponent = problem.waist_m**2 * (q[:, None] + q[None, :]) ** 2 / 4
     edge = (exponent > 744.0) & (exponent < 745.14)
     assert np.count_nonzero(dense[edge]) > 0
-    assert np.array_equal(evaluate_grid(q, q, problem, "x", nominal(problem)), dense)
+    band = evaluate_grid(q, q, problem, "x", nominal(problem))
+    assert np.array_equal(band.toarray(), dense)
 
 
 @pytest.mark.parametrize("kernel", ["sinc", "gauss"])
@@ -477,7 +495,7 @@ def test_evaluate_grid_point_inversion_symmetry():
     # invariant under (q_s, q_i) -> (-q_s, -q_i).
     problem = make_setup(grid_n=33)
     q = problem.square_grid()
-    mat = evaluate_grid(q, q, problem, "x", nominal(problem))
+    mat = evaluate_grid(q, q, problem, "x", nominal(problem)).toarray()
     np.testing.assert_allclose(mat, mat[::-1, ::-1], rtol=0, atol=1e-15)
 
 
@@ -493,7 +511,8 @@ def test_degenerate_x_jid_is_antidiagonal():
     # Intensity-weighted principal axis of the momentum JID: slope -1.
     problem = make_setup(grid_n=512)
     qs = qi = problem.square_grid()
-    weights = evaluate_grid(qs, qi, problem, "x", nominal(problem)) ** 2
+    weights = evaluate_grid(qs, qi, problem, "x", nominal(problem)).toarray()
+    weights *= weights
     total = weights.sum()
     mu_s = (weights.sum(axis=1) * qs).sum() / total
     mu_i = (weights.sum(axis=0) * qi).sum() / total

@@ -66,10 +66,14 @@ def test_package_exports_resolve():
     deleted = {"ProbabilityTable", "normalize", "ridge_slope",
                "PhaseMismatch", "mismatch", "pump_envelope",
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
-               "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices"}
+               "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices",
+               "MomentSums"}
     assert not deleted & set(spdcsim.__all__)
     for module in (spdcsim, spdcsim.camera, spdcsim.spectral):
         assert not any(hasattr(module, name) for name in deleted), module.__name__
+    # the band type moved to biphoton, the one evaluation shape; camera re-exports it
+    assert spdcsim.camera.RowBand is spdcsim.biphoton.RowBand
+    assert not hasattr(spdcsim.biphoton.RowBand, "from_dense")
 
 
 class TestStartup:
@@ -265,6 +269,20 @@ class TestSweep:
         )
         assert len(lines) == 2  # one value, one axis
         assert (out_dir / "sweep.csv").read_text() == out
+
+    def test_every_listed_format_written(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "sweep:\n  values: [4.0]\naxes: x\noutput:\n  formats: [csv, json]\n",
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_dir), *SMALL)
+        assert code == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == ["sweep.csv", "sweep.json"]
+        assert (out_dir / "sweep.csv").read_text() == out  # stdout is the first format
+        (row,) = json.loads((out_dir / "sweep.json").read_text())
+        assert row["axis"] == "x" and row["swept_value"] == 4.0
+        assert f"{row['reid_product']!r}" in out.splitlines()[1].split(",")
 
     def test_json_format(self, capsys, tmp_path):
         cfg = write_config(
