@@ -23,8 +23,13 @@ grid at the default config).  No dense slice matrix is built, and the
 resampler works on the band directly.  On y every slice's ridge
 intercept is fitted from its far-field sums of one moment-engine pass
 (``spectral.moment_sums``).  ``camera_jpds`` streams the slices into
-both JPDs and holds two bands at a time.  The memory budget is checked
-once, up front, for the two JPDs and the two bands.
+both JPDs and holds two slice bands at a time.  The JPDs are
+``RowBand``s as well: each starts on the first resampled slice's windows
+and widens, over +0.0, when a slice reaches outside them (140 and 114
+of 1024 columns at the defaults), and its values are those of a dense
+sum, bit for bit.  The memory budget is checked once, up front, for
+the two JPDs and the two slice bands; it charges each JPD its dense
+N x N bytes, an upper bound, since a band is never wider than the grid.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -44,7 +49,7 @@ import numpy as np
 
 from spdcsim.biphoton import RowBand, _windows, check_memory_budget, envelope_columns, evaluate_grid
 from spdcsim.spectral import Problem, moment_sums, sample_spectrum
-from spdcsim.stats import StatsSummary, moments, ridge_fit
+from spdcsim.stats import StatsSummary, marginal_moments, ridge_fit
 
 __all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report", "resample_conserving"]
 
@@ -73,17 +78,22 @@ class _CameraSlice:
 
 @dataclass(frozen=True)
 class CameraJPD:
-    """Accumulated camera-plane joint probability distribution."""
+    """Accumulated camera-plane joint probability distribution.
+
+    ``intensity`` is a ``RowBand`` (signal rows, idler columns) whose
+    windows cover every slice's resampled band; ``toarray()`` is the
+    dense N x N matrix.
+    """
 
     axis: str
     y_signal: np.ndarray
     y_idler: np.ndarray
-    intensity: np.ndarray
+    intensity: RowBand
     corrected: bool
     slices: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if np.any(self.intensity < 0):
+        if np.any(self.intensity.data < 0):
             raise ValueError("camera intensity contains negative entries")
 
     @property
@@ -103,13 +113,14 @@ def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> flo
 def _slice_builder(
     problem: Problem, axis: str, focal_length_m: float, magnification: float
 ) -> Callable[[int], _CameraSlice]:
-    """Check the budget for the two JPDs and two bands beside one
-    evaluation, and return the function that evaluates slice k of
-    ``sample_spectrum`` onto the camera.  Every band has the width
-    ``envelope_columns`` gives for the grid and w0, so the check comes
-    before any evaluation; a band that covers the grid costs its dense
-    bytes plus the row offsets.  On y, every slice's ridge intercept is
-    then fitted from its far-field sums of one ``moment_sums`` pass."""
+    """Check the budget for the two JPDs (at their dense size, which
+    bounds their bands) and two bands beside one evaluation, and return
+    the function that evaluates slice k of ``sample_spectrum`` onto the
+    camera.  Every band has the width ``envelope_columns`` gives for the
+    grid and w0, so the check comes before any evaluation; a band that
+    covers the grid costs its dense bytes plus the row offsets.  On y,
+    every slice's ridge intercept is then fitted from its far-field sums
+    of one ``moment_sums`` pass."""
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -309,40 +320,73 @@ def _operator(src_axis: np.ndarray, dst_axis: np.ndarray) -> tuple[np.ndarray, n
 
 
 class _Total:
-    """A JPD being accumulated on one slice's camera axes."""
+    """A JPD being accumulated on one slice's camera axes, as a
+    ``RowBand`` whose windows cover those of every slice added so far."""
 
     def __init__(self, central: _CameraSlice) -> None:
         self.axis, self.y_s, self.y_i = central.axis, central.y_signal, central.y_idler
-        self.total = np.zeros((self.y_s.size, self.y_i.size))
+        self.band: RowBand | None = None
         self.provenance: list[tuple[float, float, float]] = []
 
     def add(self, cs: _CameraSlice) -> None:
-        """Resample ``cs`` onto the axes and add it with its weight."""
+        """Resample ``cs`` onto the axes and add it with its weight.
+
+        The first slice's windows start the total over +0.0; a later
+        slice that reaches outside them widens every row to cover both,
+        the new columns +0.0.  Each slice's entries are distinct cells,
+        so the total's values are those of adding the slices, in order,
+        into a zeroed dense matrix, bit for bit.
+        """
         resampled = resample_conserving(cs.intensity, cs.y_idler, self.y_i, axis=1)
         resampled = resample_conserving(resampled, cs.y_signal, self.y_s, axis=0)
-        # a band's entries are distinct cells; the rest of the dense sum adds +0
-        self.total.reshape(-1)[resampled.flat_index()] += cs.weight * resampled.data
+        band = self.band
+        if band is None:
+            band = RowBand(np.zeros_like(resampled.data), resampled.start, resampled.n_cols)
+        first = np.minimum(band.start, resampled.start)
+        stop = np.maximum(band.start + band.width, resampled.start + resampled.width)
+        if np.any(first < band.start) or np.any(stop > band.start + band.width):
+            start, width = _windows(first, stop, band.n_cols)
+            grown = RowBand(np.zeros((start.size, width)), start, band.n_cols)
+            grown.data.reshape(-1)[_offsets(grown, band)] = band.data
+            band = grown
+        band.data.reshape(-1)[_offsets(band, resampled)] += cs.weight * resampled.data
+        self.band = band
         self.provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
 
     def jpd(self, corrected: bool) -> CameraJPD:
         # Already >= 0: R >= 0 entrywise and the intensities are squares.
-        np.clip(self.total, 0.0, None, out=self.total)
+        np.clip(self.band.data, 0.0, None, out=self.band.data)
         return CameraJPD(
             axis=self.axis,
             y_signal=self.y_s,
             y_idler=self.y_i,
-            intensity=self.total,
+            intensity=self.band,
             corrected=corrected,
             slices=tuple(self.provenance),
         )
 
 
+def _offsets(outer: RowBand, inner: RowBand) -> np.ndarray:
+    """Index in ``outer.data.reshape(-1)`` of each entry of ``inner.data``;
+    ``outer``'s windows cover ``inner``'s."""
+    return RowBand(inner.data, inner.start - outer.start, outer.width).flat_index()
+
+
 def slope_report(jpd: CameraJPD) -> dict:
     """Ridge slopes of a camera JPD in display orientation (signal
     against idler), both estimators, plus fit metadata."""
-    # The transposed view makes the fit return d(signal)/d(idler): the
-    # orientation in which these distributions are displayed and quoted.
-    fit = ridge_fit(moments("camera", jpd.axis, jpd.y_idler, jpd.y_signal, jpd.intensity.T))
+    # The idler in the signal's role makes the fit return d(signal)/d(idler):
+    # the orientation in which these distributions are displayed and quoted.
+    band = jpd.intensity
+    cols = (band.start[:, None] + np.arange(band.width)).reshape(-1)
+
+    def by_idler(values: np.ndarray) -> np.ndarray:
+        return np.bincount(cols, values.reshape(-1), band.n_cols)
+
+    fit = ridge_fit(marginal_moments(
+        "camera", jpd.axis, jpd.y_idler, jpd.y_signal,
+        by_idler(band.data), band.data.sum(axis=1), by_idler(band.data * jpd.y_signal[:, None]),
+    ))
     return {
         "axis": jpd.axis,
         "corrected": jpd.corrected,

@@ -27,8 +27,10 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from spdcsim import __version__
-from spdcsim.biphoton import EvanescentInputError, GridMemoryError
+from spdcsim.biphoton import EvanescentInputError, GridMemoryError, RowBand
 from spdcsim.camera import camera_jpds, slope_report
 from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config
 from spdcsim.dispersion import (
@@ -101,7 +103,7 @@ def _write_matrix(
                 **meta,
                 "axis_signal": axis_signal.tolist(),
                 "axis_idler": axis_idler.tolist(),
-                "intensity": intensity.tolist(),
+                "intensity": intensity.toarray().tolist(),
             }
             path.write_text(
                 json.dumps(blob, sort_keys=True) + "\n", encoding="utf-8"
@@ -144,7 +146,7 @@ def cmd_jid(args: argparse.Namespace) -> int:
         cfg.out_formats,
         jid.axis_signal,
         jid.axis_idler,
-        jid.intensity,
+        RowBand(jid.intensity, np.zeros(jid.axis_signal.size, dtype=np.intp), jid.axis_idler.size),
         meta={"plane": jid.plane, "axis": jid.axis},
     )
     stats_path = Path(cfg.out_dir) / f"jid_{args.plane}_{args.axis}_stats.json"
@@ -207,6 +209,11 @@ def cmd_camera(args: argparse.Namespace) -> int:
     cfg = _config(args)
     problem = cfg.build()
     axis = args.axis or "y"
+    q, pump_width = problem.square_grid(), 2.0 / problem.waist_m
+    if q[1] - q[0] > pump_width:
+        print(f"warning: square grid step {q[1] - q[0]:.3g} rad/m is wider than the pump "
+              f"width 2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the camera ridge",
+              file=sys.stderr)
     raw, fixed = camera_jpds(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
     files = []
     for tag, jpd in (("uncorrected", raw), ("corrected", fixed)):

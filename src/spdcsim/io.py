@@ -13,15 +13,21 @@ Binary layout (little-endian throughout):
     3 float64 idler axis descriptor: min, max, N
     N*M float64 row-major intensity matrix (signal-major)
 
-The binary format carries no plane/axis tags; callers that need them
-use the CSV form, whose tags ``read_matrix_csv`` returns as its meta.
+Both writers take the matrix as a ``RowBand``: a dense matrix is the
+band of full width (every start 0).  The binary format carries no
+plane/axis tags; callers that need them use the CSV form, whose tags
+``read_matrix_csv`` returns as its meta.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from spdcsim.biphoton import RowBand
 
 __all__ = [
     "MAGIC",
@@ -38,27 +44,28 @@ def write_matrix_csv(
     path: str | Path,
     axis_signal: np.ndarray,
     axis_idler: np.ndarray,
-    intensity: np.ndarray,
+    intensity: RowBand,
     meta: dict | None = None,
 ) -> None:
-    """Write the matrix as CSV, each float as ``repr(float(v))``, one row at
-    a time; each row's leading and trailing runs of +0.0 (not -0.0) are
-    written as ``0.0`` without the per-element ``repr``."""
-    matrix = np.asarray(intensity, dtype=float)
-    n = matrix.shape[1]
-    printable = (matrix != 0) | np.signbit(matrix)
-    first = np.where(printable.any(axis=1), printable.argmax(axis=1), n)
-    stop = n - printable[:, ::-1].argmax(axis=1)
+    """Write the matrix ``intensity`` holds as CSV, each float as
+    ``repr(float(v))``, one row at a time; the columns outside a row's
+    window, and the leading and trailing runs of +0.0 (not -0.0) inside
+    it, are written as ``0.0`` without the per-element ``repr``."""
+    data, n, width = intensity.data, intensity.n_cols, intensity.width
+    printable = (data != 0) | np.signbit(data)
+    first = np.where(printable.any(axis=1), printable.argmax(axis=1), width)
+    stop = width - printable[:, ::-1].argmax(axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(["signal", *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
         fh.write("\n")
-        for coord, row, a, b in zip(
-            np.asarray(axis_signal, dtype=float).tolist(), matrix, first.tolist(), stop.tolist()
+        for coord, row, s, a, b in zip(
+            np.asarray(axis_signal, dtype=float).tolist(), data,
+            intensity.start.tolist(), first.tolist(), stop.tolist(),
         ):
             cells = ["0.0"] * n
-            cells[a:b] = map(repr, row[a:b].tolist())
+            cells[s + a:s + b] = map(repr, row[a:b].tolist())
             fh.write(repr(coord) + "," + ",".join(cells) + "\n")
 
 
@@ -93,8 +100,13 @@ def write_matrix_binary(
     path: str | Path,
     axis_signal: np.ndarray,
     axis_idler: np.ndarray,
-    intensity: np.ndarray,
+    intensity: RowBand,
 ) -> None:
+    """Write the matrix ``intensity`` holds in the binary layout, streamed
+    one row at a time: +0.0 before the row's window, the window, +0.0
+    after it."""
+    data = np.ascontiguousarray(intensity.data, dtype="<f8")
+    after = intensity.n_cols - intensity.width
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         header = np.array(
@@ -105,7 +117,10 @@ def write_matrix_binary(
             dtype="<f8",
         )
         fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(intensity, dtype="<f8").tobytes())
+        for row, s in zip(data, intensity.start.tolist()):
+            fh.write(bytes(8 * s))
+            fh.write(row.tobytes())
+            fh.write(bytes(8 * (after - s)))
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

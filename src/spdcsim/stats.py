@@ -3,14 +3,14 @@
 Every statistic here is a function of six intensity-weighted raw sums,
 of {1, a_s, a_i, a_s^2, a_i^2, a_s a_i}: ``StatsSummary.from_sums``
 turns them into means, variances and the covariance, whether the moment
-engine (``config.certify_axis``) or ``moments`` on a matrix supplied
-them.
+engine (``config.certify_axis``), ``moments`` on a matrix or
+``marginal_moments`` on the marginals of a band supplied them.
 
 Slope convention: ridge fits report the idler coordinate as a function
 of the signal coordinate, m = d(a_i)/d(a_s), with the intercept taken
 through the centroid.  (Camera-plane reports, which quote the signal
 plotted against the idler as the distributions are usually displayed,
-fit the transposed matrix — see :mod:`spdcsim.camera`.)
+swap the two axes' roles — see :mod:`spdcsim.camera`.)
 
 All scalar reductions go through ``math.fsum`` so results are both
 compensated and independent of summation batching.
@@ -30,6 +30,7 @@ __all__ = [
     "RidgeFit",
     "DegenerateDistributionError",
     "moments",
+    "marginal_moments",
     "reid_inference",
     "reid_product",
     "ridge_fit",
@@ -111,25 +112,38 @@ class StatsSummary:
 def moments(plane: str, axis: str, axis_signal: np.ndarray, axis_idler: np.ndarray,
             intensity: np.ndarray) -> StatsSummary:
     """Means, marginal variances and covariance of an unnormalised
-    intensity over signal (rows) x idler (columns) coordinates.
-
-    The intensity is reduced to its six raw sums, each through
-    ``math.fsum``, and handed to ``StatsSummary.from_sums``; uniform cell
-    areas cancel.  Raises DegenerateDistributionError unless the total
-    intensity is finite and positive.
+    intensity over signal (rows) x idler (columns) coordinates: the
+    ``marginal_moments`` of its two marginals and of ``intensity @
+    axis_idler``.
     """
-    m_s = intensity.sum(axis=1)  # signal marginal
+    return marginal_moments(
+        plane, axis, axis_signal, axis_idler,
+        intensity.sum(axis=1), intensity.sum(axis=0), intensity @ axis_idler,
+    )
+
+
+def marginal_moments(plane: str, axis: str, axis_signal: np.ndarray, axis_idler: np.ndarray,
+                     m_s: np.ndarray, m_i: np.ndarray, cross: np.ndarray) -> StatsSummary:
+    """Means, marginal variances and covariance of an unnormalised
+    intensity from its signal marginal ``m_s``, its idler marginal
+    ``m_i`` and ``cross``, the idler coordinate summed along each signal
+    row with the intensity as weight.
+
+    They are reduced to the six raw sums, each through ``math.fsum``, and
+    handed to ``StatsSummary.from_sums``; uniform cell areas cancel.
+    Raises DegenerateDistributionError unless the total intensity is
+    finite and positive.
+    """
     norm = math.fsum(m_s) if np.all(np.isfinite(m_s)) else math.nan
     if not norm > 0.0:
         raise DegenerateDistributionError(
             f"intensity total {norm!r} is not finite and positive"
         )
-    m_i = intensity.sum(axis=0)
     return StatsSummary.from_sums(
         plane, axis, norm,
         math.fsum(m_s * axis_signal), math.fsum(m_i * axis_idler),
         math.fsum(m_s * axis_signal * axis_signal), math.fsum(m_i * axis_idler * axis_idler),
-        math.fsum(axis_signal * (intensity @ axis_idler)),
+        math.fsum(axis_signal * cross),
     )
 
 

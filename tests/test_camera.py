@@ -11,6 +11,7 @@ import pytest
 import spdcsim.camera
 from spdcsim.biphoton import GridMemoryError, amplitude, envelope_columns, evaluate_grid
 from spdcsim.camera import (
+    CameraJPD,
     RowBand,
     _corrected,
     _slice_builder,
@@ -422,7 +423,8 @@ def test_corrected_nondegenerate_restores_unit_slope():
 def test_corrected_equals_uncorrected_for_degenerate_slice():
     unc, corr = build_jpds(signal_nm=810.0, n_slices=1, grid_n=256)
     # corrections are identities up to the sub-cell fitted shift
-    assert np.abs(corr.intensity - unc.intensity).max() <= 1e-6 * unc.intensity.max()
+    unc, corr = unc.intensity.toarray(), corr.intensity.toarray()
+    assert np.abs(corr - unc).max() <= 1e-6 * unc.max()
 
 
 def test_pure_scaling_slope_relation():
@@ -447,7 +449,7 @@ def test_accumulation_preserves_mass():
         * (780.0 / 842.4)  # idler axis is rescaled by this factor first
         for cs in built_slices(problem, "y")
     )
-    total_out = jpd.intensity.sum() * jpd.d_signal * jpd.d_idler
+    total_out = jpd.intensity.toarray().sum() * jpd.d_signal * jpd.d_idler
     assert total_out == pytest.approx(total_in, rel=1e-4)
 
 
@@ -473,7 +475,7 @@ def test_accumulation_matches_reference_resampler(corrected):
     assert jpd.corrected is corrected
     np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
     np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
-    assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()
+    assert np.abs(jpd.intensity.toarray() - total).max() <= 1e-12 * total.max()
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -491,10 +493,67 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
         assert jpd.corrected is corrected
         np.testing.assert_array_equal(jpd.y_signal, central.y_signal)
         np.testing.assert_array_equal(jpd.y_idler, central.y_idler)
-        assert np.abs(jpd.intensity - total).max() <= 1e-12 * total.max()
+        assert np.abs(jpd.intensity.toarray() - total).max() <= 1e-12 * total.max()
         assert jpd.slices == tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight)
                                    for cs in slices)
         assert len(jpd.slices) == n_slices
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_banded_totals_equal_dense_sum_bit_for_bit(axis):
+    """Each JPD's band holds the values of adding every resampled slice,
+    in sampling order, into a zeroed dense matrix, bit for bit, zeros'
+    signs included; the total grows past the first slice's windows."""
+    problem = make_setup(n_slices=5, grid_n=256)
+    slices = built_slices(problem, axis)
+    for jpd, corrected in zip(camera_jpds(problem, axis, F), (False, True)):
+        terms = [_corrected(cs) for cs in slices] if corrected else slices
+        central = terms[len(terms) // 2]
+        dense = np.zeros((central.y_signal.size, central.y_idler.size))
+        widths = []
+        for cs in terms:
+            band = resample_conserving(cs.intensity, cs.y_idler, central.y_idler, axis=1)
+            band = resample_conserving(band, cs.y_signal, central.y_signal, axis=0)
+            dense.reshape(-1)[band.flat_index()] += cs.weight * band.data
+            widths.append(band.width)
+        total = jpd.intensity.toarray()
+        assert np.array_equal(total, dense)
+        assert np.array_equal(np.signbit(total), np.signbit(dense))
+        assert widths[0] < jpd.intensity.width < dense.shape[1]
+
+
+@pytest.fixture(scope="module")
+def default_jpds_512():
+    """Both y JPDs of the shipped non-degenerate config at N = 512."""
+    cfg = load_config(CONFIGS / "nondegenerate_780.yaml")
+    problem = replace(cfg.build(), grid_n=512)
+    return camera_jpds(problem, "y", cfg.focal_length_m, magnification=cfg.magnification)
+
+
+def test_banded_totals_hold_under_a_quarter_of_dense(default_jpds_512):
+    n = 512
+    raw, fixed = default_jpds_512
+    assert raw.intensity.nbytes + fixed.intensity.nbytes < (2 * n * n * 8) / 4
+
+
+def test_slope_report_of_band_matches_dense_moments(default_jpds_512):
+    """``slope_report`` takes its sums from the band; ``stats.moments`` of
+    the dense transposed matrix gives the same fit to 1e-12 relative (the
+    intercept to 1e-12 of a camera pixel: it is near zero)."""
+    for jpd in default_jpds_512:
+        rep = slope_report(jpd)
+        fit = ridge_fit(moments("camera", jpd.axis, jpd.y_idler, jpd.y_signal,
+                                jpd.intensity.toarray().T))
+        for key in ("slope_principal_axis", "slope_regression"):
+            assert rep[key] == pytest.approx(getattr(fit, key), rel=1e-12, abs=0.0)
+        assert abs(rep["intercept_m"] - fit.intercept) <= 1e-12 * jpd.d_signal
+
+
+def test_camera_jpd_rejects_negative_band_entries():
+    band = RowBand(np.array([[0.5, -1e-300]]), np.zeros(1, dtype=np.intp), 3)
+    axis = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="negative entries"):
+        CameraJPD("y", axis[:1], axis, band, corrected=False, slices=())
 
 
 def test_camera_jpds_hold_two_bands(monkeypatch):

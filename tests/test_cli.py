@@ -436,7 +436,7 @@ class TestCamera:
             assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}
             assert np.array_equal(y_s, jpd.y_signal)
             assert np.array_equal(y_i, jpd.y_idler)
-            assert np.array_equal(matrix, jpd.intensity)
+            assert np.array_equal(matrix, jpd.intensity.toarray())
 
     def test_degenerate_no_skew(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "wavelengths:\n  degenerate: true\n")
@@ -449,6 +449,26 @@ class TestCamera:
         data = json.loads(out)
         assert data["uncorrected"]["slope_principal_axis"] == pytest.approx(-1.0, abs=0.01)
         assert data["corrected"]["slope_principal_axis"] == pytest.approx(-1.0, abs=0.01)
+
+
+    @pytest.mark.parametrize("grid_n", [256, 512])
+    def test_warns_when_grid_step_exceeds_pump_width(self, capsys, tmp_path, grid_n):
+        """At the default config the square grid's step is 7.97e3 rad/m at
+        N = 256 and 3.98e3 at N = 512, against the pump width 2/w0 =
+        4e3 rad/m: one warning line on stderr at 256, none at 512; stdout
+        stays the JSON report and both files are written."""
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "camera", "--out", str(out_dir), "--grid-n", str(grid_n), "--slices", "3",
+        )
+        assert code == 0
+        assert json.loads(out)["files"] == ["camera_corrected_y.csv", "camera_uncorrected_y.csv"]
+        if grid_n == 256:
+            (line,) = err.splitlines()
+            assert line.startswith("warning: square grid step 7.97e+03 rad/m ")
+            assert "pump width 2/w0 = 4e+03 rad/m" in line
+        else:
+            assert err == ""
 
 
 class TestExitCodes:

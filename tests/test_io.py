@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdcsim.biphoton import RowBand
 from spdcsim.io import (
     MAGIC,
     read_matrix_binary,
@@ -26,15 +27,20 @@ def make_jid(plane="far", axis="x", n=5, m=4, seed=0):
     )
 
 
+def full_band(matrix):
+    """A dense matrix as the band of full width, as ``jid`` writes it."""
+    return RowBand(matrix, np.zeros(matrix.shape[0], dtype=np.intp), matrix.shape[1])
+
+
 def write_csv(jid, path):
     write_matrix_csv(
-        path, jid.axis_signal, jid.axis_idler, jid.intensity,
+        path, jid.axis_signal, jid.axis_idler, full_band(jid.intensity),
         meta={"plane": jid.plane, "axis": jid.axis},
     )
 
 
 def write_binary(jid, path):
-    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, jid.intensity)
+    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, full_band(jid.intensity))
 
 
 class TestCsv:
@@ -63,7 +69,7 @@ class TestCsv:
             path,
             np.linspace(0.0, 1.0, 3),
             np.linspace(0.0, 1.0, 3),
-            np.ones((3, 3)),
+            full_band(np.ones((3, 3))),
             meta={"plane": "far", "axis": "x"},
         )
         lines = path.read_text().splitlines()
@@ -102,7 +108,7 @@ class TestCsv:
         axis_idler = np.linspace(-0.5, 0.5, matrix.shape[1])
         meta = {"plane": "camera", "axis": "y"}
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, axis_signal, axis_idler, matrix, meta=meta)
+        write_matrix_csv(path, axis_signal, axis_idler, full_band(matrix), meta=meta)
         assert path.read_bytes() == self.reference_csv(axis_signal, axis_idler, matrix, meta)
         assert b"-0.0" in path.read_bytes() or not np.signbit(matrix).any()
 
@@ -134,7 +140,7 @@ class TestCsv:
         axis_idler = np.linspace(-0.7, 0.7, 8)
         meta = {"plane": "camera", "axis": "y", "corrected": True}
         rows, joined = tmp_path / "rows.csv", tmp_path / "joined.csv"
-        write_matrix_csv(rows, axis_signal, axis_idler, matrix, meta=meta)
+        write_matrix_csv(rows, axis_signal, axis_idler, full_band(matrix), meta=meta)
         self.joined_csv(joined, axis_signal, axis_idler, matrix, meta)
         assert rows.read_bytes() == joined.read_bytes()
         assert rows.read_bytes().count(b",-0.0,") == 2
@@ -184,7 +190,7 @@ class TestBinary:
         write_binary(jid, path)
         assert len(read_matrix_binary(path)) == 3
         csv_path = tmp_path / "untagged.csv"
-        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, jid.intensity)
+        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, full_band(jid.intensity))
         assert read_matrix_csv(csv_path)[3] == {}
 
     def test_file_starts_with_magic(self, tmp_path):
@@ -211,3 +217,53 @@ class TestBinary:
         write_binary(jid, a)
         write_binary(jid, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# (starts, width) of bands on 9 columns: windows that touch column 0 and
+# column n - 1, and the full width
+BANDS = {
+    "edges": ([0, 2, 5, 3, 1, 5, 4], 4),
+    "full_width": ([0] * 7, 9),
+}
+
+
+def band_case(name):
+    """A 7-row band with an all-zero row, -0.0 opening a window's printed
+    run before +0.0 and inside a run, a window of only +0.0 and -0.0,
+    and subnormals at a run's ends."""
+    starts, width = BANDS[name]
+    tiny = np.nextafter(0.0, 1.0)
+    data = np.random.default_rng(5).uniform(0.5, 2.0, size=(7, width))
+    data[1] = 0.0  # an all-zero row
+    data[2, :3] = [-0.0, 0.0, 0.0]  # -0.0, then +0.0 before the nonzero run
+    data[3, 1:3] = [-0.0, 0.0]  # signed zeros inside the run
+    data[4] = 0.0
+    data[4, width // 2] = -0.0  # the only printable entry
+    data[5, 0], data[5, -1] = tiny, 3 * tiny
+    data[6, -1] = 0.0  # a trailing +0.0 inside the window
+    return RowBand(data, np.array(starts, dtype=np.intp), 9)
+
+
+class TestBand:
+    @pytest.mark.parametrize("name", sorted(BANDS))
+    def test_band_writes_the_bytes_of_its_dense_matrix(self, tmp_path, name):
+        """Each format writes a band as the dense matrix it holds, passed
+        as the full-width band."""
+        band = band_case(name)
+        dense = band.toarray()
+        assert np.signbit(dense).sum() == 3
+        axis_signal = np.linspace(-1.0, 1.0, 7)
+        axis_idler = np.linspace(-0.5, 0.5, 9)
+        meta = {"plane": "camera", "axis": "y"}
+        for tag, source in (("band", band), ("dense", full_band(dense))):
+            write_matrix_csv(tmp_path / f"{tag}.csv", axis_signal, axis_idler, source, meta=meta)
+            write_matrix_binary(tmp_path / f"{tag}.bin", axis_signal, axis_idler, source)
+        for ext in ("csv", "bin"):
+            assert (tmp_path / f"band.{ext}").read_bytes() == (tmp_path / f"dense.{ext}").read_bytes()
+        assert (tmp_path / "band.csv").read_bytes() == TestCsv.reference_csv(
+            axis_signal, axis_idler, dense, meta
+        )
+        matrix = read_matrix_binary(tmp_path / "band.bin")[2]
+        assert np.array_equal(matrix, dense)
+        assert np.array_equal(np.signbit(matrix), np.signbit(dense))
+
