@@ -7,8 +7,10 @@ The pipeline, bottom to top:
   angular amplitude on 1-D momentum grids
 - :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
   every slice loop takes down to the amplitude (with its square momentum
-  grid), the moment engine, far/near-field JIDs
-- :mod:`spdcsim.stats` — moments, conditional inference, EPR width products
+  grid), the moment engine that every printed statistic comes from, and
+  the far/near-field JIDs, which are pictures only
+- :mod:`spdcsim.stats` — summaries of the engine's raw sums, conditional
+  inference, EPR width products, ridge fits
 - :mod:`spdcsim.camera` — chromatic camera mapping and its compensation
 - :mod:`spdcsim.sweep` — parameter studies over bandwidth/length/waist
 - :mod:`spdcsim.config` / :mod:`spdcsim.cli` — YAML configs and the CLI
@@ -46,7 +48,6 @@ from spdcsim.stats import (
     DegenerateDistributionError,
     ReidReport,
     StatsSummary,
-    moments,
     reid_inference,
     reid_product,
     ridge_fit,
@@ -84,7 +85,6 @@ __all__ = [
     "DegenerateDistributionError",
     "ReidReport",
     "StatsSummary",
-    "moments",
     "reid_inference",
     "reid_product",
     "ridge_fit",

@@ -20,10 +20,12 @@ axes are put on the camera, and its intensity is the square of the
 amplitude band ``evaluate_grid`` returns, narrowed to a ``RowBand`` of
 the idler columns the squared pump envelope leaves nonzero (8 % of the
 grid at the default config).  No dense slice matrix is built, and the
-resampler works on the band directly.  On y every slice's ridge
-intercept is fitted from its far-field sums of one moment-engine pass
-(``spectral.moment_sums``).  ``camera_jpds`` streams the slices into
-both JPDs and holds two slice bands at a time.  The JPDs are
+resampler works on the band directly.  One moment-engine pass
+(``spectral.moment_sums``) gives every slice its far-field raw sums: on
+y its ridge intercept is fitted from them, and mapped onto the camera
+they are the slice's camera-plane sums, which the JPDs add with the
+filter weights.  ``camera_jpds`` streams the slices into both JPDs and
+holds two slice bands at a time.  The JPDs are
 ``RowBand``s as well: each starts on the first resampled slice's windows
 and widens, over +0.0, when a slice reaches outside them (140 and 114
 of 1024 columns at the defaults), and its values are those of a dense
@@ -33,10 +35,11 @@ N x N bytes, an upper bound, since a band is never wider than the grid.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
-distributions are drawn, so ``slope_report`` takes the moments of the
-transposed JPD.  Both the principal-axis and the regression estimator
-are always reported; they differ systematically for ridges of finite
-width.
+distributions are drawn, so ``slope_report`` fits a JPD's engine sums
+with the idler in the first role.  The bands are the pictures the
+files hold; no statistic is taken from them.  Both the principal-axis
+and the regression estimator are always reported; they differ
+systematically for ridges of finite width.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from spdcsim.biphoton import RowBand, _windows, check_memory_budget, envelope_columns, evaluate_grid
 from spdcsim.spectral import Problem, moment_sums, sample_spectrum
-from spdcsim.stats import StatsSummary, marginal_moments, ridge_fit
+from spdcsim.stats import StatsSummary, ridge_fit
 
 __all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report", "resample_conserving"]
 
@@ -62,7 +65,9 @@ class _CameraSlice:
     the slice's pump-envelope band.  ``scale_signal`` is the signal arm's
     meters per rad/m.  ``ridge_intercept`` is the intercept (rad/m) of the
     ridge fitted to the slice's own momentum distribution, which the
-    walk-off correction removes; ``None`` on x.
+    walk-off correction removes; ``None`` on x.  ``sums`` are the raw
+    sums of {1, Y_s, Y_i, Y_s^2, Y_i^2, Y_s Y_i} over the slice's
+    intensity in its camera coordinates, from the moment engine.
     """
 
     axis: str
@@ -74,6 +79,7 @@ class _CameraSlice:
     weight: float
     scale_signal: float
     ridge_intercept: float | None
+    sums: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,9 @@ class CameraJPD:
 
     ``intensity`` is a ``RowBand`` (signal rows, idler columns) whose
     windows cover every slice's resampled band; ``toarray()`` is the
-    dense N x N matrix.
+    dense N x N matrix.  ``sums`` are the slices' camera-plane raw sums
+    (``_CameraSlice.sums``) added with their weights in sampling order,
+    the moments ``slope_report`` fits.
     """
 
     axis: str
@@ -91,6 +99,7 @@ class CameraJPD:
     intensity: RowBand
     corrected: bool
     slices: tuple[tuple[float, float, float], ...]
+    sums: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if np.any(self.intensity.data < 0):
@@ -110,6 +119,15 @@ def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> flo
     return magnification * focal_length_m / (2.0 * math.pi / (lambda_nm * 1e-9))
 
 
+def _mapped(sums, a_s: float, a_i: float, b_i: float = 0.0) -> tuple[float, ...]:
+    """Raw sums of {1, Y_s, Y_i, Y_s^2, Y_i^2, Y_s Y_i} for Y_s = a_s u_s and
+    Y_i = a_i u_i + b_i, from ``sums``, those of {1, u_s, u_i, u_s^2, u_i^2,
+    u_s u_i}."""
+    n, s, i, ss, ii, si = sums
+    return (n, a_s * s, a_i * i + b_i * n, a_s * a_s * ss,
+            a_i * a_i * ii + 2.0 * a_i * b_i * i + b_i * b_i * n, a_s * (a_i * si + b_i * s))
+
+
 def _slice_builder(
     problem: Problem, axis: str, focal_length_m: float, magnification: float
 ) -> Callable[[int], _CameraSlice]:
@@ -118,9 +136,9 @@ def _slice_builder(
     the function that evaluates slice k of ``sample_spectrum`` onto the
     camera.  Every band has the width ``envelope_columns`` gives for the
     grid and w0, so the check comes before any evaluation; a band that
-    covers the grid costs its dense bytes plus the row offsets.  On y,
-    every slice's ridge intercept is then fitted from its far-field sums
-    of one ``moment_sums`` pass."""
+    covers the grid costs its dense bytes plus the row offsets.  Then one
+    ``moment_sums`` pass gives every slice its far-field sums, which are
+    mapped onto the camera and, on y, give its ridge intercept."""
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -134,28 +152,29 @@ def _slice_builder(
         holding="2 camera JPDs and 2 slice bands",
     )
     spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    far_sums = moment_sums(problem, axis)[:, :6].tolist()
     intercepts = [None] * len(spectrum)
     if axis == "y":
-        intercepts = [
-            ridge_fit(StatsSummary.from_sums("far", axis, *sums[:6])).intercept
-            for sums in moment_sums(problem, axis).tolist()
-        ]
+        intercepts = [ridge_fit(StatsSummary.from_sums("far", axis, *sums)).intercept
+                      for sums in far_sums]
 
     def build(k: int) -> _CameraSlice:
         lam_s, lam_i, weight = spectrum[k]
         band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
         np.multiply(band.data, band.data, out=band.data)  # the slice intensity, in place
         scale_s = _scale(focal_length_m, lam_s, magnification)
+        scale_i = _scale(focal_length_m, lam_i, magnification)
         return _CameraSlice(
             axis=axis,
             y_signal=scale_s * q,
-            y_idler=_scale(focal_length_m, lam_i, magnification) * q,
+            y_idler=scale_i * q,
             intensity=band.narrowed(first, stop),
             lambda_signal_nm=lam_s,
             lambda_idler_nm=lam_i,
             weight=weight,
             scale_signal=scale_s,
             ridge_intercept=intercepts[k],
+            sums=_mapped(far_sums[k], scale_s, scale_i),
         )
 
     return build
@@ -168,15 +187,15 @@ def camera_jpds(
     pass over the spectral slices that holds two slice bands, not all.
 
     Each slice is evaluated and mapped onto the camera, Y = M (f/k) q per
-    arm; on y its ridge intercept comes from the moment engine's
-    far-field sums of the slice.  The central slice is evaluated
-    first and kept: its axes fix both JPDs' grids (the corrected grid is
-    the central slice's, corrected).  Then each slice, in sampling order,
-    is resampled onto both grids and added with its weight, as it is and
-    after ``_corrected``, and dropped.  The focal length and the
-    magnification must be finite and positive (``ValueError``); the
-    budget is checked once, before any evaluation, for the two JPDs and
-    two bands (``GridMemoryError``).
+    arm; its camera-plane sums, and on y its ridge intercept, come from
+    the moment engine's far-field sums of the slice.  The central slice
+    is evaluated first and kept: its axes fix both JPDs' grids (the
+    corrected grid is the central slice's, corrected).  Then each slice,
+    in sampling order, is resampled onto both grids and added with its
+    weight, as it is and after ``_corrected``, with its sums, and
+    dropped.  The focal length and the magnification must be finite and
+    positive (``ValueError``); the budget is checked once, before any
+    evaluation, for the two JPDs and two bands (``GridMemoryError``).
     """
     build = _slice_builder(problem, axis, focal_length_m, magnification)
     mid = problem.n_slices // 2
@@ -203,12 +222,16 @@ def _corrected(cs: _CameraSlice) -> _CameraSlice:
     momentum distribution (``ridge_intercept``): the offset the model
     actually produces.  (The pump's transverse carrier k_y never appears
     in full on the ridge: the pump envelope pins the sum coordinate near
-    zero.)  The x axis carries no walk-off.
+    zero.)  The x axis carries no walk-off.  The sums follow the idler
+    coordinate, Y_i = (M f/k_s)(q_i - b).
     """
-    y_idler = cs.y_idler * (cs.lambda_signal_nm / cs.lambda_idler_nm)
+    ratio = cs.lambda_signal_nm / cs.lambda_idler_nm
+    y_idler = cs.y_idler * ratio
+    shift = 0.0
     if cs.axis == "y":
-        y_idler = y_idler - cs.scale_signal * cs.ridge_intercept
-    return replace(cs, y_idler=y_idler)
+        shift = cs.scale_signal * cs.ridge_intercept
+        y_idler = y_idler - shift
+    return replace(cs, y_idler=y_idler, sums=_mapped(cs.sums, 1.0, ratio, -shift))
 
 
 def _cell_edges(axis: np.ndarray) -> np.ndarray:
@@ -326,6 +349,7 @@ class _Total:
     def __init__(self, central: _CameraSlice) -> None:
         self.axis, self.y_s, self.y_i = central.axis, central.y_signal, central.y_idler
         self.band: RowBand | None = None
+        self.sums = (0.0,) * 6
         self.provenance: list[tuple[float, float, float]] = []
 
     def add(self, cs: _CameraSlice) -> None:
@@ -351,6 +375,9 @@ class _Total:
             band = grown
         band.data.reshape(-1)[_offsets(band, resampled)] += cs.weight * resampled.data
         self.band = band
+        # the additions of certify_axis's weighted row sum, in Python floats:
+        # a small NumPy buffer per slice moved the camera's peak RSS by ~1 MiB
+        self.sums = tuple(t + cs.weight * s for t, s in zip(self.sums, cs.sums))
         self.provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
 
     def jpd(self, corrected: bool) -> CameraJPD:
@@ -363,6 +390,7 @@ class _Total:
             intensity=self.band,
             corrected=corrected,
             slices=tuple(self.provenance),
+            sums=self.sums,
         )
 
 
@@ -374,19 +402,12 @@ def _offsets(outer: RowBand, inner: RowBand) -> np.ndarray:
 
 def slope_report(jpd: CameraJPD) -> dict:
     """Ridge slopes of a camera JPD in display orientation (signal
-    against idler), both estimators, plus fit metadata."""
+    against idler), both estimators, plus fit metadata, from its engine
+    sums."""
     # The idler in the signal's role makes the fit return d(signal)/d(idler):
     # the orientation in which these distributions are displayed and quoted.
-    band = jpd.intensity
-    cols = (band.start[:, None] + np.arange(band.width)).reshape(-1)
-
-    def by_idler(values: np.ndarray) -> np.ndarray:
-        return np.bincount(cols, values.reshape(-1), band.n_cols)
-
-    fit = ridge_fit(marginal_moments(
-        "camera", jpd.axis, jpd.y_idler, jpd.y_signal,
-        by_idler(band.data), band.data.sum(axis=1), by_idler(band.data * jpd.y_signal[:, None]),
-    ))
+    n, s, i, ss, ii, si = jpd.sums
+    fit = ridge_fit(StatsSummary.from_sums("camera", jpd.axis, n, i, s, ii, ss, si))
     return {
         "axis": jpd.axis,
         "corrected": jpd.corrected,

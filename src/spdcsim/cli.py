@@ -3,7 +3,7 @@
 Commands
 --------
 pm-angle   phase-matching angle, walk-off, and indices for a config
-jid        compute one joint distribution, write it, print its stats
+jid        compute one joint distribution, write it, print the stats JSON
 stats      print the moment engine's statistics JSON for one plane/axis
 certify    near+far inference per axis -> EPR width-product report
 sweep      parameter sweep -> CSV (stdout, and a file with --out)
@@ -39,14 +39,8 @@ from spdcsim.dispersion import (
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv
-from spdcsim.spectral import far_field_jid, near_field_jid
-from spdcsim.stats import (
-    DegenerateDistributionError,
-    StatsSummary,
-    moments,
-    reid_inference,
-    ridge_fit,
-)
+from spdcsim.spectral import Problem, far_field_jid, near_field_jid
+from spdcsim.stats import DegenerateDistributionError, ridge_fit
 from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
 
 __all__ = ["main"]
@@ -72,8 +66,11 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _stats_payload(summary: StatsSummary) -> dict:
-    """A summary with inference fields, and the ridge fitted to its moments."""
+def _stats_payload(problem: Problem, plane: str, axis: str) -> dict:
+    """The moment engine's summary of one plane and axis, with inference
+    fields, and the ridge fitted to its moments."""
+    near, far, _ = certify_axis(problem, axis)
+    summary = near if plane == "near" else far
     fit = ridge_fit(summary)
     payload = summary.to_json_dict()
     payload.update(
@@ -135,11 +132,10 @@ def cmd_pm_angle(args: argparse.Namespace) -> int:
 
 def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    problem = cfg.build()
+    payload = _stats_payload(problem, args.plane, args.axis)
     fn = far_field_jid if args.plane == "far" else near_field_jid
-    jid = fn(cfg.build(), args.axis)
-    payload = _stats_payload(reid_inference(
-        moments(jid.plane, jid.axis, jid.axis_signal, jid.axis_idler, jid.intensity)
-    ))
+    jid = fn(problem, args.axis)
     files = _write_matrix(
         Path(cfg.out_dir),
         f"jid_{args.plane}_{args.axis}",
@@ -159,8 +155,7 @@ def cmd_jid(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    near, far, _ = certify_axis(_config(args).build(), args.axis)
-    _emit(_stats_payload(near if args.plane == "near" else far))
+    _emit(_stats_payload(_config(args).build(), args.plane, args.axis))
     return 0
 
 
@@ -215,6 +210,8 @@ def cmd_camera(args: argparse.Namespace) -> int:
               f"width 2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the camera ridge",
               file=sys.stderr)
     raw, fixed = camera_jpds(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
+    # before any file is written: a collapsed distribution exits 4 and writes none
+    reports = {"uncorrected": slope_report(raw), "corrected": slope_report(fixed)}
     files = []
     for tag, jpd in (("uncorrected", raw), ("corrected", fixed)):
         files += _write_matrix(
@@ -228,8 +225,7 @@ def cmd_camera(args: argparse.Namespace) -> int:
         )
     _emit(
         {
-            "uncorrected": slope_report(raw),
-            "corrected": slope_report(fixed),
+            **reports,
             "shift_mode": "fitted",  # always fitted; the key stays in the stdout contract
             "files": sorted(files),
         }

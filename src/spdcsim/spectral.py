@@ -14,7 +14,8 @@ assembles it, so each knob reaches the amplitude the same way in every
 command.  A spectral slice is its (lambda_s, lambda_i) pair, and every
 loop -- here and in ``camera`` -- runs over ``sample_spectrum``.
 
-Moment engine (``moment_sums``; ``certify``, ``sweep`` and ``stats``).
+Moment engine (``moment_sums``; every printed statistic: ``certify``,
+``sweep``, ``stats``, ``jid`` and the ``camera`` slopes).
 Per slice it works in the sum and difference coordinates
 q_+ = q_s + q_i and q_- = q_s - q_i.  The pump intensity
 exp(-w0^2 q_+^2 / 2) is exactly the Gauss-Hermite weight, so q_+ is
@@ -181,7 +182,8 @@ class JointDistribution:
     ``plane`` is 'far' (momentum, axes in rad/m) or 'near' (position,
     axes in meters); ``axis`` tags the transverse axis.  Rows index the
     signal coordinate, columns the idler coordinate.  Intensities are
-    not normalised; ``stats.moments`` takes them as they are.
+    not normalised.  It is the picture ``jid`` writes; the statistics
+    ``jid`` prints come from the moment engine (``moment_sums``).
     """
 
     plane: str

