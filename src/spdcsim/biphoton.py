@@ -288,16 +288,6 @@ class RowBand:
         out.reshape(-1)[self.flat_index()] = self.data
         return out
 
-    def narrowed(self, first: np.ndarray, stop: np.ndarray) -> "RowBand":
-        """The band that keeps columns [first[k], stop[k]) of each row k,
-        in windows as wide as the widest of them; a kept column outside
-        this band's window is +0.0, as it is in ``toarray()``."""
-        start, width = _windows(first, stop, self.n_cols)
-        at = (start - self.start)[:, None] + np.arange(width)
-        at[(at < 0) | (at >= self.width)] = self.width  # the +0.0 column padded on
-        padded = np.pad(self.data, ((0, 0), (0, 1)))
-        return RowBand(np.take_along_axis(padded, at, axis=1), start, self.n_cols)
-
 
 def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
@@ -308,10 +298,11 @@ def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, i
 
 
 def evaluate_grid(
-    q_s: np.ndarray, q_i: np.ndarray, problem: Problem, axis: str, pair: tuple[float, float]
+    q_s: np.ndarray, q_i: np.ndarray, problem: Problem, axis: str, pair: tuple[float, float],
+    windows: tuple[np.ndarray, int] | None = None,
 ) -> RowBand:
     """Amplitude over two 1-D strictly increasing grids, signal-major, as
-    the ``RowBand`` of its pump-envelope band.
+    the ``RowBand`` of its pump-envelope band, or of ``windows``.
 
     toarray()[k, l] = amplitude(q_s[k], q_i[l], problem, axis, pair).  In
     float64 the pump envelope is exactly 0 outside the anti-diagonal band
@@ -326,15 +317,24 @@ def evaluate_grid(
     evanescent-input check, cover both full grids.  The peak working
     memory is estimated up front and checked against the budget.
 
+    ``windows`` = (start, width), if given, are the columns to evaluate
+    instead: start[k] ... start[k] + width - 1 of row k.  Where they cover
+    the band's they give the same values, and exact zeros elsewhere.
+
     Raises ValueError unless both grids are 1-D and strictly increasing,
-    which the column search of the band needs.
+    which the column search of the band needs, and unless ``windows``
+    has one start per row and lies inside the idler grid.
     """
     for name, q in (("signal", q_s), ("idler", q_i)):
         if q.ndim != 1 or not np.all(np.diff(q) > 0):
             raise ValueError(f"the {name} grid must be 1-D and strictly increasing")
     check_memory_budget(q_s.size, q_i.size, problem.memory_budget_bytes)
+    if windows is None:
+        windows = _windows(*envelope_columns(q_s, q_i, problem.waist_m), q_i.size)
+    start, width = windows
+    if start.shape != q_s.shape or np.any(start < 0) or np.any(start + width > q_i.size):
+        raise ValueError("windows must give one start per signal row, inside the idler grid")
     a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
-    start, width = _windows(*envelope_columns(q_s, q_i, problem.waist_m), q_i.size)
     cols = start[:, None] + np.arange(width)
     idler = np.stack(_idler_tables(q_i, b, problem.kernel)).take(cols, axis=1)
     data = _envelope_times_kernel(a[:, None], q_s[:, None], idler, problem.waist_m, problem.kernel)

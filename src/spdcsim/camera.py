@@ -11,27 +11,30 @@ plotted against the idler), and the walk-off carrier leaves a ridge
 offset on the y axis.  The correction undoes both slice by slice — it
 scales the idler axis by lambda_s/lambda_i onto the slice's signal
 scale, then subtracts the ridge offset fitted to the slice's own
-momentum distribution — and each slice is resampled onto the central
-slice's grid with one banded, mass-conserving operator per axis (3 or 4
-source knots per cell).
+momentum distribution.
 
-Each slice is built from the run's ``spectral.Problem`` in one way: its
-axes are put on the camera, and its intensity is the square of the
-amplitude band ``evaluate_grid`` returns, narrowed to a ``RowBand`` of
-the idler columns the squared pump envelope leaves nonzero (8 % of the
-grid at the default config).  No dense slice matrix is built, and the
-resampler works on the band directly.  One moment-engine pass
-(``spectral.moment_sums``) gives every slice its far-field raw sums: on
-y its ridge intercept is fitted from them, and mapped onto the camera
-they are the slice's camera-plane sums, which the JPDs add with the
-filter weights.  ``camera_jpds`` streams the slices into both JPDs and
-holds two slice bands at a time.  The JPDs are
-``RowBand``s as well: each starts on the first resampled slice's windows
-and widens, over +0.0, when a slice reaches outside them (140 and 114
-of 1024 columns at the defaults), and its values are those of a dense
-sum, bit for bit.  The memory budget is checked once, up front, for
-the two JPDs and the two slice bands; it charges each JPD its dense
-N x N bytes, an upper bound, since a band is never wider than the grid.
+Both JPDs are sampled at the pixel centres of the central slice's
+camera grid: the square momentum grid q of the run, mapped onto the
+camera with the central slice's scales s = M f lambda / (2 pi) (and,
+for the corrected JPD, its idler rescale and shift).  Slice k is
+evaluated with ``evaluate_grid`` at the momenta that land on those
+pixels: signal q s_s(mid)/s_s(k); idler q s_i(mid)/s_i(k) uncorrected
+and (q - b_mid) s_s(mid)/s_s(k) + b_k corrected, b being the slice's
+ridge intercept (0 on x).  Nothing is resampled, and no dense slice
+matrix is built: the slice's amplitude is evaluated on the JPD's
+windows, squared in place and added with the slice's filter weight.
+
+One moment-engine pass (``spectral.moment_sums``) gives every slice its
+far-field raw sums: on y its ridge intercept is fitted from them, and
+mapped onto the camera they are the slice's camera-plane sums, which
+the JPDs add with the filter weights.  They are added first, so a
+collapsed distribution stops before any evaluation.  The JPDs are
+``RowBand``s allocated once, on the union of every slice's
+``envelope_columns(power=2)`` windows, which the pixel grids give
+before any evaluation (108 and 79 of 1024 columns at the defaults);
+outside them every slice's square is +0.0.  The memory budget is
+checked once, up front, for the two JPDs and the one slice band held
+beside them.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -45,8 +48,7 @@ systematically for ridges of finite width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,32 +56,32 @@ from spdcsim.biphoton import RowBand, _windows, check_memory_budget, envelope_co
 from spdcsim.spectral import Problem, moment_sums, sample_spectrum
 from spdcsim.stats import StatsSummary, ridge_fit
 
-__all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report", "resample_conserving"]
+__all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report"]
 
 
 @dataclass(frozen=True)
 class _CameraSlice:
-    """One spectral slice on the camera: position axes, intensity, weight.
-
-    ``intensity`` is a ``RowBand`` (signal rows, idler columns) holding
-    the slice's pump-envelope band.  ``scale_signal`` is the signal arm's
-    meters per rad/m.  ``ridge_intercept`` is the intercept (rad/m) of the
-    ridge fitted to the slice's own momentum distribution, which the
-    walk-off correction removes; ``None`` on x.  ``sums`` are the raw
+    """One spectral slice on the camera: its wavelengths and filter
+    weight, and each arm's scale, meters of camera coordinate per rad/m.
+    ``ridge_intercept`` is the intercept (rad/m) of the ridge fitted to
+    the slice's own momentum distribution, which the walk-off correction
+    removes; 0.0 on x, which carries no walk-off.  ``sums`` are the raw
     sums of {1, Y_s, Y_i, Y_s^2, Y_i^2, Y_s Y_i} over the slice's
     intensity in its camera coordinates, from the moment engine.
     """
 
-    axis: str
-    y_signal: np.ndarray
-    y_idler: np.ndarray
-    intensity: RowBand
     lambda_signal_nm: float
     lambda_idler_nm: float
     weight: float
     scale_signal: float
-    ridge_intercept: float | None
+    scale_idler: float
+    ridge_intercept: float
     sums: tuple[float, ...]
+
+    def corrected_sums(self) -> tuple[float, ...]:
+        """``sums`` with the idler coordinate corrected, Y_i = (M f/k_s)(q_i - b)."""
+        shift = self.scale_signal * self.ridge_intercept
+        return _mapped(self.sums, 1.0, self.lambda_signal_nm / self.lambda_idler_nm, -shift)
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class CameraJPD:
     """Accumulated camera-plane joint probability distribution.
 
     ``intensity`` is a ``RowBand`` (signal rows, idler columns) whose
-    windows cover every slice's resampled band; ``toarray()`` is the
-    dense N x N matrix.  ``sums`` are the slices' camera-plane raw sums
+    windows cover every slice's band; ``toarray()`` is the dense N x N
+    matrix.  ``sums`` are the slices' camera-plane raw sums
     (``_CameraSlice.sums``) added with their weights in sampling order,
     the moments ``slope_report`` fits.
     """
@@ -128,276 +130,112 @@ def _mapped(sums, a_s: float, a_i: float, b_i: float = 0.0) -> tuple[float, ...]
             a_i * a_i * ii + 2.0 * a_i * b_i * i + b_i * b_i * n, a_s * (a_i * si + b_i * s))
 
 
-def _slice_builder(
+def _camera_slices(
     problem: Problem, axis: str, focal_length_m: float, magnification: float
-) -> Callable[[int], _CameraSlice]:
-    """Check the budget for the two JPDs (at their dense size, which
-    bounds their bands) and two bands beside one evaluation, and return
-    the function that evaluates slice k of ``sample_spectrum`` onto the
-    camera.  Every band has the width ``envelope_columns`` gives for the
-    grid and w0, so the check comes before any evaluation; a band that
-    covers the grid costs its dense bytes plus the row offsets.  Then one
-    ``moment_sums`` pass gives every slice its far-field sums, which are
-    mapped onto the camera and, on y, give its ridge intercept."""
+) -> list[_CameraSlice]:
+    """Every slice of ``sample_spectrum`` on the camera, from one
+    ``moment_sums`` pass: its far-field sums, mapped onto the camera,
+    and on y its ridge intercept.  Nothing is evaluated on a grid."""
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    n = problem.grid_n
-    q = problem.square_grid()
-    first, stop = envelope_columns(q, q, problem.waist_m, power=2)
-    band_bytes = n * _windows(first, stop, n)[1] * 8 + n * np.dtype(np.intp).itemsize
-    check_memory_budget(
-        n, n, problem.memory_budget_bytes,
-        held_bytes=2 * n * n * 8 + 2 * band_bytes,
-        holding="2 camera JPDs and 2 slice bands",
-    )
-    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    far_sums = moment_sums(problem, axis)[:, :6].tolist()
-    intercepts = [None] * len(spectrum)
-    if axis == "y":
-        intercepts = [ridge_fit(StatsSummary.from_sums("far", axis, *sums)).intercept
-                      for sums in far_sums]
-
-    def build(k: int) -> _CameraSlice:
-        lam_s, lam_i, weight = spectrum[k]
-        band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
-        np.multiply(band.data, band.data, out=band.data)  # the slice intensity, in place
+    slices = []
+    for (lam_s, lam_i, weight), sums in zip(
+        sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices),
+        moment_sums(problem, axis)[:, :6].tolist(),
+    ):
+        intercept = 0.0
+        if axis == "y":
+            intercept = ridge_fit(StatsSummary.from_sums("far", axis, *sums)).intercept
         scale_s = _scale(focal_length_m, lam_s, magnification)
         scale_i = _scale(focal_length_m, lam_i, magnification)
-        return _CameraSlice(
-            axis=axis,
-            y_signal=scale_s * q,
-            y_idler=scale_i * q,
-            intensity=band.narrowed(first, stop),
-            lambda_signal_nm=lam_s,
-            lambda_idler_nm=lam_i,
-            weight=weight,
-            scale_signal=scale_s,
-            ridge_intercept=intercepts[k],
-            sums=_mapped(far_sums[k], scale_s, scale_i),
-        )
+        slices.append(_CameraSlice(lam_s, lam_i, weight, scale_s, scale_i, intercept,
+                                   _mapped(sums, scale_s, scale_i)))
+    return slices
 
-    return build
+
+def _momenta(q: np.ndarray, central: _CameraSlice, cs: _CameraSlice) -> tuple[np.ndarray, ...]:
+    """The momenta of slice ``cs`` that land on the JPDs' pixel centres:
+    its signal momenta, and its uncorrected and corrected idler momenta.
+    The pixels are the square grid ``q`` mapped with ``central``'s scales
+    (and corrected with its intercept); all three grids are uniform and
+    increasing."""
+    to_signal = central.scale_signal / cs.scale_signal
+    return (
+        q * to_signal,
+        q * (central.scale_idler / cs.scale_idler),
+        (q - central.ridge_intercept) * to_signal + cs.ridge_intercept,
+    )
 
 
 def camera_jpds(
     problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
 ) -> tuple[CameraJPD, CameraJPD]:
     """The uncorrected and the corrected camera JPD of ``axis``, from one
-    pass over the spectral slices that holds two slice bands, not all.
+    pass over the spectral slices that holds one slice band at a time.
 
-    Each slice is evaluated and mapped onto the camera, Y = M (f/k) q per
-    arm; its camera-plane sums, and on y its ridge intercept, come from
-    the moment engine's far-field sums of the slice.  The central slice
-    is evaluated first and kept: its axes fix both JPDs' grids (the
-    corrected grid is the central slice's, corrected).  Then each slice,
-    in sampling order, is resampled onto both grids and added with its
-    weight, as it is and after ``_corrected``, with its sums, and
-    dropped.  The focal length and the magnification must be finite and
-    positive (``ValueError``); the budget is checked once, before any
-    evaluation, for the two JPDs and two bands (``GridMemoryError``).
+    Each JPD's pixels are the square grid mapped onto the camera with the
+    central slice's scales, Y = M (f/k) q per arm (the corrected idler
+    then rescaled and, on y, shifted by the central slice's intercept).
+    The slices' camera-plane sums, from the moment engine, are added with
+    their weights first: a total that is not finite and positive raises
+    ``DegenerateDistributionError`` before any evaluation.  Then each
+    slice, in sampling order, is evaluated at the momenta that land on
+    the pixel centres, once per JPD (``_momenta``), on that JPD's
+    windows, and added with its weight.  The focal length and the
+    magnification must be finite and positive (``ValueError``); the
+    budget is checked once, before any evaluation, for the two JPDs and
+    one slice band (``GridMemoryError``).
     """
-    build = _slice_builder(problem, axis, focal_length_m, magnification)
-    mid = problem.n_slices // 2
-    central = build(mid)
-    fixed_central = _corrected(central)
-    raw, fixed = _Total(central), _Total(fixed_central)
-    for k in range(problem.n_slices):
-        cs = central if k == mid else build(k)
-        raw.add(cs)
-        fixed.add(fixed_central if k == mid else _corrected(cs))
-        del cs  # drop this slice's band before the next one is built
-    return raw.jpd(corrected=False), fixed.jpd(corrected=True)
+    slices = _camera_slices(problem, axis, focal_length_m, magnification)
+    sums = []
+    for corrected in (False, True):
+        total = (0.0,) * 6
+        for cs in slices:
+            # the additions of certify_axis's weighted row sum, in Python floats
+            terms = cs.corrected_sums() if corrected else cs.sums
+            total = tuple(t + cs.weight * s for t, s in zip(total, terms))
+        sums.append(total)
+    StatsSummary.from_sums("camera", axis, *sums[0])  # a collapsed distribution stops here
 
+    q, w0 = problem.square_grid(), problem.waist_m
+    n, central = q.size, slices[problem.n_slices // 2]
+    # each JPD's windows: the union of every slice's, known before any evaluation
+    first = np.full((2, n), n)
+    stop = np.zeros((2, n), dtype=first.dtype)
+    for cs in slices:
+        q_s, *idlers = _momenta(q, central, cs)
+        for j, q_i in enumerate(idlers):
+            f, s = envelope_columns(q_s, q_i, w0, power=2)
+            np.minimum(first[j], f, out=first[j])
+            np.maximum(stop[j], s, out=stop[j])
+    windows = [_windows(first[j], stop[j], n) for j in (0, 1)]
+    widths = [width for _, width in windows]
+    check_memory_budget(
+        n, n, problem.memory_budget_bytes,
+        # values and row offsets of each band
+        held_bytes=sum(n * (8 * w + np.dtype(np.intp).itemsize) for w in (*widths, max(widths))),
+        holding="2 camera JPDs and 1 slice band",
+    )
+    totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
+    for cs in slices:
+        q_s, *idlers = _momenta(q, central, cs)
+        for total, q_i in zip(totals, idlers):
+            pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
+            term = evaluate_grid(q_s, q_i, problem, axis, pair, (total.start, total.width)).data
+            np.multiply(term, term, out=term)  # the slice intensity on the JPD's windows
+            term *= cs.weight
+            np.add(total.data, term, out=total.data)
+            del term  # before the next evaluation
 
-def _corrected(cs: _CameraSlice) -> _CameraSlice:
-    """``cs`` with its idler axis on the signal's scale and, on y, the
-    walk-off ridge offset removed.
-
-    The idler coordinate is multiplied by k_i/k_s = lambda_s/lambda_i,
-    after which both arms share the scale M f/k_s and a slope -1
-    momentum ridge maps to slope -1 on camera (a degenerate slice is
-    untouched: the factor is exactly 1).  On y it is then translated by
-    -(M f/k_s) b, where b is the intercept fitted to the slice's own
-    momentum distribution (``ridge_intercept``): the offset the model
-    actually produces.  (The pump's transverse carrier k_y never appears
-    in full on the ridge: the pump envelope pins the sum coordinate near
-    zero.)  The x axis carries no walk-off.  The sums follow the idler
-    coordinate, Y_i = (M f/k_s)(q_i - b).
-    """
-    ratio = cs.lambda_signal_nm / cs.lambda_idler_nm
-    y_idler = cs.y_idler * ratio
-    shift = 0.0
-    if cs.axis == "y":
-        shift = cs.scale_signal * cs.ridge_intercept
-        y_idler = y_idler - shift
-    return replace(cs, y_idler=y_idler, sums=_mapped(cs.sums, 1.0, ratio, -shift))
-
-
-def _cell_edges(axis: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (axis[1:] + axis[:-1])
-    first = axis[0] - (axis[1] - axis[0]) / 2.0
-    last = axis[-1] + (axis[-1] - axis[-2]) / 2.0
-    return np.concatenate([[first], mid, [last]])
-
-
-def resample_conserving(
-    band: RowBand, src_axis: np.ndarray, dst_axis: np.ndarray, axis: int = 1
-) -> RowBand:
-    """Resample a density table held as a ``RowBand`` onto a new uniform
-    axis, conserving mass; the result is a ``RowBand``.
-
-    The rows (or columns) are treated as samples of a piecewise-linear
-    density on ``src_axis``; the output value in each destination cell is
-    the exact integral of that density over the cell divided by the cell
-    width.  Mass inside the destination range is preserved exactly
-    (up to roundoff); density outside the source support is zero.
-
-    The map is a banded operator R (n_dst x n_src; R[k, m] is source
-    knot m's hat function averaged over cell k), nonzero only on K
-    consecutive knots first[k] ... first[k] + K - 1 per cell (K = 3 or 4
-    at the camera's scale ratios).  It is applied as a K-tap kernel along
-    ``axis``: taps t = 0 ... K - 1 are added in order into a zeroed
-    output.  Its entries are products of nonnegative factors, so R >= 0.
-    A dense matrix is a band of full width; a narrower band gives the
-    dense result's entries bit for bit, because the source entries it
-    skips are +0.0.
-    """
-    first, weights = _operator(src_axis, dst_axis)
-    taps = weights.shape[0]
-    # ``taps`` zero columns each side of the band: a read outside a row's
-    # window is clipped onto them, and stays on them for every tap
-    padded = np.zeros((band.data.shape[0], band.width + 2 * taps))
-    padded[:, taps:-taps] = band.data
-    flat = padded.reshape(-1)
-
-    def index(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Index in ``flat`` of entry (rows[k], cols[k, c]) of the band."""
-        at = cols - band.start[rows, None]
-        np.clip(at, -taps, band.width, out=at)
-        at += (rows * padded.shape[1] + taps)[:, None]
-        return at
-
-    if axis == 0:
-        # output row k reads source rows first[k] + t, so its window is
-        # the union of theirs
-        starts = band.start[first[:, None] + np.arange(taps)]
-        start, width = _windows(starts.min(axis=1), starts.max(axis=1) + band.width, band.n_cols)
-        cols, n_cols = start[:, None] + np.arange(width), band.n_cols
-        out = np.zeros((start.size, width))
-        for t in range(taps):
-            terms = flat.take(index(first + t, cols))
-            terms *= weights[t, :, None]
-            out += terms
-    else:
-        # output cell k of row r reads source columns first[k] + t
-        start, width = _windows(
-            np.searchsorted(first + taps - 1, band.start, side="left"),
-            np.searchsorted(first, band.start + band.width - 1, side="right"),
-            first.size,
-        )
-        cells, n_cols = start[:, None] + np.arange(width), first.size
-        at = index(np.arange(start.size), first.take(cells))
-        out = np.zeros((start.size, width))
-        for t in range(taps):
-            terms = flat[t:].take(at)
-            terms *= weights[t].take(cells)
-            out += terms
-    return RowBand(out, start, n_cols)
-
-
-def _operator(src_axis: np.ndarray, dst_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First source knot per destination cell and the K x n_dst weight
-    table of the conserving map (``resample_conserving``): tap t of cell
-    k weighs knot first[k] + t."""
-    src = np.asarray(src_axis, dtype=float)
-    h = np.diff(src)
-    dst_edges = _cell_edges(np.asarray(dst_axis, dtype=float))
-    widths = np.diff(dst_edges)
-    edges = np.clip(dst_edges, src[0], src[-1])
-    j = np.clip(np.searchsorted(src, edges, side="right") - 1, 0, src.size - 2)
-    t = edges - src[j]
-    ja, jb, ta, tb = j[:-1], j[1:], t[:-1], t[1:]
-    cells, spans = np.arange(widths.size), ja < jb
-    # Cell k is made of pieces [u, v] of source segments s: part of segment
-    # ja, part of segment jb, and the segments between that no edge falls in.
-    inside = np.zeros(h.size, dtype=bool)
-    inside[j[0]:j[-1]] = True
-    inside[j] = False
-    full = np.flatnonzero(inside)
-    row = np.concatenate([cells, cells, np.searchsorted(j, full) - 1])
-    s = np.concatenate([ja, jb, full])
-    u = np.concatenate([ta, np.where(spans, 0.0, tb), np.zeros(full.size)])
-    v = np.concatenate([np.where(spans, h[ja], tb), tb, h[full]])
-    # the linear density's integral over [u, v], split between knots s, s + 1
-    scale = (v - u) / (2.0 * h[s] * widths[row])
-    weights = np.concatenate([scale * (2.0 * h[s] - u - v), scale * (u + v)])
-    # cell k touches knots ja[k] ... jb[k] + 1; a piece's shares of one
-    # knot add in the order the pieces are listed
-    taps = int(np.max(jb - ja)) + 2
-    first = np.minimum(ja, src.size - taps)
-    rows = np.tile(row, 2)
-    table = np.zeros((taps, widths.size))
-    np.add.at(table, (np.concatenate([s, s + 1]) - first[rows], rows), weights)
-    return first, table
-
-
-class _Total:
-    """A JPD being accumulated on one slice's camera axes, as a
-    ``RowBand`` whose windows cover those of every slice added so far."""
-
-    def __init__(self, central: _CameraSlice) -> None:
-        self.axis, self.y_s, self.y_i = central.axis, central.y_signal, central.y_idler
-        self.band: RowBand | None = None
-        self.sums = (0.0,) * 6
-        self.provenance: list[tuple[float, float, float]] = []
-
-    def add(self, cs: _CameraSlice) -> None:
-        """Resample ``cs`` onto the axes and add it with its weight.
-
-        The first slice's windows start the total over +0.0; a later
-        slice that reaches outside them widens every row to cover both,
-        the new columns +0.0.  Each slice's entries are distinct cells,
-        so the total's values are those of adding the slices, in order,
-        into a zeroed dense matrix, bit for bit.
-        """
-        resampled = resample_conserving(cs.intensity, cs.y_idler, self.y_i, axis=1)
-        resampled = resample_conserving(resampled, cs.y_signal, self.y_s, axis=0)
-        band = self.band
-        if band is None:
-            band = RowBand(np.zeros_like(resampled.data), resampled.start, resampled.n_cols)
-        first = np.minimum(band.start, resampled.start)
-        stop = np.maximum(band.start + band.width, resampled.start + resampled.width)
-        if np.any(first < band.start) or np.any(stop > band.start + band.width):
-            start, width = _windows(first, stop, band.n_cols)
-            grown = RowBand(np.zeros((start.size, width)), start, band.n_cols)
-            grown.data.reshape(-1)[_offsets(grown, band)] = band.data
-            band = grown
-        band.data.reshape(-1)[_offsets(band, resampled)] += cs.weight * resampled.data
-        self.band = band
-        # the additions of certify_axis's weighted row sum, in Python floats:
-        # a small NumPy buffer per slice moved the camera's peak RSS by ~1 MiB
-        self.sums = tuple(t + cs.weight * s for t, s in zip(self.sums, cs.sums))
-        self.provenance.append((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight))
-
-    def jpd(self, corrected: bool) -> CameraJPD:
-        # Already >= 0: R >= 0 entrywise and the intensities are squares.
-        np.clip(self.band.data, 0.0, None, out=self.band.data)
-        return CameraJPD(
-            axis=self.axis,
-            y_signal=self.y_s,
-            y_idler=self.y_i,
-            intensity=self.band,
-            corrected=corrected,
-            slices=tuple(self.provenance),
-            sums=self.sums,
-        )
-
-
-def _offsets(outer: RowBand, inner: RowBand) -> np.ndarray:
-    """Index in ``outer.data.reshape(-1)`` of each entry of ``inner.data``;
-    ``outer``'s windows cover ``inner``'s."""
-    return RowBand(inner.data, inner.start - outer.start, outer.width).flat_index()
+    y_signal, y_idler = central.scale_signal * q, central.scale_idler * q
+    fixed_idler = (y_idler * (central.lambda_signal_nm / central.lambda_idler_nm)
+                   - central.scale_signal * central.ridge_intercept)
+    provenance = tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight) for cs in slices)
+    return (
+        CameraJPD(axis, y_signal, y_idler, totals[0], False, provenance, sums[0]),
+        CameraJPD(axis, y_signal, fixed_idler, totals[1], True, provenance, sums[1]),
+    )
 
 
 def slope_report(jpd: CameraJPD) -> dict:

@@ -439,6 +439,28 @@ def test_evaluate_grid_band_is_the_envelope_windows(waist_um):
     assert (band.width == q.size) == (waist_um == 20)
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_evaluate_grid_on_given_windows(axis):
+    # Given windows that cover the band's, each row holds the dense
+    # amplitude on exactly those columns, bit for bit; windows must give
+    # one start per row and lie inside the idler grid.
+    problem = make_setup(grid_n=256)
+    q = problem.square_grid()
+    pair = nominal(problem)
+    band = evaluate_grid(q, q, problem, axis, pair)
+    width = band.width + 20
+    start = np.clip(band.start - 10, 0, q.size - width)
+    got = evaluate_grid(q, q, problem, axis, pair, (start, width))
+    cols = start[:, None] + np.arange(width)
+    assert np.array_equal(got.start, start) and got.width == width
+    assert np.array_equal(got.data, np.take_along_axis(dense_amplitude(q, q, problem, axis, pair),
+                                                       cols, axis=1))
+    assert np.array_equal(got.toarray(), band.toarray())
+    for bad in ((start[:-1], width), (np.full(q.size, -1), 4), (np.full(q.size, q.size - 3), 4)):
+        with pytest.raises(ValueError, match="windows must give one start per signal row"):
+            evaluate_grid(q, q, problem, axis, pair, bad)
+
+
 def test_evaluate_grid_keeps_subnormal_envelope_edge():
     # float64 exp(-x) is subnormal, not 0, for x up to 745.14.  This grid
     # puts q_s + q_i exactly where w0^2 (q_s + q_i)^2 / 4 = 744.6, so the

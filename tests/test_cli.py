@@ -68,7 +68,7 @@ def test_package_exports_resolve():
                "PhaseMismatch", "mismatch", "pump_envelope",
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
                "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices",
-               "MomentSums", "moments", "marginal_moments"}
+               "MomentSums", "moments", "marginal_moments", "resample_conserving"}
     assert not deleted & set(spdcsim.__all__)
     for module in (spdcsim, spdcsim.camera, spdcsim.spectral, spdcsim.stats, spdcsim.cli):
         assert not any(hasattr(module, name) for name in deleted), module.__name__
@@ -369,9 +369,11 @@ class TestSweep:
 
 class TestCamera:
     def test_memory_budget_covers_held_slices(self, capsys, tmp_path):
-        """The camera's held matrices exceed a budget one evaluation fits in."""
+        """The camera's held matrices exceed a budget one evaluation fits
+        in: at N = 512 one evaluation is charged 20 MiB, and the camera's
+        three bands 0.59 MiB more."""
         cfg = write_config(
-            tmp_path, "grid:\n  n: 512\n  memory_budget_mb: 21\naxes: [y]\n"
+            tmp_path, "grid:\n  n: 512\n  memory_budget_mb: 20\naxes: [y]\n"
         )
         code, _, _ = run_cli(capsys, "certify", "--config", cfg)
         assert code == 0
@@ -387,11 +389,12 @@ class TestCamera:
     def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path, monkeypatch):
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
         held band costs a dense matrix plus its row offsets.  The camera
-        holds two bands beside the two JPDs and one evaluation; a budget
-        one MiB below that charge stops before any slice is evaluated,
-        and the charge itself runs."""
+        holds one slice band beside the two JPDs and one evaluation; a
+        budget one MiB below that charge stops before any slice is
+        evaluated, and the charge itself runs, evaluating each slice once
+        per JPD."""
         n, slices = 256, 31
-        charge = n * n * 8 * (10 + 2) + 2 * (n * n * 8 + n * 8)
+        charge = n * n * 8 * 10 + 3 * (n * n * 8 + n * 8)
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []
@@ -411,14 +414,14 @@ class TestCamera:
                 assert code == 3
                 assert out == ""
                 assert err.startswith(
-                    "resource error: 256 x 256 grid holding 2 camera JPDs and 2 slice bands "
+                    "resource error: 256 x 256 grid holding 2 camera JPDs and 1 slice band "
                     f"needs ~{charge / 2**20:.0f} MiB (budget {mb} MiB)"
                 )
                 assert not out_dir.exists()
                 assert calls == []
             else:
                 assert code == 0, err
-                assert len(calls) == slices
+                assert len(calls) == 2 * slices
                 assert sorted(p.name for p in out_dir.iterdir()) == [
                     "camera_corrected_y.csv", "camera_uncorrected_y.csv",
                 ]
@@ -685,7 +688,7 @@ class TestExitCodes:
         one stderr line (after the coarse-grid warning of ``camera``),
         prints nothing and writes no file.  On x the camera has no slice
         intercepts to fit, so it is its JPDs' sums that stop it, before
-        the matrices are written."""
+        any slice is evaluated."""
         cfg = write_config(
             tmp_path, "crystal:\n  theta_deg: 0\nmodel:\n  kernel: gauss\n", "collapsed.yaml"
         )
