@@ -1,6 +1,7 @@
 """Camera mapping, chromatic rescale, walk-off correction, pixel-centre
 evaluation."""
 
+import functools
 import math
 import weakref
 from dataclasses import replace
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 import spdcsim.camera
-from spdcsim.biphoton import GridMemoryError, amplitude, envelope_columns, evaluate_grid
+from spdcsim.biphoton import (
+    GridMemoryError,
+    _windows,
+    amplitude,
+    envelope_columns,
+    evaluate_grid,
+)
 from spdcsim.camera import (
     CameraJPD,
     RowBand,
@@ -254,6 +261,174 @@ def test_fitted_shift_removes_nondegenerate_intercept():
     assert abs(fit.intercept) < cell_q
 
 
+# -- resampling onto the pixel grid ----------------------------------------------
+#
+# A slice is resampled onto the central slice's pixels by evaluation:
+# ``_momenta`` gives the momenta that land on the pixel centres and
+# ``evaluate_grid`` samples the slice there, on the power-2 windows.  The
+# cases below move a signal pixel grid against the idler's and the band.
+
+
+# (slices, signal pixels, idler pixels): even, odd, and non-square both ways
+SHAPES = [(5, 64, 64), (5, 65, 65), (7, 48, 65), (7, 65, 48)]
+# signal pixels centred on the idler's; shifted so the band leaves some
+# rows; shifted so most rows miss the band
+SHIFTS = [0.0, 0.5, -1.5]
+SCALES = [0.9259, 1.0, 1.08]
+
+
+@functools.lru_cache(maxsize=None)
+def pixel_case(shape, scale, shift, axis):
+    """A run of ``shape[0]`` slices on ``axis``, its camera slices, and
+    pixel grids (in the central slice's momenta) of ``shape[1]`` signal
+    and ``shape[2]`` idler pixels: the idler's over the square grid's
+    extent, the signal's scaled by ``scale`` and moved by ``shift`` of
+    that extent."""
+    n_slices, n_signal, n_idler = shape
+    problem = make_setup(n_slices=n_slices, grid_n=64)
+    extent = problem.square_grid()[-1]
+    q_signal = (scale * np.linspace(-1.0, 1.0, n_signal) + shift) * extent
+    q_idler = np.linspace(-1.0, 1.0, n_idler) * extent
+    return problem, tuple(built_slices(problem, axis)), q_signal, q_idler
+
+
+def pixel_momenta(central, cs, q_signal, q_idler):
+    """Slice ``cs``'s signal, uncorrected idler and corrected idler
+    momenta on the pixel grids, from ``_momenta``."""
+    return _momenta(q_signal, central, cs)[0], *_momenta(q_idler, central, cs)[1:]
+
+
+def reference_pixels(central, q_signal, q_idler):
+    """The pixel centres' camera coordinates: the signal, the uncorrected
+    idler and the corrected idler (rescaled onto the signal scale, then
+    shifted by the central slice's intercept)."""
+    y_idler = central.scale_idler * q_idler
+    factor = central.lambda_signal_nm / central.lambda_idler_nm
+    return (central.scale_signal * q_signal, y_idler,
+            y_idler * factor - central.scale_signal * central.ridge_intercept)
+
+
+def reference_momenta(central, cs, q_signal, q_idler):
+    """The momenta of slice ``cs`` whose camera coordinates, with its own
+    scales (corrected: its idler rescaled by lambda_s/lambda_i, then
+    shifted by its own intercept), are ``reference_pixels``."""
+    y_signal, y_raw, y_fixed = reference_pixels(central, q_signal, q_idler)
+    rescaled = cs.scale_idler * (cs.lambda_signal_nm / cs.lambda_idler_nm)
+    return (y_signal / cs.scale_signal, y_raw / cs.scale_idler,
+            (y_fixed + cs.scale_signal * cs.ridge_intercept) / rescaled)
+
+
+def jpd_windows(q_s, q_i, problem):
+    """The (start, width) windows of a JPD's power-2 band on these grids."""
+    return _windows(*envelope_columns(q_s, q_i, problem.waist_m, power=2), q_i.size)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_resample_matches_antiderivative_reference(shape, scale, shift, axis):
+    """Each slice's squared band on its JPD's windows, at the ``_momenta``
+    of the pixels, equals the squared ``amplitude`` at the momenta the
+    inverse camera map gives (``reference_momenta``), on axis x (0) and
+    y (1), to 1e-12 of its peak; outside the windows both are zero."""
+    problem, slices, q_signal, q_idler = pixel_case(shape, scale, shift, "xy"[axis])
+    central = slices[len(slices) // 2]
+    for cs in slices:
+        pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
+        q_s, *idlers = pixel_momenta(central, cs, q_signal, q_idler)
+        ref_s, *ref_idlers = reference_momenta(central, cs, q_signal, q_idler)
+        for q_i, ref_i in zip(idlers, ref_idlers):
+            band = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
+                                 jpd_windows(q_s, q_i, problem)).toarray()
+            ref = amplitude(ref_s[:, None], ref_i[None, :], problem, "xy"[axis], pair)
+            out, ref = band * band, ref * ref
+            assert out.shape == ref.shape == (q_signal.size, q_idler.size)
+            assert ref.max() > 0.0
+            assert np.abs(out - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_resample_properties(shape, scale, shift):
+    """On y, where the correction shifts: each slice's momenta are its
+    pixels scaled by the central slice's wavelength over its own (the
+    signal's for the signal and the corrected idler), uniform and
+    increasing; the corrected idler is the signal's map plus one
+    constant; the central slice's uncorrected momenta are the pixels
+    themselves.  The squares are nonnegative and, outside the power-2
+    windows, exactly +0.0."""
+    problem, slices, q_signal, q_idler = pixel_case(shape, scale, shift, "y")
+    central = slices[len(slices) // 2]
+    span = np.abs(q_signal).max() + np.abs(q_idler).max()
+    for cs in slices:
+        q_s, q_raw, q_fixed = pixel_momenta(central, cs, q_signal, q_idler)
+        ratio_s = central.lambda_signal_nm / cs.lambda_signal_nm
+        ratio_i = central.lambda_idler_nm / cs.lambda_idler_nm
+        offset = cs.ridge_intercept - ratio_s * central.ridge_intercept
+        for mapped, expected in ((q_s, ratio_s * q_signal), (q_raw, ratio_i * q_idler),
+                                 (q_fixed, ratio_s * q_idler + offset)):
+            assert np.abs(mapped - expected).max() <= 1e-12 * span
+            step = np.diff(mapped)
+            assert np.all(step > 0)
+            assert np.abs(step - step.mean()).max() <= 1e-9 * step.mean()
+        if cs is central:
+            assert np.array_equal(q_s, q_signal) and np.array_equal(q_raw, q_idler)
+        pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
+        for q_i in (q_raw, q_fixed):
+            start, width = jpd_windows(q_s, q_i, problem)
+            dense = amplitude(q_s[:, None], q_i[None, :], problem, "y", pair) ** 2
+            assert dense.min() >= 0.0
+            cols = np.arange(q_i.size)
+            outside = (cols < start[:, None]) | (cols >= start[:, None] + width)
+            assert np.any(outside)
+            assert np.all(dense[outside] == 0.0) and not np.any(np.signbit(dense))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_resample_sparse_equals_dense(shape, scale, shift, axis):
+    """A slice evaluated on its JPD's narrow windows, the sparse form the
+    camera holds, equals the dense ``amplitude`` on the pixel momenta bit
+    for bit inside them, zeros' signs included, and is +0.0 outside;
+    full-width windows give the dense matrix; windows moved off the band
+    still give the dense values at their own columns."""
+    problem, slices, q_signal, q_idler = pixel_case(shape, scale, shift, "xy"[axis])
+    central = slices[len(slices) // 2]
+    n_cols = q_idler.size
+    for cs in slices:
+        pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
+        q_s, *idlers = pixel_momenta(central, cs, q_signal, q_idler)
+        for q_i in idlers:
+            dense = amplitude(q_s[:, None], q_i[None, :], problem, "xy"[axis], pair)
+            full = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
+                                 (np.zeros(q_s.size, dtype=np.intp), n_cols))
+            assert full.width == n_cols
+            assert np.array_equal(full.toarray(), dense)
+            assert np.array_equal(np.signbit(full.toarray()), np.signbit(dense))
+            start, width = jpd_windows(q_s, q_i, problem)
+            narrow = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair, (start, width))
+            assert isinstance(narrow, RowBand) and narrow.width == width < n_cols
+            cols = start[:, None] + np.arange(width)
+            rows = np.arange(q_s.size)[:, None]
+            assert np.array_equal(narrow.data, dense[rows, cols])
+            assert np.array_equal(np.signbit(narrow.data), np.signbit(dense[rows, cols]))
+            out = narrow.toarray()
+            assert np.array_equal(out * out, dense * dense)
+            inside = np.zeros(out.shape, dtype=bool)
+            inside[rows, cols] = True
+            assert np.all(out[~inside] == 0.0) and not np.any(np.signbit(out[~inside]))
+            # windows that stick out of the band's
+            moved = np.clip(start + width // 2, 0, n_cols - width)
+            shifted = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair, (moved, width))
+            moved_cols = moved[:, None] + np.arange(width)
+            assert np.array_equal(shifted.data, dense[rows, moved_cols])
+            assert np.array_equal(np.signbit(shifted.data), np.signbit(dense[rows, moved_cols]))
+
+
 # -- accumulation and slopes -----------------------------------------------------
 
 
@@ -354,6 +529,37 @@ def test_pixel_mass_is_converged():
         masses.append([pixel_mass(jpd) for jpd in jpds])
     for coarse, fine in zip(*masses):
         assert coarse == pytest.approx(fine, rel=1e-6)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n_slices", [1, 4, 5])
+def test_camera_jpds_equal_list_accumulation(axis, n_slices):
+    """Both JPDs of the one streamed pass equal the weighted sum of the
+    list of slices, each squared at the momenta of the inverse camera
+    map (``reference_momenta``), on either axis and with magnification,
+    to 1e-12 of the peak; their axes are the pixel centres.  With 4
+    slices the central slice, index 2, is not the middle of the scan."""
+    problem = make_setup(n_slices=n_slices, grid_n=256)
+    q = problem.square_grid()
+    slices = built_slices(problem, axis, magnification=1.5)
+    central = slices[n_slices // 2]
+    y_signal, *y_idlers = reference_pixels(central, q, q)
+    streamed = camera_jpds(problem, axis, F, magnification=1.5)
+    for j, (jpd, corrected) in enumerate(zip(streamed, (False, True))):
+        total = np.zeros((q.size, q.size))
+        for cs in slices:
+            q_s, *idlers = reference_momenta(central, cs, q, q)
+            amp = amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
+                            (cs.lambda_signal_nm, cs.lambda_idler_nm))
+            total += cs.weight * (amp * amp)
+        assert jpd.axis == axis
+        assert jpd.corrected is corrected
+        np.testing.assert_array_equal(jpd.y_signal, y_signal)
+        np.testing.assert_array_equal(jpd.y_idler, y_idlers[j])
+        assert np.abs(jpd.intensity.toarray() - total).max() <= 1e-12 * total.max()
+        assert jpd.slices == tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight)
+                                   for cs in slices)
+        assert len(jpd.slices) == n_slices
 
 
 @pytest.fixture(scope="module")
