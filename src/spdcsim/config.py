@@ -1,21 +1,10 @@
 """YAML run configuration: strict parsing and physics-object assembly.
 
-A run config is a nested mapping with the sections below; every key is
-optional (the defaults reproduce the canonical 405 nm -> 780/842.4 nm
-configuration), but unknown keys anywhere are rejected with a
-dotted-path error so typos cannot silently fall back to defaults.
-
-    crystal:     material, sellmeier_file, length_mm, theta_deg
-    pump:        wavelength_nm, waist_um
-    wavelengths: degenerate, signal_nm
-    filter:      shape, center_nm, fwhm_nm, arm
-    grid:        n, sum_halfwidth, diff_halfwidth, memory_budget_mb
-    spectral:    slices
-    model:       kernel
-    camera:      focal_length_m, magnification
-    axes:        [x, y] (list or single string)
-    sweep:       parameter, values
-    output:      directory, formats
+A run config is a nested mapping whose keys are the dotted keys of
+``_KEYS`` (``crystal.length_mm``, ``axes``, ...); every key is optional
+and takes its ``RunConfig`` field's default (the canonical 405 nm ->
+780/842.4 nm configuration), but unknown keys anywhere are rejected with
+a dotted-path error so typos cannot silently fall back to defaults.
 
 ``RunConfig.build()`` assembles the one ``spectral.Problem`` every
 slice loop takes, and enforces the physical invariants the schema
@@ -34,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from spdcsim.biphoton import DEFAULT_MEMORY_BUDGET_BYTES
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, WavelengthRangeError
 from spdcsim.spectral import (
     DEFAULT_GRID_N,
@@ -47,7 +37,7 @@ from spdcsim.stats import ReidReport, StatsSummary, reid_inference, reid_product
 
 __all__ = [
     "ConfigError", "RunConfig", "certify_axis", "load_config", "parse_config",
-    "SWEEP_FIELDS", "SWEEPABLE", "SWEEP_DEFAULT_VALUES",
+    "SWEEP_FIELDS", "SWEEP_DEFAULT_VALUES",
 ]
 
 
@@ -59,10 +49,8 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
-def _number(value, path, *, positive=False, nullable=False):
+def _number(value, path):
     if value is None:
-        if nullable:
-            return None
         _fail(path, "must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
@@ -72,7 +60,12 @@ def _number(value, path, *, positive=False, nullable=False):
         out = math.inf
     if not math.isfinite(out):
         _fail(path, f"must be finite, got {value!r}")
-    if positive and out <= 0:
+    return out
+
+
+def _positive(value, path):
+    out = _number(value, path)
+    if out <= 0:
         _fail(path, f"must be positive, got {value!r}")
     return out
 
@@ -89,28 +82,23 @@ def _boolean(value, path):
     return value
 
 
-def _choice(value, path, options):
-    if value not in options:
-        _fail(path, f"must be one of {sorted(options)}, got {value!r}")
-    return value
-
-
 def _string(value, path):
     if not isinstance(value, str):
         _fail(path, f"must be a string, got {value!r}")
     return value
 
 
-def _section(mapping, name, known):
-    raw = mapping.get(name)
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        _fail(name, f"must be a mapping, got {raw!r}")
-    for key in raw:
-        if key not in known:
-            _fail(f"{name}.{key}", f"unknown key (expected one of {sorted(known)})")
-    return raw
+def _optional(check):
+    """``check``, letting null through as None."""
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _choice(*options):
+    def check(value, path):
+        if value not in options:
+            _fail(path, f"must be one of {sorted(options)}, got {value!r}")
+        return value
+    return check
 
 
 # sweepable parameter -> the RunConfig field a sweep point replaces
@@ -119,7 +107,6 @@ SWEEP_FIELDS = {
     "crystal_length_mm": "length_mm",
     "pump_waist_um": "waist_um",
 }
-SWEEPABLE = tuple(SWEEP_FIELDS)
 
 # Representative value ladders bracketing the regimes of interest.
 SWEEP_DEFAULT_VALUES = {
@@ -133,10 +120,8 @@ _SWEEP_ALIASES = {
     "filter_fwhm": "filter_fwhm_nm",
     "crystal_length": "crystal_length_mm",
     "pump_waist": "pump_waist_um",
-    **{name: name for name in SWEEPABLE},
+    **{name: name for name in SWEEP_FIELDS},
 }
-
-_FORMATS = ("csv", "json", "bin")
 
 
 @dataclass(frozen=True)
@@ -156,7 +141,7 @@ class RunConfig:
     grid_n: int = DEFAULT_GRID_N
     sum_halfwidth: float | None = None
     diff_halfwidth: float | None = None
-    memory_budget_mb: int = 2048
+    memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_BYTES // 2**20
     n_slices: int = DEFAULT_SPECTRAL_SLICES
     kernel: str = "sinc"
     focal_length_m: float = 0.25
@@ -179,7 +164,7 @@ class RunConfig:
             _fail(
                 "sweep.parameter",
                 f"unknown sweep parameter {self.sweep_parameter!r}; "
-                f"expected one of {SWEEPABLE}",
+                f"expected one of {tuple(SWEEP_FIELDS)}",
             )
         values = self.sweep_values
         if values is not None:
@@ -279,97 +264,103 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
     return near, far, reid_product(near, far)
 
 
-_TOP_LEVEL = (
-    "crystal", "pump", "wavelengths", "filter", "grid",
-    "spectral", "model", "camera", "axes", "sweep", "output",
-)
+def _axes(value, path):
+    value = [value] if isinstance(value, str) else value
+    if not isinstance(value, list):
+        _fail(path, f"must be a non-empty list of 'x'/'y', got {value!r}")
+    return tuple(value)
+
+
+def _formats(value, path):
+    value = [value] if isinstance(value, str) else value
+    if not isinstance(value, list) or not value:
+        _fail(path, f"must be a non-empty list, got {value!r}")
+    return tuple(_choice("csv", "json", "bin")(f, path) for f in value)
+
+
+def _sweep_parameter(value, path):
+    return _SWEEP_ALIASES[_choice(*_SWEEP_ALIASES)(value, path)]
+
+
+def _sweep_values(value, path):
+    if not isinstance(value, list):
+        _fail(path, f"must be a non-empty list, got {value!r}")
+    return tuple(_positive(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+#: dotted key -> (RunConfig field, check of the given value), in the order
+#: the values are checked; the ranges the fields share with ``replace()``
+#: are checked after them, in ``RunConfig.__post_init__``
+_KEYS = {
+    "axes": ("axes", _axes),
+    "sweep.parameter": ("sweep_parameter", _sweep_parameter),
+    "sweep.values": ("sweep_values", _optional(_sweep_values)),
+    "output.formats": ("out_formats", _formats),
+    "crystal.sellmeier_file": ("sellmeier_file", _optional(_string)),
+    "crystal.material": ("crystal_material", _choice("bbo")),
+    "crystal.length_mm": ("length_mm", _positive),
+    "crystal.theta_deg": ("theta_deg", _optional(_number)),
+    "pump.wavelength_nm": ("pump_nm", _positive),
+    "pump.waist_um": ("waist_um", _positive),
+    "wavelengths.degenerate": ("degenerate", _boolean),
+    "wavelengths.signal_nm": ("signal_nm", _optional(_positive)),
+    "filter.shape": ("filter_shape", _choice("gaussian", "tophat")),
+    "filter.center_nm": ("filter_center_nm", _optional(_positive)),
+    "filter.fwhm_nm": ("filter_fwhm_nm", _positive),
+    "filter.arm": ("filter_arm", _choice("signal", "idler")),
+    "grid.n": ("grid_n", _integer),
+    "grid.sum_halfwidth": ("sum_halfwidth", _optional(_positive)),
+    "grid.diff_halfwidth": ("diff_halfwidth", _optional(_positive)),
+    "grid.memory_budget_mb": ("memory_budget_mb", _integer),
+    "spectral.slices": ("n_slices", _integer),
+    "model.kernel": ("kernel", _choice("sinc", "gauss")),
+    "camera.focal_length_m": ("focal_length_m", _positive),
+    "camera.magnification": ("magnification", _positive),
+    "output.directory": ("out_dir", _string),
+}
+
+
+def _sections() -> dict[str, set[str]]:
+    """Each top-level name -> its keys (none for a plain value, ``axes``),
+    in the order of the RunConfig fields they set: the order of the checks."""
+    key_of = {field: key for key, (field, _) in _KEYS.items()}
+    sections: dict[str, set[str]] = {}
+    for field in RunConfig.__dataclass_fields__:
+        name, _, sub = key_of[field].partition(".")
+        sections.setdefault(name, set()).update({sub} - {""})
+    return sections
+
+
+_SECTIONS = _sections()
 
 
 def parse_config(mapping: dict | None) -> RunConfig:
     """Validate a raw nested mapping into a RunConfig.
 
-    Unknown keys at any level raise ConfigError naming the dotted path.
+    Unknown keys at any level raise ConfigError naming the dotted path;
+    a key not given keeps its RunConfig default.
     """
     if mapping is None:
         mapping = {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"top level must be a mapping, got {mapping!r}")
-    for key in mapping:
-        if key not in _TOP_LEVEL:
-            _fail(key, f"unknown section (expected one of {sorted(_TOP_LEVEL)})")
-
-    crystal = _section(mapping, "crystal", {"material", "sellmeier_file", "length_mm", "theta_deg"})
-    pump = _section(mapping, "pump", {"wavelength_nm", "waist_um"})
-    wavelengths = _section(mapping, "wavelengths", {"degenerate", "signal_nm"})
-    filt = _section(mapping, "filter", {"shape", "center_nm", "fwhm_nm", "arm"})
-    grid = _section(mapping, "grid", {"n", "sum_halfwidth", "diff_halfwidth", "memory_budget_mb"})
-    spectral = _section(mapping, "spectral", {"slices"})
-    model = _section(mapping, "model", {"kernel"})
-    camera = _section(mapping, "camera", {"focal_length_m", "magnification"})
-    sweep = _section(mapping, "sweep", {"parameter", "values"})
-    output = _section(mapping, "output", {"directory", "formats"})
-
-    axes_raw = mapping.get("axes", ["x", "y"])
-    if isinstance(axes_raw, str):
-        axes_raw = [axes_raw]
-    if not isinstance(axes_raw, list):
-        _fail("axes", f"must be a non-empty list of 'x'/'y', got {axes_raw!r}")
-
-    parameter_raw = sweep.get("parameter", "filter_fwhm_nm")
-    _choice(parameter_raw, "sweep.parameter", tuple(_SWEEP_ALIASES))
-    values = sweep.get("values")
-    if values is not None:
-        if not isinstance(values, list):
-            _fail("sweep.values", f"must be a non-empty list, got {values!r}")
-        values = tuple(
-            _number(v, f"sweep.values[{i}]", positive=True) for i, v in enumerate(values)
-        )
-
-    formats_raw = output.get("formats", ["csv"])
-    if isinstance(formats_raw, str):
-        formats_raw = [formats_raw]
-    if not isinstance(formats_raw, list) or not formats_raw:
-        _fail("output.formats", f"must be a non-empty list, got {formats_raw!r}")
-    formats = tuple(_choice(f, "output.formats", _FORMATS) for f in formats_raw)
-
-    sellmeier_file = crystal.get("sellmeier_file")
-    if sellmeier_file is not None:
-        sellmeier_file = _string(sellmeier_file, "crystal.sellmeier_file")
-
-    return RunConfig(
-        crystal_material=_choice(crystal.get("material", "bbo"), "crystal.material", ("bbo",)),
-        sellmeier_file=sellmeier_file,
-        length_mm=_number(crystal.get("length_mm", 1.0), "crystal.length_mm", positive=True),
-        theta_deg=_number(crystal.get("theta_deg"), "crystal.theta_deg", nullable=True),
-        pump_nm=_number(pump.get("wavelength_nm", 405.0), "pump.wavelength_nm", positive=True),
-        waist_um=_number(pump.get("waist_um", 500.0), "pump.waist_um", positive=True),
-        degenerate=_boolean(wavelengths.get("degenerate", False), "wavelengths.degenerate"),
-        signal_nm=_number(wavelengths.get("signal_nm"), "wavelengths.signal_nm",
-                          positive=True, nullable=True),
-        filter_shape=_choice(filt.get("shape", "gaussian"), "filter.shape",
-                             ("gaussian", "tophat")),
-        filter_center_nm=_number(filt.get("center_nm"), "filter.center_nm",
-                                 positive=True, nullable=True),
-        filter_fwhm_nm=_number(filt.get("fwhm_nm", 5.0), "filter.fwhm_nm", positive=True),
-        filter_arm=_choice(filt.get("arm", "signal"), "filter.arm", ("signal", "idler")),
-        grid_n=_integer(grid.get("n", DEFAULT_GRID_N), "grid.n"),
-        sum_halfwidth=_number(grid.get("sum_halfwidth"), "grid.sum_halfwidth",
-                              positive=True, nullable=True),
-        diff_halfwidth=_number(grid.get("diff_halfwidth"), "grid.diff_halfwidth",
-                               positive=True, nullable=True),
-        memory_budget_mb=_integer(grid.get("memory_budget_mb", 2048), "grid.memory_budget_mb"),
-        n_slices=_integer(spectral.get("slices", DEFAULT_SPECTRAL_SLICES), "spectral.slices"),
-        kernel=_choice(model.get("kernel", "sinc"), "model.kernel", ("sinc", "gauss")),
-        focal_length_m=_number(camera.get("focal_length_m", 0.25),
-                               "camera.focal_length_m", positive=True),
-        magnification=_number(camera.get("magnification", 1.0),
-                              "camera.magnification", positive=True),
-        axes=tuple(axes_raw),
-        sweep_parameter=_SWEEP_ALIASES[parameter_raw],
-        sweep_values=values,
-        out_dir=_string(output.get("directory", "."), "output.directory"),
-        out_formats=formats,
-    )
+    for name in mapping:
+        if name not in _SECTIONS:
+            _fail(name, f"unknown section (expected one of {sorted(_SECTIONS)})")
+    given = {name: value for name, value in mapping.items() if not _SECTIONS[name]}  # axes
+    for name, known in _SECTIONS.items():
+        raw = mapping[name] if name in mapping else None
+        if not known or raw is None:
+            continue
+        if not isinstance(raw, dict):
+            _fail(name, f"must be a mapping, got {raw!r}")
+        for key in raw:
+            if key not in known:
+                _fail(f"{name}.{key}", f"unknown key (expected one of {sorted(known)})")
+            given[f"{name}.{key}"] = raw[key]
+    return RunConfig(**{
+        field: check(given[key], key) for key, (field, check) in _KEYS.items() if key in given
+    })
 
 
 def load_config(path: str | Path | None) -> RunConfig:

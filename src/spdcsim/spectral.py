@@ -34,7 +34,8 @@ grid edge in position space.
 JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) evaluate
 each slice's pump-envelope band on the square (q_s, q_i) grid with
 ``evaluate_grid``, because they write a picture: the far field adds the
-weighted squared band into its matrix, and the near field transforms
+weighted squared band, evaluated on the ``envelope_columns(power=2)``
+windows only, into its matrix, and the near field transforms
 ``toarray()``, the one dense amplitude of the package.  DFT convention
 (fixed): the near field uses the centered, unitary inverse transform
 
@@ -66,8 +67,10 @@ from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     _arm_arguments,
     _kernel_with_slope,
+    _windows,
     check_memory_budget,
     default_diff_halfwidth,
+    envelope_columns,
     evaluate_grid,
 )
 from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
@@ -330,8 +333,10 @@ def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2."""
     q = problem.square_grid()
     out = np.zeros((q.size, q.size))
+    # outside these windows, the same for every slice, a square is exactly +0.0
+    windows = _windows(*envelope_columns(q, q, problem.waist_m, power=2), q.size)
     for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
-        band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i))
+        band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i), windows)
         term = band.data * band.data
         term *= weight
         # a band's entries are distinct cells; the rest of the matrix would add +0

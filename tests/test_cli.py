@@ -68,9 +68,11 @@ def test_package_exports_resolve():
                "PhaseMismatch", "mismatch", "pump_envelope",
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
                "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices",
-               "MomentSums", "moments", "marginal_moments", "resample_conserving"}
+               "MomentSums", "moments", "marginal_moments", "resample_conserving",
+               "SWEEPABLE"}
     assert not deleted & set(spdcsim.__all__)
-    for module in (spdcsim, spdcsim.camera, spdcsim.spectral, spdcsim.stats, spdcsim.cli):
+    for module in (spdcsim, spdcsim.camera, spdcsim.config, spdcsim.spectral, spdcsim.stats,
+                   spdcsim.cli):
         assert not any(hasattr(module, name) for name in deleted), module.__name__
     # the band type moved to biphoton, the one evaluation shape; camera re-exports it
     assert spdcsim.camera.RowBand is spdcsim.biphoton.RowBand

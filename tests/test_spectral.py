@@ -255,12 +255,27 @@ def per_slice_full_matrix_sums(problem, axis):
     return far, np.fft.fftshift(near)
 
 
-@pytest.mark.parametrize("grid_n", [64, 65])
+# grid_n -> the columns the far field evaluates per row: the power-2
+# envelope windows, against 7 (N = 64, 65) and 55 (N = 512) in the power-1 band
+FAR_WIDTHS = {64: 5, 65: 5, 512: 39}
+
+
+@pytest.mark.parametrize("grid_n", FAR_WIDTHS)
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis):
+def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis, monkeypatch):
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=grid_n)
     far, near = per_slice_full_matrix_sums(problem, axis)
+    widths = set()
+
+    def recording(*args):
+        band = evaluate_grid(*args)
+        widths.add(band.width)
+        return band
+
+    monkeypatch.setattr(spectral, "evaluate_grid", recording)
     assert np.array_equal(far_field_jid(problem, axis).intensity, far)
+    assert widths == {FAR_WIDTHS[grid_n]}
+    monkeypatch.undo()
     assert np.array_equal(near_field_jid(problem, axis).intensity, near)
 
 
