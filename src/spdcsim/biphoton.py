@@ -70,10 +70,13 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 #: Grid-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
-#: holds its band and the temporaries of its gathers; the rest covers what a
-#: slice loop holds beside it (accumulator, and for ``jid --plane near`` the
-#: near-field FFT spectrum and intensity).  The moment engine's node grid
-#: is charged at the same rate.  Changing it moves every exit-3 threshold.
+#: holds its N x w band, the gathers of one ``_ROW_BLOCK``-row block (at
+#: most 4 x 64 x w, plus their int64 column indices) and 1-D tables of the
+#: grid: far under one N x N grid, so the charge over-states it.  The rest
+#: covers what a slice loop holds beside it (accumulator, and for ``jid
+#: --plane near`` the near-field FFT spectrum and intensity).  The moment
+#: engine's node grid is charged at the same rate; a slice holds about ten
+#: node-grid arrays at its peak.  Changing it moves every exit-3 threshold.
 _TEMPORARIES_PER_GRID = 10
 
 
@@ -289,6 +292,18 @@ class RowBand:
         return out
 
 
+#: Signal rows per gather in ``evaluate_grid`` (and per add in
+#: ``spectral.far_field_jid``): the temporaries of one block, not of all N
+#: rows, sit beside the band.  Of 32, 64 and 128, 64 ran ``camera_jpds``
+#: at N = 1024 fastest (one core), as fast as one gather of all rows.
+_ROW_BLOCK = 64
+
+
+def _row_blocks(n_rows: int):
+    """Slices of ``_ROW_BLOCK`` consecutive rows covering 0 ... n_rows - 1."""
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
+
+
 def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
     width, and per-row starts of windows that wide which cover each one
@@ -310,12 +325,13 @@ def evaluate_grid(
     idler columns ``envelope_columns`` gives, widened to one shared width.
     They are evaluated with ``amplitude``'s envelope x kernel formula, on
     the idler-side 1-D tables (q_i, b and, for the sinc kernel, sin b and
-    cos b) gathered along the windows in one pass; the band's ``data`` is
-    the first of those gathered tables, computed in place.  Values equal a
-    dense evaluation bit for bit; a skipped zero is +0.0 where the dense
-    product may give -0.0.  The kernel arguments, and with them the
-    evanescent-input check, cover both full grids.  The peak working
-    memory is estimated up front and checked against the budget.
+    cos b) gathered along the windows of ``_ROW_BLOCK`` signal rows at a
+    time, computed in place and stored into the band's ``data``, which is
+    allocated once: beside the band only one block's gathers are held.
+    Values equal a dense evaluation bit for bit; a skipped zero is +0.0
+    where the dense product may give -0.0.  The kernel arguments, and with
+    them the evanescent-input check, cover both full grids.  The peak
+    working memory is estimated up front and checked against the budget.
 
     ``windows`` = (start, width), if given, are the columns to evaluate
     instead: start[k] ... start[k] + width - 1 of row k.  Where they cover
@@ -334,10 +350,16 @@ def evaluate_grid(
     start, width = windows
     if start.shape != q_s.shape or np.any(start < 0) or np.any(start + width > q_i.size):
         raise ValueError("windows must give one start per signal row, inside the idler grid")
-    a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
-    cols = start[:, None] + np.arange(width)
-    idler = np.stack(_idler_tables(q_i, b, problem.kernel)).take(cols, axis=1)
-    data = _envelope_times_kernel(a[:, None], q_s[:, None], idler, problem.waist_m, problem.kernel)
+    a, b = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)[:2]
+    tables = np.stack(_idler_tables(q_i, b, problem.kernel))
+    offsets = np.arange(width)
+    data = np.empty((q_s.size, width))
+    for rows in _row_blocks(q_s.size):
+        # unnamed, the block's gathered tables are freed before the next gather
+        data[rows] = _envelope_times_kernel(
+            a[rows, None], q_s[rows, None], tables.take(start[rows, None] + offsets, axis=1),
+            problem.waist_m, problem.kernel,
+        )
     return RowBand(data, start, q_i.size)
 
 

@@ -33,9 +33,10 @@ grid edge in position space.
 
 JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) evaluate
 each slice's pump-envelope band on the square (q_s, q_i) grid with
-``evaluate_grid``, because they write a picture: the far field adds the
-weighted squared band, evaluated on the ``envelope_columns(power=2)``
-windows only, into its matrix, and the near field transforms
+``evaluate_grid``, because they write a picture: the far field squares
+the band, evaluated on the ``envelope_columns(power=2)`` windows only, in
+place, weights it and adds it into its matrix one row block at a time,
+and the near field transforms
 ``toarray()``, the one dense amplitude of the package.  DFT convention
 (fixed): the near field uses the centered, unitary inverse transform
 
@@ -65,8 +66,10 @@ import numpy as np
 
 from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
+    RowBand,
     _arm_arguments,
     _kernel_with_slope,
+    _row_blocks,
     _windows,
     check_memory_budget,
     default_diff_halfwidth,
@@ -297,7 +300,9 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     Psi^2; the sums of {q_s, q_i, q_s^2, q_i^2, q_s q_i} Psi^2 (far
     field); and the sums of (d_s Psi)^2, (d_i Psi)^2 and d_s Psi d_i Psi
     (near field).  Quadrature factors shared by every term are left out,
-    so only ratios to the first column carry meaning.
+    so only ratios to the first column carry meaning.  Each slice forms
+    its products one at a time in one scratch buffer, so it holds about
+    ten node-grid arrays at most.
 
     Raises GridMemoryError if the node grid exceeds the memory budget and
     EvanescentInputError if any node momentum reaches the propagation
@@ -314,19 +319,37 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     q_i = 0.5 * (q_plus - q_d)
     envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
     node_weights = h[:, None]
-    rows = []
-    for lam_s, lam_i, _ in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
-        a, b, da, db = _arm_arguments(
-            q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl
-        )
-        k, dk = _kernel_with_slope(a + b, problem.kernel)
-        g_s = envelope_slope * k + dk * da
-        g_i = envelope_slope * k + dk * db
-        k2 = node_weights * k * k
-        terms = (k2, k2 * q_s, k2 * q_i, k2 * q_s * q_s, k2 * q_i * q_i, k2 * q_s * q_i,
-                 node_weights * g_s * g_s, node_weights * g_i * g_i, node_weights * g_s * g_i)
-        rows.append([term.sum() for term in terms])
-    return np.array(rows)
+
+    def slice_sums(pair: tuple[float, float]) -> list[float]:
+        # node-grid arrays are dropped once used; all of them go on return
+        u, b, da, db = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
+        u += b  # a + b
+        del b
+        k, dk = _kernel_with_slope(u, problem.kernel)
+        del u
+        slope_k = envelope_slope * k
+        g_s = np.multiply(dk, da, out=da)
+        g_s += slope_k
+        g_i = np.multiply(dk, db, out=db)
+        g_i += slope_k
+        del dk, slope_k
+        k2 = node_weights * k
+        k2 *= k
+        scratch = k  # k is not read again
+        sums = [k2.sum()]
+        # each product formed in the scratch buffer, in the factor order
+        # (k2 * q_s) * q_s, (node_weights * g_s) * g_s, ...
+        for first, *rest in ((k2, q_s), (k2, q_i), (k2, q_s, q_s), (k2, q_i, q_i),
+                             (k2, q_s, q_i), (node_weights, g_s, g_s),
+                             (node_weights, g_i, g_i), (node_weights, g_s, g_i)):
+            np.multiply(first, rest[0], out=scratch)
+            for factor in rest[1:]:
+                scratch *= factor
+            sums.append(scratch.sum())
+        return sums
+
+    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    return np.array([slice_sums((lam_s, lam_i)) for lam_s, lam_i, _ in spectrum])
 
 
 def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
@@ -337,10 +360,13 @@ def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     windows = _windows(*envelope_columns(q, q, problem.waist_m, power=2), q.size)
     for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
         band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i), windows)
-        term = band.data * band.data
+        term = band.data
+        np.multiply(term, term, out=term)
         term *= weight
         # a band's entries are distinct cells; the rest of the matrix would add +0
-        out.reshape(-1)[band.flat_index()] += term
+        for rows in _row_blocks(q.size):
+            block = RowBand(term[rows], band.start[rows], band.n_cols)
+            out[rows].reshape(-1)[block.flat_index()] += block.data
     return JointDistribution(
         plane="far",
         axis=axis,

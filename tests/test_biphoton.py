@@ -1,6 +1,7 @@
 """Per-arm phase mismatch, kernels, pump envelope, and amplitude grids."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from spdcsim.biphoton import (
     EvanescentInputError,
     GridMemoryError,
     RowBand,
+    _ROW_BLOCK,
     _arm_arguments,
     _arm_dk_z,
     _envelope_times_kernel,
@@ -409,19 +411,48 @@ def dense_amplitude(q_s, q_i, problem, axis, pair):
     return amplitude(q_s[:, None], q_i[None, :], problem, axis, pair)
 
 
+#: Grid sizes around ``evaluate_grid``'s row block: n x n on the square
+#: grid, and one signal grid unlike its idler grid, as the camera's are.
+BLOCK_SIZES = [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7,
+               (3 * _ROW_BLOCK + 7, 256)]
+
+
+def block_grids(n, **settings):
+    """The problem (``make_setup(**settings)``) and its (q_s, q_i) grids
+    for ``n`` of ``BLOCK_SIZES`` or a square size: the n-point square grid
+    for both, or for n = (n_s, n_i) the n_i-point square grid as the idler
+    and n_s points over 0.97 of its span as the signal."""
+    n_s, n_i = n if isinstance(n, tuple) else (n, n)
+    problem = make_setup(grid_n=n_i, **settings)
+    q_i = problem.square_grid()
+    q_s = q_i if n_s == n_i else np.linspace(0.97 * q_i[0], 0.97 * q_i[-1], n_s)
+    return problem, q_s, q_i
+
+
+def same_bits(x, y):
+    """Equal arrays whose zeros also agree in sign."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 @pytest.mark.parametrize("waist_um", [20, 100, 500, 2000])
 @pytest.mark.parametrize("kernel", ["sinc", "gauss"])
-@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("n", [256, 257, *BLOCK_SIZES],
+                         ids=lambda n: "x".join(map(str, n)) if isinstance(n, tuple) else None)
 @pytest.mark.parametrize("edge", [False, True], ids=["nominal", "filter-edge"])
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_evaluate_grid_equals_dense_broadcast(axis, edge, n, kernel, waist_um):
     # The envelope band covers the whole grid at 20 um, most of it at
     # 100 um, ~10 % at 500 um, and fewer columns than one row block at 2000 um.
-    problem = make_setup(signal_nm=780.0, waist_m=waist_um * 1e-6, grid_n=n, kernel=kernel)
-    q = problem.square_grid()
+    # The row counts fill one row block short, exactly, and one over, and
+    # end in a partial block; the band's entries match the dense ones to
+    # the sign of zero.
+    problem, q_s, q_i = block_grids(n, signal_nm=780.0, waist_m=waist_um * 1e-6, kernel=kernel)
     pair = edge_pair() if edge else nominal(problem)
-    assert np.array_equal(evaluate_grid(q, q, problem, axis, pair).toarray(),
-                          dense_amplitude(q, q, problem, axis, pair))
+    band = evaluate_grid(q_s, q_i, problem, axis, pair)
+    dense = dense_amplitude(q_s, q_i, problem, axis, pair)
+    assert np.array_equal(band.toarray(), dense)
+    cols = band.start[:, None] + np.arange(band.width)
+    assert same_bits(band.data, np.take_along_axis(dense, cols, axis=1))
 
 
 @pytest.mark.parametrize("waist_um", [20, 500])
@@ -442,23 +473,45 @@ def test_evaluate_grid_band_is_the_envelope_windows(waist_um):
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_evaluate_grid_on_given_windows(axis):
     # Given windows that cover the band's, each row holds the dense
-    # amplitude on exactly those columns, bit for bit; windows must give
-    # one start per row and lie inside the idler grid.
-    problem = make_setup(grid_n=256)
-    q = problem.square_grid()
-    pair = nominal(problem)
-    band = evaluate_grid(q, q, problem, axis, pair)
-    width = band.width + 20
-    start = np.clip(band.start - 10, 0, q.size - width)
-    got = evaluate_grid(q, q, problem, axis, pair, (start, width))
-    cols = start[:, None] + np.arange(width)
-    assert np.array_equal(got.start, start) and got.width == width
-    assert np.array_equal(got.data, np.take_along_axis(dense_amplitude(q, q, problem, axis, pair),
-                                                       cols, axis=1))
-    assert np.array_equal(got.toarray(), band.toarray())
-    for bad in ((start[:-1], width), (np.full(q.size, -1), 4), (np.full(q.size, q.size - 3), 4)):
-        with pytest.raises(ValueError, match="windows must give one start per signal row"):
-            evaluate_grid(q, q, problem, axis, pair, bad)
+    # amplitude on exactly those columns, bit for bit and to the sign of
+    # zero, on grids around the row block too; windows must give one
+    # start per row and lie inside the idler grid.
+    for n in (256, *BLOCK_SIZES):
+        problem, q_s, q_i = block_grids(n)
+        pair = nominal(problem)
+        band = evaluate_grid(q_s, q_i, problem, axis, pair)
+        width = band.width + 20
+        start = np.clip(band.start - 10, 0, q_i.size - width)
+        got = evaluate_grid(q_s, q_i, problem, axis, pair, (start, width))
+        cols = start[:, None] + np.arange(width)
+        assert np.array_equal(got.start, start) and got.width == width
+        assert same_bits(got.data, np.take_along_axis(
+            dense_amplitude(q_s, q_i, problem, axis, pair), cols, axis=1))
+        assert np.array_equal(got.toarray(), band.toarray())
+        for bad in ((start[:-1], width), (np.full(q_s.size, -1), 4),
+                    (np.full(q_s.size, q_i.size - 3), 4)):
+            with pytest.raises(ValueError, match="windows must give one start per signal row"):
+                evaluate_grid(q_s, q_i, problem, axis, pair, bad)
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+def test_evaluate_grid_working_set_is_one_row_block(kernel, n):
+    # Beside its band, evaluate_grid holds the idler tables gathered for
+    # one block of rows (four for the sinc kernel, with their column
+    # indices) and some 1-D arrays of the grid: under 8 block x width
+    # float64 arrays, where one gather for all n rows holds 4 n x width.
+    problem = make_setup(grid_n=n, kernel=kernel)
+    q, pair = problem.square_grid(), nominal(problem)
+    evaluate_grid(q, q, problem, "y", pair)
+    tracemalloc.start()
+    try:
+        band = evaluate_grid(q, q, problem, "y", pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n >= 16 * _ROW_BLOCK
+    assert peak - band.nbytes < 8 * _ROW_BLOCK * band.width * 8
 
 
 def test_evaluate_grid_keeps_subnormal_envelope_edge():

@@ -12,6 +12,9 @@ otherwise.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from spdcsim import spectral
 from spdcsim.biphoton import EvanescentInputError, GridMemoryError, evaluate_grid
-from spdcsim.config import certify_axis
+from spdcsim.config import certify_axis, load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import (
     GAUSSIAN_SUPPORT_FWHM,
@@ -36,9 +39,11 @@ from spdcsim.spectral import (
 from spdcsim.spectral import _near_field_intensity
 from spdcsim.stats import reid_inference, reid_product
 
+import oracle
 from oracle import matrix_moments
 
 BBO = SellmeierSet.bbo()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6, fwhm_nm=5.0, **settings):
@@ -427,3 +432,30 @@ def test_moment_engine_charges_its_node_grid():
     moment_sums(make_setup(n_slices=1, grid_n=1024, memory_budget_bytes=budget), "x")
     with pytest.raises(GridMemoryError, match=r"^8 x 2048 grid needs"):
         moment_sums(make_setup(n_slices=1, grid_n=2048, memory_budget_bytes=budget), "x")
+
+
+@pytest.mark.parametrize("config", ["nondegenerate_780", "degenerate_810"])
+@pytest.mark.parametrize("n_slices", [1, 31])
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_moment_engine_equals_plain_expressions(axis, kernel, n_slices, config):
+    # one scratch buffer per slice changes no bit of any sum
+    cfg = replace(load_config(CONFIGS / f"{config}.yaml"), kernel=kernel, n_slices=n_slices)
+    problem = cfg.build()
+    assert np.array_equal(moment_sums(problem, axis), oracle.moment_sums(problem, axis))
+
+
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+def test_moment_engine_working_set_is_a_few_node_grids(kernel):
+    # Each slice drops its node-grid arrays once used and forms its nine
+    # products in one scratch buffer: the peak stays under 14 node grids
+    # (8 x n float64 arrays), where whole-array products need about 29.
+    problem = make_setup(signal_nm=780.0, grid_n=1024, kernel=kernel)
+    moment_sums(problem, "y")  # the first call imports the Hermite module
+    tracemalloc.start()
+    try:
+        moment_sums(problem, "y")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * spectral._SUM_NODES * problem.grid_n * 8
