@@ -292,9 +292,8 @@ class RowBand:
         return out
 
 
-#: Signal rows per gather in ``evaluate_grid`` (and per add in
-#: ``spectral.far_field_jid``): the temporaries of one block, not of all N
-#: rows, sit beside the band.  Of 32, 64 and 128, 64 ran ``camera_jpds``
+#: Signal rows per gather in ``evaluate_grid``: the temporaries of one
+#: block, not of all N rows, sit beside the band.  Of 32, 64 and 128, 64 ran ``camera_jpds``
 #: at N = 1024 fastest (one core), as fast as one gather of all rows.
 _ROW_BLOCK = 64
 

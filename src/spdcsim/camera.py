@@ -28,8 +28,11 @@ One moment-engine pass (``spectral.moment_sums``) gives every slice its
 far-field raw sums: on y its ridge intercept is fitted from them, and
 mapped onto the camera they are the slice's camera-plane sums, which
 the JPDs add with the filter weights.  They are added first, so a
-collapsed distribution stops before any evaluation.  The JPDs are
-``RowBand``s allocated once, on the union of every slice's
+collapsed distribution stops before any evaluation.  The slices are
+then evaluated and added by ``spectral._squared_bands``, the pass that
+also builds the far-field JID, with the pixel momenta of ``_momenta``.
+The JPDs are ``CameraJPD``s, ``JointDistribution``s of plane 'camera',
+whose bands are allocated once, on the union of every slice's
 ``envelope_columns(power=2)`` windows, which the pixel grids give
 before any evaluation (108 and 79 of 1024 columns at the defaults);
 outside them every slice's square is +0.0.  The memory budget is
@@ -52,8 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdcsim.biphoton import RowBand, _windows, check_memory_budget, envelope_columns, evaluate_grid
-from spdcsim.spectral import Problem, moment_sums, sample_spectrum
+from spdcsim.biphoton import RowBand
+from spdcsim.spectral import (
+    JointDistribution,
+    Problem,
+    _squared_bands,
+    moment_sums,
+    sample_spectrum,
+)
 from spdcsim.stats import StatsSummary, ridge_fit
 
 __all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report"]
@@ -85,35 +94,19 @@ class _CameraSlice:
 
 
 @dataclass(frozen=True)
-class CameraJPD:
-    """Accumulated camera-plane joint probability distribution.
-
-    ``intensity`` is a ``RowBand`` (signal rows, idler columns) whose
-    windows cover every slice's band; ``toarray()`` is the dense N x N
-    matrix.  ``sums`` are the slices' camera-plane raw sums
-    (``_CameraSlice.sums``) added with their weights in sampling order,
-    the moments ``slope_report`` fits.
+class CameraJPD(JointDistribution):
+    """Accumulated camera-plane joint probability distribution: a
+    ``JointDistribution`` of plane 'camera' whose axes are the pixel
+    centres' camera coordinates (meters) and whose ``intensity`` band
+    covers every slice's windows.  ``slices`` are the (lambda_s,
+    lambda_i, weight) triples in sampling order; ``sums`` are the
+    slices' camera-plane raw sums (``_CameraSlice.sums``) added with
+    their weights in that order, the moments ``slope_report`` fits.
     """
 
-    axis: str
-    y_signal: np.ndarray
-    y_idler: np.ndarray
-    intensity: RowBand
     corrected: bool
     slices: tuple[tuple[float, float, float], ...]
     sums: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if np.any(self.intensity.data < 0):
-            raise ValueError("camera intensity contains negative entries")
-
-    @property
-    def d_signal(self) -> float:
-        return float(self.y_signal[1] - self.y_signal[0])
-
-    @property
-    def d_idler(self) -> float:
-        return float(self.y_idler[1] - self.y_idler[0])
 
 
 def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> float:
@@ -182,10 +175,10 @@ def camera_jpds(
     ``DegenerateDistributionError`` before any evaluation.  Then each
     slice, in sampling order, is evaluated at the momenta that land on
     the pixel centres, once per JPD (``_momenta``), on that JPD's
-    windows, and added with its weight.  The focal length and the
-    magnification must be finite and positive (``ValueError``); the
-    budget is checked once, before any evaluation, for the two JPDs and
-    one slice band (``GridMemoryError``).
+    windows, and added with its weight (``spectral._squared_bands``).
+    The focal length and the magnification must be finite and positive
+    (``ValueError``); the budget is checked once, before any evaluation,
+    for the two JPDs and one slice band (``GridMemoryError``).
     """
     slices = _camera_slices(problem, axis, focal_length_m, magnification)
     sums = []
@@ -198,43 +191,17 @@ def camera_jpds(
         sums.append(total)
     StatsSummary.from_sums("camera", axis, *sums[0])  # a collapsed distribution stops here
 
-    q, w0 = problem.square_grid(), problem.waist_m
-    n, central = q.size, slices[problem.n_slices // 2]
-    # each JPD's windows: the union of every slice's, known before any evaluation
-    first = np.full((2, n), n)
-    stop = np.zeros((2, n), dtype=first.dtype)
-    for cs in slices:
-        q_s, *idlers = _momenta(q, central, cs)
-        for j, q_i in enumerate(idlers):
-            f, s = envelope_columns(q_s, q_i, w0, power=2)
-            np.minimum(first[j], f, out=first[j])
-            np.maximum(stop[j], s, out=stop[j])
-    windows = [_windows(first[j], stop[j], n) for j in (0, 1)]
-    widths = [width for _, width in windows]
-    check_memory_budget(
-        n, n, problem.memory_budget_bytes,
-        # values and row offsets of each band
-        held_bytes=sum(n * (8 * w + np.dtype(np.intp).itemsize) for w in (*widths, max(widths))),
-        holding="2 camera JPDs and 1 slice band",
-    )
-    totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
-    for cs in slices:
-        q_s, *idlers = _momenta(q, central, cs)
-        for total, q_i in zip(totals, idlers):
-            pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
-            term = evaluate_grid(q_s, q_i, problem, axis, pair, (total.start, total.width)).data
-            np.multiply(term, term, out=term)  # the slice intensity on the JPD's windows
-            term *= cs.weight
-            np.add(total.data, term, out=total.data)
-            del term  # before the next evaluation
+    q, central = problem.square_grid(), slices[problem.n_slices // 2]
+    provenance = tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight) for cs in slices)
+    raw, fixed = _squared_bands(problem, axis, provenance,
+                                lambda k: _momenta(q, central, slices[k]), "2 camera JPDs")
 
     y_signal, y_idler = central.scale_signal * q, central.scale_idler * q
     fixed_idler = (y_idler * (central.lambda_signal_nm / central.lambda_idler_nm)
                    - central.scale_signal * central.ridge_intercept)
-    provenance = tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight) for cs in slices)
     return (
-        CameraJPD(axis, y_signal, y_idler, totals[0], False, provenance, sums[0]),
-        CameraJPD(axis, y_signal, fixed_idler, totals[1], True, provenance, sums[1]),
+        CameraJPD("camera", axis, y_signal, y_idler, raw, False, provenance, sums[0]),
+        CameraJPD("camera", axis, y_signal, fixed_idler, fixed, True, provenance, sums[1]),
     )
 
 

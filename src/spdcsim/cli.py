@@ -27,11 +27,9 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from spdcsim import __version__
-from spdcsim.biphoton import EvanescentInputError, GridMemoryError, RowBand
-from spdcsim.camera import camera_jpds, slope_report
+from spdcsim.biphoton import EvanescentInputError, GridMemoryError
+from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config
 from spdcsim.dispersion import (
     PhaseMatchingError,
@@ -39,7 +37,7 @@ from spdcsim.dispersion import (
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv
-from spdcsim.spectral import Problem, far_field_jid, near_field_jid
+from spdcsim.spectral import JointDistribution, Problem, far_field_jid, near_field_jid
 from spdcsim.stats import DegenerateDistributionError, ridge_fit
 from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
 
@@ -84,23 +82,27 @@ def _stats_payload(problem: Problem, plane: str, axis: str) -> dict:
     return payload
 
 
-def _write_matrix(
-    directory: Path, stem: str, formats, axis_signal, axis_idler, intensity, meta
-) -> list[str]:
+def _write_matrix(directory: Path, stem: str, formats, picture: JointDistribution) -> list[str]:
+    """Write ``picture`` in every format to ``directory``/``stem``.<format>,
+    tagged with its plane and axis (and whether a camera JPD is corrected)."""
+    meta = {"plane": picture.plane, "axis": picture.axis}
+    if isinstance(picture, CameraJPD):
+        meta["corrected"] = picture.corrected
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
         path = directory / f"{stem}.{fmt}"
         if fmt == "csv":
-            write_matrix_csv(path, axis_signal, axis_idler, intensity, meta=meta)
+            write_matrix_csv(path, picture.axis_signal, picture.axis_idler, picture.intensity,
+                             meta=meta)
         elif fmt == "bin":
-            write_matrix_binary(path, axis_signal, axis_idler, intensity)
+            write_matrix_binary(path, picture.axis_signal, picture.axis_idler, picture.intensity)
         else:
             blob = {
                 **meta,
-                "axis_signal": axis_signal.tolist(),
-                "axis_idler": axis_idler.tolist(),
-                "intensity": intensity.toarray().tolist(),
+                "axis_signal": picture.axis_signal.tolist(),
+                "axis_idler": picture.axis_idler.tolist(),
+                "intensity": picture.intensity.toarray().tolist(),
             }
             path.write_text(
                 json.dumps(blob, sort_keys=True) + "\n", encoding="utf-8"
@@ -136,15 +138,7 @@ def cmd_jid(args: argparse.Namespace) -> int:
     payload = _stats_payload(problem, args.plane, args.axis)
     fn = far_field_jid if args.plane == "far" else near_field_jid
     jid = fn(problem, args.axis)
-    files = _write_matrix(
-        Path(cfg.out_dir),
-        f"jid_{args.plane}_{args.axis}",
-        cfg.out_formats,
-        jid.axis_signal,
-        jid.axis_idler,
-        RowBand(jid.intensity, np.zeros(jid.axis_signal.size, dtype=np.intp), jid.axis_idler.size),
-        meta={"plane": jid.plane, "axis": jid.axis},
-    )
+    files = _write_matrix(Path(cfg.out_dir), f"jid_{args.plane}_{args.axis}", cfg.out_formats, jid)
     stats_path = Path(cfg.out_dir) / f"jid_{args.plane}_{args.axis}_stats.json"
     stats_path.write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -214,15 +208,7 @@ def cmd_camera(args: argparse.Namespace) -> int:
     reports = {"uncorrected": slope_report(raw), "corrected": slope_report(fixed)}
     files = []
     for tag, jpd in (("uncorrected", raw), ("corrected", fixed)):
-        files += _write_matrix(
-            Path(cfg.out_dir),
-            f"camera_{tag}_{axis}",
-            cfg.out_formats,
-            jpd.y_signal,
-            jpd.y_idler,
-            jpd.intensity,
-            meta={"plane": "camera", "axis": axis, "corrected": tag == "corrected"},
-        )
+        files += _write_matrix(Path(cfg.out_dir), f"camera_{tag}_{axis}", cfg.out_formats, jpd)
     _emit(
         {
             **reports,

@@ -33,11 +33,14 @@ grid edge in position space.
 
 JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) evaluate
 each slice's pump-envelope band on the square (q_s, q_i) grid with
-``evaluate_grid``, because they write a picture: the far field squares
-the band, evaluated on the ``envelope_columns(power=2)`` windows only, in
-place, weights it and adds it into its matrix one row block at a time,
-and the near field transforms
-``toarray()``, the one dense amplitude of the package.  DFT convention
+``evaluate_grid``, because they write a picture, a ``JointDistribution``
+whose intensity is a ``RowBand``.  The far field is the one slice pass
+the camera JPDs also take (``_squared_bands``): each slice evaluated on
+the union of the slices' ``envelope_columns(power=2)`` windows, squared
+in place, weighted and added into the band; its momenta are the square
+grid's for every slice.  The near field transforms ``toarray()``, the
+one dense amplitude of the package, and holds its total as a band of
+full width.  DFT convention
 (fixed): the near field uses the centered, unitary inverse transform
 
     psi = (dq_s * dq_i * N * M / (2*pi)) * fftshift(ifft2(ifftshift(Psi)))
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -69,7 +72,6 @@ from spdcsim.biphoton import (
     RowBand,
     _arm_arguments,
     _kernel_with_slope,
-    _row_blocks,
     _windows,
     check_memory_budget,
     default_diff_halfwidth,
@@ -185,29 +187,33 @@ def sample_spectrum(
 class JointDistribution:
     """2D non-negative intensity over signal x idler coordinates.
 
-    ``plane`` is 'far' (momentum, axes in rad/m) or 'near' (position,
-    axes in meters); ``axis`` tags the transverse axis.  Rows index the
-    signal coordinate, columns the idler coordinate.  Intensities are
-    not normalised.  It is the picture ``jid`` writes; the statistics
-    ``jid`` prints come from the moment engine (``moment_sums``).
+    ``plane`` is 'far' (momentum, axes in rad/m), 'near' (position, axes
+    in meters) or 'camera' (camera position, axes in meters; see
+    ``camera.CameraJPD``); ``axis`` tags the transverse axis.
+    ``intensity`` is a ``RowBand``: signal rows, idler columns, and
+    ``toarray()`` the dense matrix (the near field's band is of full
+    width).  Intensities are not normalised.  It is the picture ``jid``
+    and ``camera`` write; the statistics they print come from the moment
+    engine (``moment_sums``).
     """
 
     plane: str
     axis: str
     axis_signal: np.ndarray
     axis_idler: np.ndarray
-    intensity: np.ndarray
+    intensity: RowBand
 
     def __post_init__(self) -> None:
-        if self.plane not in ("far", "near"):
-            raise ValueError(f"plane must be 'far' or 'near', got {self.plane!r}")
+        if self.plane not in ("far", "near", "camera"):
+            raise ValueError(f"plane must be 'far', 'near' or 'camera', got {self.plane!r}")
         if self.axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        if self.intensity.shape != (self.axis_signal.size, self.axis_idler.size):
+        band = self.intensity
+        if (band.data.shape[0], band.n_cols) != (self.axis_signal.size, self.axis_idler.size):
             raise ValueError("intensity shape does not match axis grids")
-        if not np.all(np.isfinite(self.intensity)):
+        if not np.all(np.isfinite(band.data)):
             raise ValueError("intensity contains non-finite entries")
-        if np.any(self.intensity < 0):
+        if np.any(band.data < 0):
             raise ValueError("intensity contains negative entries")
         for name, grid in (("axis_signal", self.axis_signal), ("axis_idler", self.axis_idler)):
             steps = np.diff(grid)
@@ -310,8 +316,8 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     """
     from numpy.polynomial.hermite import hermgauss  # numpy does not import it by itself
 
+    check_memory_budget(_SUM_NODES, problem.grid_n, problem.memory_budget_bytes)
     q_d = problem.diff_grid()
-    check_memory_budget(_SUM_NODES, q_d.size, problem.memory_budget_bytes)
     t, h = hermgauss(_SUM_NODES)
     w0 = problem.waist_m
     q_plus = (math.sqrt(2.0) / w0 * t)[:, None]
@@ -352,28 +358,61 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     return np.array([slice_sums((lam_s, lam_i)) for lam_s, lam_i, _ in spectrum])
 
 
-def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
-    """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2."""
-    q = problem.square_grid()
-    out = np.zeros((q.size, q.size))
-    # outside these windows, the same for every slice, a square is exactly +0.0
-    windows = _windows(*envelope_columns(q, q, problem.waist_m, power=2), q.size)
-    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
-        band = evaluate_grid(q, q, problem, axis, (lam_s, lam_i), windows)
-        term = band.data
-        np.multiply(term, term, out=term)
-        term *= weight
-        # a band's entries are distinct cells; the rest of the matrix would add +0
-        for rows in _row_blocks(q.size):
-            block = RowBand(term[rows], band.start[rows], band.n_cols)
-            out[rows].reshape(-1)[block.flat_index()] += block.data
-    return JointDistribution(
-        plane="far",
-        axis=axis,
-        axis_signal=q,
-        axis_idler=q,
-        intensity=out,
+def _squared_bands(
+    problem: Problem, axis: str, slices: tuple[tuple[float, float, float], ...],
+    momenta: Callable[[int], tuple[np.ndarray, ...]], holding: str,
+) -> list[RowBand]:
+    """sum_slices w |Psi|^2 on each of one or more N x N pictures, from one
+    pass over ``slices`` that holds one slice band at a time.
+
+    ``slices`` are (lambda_s, lambda_i, weight) triples in sampling
+    order; ``momenta(k)`` gives slice k's signal momenta and one idler
+    grid per picture, and is called again where they are needed, so no
+    slice's grids are held.  Each picture is a ``RowBand`` on the union
+    of every slice's ``envelope_columns(power=2)`` windows, outside which
+    every slice's square is +0.0.  The budget is checked once, before any
+    evaluation, for one evaluation, the pictures (``holding`` names them)
+    and one slice band (``GridMemoryError``).  Then each slice is
+    evaluated on each picture's windows, squared in place, weighted and
+    added.
+    """
+    n = problem.grid_n
+    bounds = None  # per picture: the union's first and stop column of each row
+    for k in range(len(slices)):
+        q_s, *idlers = momenta(k)
+        columns = np.array([envelope_columns(q_s, q_i, problem.waist_m, power=2) for q_i in idlers])
+        if bounds is None:
+            bounds = columns
+        np.minimum(bounds[:, 0], columns[:, 0], out=bounds[:, 0])
+        np.maximum(bounds[:, 1], columns[:, 1], out=bounds[:, 1])
+    windows = [_windows(first, stop, n) for first, stop in bounds]
+    widths = [width for _, width in windows]
+    check_memory_budget(
+        n, n, problem.memory_budget_bytes,
+        # values and row offsets of each band
+        held_bytes=sum(n * (8 * w + np.dtype(np.intp).itemsize) for w in (*widths, max(widths))),
+        holding=f"{holding} and 1 slice band",
     )
+    totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
+    for k, (lam_s, lam_i, weight) in enumerate(slices):
+        q_s, *idlers = momenta(k)
+        for total, q_i in zip(totals, idlers):
+            pair = (lam_s, lam_i)
+            term = evaluate_grid(q_s, q_i, problem, axis, pair, (total.start, total.width)).data
+            np.multiply(term, term, out=term)  # the slice intensity on the picture's windows
+            term *= weight
+            np.add(total.data, term, out=total.data)
+            del term  # before the next evaluation
+    return totals
+
+
+def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
+    """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2 on
+    the square grid, as one ``RowBand``."""
+    q = problem.square_grid()
+    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
+    (band,) = _squared_bands(problem, axis, spectrum, lambda k: (q, q), "1 far-field band")
+    return JointDistribution(plane="far", axis=axis, axis_signal=q, axis_idler=q, intensity=band)
 
 
 def position_grid(q_grid: np.ndarray) -> np.ndarray:
@@ -428,10 +467,5 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
              for s, i, w in spectrum)
     out = _near_field_intensity(terms, (q.size, q.size))
     x = position_grid(q)
-    return JointDistribution(
-        plane="near",
-        axis=axis,
-        axis_signal=x,
-        axis_idler=x,
-        intensity=np.fft.fftshift(out),
-    )
+    band = RowBand(np.fft.fftshift(out), np.zeros(q.size, dtype=np.intp), q.size)
+    return JointDistribution(plane="near", axis=axis, axis_signal=x, axis_idler=x, intensity=band)

@@ -1,5 +1,6 @@
-"""Test-side oracles: the moments of a dense intensity matrix, and the
-moment engine's per-slice sums as plain whole-array expressions.
+"""Test-side oracles: the moments of a dense intensity matrix, the
+moment engine's per-slice sums as plain whole-array expressions, and a
+dense matrix as the full-width band a picture holds.
 
 The package takes every statistic from the moment engine; the tests
 check it, and the matrix pictures, against the moments of a matrix
@@ -11,9 +12,14 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from spdcsim.biphoton import _arm_arguments, _kernel_with_slope
+from spdcsim.biphoton import RowBand, _arm_arguments, _kernel_with_slope
 from spdcsim.spectral import _SUM_NODES, sample_spectrum
 from spdcsim.stats import StatsSummary
+
+
+def full_band(matrix):
+    """``matrix`` as the ``RowBand`` of full width (every start 0)."""
+    return RowBand(matrix, np.zeros(matrix.shape[0], dtype=np.intp), matrix.shape[1])
 
 
 def matrix_moments(plane, axis, axis_signal, axis_idler, intensity):

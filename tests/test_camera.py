@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import spdcsim.camera
+import spdcsim.spectral
 from spdcsim.biphoton import (
     GridMemoryError,
     _windows,
@@ -72,11 +72,12 @@ def one_slice_jpds(axis="y", signal_nm=780.0, n=256):
 
 
 def counting_evaluations(monkeypatch):
-    """The list each ``evaluate_grid`` call of the camera appends to."""
+    """The list each ``evaluate_grid`` call of the camera's slice pass
+    (``spectral._squared_bands``) appends to."""
     calls = []
-    evaluate = spdcsim.camera.evaluate_grid
+    evaluate = spdcsim.spectral.evaluate_grid
     monkeypatch.setattr(
-        spdcsim.camera, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
+        spdcsim.spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
     )
     return calls
 
@@ -111,25 +112,41 @@ def test_map_to_camera_scales_axes():
     jid = far_field_jid(problem, "y")
     (cs,) = built_slices(problem, "y")
     raw, _ = camera_jpds(problem, "y", F)
-    assert raw.y_signal[0] == pytest.approx(
+    assert raw.axis_signal[0] == pytest.approx(
         jid.axis_signal[0] * F * 780e-9 / (2 * math.pi), rel=1e-12
     )
-    assert raw.y_idler[0] == pytest.approx(
+    assert raw.axis_idler[0] == pytest.approx(
         jid.axis_idler[0] * F * problem.wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
     )
-    # intensities untouched, held as a band of the pump-envelope columns
+    # intensities untouched, held as the far field's band of the
+    # pump-envelope columns, under an eighth of the dense matrix
     assert isinstance(raw.intensity, RowBand)
-    assert np.array_equal(raw.intensity.toarray(), jid.intensity)
-    assert np.count_nonzero(raw.intensity.data) == np.count_nonzero(jid.intensity)
-    assert raw.intensity.nbytes < jid.intensity.nbytes / 8
+    assert np.array_equal(raw.intensity.start, jid.intensity.start)
+    assert raw.intensity.width == jid.intensity.width
+    assert np.array_equal(raw.intensity.data, jid.intensity.data)
+    n = problem.grid_n
+    assert raw.intensity.nbytes < n * n * 8 / 8
     # on-axis point stays on axis
     mid = jid.axis_signal.size // 2
-    assert raw.y_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
+    assert raw.axis_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
     # the magnification scales both arms
     (magnified,) = built_slices(problem, "y", magnification=2.0)
     assert magnified.scale_signal == pytest.approx(2.0 * cs.scale_signal, rel=1e-15)
     magnified_raw, _ = camera_jpds(problem, "y", F, magnification=2.0)
-    np.testing.assert_allclose(magnified_raw.y_idler, 2.0 * raw.y_idler, rtol=1e-15)
+    np.testing.assert_allclose(magnified_raw.axis_idler, 2.0 * raw.axis_idler, rtol=1e-15)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_one_slice_far_field_is_the_uncorrected_camera_band(axis):
+    """One pass builds both pictures: with one slice, whose momenta are
+    the square grid's, the far-field band and the uncorrected camera band
+    have equal starts, widths and values."""
+    problem = one_slice_problem()
+    far = far_field_jid(problem, axis).intensity
+    raw = camera_jpds(problem, axis, F)[0].intensity
+    assert raw.width == far.width
+    assert np.array_equal(raw.start, far.start)
+    assert np.array_equal(raw.data, far.data)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -146,9 +163,9 @@ def test_slice_momenta_land_on_pixel_centres(axis):
     for cs in slices:
         q_s, q_raw, q_fixed = _momenta(q, central, cs)
         span = cs.scale_signal * q[-1]
-        for mapped, pixels in ((cs.scale_signal * q_s, raw.y_signal),
-                               (cs.scale_idler * q_raw, raw.y_idler),
-                               (cs.scale_signal * (q_fixed - cs.ridge_intercept), fixed.y_idler)):
+        for mapped, pixels in ((cs.scale_signal * q_s, raw.axis_signal),
+                               (cs.scale_idler * q_raw, raw.axis_idler),
+                               (cs.scale_signal * (q_fixed - cs.ridge_intercept), fixed.axis_idler)):
             assert np.abs(mapped - pixels).max() <= 1e-12 * span
             assert np.all(np.diff(mapped) > 0)
     q_s, q_raw, _ = _momenta(q, central, central)
@@ -213,7 +230,7 @@ def test_slice_band_is_the_squared_amplitude(axis, waist_um):
 def test_degenerate_pair_has_identical_scales():
     cs, raw, _ = one_slice_jpds(signal_nm=810.0)
     assert cs.scale_signal == cs.scale_idler
-    assert np.array_equal(raw.y_signal, raw.y_idler)
+    assert np.array_equal(raw.axis_signal, raw.axis_idler)
 
 
 # -- rescale (the x axis carries no walk-off: the rescale is all of it) ----------
@@ -221,7 +238,7 @@ def test_degenerate_pair_has_identical_scales():
 
 def test_rescale_degenerate_is_identity():
     _, raw, fixed = one_slice_jpds(axis="x", signal_nm=810.0)
-    np.testing.assert_array_equal(fixed.y_idler, raw.y_idler)
+    np.testing.assert_array_equal(fixed.axis_idler, raw.axis_idler)
 
 
 def test_rescale_factor_and_roundtrip():
@@ -229,15 +246,15 @@ def test_rescale_factor_and_roundtrip():
     _, raw, fixed = one_slice_jpds(axis="x")
     factor = 780.0 / wl.idler_nm
     assert factor == pytest.approx(0.925926, abs=1e-6)
-    np.testing.assert_allclose(fixed.y_idler, raw.y_idler * factor, rtol=1e-15)
+    np.testing.assert_allclose(fixed.axis_idler, raw.axis_idler * factor, rtol=1e-15)
     # invertible
-    np.testing.assert_allclose(fixed.y_idler / factor, raw.y_idler, rtol=1e-12)
+    np.testing.assert_allclose(fixed.axis_idler / factor, raw.axis_idler, rtol=1e-12)
     # after rescale both arms sit on the signal scale
-    np.testing.assert_allclose(fixed.y_idler, fixed.y_signal, rtol=1e-15)
+    np.testing.assert_allclose(fixed.axis_idler, fixed.axis_signal, rtol=1e-15)
     # on y the same rescale comes first, then the fitted shift
     cs, raw, fixed = one_slice_jpds(axis="y")
-    shifted = raw.y_idler * factor - cs.scale_signal * cs.ridge_intercept
-    assert np.array_equal(fixed.y_idler, shifted)
+    shifted = raw.axis_idler * factor - cs.scale_signal * cs.ridge_intercept
+    assert np.array_equal(fixed.axis_idler, shifted)
 
 
 # -- walk-off correction --------------------------------------------------------
@@ -247,15 +264,15 @@ def test_fitted_shift_small_for_degenerate():
     _, raw, fixed = one_slice_jpds(axis="y", signal_nm=810.0)
     # symmetric degenerate slice (rescale factor 1): fitted intercept well
     # under a grid cell
-    cell = float(raw.y_idler[1] - raw.y_idler[0])
-    assert abs(float(raw.y_idler[0] - fixed.y_idler[0])) < cell
+    cell = float(raw.axis_idler[1] - raw.axis_idler[0])
+    assert abs(float(raw.axis_idler[0] - fixed.axis_idler[0])) < cell
 
 
 def test_fitted_shift_removes_nondegenerate_intercept():
     cs, _, corr = one_slice_jpds(axis="y", signal_nm=780.0)
-    q_idler = corr.y_idler / cs.scale_signal  # the idler is on the signal scale
+    q_idler = corr.axis_idler / cs.scale_signal  # the idler is on the signal scale
     fit = ridge_fit(matrix_moments(
-        "far", "y", corr.y_signal / cs.scale_signal, q_idler, corr.intensity.toarray()
+        "far", "y", corr.axis_signal / cs.scale_signal, q_idler, corr.intensity.toarray()
     ))
     cell_q = float(q_idler[1] - q_idler[0])
     assert abs(fit.intercept) < cell_q
@@ -473,7 +490,7 @@ def test_pure_scaling_slope_relation():
     (cs,) = built_slices(problem, "y")
     far = far_field_jid(problem, "y")
     q_fit = ridge_fit(
-        matrix_moments("far", "y", far.axis_signal, far.axis_idler, far.intensity)
+        matrix_moments("far", "y", far.axis_signal, far.axis_idler, far.intensity.toarray())
     )
     q_display = 1.0 / q_fit.slope_principal_axis
     rep = slope_report(camera_jpds(problem, "y", F)[0])
@@ -554,8 +571,8 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
             total += cs.weight * (amp * amp)
         assert jpd.axis == axis
         assert jpd.corrected is corrected
-        np.testing.assert_array_equal(jpd.y_signal, y_signal)
-        np.testing.assert_array_equal(jpd.y_idler, y_idlers[j])
+        np.testing.assert_array_equal(jpd.axis_signal, y_signal)
+        np.testing.assert_array_equal(jpd.axis_idler, y_idlers[j])
         assert np.abs(jpd.intensity.toarray() - total).max() <= 1e-12 * total.max()
         assert jpd.slices == tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight)
                                    for cs in slices)
@@ -593,7 +610,7 @@ def inferred_signal_widths(jpd):
     n, s, i, ss, ii, si = jpd.sums
     engine = StatsSummary.from_sums("camera", jpd.axis, n, i, s, ii, ss, si)
     picture = matrix_moments(
-        "camera", jpd.axis, jpd.y_idler, jpd.y_signal, jpd.intensity.toarray().T
+        "camera", jpd.axis, jpd.axis_idler, jpd.axis_signal, jpd.intensity.toarray().T
     )
     return reid_inference(picture).width_inferred, reid_inference(engine).width_inferred
 
@@ -653,10 +670,14 @@ def test_camera_slopes_do_not_depend_on_the_square_grid(default_reports, axis):
 
 
 def test_camera_jpd_rejects_negative_band_entries():
-    band = RowBand(np.array([[0.5, -1e-300]]), np.zeros(1, dtype=np.intp), 3)
+    """A camera JPD is a ``JointDistribution``: its band must hold only
+    finite, non-negative entries."""
     axis = np.linspace(-1.0, 1.0, 3)
-    with pytest.raises(ValueError, match="negative entries"):
-        CameraJPD("y", axis[:1], axis, band, corrected=False, slices=(), sums=(1.0,) * 6)
+    for bad, message in ((-1e-300, "negative entries"), (np.nan, "non-finite entries")):
+        band = RowBand(np.array([[0.5, bad]]), np.zeros(1, dtype=np.intp), 3)
+        with pytest.raises(ValueError, match=message):
+            CameraJPD("camera", "y", axis[:1], axis, band,
+                      corrected=False, slices=(), sums=(1.0,) * 6)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -676,7 +697,7 @@ def test_camera_jpds_hold_two_bands(monkeypatch):
     """The two bands held across the pass are the JPDs: the values of each
     slice band ``evaluate_grid`` returns, on a JPD's windows, are dropped
     before the next is evaluated.  Each slice is evaluated once per JPD."""
-    evaluate = spdcsim.camera.evaluate_grid
+    evaluate = spdcsim.spectral.evaluate_grid
     alive: list[weakref.ref] = []
     peak = []
 
@@ -687,7 +708,7 @@ def test_camera_jpds_hold_two_bands(monkeypatch):
         peak.append(len(alive))
         return band
 
-    monkeypatch.setattr(spdcsim.camera, "evaluate_grid", tracked)
+    monkeypatch.setattr(spdcsim.spectral, "evaluate_grid", tracked)
     camera_jpds(make_setup(n_slices=7, grid_n=64), "y", F)
     assert len(peak) == 2 * 7
     assert max(peak) == 1

@@ -189,7 +189,7 @@ class TestJid:
             "axis": "x",
             "axis_signal": [float(v) for v in jid.axis_signal],
             "axis_idler": [float(v) for v in jid.axis_idler],
-            "intensity": [[float(v) for v in row] for row in jid.intensity],
+            "intensity": [[float(v) for v in row] for row in jid.intensity.toarray()],
         }
         expected = json.dumps(blob, sort_keys=True) + "\n"
         assert (out_dir / "jid_far_x.json").read_text(encoding="utf-8") == expected
@@ -223,6 +223,27 @@ class TestJid:
         printed = json.loads(jid_out)
         assert printed.pop("files") == sorted([f"jid_{plane}_{axis}.csv", sidecar.name])
         assert printed == json.loads(stats_out)
+
+    def test_memory_budget_charges_the_far_field_band(self, capsys, tmp_path):
+        """At N = 1024 ``jid --plane far`` is charged one evaluation, its
+        band and one slice band (77 columns each): ~81 MiB.  At an 80 MiB
+        budget it exits 3 and writes nothing; at 82 MiB it runs."""
+        for mb in (80, 82):
+            cfg = write_config(tmp_path, f"grid:\n  n: 1024\n  memory_budget_mb: {mb}\n")
+            out_dir = tmp_path / f"out{mb}"
+            code, out, err = run_cli(capsys, "jid", "--config", cfg, "--slices", "5",
+                                     "--axis", "y", "--format", "bin", "--out", str(out_dir))
+            if mb == 80:
+                assert code == 3
+                assert out == ""
+                assert err == ("resource error: 1024 x 1024 grid holding 1 far-field band "
+                               "and 1 slice band needs ~81 MiB (budget 80 MiB)\n")
+                assert not out_dir.exists()
+            else:
+                assert code == 0, err
+                assert sorted(p.name for p in out_dir.iterdir()) == [
+                    "jid_far_y.bin", "jid_far_y_stats.json",
+                ]
 
     def test_malformed_config_writes_nothing(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "grid:\n  n: -4\n")
@@ -400,9 +421,9 @@ class TestCamera:
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []
-        evaluate = spdcsim.camera.evaluate_grid
+        evaluate = spdcsim.spectral.evaluate_grid
         monkeypatch.setattr(
-            spdcsim.camera, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
+            spdcsim.spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
         )
         for mb in (budget_mb - 1, budget_mb):
             cfg = write_config(
@@ -470,8 +491,8 @@ class TestCamera:
         for tag, jpd in zip(("uncorrected", "corrected"), jpds):
             y_s, y_i, matrix, meta = read_matrix_csv(out_dir / f"camera_{tag}_y.csv")
             assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}
-            assert np.array_equal(y_s, jpd.y_signal)
-            assert np.array_equal(y_i, jpd.y_idler)
+            assert np.array_equal(y_s, jpd.axis_signal)
+            assert np.array_equal(y_i, jpd.axis_idler)
             assert np.array_equal(matrix, jpd.intensity.toarray())
 
     def test_degenerate_no_skew(self, capsys, tmp_path):

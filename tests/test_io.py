@@ -15,6 +15,8 @@ from spdcsim.io import (
 )
 from spdcsim.spectral import JointDistribution
 
+from oracle import full_band
+
 
 def make_jid(plane="far", axis="x", n=5, m=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -23,24 +25,19 @@ def make_jid(plane="far", axis="x", n=5, m=4, seed=0):
         axis=axis,
         axis_signal=np.linspace(-2.0, 2.0, n),
         axis_idler=np.linspace(-1.5, 1.5, m),
-        intensity=rng.uniform(0.0, 3.0, size=(n, m)),
+        intensity=full_band(rng.uniform(0.0, 3.0, size=(n, m))),
     )
-
-
-def full_band(matrix):
-    """A dense matrix as the band of full width, as ``jid`` writes it."""
-    return RowBand(matrix, np.zeros(matrix.shape[0], dtype=np.intp), matrix.shape[1])
 
 
 def write_csv(jid, path):
     write_matrix_csv(
-        path, jid.axis_signal, jid.axis_idler, full_band(jid.intensity),
+        path, jid.axis_signal, jid.axis_idler, jid.intensity,
         meta={"plane": jid.plane, "axis": jid.axis},
     )
 
 
 def write_binary(jid, path):
-    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, full_band(jid.intensity))
+    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, jid.intensity)
 
 
 class TestCsv:
@@ -54,7 +51,7 @@ class TestCsv:
         # repr floats round-trip exactly, not merely approximately
         assert np.array_equal(axis_signal, jid.axis_signal)
         assert np.array_equal(axis_idler, jid.axis_idler)
-        assert np.array_equal(matrix, jid.intensity)
+        assert np.array_equal(matrix, jid.intensity.toarray())
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         jid = make_jid(seed=7)
@@ -163,11 +160,11 @@ class TestCsv:
             plane="far", axis="x",
             axis_signal=np.linspace(-1.0, 1.0, 2),
             axis_idler=np.linspace(-1.0, 1.0, 3),
-            intensity=np.array(values).reshape(2, 3),
+            intensity=full_band(np.array(values).reshape(2, 3)),
         )
         path = tmp_path_factory.mktemp("csv") / "h.csv"
         write_csv(jid, path)
-        assert np.array_equal(read_matrix_csv(path)[2], jid.intensity)
+        assert np.array_equal(read_matrix_csv(path)[2], jid.intensity.toarray())
 
 
 class TestBinary:
@@ -176,7 +173,7 @@ class TestBinary:
         path = tmp_path / "jid.bin"
         write_binary(jid, path)
         axis_signal, axis_idler, matrix = read_matrix_binary(path)
-        assert np.array_equal(matrix, jid.intensity)
+        assert np.array_equal(matrix, jid.intensity.toarray())
         assert np.allclose(axis_signal, jid.axis_signal, rtol=1e-12, atol=0.0)
         assert axis_signal[0] == jid.axis_signal[0]
         assert axis_signal[-1] == jid.axis_signal[-1]
@@ -190,7 +187,7 @@ class TestBinary:
         write_binary(jid, path)
         assert len(read_matrix_binary(path)) == 3
         csv_path = tmp_path / "untagged.csv"
-        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, full_band(jid.intensity))
+        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, jid.intensity)
         assert read_matrix_csv(csv_path)[3] == {}
 
     def test_file_starts_with_magic(self, tmp_path):

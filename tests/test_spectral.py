@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim import spectral
-from spdcsim.biphoton import EvanescentInputError, GridMemoryError, evaluate_grid
+from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError, evaluate_grid
 from spdcsim.config import certify_axis, load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import (
@@ -40,7 +40,7 @@ from spdcsim.spectral import _near_field_intensity
 from spdcsim.stats import reid_inference, reid_product
 
 import oracle
-from oracle import matrix_moments
+from oracle import full_band, matrix_moments
 
 BBO = SellmeierSet.bbo()
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -179,14 +179,14 @@ def test_sampling_invariants(shape, arm, center_nm, width, n_slices):
 
 def test_jid_validation():
     grid = np.linspace(-1.0, 1.0, 8)
-    good = np.ones((8, 8))
+    good = full_band(np.ones((8, 8)))
     JointDistribution("far", "x", grid, grid.copy(), good)
     with pytest.raises(ValueError):
         JointDistribution("mid", "x", grid, grid.copy(), good)
     with pytest.raises(ValueError):
-        JointDistribution("far", "x", grid, grid.copy(), -good)
+        JointDistribution("far", "x", grid, grid.copy(), full_band(-np.ones((8, 8))))
     with pytest.raises(ValueError):
-        JointDistribution("far", "x", grid, grid.copy(), np.full((8, 8), np.nan))
+        JointDistribution("far", "x", grid, grid.copy(), full_band(np.full((8, 8), np.nan)))
     # a ~3 um position grid with one step 0.1 % long: the 3 nm excess is
     # below np.allclose's default atol, so the check must not rely on it
     x = position_grid(np.linspace(-1e6, 1e6, 8))
@@ -202,7 +202,7 @@ def test_single_slice_far_field_equals_squared_amplitude():
     q = problem.square_grid()
     pair = (problem.wl.signal_nm, problem.wl.idler_nm)
     amp = evaluate_grid(q, q, problem, "x", pair).toarray()
-    np.testing.assert_array_equal(jid.intensity, amp * amp)
+    np.testing.assert_array_equal(jid.intensity.toarray(), amp * amp)
 
 
 def test_spectral_sum_order_invariance():
@@ -214,7 +214,7 @@ def test_spectral_sum_order_invariance():
         amp = evaluate_grid(q, q, problem, "y", (lam_s, lam_i)).toarray()
         pieces.append(w * amp * amp)
     reversed_sum = sum(pieces[::-1])
-    np.testing.assert_allclose(jid.intensity, reversed_sum, rtol=1e-12)
+    np.testing.assert_allclose(jid.intensity.toarray(), reversed_sum, rtol=1e-12)
 
 
 def test_position_grid_conjugate():
@@ -229,8 +229,8 @@ def test_parseval_per_slice():
     problem = make_setup(n_slices=1, grid_n=256)
     far = far_field_jid(problem, "x")
     near = near_field_jid(problem, "x")
-    mass_far = far.intensity.sum() * far.d_signal * far.d_idler
-    mass_near = near.intensity.sum() * near.d_signal * near.d_idler
+    mass_far = far.intensity.data.sum() * far.d_signal * far.d_idler
+    mass_near = near.intensity.data.sum() * near.d_signal * near.d_idler
     assert mass_near == pytest.approx(mass_far, rel=1e-9)
 
 
@@ -278,10 +278,48 @@ def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis, monkeypatch)
         return band
 
     monkeypatch.setattr(spectral, "evaluate_grid", recording)
-    assert np.array_equal(far_field_jid(problem, axis).intensity, far)
+    assert np.array_equal(far_field_jid(problem, axis).intensity.toarray(), far)
     assert widths == {FAR_WIDTHS[grid_n]}
     monkeypatch.undo()
-    assert np.array_equal(near_field_jid(problem, axis).intensity, near)
+    assert np.array_equal(near_field_jid(problem, axis).intensity.toarray(), near)
+
+
+@pytest.mark.parametrize("grid_n", [1024, 2048])
+def test_far_field_holds_its_band_one_slice_band_and_one_block(grid_n):
+    """The far field adds each slice into its band: beside the band it
+    returns, the pass holds at most one slice band and one row block's
+    gathers (8 ``_ROW_BLOCK`` x w float64 arrays, the 1-D tables
+    included; 7.2 measured), never a dense N x N matrix (8 and 32 MiB)."""
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=grid_n)
+    far_field_jid(replace(problem, grid_n=64), "y")  # first calls out of the trace
+    tracemalloc.start()
+    try:
+        band = far_field_jid(problem, "y").intensity
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - band.nbytes < band.nbytes + 8 * _ROW_BLOCK * band.width * 8
+
+
+def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
+    """At N = 1024 the far field is charged one evaluation (80 MiB), its
+    band and one slice band, 77 columns each: 2 x 1024 x (8 x 77 + 8)
+    bytes, 1.22 MiB more.  An 80 MiB budget stops it before any slice is
+    evaluated; 82 MiB runs it, one evaluation per slice."""
+    calls = []
+    evaluate = spectral.evaluate_grid
+    monkeypatch.setattr(spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a))
+    n, width = 1024, 77
+    charge = n * n * 8 * 10 + 2 * n * (8 * width + 8)
+    assert 80 * 2**20 < charge <= 81.5 * 2**20
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
+    with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid holding 1 far-field band "
+                       r"and 1 slice band needs ~81 MiB \(budget 80 MiB\)$"):
+        far_field_jid(replace(problem, memory_budget_bytes=80 * 2**20), "y")
+    assert calls == []
+    jid = far_field_jid(replace(problem, memory_budget_bytes=82 * 2**20), "y")
+    assert jid.intensity.width == width
+    assert len(calls) == 5
 
 
 def test_near_field_degenerate_ridge_positive():
@@ -289,7 +327,7 @@ def test_near_field_degenerate_ridge_positive():
     # has slope +1 (finite pump size correlates birth positions).
     near = near_field_jid(make_setup(n_slices=1, grid_n=512), "x")
     mu_s, mu_i, v_s, v_i, c = table_moments(
-        near.axis_signal, near.axis_idler, near.intensity
+        near.axis_signal, near.axis_idler, near.intensity.toarray()
     )
     cov = np.array([[v_s, c], [c, v_i]])
     evals, evecs = np.linalg.eigh(cov)
@@ -374,7 +412,8 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
     problem = make_setup(signal_nm=780.0, waist_m=100e-6, n_slices=3, grid_n=1024,
                          kernel="gauss")
     far, near = (
-        reid_inference(matrix_moments(j.plane, j.axis, j.axis_signal, j.axis_idler, j.intensity))
+        reid_inference(matrix_moments(j.plane, j.axis, j.axis_signal, j.axis_idler,
+                                      j.intensity.toarray()))
         for j in (far_field_jid(problem, axis), near_field_jid(problem, axis))
     )
     expected = widths(reid_product(near, far))
@@ -432,6 +471,23 @@ def test_moment_engine_charges_its_node_grid():
     moment_sums(make_setup(n_slices=1, grid_n=1024, memory_budget_bytes=budget), "x")
     with pytest.raises(GridMemoryError, match=r"^8 x 2048 grid needs"):
         moment_sums(make_setup(n_slices=1, grid_n=2048, memory_budget_bytes=budget), "x")
+
+
+def test_moment_engine_checks_its_budget_before_building_its_grid():
+    """The node grid is charged from ``grid_n`` before the q_- grid is
+    built: at 2**22 points (a 32 MiB grid) and a 1 MiB budget the refusal
+    peaks under 4 MiB (0.7 MiB measured)."""
+    moment_sums(make_setup(n_slices=1, grid_n=64), "x")  # imports the Hermite module
+    problem = make_setup(n_slices=1, grid_n=2**22, memory_budget_bytes=2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridMemoryError, match=r"^8 x 4194304 grid needs ~2560 MiB "
+                           r"\(budget 1 MiB\)$"):
+            moment_sums(problem, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("config", ["nondegenerate_780", "degenerate_810"])
