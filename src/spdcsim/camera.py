@@ -22,19 +22,19 @@ pixels: signal q s_s(mid)/s_s(k); idler q s_i(mid)/s_i(k) uncorrected
 and (q - b_mid) s_s(mid)/s_s(k) + b_k corrected, b being the slice's
 ridge intercept (0 on x).  Nothing is resampled, and no dense slice
 matrix is built: the slice's amplitude is evaluated on the JPD's
-windows, squared in place and added with the slice's filter weight.
+windows, squared in place and added with the slice's quadrature weight.
 
 One moment-engine pass (``spectral.moment_sums``) gives every slice its
 far-field raw sums: on y its ridge intercept is fitted from them, and
 mapped onto the camera they are the slice's camera-plane sums, which
-the JPDs add with the filter weights.  They are added first, so a
+the JPDs add with the quadrature weights.  They are added first, so a
 collapsed distribution stops before any evaluation.  The slices are
 then evaluated and added by ``spectral._squared_bands``, the pass that
 also builds the far-field JID, with the pixel momenta of ``_momenta``.
 The JPDs are ``CameraJPD``s, ``JointDistribution``s of plane 'camera',
 whose bands are allocated once, on the union of every slice's
 ``envelope_columns(power=2)`` windows, which the pixel grids give
-before any evaluation (108 and 79 of 1024 columns at the defaults);
+before any evaluation (98 and 79 of 1024 columns at the defaults);
 outside them every slice's square is +0.0.  The memory budget is
 checked once, up front, for the two JPDs and the one slice band held
 beside them.
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdcsim.biphoton import RowBand
 from spdcsim.spectral import (
     JointDistribution,
     Problem,
@@ -65,12 +64,12 @@ from spdcsim.spectral import (
 )
 from spdcsim.stats import StatsSummary, ridge_fit
 
-__all__ = ["RowBand", "CameraJPD", "camera_jpds", "slope_report"]
+__all__ = ["CameraJPD", "camera_jpds", "slope_report"]
 
 
 @dataclass(frozen=True)
 class _CameraSlice:
-    """One spectral slice on the camera: its wavelengths and filter
+    """One spectral slice on the camera: its wavelengths and quadrature
     weight, and each arm's scale, meters of camera coordinate per rad/m.
     ``ridge_intercept`` is the intercept (rad/m) of the ridge fitted to
     the slice's own momentum distribution, which the walk-off correction

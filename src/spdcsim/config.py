@@ -195,7 +195,7 @@ class RunConfig:
         Raises ConfigError, naming the key, for contradictions the schema
         cannot see (e.g. a degenerate flag fighting an explicit signal
         wavelength, a signal not longer than the pump, a pump angle outside
-        [0, 90] degrees, or a filter whose sampled support reaches the pump
+        [0, 90] degrees, or a filter whose outermost node reaches the pump
         wavelength); wavelengths outside the dispersion data and failed
         phase matching propagate as themselves.
         """
@@ -249,8 +249,8 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
     """Near- and far-field inference of one axis and their Reid report.
 
     Both planes come from one ``spectral.moment_sums`` pass, its slices
-    added with their filter weights in sampling order: the far field from
-    the momentum moments of Psi^2, the near field from the gradient
+    added with their quadrature weights in sampling order: the far field
+    from the momentum moments of Psi^2, the near field from the gradient
     moments, whose means are exactly 0.
     """
     spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)

@@ -4,7 +4,7 @@ A filtered, frequency-insensitive detector cannot tell spectral slices
 apart, so every quantity is built **coherently within** each
 monochromatic slice and **incoherently across** slices: every sampled
 wavelength pair contributes its own amplitude, squared on its own, then
-added with the filter transmission as weight, in sampling order.
+added with its weight in the filter's Gauss rule, in sampling order.
 
 Every slice loop takes one ``Problem`` -- the crystal, the nominal
 wavelengths, the pump waist, the filter, the slice count, the grid
@@ -92,16 +92,11 @@ __all__ = [
     "position_grid",
     "DEFAULT_GRID_N",
     "DEFAULT_SPECTRAL_SLICES",
-    "GAUSSIAN_SUPPORT_FWHM",
 ]
 
 DEFAULT_GRID_N = 1024
 
-DEFAULT_SPECTRAL_SLICES = 31
-
-#: Gaussian filters are sampled over center +- this many FWHM
-#: (transmission at the edge ~ exp(-2.5^2 * 4 ln2 / 2) < 1e-7).
-GAUSSIAN_SUPPORT_FWHM = 2.5
+DEFAULT_SPECTRAL_SLICES = 7
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -151,30 +146,33 @@ def transmission(f: FilterSpec, wavelength_nm):
 def sample_spectrum(
     f: FilterSpec, pump_nm: float, n_slices: int = DEFAULT_SPECTRAL_SLICES
 ) -> tuple[tuple[float, float, float], ...]:
-    """Sample the filter support uniformly into ``n_slices`` energy-conserving
+    """The filter's ``n_slices``-node Gauss rule as energy-conserving
     (lambda_s, lambda_i, weight) triples, in scan order.
 
-    The filtered arm's wavelength is scanned over the support (Gaussian:
-    center +- 2.5 FWHM; top-hat: its own support), the partner follows
-    from energy conservation, and the weight in [0, 1] is the
-    transmission at the sampled wavelength.  ``n_slices = 1`` returns the
-    single center slice at weight 1 (the monochromatic limit).  Raises
-    ValueError if a sampled wavelength is not longer than the pump.
+    The nodes sit on the filtered arm; the partner follows from energy
+    conservation.  A Gaussian filter takes Gauss-Hermite nodes
+    lam0 + sqrt(2) sigma t_k with weights h_k / sqrt(pi), a top-hat
+    Gauss-Legendre nodes lam0 + (FWHM/2) x_k on its support with weights
+    w_k / 2 (Golub & Welsch, Math. Comp. 23, 221 (1969)).  Either rule
+    integrates the normalised ``transmission`` times any polynomial of
+    degree 2 n - 1 exactly; the weights are positive and sum to 1, and
+    nothing is cut off.  For odd n the middle node is lam0 exactly.
+    Raises ValueError if a node is not longer than the pump.
     """
+    # numpy does not import these by itself
+    from numpy.polynomial.hermite import hermgauss
+    from numpy.polynomial.legendre import leggauss
+
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    if n_slices == 1:
-        sampled = np.array([f.center_nm])
-        weights = np.array([1.0])
+    if f.shape == "gaussian":
+        t, h = hermgauss(n_slices)
+        offsets, weights = math.sqrt(2.0) * f.fwhm_nm * _FWHM_TO_SIGMA * t, h / math.sqrt(math.pi)
     else:
-        if f.shape == "gaussian":
-            half = GAUSSIAN_SUPPORT_FWHM * f.fwhm_nm
-        else:
-            half = f.fwhm_nm / 2.0
-        sampled = np.linspace(f.center_nm - half, f.center_nm + half, n_slices)
-        weights = np.asarray(transmission(f, sampled))
+        x, w = leggauss(n_slices)
+        offsets, weights = 0.5 * f.fwhm_nm * x, 0.5 * w
     triples = []
-    for lam, w in zip(sampled, weights):
+    for lam, w in zip(f.center_nm + offsets, weights):
         partner = idler_wavelength(pump_nm, float(lam))
         if f.arm == "signal":
             triples.append((float(lam), partner, float(w)))

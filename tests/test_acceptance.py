@@ -1,6 +1,7 @@
 """Acceptance checks: one test per deliverable property, at its stated
-tolerance, at the full operating resolution (1024-point grids, 31
-spectral slices unless a check needs otherwise).
+tolerance, at the full operating resolution (1024-point grids, the
+default 7 spectral slices, or 31 where a check sets them, unless a check
+needs otherwise).
 
 Each test is a single pass/fail line under ``pytest -v``.  Expected
 values come from closed-form physics or from oracles computed
@@ -47,8 +48,8 @@ PUMP_NM = 405.0
 
 
 def build(signal_nm, *, length_mm=1.0, waist_um=500.0, fwhm_nm=5.0, **settings):
-    """The collinear BBO problem (31 slices, N = 1024 unless ``settings``
-    say otherwise) with a Gaussian filter on the signal."""
+    """The collinear BBO problem (the default 7 slices and N = 1024 unless
+    ``settings`` say otherwise) with a Gaussian filter on the signal."""
     wl = SpdcWavelengths.from_pump_signal(PUMP_NM, signal_nm)
     crystal = CrystalSetup.collinear(wl, SELL, length_mm * 1e-3)
     filt = FilterSpec("gaussian", wl.signal_nm, fwhm_nm, arm="signal")

@@ -69,13 +69,13 @@ def test_package_exports_resolve():
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
                "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices",
                "MomentSums", "moments", "marginal_moments", "resample_conserving",
-               "SWEEPABLE"}
+               "SWEEPABLE", "GAUSSIAN_SUPPORT_FWHM"}
     assert not deleted & set(spdcsim.__all__)
     for module in (spdcsim, spdcsim.camera, spdcsim.config, spdcsim.spectral, spdcsim.stats,
                    spdcsim.cli):
         assert not any(hasattr(module, name) for name in deleted), module.__name__
-    # the band type moved to biphoton, the one evaluation shape; camera re-exports it
-    assert spdcsim.camera.RowBand is spdcsim.biphoton.RowBand
+    # the band type lives in biphoton, the one evaluation shape; camera does not re-export it
+    assert not hasattr(spdcsim.camera, "RowBand")
     assert not hasattr(spdcsim.biphoton.RowBand, "from_dense")
 
 
@@ -507,6 +507,18 @@ class TestCamera:
         assert data["uncorrected"]["slope_principal_axis"] == pytest.approx(-1.0, abs=0.01)
         assert data["corrected"]["slope_principal_axis"] == pytest.approx(-1.0, abs=0.01)
 
+    def test_even_node_count_runs_and_writes_both_files(self, capsys, tmp_path):
+        """With an even node count no node is the nominal pair; the pixel
+        map is slice n // 2, the first node above the center."""
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, "camera", "--out", str(out_dir), "--grid-n", "128",
+                               "--slices", "4")
+        assert code == 0
+        report = json.loads(out)
+        assert report["uncorrected"]["n_slices"] == 4
+        for name in ("camera_corrected_y.csv", "camera_uncorrected_y.csv"):
+            assert (out_dir / name).stat().st_size > 0
+
 
     @pytest.mark.parametrize("grid_n", [256, 512])
     def test_warns_when_grid_step_exceeds_pump_width(self, capsys, tmp_path, grid_n):
@@ -629,13 +641,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "filt, key",
-        [("fwhm_nm: 200", "fwhm_nm"), ("fwhm_nm: 400", "fwhm_nm"), ("center_nm: 300.0", "center_nm")],
-        ids=["fwhm-200", "fwhm-400", "center-300"],
+        [("fwhm_nm: 350", "fwhm_nm"), ("fwhm_nm: 400", "fwhm_nm"), ("center_nm: 300.0", "center_nm")],
+        ids=["fwhm-350", "fwhm-400", "center-300"],
     )
     def test_filter_wider_than_the_spectrum_exits_2(self, capsys, tmp_path, filt, key):
-        """A Gaussian filter sampled over center +- 2.5 FWHM reaches the
-        pump wavelength (FWHM 200 nm) or zero (FWHM 400 nm); a center
-        below the pump is named as the cause."""
+        """The outermost of 5 Gauss-Hermite nodes lies 1.21 FWHM from the
+        center, below the pump wavelength for a FWHM of 350 nm (at 355 nm)
+        or 400 nm (at 295 nm); a center below the pump is named as the
+        cause."""
         cfg = write_config(
             tmp_path, f"filter:\n  {filt}\ngrid:\n  n: 64\nspectral:\n  slices: 5\n"
         )

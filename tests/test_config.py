@@ -17,7 +17,7 @@ class TestDefaults:
         assert cfg.waist_um == 500.0
         assert cfg.filter_fwhm_nm == 5.0
         assert cfg.grid_n == 1024
-        assert cfg.n_slices == 31
+        assert cfg.n_slices == 7
         assert cfg.focal_length_m == 0.25
         assert cfg.axes == ("x", "y")
 

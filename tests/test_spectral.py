@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from spdcsim import spectral
 from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError, evaluate_grid
 from spdcsim.config import certify_axis, load_config
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
+from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, idler_wavelength
 from spdcsim.spectral import (
-    GAUSSIAN_SUPPORT_FWHM,
     FilterSpec,
     JointDistribution,
     Problem,
@@ -44,6 +45,9 @@ from oracle import full_band, matrix_moments
 
 BBO = SellmeierSet.bbo()
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SIGMA_PER_FWHM = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+#: the outermost node of the 64-node Gauss-Hermite rule, in FWHM from the center
+WIDEST_NODE_FWHM = math.sqrt(2.0) * SIGMA_PER_FWHM * hermgauss(64)[0][-1]
 
 
 def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6, fwhm_nm=5.0, **settings):
@@ -129,30 +133,39 @@ def test_gaussian_sampling_energy_conserving_and_symmetric():
     f = FilterSpec("gaussian", 780.0, 5.0)
     s = sample_spectrum(f, 405.0, 31)
     assert len(s) == 31
+    for lam_s, lam_i, _ in s:
+        assert math.isclose(1.0 / 405.0, 1.0 / lam_s + 1.0 / lam_i, rel_tol=1e-12)
     weights = [w for (_, _, w) in s]
-    assert weights == pytest.approx(weights[::-1])
-    assert max(weights) == 1.0  # center sample hits the peak
-    lams = [l for (l, _, _) in s]
-    assert lams[0] == pytest.approx(780.0 - 12.5)
-    assert lams[-1] == pytest.approx(780.0 + 12.5)
+    assert weights == pytest.approx(weights[::-1], rel=1e-12)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+    offsets = np.array([l for (l, _, _) in s]) - 780.0
+    np.testing.assert_allclose(offsets, -offsets[::-1], rtol=0.0, atol=1e-12)
+    assert offsets[15] == 0.0 and max(weights) == weights[15]
+    # the outermost Gauss-Hermite node, sqrt(2) sigma t_max: no cut-off support
+    t_max = hermgauss(31)[0][-1]
+    assert offsets[-1] == pytest.approx(math.sqrt(2.0) * SIGMA_PER_FWHM * 5.0 * t_max, rel=1e-12)
 
 
-def test_tophat_sampling_flat_weights():
+def test_tophat_sampling_gauss_legendre_on_support():
     f = FilterSpec("tophat", 810.0, 4.0)
     s = sample_spectrum(f, 405.0, 7)
-    assert all(w == 1.0 for (_, _, w) in s)
-    lams = [l for (l, _, _) in s]
-    assert lams[0] == pytest.approx(808.0)
-    assert lams[-1] == pytest.approx(812.0)
+    x, w = leggauss(7)
+    lams = np.array([l for (l, _, _) in s])
+    np.testing.assert_allclose(lams, 810.0 + 2.0 * x, rtol=1e-15)
+    np.testing.assert_allclose([w for (_, _, w) in s], 0.5 * w, rtol=1e-15)
+    assert np.all(transmission(f, lams) == 1.0)  # every node inside the support
+    assert 808.0 < lams[0] and lams[-1] < 812.0
 
 
 def test_idler_arm_sampling():
     f = FilterSpec("gaussian", 842.4, 5.0, arm="idler")
     s = sample_spectrum(f, 405.0, 5)
-    # sampled wavelengths land on the idler slot
-    idlers = [li for (_, li, _) in s]
-    assert idlers[0] == pytest.approx(842.4 - 12.5)
-    assert idlers[-1] == pytest.approx(842.4 + 12.5)
+    # the nodes land on the idler slot; the signal follows
+    idlers = np.array([li for (_, li, _) in s])
+    t = hermgauss(5)[0]
+    np.testing.assert_allclose(idlers - 842.4, math.sqrt(2.0) * SIGMA_PER_FWHM * 5.0 * t,
+                               rtol=0.0, atol=1e-12)
+    assert [ls for (ls, _, _) in s] == [idler_wavelength(405.0, li) for li in idlers]
 
 
 @given(
@@ -164,14 +177,84 @@ def test_idler_arm_sampling():
 )
 @settings(max_examples=200, deadline=None)
 def test_sampling_invariants(shape, arm, center_nm, width, n_slices):
-    # n_slices triples, each energy conserving with a weight in [0, 1];
-    # the widest support (center +- 2.5 FWHM) stays above the 405 nm pump
-    fwhm_nm = width * (center_nm - 405.0) / GAUSSIAN_SUPPORT_FWHM
+    # n_slices triples, each energy conserving with a weight in (0, 1],
+    # the weights summing to 1; the widest rule (64 Gauss-Hermite nodes)
+    # stays above the 405 nm pump
+    fwhm_nm = width * (center_nm - 405.0) / WIDEST_NODE_FWHM
     triples = sample_spectrum(FilterSpec(shape, center_nm, fwhm_nm, arm=arm), 405.0, n_slices)
     assert len(triples) == n_slices
     for lam_s, lam_i, w in triples:
         assert math.isclose(1.0 / 405.0, 1.0 / lam_s + 1.0 / lam_i, rel_tol=1e-10)
-        assert 0.0 <= w <= 1.0
+        assert 0.0 < w <= 1.0
+    assert math.fsum(w for *_, w in triples) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("arm", ["signal", "idler"])
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("shape", ["gaussian", "tophat"])
+def test_rule_integrates_the_filters_moments(shape, n_slices, arm):
+    """sum_k w_k (lam_k - lam0)^2m is the filter's 2m-th moment for every
+    2m <= 2n - 1: sigma^2m (2m - 1)!! for a Gaussian, found also by
+    integrating ``transmission`` densely, and (FWHM/2)^2m / (2m + 1) for a
+    top-hat.  The odd moments vanish."""
+    center = 780.0 if arm == "signal" else idler_wavelength(405.0, 780.0)
+    f = FilterSpec(shape, center, 5.0, arm=arm)
+    triples = sample_spectrum(f, 405.0, n_slices)
+    offsets = np.array([t[0 if arm == "signal" else 1] for t in triples]) - center
+    weights = np.array([w for *_, w in triples])
+    sigma = 5.0 * SIGMA_PER_FWHM
+    # the transmission curve on +-12 sigma: the trapezoid rule is spectrally
+    # accurate for a smooth integrand that has decayed to nothing there
+    d = np.linspace(-12.0 * sigma, 12.0 * sigma, 24001)
+    curve = transmission(f, center + d)
+    for m in range(n_slices):  # 2m <= 2n - 1
+        rule = np.sum(weights * offsets ** (2 * m))
+        if shape == "gaussian":
+            exact = sigma ** (2 * m) * math.prod(range(2 * m - 1, 0, -2))
+            dense = np.sum(curve * d ** (2 * m)) / np.sum(curve)
+            assert dense == pytest.approx(exact, rel=1e-10)
+        else:
+            exact = 2.5 ** (2 * m) / (2 * m + 1)
+        assert rule == pytest.approx(exact, rel=1e-10)
+        assert abs(np.sum(weights * offsets ** (2 * m + 1))) <= 1e-10 * (3.0 * sigma) ** (2 * m + 1)
+
+
+@pytest.mark.parametrize("n_slices", [1, 3, 7, 31])
+@pytest.mark.parametrize("shape", ["gaussian", "tophat"])
+def test_middle_node_is_the_nominal_pair(shape, n_slices):
+    # the camera's pixel map is slice n // 2: for odd n, the nominal pair bit for bit
+    wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
+    lam_s, lam_i, _ = sample_spectrum(FilterSpec(shape, wl.signal_nm, 5.0), wl.pump_nm,
+                                      n_slices)[n_slices // 2]
+    assert (lam_s, lam_i) == (wl.signal_nm, wl.idler_nm)
+
+
+def reid_products(n_slices, axis, **fields):
+    """U on ``axis`` at N = 512 from the shipped non-degenerate config with
+    ``fields`` changed, at ``n_slices`` nodes."""
+    cfg = replace(load_config(CONFIGS / "nondegenerate_780.yaml"), grid_n=512,
+                  n_slices=n_slices, **fields)
+    return certify_axis(cfg.build(), axis)[2].product
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("length_mm, fwhm_nm, rel", [(1.0, 5.0, 1e-10), (4.0, 10.0, 2e-10)],
+                         ids=["1mm-5nm", "4mm-10nm"])
+def test_gauss_hermite_7_nodes_converged(length_mm, fwhm_nm, rel, axis):
+    # measured 7 against 9 nodes: 1e-12 at 1 mm and 5 nm; 1.1e-10 (x) and
+    # 5e-11 (y) at 4 mm and 10 nm, where 9 nodes agree with 21 to 3e-12
+    # and 31 uniform slices over +-2.5 FWHM are off by 3.5e-10
+    fields = dict(length_mm=length_mm, filter_fwhm_nm=fwhm_nm)
+    assert reid_products(7, axis, **fields) == pytest.approx(reid_products(9, axis, **fields),
+                                                             rel=rel)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_gauss_legendre_5_nodes_converged_on_a_tophat(axis):
+    # uniform slices converge only to first order on a top-hat
+    fields = dict(filter_shape="tophat", length_mm=4.0, filter_fwhm_nm=10.0)
+    assert reid_products(5, axis, **fields) == pytest.approx(reid_products(7, axis, **fields),
+                                                             rel=1e-10)
 
 
 # -- joint distributions ------------------------------------------------------
