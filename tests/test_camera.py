@@ -555,22 +555,26 @@ def aperture_masses(problem, axis):
 
 def test_pixel_mass_is_converged():
     """At N >= 1024 each JPD's weighted mass on the pixel grid equals the
-    mass on the slices' own lattices over the same momenta
-    (``aperture_masses``) to 1e-6, and the mass at N = 1024 equals the
+    mass on the slices' own (N + 1)-point lattices over the same momenta
+    (``aperture_masses``) to 1e-8, and the mass at N = 1024 equals the
     mass at N = 2048 to 1e-6 (5 slices, y; measured 1.8e-9 and 1.6e-9
-    against the lattices, 8.8e-7 and 7.3e-7 between the grids,
-    uncorrected and corrected).  The square grid (``square_grid_masses``)
-    is another aperture: an off-centre slice's pixels cover momenta up to
-    0.9 % narrower or wider than it, across which the sinc kernel's tails
-    carry up to 1.9e-5 of that slice's mass (2e-9 with the Gaussian
-    kernel); with 47 % of the weight off-centre the JPDs differ from it
-    by 2.7e-6 and 6.5e-7."""
+    against the lattices at N = 1024, 4.3e-10 and 3.5e-10 at 2048, 8.8e-7
+    and 7.3e-7 between the grids, uncorrected and corrected).
+
+    The JPDs do not hold the square-grid mass (``square_grid_masses``) to
+    1e-6: they fall 2.7e-6 and 6.5e-7 short of it at both N.  Each
+    off-centre slice's pixels cover momenta up to 0.85 % narrower than the
+    square grid on one arm, which cuts the slice's ridge before the square
+    grid does; the sinc kernel's tails there carry up to 1.9e-5 of that
+    slice's mass (2e-9 with the Gaussian kernel), and the 5-node rule puts
+    47 % of the weight off-centre (uniform slices over +-2.5 FWHM put 3 %
+    there and fell 4.4e-7 short)."""
     masses = []
     for grid_n in (1024, 2048):
         problem = make_setup(n_slices=5, grid_n=grid_n)
         jpds = camera_jpds(problem, "y", F)
         for jpd, reference in zip(jpds, aperture_masses(problem, "y")):
-            assert pixel_mass(jpd) == pytest.approx(reference, rel=1e-6)
+            assert pixel_mass(jpd) == pytest.approx(reference, rel=1e-8)
         masses.append([pixel_mass(jpd) for jpd in jpds])
     for coarse, fine in zip(*masses):
         assert coarse == pytest.approx(fine, rel=1e-6)
