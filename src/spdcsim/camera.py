@@ -24,13 +24,15 @@ ridge intercept (0 on x).  Nothing is resampled, and no dense slice
 matrix is built: the slice's amplitude is evaluated on the JPD's
 windows, squared in place and added with the slice's quadrature weight.
 
-One moment-engine pass (``spectral.moment_sums``) gives every slice its
-far-field raw sums: on y its ridge intercept is fitted from them, and
-mapped onto the camera they are the slice's camera-plane sums, which
-the JPDs add with the quadrature weights.  They are added first, so a
-collapsed distribution stops before any evaluation.  The slices are
-then evaluated and added by ``spectral._squared_bands``, the pass that
-also builds the far-field JID, with the pixel momenta of ``_momenta``.
+One moment-engine pass (``spectral.moment_sums``) gives every slice of
+``Problem.slices`` its far-field raw sums: on y its ridge intercept is
+fitted from them, and mapped onto the camera they are the slice's
+camera-plane sums, which the JPDs add with the quadrature weights
+(``spectral._slice_total``, as ``certify_axis`` adds its rows).  They are
+added first, so a collapsed distribution stops before any evaluation.
+The slices are then evaluated and added by ``spectral._squared_bands``,
+the pass that also builds the far-field JID, with the pixel momenta of
+``_momenta``.
 The JPDs are ``CameraJPD``s, ``JointDistribution``s of plane 'camera',
 whose bands are allocated once, on the union of every slice's
 ``envelope_columns(power=2)`` windows, which the pixel grids give
@@ -55,13 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdcsim.spectral import (
-    JointDistribution,
-    Problem,
-    _squared_bands,
-    moment_sums,
-    sample_spectrum,
-)
+from spdcsim.spectral import JointDistribution, Problem, _slice_total, _squared_bands, moment_sums
 from spdcsim.stats import StatsSummary, ridge_fit
 
 __all__ = ["CameraJPD", "camera_jpds", "slope_report"]
@@ -97,10 +93,10 @@ class CameraJPD(JointDistribution):
     """Accumulated camera-plane joint probability distribution: a
     ``JointDistribution`` of plane 'camera' whose axes are the pixel
     centres' camera coordinates (meters) and whose ``intensity`` band
-    covers every slice's windows.  ``slices`` are the (lambda_s,
-    lambda_i, weight) triples in sampling order; ``sums`` are the
-    slices' camera-plane raw sums (``_CameraSlice.sums``) added with
-    their weights in that order, the moments ``slope_report`` fits.
+    covers every slice's windows.  ``slices`` are the run's
+    ``Problem.slices``; ``sums`` are the slices' camera-plane raw sums
+    (``_CameraSlice.sums``) added with their weights in that order, the
+    moments ``slope_report`` fits.
     """
 
     corrected: bool
@@ -125,17 +121,15 @@ def _mapped(sums, a_s: float, a_i: float, b_i: float = 0.0) -> tuple[float, ...]
 def _camera_slices(
     problem: Problem, axis: str, focal_length_m: float, magnification: float
 ) -> list[_CameraSlice]:
-    """Every slice of ``sample_spectrum`` on the camera, from one
+    """Every slice of ``problem.slices`` on the camera, from one
     ``moment_sums`` pass: its far-field sums, mapped onto the camera,
     and on y its ridge intercept.  Nothing is evaluated on a grid."""
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     slices = []
-    for (lam_s, lam_i, weight), sums in zip(
-        sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices),
-        moment_sums(problem, axis)[:, :6].tolist(),
-    ):
+    for (lam_s, lam_i, weight), sums in zip(problem.slices,
+                                            moment_sums(problem, axis)[:, :6].tolist()):
         intercept = 0.0
         if axis == "y":
             intercept = ridge_fit(StatsSummary.from_sums("far", axis, *sums)).intercept
@@ -180,27 +174,20 @@ def camera_jpds(
     for the two JPDs and one slice band (``GridMemoryError``).
     """
     slices = _camera_slices(problem, axis, focal_length_m, magnification)
-    sums = []
-    for corrected in (False, True):
-        total = (0.0,) * 6
-        for cs in slices:
-            # the additions of certify_axis's weighted row sum, in Python floats
-            terms = cs.corrected_sums() if corrected else cs.sums
-            total = tuple(t + cs.weight * s for t, s in zip(total, terms))
-        sums.append(total)
-    StatsSummary.from_sums("camera", axis, *sums[0])  # a collapsed distribution stops here
+    raw_sums = tuple(_slice_total(problem, [cs.sums for cs in slices]).tolist())
+    fixed_sums = tuple(_slice_total(problem, [cs.corrected_sums() for cs in slices]).tolist())
+    StatsSummary.from_sums("camera", axis, *raw_sums)  # a collapsed distribution stops here
 
     q, central = problem.square_grid(), slices[problem.n_slices // 2]
-    provenance = tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight) for cs in slices)
-    raw, fixed = _squared_bands(problem, axis, provenance,
-                                lambda k: _momenta(q, central, slices[k]), "2 camera JPDs")
+    raw, fixed = _squared_bands(problem, axis, lambda k: _momenta(q, central, slices[k]),
+                                "2 camera JPDs")
 
     y_signal, y_idler = central.scale_signal * q, central.scale_idler * q
     fixed_idler = (y_idler * (central.lambda_signal_nm / central.lambda_idler_nm)
                    - central.scale_signal * central.ridge_intercept)
     return (
-        CameraJPD("camera", axis, y_signal, y_idler, raw, False, provenance, sums[0]),
-        CameraJPD("camera", axis, y_signal, fixed_idler, fixed, True, provenance, sums[1]),
+        CameraJPD("camera", axis, y_signal, y_idler, raw, False, problem.slices, raw_sums),
+        CameraJPD("camera", axis, y_signal, fixed_idler, fixed, True, problem.slices, fixed_sums),
     )
 
 

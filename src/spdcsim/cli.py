@@ -30,14 +30,14 @@ from pathlib import Path
 from spdcsim import __version__
 from spdcsim.biphoton import EvanescentInputError, GridMemoryError
 from spdcsim.camera import CameraJPD, camera_jpds, slope_report
-from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config
+from spdcsim.config import ConfigError, RunConfig, load_config
 from spdcsim.dispersion import (
     PhaseMatchingError,
     WavelengthRangeError,
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv
-from spdcsim.spectral import JointDistribution, Problem, far_field_jid, near_field_jid
+from spdcsim.spectral import JointDistribution, Problem, certify_axis, far_field_jid, near_field_jid
 from spdcsim.stats import DegenerateDistributionError, ridge_fit
 from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
 

@@ -10,8 +10,7 @@ a dotted-path error so typos cannot silently fall back to defaults.
 slice loop takes, and enforces the physical invariants the schema
 cannot see (positive lengths, valid wavelength ranges, phase matching,
 a filter support above the pump wavelength); the command layer runs it
-immediately after parsing.  ``certify_axis()`` is the one near+far
-computation behind ``certify``, every ``sweep`` point and ``stats``.
+immediately after parsing.
 """
 
 from __future__ import annotations
@@ -20,23 +19,16 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from spdcsim.biphoton import DEFAULT_MEMORY_BUDGET_BYTES
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, WavelengthRangeError
 from spdcsim.spectral import (
-    DEFAULT_GRID_N,
-    DEFAULT_SPECTRAL_SLICES,
-    FilterSpec,
-    Problem,
-    moment_sums,
-    sample_spectrum,
+    DEFAULT_GRID_N, DEFAULT_SPECTRAL_SLICES, MAX_SPECTRAL_SLICES, FilterSpec, Problem,
 )
-from spdcsim.stats import ReidReport, StatsSummary, reid_inference, reid_product
 
 __all__ = [
-    "ConfigError", "RunConfig", "certify_axis", "load_config", "parse_config",
+    "ConfigError", "RunConfig", "load_config", "parse_config",
     "SWEEP_FIELDS", "SWEEP_DEFAULT_VALUES",
 ]
 
@@ -153,13 +145,15 @@ class RunConfig:
     out_formats: tuple[str, ...] = ("csv",)
 
     def __post_init__(self) -> None:
-        for path, value, minimum in (
-            ("grid.n", self.grid_n, 16),
-            ("grid.memory_budget_mb", self.memory_budget_mb, 1),
-            ("spectral.slices", self.n_slices, 1),
+        for path, value, minimum, maximum in (
+            ("grid.n", self.grid_n, 16, math.inf),
+            ("grid.memory_budget_mb", self.memory_budget_mb, 1, math.inf),
+            ("spectral.slices", self.n_slices, 1, MAX_SPECTRAL_SLICES),
         ):
             if value < minimum:
                 _fail(path, f"must be >= {minimum}, got {value}")
+            if value > maximum:
+                _fail(path, f"must be <= {maximum}, got {value}")
         if self.sweep_parameter not in SWEEP_FIELDS:
             _fail(
                 "sweep.parameter",
@@ -232,36 +226,18 @@ class RunConfig:
         if center is None:
             center = wl.signal_nm if self.filter_arm == "signal" else wl.idler_nm
         filt = FilterSpec(self.filter_shape, center, self.filter_fwhm_nm, arm=self.filter_arm)
-        try:
-            sample_spectrum(filt, wl.pump_nm, self.n_slices)
-        except ValueError as exc:
-            key = "filter.fwhm_nm" if center > wl.pump_nm else "filter.center_nm"
-            raise ConfigError(f"{key}: {exc}") from exc
-        return Problem(
+        problem = Problem(
             wl, crystal, self.waist_um * 1e-6, filt,
             n_slices=self.n_slices, grid_n=self.grid_n,
             sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
             kernel=self.kernel, memory_budget_bytes=self.memory_budget_mb * 1024**2,
         )
-
-
-def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
-    """Near- and far-field inference of one axis and their Reid report.
-
-    Both planes come from one ``spectral.moment_sums`` pass, its slices
-    added with their quadrature weights in sampling order: the far field
-    from the momentum moments of Psi^2, the near field from the gradient
-    moments, whose means are exactly 0.
-    """
-    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    total = np.zeros(9)
-    for (_, _, weight), row in zip(spectrum, moment_sums(problem, axis)):
-        total += weight * row
-    norm, q_s, q_i, q_ss, q_ii, q_si, g_ss, g_ii, g_si = total.tolist()
-    summary = StatsSummary.from_sums
-    near = reid_inference(summary("near", axis, norm, 0.0, 0.0, g_ss, g_ii, g_si))
-    far = reid_inference(summary("far", axis, norm, q_s, q_i, q_ss, q_ii, q_si))
-    return near, far, reid_product(near, far)
+        try:
+            problem.slices  # derives the filter's rule, once per run
+        except ValueError as exc:
+            key = "filter.fwhm_nm" if center > wl.pump_nm else "filter.center_nm"
+            raise ConfigError(f"{key}: {exc}") from exc
+        return problem
 
 
 def _axes(value, path):

@@ -200,7 +200,7 @@ def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
     the shorter leg, which is allowed; only the degenerate point is
     self-paired).
     """
-    if signal_nm <= pump_nm:
+    if not signal_nm > pump_nm:  # NaN too
         raise ValueError(
             f"signal ({signal_nm} nm) must be longer than the pump ({pump_nm} nm)"
         )

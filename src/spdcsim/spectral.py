@@ -12,10 +12,12 @@ settings, the kernel and the memory budget -- and the transverse axis,
 and passes it on down to the amplitude kernel; ``RunConfig.build()``
 assembles it, so each knob reaches the amplitude the same way in every
 command.  A spectral slice is its (lambda_s, lambda_i) pair, and every
-loop -- here and in ``camera`` -- runs over ``sample_spectrum``.
+loop -- here and in ``camera`` -- runs over ``Problem.slices``, the
+filter's Gauss rule ``sample_spectrum`` derives once per run.
 
-Moment engine (``moment_sums``; every printed statistic: ``certify``,
-``sweep``, ``stats``, ``jid`` and the ``camera`` slopes).
+Moment engine (``moment_sums``, weighted by ``certify_axis``; every
+printed statistic: ``certify``, ``sweep``, ``stats``, ``jid`` and the
+``camera`` slopes).
 Per slice it works in the sum and difference coordinates
 q_+ = q_s + q_i and q_- = q_s - q_i.  The pump intensity
 exp(-w0^2 q_+^2 / 2) is exactly the Gauss-Hermite weight, so q_+ is
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -79,6 +82,7 @@ from spdcsim.biphoton import (
     evaluate_grid,
 )
 from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
+from spdcsim.stats import ReidReport, StatsSummary, reid_inference, reid_product
 
 __all__ = [
     "FilterSpec",
@@ -87,16 +91,22 @@ __all__ = [
     "transmission",
     "sample_spectrum",
     "moment_sums",
+    "certify_axis",
     "far_field_jid",
     "near_field_jid",
     "position_grid",
     "DEFAULT_GRID_N",
     "DEFAULT_SPECTRAL_SLICES",
+    "MAX_SPECTRAL_SLICES",
 ]
 
 DEFAULT_GRID_N = 1024
 
 DEFAULT_SPECTRAL_SLICES = 7
+
+#: Most nodes a filter rule may take: NumPy's Gauss-Hermite weights are NaN by 380
+#: nodes, and at 256 the outermost sit at +-31 sigma with weight 3e-211.
+MAX_SPECTRAL_SLICES = 256
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -115,9 +125,9 @@ class FilterSpec:
             raise ValueError(f"filter shape must be 'gaussian' or 'tophat', got {self.shape!r}")
         if self.arm not in ("signal", "idler"):
             raise ValueError(f"filter arm must be 'signal' or 'idler', got {self.arm!r}")
-        if self.fwhm_nm <= 0:
+        if not self.fwhm_nm > 0:  # NaN too
             raise ValueError(f"filter FWHM must be positive, got {self.fwhm_nm}")
-        if self.center_nm <= 0:
+        if not self.center_nm > 0:
             raise ValueError(f"filter center must be positive, got {self.center_nm}")
 
 
@@ -157,14 +167,14 @@ def sample_spectrum(
     integrates the normalised ``transmission`` times any polynomial of
     degree 2 n - 1 exactly; the weights are positive and sum to 1, and
     nothing is cut off.  For odd n the middle node is lam0 exactly.
-    Raises ValueError if a node is not longer than the pump.
+    Raises ValueError for ``n_slices`` outside [1, 256] or a node not longer than the pump.
     """
     # numpy does not import these by itself
     from numpy.polynomial.hermite import hermgauss
     from numpy.polynomial.legendre import leggauss
 
-    if n_slices < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
+    if not 1 <= n_slices <= MAX_SPECTRAL_SLICES:
+        raise ValueError(f"n_slices must be in [1, {MAX_SPECTRAL_SLICES}], got {n_slices}")
     if f.shape == "gaussian":
         t, h = hermgauss(n_slices)
         offsets, weights = math.sqrt(2.0) * f.fwhm_nm * _FWHM_TO_SIGMA * t, h / math.sqrt(math.pi)
@@ -257,6 +267,11 @@ class Problem:
         if not self.waist_m > 0:  # NaN too
             raise ValueError(f"pump waist must be positive, got {self.waist_m}")
 
+    @cached_property
+    def slices(self) -> tuple[tuple[float, float, float], ...]:
+        """``sample_spectrum``'s (lambda_s, lambda_i, weight) triples, in sampling order."""
+        return sample_spectrum(self.filt, self.wl.pump_nm, self.n_slices)
+
     def _diff_extent(self) -> float:
         """D: ``diff_halfwidth``, or 5 phase-matching main-lobe widths."""
         if self.diff_halfwidth is not None:
@@ -300,7 +315,7 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     from one pass over the slices on the (q_+, q_-) node grid (module
     docstring).
 
-    Row k holds slice k of ``sample_spectrum``, unweighted: the sum of
+    Row k holds slice k of ``problem.slices``, unweighted: the sum of
     Psi^2; the sums of {q_s, q_i, q_s^2, q_i^2, q_s q_i} Psi^2 (far
     field); and the sums of (d_s Psi)^2, (d_i Psi)^2 and d_s Psi d_i Psi
     (near field).  Quadrature factors shared by every term are left out,
@@ -352,31 +367,52 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
             sums.append(scratch.sum())
         return sums
 
-    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    return np.array([slice_sums((lam_s, lam_i)) for lam_s, lam_i, _ in spectrum])
+    return np.array([slice_sums((lam_s, lam_i)) for lam_s, lam_i, _ in problem.slices])
+
+
+def _slice_total(problem: Problem, rows) -> np.ndarray:
+    """sum_k w_k rows[k] over ``problem.slices``, added in sampling order."""
+    total = np.zeros(len(rows[0]))
+    for (_, _, weight), row in zip(problem.slices, rows):
+        total += weight * np.asarray(row)
+    return total
+
+
+def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
+    """Near- and far-field inference of one axis and their Reid report.
+
+    Both planes come from one ``moment_sums`` pass, its slices added with
+    their quadrature weights (``_slice_total``): the far field from the
+    momentum moments of Psi^2, the near field from the gradient moments,
+    whose means are exactly 0.
+    """
+    total = _slice_total(problem, moment_sums(problem, axis))
+    norm, q_s, q_i, q_ss, q_ii, q_si, g_ss, g_ii, g_si = total.tolist()
+    summary = StatsSummary.from_sums
+    near = reid_inference(summary("near", axis, norm, 0.0, 0.0, g_ss, g_ii, g_si))
+    far = reid_inference(summary("far", axis, norm, q_s, q_i, q_ss, q_ii, q_si))
+    return near, far, reid_product(near, far)
 
 
 def _squared_bands(
-    problem: Problem, axis: str, slices: tuple[tuple[float, float, float], ...],
-    momenta: Callable[[int], tuple[np.ndarray, ...]], holding: str,
+    problem: Problem, axis: str, momenta: Callable[[int], tuple[np.ndarray, ...]], holding: str,
 ) -> list[RowBand]:
     """sum_slices w |Psi|^2 on each of one or more N x N pictures, from one
-    pass over ``slices`` that holds one slice band at a time.
+    pass over ``problem.slices`` that holds one slice band at a time.
 
-    ``slices`` are (lambda_s, lambda_i, weight) triples in sampling
-    order; ``momenta(k)`` gives slice k's signal momenta and one idler
-    grid per picture, and is called again where they are needed, so no
-    slice's grids are held.  Each picture is a ``RowBand`` on the union
-    of every slice's ``envelope_columns(power=2)`` windows, outside which
-    every slice's square is +0.0.  The budget is checked once, before any
+    ``momenta(k)`` gives slice k's signal momenta and one idler grid per
+    picture, and is called again where they are needed, so no slice's
+    grids are held.  Each picture is a ``RowBand`` on the union of every
+    slice's ``envelope_columns(power=2)`` windows, outside which every
+    slice's square is +0.0.  The budget is checked once, before any
     evaluation, for one evaluation, the pictures (``holding`` names them)
-    and one slice band (``GridMemoryError``).  Then each slice is
-    evaluated on each picture's windows, squared in place, weighted and
-    added.
+    and one slice band (``GridMemoryError``).  Then each slice, in
+    sampling order, is evaluated on each picture's windows, squared in
+    place, weighted and added.
     """
     n = problem.grid_n
     bounds = None  # per picture: the union's first and stop column of each row
-    for k in range(len(slices)):
+    for k in range(len(problem.slices)):
         q_s, *idlers = momenta(k)
         columns = np.array([envelope_columns(q_s, q_i, problem.waist_m, power=2) for q_i in idlers])
         if bounds is None:
@@ -392,7 +428,7 @@ def _squared_bands(
         holding=f"{holding} and 1 slice band",
     )
     totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
-    for k, (lam_s, lam_i, weight) in enumerate(slices):
+    for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
         q_s, *idlers = momenta(k)
         for total, q_i in zip(totals, idlers):
             pair = (lam_s, lam_i)
@@ -408,8 +444,7 @@ def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2 on
     the square grid, as one ``RowBand``."""
     q = problem.square_grid()
-    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-    (band,) = _squared_bands(problem, axis, spectrum, lambda k: (q, q), "1 far-field band")
+    (band,) = _squared_bands(problem, axis, lambda k: (q, q), "1 far-field band")
     return JointDistribution(plane="far", axis=axis, axis_signal=q, axis_idler=q, intensity=band)
 
 
@@ -460,9 +495,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     incoherent sum across slices."""
     q = problem.square_grid()
     dq = float(q[1] - q[0])
-    spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
     terms = ((evaluate_grid(q, q, problem, axis, (s, i)).toarray(), dq, dq, w)
-             for s, i, w in spectrum)
+             for s, i, w in problem.slices)
     out = _near_field_intensity(terms, (q.size, q.size))
     x = position_grid(q)
     band = RowBand(np.fft.fftshift(out), np.zeros(q.size, dtype=np.intp), q.size)

@@ -4,7 +4,7 @@ Every statistic here is a function of six intensity-weighted raw sums,
 of {1, a_s, a_i, a_s^2, a_i^2, a_s a_i}: ``StatsSummary.from_sums``
 turns them into means, variances and the covariance.  The moment engine
 (``spectral.moment_sums``) supplies them for every printed statistic:
-through ``config.certify_axis`` for ``certify``, ``sweep``, ``stats`` and
+through ``spectral.certify_axis`` for ``certify``, ``sweep``, ``stats`` and
 ``jid``, and through ``camera.camera_jpds`` for the camera slopes.
 
 Slope convention: ridge fits report the idler coordinate as a function

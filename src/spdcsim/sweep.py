@@ -3,7 +3,7 @@
 A sweep scans one parameter of a run config — filter FWHM, crystal
 length, or pump waist.  Each point is the config with that one field
 replaced (``config.SWEEP_FIELDS``), built, and run through the same
-per-axis near+far moments as ``certify`` (``config.certify_axis`` on
+per-axis near+far moments as ``certify`` (``spectral.certify_axis`` on
 the ``spectral.moment_sums`` engine), so a one-value sweep reports
 exactly what ``certify`` reports for the same config.  Rows come out ordered by
 swept value, and the whole run is a pure function of the config, so
@@ -19,7 +19,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 
-from spdcsim.config import SWEEP_FIELDS, RunConfig, certify_axis
+from spdcsim.config import SWEEP_FIELDS, RunConfig
+from spdcsim.spectral import certify_axis
 
 __all__ = [
     "SweepRow",

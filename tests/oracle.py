@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from spdcsim.biphoton import RowBand, _arm_arguments, _kernel_with_slope
-from spdcsim.spectral import _SUM_NODES, sample_spectrum
+from spdcsim.spectral import _SUM_NODES
 from spdcsim.stats import StatsSummary
 
 
@@ -53,7 +53,7 @@ def moment_sums(problem, axis):
     envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
     node_weights = h[:, None]
     rows = []
-    for lam_s, lam_i, _ in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
+    for lam_s, lam_i, _ in problem.slices:
         a, b, da, db = _arm_arguments(
             q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl
         )

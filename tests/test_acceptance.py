@@ -7,7 +7,7 @@ Each test is a single pass/fail line under ``pytest -v``.  Expected
 values come from closed-form physics or from oracles computed
 independently of the implementation; tolerances are asserted as given.
 The Reid products and the sweeps run on the moment engine
-(``config.certify_axis``), as ``certify`` and ``sweep`` do; at N = 1024
+(``spectral.certify_axis``), as ``certify`` and ``sweep`` do; at N = 1024
 it resolves every point of the shipped ladders, including the 0.5 mm
 crystal.  The camera checks build the full square grids and are the
 slow part of this module; the per-module unit tests cover the same code
@@ -22,7 +22,7 @@ import pytest
 
 from spdcsim.biphoton import _arm_arguments, _kernel, evaluate_grid
 from spdcsim.camera import camera_jpds, slope_report
-from spdcsim.config import RunConfig, certify_axis
+from spdcsim.config import RunConfig
 from spdcsim.dispersion import (
     CrystalSetup,
     SellmeierSet,
@@ -35,6 +35,7 @@ from spdcsim.spectral import (
     FilterSpec,
     Problem,
     _near_field_intensity,
+    certify_axis,
     far_field_jid,
     position_grid,
 )

@@ -24,9 +24,8 @@ from spdcsim.biphoton import (
     evaluate_grid,
 )
 from spdcsim.camera import camera_jpds
-from spdcsim.config import certify_axis
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, sample_spectrum
+from spdcsim.spectral import FilterSpec, Problem, certify_axis, sample_spectrum
 
 BBO = SellmeierSet.bbo()
 SINC_MIN = -0.21723362821122166  # global minimum of sin(u)/u

@@ -28,7 +28,7 @@ from spdcsim.camera import (
 )
 from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, far_field_jid, sample_spectrum
+from spdcsim.spectral import FilterSpec, Problem, far_field_jid
 from spdcsim.stats import DegenerateDistributionError, StatsSummary, reid_inference, ridge_fit
 
 from oracle import matrix_moments
@@ -185,8 +185,7 @@ def test_ridge_intercept_is_the_slice_fit():
             cfg = replace(cfg, filter_fwhm_nm=fwhm_nm)
         problem = replace(cfg.build(), grid_n=1024, n_slices=31)
         q = problem.square_grid()
-        spectrum = sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices)
-        for cs, (lam_s, lam_i, _) in zip(built_slices(problem, "y"), spectrum):
+        for cs, (lam_s, lam_i, _) in zip(built_slices(problem, "y"), problem.slices):
             amp = evaluate_grid(q, q, problem, "y", (lam_s, lam_i)).toarray()
             dense = ridge_fit(matrix_moments("far", "y", q, q, amp * amp)).intercept
             assert abs(cs.ridge_intercept - dense) <= 1e-6 * (2.0 / problem.waist_m)

@@ -79,6 +79,30 @@ def test_package_exports_resolve():
     assert not hasattr(spdcsim.biphoton.RowBand, "from_dense")
 
 
+@pytest.mark.parametrize(
+    "argv, derivations",
+    [(("certify",), 1), (("camera", "--out"), 1), (("jid", "--plane", "far", "--out"), 1),
+     (("sweep",), 13)],  # one per RunConfig.build(): 6 values x 2 axes and the up-front check
+    ids=["certify", "camera", "jid-far", "sweep"],
+)
+def test_each_build_derives_the_spectral_rule_once(capsys, monkeypatch, tmp_path, argv,
+                                                   derivations):
+    calls = []
+
+    def counted(*args, real=spdcsim.spectral.sample_spectrum):
+        calls.append(args)
+        return real(*args)
+
+    for info in pkgutil.iter_modules(spdcsim.__path__):
+        module = importlib.import_module(f"spdcsim.{info.name}")
+        if hasattr(module, "sample_spectrum"):
+            monkeypatch.setattr(module, "sample_spectrum", counted)
+    out = (str(tmp_path),) if argv[-1] == "--out" else ()
+    code, _, _ = run_cli(capsys, *argv, *out, "--grid-n", "64", "--slices", "3")
+    assert code == 0
+    assert len(calls) == derivations
+
+
 class TestStartup:
     def test_import_and_pm_angle_load_no_scipy(self):
         script = (
@@ -566,15 +590,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "override, key",
-        [(("--grid-n", "1"), "grid.n"), (("--grid-n", "64", "--slices", "0"), "spectral.slices")],
-        ids=["grid-n-1", "slices-0"],
+        "override, message",
+        [(("--grid-n", "1"), "grid.n: must be >= 16, got 1"),
+         (("--grid-n", "64", "--slices", "0"), "spectral.slices: must be >= 1, got 0"),
+         (("--grid-n", "64", "--slices", "257"), "spectral.slices: must be <= 256, got 257")],
+        ids=["grid-n-1", "slices-0", "slices-257"],
     )
-    def test_bad_cli_override_exits_2(self, capsys, override, key):
+    def test_bad_cli_override_exits_2(self, capsys, override, message):
         code, out, err = run_cli(capsys, "stats", *override)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"config error: {key}: must be >= ")
+        assert err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("mode", ["fitted", "literal"])
     def test_camera_shift_mode_key_exits_2(self, capsys, tmp_path, mode):

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from spdcsim.config import ConfigError, RunConfig, certify_axis, load_config, parse_config
+from spdcsim.config import ConfigError, RunConfig, load_config, parse_config
+from spdcsim.spectral import certify_axis
 
 
 class TestDefaults:

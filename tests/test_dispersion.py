@@ -81,6 +81,8 @@ def test_idler_wavelength_degenerate():
 def test_idler_rejects_signal_shorter_than_pump():
     with pytest.raises(ValueError):
         idler_wavelength(405.0, 400.0)
+    with pytest.raises(ValueError):
+        idler_wavelength(405.0, math.nan)
 
 
 @given(

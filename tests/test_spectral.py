@@ -24,12 +24,14 @@ from numpy.polynomial.legendre import leggauss
 
 from spdcsim import spectral
 from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError, evaluate_grid
-from spdcsim.config import certify_axis, load_config
+from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, idler_wavelength
 from spdcsim.spectral import (
+    MAX_SPECTRAL_SLICES,
     FilterSpec,
     JointDistribution,
     Problem,
+    certify_axis,
     far_field_jid,
     moment_sums,
     near_field_jid,
@@ -114,6 +116,10 @@ def test_filterspec_validation():
         FilterSpec("gaussian", 800.0, -1.0)
     with pytest.raises(ValueError):
         FilterSpec("gaussian", 800.0, 5.0, arm="herald")
+    with pytest.raises(ValueError):
+        FilterSpec("gaussian", 780.0, math.nan)
+    with pytest.raises(ValueError):
+        FilterSpec("gaussian", math.nan, 5.0)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -187,6 +193,19 @@ def test_sampling_invariants(shape, arm, center_nm, width, n_slices):
         assert math.isclose(1.0 / 405.0, 1.0 / lam_s + 1.0 / lam_i, rel_tol=1e-10)
         assert 0.0 < w <= 1.0
     assert math.fsum(w for *_, w in triples) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "tophat"])
+def test_rule_is_capped_at_256_nodes(shape):
+    # NumPy's Gauss-Hermite weights underflow near 370 nodes and are NaN at
+    # 380; up to the cap every weight is a normal positive float
+    f = FilterSpec(shape, 780.0, 5.0)
+    triples = sample_spectrum(f, 405.0, MAX_SPECTRAL_SLICES)
+    assert MAX_SPECTRAL_SLICES == len(triples) == 256
+    assert all(np.isfinite(triples).ravel()) and all(w > 0 for *_, w in triples)
+    assert math.fsum(w for *_, w in triples) == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(ValueError, match="n_slices must be in \\[1, 256\\], got 257"):
+        sample_spectrum(f, 405.0, 257)
 
 
 @pytest.mark.parametrize("arm", ["signal", "idler"])
@@ -293,7 +312,7 @@ def test_spectral_sum_order_invariance():
     jid = far_field_jid(problem, "y")
     q = problem.square_grid()
     pieces = []
-    for lam_s, lam_i, w in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
+    for lam_s, lam_i, w in problem.slices:
         amp = evaluate_grid(q, q, problem, "y", (lam_s, lam_i)).toarray()
         pieces.append(w * amp * amp)
     reversed_sum = sum(pieces[::-1])
@@ -324,7 +343,7 @@ def per_slice_full_matrix_sums(problem, axis):
     dq = q[1] - q[0]
     far = np.zeros((q.size, q.size))
     near = np.zeros_like(far)
-    for lam_s, lam_i, weight in sample_spectrum(problem.filt, problem.wl.pump_nm, problem.n_slices):
+    for lam_s, lam_i, weight in problem.slices:
         amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i)).toarray()
         far += weight * (amp * amp)
         n, m = amp.shape

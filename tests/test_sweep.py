@@ -9,9 +9,9 @@ import math
 
 import pytest
 
-from spdcsim.config import RunConfig, certify_axis
+from spdcsim.config import RunConfig
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem
+from spdcsim.spectral import FilterSpec, Problem, certify_axis
 from spdcsim.sweep import (
     CSV_HEADER,
     SweepError,
