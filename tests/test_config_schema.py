@@ -58,7 +58,6 @@ FAULTS = [
     # the integer ranges RunConfig checks for replace() too
     ({"grid": {"n": 15}}, "grid.n: must be >= 16, got 15"),
     ({"spectral": {"slices": 0}}, "spectral.slices: must be >= 1, got 0"),
-    ({"spectral": {"slices": 257}}, "spectral.slices: must be <= 256, got 257"),
     # the top level
     ([], "top level must be a mapping, got []"),
     ({"lens": {"f": 0.1}}, f"lens: unknown section (expected one of {TOP_NAMES})"),
@@ -127,6 +126,8 @@ FAULTS = [
     ({"lens": 1, "pump": 5}, f"lens: unknown section (expected one of {TOP_NAMES})"),
     ({"pump": {"power_mw": 1, "waist_um": -1}},
      "pump.power_mw: unknown key (expected one of ['waist_um', 'wavelength_nm'])"),
+    # the upper bound on spectral.slices
+    ({"spectral": {"slices": 257}}, "spectral.slices: must be <= 256, got 257"),
 ]
 
 
