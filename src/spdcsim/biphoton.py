@@ -73,10 +73,10 @@ DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
 #: holds its N x w band, the gathers of one ``_ROW_BLOCK``-row block (at
 #: most 4 x 64 x w, plus their int64 column indices) and 1-D tables of the
 #: grid: far under one N x N grid, so the charge over-states it.  The rest
-#: covers what a slice loop holds beside it (accumulator, and for ``jid
-#: --plane near`` the near-field FFT spectrum and intensity).  The moment
-#: engine's node grid is charged at the same rate; a slice holds about ten
-#: node-grid arrays at its peak.  Changing it moves every exit-3 threshold.
+#: covers what a slice loop holds beside it.  The node grids of the moment
+#: engine and the near field are charged at the same rate; a moment-engine
+#: slice holds about ten node-grid arrays at its peak.  Changing it moves
+#: every exit-3 threshold.
 _TEMPORARIES_PER_GRID = 10
 
 

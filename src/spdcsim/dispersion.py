@@ -344,7 +344,7 @@ class CrystalSetup:
     collinear_mismatch: float
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0:
+        if not self.length_m > 0:  # NaN too
             raise ValueError(f"crystal length must be positive, got {self.length_m}")
         if not (0.0 <= self.theta_p <= math.pi / 2):
             raise ValueError(f"theta_p must lie in [0, pi/2], got {self.theta_p}")

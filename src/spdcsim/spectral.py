@@ -33,32 +33,13 @@ with d_s Psi = E (-(w0^2 q_+ / 2) K + K'(u) a'(q_s)) in closed form.
 No N x N grid and no transform is built, and nothing is cut off at a
 grid edge in position space.
 
-JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) evaluate
-each slice's pump-envelope band on the square (q_s, q_i) grid with
-``evaluate_grid``, because they write a picture, a ``JointDistribution``
-whose intensity is a ``RowBand``.  The far field is the one slice pass
-the camera JPDs also take (``_squared_bands``): each slice evaluated on
-the union of the slices' ``envelope_columns(power=2)`` windows, squared
-in place, weighted and added into the band; its momenta are the square
-grid's for every slice.  The near field transforms ``toarray()``, the
-one dense amplitude of the package, and holds its total as a band of
-full width.  DFT convention
-(fixed): the near field uses the centered, unitary inverse transform
-
-    psi = (dq_s * dq_i * N * M / (2*pi)) * fftshift(ifft2(ifftshift(Psi)))
-
-on conjugate position grids x = 2*pi * (index - N//2) / (N * dq), so
-per-slice Parseval holds exactly up to roundoff:
-
-    sum |Psi|^2 dq_s dq_i = sum |psi|^2 dx_s dx_i.
-
-Only |psi|^2 is ever used, so the implementation takes a real FFT of the
-real amplitude and omits the input ``ifftshift`` (a unit-modulus phase).
-The weighted slices are summed on the (N, N//2 + 1) half-spectrum in FFT
-order, in two buffers allocated once per axis; the other half is filled
-by Hermitian symmetry once, on the sum, before one ``fftshift`` of the
-total.  A mirrored entry is a copy, so this equals the per-slice
-full-matrix sum bit for bit.  The transform is ``np.fft.rfft2``.
+JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) write a
+picture, a ``JointDistribution`` whose intensity is a ``RowBand``.  The
+far field is the slice pass the camera JPDs also take (``_squared_bands``):
+each slice evaluated on the square (q_s, q_i) grid by ``evaluate_grid`` on
+the union of the slices' ``envelope_columns(power=2)`` windows, squared in
+place, weighted and added.  The near field takes the moment engine's
+(q_+ node x q_- grid) frame (``_node_grid``): no N x N array, no 2-D FFT.
 """
 
 from __future__ import annotations
@@ -66,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +55,9 @@ from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     RowBand,
     _arm_arguments,
+    _kernel,
     _kernel_with_slope,
+    _row_blocks,
     _windows,
     check_memory_budget,
     default_diff_halfwidth,
@@ -142,7 +125,7 @@ def transmission(f: FilterSpec, wavelength_nm):
     lam0 +- FWHM/2.  Top-hat: 1 inside |lam - lam0| <= FWHM/2, else 0.
     """
     lam = np.asarray(wavelength_nm, dtype=float)
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):  # NaN too
         raise ValueError("wavelength must be positive")
     d = lam - f.center_nm
     if f.shape == "gaussian":
@@ -199,10 +182,10 @@ class JointDistribution:
     in meters) or 'camera' (camera position, axes in meters; see
     ``camera.CameraJPD``); ``axis`` tags the transverse axis.
     ``intensity`` is a ``RowBand``: signal rows, idler columns, and
-    ``toarray()`` the dense matrix (the near field's band is of full
-    width).  Intensities are not normalised.  It is the picture ``jid``
-    and ``camera`` write; the statistics they print come from the moment
-    engine (``moment_sums``).
+    ``toarray()`` the dense matrix (the far field's band follows the
+    anti-diagonal, the near field's the diagonal).  Intensities are not
+    normalised.  It is the picture ``jid`` and ``camera`` write; the
+    statistics they print come from the moment engine (``moment_sums``).
     """
 
     plane: str
@@ -280,15 +263,11 @@ class Problem:
 
     def square_grid(self) -> np.ndarray:
         """The one momentum grid both arms share on either axis: ``grid_n``
-        uniform points over [-(S + D)/2, (S + D)/2].
-
-        The pump envelope confines the *sum* coordinate q_s + q_i to a
-        width ~2/w0, while the phase-matching kernel confines the
-        *difference* coordinate to the much larger main-lobe width
-        ~sqrt(4 pi k / L); the two differ by two orders of magnitude at
-        typical parameters, so the square grid is sized from both.
-        Default half-extents are 5x each scale (truncated mass < 1e-5):
-        S = 10 / w0 and D from ``default_diff_halfwidth``.
+        uniform points over [-(S + D)/2, (S + D)/2], sized from the pump's
+        sum width ~2/w0 and the kernel's two orders of magnitude wider
+        difference width ~sqrt(4 pi k / L).  Default half-extents are 5x
+        each scale (truncated mass < 1e-5): S = 10 / w0 and D from
+        ``default_diff_halfwidth``.
         """
         s = self.sum_halfwidth
         if s is None:
@@ -308,6 +287,12 @@ class Problem:
 #: move U by about 2e-12 at the defaults.  ``check_memory_budget``
 #: charges them as grid rows.
 _SUM_NODES = 8
+
+
+def _node_grid(q_plus: np.ndarray, q_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q_s = (q_+ + q_-)/2 and q_i = (q_+ - q_-)/2, where a slice's
+    ``_arm_arguments`` are taken: a row per node ``q_plus``, a column per ``q_minus``."""
+    return 0.5 * (q_plus[:, None] + q_minus), 0.5 * (q_plus[:, None] - q_minus)
 
 
 def moment_sums(problem: Problem, axis: str) -> np.ndarray:
@@ -333,10 +318,9 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     q_d = problem.diff_grid()
     t, h = hermgauss(_SUM_NODES)
     w0 = problem.waist_m
-    q_plus = (math.sqrt(2.0) / w0 * t)[:, None]
-    q_s = 0.5 * (q_plus + q_d)
-    q_i = 0.5 * (q_plus - q_d)
-    envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
+    q_plus = math.sqrt(2.0) / w0 * t
+    q_s, q_i = _node_grid(q_plus, q_d)
+    envelope_slope = -0.5 * w0 * w0 * q_plus[:, None]  # E'(q_+) / E(q_+)
     node_weights = h[:, None]
 
     def slice_sums(pair: tuple[float, float]) -> list[float]:
@@ -455,49 +439,64 @@ def position_grid(q_grid: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(n) - n // 2) / (n * dq)
 
 
-def _near_field_intensity(
-    terms: Iterable[tuple[np.ndarray, float, float, float]], shape: tuple[int, int]
-) -> np.ndarray:
-    """sum of weight * |psi|^2 over ``(amp, dq_s, dq_i, weight)`` terms,
-    where psi is the centered unitary transform of the real amplitude
-    ``amp`` of ``shape``; in unshifted FFT order (``fftshift`` gives the
-    centered grid).
-
-    The input ``ifftshift`` only multiplies psi by a unit-modulus phase,
-    so it is skipped.  ``amp`` is real, so a half-spectrum ``rfft2``
-    suffices: the terms are summed on it, and |F[k, l]| = |F[-k, -l]|
-    fills the missing columns of the sum.
-    """
-    n, m = shape
-    h = m // 2 + 1
-    total = np.zeros((n, h))
-    term = np.empty((n, h))
-    for amp, dq_s, dq_i, weight in terms:
-        half = np.fft.rfft2(amp)
-        np.multiply(half.real, half.real, out=term)
-        np.multiply(half.imag, half.imag, out=half.imag)
-        term += half.imag
-        term *= (dq_s * dq_i / (2.0 * math.pi)) ** 2
-        term *= weight
-        total += term
-    out = np.empty((n, m))
-    out[:, :h] = total
-    # columns h .. m-1 of row k are columns m-h .. 1 of row -k mod n
-    mirror = total[:, m - h:0:-1]
-    out[0, h:] = mirror[0]
-    out[1:, h:] = mirror[:0:-1]
-    return out
+#: Hermite nodes t = w0 q_+ / 2 and modes H_k(t) per near-field slice (12
+#: modes or 32 nodes do not move the picture's mass in 10 digits), and the
+#: largest share of its mass the band about x_s = x_i may leave out.
+_NEAR_NODES, _NEAR_MODES, _NEAR_BAND_LOSS = 16, 8, 1e-6
 
 
 def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
-    """Position-plane JID: per-slice centered unitary 2D transform of the
-    amplitude (coherent within the slice), |.|^2, then the weighted
-    incoherent sum across slices."""
+    """Position-plane JID: sum_slices w |psi|^2, psi the centered unitary
+    transform of the slice's amplitude, on ``position_grid`` of the square
+    grid, as a ``RowBand`` about x_s = x_i.
+
+    Each slice's kernel gives Hermite modes c_k(q_-) from ``_NEAR_NODES``
+    nodes q_+ = 2 t / w0 at q_- = (m - N/2) 2 dq, and each mode one N-point
+    FFT, G_k, at X_- = (x_s - x_i) / 2 = l dx / 2.  As int exp(-t^2) H_k(t)
+    exp(i a t) dt = sqrt(pi) (i a)^k exp(-a^2/4), with a = (x_s + x_i) / w0,
+    psi = (sqrt(pi) / (2 pi w0)) exp(-a^2/4) sum_k (i a)^k G_k(l).  The mass
+    at lag l is G(l)^H M G(l), M_jk = i^(k-j) int a^(j+k) exp(-a^2/2) da;
+    the band keeps the fewest lags that leave out at most ``_NEAR_BAND_LOSS``
+    of its weighted slice sum, and is charged with the node grid before it
+    is allocated.
+    """
+    # numpy does not import these by itself
+    from numpy.polynomial.hermite import hermgauss, hermvander
+    from numpy.polynomial.polynomial import polyval
+
     q = problem.square_grid()
-    dq = float(q[1] - q[0])
-    terms = ((evaluate_grid(q, q, problem, axis, (s, i)).toarray(), dq, dq, w)
-             for s, i, w in problem.slices)
-    out = _near_field_intensity(terms, (q.size, q.size))
+    n, dq, w0 = q.size, float(q[1] - q[0]), problem.waist_m
+    t, h = hermgauss(_NEAR_NODES)
+    q_s, q_i = _node_grid(2.0 / w0 * t, (np.arange(n) - n / 2) * (2.0 * dq))
+    k = np.arange(_NEAR_MODES)
+    # c_k = sum_j h_j H_k(t_j) K_j / (sqrt(pi) 2^k k!), times i^k 2 dq N sqrt(pi) / (2 pi w0)
+    scale = [dq * n * 1j**j / (math.pi * w0 * 2.0**j * math.factorial(j)) for j in k]
+    projection = (h[:, None] * hermvander(t, _NEAR_MODES - 1) * scale).T
+
+    def modes(lam_s, lam_i):  # i^k G_k per lag in FFT order, less the (-1)^l all modes share
+        a, b = _arm_arguments(q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl)[:2]
+        return np.fft.ifft(projection @ _kernel(a + b, problem.kernel), axis=1)
+
+    # int a^m exp(-a^2/2) da / sqrt(2 pi) = (m - 1)!! for even m, 0 for odd
+    moments = [math.prod(range(m - 1, 0, -2)) * (1 - m % 2) for m in range(2 * _NEAR_MODES)]
+    gram = np.array(moments, dtype=float)[np.add.outer(k, k)]
+    profile = sum(weight * np.einsum("kl,kl->l", g.conj(), gram @ g).real
+                  for g, weight in ((modes(lam_s, lam_i), w) for lam_s, lam_i, w in problem.slices))
+    mass = np.bincount(np.minimum(np.arange(n), n - np.arange(n)), weights=profile)  # per |lag|
+    beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass at |lag| > half, per half
+    half = min(int(np.argmax(beyond <= _NEAR_BAND_LOSS * profile.sum())), (n - 1) // 2)
+    width = 2 * half + 1
+    check_memory_budget(_NEAR_NODES, n, problem.memory_budget_bytes, holding="1 near-field band",
+                        held_bytes=n * (8 * width + np.dtype(np.intp).itemsize))  # values, offsets
     x = position_grid(q)
-    band = RowBand(np.fft.fftshift(out), np.zeros(q.size, dtype=np.intp), q.size)
+    start = np.clip(np.arange(n) - half, 0, n - width)
+    data = np.zeros((n, width))
+    for lam_s, lam_i, weight in problem.slices:
+        g = modes(lam_s, lam_i)
+        for rows in _row_blocks(n):
+            cols = start[rows, None] + np.arange(width)
+            a = (x[rows, None] + x[cols]) / w0
+            psi = polyval(a, g[:, (np.arange(n)[rows, None] - cols) % n], tensor=False)
+            data[rows] += weight * (psi.real**2 + psi.imag**2) * np.exp(-0.5 * a * a)
+    band = RowBand(data, start, n)
     return JointDistribution(plane="near", axis=axis, axis_signal=x, axis_idler=x, intensity=band)

@@ -1,6 +1,8 @@
 """Test-side oracles: the moments of a dense intensity matrix, the
-moment engine's per-slice sums as plain whole-array expressions, and a
-dense matrix as the full-width band a picture holds.
+moment engine's per-slice sums as plain whole-array expressions, the
+near-field picture as a 2-D FFT of the dense square-grid amplitude and
+as its Hermite-mode closed form on every entry, and a dense matrix as the
+full-width band a picture holds.
 
 The package takes every statistic from the moment engine; the tests
 check it, and the matrix pictures, against the moments of a matrix
@@ -10,10 +12,10 @@ reduced here to the six raw sums that ``StatsSummary.from_sums`` takes.
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.hermite import hermgauss, hermval
 
-from spdcsim.biphoton import RowBand, _arm_arguments, _kernel_with_slope
-from spdcsim.spectral import _SUM_NODES
+from spdcsim.biphoton import RowBand, _arm_arguments, _kernel, _kernel_with_slope, evaluate_grid
+from spdcsim.spectral import _SUM_NODES, position_grid
 from spdcsim.stats import StatsSummary
 
 
@@ -65,3 +67,89 @@ def moment_sums(problem, axis):
                  node_weights * g_s * g_s, node_weights * g_i * g_i, node_weights * g_s * g_i)
         rows.append([term.sum() for term in terms])
     return np.array(rows)
+
+
+def near_field_intensity(terms, shape):
+    """sum of weight * |psi|^2 over ``(amp, dq_s, dq_i, weight)`` terms,
+    where psi is the centered unitary transform of the real amplitude
+    ``amp`` of ``shape``,
+
+        psi = (dq_s dq_i N M / (2 pi)) fftshift(ifft2(ifftshift(amp))),
+
+    on conjugate grids x = 2 pi (index - N//2) / (N dq), so per-term
+    Parseval holds to roundoff: sum |amp|^2 dq_s dq_i = sum |psi|^2 dx_s dx_i.
+    Returned in unshifted FFT order (``fftshift`` gives the centered grid).
+
+    The input ``ifftshift`` only multiplies psi by a unit-modulus phase,
+    so it is skipped.  ``amp`` is real, so a half-spectrum ``rfft2``
+    suffices: the terms are summed on it, and |F[k, l]| = |F[-k, -l]|
+    fills the missing columns of the sum.
+    """
+    n, m = shape
+    h = m // 2 + 1
+    total = np.zeros((n, h))
+    term = np.empty((n, h))
+    for amp, dq_s, dq_i, weight in terms:
+        half = np.fft.rfft2(amp)
+        np.multiply(half.real, half.real, out=term)
+        np.multiply(half.imag, half.imag, out=half.imag)
+        term += half.imag
+        term *= (dq_s * dq_i / (2.0 * math.pi)) ** 2
+        term *= weight
+        total += term
+    out = np.empty((n, m))
+    out[:, :h] = total
+    # columns h .. m-1 of row k are columns m-h .. 1 of row -k mod n
+    mirror = total[:, m - h:0:-1]
+    out[0, h:] = mirror[0]
+    out[1:, h:] = mirror[:0:-1]
+    return out
+
+
+def fft_near_field(problem, axis):
+    """The position grid and the near-field picture of ``spectral.near_field_jid``
+    as a dense centered matrix: each slice's dense square-grid amplitude
+    through ``near_field_intensity``, weighted and summed."""
+    q = problem.square_grid()
+    dq = float(q[1] - q[0])
+    terms = ((evaluate_grid(q, q, problem, axis, (s, i)).toarray(), dq, dq, w)
+             for s, i, w in problem.slices)
+    return position_grid(q), np.fft.fftshift(near_field_intensity(terms, (q.size, q.size)))
+
+
+def mode_near_field(problem, axis):
+    """The position grid and ``spectral.near_field_jid``'s closed form on
+    every entry of the dense matrix, with no band, FFT or Horner: per
+    slice, c_k(q_-) from 16 Hermite nodes, G_k(X_-) = 2 dq sum_m c_k[m]
+    exp(i q_-m X_-) for every X_- = (x_s - x_i) / 2 of the grid, and
+
+        psi = (sqrt(pi) / (2 pi w0)) exp(-a^2/4) sum_{k<8} (i a)^k G_k,
+
+    a = (x_s + x_i) / w0; |psi|^2 weighted and summed."""
+    q = problem.square_grid()
+    n = q.size
+    dq = float(q[1] - q[0])
+    x = position_grid(q)
+    w0 = problem.waist_m
+    t, h = hermgauss(16)
+    q_minus = (np.arange(n) - n / 2) * 2.0 * dq
+    q_plus = (2.0 / w0 * t)[:, None]
+    a = (x[:, None] + x[None, :]) / w0
+    # X_- of every lag j - c, from -(n - 1) to n - 1, and each entry's lag index
+    x_minus = 0.5 * np.arange(1 - n, n) * (x[1] - x[0])
+    lag = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    dft = np.exp(1j * np.outer(x_minus, q_minus)) * 2.0 * dq
+    total = np.zeros((n, n))
+    for lam_s, lam_i, weight in problem.slices:
+        arms = _arm_arguments(0.5 * (q_plus + q_minus), 0.5 * (q_plus - q_minus), axis,
+                              (lam_s, lam_i), problem.crystal, problem.wl)
+        kernel = _kernel(arms[0] + arms[1], problem.kernel)
+        psi = np.zeros((n, n), dtype=complex)
+        for k in range(8):
+            unit = np.zeros(k + 1)
+            unit[k] = 1.0
+            c_k = (h * hermval(t, unit)) @ kernel / (math.sqrt(math.pi) * 2.0**k * math.factorial(k))
+            psi += (1j * a) ** k * (dft @ c_k)[lag]
+        psi *= math.sqrt(math.pi) / (2.0 * math.pi * w0) * np.exp(-a * a / 4.0)
+        total += weight * (psi.real**2 + psi.imag**2)
+    return x, total

@@ -34,7 +34,6 @@ from spdcsim.dispersion import (
 from spdcsim.spectral import (
     FilterSpec,
     Problem,
-    _near_field_intensity,
     certify_axis,
     far_field_jid,
     position_grid,
@@ -42,7 +41,7 @@ from spdcsim.spectral import (
 from spdcsim.stats import reid_inference
 from spdcsim.sweep import run_sweep, trend_checks
 
-from oracle import matrix_moments
+from oracle import matrix_moments, near_field_intensity
 
 SELL = SellmeierSet.bbo()
 PUMP_NM = 405.0
@@ -262,7 +261,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     dq = float(q[1] - q[0])
     pair = (problem.wl.signal_nm, problem.wl.idler_nm)
     amp = evaluate_grid(q, q, problem, "x", pair).toarray()
-    near = _near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)
+    near = near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)
     lhs = np.sum(amp * amp) * dq * dq
     dx = 2.0 * math.pi / (q.size * dq)
     rhs = np.sum(near) * dx * dx
@@ -280,7 +279,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     x = position_grid(q)
     near = reid_inference(matrix_moments(
         "near", "x", x, x.copy(),
-        np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
+        np.fft.fftshift(near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
     ))
     dq_expected = 1.0 / (2.0 * math.sqrt(a_sum + b_diff))
     dx_expected = 2.0 * math.sqrt(a_sum * b_diff / (a_sum + b_diff))

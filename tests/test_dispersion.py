@@ -248,3 +248,5 @@ def test_crystal_setup_rejects_bad_length():
     wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
     with pytest.raises(ValueError):
         CrystalSetup.at_angle(wl, BBO, 0.0, math.radians(28.8))
+    with pytest.raises(ValueError, match="crystal length must be positive, got nan"):
+        CrystalSetup.collinear(wl, BBO, math.nan)

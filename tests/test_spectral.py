@@ -39,11 +39,10 @@ from spdcsim.spectral import (
     sample_spectrum,
     transmission,
 )
-from spdcsim.spectral import _near_field_intensity
 from spdcsim.stats import reid_inference, reid_product
 
 import oracle
-from oracle import full_band, matrix_moments
+from oracle import full_band, matrix_moments, near_field_intensity
 
 BBO = SellmeierSet.bbo()
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -120,6 +119,10 @@ def test_filterspec_validation():
         FilterSpec("gaussian", 780.0, math.nan)
     with pytest.raises(ValueError):
         FilterSpec("gaussian", math.nan, 5.0)
+    for shape in ("gaussian", "tophat"):
+        for wavelength in (math.nan, 0.0, np.array([780.0, math.nan])):
+            with pytest.raises(ValueError, match="wavelength must be positive"):
+                transmission(FilterSpec(shape, 780.0, 5.0), wavelength)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -330,36 +333,22 @@ def test_position_grid_conjugate():
 def test_parseval_per_slice():
     problem = make_setup(n_slices=1, grid_n=256)
     far = far_field_jid(problem, "x")
-    near = near_field_jid(problem, "x")
+    x, near = oracle.fft_near_field(problem, "x")
     mass_far = far.intensity.data.sum() * far.d_signal * far.d_idler
-    mass_near = near.intensity.data.sum() * near.d_signal * near.d_idler
+    mass_near = near.sum() * (x[1] - x[0]) ** 2
     assert mass_near == pytest.approx(mass_far, rel=1e-9)
 
 
 def per_slice_full_matrix_sums(problem, axis):
     """Reference: each slice's intensity built as a full matrix, then
-    weight-summed (far: w |Psi|^2; near: w |psi|^2 via rfft2 + mirror)."""
+    weight-summed (far: w |Psi|^2; near: w |psi|^2 from the Hermite-mode
+    closed form on every entry, ``oracle.mode_near_field``)."""
     q = problem.square_grid()
-    dq = q[1] - q[0]
     far = np.zeros((q.size, q.size))
-    near = np.zeros_like(far)
     for lam_s, lam_i, weight in problem.slices:
         amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i)).toarray()
         far += weight * (amp * amp)
-        n, m = amp.shape
-        half = np.fft.rfft2(amp)
-        contrib = np.empty((n, m))
-        h = half.shape[1]
-        lhs = contrib[:, :h]
-        np.multiply(half.real, half.real, out=lhs)
-        lhs += half.imag * half.imag
-        lhs *= (dq * dq / (2.0 * math.pi)) ** 2
-        mirror = lhs[:, m - h:0:-1]
-        contrib[0, h:] = mirror[0]
-        contrib[1:, h:] = mirror[:0:-1]
-        contrib *= weight
-        near += contrib
-    return far, np.fft.fftshift(near)
+    return far, oracle.mode_near_field(problem, axis)[1]
 
 
 # grid_n -> the columns the far field evaluates per row: the power-2
@@ -383,7 +372,14 @@ def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis, monkeypatch)
     assert np.array_equal(far_field_jid(problem, axis).intensity.toarray(), far)
     assert widths == {FAR_WIDTHS[grid_n]}
     monkeypatch.undo()
-    assert np.array_equal(near_field_jid(problem, axis).intensity.toarray(), near)
+    # the band holds the closed form to roundoff (1e-14 of the peak
+    # measured), and +0.0 off it
+    band = near_field_jid(problem, axis).intensity
+    inside = np.zeros(near.shape, dtype=bool)
+    inside.reshape(-1)[band.flat_index()] = True
+    got = band.toarray()
+    assert np.max(np.abs(got - near)[inside]) <= 1e-12 * near.max()
+    assert not np.any(got[~inside])
 
 
 @pytest.mark.parametrize("grid_n", [1024, 2048])
@@ -438,6 +434,71 @@ def test_near_field_degenerate_ridge_positive():
     assert slope == pytest.approx(1.0, abs=0.02)
 
 
+def default_problem(**settings):
+    """The shipped non-degenerate config's ``Problem``, with ``settings`` replaced."""
+    return replace(load_config(CONFIGS / "nondegenerate_780.yaml").build(), **settings)
+
+
+@pytest.mark.parametrize("grid_n, n_slices", [(1024, 7), (2048, 5)])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_near_field_matches_the_fft_oracle_on_the_default_config(grid_n, n_slices, axis):
+    """The band picture against the 2-D FFT of the dense amplitude.  They
+    differ in two ways, and the bound adds both:
+    - the q aperture: the FFT sees the square grid, the modes the strip
+      |q_-| < N dq with q_+ unbounded; 1.5-1.7e-4 of the peak at N = 1024
+      and 2048 whatever the band (ROADMAP finding 16);
+    - the band: a lag it leaves out carries at most ``_NEAR_BAND_LOSS`` of
+      the mass and the heaviest lag it keeps at least 1/width of it, so a
+      left-out entry is at most _NEAR_BAND_LOSS x width of the peak
+      (1.1e-4 at the 105-107 columns here).
+    Measured: 1.53-1.75e-4."""
+    problem = default_problem(grid_n=grid_n, n_slices=n_slices)
+    jid = near_field_jid(problem, axis)
+    x, fft = oracle.fft_near_field(problem, axis)
+    assert np.array_equal(jid.axis_signal, x) and np.array_equal(jid.axis_idler, x)
+    bound = 1.7e-4 + spectral._NEAR_BAND_LOSS * jid.intensity.width
+    assert np.max(np.abs(jid.intensity.toarray() - fft)) <= bound * fft.max()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_near_field_mass_is_the_far_fields_within_the_band_bound(axis):
+    """Parseval: the picture's mass is the far field's, less at most the
+    ``_NEAR_BAND_LOSS`` its band leaves out (1 - 2.6e-7 measured on both
+    axes at N = 1024)."""
+    problem = default_problem()
+    near, far = near_field_jid(problem, axis), far_field_jid(problem, axis)
+    mass_near, mass_far = (j.intensity.data.sum() * j.d_signal * j.d_idler for j in (near, far))
+    assert abs(mass_near / mass_far - 1.0) <= spectral._NEAR_BAND_LOSS
+
+
+def test_near_field_holds_no_dense_matrix():
+    """At N = 2048 the near field peaks under a quarter of one dense N x N
+    float64 matrix, 8 of 32 MiB (4.95 MiB measured): its band of 105
+    columns (1.66 MiB), the node grid and one row block."""
+    problem = default_problem(grid_n=2048, n_slices=5)
+    near_field_jid(replace(problem, grid_n=64), "y")  # first calls out of the trace
+    tracemalloc.start()
+    try:
+        band = near_field_jid(problem, "y").intensity
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.width == 105
+    assert peak < 2048 * 2048 * 8 / 4
+
+
+def test_near_field_budget_charges_its_node_grid_and_band():
+    """At N = 1024 the near field is charged its 16 x 1024 node grid at
+    10 arrays (1.25 MiB) and its band of 107 columns, 1024 x (8 x 107 + 8)
+    bytes (0.84 MiB): 2.09 MiB.  A 2 MiB budget stops it, 3 MiB runs it."""
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=1024)
+    with pytest.raises(GridMemoryError, match=r"^16 x 1024 grid holding 1 near-field band "
+                       r"needs ~2 MiB \(budget 2 MiB\)$"):
+        near_field_jid(replace(problem, memory_budget_bytes=2 * 2**20), "y")
+    band = near_field_jid(replace(problem, memory_budget_bytes=3 * 2**20), "y").intensity
+    assert band.width == 107
+
+
 # -- double-Gaussian oracle ----------------------------------------------------
 
 
@@ -458,7 +519,7 @@ def test_double_gaussian_transform_widths():
     amp = double_gaussian(q, q, a, b)
     dq = float(q[1] - q[0])
     x = position_grid(q)
-    near = np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
+    near = np.fft.fftshift(near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
 
     dq_cond = conditional_widths(q, q, amp * amp)
     dx_cond = conditional_widths(x, x, near)
@@ -480,7 +541,7 @@ def test_near_field_intensity_matches_centered_unitary_transform(shape):
         np.fft.ifft2(np.fft.ifftshift(amp))
     )
     expected = np.abs(psi) ** 2
-    got = np.fft.fftshift(_near_field_intensity([(amp, dq_s, dq_i, 1.0)], amp.shape))
+    got = np.fft.fftshift(near_field_intensity([(amp, dq_s, dq_i, 1.0)], amp.shape))
     assert got.shape == shape
     # relative to the peak: entries near zero carry only absolute roundoff
     assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
@@ -493,9 +554,41 @@ def test_double_gaussian_minimum_uncertainty_case():
     amp = double_gaussian(q, q, a, b)
     dq = float(q[1] - q[0])
     x = position_grid(q)
-    near = np.fft.fftshift(_near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
+    near = np.fft.fftshift(near_field_intensity([(amp, dq, dq, 1.0)], amp.shape))
     product = conditional_widths(q, q, amp * amp) * conditional_widths(x, x, near)
     assert product == pytest.approx(0.5, rel=0.01)
+
+
+def test_near_field_double_gaussian_closed_form(monkeypatch):
+    """Linear per-arm arguments a = c q_s, b = -c q_i under the gauss
+    kernel (as in ``test_moment_engine_double_gaussian_oracle``) give
+    Psi = exp(-A q_+^2 - B q_-^2), A = w0^2 / 4, B = c^2 / 6.  Its kernel
+    does not vary with q_+, so only mode 0 is non-zero, and the picture
+    is the double Gaussian of the closed forms above: conditional width
+    2 sqrt(AB / (A + B)), mass int Psi^2 = pi / (4 sqrt(AB)).
+
+    Its lag profile is a Gaussian, and the band keeps at least the z =
+    4.89 standard deviations that leave out eps = 1e-6 of its mass, and
+    with them eps + sqrt(2 / pi) z exp(-z^2 / 2) = 2.6e-5 of the variance
+    of x_s - x_i: at most 1.3e-5 of the conditional width.  The mass is
+    short by at most eps."""
+    assert spectral._NEAR_BAND_LOSS == 1e-6  # the bounds are derived from it
+    problem = make_setup(signal_nm=780.0, n_slices=1, kernel="gauss")
+    d = problem.diff_grid()[-1]
+    a_sum, b_diff = problem.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
+    c = math.sqrt(6.0 * b_diff)
+    monkeypatch.setattr(
+        spectral, "_arm_arguments",
+        lambda q_s, q_i, axis, pair, crystal, wl: (
+            c * q_s, -c * q_i, np.full_like(q_s, c), np.full_like(q_i, -c)),
+    )
+    near = near_field_jid(problem, "x")
+    intensity = near.intensity.toarray()
+    assert near.intensity.width < problem.grid_n // 10
+    assert conditional_widths(near.axis_signal, near.axis_idler, intensity) == pytest.approx(
+        2 * math.sqrt(a_sum * b_diff / (a_sum + b_diff)), rel=1.3e-5)
+    mass = intensity.sum() * near.d_signal * near.d_idler
+    assert mass == pytest.approx(math.pi / (4 * math.sqrt(a_sum * b_diff)), rel=1e-6)
 
 
 # -- moment engine ---------------------------------------------------------------
@@ -513,11 +606,11 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
     # the pump and it is off by 1e-5).
     problem = make_setup(signal_nm=780.0, waist_m=100e-6, n_slices=3, grid_n=1024,
                          kernel="gauss")
-    far, near = (
-        reid_inference(matrix_moments(j.plane, j.axis, j.axis_signal, j.axis_idler,
-                                      j.intensity.toarray()))
-        for j in (far_field_jid(problem, axis), near_field_jid(problem, axis))
-    )
+    jid = far_field_jid(problem, axis)
+    x, near = oracle.fft_near_field(problem, axis)
+    far = reid_inference(matrix_moments("far", axis, jid.axis_signal, jid.axis_idler,
+                                        jid.intensity.toarray()))
+    near = reid_inference(matrix_moments("near", axis, x, x, near))
     expected = widths(reid_product(near, far))
     got = widths(certify_axis(problem, axis)[2])
     np.testing.assert_allclose(got, expected, rtol=1e-6, atol=0)
