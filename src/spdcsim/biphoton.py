@@ -70,8 +70,8 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 #: Grid-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
-#: holds its N x w band, the gathers of one ``_ROW_BLOCK``-row block (at
-#: most 4 x 64 x w, plus their int64 column indices) and 1-D tables of the
+#: holds its N x w band, the gathers of one ``_ROW_BLOCK``-row block (2 x
+#: 64 x w, plus their int64 column indices) and 1-D tables of the
 #: grid: far under one N x N grid, so the charge over-states it.  The rest
 #: covers what a slice loop holds beside it.  The node grids of the moment
 #: engine and the near field are charged at the same rate; a moment-engine
@@ -123,7 +123,14 @@ def _arm_dk_z(crystal: CrystalSetup, lam_nm: float, lam0_nm: float, q_x, q_y):
 
 def _kernel(u, kind: str):
     if kind == "sinc":
-        return np.sinc(np.asarray(u) / np.pi)
+        # sin(u)/u to 2.2e-16 relative, next to the zeros u = k pi too,
+        # where sin(pi x)/(pi x) at x = u/pi is off by up to 5.8 relative
+        u = np.asarray(u, dtype=float)
+        k = np.sin(u, out=np.empty_like(u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k /= u
+        k[u == 0] = 1.0
+        return k
     if kind == "gauss":
         # Curvature-matched Gaussian stand-in: exp(-u^2/6) agrees with
         # sinc(u) through O(u^2), turning width computations analytic.
@@ -151,11 +158,6 @@ def _kernel_with_slope(u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray
     return k, slope
 
 
-#: below this |u| the separable sin(a + b)/u loses digits to cancellation
-#: (about 1e-16/|u| absolute); np.sinc takes over there
-_SEPARABLE_SINC_MIN_U = 1e-4
-
-
 def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
                    crystal: CrystalSetup, wl: SpdcWavelengths):
     """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2
@@ -180,43 +182,23 @@ def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
     return a + half_length * crystal.collinear_mismatch, b, da, db
 
 
-def _idler_tables(q_i, b, kernel: str) -> tuple:
-    """The idler-side inputs of ``_envelope_times_kernel``: q_i and b, and
-    for the sinc kernel sin b and cos b."""
-    return (q_i, b, np.sin(b), np.cos(b)) if kernel == "sinc" else (q_i, b)
-
-
 def _envelope_times_kernel(a, q_s, idler, waist_m: float, kernel: str):
     """exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(a + b), computed in place in
-    ``idler``, the ``_idler_tables`` arrays spread to the output's shape;
-    ``a`` and ``q_s`` broadcast against them.  Returns ``idler[0]``.
+    ``idler`` = (q_i, b), both spread to the output's shape; ``a`` and
+    ``q_s`` broadcast against them.  Returns ``idler[0]``.
 
     The first factor is the Gaussian pump's angular spectrum at the
     transverse mismatch q_s + q_i, whatever the axis: peak 1 at
-    q_s + q_i = 0, 1/e at |q_s + q_i| = 2/w0.  The sinc kernel sin(u)/u,
-    u = a + b, is taken as (sin a cos b + cos a sin b)/u: for a column
-    ``a`` and a row ``b``, four 1-D transcendental calls instead of one
-    per grid point.
+    q_s + q_i = 0, 1/e at |q_s + q_i| = 2/w0.
     """
-    out, u, *trig = idler
+    out, u = idler
     out += q_s
     np.square(out, out=out)
     out *= -(waist_m * waist_m)
     out /= 4.0
     np.exp(out, out=out)
     u += a  # the kernel argument a + b
-    if kernel != "sinc":
-        out *= _kernel(u, kernel)
-        return out
-    sin_b, cos_b = trig
-    cos_b *= np.sin(a)
-    sin_b *= np.cos(a)
-    cos_b += sin_b
-    small = np.abs(u, out=sin_b) < _SEPARABLE_SINC_MIN_U
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_b /= u
-    cos_b[small] = np.sinc(u[small] / np.pi)
-    out *= cos_b
+    out *= _kernel(u, kernel)
     return out
 
 
@@ -230,13 +212,13 @@ def amplitude(q_s, q_i, problem: Problem, axis: str, pair: tuple[float, float]):
     amplitude is real, and only |Psi|^2 enters every downstream quantity.
 
     dk_z L / 2 = a(q_s) + b(q_i) is taken per arm, so on a column x row
-    broadcast the mismatch and the sinc kernel cost O(N) transcendental
-    calls; only the envelope is evaluated per point.
+    broadcast the mismatch costs O(N) square roots; the envelope and the
+    kernel are evaluated per point.
     """
     q_s = np.asarray(q_s, dtype=float)
     q_i = np.asarray(q_i, dtype=float)
     a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
-    *idler, _ = np.broadcast_arrays(*_idler_tables(q_i, b, problem.kernel), q_s)
+    *idler, _ = np.broadcast_arrays(q_i, b, q_s)
     idler = [table.copy() for table in idler]
     return _envelope_times_kernel(a, q_s, idler, problem.waist_m, problem.kernel)
 
@@ -323,10 +305,10 @@ def evaluate_grid(
     |q_s + q_i| <= 2 sqrt(746) / w0, so each signal row keeps only the
     idler columns ``envelope_columns`` gives, widened to one shared width.
     They are evaluated with ``amplitude``'s envelope x kernel formula, on
-    the idler-side 1-D tables (q_i, b and, for the sinc kernel, sin b and
-    cos b) gathered along the windows of ``_ROW_BLOCK`` signal rows at a
-    time, computed in place and stored into the band's ``data``, which is
-    allocated once: beside the band only one block's gathers are held.
+    the idler-side 1-D tables q_i and b gathered along the windows of
+    ``_ROW_BLOCK`` signal rows at a time, computed in place and stored into
+    the band's ``data``, which is allocated once: beside the band only one
+    block's gathers are held.
     Values equal a dense evaluation bit for bit; a skipped zero is +0.0
     where the dense product may give -0.0.  The kernel arguments, and with
     them the evanescent-input check, cover both full grids.  The peak
@@ -350,7 +332,7 @@ def evaluate_grid(
     if start.shape != q_s.shape or np.any(start < 0) or np.any(start + width > q_i.size):
         raise ValueError("windows must give one start per signal row, inside the idler grid")
     a, b = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)[:2]
-    tables = np.stack(_idler_tables(q_i, b, problem.kernel))
+    tables = np.stack((q_i, b))
     offsets = np.arange(width)
     data = np.empty((q_s.size, width))
     for rows in _row_blocks(q_s.size):

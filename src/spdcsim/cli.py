@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -137,7 +138,11 @@ def cmd_jid(args: argparse.Namespace) -> int:
     problem = cfg.build()
     payload = _stats_payload(problem, args.plane, args.axis)
     fn = far_field_jid if args.plane == "far" else near_field_jid
-    jid = fn(problem, args.axis)
+    with warnings.catch_warnings(record=True) as caught:  # an unresolved near-field picture
+        warnings.simplefilter("always", UserWarning)
+        jid = fn(problem, args.axis)
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     files = _write_matrix(Path(cfg.out_dir), f"jid_{args.plane}_{args.axis}", cfg.out_formats, jid)
     stats_path = Path(cfg.out_dir) / f"jid_{args.plane}_{args.axis}_stats.json"
     stats_path.write_text(

@@ -45,11 +45,15 @@ place, weighted and added.  The near field takes the moment engine's
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss, hermvander
+from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
@@ -152,10 +156,6 @@ def sample_spectrum(
     nothing is cut off.  For odd n the middle node is lam0 exactly.
     Raises ValueError for ``n_slices`` outside [1, 256] or a node not longer than the pump.
     """
-    # numpy does not import these by itself
-    from numpy.polynomial.hermite import hermgauss
-    from numpy.polynomial.legendre import leggauss
-
     if not 1 <= n_slices <= MAX_SPECTRAL_SLICES:
         raise ValueError(f"n_slices must be in [1, {MAX_SPECTRAL_SLICES}], got {n_slices}")
     if f.shape == "gaussian":
@@ -312,8 +312,6 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     EvanescentInputError if any node momentum reaches the propagation
     cone.
     """
-    from numpy.polynomial.hermite import hermgauss  # numpy does not import it by itself
-
     check_memory_budget(_SUM_NODES, problem.grid_n, problem.memory_budget_bytes)
     q_d = problem.diff_grid()
     t, h = hermgauss(_SUM_NODES)
@@ -458,12 +456,10 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     at lag l is G(l)^H M G(l), M_jk = i^(k-j) int a^(j+k) exp(-a^2/2) da;
     the band keeps the fewest lags that leave out at most ``_NEAR_BAND_LOSS``
     of its weighted slice sum, and is charged with the node grid before it
-    is allocated.
+    is allocated.  A UserWarning says when the picture holds less than
+    1 - ``_NEAR_BAND_LOSS`` of that sum: its position window 2 pi / dq is
+    too few pump waists wide, or the band is capped at (N - 1)//2 lags.
     """
-    # numpy does not import these by itself
-    from numpy.polynomial.hermite import hermgauss, hermvander
-    from numpy.polynomial.polynomial import polyval
-
     q = problem.square_grid()
     n, dq, w0 = q.size, float(q[1] - q[0]), problem.waist_m
     t, h = hermgauss(_NEAR_NODES)
@@ -498,5 +494,13 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
             a = (x[rows, None] + x[cols]) / w0
             psi = polyval(a, g[:, (np.arange(n)[rows, None] - cols) % n], tensor=False)
             data[rows] += weight * (psi.real**2 + psi.imag**2) * np.exp(-0.5 * a * a)
+    # a lag's entries sample a every 2 dx / w0, so the picture sums to
+    # w0 sqrt(2 pi) / (2 dx) times the mass it holds, in ``profile``'s units
+    window = 2.0 * math.pi / dq
+    held = data.sum() * 2.0 * window / (n * w0 * math.sqrt(2.0 * math.pi))
+    if held < (1.0 - _NEAR_BAND_LOSS) * profile.sum():
+        warnings.warn(f"near-field picture misses {1.0 - held / profile.sum():.2g} of its mass: "
+                      f"its position window 2 pi/dq = {window:.3g} m spans {window / w0:.3g} "
+                      f"pump waists; raise grid.n to resolve the near-field picture", stacklevel=2)
     band = RowBand(data, start, n)
     return JointDistribution(plane="near", axis=axis, axis_signal=x, axis_idler=x, intensity=band)

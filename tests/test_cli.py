@@ -248,6 +248,30 @@ class TestJid:
         assert printed.pop("files") == sorted([f"jid_{plane}_{axis}.csv", sidecar.name])
         assert printed == json.loads(stats_out)
 
+    @pytest.mark.parametrize("grid_n", [64, 512, 1024, 2048])
+    @pytest.mark.parametrize("config", ["nondegenerate_780", "degenerate_810"])
+    def test_near_plane_warns_when_its_picture_is_unresolved(self, capsys, tmp_path, config,
+                                                             grid_n):
+        """Past its position window 2 pi/dq the near-field picture misses
+        mass: 0.7 of its lag profile's at N = 64 (0.39 pump waists, the
+        band capped at 63 lags) and 1.6e-3 at 512 (3.2 waists), against
+        the band's 1e-6.  One warning line on stderr there, none at 1024
+        (3e-10 past the band's share) or 2048; stdout and both files are
+        written either way."""
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "jid", "--config", str(ROOT / "configs" / f"{config}.yaml"),
+            "--plane", "near", "--grid-n", str(grid_n), "--format", "bin", "--out", str(out_dir),
+        )
+        assert code == 0
+        assert json.loads(out)["files"] == ["jid_near_x.bin", "jid_near_x_stats.json"]
+        if grid_n < 1024:
+            (line,) = err.splitlines()
+            assert line.startswith("warning: near-field picture misses ")
+            assert line.endswith("; raise grid.n to resolve the near-field picture")
+        else:
+            assert err == ""
+
     def test_memory_budget_charges_the_far_field_band(self, capsys, tmp_path):
         """At N = 1024 ``jid --plane far`` is charged one evaluation, its
         band and one slice band (77 columns each): ~81 MiB.  At an 80 MiB
