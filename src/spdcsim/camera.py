@@ -24,15 +24,17 @@ ridge intercept (0 on x).  Nothing is resampled, and no dense slice
 matrix is built: the slice's amplitude is evaluated on the JPD's
 windows, squared in place and added with the slice's quadrature weight.
 
-One moment-engine pass (``spectral.moment_sums``) gives every slice of
-``Problem.slices`` its far-field raw sums: on y its ridge intercept is
-fitted from them, and mapped onto the camera they are the slice's
-camera-plane sums, which the JPDs add with the quadrature weights
-(``spectral._slice_total``, as ``certify_axis`` adds its rows).  They are
-added first, so a collapsed distribution stops before any evaluation.
-The slices are then evaluated and added by ``spectral._squared_bands``,
-the pass that also builds the far-field JID, with the pixel momenta of
-``_momenta``.
+Both steps are per-slice affine maps, held as arrays over
+``Problem.slices``: the wavelengths, the scales s and the intercepts b.
+One moment-engine pass (``spectral.moment_sums``) gives the slices'
+far-field raw sums, k rows of six: on y each slice's b is fitted from
+its row, and ``_mapped`` takes the rows onto the camera, then the
+camera rows onto the corrected idler.  The JPDs add them with the
+quadrature weights (``spectral._slice_total``, as ``certify_axis`` adds
+its rows), first, so a collapsed distribution stops before any
+evaluation.  The slices are then evaluated and added by
+``spectral._squared_bands``, the pass that also builds the far-field
+JID, at the pixel momenta above.
 The JPDs are ``CameraJPD``s, ``JointDistribution``s of plane 'camera',
 whose bands are allocated once, on the union of every slice's
 ``envelope_columns(power=2)`` windows, which the pixel grids give
@@ -64,39 +66,14 @@ __all__ = ["CameraJPD", "camera_jpds", "slope_report"]
 
 
 @dataclass(frozen=True)
-class _CameraSlice:
-    """One spectral slice on the camera: its wavelengths and quadrature
-    weight, and each arm's scale, meters of camera coordinate per rad/m.
-    ``ridge_intercept`` is the intercept (rad/m) of the ridge fitted to
-    the slice's own momentum distribution, which the walk-off correction
-    removes; 0.0 on x, which carries no walk-off.  ``sums`` are the raw
-    sums of {1, Y_s, Y_i, Y_s^2, Y_i^2, Y_s Y_i} over the slice's
-    intensity in its camera coordinates, from the moment engine.
-    """
-
-    lambda_signal_nm: float
-    lambda_idler_nm: float
-    weight: float
-    scale_signal: float
-    scale_idler: float
-    ridge_intercept: float
-    sums: tuple[float, ...]
-
-    def corrected_sums(self) -> tuple[float, ...]:
-        """``sums`` with the idler coordinate corrected, Y_i = (M f/k_s)(q_i - b)."""
-        shift = self.scale_signal * self.ridge_intercept
-        return _mapped(self.sums, 1.0, self.lambda_signal_nm / self.lambda_idler_nm, -shift)
-
-
-@dataclass(frozen=True)
 class CameraJPD(JointDistribution):
     """Accumulated camera-plane joint probability distribution: a
     ``JointDistribution`` of plane 'camera' whose axes are the pixel
     centres' camera coordinates (meters) and whose ``intensity`` band
     covers every slice's windows.  ``slices`` are the run's
     ``Problem.slices``; ``sums`` are the slices' camera-plane raw sums
-    (``_CameraSlice.sums``) added with their weights in that order, the
-    moments ``slope_report`` fits.
+    (the engine's far-field sums through ``_mapped``) added with their
+    weights in that order, the moments ``slope_report`` fits.
     """
 
     corrected: bool
@@ -104,54 +81,19 @@ class CameraJPD(JointDistribution):
     sums: tuple[float, ...]
 
 
-def _scale(focal_length_m: float, lambda_nm: float, magnification: float) -> float:
+def _scale(focal_length_m: float, lambda_nm, magnification: float):
     """Meters of camera coordinate per rad/m of momentum: M f / k, k = 2 pi / lambda."""
     return magnification * focal_length_m / (2.0 * math.pi / (lambda_nm * 1e-9))
 
 
-def _mapped(sums, a_s: float, a_i: float, b_i: float = 0.0) -> tuple[float, ...]:
+def _mapped(sums: np.ndarray, a_s, a_i, b_i=0.0) -> np.ndarray:
     """Raw sums of {1, Y_s, Y_i, Y_s^2, Y_i^2, Y_s Y_i} for Y_s = a_s u_s and
-    Y_i = a_i u_i + b_i, from ``sums``, those of {1, u_s, u_i, u_s^2, u_i^2,
-    u_s u_i}."""
-    n, s, i, ss, ii, si = sums
-    return (n, a_s * s, a_i * i + b_i * n, a_s * a_s * ss,
-            a_i * a_i * ii + 2.0 * a_i * b_i * i + b_i * b_i * n, a_s * (a_i * si + b_i * s))
-
-
-def _camera_slices(
-    problem: Problem, axis: str, focal_length_m: float, magnification: float
-) -> list[_CameraSlice]:
-    """Every slice of ``problem.slices`` on the camera, from one
-    ``moment_sums`` pass: its far-field sums, mapped onto the camera,
-    and on y its ridge intercept.  Nothing is evaluated on a grid."""
-    for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    slices = []
-    for (lam_s, lam_i, weight), sums in zip(problem.slices,
-                                            moment_sums(problem, axis)[:, :6].tolist()):
-        intercept = 0.0
-        if axis == "y":
-            intercept = ridge_fit(StatsSummary.from_sums("far", axis, *sums)).intercept
-        scale_s = _scale(focal_length_m, lam_s, magnification)
-        scale_i = _scale(focal_length_m, lam_i, magnification)
-        slices.append(_CameraSlice(lam_s, lam_i, weight, scale_s, scale_i, intercept,
-                                   _mapped(sums, scale_s, scale_i)))
-    return slices
-
-
-def _momenta(q: np.ndarray, central: _CameraSlice, cs: _CameraSlice) -> tuple[np.ndarray, ...]:
-    """The momenta of slice ``cs`` that land on the JPDs' pixel centres:
-    its signal momenta, and its uncorrected and corrected idler momenta.
-    The pixels are the square grid ``q`` mapped with ``central``'s scales
-    (and corrected with its intercept); all three grids are uniform and
-    increasing."""
-    to_signal = central.scale_signal / cs.scale_signal
-    return (
-        q * to_signal,
-        q * (central.scale_idler / cs.scale_idler),
-        (q - central.ridge_intercept) * to_signal + cs.ridge_intercept,
-    )
+    Y_i = a_i u_i + b_i, from the rows of ``sums``, those of {1, u_s, u_i,
+    u_s^2, u_i^2, u_s u_i}; each map coefficient is one per row or shared."""
+    n, s, i, ss, ii, si = sums.T
+    return np.column_stack((n, a_s * s, a_i * i + b_i * n, a_s * a_s * ss,
+                            a_i * a_i * ii + 2.0 * a_i * b_i * i + b_i * b_i * n,
+                            a_s * (a_i * si + b_i * s)))
 
 
 def camera_jpds(
@@ -163,28 +105,43 @@ def camera_jpds(
     Each JPD's pixels are the square grid mapped onto the camera with the
     central slice's scales, Y = M (f/k) q per arm (the corrected idler
     then rescaled and, on y, shifted by the central slice's intercept).
-    The slices' camera-plane sums, from the moment engine, are added with
-    their weights first: a total that is not finite and positive raises
-    ``DegenerateDistributionError`` before any evaluation.  Then each
-    slice, in sampling order, is evaluated at the momenta that land on
-    the pixel centres, once per JPD (``_momenta``), on that JPD's
-    windows, and added with its weight (``spectral._squared_bands``).
-    The focal length and the magnification must be finite and positive
-    (``ValueError``); the budget is checked once, before any evaluation,
-    for the two JPDs and one slice band (``GridMemoryError``).
+    The slices' camera-plane sums, the engine's far-field sums mapped per
+    slice (``_mapped``), are added with their weights first: a total that
+    is not finite and positive raises ``DegenerateDistributionError``
+    before any evaluation.  Then each slice, in sampling order, is
+    evaluated at the momenta that land on the pixel centres, once per
+    JPD, on that JPD's windows, and added with its weight
+    (``spectral._squared_bands``).  The focal length and the
+    magnification must be finite and positive (``ValueError``); the
+    budget is checked once, before any evaluation, for the two JPDs and
+    one slice band (``GridMemoryError``).
     """
-    slices = _camera_slices(problem, axis, focal_length_m, magnification)
-    raw_sums = tuple(_slice_total(problem, [cs.sums for cs in slices]).tolist())
-    fixed_sums = tuple(_slice_total(problem, [cs.corrected_sums() for cs in slices]).tolist())
+    for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    far = moment_sums(problem, axis)[:, :6]
+    lam_s, lam_i, _ = np.array(problem.slices).T
+    s_s, s_i = (_scale(focal_length_m, lam, magnification) for lam in (lam_s, lam_i))
+    b = np.zeros(len(far))  # each slice's ridge intercept (rad/m), which the correction removes
+    if axis == "y":
+        b = np.array([ridge_fit(StatsSummary.from_sums("far", axis, *row)).intercept
+                      for row in far.tolist()])
+    raw_rows = _mapped(far, s_s, s_i)
+    # the corrected idler, Y_i = (M f / k_s)(q_i - b)
+    fixed_rows = _mapped(raw_rows, 1.0, lam_s / lam_i, -(s_s * b))
+    raw_sums = tuple(_slice_total(problem, raw_rows).tolist())
+    fixed_sums = tuple(_slice_total(problem, fixed_rows).tolist())
     StatsSummary.from_sums("camera", axis, *raw_sums)  # a collapsed distribution stops here
 
-    q, central = problem.square_grid(), slices[problem.n_slices // 2]
-    raw, fixed = _squared_bands(problem, axis, lambda k: _momenta(q, central, slices[k]),
-                                "2 camera JPDs")
+    q, mid = problem.square_grid(), problem.n_slices // 2
 
-    y_signal, y_idler = central.scale_signal * q, central.scale_idler * q
-    fixed_idler = (y_idler * (central.lambda_signal_nm / central.lambda_idler_nm)
-                   - central.scale_signal * central.ridge_intercept)
+    def momenta(k):  # the momenta of slice k that land on the pixel centres, per JPD
+        to_signal = s_s[mid] / s_s[k]
+        return q * to_signal, q * (s_i[mid] / s_i[k]), (q - b[mid]) * to_signal + b[k]
+
+    raw, fixed = _squared_bands(problem, axis, momenta, "2 camera JPDs")
+    y_signal, y_idler = s_s[mid] * q, s_i[mid] * q
+    fixed_idler = y_idler * (lam_s[mid] / lam_i[mid]) - s_s[mid] * b[mid]
     return (
         CameraJPD("camera", axis, y_signal, y_idler, raw, False, problem.slices, raw_sums),
         CameraJPD("camera", axis, y_signal, fixed_idler, fixed, True, problem.slices, fixed_sums),

@@ -112,6 +112,18 @@ def _write_matrix(directory: Path, stem: str, formats, picture: JointDistributio
     return written
 
 
+def _warning_lines(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, each UserWarning it issues (an unresolved
+    picture) printed on stderr as one ``warning:`` line, also if it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+
+
 def cmd_pm_angle(args: argparse.Namespace) -> int:
     problem = _config(args).build()
     crystal, wl, sell = problem.crystal, problem.wl, problem.crystal.sellmeier
@@ -137,12 +149,8 @@ def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
     problem = cfg.build()
     payload = _stats_payload(problem, args.plane, args.axis)
-    fn = far_field_jid if args.plane == "far" else near_field_jid
-    with warnings.catch_warnings(record=True) as caught:  # an unresolved near-field picture
-        warnings.simplefilter("always", UserWarning)
-        jid = fn(problem, args.axis)
-    for caught_warning in caught:
-        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    jid = _warning_lines(far_field_jid if args.plane == "far" else near_field_jid,
+                         problem, args.axis)
     files = _write_matrix(Path(cfg.out_dir), f"jid_{args.plane}_{args.axis}", cfg.out_formats, jid)
     stats_path = Path(cfg.out_dir) / f"jid_{args.plane}_{args.axis}_stats.json"
     stats_path.write_text(
@@ -203,12 +211,8 @@ def cmd_camera(args: argparse.Namespace) -> int:
     cfg = _config(args)
     problem = cfg.build()
     axis = args.axis or "y"
-    q, pump_width = problem.square_grid(), 2.0 / problem.waist_m
-    if q[1] - q[0] > pump_width:
-        print(f"warning: square grid step {q[1] - q[0]:.3g} rad/m is wider than the pump "
-              f"width 2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the camera ridge",
-              file=sys.stderr)
-    raw, fixed = camera_jpds(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
+    raw, fixed = _warning_lines(camera_jpds, problem, axis, cfg.focal_length_m,
+                                magnification=cfg.magnification)
     # before any file is written: a collapsed distribution exits 4 and writes none
     reports = {"uncorrected": slope_report(raw), "corrected": slope_report(fixed)}
     files = []

@@ -390,8 +390,14 @@ def _squared_bands(
     evaluation, for one evaluation, the pictures (``holding`` names them)
     and one slice band (``GridMemoryError``).  Then each slice, in
     sampling order, is evaluated on each picture's windows, squared in
-    place, weighted and added.
+    place, weighted and added.  A UserWarning says when the square grid's
+    step is wider than the pump width 2/w0, which leaves the ridge unresolved.
     """
+    q, pump_width = problem.square_grid(), 2.0 / problem.waist_m
+    if q[1] - q[0] > pump_width:
+        warnings.warn(f"square grid step {q[1] - q[0]:.3g} rad/m is wider than the pump width "
+                      f"2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the far-field "
+                      f"and camera ridges", stacklevel=2)
     n = problem.grid_n
     bounds = None  # per picture: the union's first and stop column of each row
     for k in range(len(problem.slices)):

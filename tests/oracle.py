@@ -1,8 +1,9 @@
 """Test-side oracles: the moments of a dense intensity matrix, the
 moment engine's per-slice sums as plain whole-array expressions, the
 near-field picture as a 2-D FFT of the dense square-grid amplitude and
-as its Hermite-mode closed form on every entry, and a dense matrix as the
-full-width band a picture holds.
+as its Hermite-mode closed form on every entry, the camera's slices one
+record each with their sums mapped in Python floats and their pixel
+momenta, and a dense matrix as the full-width band a picture holds.
 
 The package takes every statistic from the moment engine; the tests
 check it, and the matrix pictures, against the moments of a matrix
@@ -10,13 +11,15 @@ reduced here to the six raw sums that ``StatsSummary.from_sums`` takes.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval
 
 from spdcsim.biphoton import RowBand, _arm_arguments, _kernel, _kernel_with_slope, evaluate_grid
 from spdcsim.spectral import _SUM_NODES, position_grid
-from spdcsim.stats import StatsSummary
+from spdcsim.spectral import moment_sums as engine_sums
+from spdcsim.stats import StatsSummary, ridge_fit
 
 
 def full_band(matrix):
@@ -153,3 +156,57 @@ def mode_near_field(problem, axis):
         psi *= math.sqrt(math.pi) / (2.0 * math.pi * w0) * np.exp(-a * a / 4.0)
         total += weight * (psi.real**2 + psi.imag**2)
     return x, total
+
+
+def mapped_sums(sums, a_s, a_i, b_i=0.0):
+    """Raw sums of {1, Y_s, Y_i, Y_s^2, Y_i^2, Y_s Y_i} for Y_s = a_s u_s and
+    Y_i = a_i u_i + b_i, from ``sums``, those of {1, u_s, u_i, u_s^2, u_i^2,
+    u_s u_i}, in Python floats."""
+    n, s, i, ss, ii, si = sums
+    return (n, a_s * s, a_i * i + b_i * n, a_s * a_s * ss,
+            a_i * a_i * ii + 2.0 * a_i * b_i * i + b_i * b_i * n, a_s * (a_i * si + b_i * s))
+
+
+def camera_slices(problem, axis, focal_length_m, magnification=1.0):
+    """Every slice of ``problem.slices`` on the camera, one namespace each,
+    from the engine's far-field sums: its wavelengths and weight, each
+    arm's scale M f lambda / (2 pi) (meters of camera coordinate per
+    rad/m), on y the intercept of its own ridge fit (0.0 on x), and its
+    camera-plane ``sums`` and ``corrected_sums`` (the idler rescaled by
+    lambda_s / lambda_i and shifted by -scale_signal * intercept), each
+    slice mapped on its own in Python floats."""
+    slices = []
+    for (lam_s, lam_i, weight), sums in zip(problem.slices,
+                                            engine_sums(problem, axis)[:, :6].tolist()):
+        intercept = 0.0
+        if axis == "y":
+            intercept = ridge_fit(StatsSummary.from_sums("far", axis, *sums)).intercept
+        scale_s, scale_i = (magnification * focal_length_m / (2.0 * math.pi / (lam * 1e-9))
+                            for lam in (lam_s, lam_i))
+        camera = mapped_sums(sums, scale_s, scale_i)
+        slices.append(SimpleNamespace(
+            lambda_signal_nm=lam_s, lambda_idler_nm=lam_i, weight=weight,
+            scale_signal=scale_s, scale_idler=scale_i, ridge_intercept=intercept, sums=camera,
+            corrected_sums=mapped_sums(camera, 1.0, lam_s / lam_i, -(scale_s * intercept)),
+        ))
+    return slices
+
+
+def weighted_total(slices, key):
+    """sum_k w_k getattr(slice_k, key), added in sampling order in Python floats."""
+    total = [0.0] * 6
+    for cs in slices:
+        total = [t + cs.weight * v for t, v in zip(total, getattr(cs, key))]
+    return tuple(total)
+
+
+def camera_momenta(q, central, cs):
+    """The momenta of camera slice ``cs`` that land on the pixels ``q``
+    mapped with ``central``'s scales: its signal momenta, and its
+    uncorrected and corrected idler momenta."""
+    to_signal = central.scale_signal / cs.scale_signal
+    return (
+        q * to_signal,
+        q * (central.scale_idler / cs.scale_idler),
+        (q - central.ridge_intercept) * to_signal + cs.ridge_intercept,
+    )

@@ -19,19 +19,13 @@ from spdcsim.biphoton import (
     envelope_columns,
     evaluate_grid,
 )
-from spdcsim.camera import (
-    CameraJPD,
-    _camera_slices,
-    _momenta,
-    camera_jpds,
-    slope_report,
-)
+from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, Problem, far_field_jid
 from spdcsim.stats import DegenerateDistributionError, StatsSummary, reid_inference, ridge_fit
 
-from oracle import matrix_moments
+from oracle import camera_momenta, camera_slices, matrix_moments, weighted_total
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -52,9 +46,9 @@ def one_slice_problem(signal_nm=780.0, n=256):
 
 
 def built_slices(problem, axis, magnification=1.0):
-    """Every slice of ``problem`` on the camera, in sampling order, as
-    ``camera_jpds`` takes them (the private builder)."""
-    return _camera_slices(problem, axis, F, magnification)
+    """Every slice of ``problem`` on the camera, in sampling order, one
+    record each (the oracle's per-slice builder)."""
+    return camera_slices(problem, axis, F, magnification)
 
 
 def camera_slice(axis="y", signal_nm=780.0, n=256):
@@ -80,6 +74,21 @@ def counting_evaluations(monkeypatch):
         spdcsim.spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
     )
     return calls
+
+
+def evaluated_momenta(problem, axis, monkeypatch, magnification=1.0):
+    """Both JPDs of ``camera_jpds`` and, per slice in sampling order, the
+    signal, uncorrected idler and corrected idler momenta its
+    ``evaluate_grid`` calls received (``counting_evaluations``)."""
+    calls = counting_evaluations(monkeypatch)
+    jpds = camera_jpds(problem, axis, F, magnification=magnification)
+    assert len(calls) == 2 * len(problem.slices)  # once per slice and JPD
+    momenta = []
+    for (lam_s, lam_i, _), raw, fixed in zip(problem.slices, calls[::2], calls[1::2]):
+        assert raw[4] == fixed[4] == (lam_s, lam_i)
+        assert np.array_equal(raw[0], fixed[0])
+        momenta.append((raw[0], raw[1], fixed[1]))
+    return jpds, momenta
 
 
 # -- mapping ------------------------------------------------------------------
@@ -150,25 +159,31 @@ def test_one_slice_far_field_is_the_uncorrected_camera_band(axis):
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_slice_momenta_land_on_pixel_centres(axis):
+def test_slice_momenta_land_on_pixel_centres(axis, monkeypatch):
     """Mapped onto the camera with its own scales (and, corrected, its
-    own idler rescale and intercept), each slice's momenta are the JPDs'
-    pixel centres, to 1e-12 of the grid's extent; the central slice's
-    uncorrected momenta are the square grid itself."""
+    own idler rescale and intercept), the momenta each slice is evaluated
+    at are the JPDs' pixel centres, to 1e-12 of the grid's extent; they
+    are the inverse camera map's (``reference_momenta``) to 1e-12 and the
+    per-slice records' (``oracle.camera_momenta``) bit for bit; the
+    central slice's uncorrected momenta are the square grid itself."""
     problem = make_setup(n_slices=5, grid_n=64)
     q = problem.square_grid()
     slices = built_slices(problem, axis)
     central = slices[2]
-    raw, fixed = camera_jpds(problem, axis, F)
-    for cs in slices:
-        q_s, q_raw, q_fixed = _momenta(q, central, cs)
+    (raw, fixed), momenta = evaluated_momenta(problem, axis, monkeypatch)
+    for cs, evaluated in zip(slices, momenta):
+        q_s, q_raw, q_fixed = evaluated
         span = cs.scale_signal * q[-1]
         for mapped, pixels in ((cs.scale_signal * q_s, raw.axis_signal),
                                (cs.scale_idler * q_raw, raw.axis_idler),
                                (cs.scale_signal * (q_fixed - cs.ridge_intercept), fixed.axis_idler)):
             assert np.abs(mapped - pixels).max() <= 1e-12 * span
             assert np.all(np.diff(mapped) > 0)
-    q_s, q_raw, _ = _momenta(q, central, central)
+        for got, ref, old in zip(evaluated, reference_momenta(central, cs, q, q),
+                                 camera_momenta(q, central, cs)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(got, old)
+    q_s, q_raw, _ = momenta[2]
     assert np.array_equal(q_s, q) and np.array_equal(q_raw, q)
 
 
@@ -196,21 +211,21 @@ def test_ridge_intercept_is_the_slice_fit():
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("waist_um", [50, 500])
-def test_slice_band_is_the_squared_amplitude(axis, waist_um):
+def test_slice_band_is_the_squared_amplitude(axis, waist_um, monkeypatch):
     """Each JPD is the square of ``amplitude`` at every slice's pixel
-    momenta, times the slice's weight, added in sampling order into a
-    zeroed dense matrix, bit for bit, zeros' signs included.  Its
-    windows are the union of the slices' power-2 ``envelope_columns``
+    momenta (those its evaluations received), times the slice's weight,
+    added in sampling order into a zeroed dense matrix, bit for bit,
+    zeros' signs included.  Its windows are the union of the slices' power-2 ``envelope_columns``
     windows, widened to one width; the windows of the outer rows clip
     at the grid edge, most of them at 50 um."""
     problem = make_setup(waist_m=waist_um * 1e-6, n_slices=3, grid_n=256)
     q = problem.square_grid()
     slices = built_slices(problem, axis)
-    for j, jpd in enumerate(camera_jpds(problem, axis, F)):
+    jpds, momenta = evaluated_momenta(problem, axis, monkeypatch)
+    for j, jpd in enumerate(jpds):
         dense = np.zeros((q.size, q.size))
         first, stop = np.full(q.size, q.size), np.zeros(q.size, dtype=int)
-        for cs in slices:
-            q_s, *idlers = _momenta(q, slices[1], cs)
+        for cs, (q_s, *idlers) in zip(slices, momenta):
             amp = amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
                             (cs.lambda_signal_nm, cs.lambda_idler_nm))
             dense += cs.weight * (amp * amp)
@@ -280,7 +295,8 @@ def test_fitted_shift_removes_nondegenerate_intercept():
 # -- resampling onto the pixel grid ----------------------------------------------
 #
 # A slice is resampled onto the central slice's pixels by evaluation:
-# ``_momenta`` gives the momenta that land on the pixel centres and
+# ``oracle.camera_momenta`` gives the momenta that land on the pixel centres
+# (the camera's, bit for bit: ``test_slice_momenta_land_on_pixel_centres``) and
 # ``evaluate_grid`` samples the slice there, on the power-2 windows.  The
 # cases below move a signal pixel grid against the idler's and the band.
 
@@ -310,8 +326,8 @@ def pixel_case(shape, scale, shift, axis):
 
 def pixel_momenta(central, cs, q_signal, q_idler):
     """Slice ``cs``'s signal, uncorrected idler and corrected idler
-    momenta on the pixel grids, from ``_momenta``."""
-    return _momenta(q_signal, central, cs)[0], *_momenta(q_idler, central, cs)[1:]
+    momenta on the pixel grids, from ``oracle.camera_momenta``."""
+    return camera_momenta(q_signal, central, cs)[0], *camera_momenta(q_idler, central, cs)[1:]
 
 
 def reference_pixels(central, q_signal, q_idler):
@@ -344,10 +360,11 @@ def jpd_windows(q_s, q_i, problem):
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_resample_matches_antiderivative_reference(shape, scale, shift, axis):
-    """Each slice's squared band on its JPD's windows, at the ``_momenta``
-    of the pixels, equals the squared ``amplitude`` at the momenta the
-    inverse camera map gives (``reference_momenta``), on axis x (0) and
-    y (1), to 1e-12 of its peak; outside the windows both are zero."""
+    """Each slice's squared band on its JPD's windows, at the
+    ``pixel_momenta`` of the pixels, equals the squared ``amplitude`` at
+    the momenta the inverse camera map gives (``reference_momenta``), on
+    axis x (0) and y (1), to 1e-12 of its peak; outside the windows both
+    are zero."""
     problem, slices, q_signal, q_idler = pixel_case(shape, scale, shift, "xy"[axis])
     central = slices[len(slices) // 2]
     for cs in slices:
@@ -585,8 +602,12 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
     """Both JPDs of the one streamed pass equal the weighted sum of the
     list of slices, each squared at the momenta of the inverse camera
     map (``reference_momenta``), on either axis and with magnification,
-    to 1e-12 of the peak; their axes are the pixel centres.  With 4
-    slices the central slice, index 2, is not the middle of the scan."""
+    to 1e-12 of the peak; their axes are the pixel centres.  Their sums
+    equal, bit for bit, the engine's far-field sums mapped onto the camera
+    one slice at a time in Python floats (corrected: mapped again onto the
+    rescaled and shifted idler) and added with the weights in sampling
+    order (``oracle.camera_slices``).  With 4 slices the central slice,
+    index 2, is not the middle of the scan."""
     problem = make_setup(n_slices=n_slices, grid_n=256)
     q = problem.square_grid()
     slices = built_slices(problem, axis, magnification=1.5)
@@ -605,6 +626,7 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
         np.testing.assert_array_equal(jpd.axis_signal, y_signal)
         np.testing.assert_array_equal(jpd.axis_idler, y_idlers[j])
         assert np.abs(jpd.intensity.toarray() - total).max() <= 1e-12 * total.max()
+        assert jpd.sums == weighted_total(slices, ("sums", "corrected_sums")[j])
         assert jpd.slices == tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight)
                                    for cs in slices)
         assert len(jpd.slices) == n_slices

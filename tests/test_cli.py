@@ -568,22 +568,31 @@ class TestCamera:
             assert (out_dir / name).stat().st_size > 0
 
 
-    @pytest.mark.parametrize("grid_n", [256, 512])
-    def test_warns_when_grid_step_exceeds_pump_width(self, capsys, tmp_path, grid_n):
+    @pytest.mark.parametrize("command, files, grid_n", [
+        pytest.param(command, files, grid_n, id=f"{tag}{grid_n}")
+        for tag, command, files in (
+            ("", ("camera",), ["camera_corrected_y.csv", "camera_uncorrected_y.csv"]),
+            ("jid-far-", ("jid", "--plane", "far"), ["jid_far_x.csv", "jid_far_x_stats.json"]),
+        ) for grid_n in (256, 512)
+    ])
+    def test_warns_when_grid_step_exceeds_pump_width(self, capsys, tmp_path, command, files,
+                                                     grid_n):
         """At the default config the square grid's step is 7.97e3 rad/m at
         N = 256 and 3.98e3 at N = 512, against the pump width 2/w0 =
-        4e3 rad/m: one warning line on stderr at 256, none at 512; stdout
-        stays the JSON report and both files are written."""
+        4e3 rad/m: the camera's and the far field's one square-grid slice
+        pass writes one warning line on stderr at 256, none at 512; stdout
+        stays the JSON report and every file is written."""
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
-            capsys, "camera", "--out", str(out_dir), "--grid-n", str(grid_n), "--slices", "3",
+            capsys, *command, "--out", str(out_dir), "--grid-n", str(grid_n), "--slices", "3",
         )
         assert code == 0
-        assert json.loads(out)["files"] == ["camera_corrected_y.csv", "camera_uncorrected_y.csv"]
+        assert json.loads(out)["files"] == files
         if grid_n == 256:
             (line,) = err.splitlines()
             assert line.startswith("warning: square grid step 7.97e+03 rad/m ")
             assert "pump width 2/w0 = 4e+03 rad/m" in line
+            assert line.endswith("; raise grid.n to resolve the far-field and camera ridges")
         else:
             assert err == ""
 
@@ -771,7 +780,7 @@ class TestExitCodes:
         """With the Gaussian kernel on a crystal cut at 0 degrees every
         slice's intensity underflows to 0: each statistic's sums reach
         ``StatsSummary.from_sums`` with a total of 0.0, which exits 4 with
-        one stderr line (after the coarse-grid warning of ``camera``),
+        one stderr line (after any warning line),
         prints nothing and writes no file.  On x the camera has no slice
         intercepts to fit, so it is its JPDs' sums that stop it, before
         any slice is evaluated."""
