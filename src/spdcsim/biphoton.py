@@ -65,19 +65,8 @@ __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
 ]
 
-#: Default ceiling on one slice's working memory, as ``check_memory_budget``
-#: estimates it.
+#: Default ceiling on what a run holds at its peak, as ``check_memory_budget`` charges it.
 DEFAULT_MEMORY_BUDGET_BYTES = 2 * 1024**3
-
-#: Grid-sized float64 arrays charged per slice.  A banded ``evaluate_grid``
-#: holds its N x w band, the gathers of one ``_ROW_BLOCK``-row block (2 x
-#: 64 x w, plus their int64 column indices) and 1-D tables of the
-#: grid: far under one N x N grid, so the charge over-states it.  The rest
-#: covers what a slice loop holds beside it.  The node grids of the moment
-#: engine and the near field are charged at the same rate; a moment-engine
-#: slice holds about ten node-grid arrays at its peak.  Changing it moves
-#: every exit-3 threshold.
-_TEMPORARIES_PER_GRID = 10
 
 
 class EvanescentInputError(ValueError):
@@ -223,18 +212,12 @@ def amplitude(q_s, q_i, problem: Problem, axis: str, pair: tuple[float, float]):
     return _envelope_times_kernel(a, q_s, idler, problem.waist_m, problem.kernel)
 
 
-def check_memory_budget(
-    n_s: int, n_i: int, budget_bytes: int, *, held_bytes: int = 0, holding: str = ""
-) -> None:
-    """Raise GridMemoryError unless one slice's working set on an n_s x n_i
-    grid plus ``held_bytes`` of held arrays (``holding`` names them) fit."""
-    needed = n_s * n_i * 8 * _TEMPORARIES_PER_GRID + held_bytes
-    if needed > budget_bytes:
-        held = f" holding {holding}" if holding else ""
-        raise GridMemoryError(
-            f"{n_s} x {n_i} grid{held} needs ~{needed / 2**20:.0f} MiB "
-            f"(budget {budget_bytes / 2**20:.0f} MiB)"
-        )
+def check_memory_budget(needed_bytes: int, budget_bytes: int, grid: str) -> None:
+    """Raise GridMemoryError if ``needed_bytes``, the arrays a path holds at
+    its peak on ``grid`` (which the message names), exceed the budget."""
+    if needed_bytes > budget_bytes:
+        raise GridMemoryError(f"{grid} needs ~{math.ceil(needed_bytes / 2**20)} MiB "
+                              f"(budget {budget_bytes / 2**20:.0f} MiB)")
 
 
 #: float64 exp(-x) is exactly 0.0 for x >= 745.14, so the pump envelope
@@ -285,6 +268,14 @@ def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
 
 
+def _evaluation_bytes(n_rows: int, n_cols: int, width: int) -> int:
+    """Bytes ``evaluate_grid`` holds at its peak: the band's values and row offsets,
+    one row block's (q_i, b) gathers, column indices and kernel (4 block
+    arrays), and the 1-D arm arguments and tables (2 per row, 4 per column)."""
+    block = min(_ROW_BLOCK, n_rows) * width
+    return 8 * (n_rows * (width + 1) + 4 * block + 2 * n_rows + 4 * n_cols)
+
+
 def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
     width, and per-row starts of windows that wide which cover each one
@@ -311,8 +302,8 @@ def evaluate_grid(
     block's gathers are held.
     Values equal a dense evaluation bit for bit; a skipped zero is +0.0
     where the dense product may give -0.0.  The kernel arguments, and with
-    them the evanescent-input check, cover both full grids.  The peak
-    working memory is estimated up front and checked against the budget.
+    them the evanescent-input check, cover both full grids.  Once the windows
+    are known, the band and one block (``_evaluation_bytes``) are charged.
 
     ``windows`` = (start, width), if given, are the columns to evaluate
     instead: start[k] ... start[k] + width - 1 of row k.  Where they cover
@@ -325,12 +316,13 @@ def evaluate_grid(
     for name, q in (("signal", q_s), ("idler", q_i)):
         if q.ndim != 1 or not np.all(np.diff(q) > 0):
             raise ValueError(f"the {name} grid must be 1-D and strictly increasing")
-    check_memory_budget(q_s.size, q_i.size, problem.memory_budget_bytes)
     if windows is None:
         windows = _windows(*envelope_columns(q_s, q_i, problem.waist_m), q_i.size)
     start, width = windows
     if start.shape != q_s.shape or np.any(start < 0) or np.any(start + width > q_i.size):
         raise ValueError("windows must give one start per signal row, inside the idler grid")
+    check_memory_budget(_evaluation_bytes(q_s.size, q_i.size, width), problem.memory_budget_bytes,
+                        f"{q_s.size} x {q_i.size} grid holding 1 slice band")
     a, b = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)[:2]
     tables = np.stack((q_i, b))
     offsets = np.arange(width)

@@ -40,8 +40,8 @@ whose bands are allocated once, on the union of every slice's
 ``envelope_columns(power=2)`` windows, which the pixel grids give
 before any evaluation (98 and 79 of 1024 columns at the defaults);
 outside them every slice's square is +0.0.  The memory budget is
-checked once, up front, for the two JPDs and the one slice band held
-beside them.
+checked once, up front, for the two JPDs and the one slice band and row
+block held beside them.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
@@ -113,8 +113,8 @@ def camera_jpds(
     JPD, on that JPD's windows, and added with its weight
     (``spectral._squared_bands``).  The focal length and the
     magnification must be finite and positive (``ValueError``); the
-    budget is checked once, before any evaluation, for the two JPDs and
-    one slice band (``GridMemoryError``).
+    budget is checked once, before any evaluation, for the two JPDs, one
+    slice band and one row block (``GridMemoryError``).
     """
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):

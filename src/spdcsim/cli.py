@@ -114,7 +114,7 @@ def _write_matrix(directory: Path, stem: str, formats, picture: JointDistributio
 
 def _warning_lines(build, *args, **kwargs):
     """``build(*args, **kwargs)``, each UserWarning it issues (an unresolved
-    picture) printed on stderr as one ``warning:`` line, also if it raises."""
+    picture or sweep) printed on stderr as one ``warning:`` line, even if it raises."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
@@ -192,7 +192,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg.build()  # surface config/physics errors before the long run
     if "bin" in cfg.out_formats:
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
-    rows = run_sweep(cfg, convergence_check=args.check_convergence)
+    rows = _warning_lines(run_sweep, cfg, convergence_check=args.check_convergence)
     texts = {
         fmt: json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
         if fmt == "json" else rows_to_csv(rows)

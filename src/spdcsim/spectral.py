@@ -58,7 +58,9 @@ from numpy.polynomial.polynomial import polyval
 from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     RowBand,
+    _ROW_BLOCK,
     _arm_arguments,
+    _evaluation_bytes,
     _kernel,
     _kernel_with_slope,
     _row_blocks,
@@ -284,8 +286,7 @@ class Problem:
 
 #: Gauss-Hermite nodes in q_+ per slice.  Every factor of the moment
 #: integrands but the Hermite weight is smooth in q_+, so 8 suffice: 16
-#: move U by about 2e-12 at the defaults.  ``check_memory_budget``
-#: charges them as grid rows.
+#: move U by about 2e-12 at the defaults.
 _SUM_NODES = 8
 
 
@@ -305,14 +306,15 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     field); and the sums of (d_s Psi)^2, (d_i Psi)^2 and d_s Psi d_i Psi
     (near field).  Quadrature factors shared by every term are left out,
     so only ratios to the first column carry meaning.  Each slice forms
-    its products one at a time in one scratch buffer, so it holds about
-    ten node-grid arrays at most.
+    its products one at a time in one scratch buffer: with q_s and q_i, 10
+    node-grid arrays are charged (9.2 measured at a slice's peak).
 
-    Raises GridMemoryError if the node grid exceeds the memory budget and
-    EvanescentInputError if any node momentum reaches the propagation
-    cone.
+    Raises GridMemoryError if those exceed the memory budget, before the
+    grid is built, and EvanescentInputError if any node momentum reaches
+    the propagation cone.
     """
-    check_memory_budget(_SUM_NODES, problem.grid_n, problem.memory_budget_bytes)
+    check_memory_budget(10 * 8 * _SUM_NODES * problem.grid_n, problem.memory_budget_bytes,
+                        f"{_SUM_NODES} x {problem.grid_n} grid")
     q_d = problem.diff_grid()
     t, h = hermgauss(_SUM_NODES)
     w0 = problem.waist_m
@@ -386,9 +388,9 @@ def _squared_bands(
     picture, and is called again where they are needed, so no slice's
     grids are held.  Each picture is a ``RowBand`` on the union of every
     slice's ``envelope_columns(power=2)`` windows, outside which every
-    slice's square is +0.0.  The budget is checked once, before any
-    evaluation, for one evaluation, the pictures (``holding`` names them)
-    and one slice band (``GridMemoryError``).  Then each slice, in
+    slice's square is +0.0.  The budget is charged once, before any
+    evaluation, the pictures (``holding`` names them) and one evaluation
+    beside them (``GridMemoryError``).  Then each slice, in
     sampling order, is evaluated on each picture's windows, squared in
     place, weighted and added.  A UserWarning says when the square grid's
     step is wider than the pump width 2/w0, which leaves the ridge unresolved.
@@ -409,12 +411,11 @@ def _squared_bands(
         np.maximum(bounds[:, 1], columns[:, 1], out=bounds[:, 1])
     windows = [_windows(first, stop, n) for first, stop in bounds]
     widths = [width for _, width in windows]
-    check_memory_budget(
-        n, n, problem.memory_budget_bytes,
-        # values and row offsets of each band
-        held_bytes=sum(n * (8 * w + np.dtype(np.intp).itemsize) for w in (*widths, max(widths))),
-        holding=f"{holding} and 1 slice band",
-    )
+    # each picture's values, row offsets and column bounds (4 arrays of length
+    # n), the square grid and a slice's momenta (5 more), and one evaluation
+    held = 8 * n * (sum(widths) + 5 * len(widths) + 5) + _evaluation_bytes(n, n, max(widths))
+    check_memory_budget(held, problem.memory_budget_bytes,
+                        f"{n} x {n} grid holding {holding} and 1 slice band")
     totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
     for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
         q_s, *idlers = momenta(k)
@@ -461,13 +462,24 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     psi = (sqrt(pi) / (2 pi w0)) exp(-a^2/4) sum_k (i a)^k G_k(l).  The mass
     at lag l is G(l)^H M G(l), M_jk = i^(k-j) int a^(j+k) exp(-a^2/2) da;
     the band keeps the fewest lags that leave out at most ``_NEAR_BAND_LOSS``
-    of its weighted slice sum, and is charged with the node grid before it
-    is allocated.  A UserWarning says when the picture holds less than
+    of its weighted slice sum.  The budget is charged before the node grid
+    is built and again, with the band, before the band is allocated.
+    A UserWarning says when the picture holds less than
     1 - ``_NEAR_BAND_LOSS`` of that sum: its position window 2 pi / dq is
     too few pump waists wide, or the band is capped at (N - 1)//2 lags.
     """
     q = problem.square_grid()
     n, dq, w0 = q.size, float(q[1] - q[0]), problem.waist_m
+    node = 8 * _NEAR_NODES * n
+
+    def charge(width):  # bytes at the peak with a band ``width`` lags wide: the band and 7
+        # arrays of length n; q_s, q_i and a slice's modes; a block's a, cols and psi
+        # (4 block arrays) and the larger of the next slice's kernel (7 node-grid
+        # arrays) and the block's gathered modes and Horner sum (24 block arrays)
+        block = 8 * min(_ROW_BLOCK, n) * width
+        return 8 * n * (width + 8) + 3 * node + 4 * block + max(7 * node, 24 * block)
+
+    check_memory_budget(charge(0), problem.memory_budget_bytes, f"{_NEAR_NODES} x {n} grid")
     t, h = hermgauss(_NEAR_NODES)
     q_s, q_i = _node_grid(2.0 / w0 * t, (np.arange(n) - n / 2) * (2.0 * dq))
     k = np.arange(_NEAR_MODES)
@@ -488,8 +500,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass at |lag| > half, per half
     half = min(int(np.argmax(beyond <= _NEAR_BAND_LOSS * profile.sum())), (n - 1) // 2)
     width = 2 * half + 1
-    check_memory_budget(_NEAR_NODES, n, problem.memory_budget_bytes, holding="1 near-field band",
-                        held_bytes=n * (8 * width + np.dtype(np.intp).itemsize))  # values, offsets
+    check_memory_budget(charge(width), problem.memory_budget_bytes,
+                        f"{n} x {n} grid holding 1 near-field band")
     x = position_grid(q)
     start = np.clip(np.arange(n) - half, 0, n - width)
     data = np.zeros((n, width))

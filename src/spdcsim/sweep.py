@@ -85,22 +85,18 @@ def run_sweep(cfg: RunConfig, *, convergence_check: bool = False) -> list[SweepR
     rows = [_sweep_row(cfg, value, axis) for value in values for axis in cfg.axes]
     if convergence_check:
         fine = replace(cfg, grid_n=2 * cfg.grid_n)
-        for value in (values[0], values[-1]):
-            for axis in cfg.axes:
-                coarse = next(
-                    r for r in rows if r.swept_value == value and r.axis == axis
+        for coarse in (row for row in rows if row.swept_value in (values[0], values[-1])):
+            refined = _sweep_row(fine, coarse.swept_value, coarse.axis)
+            drift = abs(refined.dx_inferred_um - coarse.dx_inferred_um) / max(
+                coarse.dx_inferred_um, 1e-300
+            )
+            if drift > 0.01:
+                warnings.warn(
+                    f"{cfg.sweep_parameter} = {coarse.swept_value} (axis {coarse.axis}): "
+                    f"position width moves {drift:.1%} when the grid is doubled; results "
+                    f"are not converged at grid_n = {cfg.grid_n}",
+                    stacklevel=2,
                 )
-                refined = _sweep_row(fine, value, axis)
-                drift = abs(refined.dx_inferred_um - coarse.dx_inferred_um) / max(
-                    coarse.dx_inferred_um, 1e-300
-                )
-                if drift > 0.01:
-                    warnings.warn(
-                        f"{cfg.sweep_parameter} = {value} (axis {axis}): position width "
-                        f"moves {drift:.1%} when the grid is doubled; results are "
-                        f"not converged at grid_n = {cfg.grid_n}",
-                        stacklevel=2,
-                    )
     return rows
 
 

@@ -611,11 +611,21 @@ def test_evaluate_grid_point_inversion_symmetry():
 
 
 def test_evaluate_grid_memory_budget():
-    problem = make_setup(grid_n=2048, memory_budget_bytes=2**20)
+    """On the 2048-point grid the pump band is 221 columns wide.  The
+    charge is the band's values and row offsets, one 64-row block's 4
+    arrays and 6 arrays of length N: 8 (2048 x 222 + 4 x 64 x 221 +
+    6 x 2048) bytes, 3.99 MiB.  A 3 MiB budget stops it, 4 MiB runs it."""
+    n, width = 2048, 221
+    charge = 8 * (n * (width + 1) + 4 * 64 * width + 6 * n)
+    assert 3 * 2**20 < charge <= 4 * 2**20 < DEFAULT_MEMORY_BUDGET_BYTES
+    problem = make_setup(grid_n=n)
     q = problem.square_grid()
-    with pytest.raises(GridMemoryError):
-        evaluate_grid(q, q, problem, "x", nominal(problem))
-    assert 2048 * 2048 * 8 * 10 < DEFAULT_MEMORY_BUDGET_BYTES
+    with pytest.raises(GridMemoryError, match=r"^2048 x 2048 grid holding 1 slice band "
+                       r"needs ~4 MiB \(budget 3 MiB\)$"):
+        evaluate_grid(q, q, replace(problem, memory_budget_bytes=3 * 2**20), "x", nominal(problem))
+    band = evaluate_grid(q, q, replace(problem, memory_budget_bytes=4 * 2**20), "x",
+                         nominal(problem))
+    assert band.width == width
 
 
 def test_degenerate_x_jid_is_antidiagonal():

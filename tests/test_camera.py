@@ -769,19 +769,21 @@ def test_camera_jpds_hold_two_bands(monkeypatch):
 
 def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
     """At w0 = 20 um the pump band covers the 256 x 256 grid, so each held
-    band costs a dense matrix plus its row offsets: one evaluation, the
-    two JPDs and one slice band need 6.506 MiB, so a 6 MiB budget is
-    exceeded, and that is known before the first slice is evaluated."""
+    band costs a dense matrix plus its row offsets.  The two JPDs and one
+    slice band, 4 arrays of length N per JPD and 5 more for the grid and
+    momenta, and one evaluation's 64-row block (4 arrays) and 6 arrays of
+    length N need 2.04 MiB, so a 2 MiB budget is exceeded, and that is
+    known before the first slice is evaluated."""
     n, slices = 256, 31
-    held = n * n * 8 * 10 + 3 * (n * n * 8 + n * 8)
-    assert 6 * 2**20 < held <= 7 * 2**20
+    held = 8 * (3 * n * (n + 1) + 13 * n + 4 * 64 * n + 6 * n)
+    assert 2 * 2**20 < held <= 3 * 2**20
     calls = counting_evaluations(monkeypatch)
     problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^256 x 256 grid holding 2 camera JPDs "
-                       r"and 1 slice band needs ~7 MiB \(budget 6 MiB\)$"):
-        camera_jpds(replace(problem, memory_budget_bytes=6 * 2**20), "y", F)
+                       r"and 1 slice band needs ~3 MiB \(budget 2 MiB\)$"):
+        camera_jpds(replace(problem, memory_budget_bytes=2 * 2**20), "y", F)
     assert calls == []
     # one MiB more holds the streaming pass
-    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=7 * 2**20), "y", F)
+    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=3 * 2**20), "y", F)
     assert len(calls) == 2 * slices  # once per slice and JPD
     assert len(raw.slices) == len(fixed.slices) == slices

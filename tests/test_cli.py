@@ -273,19 +273,19 @@ class TestJid:
             assert err == ""
 
     def test_memory_budget_charges_the_far_field_band(self, capsys, tmp_path):
-        """At N = 1024 ``jid --plane far`` is charged one evaluation, its
-        band and one slice band (77 columns each): ~81 MiB.  At an 80 MiB
-        budget it exits 3 and writes nothing; at 82 MiB it runs."""
-        for mb in (80, 82):
+        """At N = 1024 ``jid --plane far`` is charged its band and one slice
+        band (77 columns each) and one evaluation's row block: 1.49 MiB.
+        At a 1 MiB budget it exits 3 and writes nothing; at 2 MiB it runs."""
+        for mb in (1, 2):
             cfg = write_config(tmp_path, f"grid:\n  n: 1024\n  memory_budget_mb: {mb}\n")
             out_dir = tmp_path / f"out{mb}"
             code, out, err = run_cli(capsys, "jid", "--config", cfg, "--slices", "5",
                                      "--axis", "y", "--format", "bin", "--out", str(out_dir))
-            if mb == 80:
+            if mb == 1:
                 assert code == 3
                 assert out == ""
                 assert err == ("resource error: 1024 x 1024 grid holding 1 far-field band "
-                               "and 1 slice band needs ~81 MiB (budget 80 MiB)\n")
+                               "and 1 slice band needs ~2 MiB (budget 1 MiB)\n")
                 assert not out_dir.exists()
             else:
                 assert code == 0, err
@@ -421,30 +421,57 @@ class TestSweep:
         assert row["reid_product"] == report["reid_product"]
         assert row["certified"] == report["certified"]
 
+    def test_convergence_warnings_are_one_line_each(self, capsys, tmp_path):
+        """``--check-convergence`` re-runs the extreme values at twice the
+        grid.  At N = 16 each axis's position width moves over 1 % at both
+        values, and each drift is one ``warning:`` line on stderr; stdout
+        is the sweep without the check."""
+        cfg = write_config(
+            tmp_path, "sweep:\n  parameter: crystal_length_mm\n  values: [0.5, 4.0]\n"
+        )
+        argv = ("sweep", "--config", cfg, "--grid-n", "16", "--slices", "3")
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--check-convergence")
+        assert code == 0
+        assert out == plain
+        lines = err.splitlines()
+        assert len(lines) == 4
+        for line, (value, axis) in zip(lines, [(0.5, "x"), (0.5, "y"), (4.0, "x"), (4.0, "y")]):
+            assert line.startswith(f"warning: crystal_length_mm = {value} (axis {axis}): "
+                                   "position width moves ")
+            assert line.endswith("; results are not converged at grid_n = 16")
+
     def test_memory_budget_bounds_sweep_like_certify(self, capsys, tmp_path):
         """Every grid command reads the budget from the one Problem.  The
         moment engine behind stats, certify and sweep charges its 8 x n
-        node grid: 1.25 MiB at n = 2048, over a 1 MiB budget."""
-        cfg = write_config(
-            tmp_path, self.AGREEMENT.replace("  n: 128\n", "  n: 2048\n  memory_budget_mb: 1\n")
-        )
+        node grid: 1.25 MiB at n = 2048, over a 1 MiB budget and under 2."""
         out_dir = tmp_path / "out"
-        for command in ("stats", "jid", "camera", "certify", "sweep"):
-            extra = ("--out", str(out_dir)) if command in ("jid", "camera") else ()
-            code, out, err = run_cli(capsys, command, "--config", cfg, *extra)
-            assert code == 3, command
-            assert out == ""
-            assert err.startswith("resource error:")
+        # at 2 MiB, jid and camera would go on to charge their pictures
+        for mb, commands in ((1, ("stats", "jid", "camera", "certify", "sweep")),
+                             (2, ("stats", "certify", "sweep"))):
+            cfg = write_config(tmp_path, self.AGREEMENT.replace(
+                "  n: 128\n", f"  n: 2048\n  memory_budget_mb: {mb}\n"))
+            for command in commands:
+                extra = ("--out", str(out_dir)) if command in ("jid", "camera") else ()
+                code, out, err = run_cli(capsys, command, "--config", cfg, *extra)
+                if mb == 1:
+                    assert code == 3, command
+                    assert out == ""
+                    assert err.startswith("resource error: ")
+                    assert err.endswith("8 x 2048 grid needs ~2 MiB (budget 1 MiB)\n")
+                else:
+                    assert code == 0, (command, err)
         assert not out_dir.exists()
 
 
 class TestCamera:
     def test_memory_budget_covers_held_slices(self, capsys, tmp_path):
-        """The camera's held matrices exceed a budget one evaluation fits
-        in: at N = 512 one evaluation is charged 20 MiB, and the camera's
-        three bands 0.59 MiB more."""
+        """The camera's held bands exceed a budget the moment engine fits
+        in: at N = 1024 ``certify`` is charged 0.63 MiB, and ``camera`` its
+        three bands and one row block, 2.51 MiB."""
         cfg = write_config(
-            tmp_path, "grid:\n  n: 512\n  memory_budget_mb: 20\naxes: [y]\n"
+            tmp_path, "grid:\n  n: 1024\n  memory_budget_mb: 2\naxes: [y]\n"
         )
         code, _, _ = run_cli(capsys, "certify", "--config", cfg)
         assert code == 0
@@ -454,18 +481,19 @@ class TestCamera:
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("resource error: 512 x 512 grid holding 2 camera JPDs")
+        assert err == ("resource error: 1024 x 1024 grid holding 2 camera JPDs and 1 slice band "
+                       "needs ~3 MiB (budget 2 MiB)\n")
         assert not out_dir.exists()
 
     def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path, monkeypatch):
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
         held band costs a dense matrix plus its row offsets.  The camera
-        holds one slice band beside the two JPDs and one evaluation; a
-        budget one MiB below that charge stops before any slice is
-        evaluated, and the charge itself runs, evaluating each slice once
-        per JPD."""
+        holds one slice band and one 64-row block beside the two JPDs,
+        and 19 arrays of length N; a budget one MiB below that charge
+        stops before any slice is evaluated, and the charge itself runs,
+        evaluating each slice once per JPD."""
         n, slices = 256, 31
-        charge = n * n * 8 * 10 + 3 * (n * n * 8 + n * 8)
+        charge = 8 * (3 * n * (n + 1) + 19 * n + 4 * 64 * n)
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []
@@ -486,7 +514,7 @@ class TestCamera:
                 assert out == ""
                 assert err.startswith(
                     "resource error: 256 x 256 grid holding 2 camera JPDs and 1 slice band "
-                    f"needs ~{charge / 2**20:.0f} MiB (budget {mb} MiB)"
+                    f"needs ~{budget_mb} MiB (budget {mb} MiB)"
                 )
                 assert not out_dir.exists()
                 assert calls == []

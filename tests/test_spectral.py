@@ -13,6 +13,7 @@ otherwise.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from spdcsim import spectral
+from spdcsim import biphoton, spectral
 from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError, evaluate_grid
+from spdcsim.camera import camera_jpds
 from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, idler_wavelength
 from spdcsim.spectral import (
@@ -402,22 +404,24 @@ def test_far_field_holds_its_band_one_slice_band_and_one_block(grid_n):
 
 
 def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
-    """At N = 1024 the far field is charged one evaluation (80 MiB), its
-    band and one slice band, 77 columns each: 2 x 1024 x (8 x 77 + 8)
-    bytes, 1.22 MiB more.  An 80 MiB budget stops it before any slice is
-    evaluated; 82 MiB runs it, one evaluation per slice."""
+    """At N = 1024 the far field is charged its band and one slice band,
+    77 columns each, with their row offsets (2 x 1024 x 78 floats), 4
+    arrays of length N for the band's column bounds and 5 for the grid and
+    momenta, and one evaluation's 64-row block (4 x 64 x 77) and 6 arrays
+    of length N: 1.49 MiB.  A 1 MiB budget stops it before any slice is
+    evaluated; 2 MiB runs it, one evaluation per slice."""
     calls = []
     evaluate = spectral.evaluate_grid
     monkeypatch.setattr(spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a))
     n, width = 1024, 77
-    charge = n * n * 8 * 10 + 2 * n * (8 * width + 8)
-    assert 80 * 2**20 < charge <= 81.5 * 2**20
+    charge = 8 * (2 * n * (width + 1) + 9 * n + 4 * 64 * width + 6 * n)
+    assert 2**20 < charge <= 2 * 2**20
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid holding 1 far-field band "
-                       r"and 1 slice band needs ~81 MiB \(budget 80 MiB\)$"):
-        far_field_jid(replace(problem, memory_budget_bytes=80 * 2**20), "y")
+                       r"and 1 slice band needs ~2 MiB \(budget 1 MiB\)$"):
+        far_field_jid(replace(problem, memory_budget_bytes=2**20), "y")
     assert calls == []
-    jid = far_field_jid(replace(problem, memory_budget_bytes=82 * 2**20), "y")
+    jid = far_field_jid(replace(problem, memory_budget_bytes=2 * 2**20), "y")
     assert jid.intensity.width == width
     assert len(calls) == 5
 
@@ -492,15 +496,66 @@ def test_near_field_holds_no_dense_matrix():
 
 
 def test_near_field_budget_charges_its_node_grid_and_band():
-    """At N = 1024 the near field is charged its 16 x 1024 node grid at
-    10 arrays (1.25 MiB) and its band of 107 columns, 1024 x (8 x 107 + 8)
-    bytes (0.84 MiB): 2.09 MiB.  A 2 MiB budget stops it, 3 MiB runs it."""
-    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=1024)
-    with pytest.raises(GridMemoryError, match=r"^16 x 1024 grid holding 1 near-field band "
-                       r"needs ~2 MiB \(budget 2 MiB\)$"):
+    """At N = 1024 the near field is first charged its 16 x 1024 node grid
+    at 10 arrays (q_s, q_i, one slice's modes and the next slice's
+    kernel) and 8 arrays of length N: 1.31 MiB, which a 1 MiB budget
+    stops before the grid is built.  Then its band of 107 columns with
+    row offsets, the 8 arrays of length N, 3 node-grid arrays and one
+    64-row block's 28 arrays of gathered modes and their Horner sum:
+    8 x 1024 x (107 + 8) + 3 x 131072 + 28 x 512 x 107 bytes, 2.74 MiB.
+    A 2 MiB budget stops it there, 3 MiB runs it."""
+    n, width, node = 1024, 107, 16 * 1024 * 8
+    grid_charge = 8 * n * 8 + 10 * node
+    band_charge = 8 * n * (width + 8) + 3 * node + 28 * 8 * 64 * width
+    assert 2**20 < grid_charge <= 2 * 2**20 < band_charge <= 3 * 2**20
+    problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
+    with pytest.raises(GridMemoryError, match=r"^16 x 1024 grid needs ~2 MiB \(budget 1 MiB\)$"):
+        near_field_jid(replace(problem, memory_budget_bytes=2**20), "y")
+    with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid holding 1 near-field band "
+                       r"needs ~3 MiB \(budget 2 MiB\)$"):
         near_field_jid(replace(problem, memory_budget_bytes=2 * 2**20), "y")
     band = near_field_jid(replace(problem, memory_budget_bytes=3 * 2**20), "y").intensity
-    assert band.width == 107
+    assert band.width == width
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize(
+    "path", ["moment_sums", "evaluate_grid", "far_field_jid", "camera_jpds", "near_field_jid"]
+)
+def test_budget_charge_bounds_the_traced_peak(monkeypatch, path, n):
+    """Each path's largest budget charge is at least the peak ``tracemalloc``
+    traces in a warm call, and at most 1.5 times it: the shipped
+    non-degenerate config, y, 5 slices (1.01-1.09 times at HEAD)."""
+    problem = default_problem(grid_n=n, n_slices=5)
+    q = problem.square_grid()
+    lam_s, lam_i, _ = problem.slices[2]
+    run = {
+        "moment_sums": lambda: moment_sums(problem, "y"),
+        "evaluate_grid": lambda: evaluate_grid(q, q, problem, "y", (lam_s, lam_i)),
+        "far_field_jid": lambda: far_field_jid(problem, "y"),
+        "camera_jpds": lambda: camera_jpds(problem, "y", 0.25),
+        "near_field_jid": lambda: near_field_jid(problem, "y"),
+    }[path]
+    charges = []
+    check = biphoton.check_memory_budget
+
+    def recording(needed_bytes, budget_bytes, grid):
+        charges.append(needed_bytes)
+        check(needed_bytes, budget_bytes, grid)
+
+    monkeypatch.setattr(biphoton, "check_memory_budget", recording)
+    monkeypatch.setattr(spectral, "check_memory_budget", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the near picture at N = 512
+        run()  # first-call allocations stay out of the trace
+        charges.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= max(charges) <= 1.5 * peak
 
 
 # -- double-Gaussian oracle ----------------------------------------------------
@@ -664,8 +719,8 @@ def test_moment_engine_rejects_evanescent_nodes():
 
 
 def test_moment_engine_charges_its_node_grid():
-    """8 nodes x n points at 80 bytes each: 0.625 MiB at n = 1024,
-    1.25 MiB at n = 2048."""
+    """10 arrays of 8 nodes x n points, 80 bytes per point: 0.625 MiB at
+    n = 1024, 1.25 MiB at n = 2048."""
     budget = 2**20
     moment_sums(make_setup(n_slices=1, grid_n=1024, memory_budget_bytes=budget), "x")
     with pytest.raises(GridMemoryError, match=r"^8 x 2048 grid needs"):
