@@ -48,7 +48,6 @@ from spdcsim.stats import (
     DegenerateDistributionError,
     ReidReport,
     StatsSummary,
-    reid_inference,
     reid_product,
     ridge_fit,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "DegenerateDistributionError",
     "ReidReport",
     "StatsSummary",
-    "reid_inference",
     "reid_product",
     "ridge_fit",
     # camera

@@ -112,18 +112,6 @@ def _write_matrix(directory: Path, stem: str, formats, picture: JointDistributio
     return written
 
 
-def _warning_lines(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, each UserWarning it issues (an unresolved
-    picture or sweep) printed on stderr as one ``warning:`` line, even if it raises."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        try:
-            return build(*args, **kwargs)
-        finally:
-            for caught_warning in caught:
-                print(f"warning: {caught_warning.message}", file=sys.stderr)
-
-
 def cmd_pm_angle(args: argparse.Namespace) -> int:
     problem = _config(args).build()
     crystal, wl, sell = problem.crystal, problem.wl, problem.crystal.sellmeier
@@ -149,8 +137,7 @@ def cmd_jid(args: argparse.Namespace) -> int:
     cfg = _config(args)
     problem = cfg.build()
     payload = _stats_payload(problem, args.plane, args.axis)
-    jid = _warning_lines(far_field_jid if args.plane == "far" else near_field_jid,
-                         problem, args.axis)
+    jid = (far_field_jid if args.plane == "far" else near_field_jid)(problem, args.axis)
     files = _write_matrix(Path(cfg.out_dir), f"jid_{args.plane}_{args.axis}", cfg.out_formats, jid)
     stats_path = Path(cfg.out_dir) / f"jid_{args.plane}_{args.axis}_stats.json"
     stats_path.write_text(
@@ -192,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg.build()  # surface config/physics errors before the long run
     if "bin" in cfg.out_formats:
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
-    rows = _warning_lines(run_sweep, cfg, convergence_check=args.check_convergence)
+    rows = run_sweep(cfg, convergence_check=args.check_convergence)
     texts = {
         fmt: json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
         if fmt == "json" else rows_to_csv(rows)
@@ -211,8 +198,7 @@ def cmd_camera(args: argparse.Namespace) -> int:
     cfg = _config(args)
     problem = cfg.build()
     axis = args.axis or "y"
-    raw, fixed = _warning_lines(camera_jpds, problem, axis, cfg.focal_length_m,
-                                magnification=cfg.magnification)
+    raw, fixed = camera_jpds(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
     # before any file is written: a collapsed distribution exits 4 and writes none
     reports = {"uncorrected": slope_report(raw), "corrected": slope_report(fixed)}
     files = []
@@ -291,16 +277,19 @@ _FAILURES = (
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:
-        # a failed sweep point exits as its cause does; the message names the value
-        cause = exc.__cause__ if isinstance(exc, SweepError) else exc
-        for classes, label, code in _FAILURES:
-            if isinstance(cause, classes):
-                print(f"{label}: {exc}", file=sys.stderr)
-                return code
-        raise
+    with warnings.catch_warnings():  # each warning one stderr line, printed as it is issued
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except Exception as exc:
+            # a failed sweep point exits as its cause does; the message names the value
+            cause = exc.__cause__ if isinstance(exc, SweepError) else exc
+            for classes, label, code in _FAILURES:
+                if isinstance(cause, classes):
+                    print(f"{label}: {exc}", file=sys.stderr)
+                    return code
+            raise
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ from spdcsim.biphoton import (
     evaluate_grid,
 )
 from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
-from spdcsim.stats import ReidReport, StatsSummary, reid_inference, reid_product
+from spdcsim.stats import ReidReport, StatsSummary, reid_product
 
 __all__ = [
     "FilterSpec",
@@ -363,7 +363,8 @@ def _slice_total(problem: Problem, rows) -> np.ndarray:
 
 
 def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
-    """Near- and far-field inference of one axis and their Reid report.
+    """Near- and far-field summaries of one axis, whose properties give
+    their inference, and their Reid report.
 
     Both planes come from one ``moment_sums`` pass, its slices added with
     their quadrature weights (``_slice_total``): the far field from the
@@ -372,9 +373,8 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
     """
     total = _slice_total(problem, moment_sums(problem, axis))
     norm, q_s, q_i, q_ss, q_ii, q_si, g_ss, g_ii, g_si = total.tolist()
-    summary = StatsSummary.from_sums
-    near = reid_inference(summary("near", axis, norm, 0.0, 0.0, g_ss, g_ii, g_si))
-    far = reid_inference(summary("far", axis, norm, q_s, q_i, q_ss, q_ii, q_si))
+    near = StatsSummary.from_sums("near", axis, norm, 0.0, 0.0, g_ss, g_ii, g_si)
+    far = StatsSummary.from_sums("far", axis, norm, q_s, q_i, q_ss, q_ii, q_si)
     return near, far, reid_product(near, far)
 
 
@@ -410,10 +410,11 @@ def _squared_bands(
         np.minimum(bounds[:, 0], columns[:, 0], out=bounds[:, 0])
         np.maximum(bounds[:, 1], columns[:, 1], out=bounds[:, 1])
     windows = [_windows(first, stop, n) for first, stop in bounds]
+    del bounds, columns  # before any slice is evaluated
     widths = [width for _, width in windows]
-    # each picture's values, row offsets and column bounds (4 arrays of length
-    # n), the square grid and a slice's momenta (5 more), and one evaluation
-    held = 8 * n * (sum(widths) + 5 * len(widths) + 5) + _evaluation_bytes(n, n, max(widths))
+    # each picture's values and row offsets, the square grid and a slice's
+    # momenta (5 arrays of length n), and one evaluation
+    held = 8 * n * (sum(widths) + len(widths) + 5) + _evaluation_bytes(n, n, max(widths))
     check_memory_budget(held, problem.memory_budget_bytes,
                         f"{n} x {n} grid holding {holding} and 1 slice band")
     totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
@@ -473,11 +474,10 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     node = 8 * _NEAR_NODES * n
 
     def charge(width):  # bytes at the peak with a band ``width`` lags wide: the band and 7
-        # arrays of length n; q_s, q_i and a slice's modes; a block's a, cols and psi
-        # (4 block arrays) and the larger of the next slice's kernel (7 node-grid
-        # arrays) and the block's gathered modes and Horner sum (24 block arrays)
+        # arrays of length n, q_s, q_i, and the larger of a slice's kernel (7 node-grid arrays)
+        # and its modes beside a block's a, cols, gathered modes and Horner sum (26 block arrays)
         block = 8 * min(_ROW_BLOCK, n) * width
-        return 8 * n * (width + 8) + 3 * node + 4 * block + max(7 * node, 24 * block)
+        return 8 * n * (width + 8) + 2 * node + max(7 * node, node + 26 * block)
 
     check_memory_budget(charge(0), problem.memory_budget_bytes, f"{_NEAR_NODES} x {n} grid")
     t, h = hermgauss(_NEAR_NODES)
@@ -494,8 +494,11 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     # int a^m exp(-a^2/2) da / sqrt(2 pi) = (m - 1)!! for even m, 0 for odd
     moments = [math.prod(range(m - 1, 0, -2)) * (1 - m % 2) for m in range(2 * _NEAR_MODES)]
     gram = np.array(moments, dtype=float)[np.add.outer(k, k)]
-    profile = sum(weight * np.einsum("kl,kl->l", g.conj(), gram @ g).real
-                  for g, weight in ((modes(lam_s, lam_i), w) for lam_s, lam_i, w in problem.slices))
+
+    def lag_mass(g):  # G(l)^H M G(l) per lag
+        return np.einsum("kl,kl->l", g.conj(), gram @ g).real
+
+    profile = sum(weight * lag_mass(modes(lam_s, lam_i)) for lam_s, lam_i, weight in problem.slices)
     mass = np.bincount(np.minimum(np.arange(n), n - np.arange(n)), weights=profile)  # per |lag|
     beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass at |lag| > half, per half
     half = min(int(np.argmax(beyond <= _NEAR_BAND_LOSS * profile.sum())), (n - 1) // 2)
@@ -512,6 +515,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
             a = (x[rows, None] + x[cols]) / w0
             psi = polyval(a, g[:, (np.arange(n)[rows, None] - cols) % n], tensor=False)
             data[rows] += weight * (psi.real**2 + psi.imag**2) * np.exp(-0.5 * a * a)
+            del cols, a, psi  # before the next block's
+        del g  # before the next slice's kernel
     # a lag's entries sample a every 2 dx / w0, so the picture sums to
     # w0 sqrt(2 pi) / (2 dx) times the mass it holds, in ``profile``'s units
     window = 2.0 * math.pi / dq

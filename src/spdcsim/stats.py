@@ -2,7 +2,8 @@
 
 Every statistic here is a function of six intensity-weighted raw sums,
 of {1, a_s, a_i, a_s^2, a_i^2, a_s a_i}: ``StatsSummary.from_sums``
-turns them into means, variances and the covariance.  The moment engine
+turns them into means, variances and the covariance, from which the summary
+derives its inference and a ``ReidReport`` its product.  The moment engine
 (``spectral.moment_sums``) supplies them for every printed statistic:
 through ``spectral.certify_axis`` for ``certify``, ``sweep``, ``stats`` and
 ``jid``, and through ``camera.camera_jpds`` for the camera slopes.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "ReidReport",
     "RidgeFit",
     "DegenerateDistributionError",
-    "reid_inference",
     "reid_product",
     "ridge_fit",
     "REID_BOUND",
@@ -48,8 +48,18 @@ class DegenerateDistributionError(RuntimeError):
 
 @dataclass(frozen=True)
 class StatsSummary:
-    """First and second moments of a distribution, plus (optionally) the linear
-    inference fields filled in by :func:`reid_inference`."""
+    """First and second moments of a distribution and the optimal linear
+    inference of the idler coordinate from the signal's.
+
+    ``G`` = C_si / V_s is the inference gain; the mean-square error of the
+    estimate a_i ~ G a_s is the inferred variance
+
+        Var(a_i | a_s) = V_i - C_si^2 / V_s,
+
+    whose square root is the inferred (conditional) width.  Each raises
+    DegenerateDistributionError when V_s is zero or the inferred variance
+    is negative beyond roundoff.
+    """
 
     plane: str
     axis: str
@@ -58,9 +68,6 @@ class StatsSummary:
     V_s: float
     V_i: float
     C_si: float
-    G: float | None = None
-    var_inferred: float | None = None
-    width_inferred: float | None = None
 
     def __post_init__(self) -> None:
         if self.V_s < 0 or self.V_i < 0:
@@ -96,63 +103,58 @@ class StatsSummary:
             C_si=min(max(si / norm - mu_s * mu_i, -bound), bound),
         )
 
+    def _inference_v_s(self) -> float:  # V_s, which linear inference divides by
+        if self.V_s <= 0.0:
+            raise DegenerateDistributionError(
+                "signal marginal variance is zero; linear inference is undefined"
+            )
+        return self.V_s
+
+    @property
+    def G(self) -> float:
+        return self.C_si / self._inference_v_s()
+
+    @property
+    def var_inferred(self) -> float:
+        var = self.V_i - self.C_si * self.C_si / self._inference_v_s()
+        # Cauchy-Schwarz guarantees var >= 0; tiny negatives are roundoff, read as 0
+        if var < -1e-12 * max(self.V_i, 1e-300):
+            raise DegenerateDistributionError(f"inferred variance {var} is negative "
+                                              "beyond roundoff")
+        return max(var, 0.0)
+
+    @property
+    def width_inferred(self) -> float:
+        return math.sqrt(self.var_inferred)
+
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "mu_s": self.mu_s,
             "mu_i": self.mu_i,
             "V_s": self.V_s,
             "V_i": self.V_i,
             "C_si": self.C_si,
+            "G": self.G,
+            "var_inferred": self.var_inferred,
+            "width_inferred": self.width_inferred,
         }
-        if self.G is not None:
-            out["G"] = self.G
-            out["var_inferred"] = self.var_inferred
-            out["width_inferred"] = self.width_inferred
-        return out
-
-
-def reid_inference(summary: StatsSummary) -> StatsSummary:
-    """Complete a summary with the optimal-linear-estimator fields.
-
-    G = C_si / V_s is the inference gain; the mean-square error of the
-    estimate a_i ~ G a_s is the inferred variance
-
-        Var(a_i | a_s) = V_i - C_si^2 / V_s,
-
-    whose square root is the inferred (conditional) width.
-    """
-    if summary.V_s <= 0.0:
-        raise DegenerateDistributionError(
-            "signal marginal variance is zero; linear inference is undefined"
-        )
-    gain = summary.C_si / summary.V_s
-    var = summary.V_i - summary.C_si * summary.C_si / summary.V_s
-    if var < 0.0:
-        # Cauchy-Schwarz guarantees var >= 0; tiny negatives are roundoff.
-        if var < -1e-12 * max(summary.V_i, 1e-300):
-            raise DegenerateDistributionError(
-                f"inferred variance {var} is negative beyond roundoff"
-            )
-        var = 0.0
-    return replace(summary, G=gain, var_inferred=var, width_inferred=math.sqrt(var))
 
 
 @dataclass(frozen=True)
 class ReidReport:
-    """Inferred position width x inferred momentum width vs the 1/2 bound."""
+    """Inferred position width x inferred momentum width vs ``REID_BOUND``."""
 
     axis: str
     dx_inferred_m: float
     dq_inferred_radm: float
-    product: float
-    certified: bool
-    bound: float = REID_BOUND
 
-    def __post_init__(self) -> None:
-        if self.product < 0:
-            raise ValueError("width product cannot be negative")
-        if self.certified != (self.product < self.bound):
-            raise ValueError("certified flag inconsistent with the product")
+    @property
+    def product(self) -> float:
+        return self.dx_inferred_m * self.dq_inferred_radm
+
+    @property
+    def certified(self) -> bool:
+        return self.product < REID_BOUND
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,7 +162,7 @@ class ReidReport:
             "dx_inferred_m": self.dx_inferred_m,
             "dq_inferred_radm": self.dq_inferred_radm,
             "reid_product": self.product,
-            "bound": self.bound,
+            "bound": REID_BOUND,
             "certified": self.certified,
         }
 
@@ -174,16 +176,7 @@ def reid_product(near: StatsSummary, far: StatsSummary) -> ReidReport:
         )
     if near.axis != far.axis:
         raise ValueError(f"axis mismatch: {near.axis!r} vs {far.axis!r}")
-    if near.width_inferred is None or far.width_inferred is None:
-        raise ValueError("summaries must carry inference fields; run reid_inference")
-    product = near.width_inferred * far.width_inferred
-    return ReidReport(
-        axis=near.axis,
-        dx_inferred_m=near.width_inferred,
-        dq_inferred_radm=far.width_inferred,
-        product=product,
-        certified=bool(product < REID_BOUND),
-    )
+    return ReidReport(near.axis, near.width_inferred, far.width_inferred)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from spdcsim.spectral import (
     far_field_jid,
     position_grid,
 )
-from spdcsim.stats import reid_inference
 from spdcsim.sweep import run_sweep, trend_checks
 
 from oracle import matrix_moments, near_field_intensity
@@ -249,8 +248,7 @@ def test_statistics_against_gaussian_oracle():
     assert abs(m.V_s - sigma_s**2) / sigma_s**2 < 1e-3
     assert abs(m.V_i - sigma_i**2) / sigma_i**2 < 1e-3
     assert abs(m.C_si - rho) / rho < 1e-3
-    inf = reid_inference(m)
-    ratio = inf.var_inferred / m.V_i
+    ratio = m.var_inferred / m.V_i
     assert abs(ratio - 0.36) < 1e-3, f"conditional variance ratio {ratio:.6f} != 0.36"
 
 
@@ -275,12 +273,12 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     qs, qi = np.meshgrid(q, q, indexing="ij")
     amp = np.exp(-a_sum * (qs + qi) ** 2 - b_diff * (qs - qi) ** 2)
     dq = float(q[1] - q[0])
-    far = reid_inference(matrix_moments("far", "x", q, q.copy(), amp * amp))
+    far = matrix_moments("far", "x", q, q.copy(), amp * amp)
     x = position_grid(q)
-    near = reid_inference(matrix_moments(
+    near = matrix_moments(
         "near", "x", x, x.copy(),
         np.fft.fftshift(near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)),
-    ))
+    )
     dq_expected = 1.0 / (2.0 * math.sqrt(a_sum + b_diff))
     dx_expected = 2.0 * math.sqrt(a_sum * b_diff / (a_sum + b_diff))
     assert abs(far.width_inferred - dq_expected) / dq_expected < 0.01, (

@@ -23,7 +23,7 @@ from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, Problem, far_field_jid
-from spdcsim.stats import DegenerateDistributionError, StatsSummary, reid_inference, ridge_fit
+from spdcsim.stats import DegenerateDistributionError, StatsSummary, ridge_fit
 
 from oracle import camera_momenta, camera_slices, matrix_moments, weighted_total
 
@@ -665,7 +665,7 @@ def inferred_signal_widths(jpd):
     picture = matrix_moments(
         "camera", jpd.axis, jpd.axis_idler, jpd.axis_signal, jpd.intensity.toarray().T
     )
-    return reid_inference(picture).width_inferred, reid_inference(engine).width_inferred
+    return picture.width_inferred, engine.width_inferred
 
 
 @pytest.mark.parametrize(
@@ -770,12 +770,12 @@ def test_camera_jpds_hold_two_bands(monkeypatch):
 def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
     """At w0 = 20 um the pump band covers the 256 x 256 grid, so each held
     band costs a dense matrix plus its row offsets.  The two JPDs and one
-    slice band, 4 arrays of length N per JPD and 5 more for the grid and
-    momenta, and one evaluation's 64-row block (4 arrays) and 6 arrays of
-    length N need 2.04 MiB, so a 2 MiB budget is exceeded, and that is
-    known before the first slice is evaluated."""
+    slice band, 5 arrays of length N for the grid and momenta, and one
+    evaluation's 64-row block (4 arrays) and 6 arrays of length N need
+    2.03 MiB, so a 2 MiB budget is exceeded, and that is known before the
+    first slice is evaluated."""
     n, slices = 256, 31
-    held = 8 * (3 * n * (n + 1) + 13 * n + 4 * 64 * n + 6 * n)
+    held = 8 * (3 * n * (n + 1) + 5 * n + 4 * 64 * n + 6 * n)
     assert 2 * 2**20 < held <= 3 * 2**20
     calls = counting_evaluations(monkeypatch)
     problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)

@@ -274,7 +274,7 @@ class TestJid:
 
     def test_memory_budget_charges_the_far_field_band(self, capsys, tmp_path):
         """At N = 1024 ``jid --plane far`` is charged its band and one slice
-        band (77 columns each) and one evaluation's row block: 1.49 MiB.
+        band (77 columns each) and one evaluation's row block: 1.46 MiB.
         At a 1 MiB budget it exits 3 and writes nothing; at 2 MiB it runs."""
         for mb in (1, 2):
             cfg = write_config(tmp_path, f"grid:\n  n: 1024\n  memory_budget_mb: {mb}\n")
@@ -312,6 +312,27 @@ class TestStats:
         assert data["V_s"] > 0 and data["width_inferred"] >= 0
         # near-field correlation: positive regression gain
         assert data["G"] > 0
+
+    @pytest.mark.parametrize("command, fits", [
+        (("stats", "--plane", "far"), 1),
+        (("jid", "--plane", "far"), 1),
+        (("camera", "--axis", "x"), 2),
+    ], ids=["stats", "jid", "camera"])
+    def test_isotropy_warning_is_one_line_per_fit(self, capsys, tmp_path, command, fits):
+        """A degenerate source pumped at w0 = 2.2 um is nearly isotropic in
+        the far field and on the camera: each ridge fit it prints warns in one
+        ``warning:`` line on stderr, with no source path or code line."""
+        cfg = write_config(tmp_path, "wavelengths:\n  degenerate: true\npump:\n  waist_um: 2.2\n")
+        argv = [*command, "--config", cfg, "--grid-n", "256", "--slices", "3"]
+        if command[0] != "stats":
+            argv += ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err.splitlines() == fits * [
+            "warning: joint distribution is nearly isotropic; ridge orientation is undefined"]
+        data = json.loads(out)
+        fitted = [data["uncorrected"], data["corrected"]] if command[0] == "camera" else [data]
+        assert all(fit["isotropic"] for fit in fitted)
 
 
 class TestCertify:
@@ -469,7 +490,7 @@ class TestCamera:
     def test_memory_budget_covers_held_slices(self, capsys, tmp_path):
         """The camera's held bands exceed a budget the moment engine fits
         in: at N = 1024 ``certify`` is charged 0.63 MiB, and ``camera`` its
-        three bands and one row block, 2.51 MiB."""
+        three bands and one row block, 2.45 MiB."""
         cfg = write_config(
             tmp_path, "grid:\n  n: 1024\n  memory_budget_mb: 2\naxes: [y]\n"
         )
@@ -489,11 +510,11 @@ class TestCamera:
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
         held band costs a dense matrix plus its row offsets.  The camera
         holds one slice band and one 64-row block beside the two JPDs,
-        and 19 arrays of length N; a budget one MiB below that charge
+        and 11 arrays of length N; a budget one MiB below that charge
         stops before any slice is evaluated, and the charge itself runs,
         evaluating each slice once per JPD."""
         n, slices = 256, 31
-        charge = 8 * (3 * n * (n + 1) + 19 * n + 4 * 64 * n)
+        charge = 8 * (3 * n * (n + 1) + 11 * n + 4 * 64 * n)
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []

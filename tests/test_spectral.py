@@ -41,7 +41,7 @@ from spdcsim.spectral import (
     sample_spectrum,
     transmission,
 )
-from spdcsim.stats import reid_inference, reid_product
+from spdcsim.stats import reid_product
 
 import oracle
 from oracle import full_band, matrix_moments, near_field_intensity
@@ -405,16 +405,16 @@ def test_far_field_holds_its_band_one_slice_band_and_one_block(grid_n):
 
 def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
     """At N = 1024 the far field is charged its band and one slice band,
-    77 columns each, with their row offsets (2 x 1024 x 78 floats), 4
-    arrays of length N for the band's column bounds and 5 for the grid and
-    momenta, and one evaluation's 64-row block (4 x 64 x 77) and 6 arrays
-    of length N: 1.49 MiB.  A 1 MiB budget stops it before any slice is
-    evaluated; 2 MiB runs it, one evaluation per slice."""
+    77 columns each, with their row offsets (2 x 1024 x 78 floats), 5
+    arrays of length N for the grid and momenta, and one evaluation's
+    64-row block (4 x 64 x 77) and 6 arrays of length N: 1.46 MiB.  A 1 MiB
+    budget stops it before any slice is evaluated; 2 MiB runs it, one
+    evaluation per slice."""
     calls = []
     evaluate = spectral.evaluate_grid
     monkeypatch.setattr(spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a))
     n, width = 1024, 77
-    charge = 8 * (2 * n * (width + 1) + 9 * n + 4 * 64 * width + 6 * n)
+    charge = 8 * (2 * n * (width + 1) + 5 * n + 4 * 64 * width + 6 * n)
     assert 2**20 < charge <= 2 * 2**20
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid holding 1 far-field band "
@@ -497,16 +497,16 @@ def test_near_field_holds_no_dense_matrix():
 
 def test_near_field_budget_charges_its_node_grid_and_band():
     """At N = 1024 the near field is first charged its 16 x 1024 node grid
-    at 10 arrays (q_s, q_i, one slice's modes and the next slice's
-    kernel) and 8 arrays of length N: 1.31 MiB, which a 1 MiB budget
-    stops before the grid is built.  Then its band of 107 columns with
-    row offsets, the 8 arrays of length N, 3 node-grid arrays and one
-    64-row block's 28 arrays of gathered modes and their Horner sum:
-    8 x 1024 x (107 + 8) + 3 x 131072 + 28 x 512 x 107 bytes, 2.74 MiB.
+    at 9 arrays (q_s, q_i and one slice's kernel) and 8 arrays of length
+    N: 1.19 MiB, which a 1 MiB budget stops before the grid is built.
+    Then its band of 107 columns with row offsets, the 8 arrays of length
+    N, 3 node-grid arrays (q_s, q_i and a slice's modes) and one 64-row
+    block's 26 arrays (a, cols, gathered modes and their Horner sum):
+    8 x 1024 x (107 + 8) + 3 x 131072 + 26 x 512 x 107 bytes, 2.63 MiB.
     A 2 MiB budget stops it there, 3 MiB runs it."""
     n, width, node = 1024, 107, 16 * 1024 * 8
-    grid_charge = 8 * n * 8 + 10 * node
-    band_charge = 8 * n * (width + 8) + 3 * node + 28 * 8 * 64 * width
+    grid_charge = 8 * n * 8 + 9 * node
+    band_charge = 8 * n * (width + 8) + 3 * node + 26 * 8 * 64 * width
     assert 2**20 < grid_charge <= 2 * 2**20 < band_charge <= 3 * 2**20
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^16 x 1024 grid needs ~2 MiB \(budget 1 MiB\)$"):
@@ -667,9 +667,8 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
                          kernel="gauss")
     jid = far_field_jid(problem, axis)
     x, near = oracle.fft_near_field(problem, axis)
-    far = reid_inference(matrix_moments("far", axis, jid.axis_signal, jid.axis_idler,
-                                        jid.intensity.toarray()))
-    near = reid_inference(matrix_moments("near", axis, x, x, near))
+    far = matrix_moments("far", axis, jid.axis_signal, jid.axis_idler, jid.intensity.toarray())
+    near = matrix_moments("near", axis, x, x, near)
     expected = widths(reid_product(near, far))
     got = widths(certify_axis(problem, axis)[2])
     np.testing.assert_allclose(got, expected, rtol=1e-6, atol=0)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim.stats import (
+    REID_BOUND,
     DegenerateDistributionError,
+    ReidReport,
     StatsSummary,
-    reid_inference,
     reid_product,
     ridge_fit,
 )
@@ -163,31 +164,46 @@ def test_cauchy_schwarz(rho):
 
 def test_inference_no_correlation():
     s = StatsSummary("far", "x", 0.0, 0.0, 2.0, 3.0, 0.0)
-    done = reid_inference(s)
-    assert done.G == 0.0
-    assert done.var_inferred == 3.0
+    assert s.G == 0.0
+    assert s.var_inferred == 3.0
 
 
 def test_inference_perfect_correlation():
     c = math.sqrt(2.0 * 3.0)
-    done = reid_inference(StatsSummary("far", "x", 0.0, 0.0, 2.0, 3.0, c))
+    done = StatsSummary("far", "x", 0.0, 0.0, 2.0, 3.0, c)
     assert done.var_inferred == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inference_gaussian_correlation():
-    done = reid_inference(gaussian_moments(0.8, n=1024))
+    done = gaussian_moments(0.8, n=1024)
     assert done.var_inferred == pytest.approx(0.36, rel=1e-3)
     assert done.G == pytest.approx(0.8, rel=1e-3)
 
 
 def test_inference_degenerate_marginal():
     with pytest.raises(DegenerateDistributionError):
-        reid_inference(StatsSummary("far", "x", 0.0, 0.0, 0.0, 1.0, 0.0))
+        StatsSummary("far", "x", 0.0, 0.0, 0.0, 1.0, 0.0).var_inferred
+
+
+def test_zero_signal_variance_raises_from_width_and_json():
+    # a summary always carries its inference, so printing one with V_s = 0 fails too
+    s = StatsSummary("far", "x", 0.0, 0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(DegenerateDistributionError):
+        s.width_inferred
+    with pytest.raises(DegenerateDistributionError):
+        s.to_json_dict()
+
+
+def test_inferred_variance_negative_beyond_roundoff_raises():
+    # Cauchy-Schwarz is checked to 1e-9 relative; inference to 1e-12 of V_i
+    s = StatsSummary("far", "x", 0.0, 0.0, 1.0, 1.0, 1.0 + 1e-10)
+    with pytest.raises(DegenerateDistributionError, match="beyond roundoff"):
+        s.var_inferred
 
 
 def test_inferred_variance_never_exceeds_marginal():
     for rho in (-0.9, -0.3, 0.0, 0.4, 0.99):
-        done = reid_inference(gaussian_moments(rho, n=128))
+        done = gaussian_moments(rho, n=128)
         assert 0.0 <= done.var_inferred <= done.V_i + 1e-12
 
 
@@ -195,7 +211,7 @@ def test_conditional_slice_oracle():
     # The linear inferred variance must agree with the direct estimate:
     # the column-mass-weighted mean of each signal column's idler variance.
     a_i, intensity = bivariate_gaussian(0.7, n=256)
-    s = reid_inference(matrix_moments("far", "x", a_i, a_i, intensity))
+    s = matrix_moments("far", "x", a_i, a_i, intensity)
     direct = []
     masses = []
     for col in intensity:
@@ -213,12 +229,8 @@ def test_conditional_slice_oracle():
 
 
 def near_far_pair(var_near, var_far, rho=0.0, axis="x"):
-    near = reid_inference(
-        StatsSummary("near", axis, 0.0, 0.0, 1.0, var_near / (1 - rho**2), 0.0)
-    )
-    far = reid_inference(
-        StatsSummary("far", axis, 0.0, 0.0, 1.0, var_far / (1 - rho**2), 0.0)
-    )
+    near = StatsSummary("near", axis, 0.0, 0.0, 1.0, var_near / (1 - rho**2), 0.0)
+    far = StatsSummary("far", axis, 0.0, 0.0, 1.0, var_far / (1 - rho**2), 0.0)
     return near, far
 
 
@@ -244,11 +256,12 @@ def test_reid_product_plane_mismatch():
         reid_product(far, near)
 
 
-def test_reid_product_requires_inference():
-    near = StatsSummary("near", "x", 0.0, 0.0, 1.0, 1.0, 0.0)
-    far = StatsSummary("far", "x", 0.0, 0.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        reid_product(near, far)
+def test_report_derives_product_and_flag_from_its_widths():
+    report = ReidReport("y", 2.0, 0.2)
+    assert list(vars(report)) == ["axis", "dx_inferred_m", "dq_inferred_radm"]
+    assert report.product == pytest.approx(0.4, rel=1e-15)
+    assert report.certified and report.to_json_dict()["bound"] == REID_BOUND
+    assert not ReidReport("y", 2.0, 0.25).certified  # on the bound is not below it
 
 
 def test_certification_flag():
