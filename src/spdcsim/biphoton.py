@@ -36,8 +36,8 @@ orders of magnitude inside the phase-matching width of the difference
 coordinate, so on the square (q_s, q_i) grid the amplitude lives in a
 thin anti-diagonal band.  ``evaluate_grid`` evaluates only that band and
 returns it as a ``RowBand``: outside it the float64 envelope is exactly
-0, so ``toarray()`` equals the dense evaluation of ``amplitude`` (up to
-the sign of zeros).
+0, so the matrix the band holds equals the dense evaluation of
+``amplitude`` (up to the sign of zeros).
 """
 
 from __future__ import annotations
@@ -246,20 +246,10 @@ class RowBand:
     def nbytes(self) -> int:
         return self.data.nbytes + self.start.nbytes
 
-    def flat_index(self) -> np.ndarray:
-        """Index of each ``data`` entry in the raveled n_rows x n_cols matrix."""
-        rows = np.arange(self.data.shape[0])[:, None] * self.n_cols
-        return rows + self.start[:, None] + np.arange(self.width)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.data.shape[0], self.n_cols))
-        out.reshape(-1)[self.flat_index()] = self.data
-        return out
-
-
-#: Signal rows per gather in ``evaluate_grid``: the temporaries of one
-#: block, not of all N rows, sit beside the band.  Of 32, 64 and 128, 64 ran ``camera_jpds``
-#: at N = 1024 fastest (one core), as fast as one gather of all rows.
+#: Signal rows per gather in ``evaluate_grid`` and per block of the pictures' streams: the
+#: temporaries of one block, not of all N rows, are held.  Of 32, 64 and 128, 64 ran
+#: ``camera_jpds`` at N = 1024 fastest (one core), as fast as one gather of all rows.
 _ROW_BLOCK = 64
 
 
@@ -291,7 +281,7 @@ def evaluate_grid(
     """Amplitude over two 1-D strictly increasing grids, signal-major, as
     the ``RowBand`` of its pump-envelope band, or of ``windows``.
 
-    toarray()[k, l] = amplitude(q_s[k], q_i[l], problem, axis, pair).  In
+    Its entry (k, l) is amplitude(q_s[k], q_i[l], problem, axis, pair).  In
     float64 the pump envelope is exactly 0 outside the anti-diagonal band
     |q_s + q_i| <= 2 sqrt(746) / w0, so each signal row keeps only the
     idler columns ``envelope_columns`` gives, widened to one shared width.

@@ -22,7 +22,8 @@ pixels: signal q s_s(mid)/s_s(k); idler q s_i(mid)/s_i(k) uncorrected
 and (q - b_mid) s_s(mid)/s_s(k) + b_k corrected, b being the slice's
 ridge intercept (0 on x).  Nothing is resampled, and no dense slice
 matrix is built: the slice's amplitude is evaluated on the JPD's
-windows, squared in place and added with the slice's quadrature weight.
+windows a block of rows at a time, squared in place and added with the
+slice's quadrature weight.
 
 Both steps are per-slice affine maps, held as arrays over
 ``Problem.slices``: the wavelengths, the scales s and the intercepts b.
@@ -33,21 +34,20 @@ camera rows onto the corrected idler.  The JPDs add them with the
 quadrature weights (``spectral._slice_total``, as ``certify_axis`` adds
 its rows), first, so a collapsed distribution stops before any
 evaluation.  The slices are then evaluated and added by
-``spectral._squared_bands``, the pass that also builds the far-field
+``spectral._squared_blocks``, the stream that also gives the far-field
 JID, at the pixel momenta above.
 The JPDs are ``CameraJPD``s, ``JointDistribution``s of plane 'camera',
-whose bands are allocated once, on the union of every slice's
+whose row blocks lie on the union of every slice's
 ``envelope_columns(power=2)`` windows, which the pixel grids give
 before any evaluation (98 and 79 of 1024 columns at the defaults);
-outside them every slice's square is +0.0.  The memory budget is
-checked once, up front, for the two JPDs and the one slice band and row
-block held beside them.
+outside them every slice's square is +0.0.  Neither JPD is held: each
+block is built as it is written.
 
 Slope reports quote the **display orientation**: the signal coordinate
 plotted against the idler coordinate, which is how these joint
 distributions are drawn, so ``slope_report`` fits a JPD's engine sums
-with the idler in the first role.  The bands are the pictures the
-files hold; no statistic is taken from them.  Both the principal-axis
+with the idler in the first role.  The row blocks are the pictures
+the files hold; no statistic is taken from them.  Both the principal-axis
 and the regression estimator are always reported; they differ
 systematically for ridges of finite width.
 """
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdcsim.spectral import JointDistribution, Problem, _slice_total, _squared_bands, moment_sums
+from spdcsim.spectral import JointDistribution, Problem, _slice_total, _squared_blocks, moment_sums
 from spdcsim.stats import StatsSummary, ridge_fit
 
 __all__ = ["CameraJPD", "camera_jpds", "slope_report"]
@@ -69,8 +69,8 @@ __all__ = ["CameraJPD", "camera_jpds", "slope_report"]
 class CameraJPD(JointDistribution):
     """Accumulated camera-plane joint probability distribution: a
     ``JointDistribution`` of plane 'camera' whose axes are the pixel
-    centres' camera coordinates (meters) and whose ``intensity`` band
-    covers every slice's windows.  ``slices`` are the run's
+    centres' camera coordinates (meters) and whose ``intensity`` row
+    blocks cover every slice's windows.  ``slices`` are the run's
     ``Problem.slices``; ``sums`` are the slices' camera-plane raw sums
     (the engine's far-field sums through ``_mapped``) added with their
     weights in that order, the moments ``slope_report`` fits.
@@ -99,8 +99,8 @@ def _mapped(sums: np.ndarray, a_s, a_i, b_i=0.0) -> np.ndarray:
 def camera_jpds(
     problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
 ) -> tuple[CameraJPD, CameraJPD]:
-    """The uncorrected and the corrected camera JPD of ``axis``, from one
-    pass over the spectral slices that holds one slice band at a time.
+    """The uncorrected and the corrected camera JPD of ``axis``, each a
+    stream of row blocks over the spectral slices; neither is held.
 
     Each JPD's pixels are the square grid mapped onto the camera with the
     central slice's scales, Y = M (f/k) q per arm (the corrected idler
@@ -108,13 +108,12 @@ def camera_jpds(
     The slices' camera-plane sums, the engine's far-field sums mapped per
     slice (``_mapped``), are added with their weights first: a total that
     is not finite and positive raises ``DegenerateDistributionError``
-    before any evaluation.  Then each slice, in sampling order, is
-    evaluated at the momenta that land on the pixel centres, once per
-    JPD, on that JPD's windows, and added with its weight
-    (``spectral._squared_bands``).  The focal length and the
-    magnification must be finite and positive (``ValueError``); the
-    budget is checked once, before any evaluation, for the two JPDs, one
-    slice band and one row block (``GridMemoryError``).
+    before any evaluation.  Then, as each JPD's blocks are drawn, each
+    slice, in sampling order, is evaluated at the momenta that land on
+    the pixel centres, on that JPD's windows, and added with its weight
+    (``spectral._squared_blocks``, which charges the budget and checks
+    the propagation cone first).  The focal length and the magnification
+    must be finite and positive (``ValueError``).
     """
     for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
         if not (math.isfinite(value) and value > 0):
@@ -139,7 +138,7 @@ def camera_jpds(
         to_signal = s_s[mid] / s_s[k]
         return q * to_signal, q * (s_i[mid] / s_i[k]), (q - b[mid]) * to_signal + b[k]
 
-    raw, fixed = _squared_bands(problem, axis, momenta, "2 camera JPDs")
+    raw, fixed = _squared_blocks(problem, axis, momenta, "2 camera JPDs")
     y_signal, y_idler = s_s[mid] * q, s_i[mid] * q
     fixed_idler = y_idler * (lam_s[mid] / lam_i[mid]) - s_s[mid] * b[mid]
     return (

@@ -37,7 +37,7 @@ from spdcsim.dispersion import (
     WavelengthRangeError,
     effective_index,
 )
-from spdcsim.io import write_matrix_binary, write_matrix_csv
+from spdcsim.io import write_matrix_binary, write_matrix_csv, write_matrix_json
 from spdcsim.spectral import JointDistribution, Problem, certify_axis, far_field_jid, near_field_jid
 from spdcsim.stats import DegenerateDistributionError, ridge_fit
 from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
@@ -85,7 +85,8 @@ def _stats_payload(problem: Problem, plane: str, axis: str) -> dict:
 
 def _write_matrix(directory: Path, stem: str, formats, picture: JointDistribution) -> list[str]:
     """Write ``picture`` in every format to ``directory``/``stem``.<format>,
-    tagged with its plane and axis (and whether a camera JPD is corrected)."""
+    tagged with its plane and axis (and whether a camera JPD is corrected),
+    each file from one pass over its row blocks."""
     meta = {"plane": picture.plane, "axis": picture.axis}
     if isinstance(picture, CameraJPD):
         meta["corrected"] = picture.corrected
@@ -93,21 +94,11 @@ def _write_matrix(directory: Path, stem: str, formats, picture: JointDistributio
     written = []
     for fmt in formats:
         path = directory / f"{stem}.{fmt}"
-        if fmt == "csv":
-            write_matrix_csv(path, picture.axis_signal, picture.axis_idler, picture.intensity,
-                             meta=meta)
-        elif fmt == "bin":
-            write_matrix_binary(path, picture.axis_signal, picture.axis_idler, picture.intensity)
+        args = (path, picture.axis_signal, picture.axis_idler, picture.row_blocks())
+        if fmt == "bin":
+            write_matrix_binary(*args)
         else:
-            blob = {
-                **meta,
-                "axis_signal": picture.axis_signal.tolist(),
-                "axis_idler": picture.axis_idler.tolist(),
-                "intensity": picture.intensity.toarray().tolist(),
-            }
-            path.write_text(
-                json.dumps(blob, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            (write_matrix_csv if fmt == "csv" else write_matrix_json)(*args, meta=meta)
         written.append(path.name)
     return written
 

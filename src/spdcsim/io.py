@@ -1,10 +1,13 @@
-"""File formats for joint distributions: CSV and a raw binary.
+"""File formats for joint distributions: CSV, JSON and a raw binary.
 
 CSV layout: comment lines carrying the plane/axis tags, then a header
 row with the idler axis values (first cell ``signal``), then
 one row per signal coordinate.  Floats are written with ``repr``
 (shortest round-trip form), so identical inputs produce byte-identical
 files.
+
+JSON layout: ``json.dumps`` with sorted keys of the tags, both axes and
+``intensity``, the dense matrix as a list of rows, and a newline.
 
 Binary layout (little-endian throughout):
 
@@ -13,16 +16,18 @@ Binary layout (little-endian throughout):
     3 float64 idler axis descriptor: min, max, N
     N*M float64 row-major intensity matrix (signal-major)
 
-Both writers take the matrix as a ``RowBand``: a dense matrix is the
-band of full width (every start 0).  The binary format carries no
-plane/axis tags; callers that need them use the CSV form, whose tags
-``read_matrix_csv`` returns as its meta.
+Every writer takes the matrix as ``RowBand`` row blocks in signal-row
+order and writes each as it comes; a dense matrix is one block of full
+width (every start 0).  The binary format carries no plane/axis tags;
+callers that need them use the CSV form, whose tags ``read_matrix_csv``
+returns as its meta.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +37,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MAGIC",
     "write_matrix_csv",
+    "write_matrix_json",
     "read_matrix_csv",
     "write_matrix_binary",
     "read_matrix_binary",
@@ -40,33 +46,49 @@ __all__ = [
 MAGIC = b"SPDCJID1"
 
 
-def write_matrix_csv(
-    path: str | Path,
-    axis_signal: np.ndarray,
-    axis_idler: np.ndarray,
-    intensity: RowBand,
-    meta: dict | None = None,
-) -> None:
-    """Write the matrix ``intensity`` holds as CSV, each float as
-    ``repr(float(v))``, one row at a time; the columns outside a row's
-    window, and the leading and trailing runs of +0.0 (not -0.0) inside
-    it, are written as ``0.0`` without the per-element ``repr``."""
-    data, n, width = intensity.data, intensity.n_cols, intensity.width
-    printable = (data != 0) | np.signbit(data)
-    first = np.where(printable.any(axis=1), printable.argmax(axis=1), width)
-    stop = width - printable[:, ::-1].argmax(axis=1)
+def _row_cells(intensity: Iterable[RowBand]) -> Iterator[list[str]]:
+    """Each row of the matrix the blocks hold, as the cells ``repr(float(v))``;
+    the columns outside a row's window, and the leading and trailing runs
+    of +0.0 (not -0.0) inside it, are ``0.0`` without the ``repr``."""
+    for band in intensity:
+        data, n, width = band.data, band.n_cols, band.width
+        printable = (data != 0) | np.signbit(data)
+        first = np.where(printable.any(axis=1), printable.argmax(axis=1), width)
+        stop = width - printable[:, ::-1].argmax(axis=1)
+        for row, s, a, b in zip(data, band.start.tolist(), first.tolist(), stop.tolist()):
+            cells = ["0.0"] * n
+            cells[s + a:s + b] = map(repr, row[a:b].tolist())
+            yield cells
+
+
+def write_matrix_csv(path: str | Path, axis_signal: np.ndarray, axis_idler: np.ndarray,
+                     intensity: Iterable[RowBand], meta: dict | None = None) -> None:
+    """Write the matrix the blocks ``intensity`` hold as CSV, each float as
+    ``repr(float(v))``, one row at a time (``_row_cells``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(["signal", *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
         fh.write("\n")
-        for coord, row, s, a, b in zip(
-            np.asarray(axis_signal, dtype=float).tolist(), data,
-            intensity.start.tolist(), first.tolist(), stop.tolist(),
-        ):
-            cells = ["0.0"] * n
-            cells[s + a:s + b] = map(repr, row[a:b].tolist())
+        coords = np.asarray(axis_signal, dtype=float).tolist()
+        for coord, cells in zip(coords, _row_cells(intensity)):
             fh.write(repr(coord) + "," + ",".join(cells) + "\n")
+
+
+def write_matrix_json(path: str | Path, axis_signal: np.ndarray, axis_idler: np.ndarray,
+                      intensity: Iterable[RowBand], meta: dict | None = None) -> None:
+    """Write ``json.dumps`` of ``meta``, the axes and ``intensity``, the
+    matrix the blocks hold as rows, with sorted keys and a newline, one row
+    at a time (``_row_cells``: a finite float's JSON is its ``repr``)."""
+    blob = {**(meta or {}), "axis_signal": np.asarray(axis_signal, dtype=float).tolist(),
+            "axis_idler": np.asarray(axis_idler, dtype=float).tolist(), "intensity": []}
+    # the key is the one unescaped '"intensity": []' in the text
+    head, tail = json.dumps(blob, sort_keys=True).split('"intensity": []')
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head + '"intensity": [')
+        for k, cells in enumerate(_row_cells(intensity)):
+            fh.write(f"{', ' if k else ''}[{', '.join(cells)}]")
+        fh.write("]" + tail + "\n")
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -96,31 +118,20 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.array(axis_signal), axis_idler, np.array(rows), meta
 
 
-def write_matrix_binary(
-    path: str | Path,
-    axis_signal: np.ndarray,
-    axis_idler: np.ndarray,
-    intensity: RowBand,
-) -> None:
-    """Write the matrix ``intensity`` holds in the binary layout, streamed
-    one row at a time: +0.0 before the row's window, the window, +0.0
-    after it."""
-    data = np.ascontiguousarray(intensity.data, dtype="<f8")
-    after = intensity.n_cols - intensity.width
+def write_matrix_binary(path: str | Path, axis_signal: np.ndarray, axis_idler: np.ndarray,
+                        intensity: Iterable[RowBand]) -> None:
+    """Write the matrix the blocks ``intensity`` hold in the binary layout,
+    one row at a time: +0.0 before the row's window, the window, +0.0 after."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        header = np.array(
-            [
-                axis_signal[0], axis_signal[-1], axis_signal.size,
-                axis_idler[0], axis_idler[-1], axis_idler.size,
-            ],
-            dtype="<f8",
-        )
-        fh.write(header.tobytes())
-        for row, s in zip(data, intensity.start.tolist()):
-            fh.write(bytes(8 * s))
-            fh.write(row.tobytes())
-            fh.write(bytes(8 * (after - s)))
+        fh.write(np.array([axis_signal[0], axis_signal[-1], axis_signal.size,
+                           axis_idler[0], axis_idler[-1], axis_idler.size], dtype="<f8").tobytes())
+        for band in intensity:
+            after = band.n_cols - band.width
+            for row, s in zip(np.ascontiguousarray(band.data, dtype="<f8"), band.start.tolist()):
+                fh.write(bytes(8 * s))
+                fh.write(row.tobytes())
+                fh.write(bytes(8 * (after - s)))
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -33,13 +33,14 @@ with d_s Psi = E (-(w0^2 q_+ / 2) K + K'(u) a'(q_s)) in closed form.
 No N x N grid and no transform is built, and nothing is cut off at a
 grid edge in position space.
 
-JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) write a
-picture, a ``JointDistribution`` whose intensity is a ``RowBand``.  The
-far field is the slice pass the camera JPDs also take (``_squared_bands``):
-each slice evaluated on the square (q_s, q_i) grid by ``evaluate_grid`` on
-the union of the slices' ``envelope_columns(power=2)`` windows, squared in
-place, weighted and added.  The near field takes the moment engine's
-(q_+ node x q_- grid) frame (``_node_grid``): no N x N array, no 2-D FFT.
+JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) give a
+picture, a ``JointDistribution`` that yields ``RowBand`` row blocks.  The
+far field is the stream the camera JPDs also take (``_squared_blocks``):
+per block of rows, each slice evaluated by ``evaluate_grid`` on the union
+of the slices' ``envelope_columns(power=2)`` windows, squared in place,
+weighted and added; no picture is held.  The near field takes the moment
+engine's (q_+ node x q_- grid) frame (``_node_grid``): no N x N array, no
+2-D FFT; it holds its band.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermvander
@@ -183,10 +184,10 @@ class JointDistribution:
     ``plane`` is 'far' (momentum, axes in rad/m), 'near' (position, axes
     in meters) or 'camera' (camera position, axes in meters; see
     ``camera.CameraJPD``); ``axis`` tags the transverse axis.
-    ``intensity`` is a ``RowBand``: signal rows, idler columns, and
-    ``toarray()`` the dense matrix (the far field's band follows the
-    anti-diagonal, the near field's the diagonal).  Intensities are not
-    normalised.  It is the picture ``jid`` and ``camera`` write; the
+    ``intensity()`` yields the picture anew as ``RowBand`` row blocks in
+    signal-row order (the far field's windows follow the anti-diagonal,
+    the near field's the diagonal), checked by ``row_blocks()``; it is
+    not normalised.  It is the picture ``jid`` and ``camera`` write; the
     statistics they print come from the moment engine (``moment_sums``).
     """
 
@@ -194,25 +195,34 @@ class JointDistribution:
     axis: str
     axis_signal: np.ndarray
     axis_idler: np.ndarray
-    intensity: RowBand
+    intensity: Callable[[], Iterable[RowBand]]
 
     def __post_init__(self) -> None:
         if self.plane not in ("far", "near", "camera"):
             raise ValueError(f"plane must be 'far', 'near' or 'camera', got {self.plane!r}")
         if self.axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        band = self.intensity
-        if (band.data.shape[0], band.n_cols) != (self.axis_signal.size, self.axis_idler.size):
-            raise ValueError("intensity shape does not match axis grids")
-        if not np.all(np.isfinite(band.data)):
-            raise ValueError("intensity contains non-finite entries")
-        if np.any(band.data < 0):
-            raise ValueError("intensity contains negative entries")
         for name, grid in (("axis_signal", self.axis_signal), ("axis_idler", self.axis_idler)):
             steps = np.diff(grid)
             if not (steps.size and steps[0] > 0
                     and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
                 raise ValueError(f"{name} must be a uniform increasing grid")
+
+    def row_blocks(self) -> Iterator[RowBand]:
+        """``intensity()``'s blocks, each checked as it comes (ValueError): on
+        the axis grids, finite and non-negative; together, every signal row."""
+        rows = 0
+        for block in self.intensity():
+            rows += block.data.shape[0]
+            if block.n_cols != self.axis_idler.size or rows > self.axis_signal.size:
+                raise ValueError("intensity shape does not match axis grids")
+            if not np.all(np.isfinite(block.data)):
+                raise ValueError("intensity contains non-finite entries")
+            if np.any(block.data < 0):
+                raise ValueError("intensity contains negative entries")
+            yield block
+        if rows != self.axis_signal.size:
+            raise ValueError("intensity shape does not match axis grids")
 
     @property
     def d_signal(self) -> float:
@@ -307,14 +317,15 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     (near field).  Quadrature factors shared by every term are left out,
     so only ratios to the first column carry meaning.  Each slice forms
     its products one at a time in one scratch buffer: with q_s and q_i, 10
-    node-grid arrays are charged (9.2 measured at a slice's peak).
+    node-grid arrays are charged (9.2 measured at a slice's peak), with the
+    q_- grid and the rows.
 
     Raises GridMemoryError if those exceed the memory budget, before the
     grid is built, and EvanescentInputError if any node momentum reaches
     the propagation cone.
     """
-    check_memory_budget(10 * 8 * _SUM_NODES * problem.grid_n, problem.memory_budget_bytes,
-                        f"{_SUM_NODES} x {problem.grid_n} grid")
+    check_memory_budget(8 * ((10 * _SUM_NODES + 1) * problem.grid_n + 9 * len(problem.slices)),
+                        problem.memory_budget_bytes, f"{_SUM_NODES} x {problem.grid_n} grid")
     q_d = problem.diff_grid()
     t, h = hermgauss(_SUM_NODES)
     w0 = problem.waist_m
@@ -351,7 +362,10 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
             sums.append(scratch.sum())
         return sums
 
-    return np.array([slice_sums((lam_s, lam_i)) for lam_s, lam_i, _ in problem.slices])
+    rows = np.empty((len(problem.slices), 9))  # 72 bytes a slice, where 9 NumPy scalars hold 352
+    for row, (lam_s, lam_i, _) in zip(rows, problem.slices):
+        row[:] = slice_sums((lam_s, lam_i))
+    return rows
 
 
 def _slice_total(problem: Problem, rows) -> np.ndarray:
@@ -378,22 +392,22 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
     return near, far, reid_product(near, far)
 
 
-def _squared_bands(
-    problem: Problem, axis: str, momenta: Callable[[int], tuple[np.ndarray, ...]], holding: str,
-) -> list[RowBand]:
-    """sum_slices w |Psi|^2 on each of one or more N x N pictures, from one
-    pass over ``problem.slices`` that holds one slice band at a time.
+def _squared_blocks(
+    problem: Problem, axis: str, momenta: Callable[[int], tuple[np.ndarray, ...]], pictures: str,
+) -> list[Callable[[], Iterator[RowBand]]]:
+    """sum_slices w |Psi|^2 on each of one or more N x N pictures, each a
+    stream of ``RowBand`` row blocks; no picture is held.
 
     ``momenta(k)`` gives slice k's signal momenta and one idler grid per
-    picture, and is called again where they are needed, so no slice's
-    grids are held.  Each picture is a ``RowBand`` on the union of every
-    slice's ``envelope_columns(power=2)`` windows, outside which every
-    slice's square is +0.0.  The budget is charged once, before any
-    evaluation, the pictures (``holding`` names them) and one evaluation
-    beside them (``GridMemoryError``).  Then each slice, in
-    sampling order, is evaluated on each picture's windows, squared in
-    place, weighted and added.  A UserWarning says when the square grid's
-    step is wider than the pump width 2/w0, which leaves the ridge unresolved.
+    picture, and is called again where they are needed.  A picture's
+    windows are the union of every slice's ``envelope_columns(power=2)``
+    windows, outside which every slice's square is +0.0.  First a
+    UserWarning says when the grid step is wider than the pump width 2/w0,
+    the budget is charged (``pictures`` names them), and each slice's
+    grids, whose end momenta are their largest, are checked against the
+    propagation cone.  Per block of ``_ROW_BLOCK`` rows, each slice in
+    sampling order is evaluated on the block's windows, squared, weighted
+    and added, as in the whole-picture sum.
     """
     q, pump_width = problem.square_grid(), 2.0 / problem.waist_m
     if q[1] - q[0] > pump_width:
@@ -410,32 +424,42 @@ def _squared_bands(
         np.minimum(bounds[:, 0], columns[:, 0], out=bounds[:, 0])
         np.maximum(bounds[:, 1], columns[:, 1], out=bounds[:, 1])
     windows = [_windows(first, stop, n) for first, stop in bounds]
-    del bounds, columns  # before any slice is evaluated
-    widths = [width for _, width in windows]
-    # each picture's values and row offsets, the square grid and a slice's
-    # momenta (5 arrays of length n), and one evaluation
-    held = 8 * n * (sum(widths) + len(widths) + 5) + _evaluation_bytes(n, n, max(widths))
-    check_memory_budget(held, problem.memory_budget_bytes,
-                        f"{n} x {n} grid holding {holding} and 1 slice band")
-    totals = [RowBand(np.zeros((n, width)), start, n) for start, width in windows]
-    for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
+    block, widths = min(_ROW_BLOCK, n), [width for _, width in windows]
+    # each picture's row offsets, the square grid and a slice's momenta (5 arrays of
+    # length n), two blocks of each (one added to, one handed out), one block's evaluation
+    held = (8 * n * (len(widths) + 5) + 16 * block * sum(w + 1 for w in widths)
+            + _evaluation_bytes(block, n, max(widths)))
+    check_memory_budget(held, problem.memory_budget_bytes, f"{n} x {n} grid streaming {pictures}")
+    for k, (lam_s, lam_i, _) in enumerate(problem.slices):
         q_s, *idlers = momenta(k)
-        for total, q_i in zip(totals, idlers):
-            pair = (lam_s, lam_i)
-            term = evaluate_grid(q_s, q_i, problem, axis, pair, (total.start, total.width)).data
-            np.multiply(term, term, out=term)  # the slice intensity on the picture's windows
-            term *= weight
-            np.add(total.data, term, out=total.data)
-            del term  # before the next evaluation
-    return totals
+        for q_i in idlers:
+            _arm_arguments(q_s[[0, -1]], q_i[[0, -1]], axis, (lam_s, lam_i), problem.crystal,
+                           problem.wl)
+
+    def blocks(picture: int, start: np.ndarray, width: int) -> Iterator[RowBand]:
+        for rows in _row_blocks(n):
+            starts = start[rows]
+            first, stop = starts.min(), starts.max() + width  # the block's column span
+            total = np.zeros((starts.size, width))
+            for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
+                q_s, *idlers = momenta(k)
+                term = evaluate_grid(q_s[rows], idlers[picture][first:stop], problem, axis,
+                                     (lam_s, lam_i), (starts - first, width)).data
+                np.multiply(term, term, out=term)  # the slice intensity on the block's windows
+                term *= weight
+                np.add(total, term, out=total)
+                del term  # before the next evaluation
+            yield RowBand(total, starts, n)
+
+    return [partial(blocks, p, start, width) for p, (start, width) in enumerate(windows)]
 
 
 def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2 on
-    the square grid, as one ``RowBand``."""
+    the square grid, streamed in row blocks (``_squared_blocks``)."""
     q = problem.square_grid()
-    (band,) = _squared_bands(problem, axis, lambda k: (q, q), "1 far-field band")
-    return JointDistribution(plane="far", axis=axis, axis_signal=q, axis_idler=q, intensity=band)
+    (picture,) = _squared_blocks(problem, axis, lambda k: (q, q), "1 far-field band")
+    return JointDistribution(plane="far", axis=axis, axis_signal=q, axis_idler=q, intensity=picture)
 
 
 def position_grid(q_grid: np.ndarray) -> np.ndarray:
@@ -454,7 +478,7 @@ _NEAR_NODES, _NEAR_MODES, _NEAR_BAND_LOSS = 16, 8, 1e-6
 def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     """Position-plane JID: sum_slices w |psi|^2, psi the centered unitary
     transform of the slice's amplitude, on ``position_grid`` of the square
-    grid, as a ``RowBand`` about x_s = x_i.
+    grid, held as one band about x_s = x_i and yielded in row blocks.
 
     Each slice's kernel gives Hermite modes c_k(q_-) from ``_NEAR_NODES``
     nodes q_+ = 2 t / w0 at q_- = (m - N/2) 2 dq, and each mode one N-point
@@ -525,5 +549,6 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
         warnings.warn(f"near-field picture misses {1.0 - held / profile.sum():.2g} of its mass: "
                       f"its position window 2 pi/dq = {window:.3g} m spans {window / w0:.3g} "
                       f"pump waists; raise grid.n to resolve the near-field picture", stacklevel=2)
-    band = RowBand(data, start, n)
-    return JointDistribution(plane="near", axis=axis, axis_signal=x, axis_idler=x, intensity=band)
+    return JointDistribution(plane="near", axis=axis, axis_signal=x, axis_idler=x,
+                             intensity=lambda: (RowBand(data[rows], start[rows], n)
+                                                for rows in _row_blocks(n)))

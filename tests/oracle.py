@@ -3,7 +3,9 @@ moment engine's per-slice sums as plain whole-array expressions, the
 near-field picture as a 2-D FFT of the dense square-grid amplitude and
 as its Hermite-mode closed form on every entry, the camera's slices one
 record each with their sums mapped in Python floats and their pixel
-momenta, and a dense matrix as the full-width band a picture holds.
+momenta, the far-field and camera pictures as whole bands from one pass
+over the slices, a dense matrix as the full-width band a picture holds,
+and a picture's row blocks stacked into one band and into its dense matrix.
 
 The package takes every statistic from the moment engine; the tests
 check it, and the matrix pictures, against the moments of a matrix
@@ -16,7 +18,15 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval
 
-from spdcsim.biphoton import RowBand, _arm_arguments, _kernel, _kernel_with_slope, evaluate_grid
+from spdcsim.biphoton import (
+    RowBand,
+    _arm_arguments,
+    _kernel,
+    _kernel_with_slope,
+    _windows,
+    envelope_columns,
+    evaluate_grid,
+)
 from spdcsim.spectral import _SUM_NODES, position_grid
 from spdcsim.spectral import moment_sums as engine_sums
 from spdcsim.stats import StatsSummary, ridge_fit
@@ -25,6 +35,65 @@ from spdcsim.stats import StatsSummary, ridge_fit
 def full_band(matrix):
     """``matrix`` as the ``RowBand`` of full width (every start 0)."""
     return RowBand(matrix, np.zeros(matrix.shape[0], dtype=np.intp), matrix.shape[1])
+
+
+def one_block(matrix):
+    """A ``JointDistribution`` intensity that yields ``matrix`` as one full-width block."""
+    return lambda: [full_band(matrix)]
+
+
+def flat_index(band):
+    """Index of each ``band.data`` entry in the raveled n_rows x n_cols matrix."""
+    rows = np.arange(band.data.shape[0])[:, None] * band.n_cols
+    return rows + band.start[:, None] + np.arange(band.width)
+
+
+def toarray(band):
+    """The dense matrix a ``RowBand`` holds: +0.0 outside its windows."""
+    out = np.zeros((band.data.shape[0], band.n_cols))
+    out.reshape(-1)[flat_index(band)] = band.data
+    return out
+
+
+def stacked(picture):
+    """A ``JointDistribution``'s checked row blocks stacked into one ``RowBand``."""
+    blocks = list(picture.row_blocks())
+    return RowBand(np.concatenate([b.data for b in blocks]),
+                   np.concatenate([b.start for b in blocks]), blocks[0].n_cols)
+
+
+def dense(picture):
+    """A ``JointDistribution``'s dense matrix, from its row blocks."""
+    return toarray(stacked(picture))
+
+
+def squared_bands(problem, axis, momenta):
+    """sum_slices w |Psi|^2 on each of one or more pictures as one whole
+    ``RowBand`` each, from one slice-outer pass: ``momenta(k)`` gives slice
+    k's signal momenta and one idler grid per picture; each picture's
+    windows are the union of every slice's ``envelope_columns(power=2)``
+    windows; each slice, in sampling order, is evaluated on every
+    picture's windows over the whole grids, squared, weighted and added."""
+    n = problem.grid_n
+    bounds = None
+    for k in range(len(problem.slices)):
+        q_s, *idlers = momenta(k)
+        columns = np.array([envelope_columns(q_s, q_i, problem.waist_m, power=2) for q_i in idlers])
+        if bounds is None:
+            bounds = columns
+        np.minimum(bounds[:, 0], columns[:, 0], out=bounds[:, 0])
+        np.maximum(bounds[:, 1], columns[:, 1], out=bounds[:, 1])
+    totals = [RowBand(np.zeros((n, width)), start, n)
+              for start, width in (_windows(first, stop, n) for first, stop in bounds)]
+    for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
+        q_s, *idlers = momenta(k)
+        for total, q_i in zip(totals, idlers):
+            term = evaluate_grid(q_s, q_i, problem, axis, (lam_s, lam_i),
+                                 (total.start, total.width)).data
+            np.multiply(term, term, out=term)
+            term *= weight
+            np.add(total.data, term, out=total.data)
+    return totals
 
 
 def matrix_moments(plane, axis, axis_signal, axis_idler, intensity):
@@ -115,7 +184,7 @@ def fft_near_field(problem, axis):
     through ``near_field_intensity``, weighted and summed."""
     q = problem.square_grid()
     dq = float(q[1] - q[0])
-    terms = ((evaluate_grid(q, q, problem, axis, (s, i)).toarray(), dq, dq, w)
+    terms = ((toarray(evaluate_grid(q, q, problem, axis, (s, i))), dq, dq, w)
              for s, i, w in problem.slices)
     return position_grid(q), np.fft.fftshift(near_field_intensity(terms, (q.size, q.size)))
 

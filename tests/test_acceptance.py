@@ -40,6 +40,7 @@ from spdcsim.spectral import (
 )
 from spdcsim.sweep import run_sweep, trend_checks
 
+import oracle
 from oracle import matrix_moments, near_field_intensity
 
 SELL = SellmeierSet.bbo()
@@ -258,7 +259,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     q = problem.square_grid()
     dq = float(q[1] - q[0])
     pair = (problem.wl.signal_nm, problem.wl.idler_nm)
-    amp = evaluate_grid(q, q, problem, "x", pair).toarray()
+    amp = oracle.toarray(evaluate_grid(q, q, problem, "x", pair))
     near = near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)
     lhs = np.sum(amp * amp) * dq * dq
     dx = 2.0 * math.pi / (q.size * dq)
@@ -295,7 +296,7 @@ def test_normalization_sinc_zero_paraxial():
     problem = build(780.0, n_slices=5, grid_n=256)
     wl, crystal = problem.wl, problem.crystal
     jid = far_field_jid(problem, "x")
-    intensity = jid.intensity.toarray()
+    intensity = oracle.dense(jid)
     density = intensity / (intensity.sum() * jid.d_signal * jid.d_idler)
     raw, unit = (
         matrix_moments("far", "x", jid.axis_signal, jid.axis_idler, p)

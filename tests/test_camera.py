@@ -25,6 +25,7 @@ from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, Problem, far_field_jid
 from spdcsim.stats import DegenerateDistributionError, StatsSummary, ridge_fit
 
+import oracle
 from oracle import camera_momenta, camera_slices, matrix_moments, weighted_total
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -66,8 +67,8 @@ def one_slice_jpds(axis="y", signal_nm=780.0, n=256):
 
 
 def counting_evaluations(monkeypatch):
-    """The list each ``evaluate_grid`` call of the camera's slice pass
-    (``spectral._squared_bands``) appends to."""
+    """The list each ``evaluate_grid`` call of the camera's stream
+    (``spectral._squared_blocks``) appends to."""
     calls = []
     evaluate = spdcsim.spectral.evaluate_grid
     monkeypatch.setattr(
@@ -79,15 +80,30 @@ def counting_evaluations(monkeypatch):
 def evaluated_momenta(problem, axis, monkeypatch, magnification=1.0):
     """Both JPDs of ``camera_jpds`` and, per slice in sampling order, the
     signal, uncorrected idler and corrected idler momenta its
-    ``evaluate_grid`` calls received (``counting_evaluations``)."""
+    ``evaluate_grid`` calls received (``counting_evaluations``) as the
+    blocks were drawn, once per slice, JPD and block: the signal rows of
+    each block and the idler columns of its span, which overlap, agree
+    where they do and cover the grids."""
     calls = counting_evaluations(monkeypatch)
     jpds = camera_jpds(problem, axis, F, magnification=magnification)
-    assert len(calls) == 2 * len(problem.slices)  # once per slice and JPD
-    momenta = []
-    for (lam_s, lam_i, _), raw, fixed in zip(problem.slices, calls[::2], calls[1::2]):
-        assert raw[4] == fixed[4] == (lam_s, lam_i)
-        assert np.array_equal(raw[0], fixed[0])
-        momenta.append((raw[0], raw[1], fixed[1]))
+    assert calls == []  # nothing is evaluated until the blocks are drawn
+    momenta = [np.full((3, problem.grid_n), np.nan) for _ in problem.slices]
+    for j, jpd in enumerate(jpds):
+        row = 0
+        for block in jpd.row_blocks():
+            rows, first = slice(row, row + block.data.shape[0]), block.start.min()
+            row = rows.stop
+            block_calls, calls[:] = calls[:], []
+            assert len(block_calls) == len(problem.slices)
+            for (lam_s, lam_i, _), got, (q_s, q_i, *_, pair, _) in zip(problem.slices, momenta,
+                                                                        block_calls):
+                assert pair == (lam_s, lam_i)
+                for line, index, values in ((got[0], rows, q_s),
+                                            (got[1 + j], slice(first, first + q_i.size), q_i)):
+                    seen = ~np.isnan(line[index])
+                    assert np.array_equal(line[index][seen], values[seen])
+                    line[index] = values
+    assert not any(np.isnan(got).any() for got in momenta)
     return jpds, momenta
 
 
@@ -127,14 +143,15 @@ def test_map_to_camera_scales_axes():
     assert raw.axis_idler[0] == pytest.approx(
         jid.axis_idler[0] * F * problem.wl.idler_nm * 1e-9 / (2 * math.pi), rel=1e-12
     )
-    # intensities untouched, held as the far field's band of the
+    # intensities untouched: the far field's row blocks of the
     # pump-envelope columns, under an eighth of the dense matrix
-    assert isinstance(raw.intensity, RowBand)
-    assert np.array_equal(raw.intensity.start, jid.intensity.start)
-    assert raw.intensity.width == jid.intensity.width
-    assert np.array_equal(raw.intensity.data, jid.intensity.data)
+    assert all(isinstance(block, RowBand) for block in raw.row_blocks())
+    raw_band, far_band = oracle.stacked(raw), oracle.stacked(jid)
+    assert np.array_equal(raw_band.start, far_band.start)
+    assert raw_band.width == far_band.width
+    assert np.array_equal(raw_band.data, far_band.data)
     n = problem.grid_n
-    assert raw.intensity.nbytes < n * n * 8 / 8
+    assert raw_band.nbytes < n * n * 8 / 8
     # on-axis point stays on axis
     mid = jid.axis_signal.size // 2
     assert raw.axis_signal[mid] == jid.axis_signal[mid] * cs.scale_signal
@@ -147,12 +164,12 @@ def test_map_to_camera_scales_axes():
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_one_slice_far_field_is_the_uncorrected_camera_band(axis):
-    """One pass builds both pictures: with one slice, whose momenta are
+    """One stream gives both pictures: with one slice, whose momenta are
     the square grid's, the far-field band and the uncorrected camera band
     have equal starts, widths and values."""
     problem = one_slice_problem()
-    far = far_field_jid(problem, axis).intensity
-    raw = camera_jpds(problem, axis, F)[0].intensity
+    far = oracle.stacked(far_field_jid(problem, axis))
+    raw = oracle.stacked(camera_jpds(problem, axis, F)[0])
     assert raw.width == far.width
     assert np.array_equal(raw.start, far.start)
     assert np.array_equal(raw.data, far.data)
@@ -162,11 +179,12 @@ def test_one_slice_far_field_is_the_uncorrected_camera_band(axis):
 def test_slice_momenta_land_on_pixel_centres(axis, monkeypatch):
     """Mapped onto the camera with its own scales (and, corrected, its
     own idler rescale and intercept), the momenta each slice is evaluated
-    at are the JPDs' pixel centres, to 1e-12 of the grid's extent; they
-    are the inverse camera map's (``reference_momenta``) to 1e-12 and the
-    per-slice records' (``oracle.camera_momenta``) bit for bit; the
-    central slice's uncorrected momenta are the square grid itself."""
-    problem = make_setup(n_slices=5, grid_n=64)
+    at, block by block, are the JPDs' pixel centres, to 1e-12 of the
+    grid's extent; they are the inverse camera map's
+    (``reference_momenta``) to 1e-12 and the per-slice records'
+    (``oracle.camera_momenta``) bit for bit; the central slice's
+    uncorrected momenta are the square grid itself."""
+    problem = make_setup(n_slices=5, grid_n=256)
     q = problem.square_grid()
     slices = built_slices(problem, axis)
     central = slices[2]
@@ -201,7 +219,7 @@ def test_ridge_intercept_is_the_slice_fit():
         problem = replace(cfg.build(), grid_n=1024, n_slices=31)
         q = problem.square_grid()
         for cs, (lam_s, lam_i, _) in zip(built_slices(problem, "y"), problem.slices):
-            amp = evaluate_grid(q, q, problem, "y", (lam_s, lam_i)).toarray()
+            amp = oracle.toarray(evaluate_grid(q, q, problem, "y", (lam_s, lam_i)))
             dense = ridge_fit(matrix_moments("far", "y", q, q, amp * amp)).intercept
             assert abs(cs.ridge_intercept - dense) <= 1e-6 * (2.0 / problem.waist_m)
             assert cs.ridge_intercept != 0.0
@@ -211,21 +229,23 @@ def test_ridge_intercept_is_the_slice_fit():
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("waist_um", [50, 500])
-def test_slice_band_is_the_squared_amplitude(axis, waist_um, monkeypatch):
+def test_slice_band_is_the_squared_amplitude(axis, waist_um):
     """Each JPD is the square of ``amplitude`` at every slice's pixel
-    momenta (those its evaluations received), times the slice's weight,
-    added in sampling order into a zeroed dense matrix, bit for bit,
-    zeros' signs included.  Its windows are the union of the slices' power-2 ``envelope_columns``
-    windows, widened to one width; the windows of the outer rows clip
-    at the grid edge, most of them at 50 um."""
+    momenta (``oracle.camera_momenta``, which its evaluations received:
+    ``test_slice_momenta_land_on_pixel_centres``), times the slice's
+    weight, added in sampling order into a zeroed dense matrix, bit for
+    bit, zeros' signs included.  Its windows are the union of the slices'
+    power-2 ``envelope_columns`` windows, widened to one width; the
+    windows of the outer rows clip at the grid edge, most of them at 50 um."""
     problem = make_setup(waist_m=waist_um * 1e-6, n_slices=3, grid_n=256)
     q = problem.square_grid()
     slices = built_slices(problem, axis)
-    jpds, momenta = evaluated_momenta(problem, axis, monkeypatch)
+    jpds = camera_jpds(problem, axis, F)
     for j, jpd in enumerate(jpds):
         dense = np.zeros((q.size, q.size))
         first, stop = np.full(q.size, q.size), np.zeros(q.size, dtype=int)
-        for cs, (q_s, *idlers) in zip(slices, momenta):
+        for cs in slices:
+            q_s, *idlers = camera_momenta(q, slices[1], cs)
             amp = amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
                             (cs.lambda_signal_nm, cs.lambda_idler_nm))
             dense += cs.weight * (amp * amp)
@@ -234,9 +254,10 @@ def test_slice_band_is_the_squared_amplitude(axis, waist_um, monkeypatch):
         width = int(np.max(stop - first))
         start = np.clip(first, 0, q.size - width)
         assert np.any(start < first)  # windows shifted back inside the grid
-        assert jpd.intensity.width == width
-        assert np.array_equal(jpd.intensity.start, start)
-        total = jpd.intensity.toarray()
+        band = oracle.stacked(jpd)
+        assert band.width == width
+        assert np.array_equal(band.start, start)
+        total = oracle.toarray(band)
         assert np.array_equal(total, dense)
         assert np.array_equal(np.signbit(total), np.signbit(dense))
 
@@ -286,7 +307,7 @@ def test_fitted_shift_removes_nondegenerate_intercept():
     cs, _, corr = one_slice_jpds(axis="y", signal_nm=780.0)
     q_idler = corr.axis_idler / cs.scale_signal  # the idler is on the signal scale
     fit = ridge_fit(matrix_moments(
-        "far", "y", corr.axis_signal / cs.scale_signal, q_idler, corr.intensity.toarray()
+        "far", "y", corr.axis_signal / cs.scale_signal, q_idler, oracle.dense(corr)
     ))
     cell_q = float(q_idler[1] - q_idler[0])
     assert abs(fit.intercept) < cell_q
@@ -372,8 +393,8 @@ def test_resample_matches_antiderivative_reference(shape, scale, shift, axis):
         q_s, *idlers = pixel_momenta(central, cs, q_signal, q_idler)
         ref_s, *ref_idlers = reference_momenta(central, cs, q_signal, q_idler)
         for q_i, ref_i in zip(idlers, ref_idlers):
-            band = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
-                                 jpd_windows(q_s, q_i, problem)).toarray()
+            band = oracle.toarray(evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
+                                 jpd_windows(q_s, q_i, problem)))
             ref = amplitude(ref_s[:, None], ref_i[None, :], problem, "xy"[axis], pair)
             out, ref = band * band, ref * ref
             assert out.shape == ref.shape == (q_signal.size, q_idler.size)
@@ -440,8 +461,8 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
             full = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
                                  (np.zeros(q_s.size, dtype=np.intp), n_cols))
             assert full.width == n_cols
-            assert np.array_equal(full.toarray(), dense)
-            assert np.array_equal(np.signbit(full.toarray()), np.signbit(dense))
+            assert np.array_equal(oracle.toarray(full), dense)
+            assert np.array_equal(np.signbit(oracle.toarray(full)), np.signbit(dense))
             start, width = jpd_windows(q_s, q_i, problem)
             narrow = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair, (start, width))
             assert isinstance(narrow, RowBand) and narrow.width == width < n_cols
@@ -449,7 +470,7 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
             rows = np.arange(q_s.size)[:, None]
             assert np.array_equal(narrow.data, dense[rows, cols])
             assert np.array_equal(np.signbit(narrow.data), np.signbit(dense[rows, cols]))
-            out = narrow.toarray()
+            out = oracle.toarray(narrow)
             assert np.array_equal(out * out, dense * dense)
             inside = np.zeros(out.shape, dtype=bool)
             inside[rows, cols] = True
@@ -495,7 +516,7 @@ def test_corrected_nondegenerate_restores_unit_slope():
 def test_corrected_equals_uncorrected_for_degenerate_slice():
     unc, corr = build_jpds(signal_nm=810.0, n_slices=1, grid_n=256)
     # corrections are identities up to the sub-cell fitted shift
-    unc, corr = unc.intensity.toarray(), corr.intensity.toarray()
+    unc, corr = oracle.dense(unc), oracle.dense(corr)
     assert np.abs(corr - unc).max() <= 1e-6 * unc.max()
 
 
@@ -506,7 +527,7 @@ def test_pure_scaling_slope_relation():
     (cs,) = built_slices(problem, "y")
     far = far_field_jid(problem, "y")
     q_fit = ridge_fit(
-        matrix_moments("far", "y", far.axis_signal, far.axis_idler, far.intensity.toarray())
+        matrix_moments("far", "y", far.axis_signal, far.axis_idler, oracle.dense(far))
     )
     q_display = 1.0 / q_fit.slope_principal_axis
     rep = slope_report(camera_jpds(problem, "y", F)[0])
@@ -531,7 +552,7 @@ def square_grid_masses(problem, axis):
 
 
 def pixel_mass(jpd):
-    return jpd.intensity.data.sum() * jpd.d_signal * jpd.d_idler
+    return oracle.stacked(jpd).data.sum() * jpd.d_signal * jpd.d_idler
 
 
 def test_accumulation_preserves_mass():
@@ -543,7 +564,7 @@ def test_accumulation_preserves_mass():
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=1024)
     _, jpd = camera_jpds(problem, "y", F)
     total_in = square_grid_masses(problem, "y")[1]
-    total_out = jpd.intensity.toarray().sum() * jpd.d_signal * jpd.d_idler
+    total_out = oracle.dense(jpd).sum() * jpd.d_signal * jpd.d_idler
     assert total_out == pytest.approx(total_in, rel=1e-4)
 
 
@@ -625,7 +646,7 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
         assert jpd.corrected is corrected
         np.testing.assert_array_equal(jpd.axis_signal, y_signal)
         np.testing.assert_array_equal(jpd.axis_idler, y_idlers[j])
-        assert np.abs(jpd.intensity.toarray() - total).max() <= 1e-12 * total.max()
+        assert np.abs(oracle.dense(jpd) - total).max() <= 1e-12 * total.max()
         assert jpd.sums == weighted_total(slices, ("sums", "corrected_sums")[j])
         assert jpd.slices == tuple((cs.lambda_signal_nm, cs.lambda_idler_nm, cs.weight)
                                    for cs in slices)
@@ -654,7 +675,7 @@ def shipped_jpds():
 def test_banded_totals_hold_under_a_quarter_of_dense(shipped_jpds):
     n = 512
     raw, fixed = shipped_jpds("nondegenerate_780", 5.0, "y", n)
-    assert raw.intensity.nbytes + fixed.intensity.nbytes < (2 * n * n * 8) / 4
+    assert oracle.stacked(raw).nbytes + oracle.stacked(fixed).nbytes < (2 * n * n * 8) / 4
 
 
 def inferred_signal_widths(jpd):
@@ -663,7 +684,7 @@ def inferred_signal_widths(jpd):
     n, s, i, ss, ii, si = jpd.sums
     engine = StatsSummary.from_sums("camera", jpd.axis, n, i, s, ii, ss, si)
     picture = matrix_moments(
-        "camera", jpd.axis, jpd.axis_idler, jpd.axis_signal, jpd.intensity.toarray().T
+        "camera", jpd.axis, jpd.axis_idler, jpd.axis_signal, oracle.dense(jpd).T
     )
     return picture.width_inferred, engine.width_inferred
 
@@ -723,14 +744,15 @@ def test_camera_slopes_do_not_depend_on_the_square_grid(default_reports, axis):
 
 
 def test_camera_jpd_rejects_negative_band_entries():
-    """A camera JPD is a ``JointDistribution``: its band must hold only
-    finite, non-negative entries."""
+    """A camera JPD is a ``JointDistribution``: its row blocks must hold
+    only finite, non-negative entries."""
     axis = np.linspace(-1.0, 1.0, 3)
     for bad, message in ((-1e-300, "negative entries"), (np.nan, "non-finite entries")):
-        band = RowBand(np.array([[0.5, bad]]), np.zeros(1, dtype=np.intp), 3)
+        band = RowBand(np.array([[0.5, bad], [0.5, 0.5]]), np.zeros(2, dtype=np.intp), 3)
+        jpd = CameraJPD("camera", "y", axis[:2], axis, lambda: [band],
+                        corrected=False, slices=(), sums=(1.0,) * 6)
         with pytest.raises(ValueError, match=message):
-            CameraJPD("camera", "y", axis[:1], axis, band,
-                      corrected=False, slices=(), sums=(1.0,) * 6)
+            list(jpd.row_blocks())
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -746,10 +768,10 @@ def test_collapsed_distribution_stops_before_any_evaluation(monkeypatch, axis):
     assert calls == []
 
 
-def test_camera_jpds_hold_two_bands(monkeypatch):
-    """The two bands held across the pass are the JPDs: the values of each
-    slice band ``evaluate_grid`` returns, on a JPD's windows, are dropped
-    before the next is evaluated.  Each slice is evaluated once per JPD."""
+def test_camera_jpds_hold_one_slice_block_at_a_time(monkeypatch):
+    """Neither JPD is held: the values of each slice's block
+    ``evaluate_grid`` returns, on a JPD's windows, are dropped before the
+    next is evaluated.  Each slice is evaluated once per JPD and block."""
     evaluate = spdcsim.spectral.evaluate_grid
     alive: list[weakref.ref] = []
     peak = []
@@ -762,28 +784,33 @@ def test_camera_jpds_hold_two_bands(monkeypatch):
         return band
 
     monkeypatch.setattr(spdcsim.spectral, "evaluate_grid", tracked)
-    camera_jpds(make_setup(n_slices=7, grid_n=64), "y", F)
-    assert len(peak) == 2 * 7
+    for jpd in camera_jpds(make_setup(n_slices=7, grid_n=256), "y", F):
+        for _ in jpd.row_blocks():
+            pass
+    assert len(peak) == 2 * 7 * 4
     assert max(peak) == 1
 
 
 def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
-    """At w0 = 20 um the pump band covers the 256 x 256 grid, so each held
-    band costs a dense matrix plus its row offsets.  The two JPDs and one
-    slice band, 5 arrays of length N for the grid and momenta, and one
-    evaluation's 64-row block (4 arrays) and 6 arrays of length N need
-    2.03 MiB, so a 2 MiB budget is exceeded, and that is known before the
-    first slice is evaluated."""
+    """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
+    JPD's blocks are 256 columns wide.  Both JPDs' row offsets and 5
+    arrays of length N for the grid and momenta, two 64-row blocks of
+    each JPD with their row offsets, and one evaluation of a block (64 x
+    257 + 4 x 64 x 256 + 2 x 64 + 4 x 256) need 1.15 MiB, so a 1 MiB
+    budget is exceeded, and that is known before the first slice is
+    evaluated."""
     n, slices = 256, 31
-    held = 8 * (3 * n * (n + 1) + 5 * n + 4 * 64 * n + 6 * n)
-    assert 2 * 2**20 < held <= 3 * 2**20
+    held = 8 * (7 * n + 4 * 64 * (n + 1) + 64 * (n + 1) + 4 * 64 * n + 2 * 64 + 4 * n)
+    assert 2**20 < held <= 2 * 2**20
     calls = counting_evaluations(monkeypatch)
     problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)
-    with pytest.raises(GridMemoryError, match=r"^256 x 256 grid holding 2 camera JPDs "
-                       r"and 1 slice band needs ~3 MiB \(budget 2 MiB\)$"):
-        camera_jpds(replace(problem, memory_budget_bytes=2 * 2**20), "y", F)
+    with pytest.raises(GridMemoryError, match=r"^256 x 256 grid streaming 2 camera JPDs "
+                       r"needs ~2 MiB \(budget 1 MiB\)$"):
+        camera_jpds(replace(problem, memory_budget_bytes=2**20), "y", F)
     assert calls == []
-    # one MiB more holds the streaming pass
-    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=3 * 2**20), "y", F)
-    assert len(calls) == 2 * slices  # once per slice and JPD
+    # one MiB more holds the stream
+    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=2 * 2**20), "y", F)
+    for jpd in (raw, fixed):
+        assert oracle.stacked(jpd).width == n
+    assert len(calls) == 2 * slices * n // 64  # once per slice, JPD and block
     assert len(raw.slices) == len(fixed.slices) == slices

@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from spdcsim.cli import main
 from spdcsim.config import load_config
 from spdcsim.io import read_matrix_binary, read_matrix_csv
 from spdcsim.spectral import far_field_jid
+
+import oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -213,7 +216,7 @@ class TestJid:
             "axis": "x",
             "axis_signal": [float(v) for v in jid.axis_signal],
             "axis_idler": [float(v) for v in jid.axis_idler],
-            "intensity": [[float(v) for v in row] for row in jid.intensity.toarray()],
+            "intensity": [[float(v) for v in row] for row in oracle.dense(jid)],
         }
         expected = json.dumps(blob, sort_keys=True) + "\n"
         assert (out_dir / "jid_far_x.json").read_text(encoding="utf-8") == expected
@@ -273,19 +276,25 @@ class TestJid:
             assert err == ""
 
     def test_memory_budget_charges_the_far_field_band(self, capsys, tmp_path):
-        """At N = 1024 ``jid --plane far`` is charged its band and one slice
-        band (77 columns each) and one evaluation's row block: 1.46 MiB.
+        """At w0 = 20 um the pump band covers the 512 x 512 grid, so the far
+        field's blocks are 512 columns wide: ``jid --plane far`` is charged
+        its row offsets and 5 arrays of length N, two 64-row blocks, and one
+        evaluation of a block, 1.79 MiB, after the moment engine's 0.32 MiB.
         At a 1 MiB budget it exits 3 and writes nothing; at 2 MiB it runs."""
+        n = 512
+        charge = 8 * (6 * n + 3 * 64 * (n + 1) + 4 * 64 * n + 2 * 64 + 4 * n)
+        assert 2**20 < charge <= 2 * 2**20
         for mb in (1, 2):
-            cfg = write_config(tmp_path, f"grid:\n  n: 1024\n  memory_budget_mb: {mb}\n")
+            cfg = write_config(tmp_path, f"pump:\n  waist_um: 20\n"
+                                         f"grid:\n  n: {n}\n  memory_budget_mb: {mb}\n")
             out_dir = tmp_path / f"out{mb}"
             code, out, err = run_cli(capsys, "jid", "--config", cfg, "--slices", "5",
                                      "--axis", "y", "--format", "bin", "--out", str(out_dir))
             if mb == 1:
                 assert code == 3
                 assert out == ""
-                assert err == ("resource error: 1024 x 1024 grid holding 1 far-field band "
-                               "and 1 slice band needs ~2 MiB (budget 1 MiB)\n")
+                assert err == ("resource error: 512 x 512 grid streaming 1 far-field band "
+                               "needs ~2 MiB (budget 1 MiB)\n")
                 assert not out_dir.exists()
             else:
                 assert code == 0, err
@@ -488,33 +497,40 @@ class TestSweep:
 
 class TestCamera:
     def test_memory_budget_covers_held_slices(self, capsys, tmp_path):
-        """The camera's held bands exceed a budget the moment engine fits
-        in: at N = 1024 ``certify`` is charged 0.63 MiB, and ``camera`` its
-        three bands and one row block, 2.45 MiB."""
-        cfg = write_config(
-            tmp_path, "grid:\n  n: 1024\n  memory_budget_mb: 2\naxes: [y]\n"
-        )
-        code, _, _ = run_cli(capsys, "certify", "--config", cfg)
-        assert code == 0
-        out_dir = tmp_path / "out"
-        code, out, err = run_cli(
-            capsys, "camera", "--config", cfg, "--out", str(out_dir),
-        )
-        assert code == 3
-        assert out == ""
-        assert err == ("resource error: 1024 x 1024 grid holding 2 camera JPDs and 1 slice band "
-                       "needs ~3 MiB (budget 2 MiB)\n")
-        assert not out_dir.exists()
+        """The camera holds no JPD, so a budget the moment engine fits in
+        runs it: at N = 1024 and the defaults ``certify`` is charged 0.69
+        MiB, and ``camera`` the same for its engine pass, then 0.36 MiB for
+        its streams.  At 1 MiB both run and the camera writes both files;
+        at N = 2048 both exit 3 at the engine's 8 x 2048 grid, 1.38 MiB,
+        and the camera writes nothing."""
+        for n in (1024, 2048):
+            cfg = write_config(
+                tmp_path, f"grid:\n  n: {n}\n  memory_budget_mb: 1\naxes: [y]\n"
+            )
+            out_dir = tmp_path / f"out{n}"
+            certify = run_cli(capsys, "certify", "--config", cfg)
+            code, out, err = run_cli(capsys, "camera", "--config", cfg, "--out", str(out_dir))
+            if n == 1024:
+                assert certify[0] == code == 0, err
+                assert sorted(p.name for p in out_dir.iterdir()) == [
+                    "camera_corrected_y.csv", "camera_uncorrected_y.csv",
+                ]
+            else:
+                refusal = f"resource error: 8 x {n} grid needs ~2 MiB (budget 1 MiB)\n"
+                assert certify[0] == code == 3
+                assert certify[2] == err == refusal
+                assert out == ""
+                assert not out_dir.exists()
 
     def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path, monkeypatch):
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
-        held band costs a dense matrix plus its row offsets.  The camera
-        holds one slice band and one 64-row block beside the two JPDs,
-        and 11 arrays of length N; a budget one MiB below that charge
-        stops before any slice is evaluated, and the charge itself runs,
-        evaluating each slice once per JPD."""
+        JPD's blocks are 256 columns wide.  The camera's streams are
+        charged both JPDs' row offsets and 5 arrays of length N, two 64-row
+        blocks of each JPD and one evaluation of a block; a budget one MiB
+        below that charge stops before any slice is evaluated, and the
+        charge itself runs, evaluating each slice once per JPD and block."""
         n, slices = 256, 31
-        charge = 8 * (3 * n * (n + 1) + 11 * n + 4 * 64 * n)
+        charge = 8 * (11 * n + 5 * 64 * (n + 1) + 4 * 64 * n + 2 * 64)
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []
@@ -534,17 +550,64 @@ class TestCamera:
                 assert code == 3
                 assert out == ""
                 assert err.startswith(
-                    "resource error: 256 x 256 grid holding 2 camera JPDs and 1 slice band "
+                    "resource error: 256 x 256 grid streaming 2 camera JPDs "
                     f"needs ~{budget_mb} MiB (budget {mb} MiB)"
                 )
                 assert not out_dir.exists()
                 assert calls == []
             else:
                 assert code == 0, err
-                assert len(calls) == 2 * slices
+                assert len(calls) == 2 * slices * n // 64
                 assert sorted(p.name for p in out_dir.iterdir()) == [
                     "camera_corrected_y.csv", "camera_uncorrected_y.csv",
                 ]
+
+    def test_csv_pictures_peak_under_2_mib_at_2048(self, capsys, tmp_path):
+        """No JPD is held: ``camera --grid-n 2048`` writing CSV peaks under
+        2 MiB in ``tracemalloc`` (1.2 MiB measured, most of it the moment
+        engine's node grid), where holding both JPDs peaked at 9.1 MiB."""
+        run_cli(capsys, "camera", "--out", str(tmp_path / "warm"), "--grid-n", "64",
+                "--slices", "3")  # first calls out of the trace
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "camera", "--grid-n", "2048",
+                                   "--out", str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 2 * 2**20
+
+    def test_every_format_writes_the_dense_pictures_bytes(self, capsys, tmp_path):
+        """With ``output.formats: [csv, bin, json]`` each file holds its
+        JPD's dense matrix: the CSV of every entry's ``repr``, the binary
+        layout of the row-major float64 matrix, and ``json.dumps`` of the
+        tags, axes and rows with sorted keys."""
+        cfg = write_config(tmp_path, "output:\n  formats: [csv, bin, json]\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "camera", "--config", cfg, "--out", str(out_dir), *SMALL)
+        assert code == 0, err
+        tags = ("uncorrected", "corrected")
+        assert json.loads(out)["files"] == sorted(
+            f"camera_{tag}_y.{fmt}" for tag in tags for fmt in ("csv", "bin", "json"))
+        run = replace(load_config(None), grid_n=128, n_slices=3)
+        jpds = camera_jpds(run.build(), "y", run.focal_length_m, magnification=run.magnification)
+        for tag, jpd in zip(tags, jpds):
+            dense, stem = oracle.dense(jpd), out_dir / f"camera_{tag}_y"
+            meta = {"plane": "camera", "axis": "y", "corrected": jpd.corrected}
+            lines = [f"# {key}: {value}" for key, value in meta.items()]
+            lines.append(",".join(["signal", *map(repr, jpd.axis_idler.tolist())]))
+            lines += [",".join(map(repr, [coord, *row]))
+                      for coord, row in zip(jpd.axis_signal.tolist(), dense.tolist())]
+            assert stem.with_suffix(".csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+            header = [jpd.axis_signal[0], jpd.axis_signal[-1], 128,
+                      jpd.axis_idler[0], jpd.axis_idler[-1], 128]
+            assert stem.with_suffix(".bin").read_bytes() == (
+                b"SPDCJID1" + np.array(header, "<f8").tobytes() + dense.astype("<f8").tobytes())
+            blob = {**meta, "axis_signal": jpd.axis_signal.tolist(),
+                    "axis_idler": jpd.axis_idler.tolist(), "intensity": dense.tolist()}
+            assert stem.with_suffix(".json").read_text(encoding="utf-8") == (
+                json.dumps(blob, sort_keys=True) + "\n")
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_one_moment_engine_pass(self, capsys, tmp_path, monkeypatch, axis):
@@ -590,7 +653,7 @@ class TestCamera:
             assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}
             assert np.array_equal(y_s, jpd.axis_signal)
             assert np.array_equal(y_i, jpd.axis_idler)
-            assert np.array_equal(matrix, jpd.intensity.toarray())
+            assert np.array_equal(matrix, oracle.dense(jpd))
 
     def test_degenerate_no_skew(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "wavelengths:\n  degenerate: true\n")
@@ -819,6 +882,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error: sweep aborted at filter_fwhm_nm = 400.0")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["camera"], ["jid", "--plane", "far"]],
+                             ids=["camera", "jid-far"])
+    def test_evanescent_picture_exits_4_and_writes_nothing(self, capsys, tmp_path, command):
+        """A sum half-width of 3e7 rad/m stretches the square grid past the
+        propagation cone (k = 1.3e7 rad/m at 780 nm) while the moment
+        engine's nodes stay inside it: the picture's check, before any
+        block is drawn, exits 4 and no file is written."""
+        cfg = write_config(tmp_path, "grid:\n  sum_halfwidth: 30000000.0\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, *command, "--config", cfg, "--out", str(out_dir), *SMALL)
+        assert code == 4
+        assert out == ""
+        assert err.splitlines()[-1] == ("numerical error: transverse momentum at or beyond "
+                                        "the propagation cone |q| >= k")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "command",

@@ -1,4 +1,6 @@
-"""Round-trip and validation tests for the CSV/binary file formats."""
+"""Round-trip and validation tests for the CSV/JSON/binary file formats."""
+
+import json
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from spdcsim.io import (
     read_matrix_csv,
     write_matrix_binary,
     write_matrix_csv,
+    write_matrix_json,
 )
 from spdcsim.spectral import JointDistribution
 
+import oracle
 from oracle import full_band
 
 
@@ -25,19 +29,19 @@ def make_jid(plane="far", axis="x", n=5, m=4, seed=0):
         axis=axis,
         axis_signal=np.linspace(-2.0, 2.0, n),
         axis_idler=np.linspace(-1.5, 1.5, m),
-        intensity=full_band(rng.uniform(0.0, 3.0, size=(n, m))),
+        intensity=oracle.one_block(rng.uniform(0.0, 3.0, size=(n, m))),
     )
 
 
 def write_csv(jid, path):
     write_matrix_csv(
-        path, jid.axis_signal, jid.axis_idler, jid.intensity,
+        path, jid.axis_signal, jid.axis_idler, jid.row_blocks(),
         meta={"plane": jid.plane, "axis": jid.axis},
     )
 
 
 def write_binary(jid, path):
-    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, jid.intensity)
+    write_matrix_binary(path, jid.axis_signal, jid.axis_idler, jid.row_blocks())
 
 
 class TestCsv:
@@ -51,7 +55,7 @@ class TestCsv:
         # repr floats round-trip exactly, not merely approximately
         assert np.array_equal(axis_signal, jid.axis_signal)
         assert np.array_equal(axis_idler, jid.axis_idler)
-        assert np.array_equal(matrix, jid.intensity.toarray())
+        assert np.array_equal(matrix, oracle.dense(jid))
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         jid = make_jid(seed=7)
@@ -66,7 +70,7 @@ class TestCsv:
             path,
             np.linspace(0.0, 1.0, 3),
             np.linspace(0.0, 1.0, 3),
-            full_band(np.ones((3, 3))),
+            [full_band(np.ones((3, 3)))],
             meta={"plane": "far", "axis": "x"},
         )
         lines = path.read_text().splitlines()
@@ -105,7 +109,7 @@ class TestCsv:
         axis_idler = np.linspace(-0.5, 0.5, matrix.shape[1])
         meta = {"plane": "camera", "axis": "y"}
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, axis_signal, axis_idler, full_band(matrix), meta=meta)
+        write_matrix_csv(path, axis_signal, axis_idler, [full_band(matrix)], meta=meta)
         assert path.read_bytes() == self.reference_csv(axis_signal, axis_idler, matrix, meta)
         assert b"-0.0" in path.read_bytes() or not np.signbit(matrix).any()
 
@@ -137,7 +141,7 @@ class TestCsv:
         axis_idler = np.linspace(-0.7, 0.7, 8)
         meta = {"plane": "camera", "axis": "y", "corrected": True}
         rows, joined = tmp_path / "rows.csv", tmp_path / "joined.csv"
-        write_matrix_csv(rows, axis_signal, axis_idler, full_band(matrix), meta=meta)
+        write_matrix_csv(rows, axis_signal, axis_idler, [full_band(matrix)], meta=meta)
         self.joined_csv(joined, axis_signal, axis_idler, matrix, meta)
         assert rows.read_bytes() == joined.read_bytes()
         assert rows.read_bytes().count(b",-0.0,") == 2
@@ -160,11 +164,11 @@ class TestCsv:
             plane="far", axis="x",
             axis_signal=np.linspace(-1.0, 1.0, 2),
             axis_idler=np.linspace(-1.0, 1.0, 3),
-            intensity=full_band(np.array(values).reshape(2, 3)),
+            intensity=oracle.one_block(np.array(values).reshape(2, 3)),
         )
         path = tmp_path_factory.mktemp("csv") / "h.csv"
         write_csv(jid, path)
-        assert np.array_equal(read_matrix_csv(path)[2], jid.intensity.toarray())
+        assert np.array_equal(read_matrix_csv(path)[2], oracle.dense(jid))
 
 
 class TestBinary:
@@ -173,7 +177,7 @@ class TestBinary:
         path = tmp_path / "jid.bin"
         write_binary(jid, path)
         axis_signal, axis_idler, matrix = read_matrix_binary(path)
-        assert np.array_equal(matrix, jid.intensity.toarray())
+        assert np.array_equal(matrix, oracle.dense(jid))
         assert np.allclose(axis_signal, jid.axis_signal, rtol=1e-12, atol=0.0)
         assert axis_signal[0] == jid.axis_signal[0]
         assert axis_signal[-1] == jid.axis_signal[-1]
@@ -187,7 +191,7 @@ class TestBinary:
         write_binary(jid, path)
         assert len(read_matrix_binary(path)) == 3
         csv_path = tmp_path / "untagged.csv"
-        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, jid.intensity)
+        write_matrix_csv(csv_path, jid.axis_signal, jid.axis_idler, jid.row_blocks())
         assert read_matrix_csv(csv_path)[3] == {}
 
     def test_file_starts_with_magic(self, tmp_path):
@@ -244,22 +248,31 @@ def band_case(name):
 class TestBand:
     @pytest.mark.parametrize("name", sorted(BANDS))
     def test_band_writes_the_bytes_of_its_dense_matrix(self, tmp_path, name):
-        """Each format writes a band as the dense matrix it holds, passed
-        as the full-width band."""
+        """Each format writes a band, whole or in row blocks of 3, 3 and 1
+        rows, as the dense matrix it holds, passed as the full-width band;
+        the JSON form is ``json.dumps`` of the dense rows with sorted keys."""
         band = band_case(name)
-        dense = band.toarray()
+        dense = oracle.toarray(band)
         assert np.signbit(dense).sum() == 3
         axis_signal = np.linspace(-1.0, 1.0, 7)
         axis_idler = np.linspace(-0.5, 0.5, 9)
-        meta = {"plane": "camera", "axis": "y"}
-        for tag, source in (("band", band), ("dense", full_band(dense))):
+        meta = {"plane": "camera", "axis": "y", "corrected": False}
+        blocks = [RowBand(band.data[rows], band.start[rows], 9)
+                  for rows in (slice(0, 3), slice(3, 6), slice(6, 7))]
+        for tag, source in (("band", [band]), ("blocks", blocks), ("dense", [full_band(dense)])):
             write_matrix_csv(tmp_path / f"{tag}.csv", axis_signal, axis_idler, source, meta=meta)
+            write_matrix_json(tmp_path / f"{tag}.json", axis_signal, axis_idler, source, meta=meta)
             write_matrix_binary(tmp_path / f"{tag}.bin", axis_signal, axis_idler, source)
-        for ext in ("csv", "bin"):
-            assert (tmp_path / f"band.{ext}").read_bytes() == (tmp_path / f"dense.{ext}").read_bytes()
+        for ext in ("csv", "json", "bin"):
+            for tag in ("band", "blocks"):
+                assert (tmp_path / f"{tag}.{ext}").read_bytes() == (tmp_path / f"dense.{ext}").read_bytes()
         assert (tmp_path / "band.csv").read_bytes() == TestCsv.reference_csv(
             axis_signal, axis_idler, dense, meta
         )
+        blob = {**meta, "axis_signal": axis_signal.tolist(), "axis_idler": axis_idler.tolist(),
+                "intensity": dense.tolist()}
+        assert (tmp_path / "band.json").read_text(encoding="utf-8") == json.dumps(
+            blob, sort_keys=True) + "\n"
         matrix = read_matrix_binary(tmp_path / "band.bin")[2]
         assert np.array_equal(matrix, dense)
         assert np.array_equal(np.signbit(matrix), np.signbit(dense))

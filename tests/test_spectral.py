@@ -44,7 +44,7 @@ from spdcsim.spectral import (
 from spdcsim.stats import reid_product
 
 import oracle
-from oracle import full_band, matrix_moments, near_field_intensity
+from oracle import matrix_moments, near_field_intensity
 
 BBO = SellmeierSet.bbo()
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -285,15 +285,19 @@ def test_gauss_legendre_5_nodes_converged_on_a_tophat(axis):
 
 
 def test_jid_validation():
+    """The plane, the axis and the grids are checked when a picture is
+    built; the shapes and entries of its row blocks as they are drawn."""
     grid = np.linspace(-1.0, 1.0, 8)
-    good = full_band(np.ones((8, 8)))
-    JointDistribution("far", "x", grid, grid.copy(), good)
+    good = oracle.one_block(np.ones((8, 8)))
+    assert np.array_equal(oracle.dense(JointDistribution("far", "x", grid, grid.copy(), good)),
+                          np.ones((8, 8)))
     with pytest.raises(ValueError):
         JointDistribution("mid", "x", grid, grid.copy(), good)
-    with pytest.raises(ValueError):
-        JointDistribution("far", "x", grid, grid.copy(), full_band(-np.ones((8, 8))))
-    with pytest.raises(ValueError):
-        JointDistribution("far", "x", grid, grid.copy(), full_band(np.full((8, 8), np.nan)))
+    for bad in (-np.ones((8, 8)), np.full((8, 8), np.nan), np.ones((7, 8)), np.ones((9, 8)),
+                np.ones((8, 7))):
+        jid = JointDistribution("far", "x", grid, grid.copy(), oracle.one_block(bad))
+        with pytest.raises(ValueError):
+            list(jid.row_blocks())
     # a ~3 um position grid with one step 0.1 % long: the 3 nm excess is
     # below np.allclose's default atol, so the check must not rely on it
     x = position_grid(np.linspace(-1e6, 1e6, 8))
@@ -308,8 +312,8 @@ def test_single_slice_far_field_equals_squared_amplitude():
     jid = far_field_jid(problem, "x")
     q = problem.square_grid()
     pair = (problem.wl.signal_nm, problem.wl.idler_nm)
-    amp = evaluate_grid(q, q, problem, "x", pair).toarray()
-    np.testing.assert_array_equal(jid.intensity.toarray(), amp * amp)
+    amp = oracle.toarray(evaluate_grid(q, q, problem, "x", pair))
+    np.testing.assert_array_equal(oracle.dense(jid), amp * amp)
 
 
 def test_spectral_sum_order_invariance():
@@ -318,10 +322,10 @@ def test_spectral_sum_order_invariance():
     q = problem.square_grid()
     pieces = []
     for lam_s, lam_i, w in problem.slices:
-        amp = evaluate_grid(q, q, problem, "y", (lam_s, lam_i)).toarray()
+        amp = oracle.toarray(evaluate_grid(q, q, problem, "y", (lam_s, lam_i)))
         pieces.append(w * amp * amp)
     reversed_sum = sum(pieces[::-1])
-    np.testing.assert_allclose(jid.intensity.toarray(), reversed_sum, rtol=1e-12)
+    np.testing.assert_allclose(oracle.dense(jid), reversed_sum, rtol=1e-12)
 
 
 def test_position_grid_conjugate():
@@ -336,7 +340,7 @@ def test_parseval_per_slice():
     problem = make_setup(n_slices=1, grid_n=256)
     far = far_field_jid(problem, "x")
     x, near = oracle.fft_near_field(problem, "x")
-    mass_far = far.intensity.data.sum() * far.d_signal * far.d_idler
+    mass_far = oracle.stacked(far).data.sum() * far.d_signal * far.d_idler
     mass_near = near.sum() * (x[1] - x[0]) ** 2
     assert mass_near == pytest.approx(mass_far, rel=1e-9)
 
@@ -348,7 +352,7 @@ def per_slice_full_matrix_sums(problem, axis):
     q = problem.square_grid()
     far = np.zeros((q.size, q.size))
     for lam_s, lam_i, weight in problem.slices:
-        amp = evaluate_grid(q, q, problem, axis, (lam_s, lam_i)).toarray()
+        amp = oracle.toarray(evaluate_grid(q, q, problem, axis, (lam_s, lam_i)))
         far += weight * (amp * amp)
     return far, oracle.mode_near_field(problem, axis)[1]
 
@@ -371,59 +375,101 @@ def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis, monkeypatch)
         return band
 
     monkeypatch.setattr(spectral, "evaluate_grid", recording)
-    assert np.array_equal(far_field_jid(problem, axis).intensity.toarray(), far)
+    assert np.array_equal(oracle.dense(far_field_jid(problem, axis)), far)
     assert widths == {FAR_WIDTHS[grid_n]}
     monkeypatch.undo()
     # the band holds the closed form to roundoff (1e-14 of the peak
     # measured), and +0.0 off it; every position window here is under 4
     # pump waists wide, so the picture warns
     with pytest.warns(UserWarning, match="^near-field picture misses "):
-        band = near_field_jid(problem, axis).intensity
+        band = oracle.stacked(near_field_jid(problem, axis))
     inside = np.zeros(near.shape, dtype=bool)
-    inside.reshape(-1)[band.flat_index()] = True
-    got = band.toarray()
+    inside.reshape(-1)[oracle.flat_index(band)] = True
+    got = oracle.toarray(band)
     assert np.max(np.abs(got - near)[inside]) <= 1e-12 * near.max()
     assert not np.any(got[~inside])
 
 
 @pytest.mark.parametrize("grid_n", [1024, 2048])
-def test_far_field_holds_its_band_one_slice_band_and_one_block(grid_n):
-    """The far field adds each slice into its band: beside the band it
-    returns, the pass holds at most one slice band and one row block's
-    gathers (8 ``_ROW_BLOCK`` x w float64 arrays, the 1-D tables
-    included; 7.2 measured), never a dense N x N matrix (8 and 32 MiB)."""
+def test_far_field_holds_one_row_block_at_a_time(grid_n):
+    """No picture is held: drawn block by block, the far field holds its
+    row offsets and the square grid, two ``_ROW_BLOCK``-row blocks and
+    one block's evaluation (its gathers and 1-D tables): under 8 arrays of
+    length N and 8 ``_ROW_BLOCK`` x w float64 arrays (beside the 8 of
+    length N, 5.2 and 5.1 block arrays measured), where the whole band is
+    N x w (0.6 and 2.4 MiB) and a dense matrix 8 and 32 MiB."""
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=grid_n)
-    far_field_jid(replace(problem, grid_n=64), "y")  # first calls out of the trace
+    list(far_field_jid(replace(problem, grid_n=64), "y").row_blocks())  # first calls untraced
+    widths = set()
     tracemalloc.start()
     try:
-        band = far_field_jid(problem, "y").intensity
+        for block in far_field_jid(problem, "y").row_blocks():
+            assert block.data.shape[0] == _ROW_BLOCK
+            widths.add(block.width)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - band.nbytes < band.nbytes + 8 * _ROW_BLOCK * band.width * 8
+    (width,) = widths
+    assert peak < 8 * (8 * grid_n + 8 * _ROW_BLOCK * width)
 
 
 def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
-    """At N = 1024 the far field is charged its band and one slice band,
-    77 columns each, with their row offsets (2 x 1024 x 78 floats), 5
-    arrays of length N for the grid and momenta, and one evaluation's
-    64-row block (4 x 64 x 77) and 6 arrays of length N: 1.46 MiB.  A 1 MiB
-    budget stops it before any slice is evaluated; 2 MiB runs it, one
-    evaluation per slice."""
+    """At N = 1024 the far-field stream is charged, before any slice is
+    evaluated, its row offsets and 5 arrays of length N for the grid and
+    momenta, two 64-row blocks of its 77 columns with their row offsets
+    (2 x 64 x 78 floats), and one evaluation of a block over at most N
+    columns (64 x 78 + 4 x 64 x 77 + 2 x 64 + 4 x 1024): 0.34 MiB.  A
+    budget one byte short stops it before any slice is evaluated; the
+    charge runs it, one evaluation per slice and block of rows."""
     calls = []
     evaluate = spectral.evaluate_grid
     monkeypatch.setattr(spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a))
     n, width = 1024, 77
-    charge = 8 * (2 * n * (width + 1) + 5 * n + 4 * 64 * width + 6 * n)
-    assert 2**20 < charge <= 2 * 2**20
+    charge = 8 * (6 * n + 2 * 64 * (width + 1) + 64 * (width + 1) + 4 * 64 * width + 2 * 64 + 4 * n)
+    assert charge == 360448
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
-    with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid holding 1 far-field band "
-                       r"and 1 slice band needs ~2 MiB \(budget 1 MiB\)$"):
-        far_field_jid(replace(problem, memory_budget_bytes=2**20), "y")
+    with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid streaming 1 far-field band "
+                       r"needs ~1 MiB \(budget 0 MiB\)$"):
+        far_field_jid(replace(problem, memory_budget_bytes=charge - 1), "y")
     assert calls == []
-    jid = far_field_jid(replace(problem, memory_budget_bytes=2 * 2**20), "y")
-    assert jid.intensity.width == width
-    assert len(calls) == 5
+    jid = far_field_jid(replace(problem, memory_budget_bytes=charge), "y")
+    assert calls == []  # nothing is evaluated until the blocks are drawn
+    assert oracle.stacked(jid).width == width
+    assert len(calls) == 5 * n // 64
+
+
+@pytest.mark.filterwarnings("ignore:square grid step")
+@pytest.mark.parametrize("config", ["nondegenerate_780", "degenerate_810"])
+@pytest.mark.parametrize("grid_n", [128, 1024])
+@pytest.mark.parametrize("kernel", ["sinc", "gauss"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_streamed_blocks_equal_the_slice_outer_pass(axis, kernel, grid_n, config):
+    """Every row block the far field and the camera (magnification 1.5)
+    stream is, bit for bit, those rows of the whole band the slice-outer
+    pass builds (``oracle.squared_bands``) at 1, 4 and 7 slices: each entry
+    gets the same additions in the same order."""
+    cfg = replace(load_config(CONFIGS / f"{config}.yaml"), kernel=kernel, grid_n=grid_n)
+    for n_slices in (1, 4, 7):
+        problem = replace(cfg, n_slices=n_slices).build()
+        q = problem.square_grid()
+        slices = oracle.camera_slices(problem, axis, cfg.focal_length_m, 1.5)
+        central = slices[n_slices // 2]
+        cases = (
+            ((far_field_jid(problem, axis),), lambda k: (q, q)),
+            (camera_jpds(problem, axis, cfg.focal_length_m, magnification=1.5),
+             lambda k: oracle.camera_momenta(q, central, slices[k])),
+        )
+        for pictures, momenta in cases:
+            wholes = oracle.squared_bands(problem, axis, momenta)
+            for picture, whole in zip(pictures, wholes, strict=True):
+                row = 0
+                for block in picture.row_blocks():
+                    rows = slice(row, row + _ROW_BLOCK)
+                    assert block.n_cols == whole.n_cols and block.width == whole.width
+                    assert np.array_equal(block.start, whole.start[rows])
+                    assert block.data.tobytes() == whole.data[rows].tobytes()
+                    row = rows.stop
+                assert row == grid_n
 
 
 def test_near_field_degenerate_ridge_positive():
@@ -432,7 +478,7 @@ def test_near_field_degenerate_ridge_positive():
     with pytest.warns(UserWarning, match="^near-field picture misses "):  # 3.2 pump waists
         near = near_field_jid(make_setup(n_slices=1, grid_n=512), "x")
     mu_s, mu_i, v_s, v_i, c = table_moments(
-        near.axis_signal, near.axis_idler, near.intensity.toarray()
+        near.axis_signal, near.axis_idler, oracle.dense(near)
     )
     cov = np.array([[v_s, c], [c, v_i]])
     evals, evecs = np.linalg.eigh(cov)
@@ -463,8 +509,8 @@ def test_near_field_matches_the_fft_oracle_on_the_default_config(grid_n, n_slice
     jid = near_field_jid(problem, axis)
     x, fft = oracle.fft_near_field(problem, axis)
     assert np.array_equal(jid.axis_signal, x) and np.array_equal(jid.axis_idler, x)
-    bound = 1.7e-4 + spectral._NEAR_BAND_LOSS * jid.intensity.width
-    assert np.max(np.abs(jid.intensity.toarray() - fft)) <= bound * fft.max()
+    bound = 1.7e-4 + spectral._NEAR_BAND_LOSS * oracle.stacked(jid).width
+    assert np.max(np.abs(oracle.dense(jid) - fft)) <= bound * fft.max()
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -474,7 +520,7 @@ def test_near_field_mass_is_the_far_fields_within_the_band_bound(axis):
     axes at N = 1024)."""
     problem = default_problem()
     near, far = near_field_jid(problem, axis), far_field_jid(problem, axis)
-    mass_near, mass_far = (j.intensity.data.sum() * j.d_signal * j.d_idler for j in (near, far))
+    mass_near, mass_far = (oracle.stacked(j).data.sum() * j.d_signal * j.d_idler for j in (near, far))
     assert abs(mass_near / mass_far - 1.0) <= spectral._NEAR_BAND_LOSS
 
 
@@ -487,11 +533,11 @@ def test_near_field_holds_no_dense_matrix():
         near_field_jid(replace(problem, grid_n=64), "y")  # first calls out of the trace
     tracemalloc.start()
     try:
-        band = near_field_jid(problem, "y").intensity
+        near = near_field_jid(problem, "y")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert band.width == 105
+    assert oracle.stacked(near).width == 105
     assert peak < 2048 * 2048 * 8 / 4
 
 
@@ -514,27 +560,38 @@ def test_near_field_budget_charges_its_node_grid_and_band():
     with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid holding 1 near-field band "
                        r"needs ~3 MiB \(budget 2 MiB\)$"):
         near_field_jid(replace(problem, memory_budget_bytes=2 * 2**20), "y")
-    band = near_field_jid(replace(problem, memory_budget_bytes=3 * 2**20), "y").intensity
-    assert band.width == width
+    near = near_field_jid(replace(problem, memory_budget_bytes=3 * 2**20), "y")
+    assert oracle.stacked(near).width == width
 
 
-@pytest.mark.parametrize("n", [512, 1024, 2048])
+def drained(*pictures):
+    """Draw every row block of each picture, holding none."""
+    for picture in pictures:
+        for _ in picture.row_blocks():
+            pass
+
+
 @pytest.mark.parametrize(
-    "path", ["moment_sums", "evaluate_grid", "far_field_jid", "camera_jpds", "near_field_jid"]
+    "path, n",
+    [(path, n) for path in ("moment_sums", "evaluate_grid") for n in (512, 1024, 2048)]
+    + [(path, n) for path in ("far_field_jid", "camera_jpds", "near_field_jid")
+       for n in (64, 128, 256, 512, 1024, 2048, 4096)],
 )
 def test_budget_charge_bounds_the_traced_peak(monkeypatch, path, n):
     """Each path's largest budget charge is at least the peak ``tracemalloc``
-    traces in a warm call, and at most 1.5 times it: the shipped
-    non-degenerate config, y, 5 slices (1.01-1.09 times at HEAD)."""
+    traces in a warm call, its pictures' blocks drawn inside the trace,
+    and at most 1.5 times it: the shipped non-degenerate config, y, 5
+    slices (1.008-1.35 times measured; at N = 64 the camera's charge, the
+    moment engine's, clears its peak by 0.4 KiB)."""
     problem = default_problem(grid_n=n, n_slices=5)
     q = problem.square_grid()
     lam_s, lam_i, _ = problem.slices[2]
     run = {
         "moment_sums": lambda: moment_sums(problem, "y"),
         "evaluate_grid": lambda: evaluate_grid(q, q, problem, "y", (lam_s, lam_i)),
-        "far_field_jid": lambda: far_field_jid(problem, "y"),
-        "camera_jpds": lambda: camera_jpds(problem, "y", 0.25),
-        "near_field_jid": lambda: near_field_jid(problem, "y"),
+        "far_field_jid": lambda: drained(far_field_jid(problem, "y")),
+        "camera_jpds": lambda: drained(*camera_jpds(problem, "y", 0.25)),
+        "near_field_jid": lambda: drained(near_field_jid(problem, "y")),
     }[path]
     charges = []
     check = biphoton.check_memory_budget
@@ -546,7 +603,7 @@ def test_budget_charge_bounds_the_traced_peak(monkeypatch, path, n):
     monkeypatch.setattr(biphoton, "check_memory_budget", recording)
     monkeypatch.setattr(spectral, "check_memory_budget", recording)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the near picture at N = 512
+        warnings.simplefilter("ignore", UserWarning)  # unresolved pictures at N <= 512
         run()  # first-call allocations stay out of the trace
         charges.clear()
         tracemalloc.start()
@@ -642,8 +699,8 @@ def test_near_field_double_gaussian_closed_form(monkeypatch):
             c * q_s, -c * q_i, np.full_like(q_s, c), np.full_like(q_i, -c)),
     )
     near = near_field_jid(problem, "x")
-    intensity = near.intensity.toarray()
-    assert near.intensity.width < problem.grid_n // 10
+    intensity = oracle.dense(near)
+    assert oracle.stacked(near).width < problem.grid_n // 10
     assert conditional_widths(near.axis_signal, near.axis_idler, intensity) == pytest.approx(
         2 * math.sqrt(a_sum * b_diff / (a_sum + b_diff)), rel=1.3e-5)
     mass = intensity.sum() * near.d_signal * near.d_idler
@@ -667,7 +724,7 @@ def test_moment_engine_matches_fft_path_where_the_grid_resolves_the_pump(axis):
                          kernel="gauss")
     jid = far_field_jid(problem, axis)
     x, near = oracle.fft_near_field(problem, axis)
-    far = matrix_moments("far", axis, jid.axis_signal, jid.axis_idler, jid.intensity.toarray())
+    far = matrix_moments("far", axis, jid.axis_signal, jid.axis_idler, oracle.dense(jid))
     near = matrix_moments("near", axis, x, x, near)
     expected = widths(reid_product(near, far))
     got = widths(certify_axis(problem, axis)[2])
@@ -734,7 +791,7 @@ def test_moment_engine_checks_its_budget_before_building_its_grid():
     problem = make_setup(n_slices=1, grid_n=2**22, memory_budget_bytes=2**20)
     tracemalloc.start()
     try:
-        with pytest.raises(GridMemoryError, match=r"^8 x 4194304 grid needs ~2560 MiB "
+        with pytest.raises(GridMemoryError, match=r"^8 x 4194304 grid needs ~2593 MiB "
                            r"\(budget 1 MiB\)$"):
             moment_sums(problem, "x")
         peak = tracemalloc.get_traced_memory()[1]
