@@ -3,8 +3,9 @@
 The pipeline, bottom to top:
 
 - :mod:`spdcsim.dispersion` — Sellmeier indices, phase matching, walk-off
-- :mod:`spdcsim.biphoton` — per-arm phase mismatch and the two-photon
-  angular amplitude on 1-D momentum grids
+- :mod:`spdcsim.biphoton` — per-slice arm records of the phase mismatch,
+  the phase-matching kernels and the pump envelope's band, and the block
+  kernel that evaluates the two-photon amplitude on a picture's windows
 - :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
   every slice loop takes down to the amplitude (with its square momentum
   grid), the moment engine that every printed statistic comes from, and
@@ -16,12 +17,7 @@ The pipeline, bottom to top:
 - :mod:`spdcsim.config` / :mod:`spdcsim.cli` — YAML configs and the CLI
 """
 
-from spdcsim.biphoton import (
-    EvanescentInputError,
-    GridMemoryError,
-    amplitude,
-    evaluate_grid,
-)
+from spdcsim.biphoton import EvanescentInputError, GridMemoryError
 from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import ConfigError, RunConfig, load_config, parse_config
 from spdcsim.dispersion import (
@@ -70,8 +66,6 @@ __all__ = [
     # biphoton
     "EvanescentInputError",
     "GridMemoryError",
-    "amplitude",
-    "evaluate_grid",
     # spectral
     "FilterSpec",
     "JointDistribution",

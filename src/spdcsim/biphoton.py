@@ -21,23 +21,21 @@ with k_z = sqrt(k^2 - |q|^2) exact (no paraxial expansion), k at the
 slice wavelength, k0 at the nominal one, and dk_0 = k_p(theta_p) - k_s0
 - k_i0 the collinear mismatch of the cut (``CrystalSetup.collinear_mismatch``,
 exactly 0 at the phase-matching angle).  The bracketed terms are one
-share per arm (``_arm_dk_z``); ``_arm_arguments`` adds dk_0 to the
-signal's.  At the phase-matching cut the aligned point sits at exactly
-zero mismatch, and off-nominal spectral slices keep their genuine
-longitudinal detuning.
-
-Every function here that evaluates the amplitude reads the run's one
-``spectral.Problem`` (crystal, nominal wavelengths, pump waist, kernel,
-memory budget) plus the transverse axis and the slice's (signal, idler)
-wavelength pair; the momentum grids are plain 1-D arrays.
+share per arm.  Everything but the momenta is a constant of the spectral
+slice: ``slice_arms`` evaluates the four wavenumbers once and keeps them,
+with L/2, the tilt and (L/2) dk_0, in a ``SliceArms`` record, which gives
+each arm's kernel argument on any momenta.  At the phase-matching cut the
+aligned point sits at exactly zero mismatch, and off-nominal spectral
+slices keep their genuine longitudinal detuning.
 
 The pump envelope confines the sum coordinate q_s + q_i to ~2/w0, two
 orders of magnitude inside the phase-matching width of the difference
 coordinate, so on the square (q_s, q_i) grid the amplitude lives in a
-thin anti-diagonal band.  ``evaluate_grid`` evaluates only that band and
-returns it as a ``RowBand``: outside it the float64 envelope is exactly
-0, so the matrix the band holds equals the dense evaluation of
-``amplitude`` (up to the sign of zeros).
+thin anti-diagonal band: outside it the float64 envelope is exactly 0.
+``envelope_columns`` gives the band's columns per row, and
+``evaluate_grid``, the block kernel of the pictures' stream
+(``spectral._squared_blocks``), evaluates one row block of a slice on
+its windows.
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ __all__ = [
     "EvanescentInputError",
     "GridMemoryError",
     "RowBand",
-    "amplitude",
-    "evaluate_grid",
     "envelope_columns",
     "check_memory_budget",
     "default_diff_halfwidth",
@@ -91,23 +87,61 @@ def _ordinary_k(crystal: CrystalSetup, wavelength_nm: float) -> float:
     )
 
 
-def _arm_dk_z(crystal: CrystalSetup, lam_nm: float, lam0_nm: float, q_x, q_y):
-    """One arm's share of dk_z, [k0 - k_z] + q_y tan(rho), and k_z, with
-    k_z = sqrt(k^2 - q_x^2 - q_y^2) at ``lam_nm`` and k0 at ``lam0_nm``.
+@dataclass(frozen=True)
+class SliceArms:
+    """One spectral slice's per-arm kernel arguments on one axis, from its
+    constants: the ordinary wavenumbers k at the slice's (signal, idler)
+    wavelengths and k0 at the nominal ones, L/2, the walk-off tilt
+    tan(rho) (y; 0.0 on x) and the cut's (L/2) dk_0.
 
-    dk_z is the sum of the two arms' shares, so it separates additively
-    into a signal term and an idler term.  The share's gradient in
-    (q_x, q_y) is (q_x / k_z, q_y / k_z + tan(rho)).
+    Called on momenta (q_s, q_i), scalars or arrays, it gives elementwise
+    a(q_s) and b(q_i) with a + b = dk_z L / 2, and their derivatives
+    a' = (L/2)(q_s / k_z + tilt) and likewise b'; (L/2) dk_0 is added to
+    a.  Each arm's share of dk_z is (k0 - k_z) + q tilt with
+    k_z = sqrt(k^2 - q^2), the orthogonal momentum being zero.  Raises
+    EvanescentInputError if any momentum reaches the propagation cone.
+    Every field is a plain float.
     """
-    k = _ordinary_k(crystal, lam_nm)
-    q_y = np.asarray(q_y)
-    q_sq = np.asarray(q_x) ** 2 + q_y**2
-    if np.any(q_sq >= k * k):
-        raise EvanescentInputError(
-            "transverse momentum at or beyond the propagation cone |q| >= k"
-        )
-    k_z = np.sqrt(k * k - q_sq)
-    return (_ordinary_k(crystal, lam0_nm) - k_z) + q_y * math.tan(crystal.rho), k_z
+
+    k_signal: float
+    k_idler: float
+    k0_signal: float
+    k0_idler: float
+    half_length: float
+    tilt: float
+    offset: float
+
+    def __call__(self, q_s, q_i):
+        def arm(q, k, k0):
+            q = np.asarray(q)
+            q_sq = q**2
+            if np.any(q_sq >= k * k):
+                raise EvanescentInputError(
+                    "transverse momentum at or beyond the propagation cone |q| >= k"
+                )
+            k_z = np.sqrt(k * k - q_sq)
+            return (self.half_length * ((k0 - k_z) + q * self.tilt),
+                    self.half_length * (q / k_z + self.tilt))
+
+        a, da = arm(q_s, self.k_signal, self.k0_signal)
+        b, db = arm(q_i, self.k_idler, self.k0_idler)
+        return a + self.offset, b, da, db
+
+
+def slice_arms(problem: Problem, axis: str, pair: tuple[float, float]) -> SliceArms:
+    """The ``SliceArms`` of the (signal, idler) wavelengths ``pair`` on
+    ``axis`` against ``problem``'s nominal pair: four Sellmeier
+    evaluations.  Raises ValueError unless ``axis`` is "x" or "y"."""
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    crystal, wl = problem.crystal, problem.wl
+    half_length = crystal.length_m / 2.0
+    return SliceArms(
+        _ordinary_k(crystal, pair[0]), _ordinary_k(crystal, pair[1]),
+        _ordinary_k(crystal, wl.signal_nm), _ordinary_k(crystal, wl.idler_nm),
+        half_length, math.tan(crystal.rho) if axis == "y" else 0.0,
+        half_length * crystal.collinear_mismatch,
+    )
 
 
 def _kernel(u, kind: str):
@@ -147,30 +181,6 @@ def _kernel_with_slope(u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray
     return k, slope
 
 
-def _arm_arguments(q_signal, q_idler, axis: str, pair: tuple[float, float],
-                   crystal: CrystalSetup, wl: SpdcWavelengths):
-    """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2
-    at the (signal, idler) wavelengths ``pair``, and their derivatives along
-    ``axis``, a' = (L/2)(q_signal / k_z + tan(rho) on y) and likewise b'.
-    The constant (L/2) dk_0 of the cut is added to a.
-
-    Raises ValueError unless ``axis`` is "x" or "y", and
-    EvanescentInputError if any momentum of either grid reaches the
-    propagation cone.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    half_length = crystal.length_m / 2.0
-    tilt = math.tan(crystal.rho) if axis == "y" else 0.0
-
-    def arm(q, lam_nm, lam0_nm):  # the orthogonal momentum component is zero
-        share, k_z = _arm_dk_z(crystal, lam_nm, lam0_nm, *((q, 0.0) if axis == "x" else (0.0, q)))
-        return half_length * share, half_length * (q / k_z + tilt)
-
-    (a, da), (b, db) = arm(q_signal, pair[0], wl.signal_nm), arm(q_idler, pair[1], wl.idler_nm)
-    return a + half_length * crystal.collinear_mismatch, b, da, db
-
-
 def _envelope_times_kernel(a, q_s, idler, waist_m: float, kernel: str):
     """exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(a + b), computed in place in
     ``idler`` = (q_i, b), both spread to the output's shape; ``a`` and
@@ -189,27 +199,6 @@ def _envelope_times_kernel(a, q_s, idler, waist_m: float, kernel: str):
     u += a  # the kernel argument a + b
     out *= _kernel(u, kernel)
     return out
-
-
-def amplitude(q_s, q_i, problem: Problem, axis: str, pair: tuple[float, float]):
-    """Real biphoton amplitude at ``axis`` momenta (q_s, q_i).
-
-    Psi = exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(dk_z L / 2), evaluated at
-    the (signal, idler) wavelengths ``pair`` against the nominal operating
-    point ``problem.wl``.  The intensity |Psi|^2 is the per-slice far-field
-    JID.  No propagation phase is attached: with the kernel real the
-    amplitude is real, and only |Psi|^2 enters every downstream quantity.
-
-    dk_z L / 2 = a(q_s) + b(q_i) is taken per arm, so on a column x row
-    broadcast the mismatch costs O(N) square roots; the envelope and the
-    kernel are evaluated per point.
-    """
-    q_s = np.asarray(q_s, dtype=float)
-    q_i = np.asarray(q_i, dtype=float)
-    a, b, _, _ = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
-    *idler, _ = np.broadcast_arrays(q_i, b, q_s)
-    idler = [table.copy() for table in idler]
-    return _envelope_times_kernel(a, q_s, idler, problem.waist_m, problem.kernel)
 
 
 def check_memory_budget(needed_bytes: int, budget_bytes: int, grid: str) -> None:
@@ -247,7 +236,7 @@ class RowBand:
         return self.data.nbytes + self.start.nbytes
 
 
-#: Signal rows per gather in ``evaluate_grid`` and per block of the pictures' streams: the
+#: Signal rows per block of the pictures' streams, one ``evaluate_grid`` gather each: the
 #: temporaries of one block, not of all N rows, are held.  Of 32, 64 and 128, 64 ran
 #: ``camera_jpds`` at N = 1024 fastest (one core), as fast as one gather of all rows.
 _ROW_BLOCK = 64
@@ -259,11 +248,13 @@ def _row_blocks(n_rows: int):
 
 
 def _evaluation_bytes(n_rows: int, n_cols: int, width: int) -> int:
-    """Bytes ``evaluate_grid`` holds at its peak: the band's values and row offsets,
-    one row block's (q_i, b) gathers, column indices and kernel (4 block
-    arrays), and the 1-D arm arguments and tables (2 per row, 4 per column)."""
-    block = min(_ROW_BLOCK, n_rows) * width
-    return 8 * (n_rows * (width + 1) + 4 * block + 2 * n_rows + 4 * n_cols)
+    """Bytes charged for one ``evaluate_grid`` call on ``n_rows`` signal rows, a span
+    of at most ``n_cols`` idler columns and windows ``width`` wide: 4 block arrays (the
+    gathered (q_i, b) tables, the first of which becomes the values it returns, beside
+    either their column indices or the kernel's temporaries, two for the Gaussian
+    kernel), the windows' row offsets, and the 1-D arm arguments and tables (2 per
+    row, 4 per column)."""
+    return 8 * (n_rows * (4 * width + 3) + 4 * n_cols)
 
 
 def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -274,56 +265,24 @@ def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, i
     return np.clip(first, 0, n - width), width
 
 
-def evaluate_grid(
-    q_s: np.ndarray, q_i: np.ndarray, problem: Problem, axis: str, pair: tuple[float, float],
-    windows: tuple[np.ndarray, int] | None = None,
-) -> RowBand:
-    """Amplitude over two 1-D strictly increasing grids, signal-major, as
-    the ``RowBand`` of its pump-envelope band, or of ``windows``.
+def evaluate_grid(q_s: np.ndarray, q_i: np.ndarray, problem: Problem, arms: SliceArms,
+                  windows: tuple[np.ndarray, int]) -> np.ndarray:
+    """One row block of a slice's amplitude on its windows: entry (k, l) is
+    exp(-w0^2 (q_s[k] + q_i[c])^2 / 4) * kernel(a(q_s[k]) + b(q_i[c])) at
+    column c = start[k] + l, for ``windows`` = (start, width) inside
+    ``q_i`` and a, b from the slice's ``arms``.  No propagation phase is
+    attached: with the kernel real the amplitude is real, and only its
+    square enters any result.
 
-    Its entry (k, l) is amplitude(q_s[k], q_i[l], problem, axis, pair).  In
-    float64 the pump envelope is exactly 0 outside the anti-diagonal band
-    |q_s + q_i| <= 2 sqrt(746) / w0, so each signal row keeps only the
-    idler columns ``envelope_columns`` gives, widened to one shared width.
-    They are evaluated with ``amplitude``'s envelope x kernel formula, on
-    the idler-side 1-D tables q_i and b gathered along the windows of
-    ``_ROW_BLOCK`` signal rows at a time, computed in place and stored into
-    the band's ``data``, which is allocated once: beside the band only one
-    block's gathers are held.
-    Values equal a dense evaluation bit for bit; a skipped zero is +0.0
-    where the dense product may give -0.0.  The kernel arguments, and with
-    them the evanescent-input check, cover both full grids.  Once the windows
-    are known, the band and one block (``_evaluation_bytes``) are charged.
-
-    ``windows`` = (start, width), if given, are the columns to evaluate
-    instead: start[k] ... start[k] + width - 1 of row k.  Where they cover
-    the band's they give the same values, and exact zeros elsewhere.
-
-    Raises ValueError unless both grids are 1-D and strictly increasing,
-    which the column search of the band needs, and unless ``windows``
-    has one start per row and lies inside the idler grid.
+    The arms are taken on ``q_s`` and ``q_i``, the idler-side 1-D tables
+    q_i and b are gathered along the windows, and the envelope x kernel is
+    formed in place in the gathered q_i (``_envelope_times_kernel``), so
+    each value is the same whatever rows and columns the block spans.
     """
-    for name, q in (("signal", q_s), ("idler", q_i)):
-        if q.ndim != 1 or not np.all(np.diff(q) > 0):
-            raise ValueError(f"the {name} grid must be 1-D and strictly increasing")
-    if windows is None:
-        windows = _windows(*envelope_columns(q_s, q_i, problem.waist_m), q_i.size)
+    a, b = arms(q_s, q_i)[:2]
     start, width = windows
-    if start.shape != q_s.shape or np.any(start < 0) or np.any(start + width > q_i.size):
-        raise ValueError("windows must give one start per signal row, inside the idler grid")
-    check_memory_budget(_evaluation_bytes(q_s.size, q_i.size, width), problem.memory_budget_bytes,
-                        f"{q_s.size} x {q_i.size} grid holding 1 slice band")
-    a, b = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)[:2]
-    tables = np.stack((q_i, b))
-    offsets = np.arange(width)
-    data = np.empty((q_s.size, width))
-    for rows in _row_blocks(q_s.size):
-        # unnamed, the block's gathered tables are freed before the next gather
-        data[rows] = _envelope_times_kernel(
-            a[rows, None], q_s[rows, None], tables.take(start[rows, None] + offsets, axis=1),
-            problem.waist_m, problem.kernel,
-        )
-    return RowBand(data, start, q_i.size)
+    idler = np.stack((q_i, b)).take(start[:, None] + np.arange(width), axis=1)
+    return _envelope_times_kernel(a[:, None], q_s[:, None], idler, problem.waist_m, problem.kernel)
 
 
 def envelope_columns(

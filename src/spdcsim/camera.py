@@ -17,13 +17,14 @@ Both JPDs are sampled at the pixel centres of the central slice's
 camera grid: the square momentum grid q of the run, mapped onto the
 camera with the central slice's scales s = M f lambda / (2 pi) (and,
 for the corrected JPD, its idler rescale and shift).  Slice k is
-evaluated with ``evaluate_grid`` at the momenta that land on those
-pixels: signal q s_s(mid)/s_s(k); idler q s_i(mid)/s_i(k) uncorrected
-and (q - b_mid) s_s(mid)/s_s(k) + b_k corrected, b being the slice's
-ridge intercept (0 on x).  Nothing is resampled, and no dense slice
-matrix is built: the slice's amplitude is evaluated on the JPD's
-windows a block of rows at a time, squared in place and added with the
-slice's quadrature weight.
+evaluated at the momenta that land on those pixels: signal
+q s_s(mid)/s_s(k); idler q s_i(mid)/s_i(k) uncorrected and
+(q - b_mid) s_s(mid)/s_s(k) + b_k corrected, b being the slice's ridge
+intercept (0 on x).  Nothing is resampled, and no dense slice matrix is
+built: the block kernel ``evaluate_grid`` evaluates the slice's
+amplitude on the JPD's windows a block of rows at a time, with the
+slice's ``SliceArms``, built once for both JPDs, and the block is
+squared in place and added with the slice's quadrature weight.
 
 Both steps are per-slice affine maps, held as arrays over
 ``Problem.slices``: the wavelengths, the scales s and the intercepts b.

@@ -36,11 +36,15 @@ grid edge in position space.
 JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) give a
 picture, a ``JointDistribution`` that yields ``RowBand`` row blocks.  The
 far field is the stream the camera JPDs also take (``_squared_blocks``):
-per block of rows, each slice evaluated by ``evaluate_grid`` on the union
-of the slices' ``envelope_columns(power=2)`` windows, squared in place,
-weighted and added; no picture is held.  The near field takes the moment
-engine's (q_+ node x q_- grid) frame (``_node_grid``): no N x N array, no
-2-D FFT; it holds its band.
+per block of rows, each slice evaluated by the block kernel
+``evaluate_grid`` on the union of the slices' ``envelope_columns(power=2)``
+windows, squared in place, weighted and added; no picture is held.  The
+near field takes the moment engine's (q_+ node x q_- grid) frame
+(``_node_grid``): no N x N array, no 2-D FFT; it holds its band.
+
+Each path builds each slice's ``SliceArms`` (``slice_arms``: its four
+Sellmeier wavenumbers and the other constants of its phase mismatch)
+once per pass over the slices, and takes every kernel argument from it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from spdcsim.biphoton import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     RowBand,
     _ROW_BLOCK,
-    _arm_arguments,
     _evaluation_bytes,
     _kernel,
     _kernel_with_slope,
@@ -70,6 +73,7 @@ from spdcsim.biphoton import (
     default_diff_halfwidth,
     envelope_columns,
     evaluate_grid,
+    slice_arms,
 )
 from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
 from spdcsim.stats import ReidReport, StatsSummary, reid_product
@@ -241,7 +245,7 @@ class Problem:
 
     ``RunConfig.build()`` assembles it; ``moment_sums``, the JID
     builders here and ``camera``'s slice builder take it with the
-    transverse axis, and hand it down to ``biphoton.evaluate_grid``.
+    transverse axis, and build each slice's ``biphoton.SliceArms`` from it.
     ``sum_halfwidth`` S and ``diff_halfwidth`` D bound the sum and
     difference coordinates; ``None`` selects their defaults.  The moment
     engine samples D only; the square grids cover both.
@@ -302,7 +306,7 @@ _SUM_NODES = 8
 
 def _node_grid(q_plus: np.ndarray, q_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q_s = (q_+ + q_-)/2 and q_i = (q_+ - q_-)/2, where a slice's
-    ``_arm_arguments`` are taken: a row per node ``q_plus``, a column per ``q_minus``."""
+    ``SliceArms`` are taken: a row per node ``q_plus``, a column per ``q_minus``."""
     return 0.5 * (q_plus[:, None] + q_minus), 0.5 * (q_plus[:, None] - q_minus)
 
 
@@ -336,7 +340,7 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
 
     def slice_sums(pair: tuple[float, float]) -> list[float]:
         # node-grid arrays are dropped once used; all of them go on return
-        u, b, da, db = _arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
+        u, b, da, db = slice_arms(problem, axis, pair)(q_s, q_i)
         u += b  # a + b
         del b
         k, dk = _kernel_with_slope(u, problem.kernel)
@@ -404,10 +408,11 @@ def _squared_blocks(
     windows, outside which every slice's square is +0.0.  First a
     UserWarning says when the grid step is wider than the pump width 2/w0,
     the budget is charged (``pictures`` names them), and each slice's
-    grids, whose end momenta are their largest, are checked against the
-    propagation cone.  Per block of ``_ROW_BLOCK`` rows, each slice in
-    sampling order is evaluated on the block's windows, squared, weighted
-    and added, as in the whole-picture sum.
+    ``SliceArms`` is built, once for every picture, and checked on its
+    grids' end momenta, their largest, against the propagation cone.  Per
+    block of ``_ROW_BLOCK`` rows, each slice in sampling order is evaluated
+    on the block's windows (``evaluate_grid``), squared, weighted and
+    added, as in the whole-picture sum.
     """
     q, pump_width = problem.square_grid(), 2.0 / problem.waist_m
     if q[1] - q[0] > pump_width:
@@ -430,21 +435,21 @@ def _squared_blocks(
     held = (8 * n * (len(widths) + 5) + 16 * block * sum(w + 1 for w in widths)
             + _evaluation_bytes(block, n, max(widths)))
     check_memory_budget(held, problem.memory_budget_bytes, f"{n} x {n} grid streaming {pictures}")
-    for k, (lam_s, lam_i, _) in enumerate(problem.slices):
+    arms = [slice_arms(problem, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in problem.slices]
+    for k, slice_arm in enumerate(arms):
         q_s, *idlers = momenta(k)
         for q_i in idlers:
-            _arm_arguments(q_s[[0, -1]], q_i[[0, -1]], axis, (lam_s, lam_i), problem.crystal,
-                           problem.wl)
+            slice_arm(q_s[[0, -1]], q_i[[0, -1]])
 
     def blocks(picture: int, start: np.ndarray, width: int) -> Iterator[RowBand]:
         for rows in _row_blocks(n):
             starts = start[rows]
             first, stop = starts.min(), starts.max() + width  # the block's column span
             total = np.zeros((starts.size, width))
-            for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
+            for k, ((_, _, weight), slice_arm) in enumerate(zip(problem.slices, arms)):
                 q_s, *idlers = momenta(k)
-                term = evaluate_grid(q_s[rows], idlers[picture][first:stop], problem, axis,
-                                     (lam_s, lam_i), (starts - first, width)).data
+                term = evaluate_grid(q_s[rows], idlers[picture][first:stop], problem, slice_arm,
+                                     (starts - first, width))
                 np.multiply(term, term, out=term)  # the slice intensity on the block's windows
                 term *= weight
                 np.add(total, term, out=total)
@@ -511,8 +516,10 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     scale = [dq * n * 1j**j / (math.pi * w0 * 2.0**j * math.factorial(j)) for j in k]
     projection = (h[:, None] * hermvander(t, _NEAR_MODES - 1) * scale).T
 
-    def modes(lam_s, lam_i):  # i^k G_k per lag in FFT order, less the (-1)^l all modes share
-        a, b = _arm_arguments(q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl)[:2]
+    arms = [slice_arms(problem, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in problem.slices]
+
+    def modes(slice_arm):  # i^k G_k per lag in FFT order, less the (-1)^l all modes share
+        a, b = slice_arm(q_s, q_i)[:2]
         return np.fft.ifft(projection @ _kernel(a + b, problem.kernel), axis=1)
 
     # int a^m exp(-a^2/2) da / sqrt(2 pi) = (m - 1)!! for even m, 0 for odd
@@ -522,7 +529,7 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     def lag_mass(g):  # G(l)^H M G(l) per lag
         return np.einsum("kl,kl->l", g.conj(), gram @ g).real
 
-    profile = sum(weight * lag_mass(modes(lam_s, lam_i)) for lam_s, lam_i, weight in problem.slices)
+    profile = sum(w * lag_mass(modes(arm)) for (_, _, w), arm in zip(problem.slices, arms))
     mass = np.bincount(np.minimum(np.arange(n), n - np.arange(n)), weights=profile)  # per |lag|
     beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass at |lag| > half, per half
     half = min(int(np.argmax(beyond <= _NEAR_BAND_LOSS * profile.sum())), (n - 1) // 2)
@@ -532,8 +539,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     x = position_grid(q)
     start = np.clip(np.arange(n) - half, 0, n - width)
     data = np.zeros((n, width))
-    for lam_s, lam_i, weight in problem.slices:
-        g = modes(lam_s, lam_i)
+    for (_, _, weight), slice_arm in zip(problem.slices, arms):
+        g = modes(slice_arm)
         for rows in _row_blocks(n):
             cols = start[rows, None] + np.arange(width)
             a = (x[rows, None] + x[cols]) / w0

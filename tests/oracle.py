@@ -1,4 +1,8 @@
-"""Test-side oracles: the moments of a dense intensity matrix, the
+"""Test-side oracles: the per-arm kernel arguments as one call computes
+them from the crystal (independent of the package's per-slice
+``SliceArms``) and the dense amplitude built on them, the amplitude on a
+row band's windows from that formula and from the package's block kernel
+run over whole grids, the moments of a dense intensity matrix, the
 moment engine's per-slice sums as plain whole-array expressions, the
 near-field picture as a 2-D FFT of the dense square-grid amplitude and
 as its Hermite-mode closed form on every entry, the camera's slices one
@@ -19,17 +23,97 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermval
 
 from spdcsim.biphoton import (
+    EvanescentInputError,
     RowBand,
-    _arm_arguments,
+    _envelope_times_kernel,
     _kernel,
     _kernel_with_slope,
+    _row_blocks,
     _windows,
     envelope_columns,
     evaluate_grid,
+    slice_arms,
 )
+from spdcsim.dispersion import wavevector_magnitude
 from spdcsim.spectral import _SUM_NODES, position_grid
 from spdcsim.spectral import moment_sums as engine_sums
 from spdcsim.stats import StatsSummary, ridge_fit
+
+
+def arm_arguments(q_signal, q_idler, axis, pair, crystal, wl):
+    """Per-arm kernel arguments a(q_signal), b(q_idler) with a + b = dk_z L / 2
+    at the (signal, idler) wavelengths ``pair``, and their derivatives along
+    ``axis``, a' = (L/2)(q_signal / k_z + tan(rho) on y) and likewise b',
+    each wavenumber evaluated from the Sellmeier set on the call; (L/2) dk_0
+    of the cut is added to a.  Raises ValueError unless ``axis`` is "x" or
+    "y", and EvanescentInputError if any momentum reaches the propagation cone.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    half_length = crystal.length_m / 2.0
+    tilt = math.tan(crystal.rho) if axis == "y" else 0.0
+
+    def ordinary_k(lam_nm):
+        return wavevector_magnitude(crystal.sellmeier.index_ordinary(lam_nm), lam_nm)
+
+    def arm(q, lam_nm, lam0_nm):  # the orthogonal momentum component is zero
+        q_x, q_y = (q, 0.0) if axis == "x" else (0.0, q)
+        k = ordinary_k(lam_nm)
+        q_y = np.asarray(q_y)
+        q_sq = np.asarray(q_x) ** 2 + q_y**2
+        if np.any(q_sq >= k * k):
+            raise EvanescentInputError("transverse momentum at or beyond the propagation cone")
+        k_z = np.sqrt(k * k - q_sq)
+        share = (ordinary_k(lam0_nm) - k_z) + q_y * math.tan(crystal.rho)
+        return half_length * share, half_length * (q / k_z + tilt)
+
+    (a, da), (b, db) = arm(q_signal, pair[0], wl.signal_nm), arm(q_idler, pair[1], wl.idler_nm)
+    return a + half_length * crystal.collinear_mismatch, b, da, db
+
+
+def linear_arms(c):
+    """A stand-in for ``slice_arms``, patched into ``spectral``: every slice's
+    arguments are a = c q_s and b = -c q_i, with slopes c and -c."""
+    return lambda problem, axis, pair: lambda q_s, q_i: (
+        c * q_s, -c * q_i, np.full_like(q_s, c), np.full_like(q_i, -c))
+
+
+def amplitude(q_s, q_i, problem, axis, pair):
+    """The real biphoton amplitude at ``axis`` momenta (q_s, q_i), broadcast:
+    exp(-w0^2 (q_s + q_i)^2 / 4) * kernel(a + b) with a, b from
+    ``arm_arguments`` at the (signal, idler) wavelengths ``pair``."""
+    q_s = np.asarray(q_s, dtype=float)
+    q_i = np.asarray(q_i, dtype=float)
+    a, b, _, _ = arm_arguments(q_s, q_i, axis, pair, problem.crystal, problem.wl)
+    *idler, _ = np.broadcast_arrays(q_i, b, q_s)
+    idler = [table.copy() for table in idler]
+    return _envelope_times_kernel(a, q_s, idler, problem.waist_m, problem.kernel)
+
+
+def envelope_windows(q_s, q_i, problem):
+    """The (start, width) windows of the pump-envelope band on these grids."""
+    return _windows(*envelope_columns(q_s, q_i, problem.waist_m), q_i.size)
+
+
+def amplitude_band(q_s, q_i, problem, axis, pair, windows=None):
+    """``amplitude`` on ``windows`` = (start, width) of the 1-D grids, by
+    default the pump-envelope band's, as a ``RowBand``."""
+    start, width = envelope_windows(q_s, q_i, problem) if windows is None else windows
+    values = amplitude(q_s[:, None], q_i[start[:, None] + np.arange(width)], problem, axis, pair)
+    return RowBand(values, start, q_i.size)
+
+
+def kernel_band(q_s, q_i, problem, axis, pair, windows=None):
+    """The package's block kernel ``evaluate_grid`` on ``windows`` = (start,
+    width) of the 1-D grids, by default the pump-envelope band's, as a
+    ``RowBand``: one call per ``_ROW_BLOCK`` signal rows, each over the
+    whole idler grid, with the slice's ``slice_arms``."""
+    start, width = envelope_windows(q_s, q_i, problem) if windows is None else windows
+    arms = slice_arms(problem, axis, pair)
+    data = np.empty((q_s.size, width))
+    for rows in _row_blocks(q_s.size):
+        data[rows] = evaluate_grid(q_s[rows], q_i, problem, arms, (start[rows], width))
+    return RowBand(data, start, q_i.size)
 
 
 def full_band(matrix):
@@ -73,7 +157,8 @@ def squared_bands(problem, axis, momenta):
     k's signal momenta and one idler grid per picture; each picture's
     windows are the union of every slice's ``envelope_columns(power=2)``
     windows; each slice, in sampling order, is evaluated on every
-    picture's windows over the whole grids, squared, weighted and added."""
+    picture's windows over the whole grids (``amplitude_band``), squared,
+    weighted and added."""
     n = problem.grid_n
     bounds = None
     for k in range(len(problem.slices)):
@@ -88,8 +173,8 @@ def squared_bands(problem, axis, momenta):
     for k, (lam_s, lam_i, weight) in enumerate(problem.slices):
         q_s, *idlers = momenta(k)
         for total, q_i in zip(totals, idlers):
-            term = evaluate_grid(q_s, q_i, problem, axis, (lam_s, lam_i),
-                                 (total.start, total.width)).data
+            term = amplitude_band(q_s, q_i, problem, axis, (lam_s, lam_i),
+                                  (total.start, total.width)).data
             np.multiply(term, term, out=term)
             term *= weight
             np.add(total.data, term, out=total.data)
@@ -115,9 +200,9 @@ def matrix_moments(plane, axis, axis_signal, axis_idler, intensity):
 
 def moment_sums(problem, axis):
     """``spectral.moment_sums`` with each slice's nine sums written as
-    one expression per term, every node-grid product a new array; the
-    engine forms them in one scratch buffer in the same operation order,
-    so the two agree bit for bit."""
+    one expression per term, every node-grid product a new array, on the
+    arguments of ``arm_arguments``; the engine forms them in one scratch
+    buffer in the same operation order, so the two agree bit for bit."""
     q_d = problem.diff_grid()
     t, h = hermgauss(_SUM_NODES)
     w0 = problem.waist_m
@@ -128,9 +213,7 @@ def moment_sums(problem, axis):
     node_weights = h[:, None]
     rows = []
     for lam_s, lam_i, _ in problem.slices:
-        a, b, da, db = _arm_arguments(
-            q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl
-        )
+        a, b, da, db = arm_arguments(q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl)
         k, dk = _kernel_with_slope(a + b, problem.kernel)
         g_s = envelope_slope * k + dk * da
         g_i = envelope_slope * k + dk * db
@@ -180,11 +263,12 @@ def near_field_intensity(terms, shape):
 
 def fft_near_field(problem, axis):
     """The position grid and the near-field picture of ``spectral.near_field_jid``
-    as a dense centered matrix: each slice's dense square-grid amplitude
-    through ``near_field_intensity``, weighted and summed."""
+    as a dense centered matrix: each slice's square-grid amplitude on its
+    pump-envelope band (``amplitude_band``), +0.0 off it, through
+    ``near_field_intensity``, weighted and summed."""
     q = problem.square_grid()
     dq = float(q[1] - q[0])
-    terms = ((toarray(evaluate_grid(q, q, problem, axis, (s, i))), dq, dq, w)
+    terms = ((toarray(amplitude_band(q, q, problem, axis, (s, i))), dq, dq, w)
              for s, i, w in problem.slices)
     return position_grid(q), np.fft.fftshift(near_field_intensity(terms, (q.size, q.size)))
 
@@ -213,8 +297,8 @@ def mode_near_field(problem, axis):
     dft = np.exp(1j * np.outer(x_minus, q_minus)) * 2.0 * dq
     total = np.zeros((n, n))
     for lam_s, lam_i, weight in problem.slices:
-        arms = _arm_arguments(0.5 * (q_plus + q_minus), 0.5 * (q_plus - q_minus), axis,
-                              (lam_s, lam_i), problem.crystal, problem.wl)
+        arms = arm_arguments(0.5 * (q_plus + q_minus), 0.5 * (q_plus - q_minus), axis,
+                             (lam_s, lam_i), problem.crystal, problem.wl)
         kernel = _kernel(arms[0] + arms[1], problem.kernel)
         psi = np.zeros((n, n), dtype=complex)
         for k in range(8):

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from spdcsim.biphoton import _arm_arguments, _kernel, evaluate_grid
+from spdcsim.biphoton import _kernel, slice_arms
 from spdcsim.camera import camera_jpds, slope_report
 from spdcsim.config import RunConfig
 from spdcsim.dispersion import (
@@ -259,7 +259,7 @@ def test_fourier_parseval_and_double_gaussian_oracle():
     q = problem.square_grid()
     dq = float(q[1] - q[0])
     pair = (problem.wl.signal_nm, problem.wl.idler_nm)
-    amp = oracle.toarray(evaluate_grid(q, q, problem, "x", pair))
+    amp = oracle.toarray(oracle.amplitude_band(q, q, problem, "x", pair))
     near = near_field_intensity([(amp, dq, dq, 1.0)], amp.shape)
     lhs = np.sum(amp * amp) * dq * dq
     dx = 2.0 * math.pi / (q.size * dq)
@@ -321,5 +321,5 @@ def test_normalization_sinc_zero_paraxial():
     rel = np.max(np.abs(exact - paraxial) / paraxial)
     assert rel < 1e-3, f"paraxial agreement only to {rel:.2e}"
     # and the amplitude's kernel argument is that exact mismatch times L / 2
-    a, b, _, _ = _arm_arguments(q, -q, "x", (wl.signal_nm, wl.idler_nm), crystal, wl)
+    a, b, _, _ = slice_arms(problem, "x", (wl.signal_nm, wl.idler_nm))(q, -q)
     np.testing.assert_allclose(a + b, exact * (crystal.length_m / 2.0), rtol=1e-9)

@@ -1,36 +1,36 @@
-"""Per-arm phase mismatch, kernels, pump envelope, and amplitude grids."""
+"""Per-slice arm records of the phase mismatch, kernels, pump envelope,
+and the block kernel of the amplitude."""
 
 import math
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim.biphoton import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
     EvanescentInputError,
-    GridMemoryError,
-    RowBand,
     _ROW_BLOCK,
-    _arm_arguments,
-    _arm_dk_z,
     _envelope_times_kernel,
     _kernel,
     _kernel_with_slope,
-    amplitude,
+    _windows,
     envelope_columns,
     evaluate_grid,
+    slice_arms,
 )
 from spdcsim.camera import camera_jpds
+from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
 from spdcsim.spectral import FilterSpec, Problem, certify_axis, sample_spectrum
 
 import oracle
 
 BBO = SellmeierSet.bbo()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SINC_MIN = -0.21723362821122166  # global minimum of sin(u)/u
 
 
@@ -56,54 +56,50 @@ def edge_pair():
 # -- mismatch ---------------------------------------------------------------
 
 
-def dk_z(q_s, q_i, wl, crystal, pair=None):
-    """Longitudinal mismatch as the sum of the two arms' shares, for
-    q_s = (q_sx, q_sy) and q_i = (q_ix, q_iy) at the (signal, idler)
-    wavelengths ``pair`` (default nominal)."""
-    if pair is None:
-        pair = (wl.signal_nm, wl.idler_nm)
-    share_s, _ = _arm_dk_z(crystal, pair[0], wl.signal_nm, *q_s)
-    share_i, _ = _arm_dk_z(crystal, pair[1], wl.idler_nm, *q_i)
-    return share_s + share_i
+def dk_z(problem, axis, q_s, q_i):
+    """Longitudinal mismatch (a + b) / (L/2) of the nominal slice's
+    ``slice_arms`` on ``axis`` at momenta q_s and q_i, the orthogonal
+    components zero."""
+    a, b, _, _ = slice_arms(problem, axis, nominal(problem))(q_s, q_i)
+    return (a + b) / (problem.crystal.length_m / 2.0)
+
+
+def amplitude_at(q_s, q_i, problem, axis, pair):
+    """The block kernel ``evaluate_grid`` at the one point (q_s, q_i)."""
+    values = evaluate_grid(np.array([q_s], dtype=float), np.array([q_i], dtype=float), problem,
+                           slice_arms(problem, axis, pair), (np.zeros(1, dtype=np.intp), 1))
+    return float(values[0, 0])
 
 
 def test_mismatch_zero_at_aligned_point():
     problem = make_setup()
     # exact by re-centering
-    assert float(dk_z((0.0, 0.0), (0.0, 0.0), problem.wl, problem.crystal)) == 0.0
+    assert float(dk_z(problem, "x", 0.0, 0.0)) == 0.0
 
 
 def test_mismatch_against_paraxial_oracle():
     # Degenerate 810 nm, q_sx = -q_ix = 1e5 rad/m, y components zero.
     # Independent paraxial evaluation: q^2/(2 k_s) + q^2/(2 k_i).
-    problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
-    got = float(dk_z((1e5, 0.0), (-1e5, 0.0), wl, crystal))
+    got = float(dk_z(make_setup(), "x", 1e5, -1e5))
     assert got == pytest.approx(776.4902952648699, rel=1e-12)
     assert got == pytest.approx(776.4785910710019, rel=1e-3)
 
 
 def test_mismatch_x_mirror_symmetry():
     problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
-    a = dk_z((3e4, 0.0), (1e4, 0.0), wl, crystal)
-    b = dk_z((-3e4, 0.0), (-1e4, 0.0), wl, crystal)
-    assert float(a) == float(b)
+    assert float(dk_z(problem, "x", 3e4, 1e4)) == float(dk_z(problem, "x", -3e4, -1e4))
 
 
 def test_mismatch_y_walkoff_breaks_mirror_symmetry():
     problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
-    a = dk_z((0.0, 3e4), (0.0, 1e4), wl, crystal)
-    b = dk_z((0.0, -3e4), (0.0, -1e4), wl, crystal)
+    a = dk_z(problem, "y", 3e4, 1e4)
+    b = dk_z(problem, "y", -3e4, -1e4)
     assert float(a) != pytest.approx(float(b), rel=1e-6)
 
 
 def test_mismatch_rejects_evanescent_input():
-    problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
     with pytest.raises(EvanescentInputError):
-        dk_z((2e7, 0.0), (0.0, 0.0), wl, crystal)
+        dk_z(make_setup(), "x", 2e7, 0.0)
 
 
 @given(q=st.floats(-1e6, 1e6))
@@ -112,21 +108,19 @@ def test_mismatch_transverse_components_are_negated_sums(q):
     # The transverse mismatch -(q_s + q_i) enters only the pump envelope:
     # the amplitude is the envelope at q_s + q_i times the kernel.
     problem = make_setup(kernel="gauss")
-    wl, crystal = problem.wl, problem.crystal
-    a, b, _, _ = _arm_arguments(q, 0.5 * q, "x", nominal(problem), crystal, wl)
+    a, b, _, _ = slice_arms(problem, "x", nominal(problem))(q, 0.5 * q)
     w0 = problem.waist_m
     expected = np.exp(-(w0 * w0) * (-(q + 0.5 * q)) ** 2 / 4.0) * _kernel(a + b, "gauss")
-    assert float(amplitude(q, 0.5 * q, problem, "x", nominal(problem))) == float(expected)
+    assert amplitude_at(q, 0.5 * q, problem, "x", nominal(problem)) == float(expected)
 
 
 def test_exact_vs_paraxial_within_cone():
     # Agreement to 1e-3 relative for |q| <= 0.02 k, on both arms.
     problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
     k_s = 2 * math.pi * BBO.index_ordinary(810.0) / 810e-9
     for frac in (0.005, 0.01, 0.02):
         q = frac * k_s
-        exact = dk_z((q, 0.0), (q, 0.0), wl, crystal)
+        exact = dk_z(problem, "x", q, q)
         paraxial = q * q / (2 * k_s) + q * q / (2 * k_s)
         assert float(exact) == pytest.approx(paraxial, rel=1e-3)
 
@@ -237,17 +231,16 @@ def test_pump_spec_rejects_nonpositive_waist():
 
 def test_amplitude_peak_at_aligned_point():
     problem = make_setup()
-    assert float(amplitude(0.0, 0.0, problem, "x", nominal(problem))) == 1.0
+    assert amplitude_at(0.0, 0.0, problem, "x", nominal(problem)) == 1.0
 
 
 def test_amplitude_on_antidiagonal_is_kernel_only():
     # q_i = -q_s kills the envelope argument exactly.
     problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
     q = 2e5
-    u = float(dk_z((q, 0.0), (-q, 0.0), wl, crystal)) * crystal.length_m / 2
+    u = float(dk_z(problem, "x", q, -q)) * problem.crystal.length_m / 2
     expected = math.sin(u) / u
-    assert float(amplitude(q, -q, problem, "x", nominal(problem))) == pytest.approx(
+    assert amplitude_at(q, -q, problem, "x", nominal(problem)) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -257,7 +250,7 @@ def test_amplitude_decays_with_envelope():
     # Along the diagonal q_s = q_i the kernel stays near 1 for small q
     # and the envelope dominates: amplitude ~ exp(-w0^2 (2q)^2 / 4).
     q = 1.0 / problem.waist_m
-    got = float(amplitude(q, q, problem, "x", nominal(problem)))
+    got = amplitude_at(q, q, problem, "x", nominal(problem))
     env = math.exp(-(problem.waist_m**2) * (2 * q) ** 2 / 4)
     assert got == pytest.approx(env, rel=1e-3)
 
@@ -266,17 +259,16 @@ def test_amplitude_decays_with_envelope():
 @settings(max_examples=40, deadline=None)
 def test_amplitude_bounded(q):
     problem = make_setup()
-    val = float(amplitude(q, 0.3 * q, problem, "y", nominal(problem)))
+    val = amplitude_at(q, 0.3 * q, problem, "y", nominal(problem))
     assert SINC_MIN - 1e-12 <= val <= 1.0
 
 
 def test_gauss_kernel_matches_sinc_curvature():
     problem = make_setup()
-    wl, crystal = problem.wl, problem.crystal
     q = 8e4  # keeps the kernel argument u ~ 0.25, inside the O(u^2) regime
-    a_sinc = float(amplitude(q, -q, problem, "x", nominal(problem)))
-    a_gauss = float(amplitude(q, -q, replace(problem, kernel="gauss"), "x", nominal(problem)))
-    u = float(dk_z((q, 0.0), (-q, 0.0), wl, crystal)) * crystal.length_m / 2
+    a_sinc = amplitude_at(q, -q, problem, "x", nominal(problem))
+    a_gauss = amplitude_at(q, -q, replace(problem, kernel="gauss"), "x", nominal(problem))
+    u = float(dk_z(problem, "x", q, -q)) * problem.crystal.length_m / 2
     # Both agree with 1 - u^2/6 at small argument.
     assert a_sinc == pytest.approx(1 - u * u / 6, abs=1e-4)
     assert a_gauss == pytest.approx(1 - u * u / 6, abs=1e-4)
@@ -296,13 +288,13 @@ def test_kernel_slope_matches_central_difference(kind):
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_arm_slopes_match_central_difference(axis):
     problem = make_setup(signal_nm=780.0)
-    wl, crystal = problem.wl, problem.crystal
-    pair = (781.5, wl.idler_nm)  # the idler is not energy-matched; each arm stands alone
+    pair = (781.5, problem.wl.idler_nm)  # the idler is not energy-matched; each arm stands alone
+    arms = slice_arms(problem, axis, pair)
     q = np.linspace(-3e5, 3e5, 7)
     h = 100.0
-    a, b, da, db = _arm_arguments(q, -q, axis, pair, crystal, wl)
-    a_hi, b_hi, _, _ = _arm_arguments(q + h, -q + h, axis, pair, crystal, wl)
-    a_lo, b_lo, _, _ = _arm_arguments(q - h, -q - h, axis, pair, crystal, wl)
+    a, b, da, db = arms(q, -q)
+    a_hi, b_hi, _, _ = arms(q + h, -q + h)
+    a_lo, b_lo, _, _ = arms(q - h, -q - h)
     # the slopes are ~1e-5; arguments ~10 round to ~1e-15, so the central
     # difference carries ~1e-17 of rounding and ~1e-16 of truncation
     np.testing.assert_allclose(da, (a_hi - a_lo) / (2 * h), rtol=1e-7, atol=1e-13)
@@ -312,17 +304,16 @@ def test_arm_slopes_match_central_difference(axis):
 def test_unknown_kernel_rejected():
     problem = make_setup(kernel="lorentzian")
     with pytest.raises(ValueError):
-        amplitude(0.0, 0.0, problem, "x", nominal(problem))
+        amplitude_at(0.0, 0.0, problem, "x", nominal(problem))
 
 
 def test_axis_other_than_x_or_y_rejected():
-    """Every evaluation takes its axis through ``_arm_arguments``, which
+    """Every evaluation takes its axis through ``slice_arms``, which
     rejects all but "x" and "y" (a "z" was a y slice without the walk-off
     tilt)."""
     problem = make_setup(signal_nm=780.0, grid_n=64, n_slices=3)
-    q = problem.square_grid()
     with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
-        evaluate_grid(q, q, problem, "z", nominal(problem))
+        slice_arms(problem, "z", nominal(problem))
     with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
         certify_axis(problem, "z")
     with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
@@ -338,19 +329,65 @@ def test_arm_arguments_carry_the_collinear_mismatch_of_the_cut():
     assert crystal.collinear_mismatch == 0.0
     assert detuned.collinear_mismatch != 0.0
     zero = np.zeros(1)
-    a, b, _, _ = _arm_arguments(zero, zero, "x", nominal(problem), detuned, wl)
+    a, b, _, _ = slice_arms(replace(problem, crystal=detuned), "x", nominal(problem))(zero, zero)
     assert float(a[0] + b[0]) == pytest.approx(
         0.5 * crystal.length_m * detuned.collinear_mismatch, rel=1e-12
     )
     # dk_0 is a constant: it moves a alone, and neither slope
-    shifted = replace(crystal, collinear_mismatch=detuned.collinear_mismatch)
+    shifted = replace(problem, crystal=replace(crystal,
+                                               collinear_mismatch=detuned.collinear_mismatch))
     q = np.linspace(-3e5, 3e5, 7)
     for axis in ("x", "y"):
-        a, b, da, db = _arm_arguments(q, -q, axis, nominal(problem), crystal, wl)
-        a2, b2, da2, db2 = _arm_arguments(q, -q, axis, nominal(problem), shifted, wl)
-        np.testing.assert_allclose(a2 - a, 0.5 * crystal.length_m * shifted.collinear_mismatch,
+        a, b, da, db = slice_arms(problem, axis, nominal(problem))(q, -q)
+        a2, b2, da2, db2 = slice_arms(shifted, axis, nominal(problem))(q, -q)
+        np.testing.assert_allclose(a2 - a, 0.5 * crystal.length_m * detuned.collinear_mismatch,
                                    rtol=1e-12)
         assert np.array_equal(b2, b) and np.array_equal(da2, da) and np.array_equal(db2, db)
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["pm-angle", "detuned"])
+@pytest.mark.parametrize("config", ["nondegenerate_780", "degenerate_810"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_slice_arms_equal_the_per_call_formula(axis, config, detuned):
+    """Each slice's ``SliceArms`` gives, bit for bit and to the sign of
+    zero, the four arguments ``oracle.arm_arguments`` computes from the
+    Sellmeier set on the call: on scalars, on 1-D and on 2-D momenta, on a
+    cut at and 0.5 degree off the phase-matching angle.  Next to each
+    arm's propagation cone both raise EvanescentInputError at the same
+    momenta."""
+    cfg = replace(load_config(CONFIGS / f"{config}.yaml"), grid_n=64, n_slices=5)
+    problem = cfg.build()
+    if detuned:
+        problem = replace(cfg, theta_deg=math.degrees(problem.crystal.theta_p) - 0.5).build()
+        assert problem.crystal.collinear_mismatch != 0.0
+    q = problem.square_grid()
+    inputs = [(0.0, 0.0), (-3e5, 2.5e5), (q, q[::-1]), (q, -q),
+              (np.add.outer(q[::8], q), np.subtract.outer(q[::8], q))]
+    for lam_s, lam_i, _ in problem.slices:
+        arms = slice_arms(problem, axis, (lam_s, lam_i))
+        assert all(type(value) is float for value in vars(arms).values())
+        for q_s, q_i in inputs:
+            got = arms(q_s, q_i)
+            expected = oracle.arm_arguments(q_s, q_i, axis, (lam_s, lam_i), problem.crystal,
+                                            problem.wl)
+            for g, e in zip(got, expected, strict=True):
+                assert np.shape(g) == np.shape(e) and same_bits(g, e)
+        for k, at_signal in ((arms.k_signal, True), (arms.k_idler, False)):
+            for q_edge in (np.nextafter(k, 0.0), k, np.nextafter(k, np.inf), -k):
+                momenta = (q_edge, 0.0) if at_signal else (0.0, q_edge)
+                outcomes = []
+                for run in (lambda: arms(*momenta),
+                            lambda: oracle.arm_arguments(*momenta, axis, (lam_s, lam_i),
+                                                         problem.crystal, problem.wl)):
+                    try:
+                        outcomes.append(run())
+                    except EvanescentInputError:
+                        outcomes.append(None)
+                if outcomes[0] is None or outcomes[1] is None:
+                    assert outcomes == [None, None]
+                else:
+                    assert all(same_bits(g, e) for g, e in zip(*outcomes))
+                assert (outcomes[0] is None) == (q_edge * q_edge >= k * k)
 
 
 # -- grids --------------------------------------------------------------------
@@ -371,36 +408,22 @@ def test_centered_slice_grid_shape():
     assert problem.diff_grid()[-1] == pytest.approx(dmax, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [
-    np.array([-1.0, 0.5, 0.2, 1.0]) * 1e5,
-    np.array([-1.0, 0.0, 0.0, 1.0]) * 1e5,
-    np.linspace(-1e5, 1e5, 16).reshape(4, 4),
-], ids=["not-increasing", "repeated-point", "not-1d"])
-def test_evaluate_grid_rejects_unordered_grids(bad):
-    # the column search of the envelope band needs 1-D increasing grids
-    problem = make_setup()
-    good = np.linspace(-1e5, 1e5, 16)
-    for q_s, q_i in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            evaluate_grid(q_s, q_i, problem, "x", nominal(problem))
-
-
 def test_evaluate_grid_matches_pointwise():
     problem = make_setup(grid_n=64)
     q, pair = problem.square_grid(), nominal(problem)
-    mat = oracle.toarray(evaluate_grid(q, q, problem, "y", pair))
+    mat = oracle.toarray(oracle.kernel_band(q, q, problem, "y", pair))
     assert mat.shape == (64, 64)
     rng = np.random.default_rng(7)
     for _ in range(10):
         k = int(rng.integers(0, 64))
         l = int(rng.integers(0, 64))
-        pt = float(amplitude(q[k], q[l], problem, "y", pair))
+        pt = float(oracle.amplitude(q[k], q[l], problem, "y", pair))
         assert mat[k, l] == pt
     # the amplitude lives in a narrow band around the anti-diagonal
     # q_i = -q_s, which is q[63 - k] on this symmetric grid
     for k in rng.integers(0, 64, size=10):
         for l in range(max(62 - int(k), 0), min(66 - int(k), 64)):
-            pt = float(amplitude(q[k], q[l], problem, "y", pair))
+            pt = float(oracle.amplitude(q[k], q[l], problem, "y", pair))
             assert pt != 0.0
             assert mat[k, l] == pt
 
@@ -435,7 +458,7 @@ def test_evaluate_grid_matches_composed_amplitude(axis, edge, n, kernel):
     problem = make_setup(signal_nm=780.0, grid_n=n, kernel=kernel)
     q = problem.square_grid()
     pair = edge_pair() if edge else nominal(problem)
-    got = oracle.toarray(evaluate_grid(q, q, problem, axis, pair))
+    got = oracle.toarray(oracle.kernel_band(q, q, problem, axis, pair))
     np.testing.assert_allclose(got, composed_amplitude(q, problem, axis, pair),
                                rtol=0, atol=1e-11)
     if n % 2 and not edge:
@@ -444,12 +467,12 @@ def test_evaluate_grid_matches_composed_amplitude(axis, edge, n, kernel):
 
 
 def dense_amplitude(q_s, q_i, problem, axis, pair):
-    """Every grid point evaluated, as one column x row broadcast."""
-    return amplitude(q_s[:, None], q_i[None, :], problem, axis, pair)
+    """Every grid point evaluated by ``oracle.amplitude``, as one column x row broadcast."""
+    return oracle.amplitude(q_s[:, None], q_i[None, :], problem, axis, pair)
 
 
-#: Grid sizes around ``evaluate_grid``'s row block: n x n on the square
-#: grid, and one signal grid unlike its idler grid, as the camera's are.
+#: Grid sizes around the row block: n x n on the square grid, and one
+#: signal grid unlike its idler grid, as the camera's are.
 BLOCK_SIZES = [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7,
                (3 * _ROW_BLOCK + 7, 256)]
 
@@ -478,14 +501,15 @@ def same_bits(x, y):
 @pytest.mark.parametrize("edge", [False, True], ids=["nominal", "filter-edge"])
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_evaluate_grid_equals_dense_broadcast(axis, edge, n, kernel, waist_um):
-    # The envelope band covers the whole grid at 20 um, most of it at
-    # 100 um, ~10 % at 500 um, and fewer columns than one row block at 2000 um.
-    # The row counts fill one row block short, exactly, and one over, and
-    # end in a partial block; the band's entries match the dense ones to
-    # the sign of zero.
+    # The block kernel run over the grids' pump-envelope band, a row block
+    # at a time (``oracle.kernel_band``).  The envelope band covers the
+    # whole grid at 20 um, most of it at 100 um, ~10 % at 500 um, and fewer
+    # columns than one row block at 2000 um.  The row counts fill one row
+    # block short, exactly, and one over, and end in a partial block; the
+    # band's entries match the dense ones to the sign of zero.
     problem, q_s, q_i = block_grids(n, signal_nm=780.0, waist_m=waist_um * 1e-6, kernel=kernel)
     pair = edge_pair() if edge else nominal(problem)
-    band = evaluate_grid(q_s, q_i, problem, axis, pair)
+    band = oracle.kernel_band(q_s, q_i, problem, axis, pair)
     dense = dense_amplitude(q_s, q_i, problem, axis, pair)
     assert np.array_equal(oracle.toarray(band), dense)
     cols = band.start[:, None] + np.arange(band.width)
@@ -494,62 +518,63 @@ def test_evaluate_grid_equals_dense_broadcast(axis, edge, n, kernel, waist_um):
 
 @pytest.mark.parametrize("waist_um", [20, 500])
 def test_evaluate_grid_band_is_the_envelope_windows(waist_um):
-    # Every row keeps one window as wide as the widest envelope_columns
-    # window, covering its own; at 20 um that is the whole grid.
+    # The widest envelope_columns window as one width, with a start per
+    # row covering its own; at 20 um that is the whole grid.  The block
+    # kernel gives one value per row and window column.
     problem = make_setup(waist_m=waist_um * 1e-6, grid_n=256)
     q = problem.square_grid()
-    band = evaluate_grid(q, q, problem, "y", nominal(problem))
     first, stop = envelope_columns(q, q, problem.waist_m)
-    assert isinstance(band, RowBand)
-    assert band.n_cols == q.size and band.data.shape == (q.size, band.width)
-    assert band.width == np.max(stop - first)
-    assert np.all(band.start <= first) and np.all(band.start + band.width >= stop)
-    assert (band.width == q.size) == (waist_um == 20)
+    start, width = _windows(first, stop, q.size)
+    assert width == np.max(stop - first)
+    assert np.all(start <= first) and np.all(start + width >= stop)
+    assert (width == q.size) == (waist_um == 20)
+    rows = slice(0, _ROW_BLOCK)
+    values = evaluate_grid(q[rows], q, problem, slice_arms(problem, "y", nominal(problem)),
+                           (start[rows], width))
+    assert values.shape == (_ROW_BLOCK, width)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_evaluate_grid_on_given_windows(axis):
     # Given windows that cover the band's, each row holds the dense
     # amplitude on exactly those columns, bit for bit and to the sign of
-    # zero, on grids around the row block too; windows must give one
-    # start per row and lie inside the idler grid.
+    # zero, on grids around the row block too.
     for n in (256, *BLOCK_SIZES):
         problem, q_s, q_i = block_grids(n)
         pair = nominal(problem)
-        band = evaluate_grid(q_s, q_i, problem, axis, pair)
+        band = oracle.kernel_band(q_s, q_i, problem, axis, pair)
         width = band.width + 20
         start = np.clip(band.start - 10, 0, q_i.size - width)
-        got = evaluate_grid(q_s, q_i, problem, axis, pair, (start, width))
+        got = oracle.kernel_band(q_s, q_i, problem, axis, pair, (start, width))
         cols = start[:, None] + np.arange(width)
-        assert np.array_equal(got.start, start) and got.width == width
         assert same_bits(got.data, np.take_along_axis(
             dense_amplitude(q_s, q_i, problem, axis, pair), cols, axis=1))
         assert np.array_equal(oracle.toarray(got), oracle.toarray(band))
-        for bad in ((start[:-1], width), (np.full(q_s.size, -1), 4),
-                    (np.full(q_s.size, q_i.size - 3), 4)):
-            with pytest.raises(ValueError, match="windows must give one start per signal row"):
-                evaluate_grid(q_s, q_i, problem, axis, pair, bad)
 
 
 @pytest.mark.parametrize("n", [1024, 2048])
 @pytest.mark.parametrize("kernel", ["sinc", "gauss"])
 def test_evaluate_grid_working_set_is_one_row_block(kernel, n):
-    # Beside its band, evaluate_grid holds the two idler tables gathered
-    # for one block of rows (with their column indices), the kernel's
-    # sin(u)/u of the block and some 1-D arrays of the grid: under 8
-    # block x width float64 arrays, where one gather for all n rows holds
-    # 2 n x width.
+    # One call of the block kernel on a row block of the pump-envelope
+    # band over the whole idler grid holds the two idler tables gathered
+    # for the block (with their column indices, and the first of them
+    # returned), the kernel's sin(u)/u of the block and some 1-D arrays of
+    # the grid: under 8 block x width float64 arrays, where one gather for
+    # all n rows holds 2 n x width.
     problem = make_setup(grid_n=n, kernel=kernel)
     q, pair = problem.square_grid(), nominal(problem)
-    evaluate_grid(q, q, problem, "y", pair)
+    start, width = oracle.envelope_windows(q, q, problem)
+    rows = slice(n // 2, n // 2 + _ROW_BLOCK)
+    arms = slice_arms(problem, "y", pair)
+    evaluate_grid(q[rows], q, problem, arms, (start[rows], width))
     tracemalloc.start()
     try:
-        band = evaluate_grid(q, q, problem, "y", pair)
+        evaluate_grid(q[rows], q, problem, arms, (start[rows], width))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert n >= 16 * _ROW_BLOCK
-    assert peak - band.nbytes < 8 * _ROW_BLOCK * band.width * 8
+    assert peak < 8 * _ROW_BLOCK * width * 8
 
 
 def test_evaluate_grid_keeps_subnormal_envelope_edge():
@@ -563,7 +588,7 @@ def test_evaluate_grid_keeps_subnormal_envelope_edge():
     exponent = problem.waist_m**2 * (q[:, None] + q[None, :]) ** 2 / 4
     edge = (exponent > 744.0) & (exponent < 745.14)
     assert np.count_nonzero(dense[edge]) > 0
-    band = evaluate_grid(q, q, problem, "x", nominal(problem))
+    band = oracle.kernel_band(q, q, problem, "x", nominal(problem))
     assert np.array_equal(oracle.toarray(band), dense)
 
 
@@ -590,7 +615,8 @@ def test_intensity_is_zero_outside_squared_envelope_columns(kernel):
 def test_evaluate_grid_checks_evanescent_columns_outside_band():
     # The idler grid reaches the propagation cone only in its outer
     # columns, far outside the envelope band of every signal row; the
-    # evanescent check covers the whole grid all the same.
+    # evanescent check covers the whole idler grid the block kernel is
+    # given all the same.
     problem = make_setup()
     wl = problem.wl
     k_i = 2 * math.pi * BBO.index_ordinary(wl.idler_nm) / (wl.idler_nm * 1e-9)
@@ -600,7 +626,7 @@ def test_evaluate_grid_checks_evanescent_columns_outside_band():
     assert evanescent.any()
     assert np.all(np.abs(q_i[evanescent]) - 1e4 > 2 * math.sqrt(746.0) / problem.waist_m)
     with pytest.raises(EvanescentInputError):
-        evaluate_grid(q_s, q_i, problem, "x", nominal(problem))
+        oracle.kernel_band(q_s, q_i, problem, "x", nominal(problem))
 
 
 def test_evaluate_grid_point_inversion_symmetry():
@@ -608,33 +634,15 @@ def test_evaluate_grid_point_inversion_symmetry():
     # invariant under (q_s, q_i) -> (-q_s, -q_i).
     problem = make_setup(grid_n=33)
     q = problem.square_grid()
-    mat = oracle.toarray(evaluate_grid(q, q, problem, "x", nominal(problem)))
+    mat = oracle.toarray(oracle.kernel_band(q, q, problem, "x", nominal(problem)))
     np.testing.assert_allclose(mat, mat[::-1, ::-1], rtol=0, atol=1e-15)
-
-
-def test_evaluate_grid_memory_budget():
-    """On the 2048-point grid the pump band is 221 columns wide.  The
-    charge is the band's values and row offsets, one 64-row block's 4
-    arrays and 6 arrays of length N: 8 (2048 x 222 + 4 x 64 x 221 +
-    6 x 2048) bytes, 3.99 MiB.  A 3 MiB budget stops it, 4 MiB runs it."""
-    n, width = 2048, 221
-    charge = 8 * (n * (width + 1) + 4 * 64 * width + 6 * n)
-    assert 3 * 2**20 < charge <= 4 * 2**20 < DEFAULT_MEMORY_BUDGET_BYTES
-    problem = make_setup(grid_n=n)
-    q = problem.square_grid()
-    with pytest.raises(GridMemoryError, match=r"^2048 x 2048 grid holding 1 slice band "
-                       r"needs ~4 MiB \(budget 3 MiB\)$"):
-        evaluate_grid(q, q, replace(problem, memory_budget_bytes=3 * 2**20), "x", nominal(problem))
-    band = evaluate_grid(q, q, replace(problem, memory_budget_bytes=4 * 2**20), "x",
-                         nominal(problem))
-    assert band.width == width
 
 
 def test_degenerate_x_jid_is_antidiagonal():
     # Intensity-weighted principal axis of the momentum JID: slope -1.
     problem = make_setup(grid_n=512)
     qs = qi = problem.square_grid()
-    weights = oracle.toarray(evaluate_grid(qs, qi, problem, "x", nominal(problem)))
+    weights = oracle.toarray(oracle.kernel_band(qs, qi, problem, "x", nominal(problem)))
     weights *= weights
     total = weights.sum()
     mu_s = (weights.sum(axis=1) * qs).sum() / total

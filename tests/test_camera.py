@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 import spdcsim.spectral
-from spdcsim.biphoton import (
-    GridMemoryError,
-    RowBand,
-    _windows,
-    amplitude,
-    envelope_columns,
-    evaluate_grid,
-)
+from spdcsim.biphoton import GridMemoryError, RowBand, _windows, envelope_columns, slice_arms
 from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
@@ -95,9 +88,9 @@ def evaluated_momenta(problem, axis, monkeypatch, magnification=1.0):
             row = rows.stop
             block_calls, calls[:] = calls[:], []
             assert len(block_calls) == len(problem.slices)
-            for (lam_s, lam_i, _), got, (q_s, q_i, *_, pair, _) in zip(problem.slices, momenta,
-                                                                        block_calls):
-                assert pair == (lam_s, lam_i)
+            for (lam_s, lam_i, _), got, (q_s, q_i, _, arms, _) in zip(problem.slices, momenta,
+                                                                       block_calls):
+                assert arms == slice_arms(problem, axis, (lam_s, lam_i))
                 for line, index, values in ((got[0], rows, q_s),
                                             (got[1 + j], slice(first, first + q_i.size), q_i)):
                     seen = ~np.isnan(line[index])
@@ -219,7 +212,7 @@ def test_ridge_intercept_is_the_slice_fit():
         problem = replace(cfg.build(), grid_n=1024, n_slices=31)
         q = problem.square_grid()
         for cs, (lam_s, lam_i, _) in zip(built_slices(problem, "y"), problem.slices):
-            amp = oracle.toarray(evaluate_grid(q, q, problem, "y", (lam_s, lam_i)))
+            amp = oracle.toarray(oracle.amplitude_band(q, q, problem, "y", (lam_s, lam_i)))
             dense = ridge_fit(matrix_moments("far", "y", q, q, amp * amp)).intercept
             assert abs(cs.ridge_intercept - dense) <= 1e-6 * (2.0 / problem.waist_m)
             assert cs.ridge_intercept != 0.0
@@ -230,7 +223,7 @@ def test_ridge_intercept_is_the_slice_fit():
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("waist_um", [50, 500])
 def test_slice_band_is_the_squared_amplitude(axis, waist_um):
-    """Each JPD is the square of ``amplitude`` at every slice's pixel
+    """Each JPD is the square of ``oracle.amplitude`` at every slice's pixel
     momenta (``oracle.camera_momenta``, which its evaluations received:
     ``test_slice_momenta_land_on_pixel_centres``), times the slice's
     weight, added in sampling order into a zeroed dense matrix, bit for
@@ -246,8 +239,8 @@ def test_slice_band_is_the_squared_amplitude(axis, waist_um):
         first, stop = np.full(q.size, q.size), np.zeros(q.size, dtype=int)
         for cs in slices:
             q_s, *idlers = camera_momenta(q, slices[1], cs)
-            amp = amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
-                            (cs.lambda_signal_nm, cs.lambda_idler_nm))
+            amp = oracle.amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
+                                   (cs.lambda_signal_nm, cs.lambda_idler_nm))
             dense += cs.weight * (amp * amp)
             f, s = envelope_columns(q_s, idlers[j], problem.waist_m, power=2)
             first, stop = np.minimum(first, f), np.maximum(stop, s)
@@ -318,7 +311,8 @@ def test_fitted_shift_removes_nondegenerate_intercept():
 # A slice is resampled onto the central slice's pixels by evaluation:
 # ``oracle.camera_momenta`` gives the momenta that land on the pixel centres
 # (the camera's, bit for bit: ``test_slice_momenta_land_on_pixel_centres``) and
-# ``evaluate_grid`` samples the slice there, on the power-2 windows.  The
+# the block kernel ``evaluate_grid`` samples the slice there, on the power-2
+# windows (``oracle.kernel_band`` runs it over whole grids).  The
 # cases below move a signal pixel grid against the idler's and the band.
 
 
@@ -382,7 +376,7 @@ def jpd_windows(q_s, q_i, problem):
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_resample_matches_antiderivative_reference(shape, scale, shift, axis):
     """Each slice's squared band on its JPD's windows, at the
-    ``pixel_momenta`` of the pixels, equals the squared ``amplitude`` at
+    ``pixel_momenta`` of the pixels, equals the squared ``oracle.amplitude`` at
     the momenta the inverse camera map gives (``reference_momenta``), on
     axis x (0) and y (1), to 1e-12 of its peak; outside the windows both
     are zero."""
@@ -393,9 +387,9 @@ def test_resample_matches_antiderivative_reference(shape, scale, shift, axis):
         q_s, *idlers = pixel_momenta(central, cs, q_signal, q_idler)
         ref_s, *ref_idlers = reference_momenta(central, cs, q_signal, q_idler)
         for q_i, ref_i in zip(idlers, ref_idlers):
-            band = oracle.toarray(evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
-                                 jpd_windows(q_s, q_i, problem)))
-            ref = amplitude(ref_s[:, None], ref_i[None, :], problem, "xy"[axis], pair)
+            band = oracle.toarray(oracle.kernel_band(q_s, q_i, problem, "xy"[axis], pair,
+                                                     jpd_windows(q_s, q_i, problem)))
+            ref = oracle.amplitude(ref_s[:, None], ref_i[None, :], problem, "xy"[axis], pair)
             out, ref = band * band, ref * ref
             assert out.shape == ref.shape == (q_signal.size, q_idler.size)
             assert ref.max() > 0.0
@@ -432,7 +426,7 @@ def test_resample_properties(shape, scale, shift):
         pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
         for q_i in (q_raw, q_fixed):
             start, width = jpd_windows(q_s, q_i, problem)
-            dense = amplitude(q_s[:, None], q_i[None, :], problem, "y", pair) ** 2
+            dense = oracle.amplitude(q_s[:, None], q_i[None, :], problem, "y", pair) ** 2
             assert dense.min() >= 0.0
             cols = np.arange(q_i.size)
             outside = (cols < start[:, None]) | (cols >= start[:, None] + width)
@@ -446,7 +440,7 @@ def test_resample_properties(shape, scale, shift):
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_resample_sparse_equals_dense(shape, scale, shift, axis):
     """A slice evaluated on its JPD's narrow windows, the sparse form the
-    camera holds, equals the dense ``amplitude`` on the pixel momenta bit
+    camera holds, equals the dense ``oracle.amplitude`` on the pixel momenta bit
     for bit inside them, zeros' signs included, and is +0.0 outside;
     full-width windows give the dense matrix; windows moved off the band
     still give the dense values at their own columns."""
@@ -457,15 +451,15 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
         pair = (cs.lambda_signal_nm, cs.lambda_idler_nm)
         q_s, *idlers = pixel_momenta(central, cs, q_signal, q_idler)
         for q_i in idlers:
-            dense = amplitude(q_s[:, None], q_i[None, :], problem, "xy"[axis], pair)
-            full = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair,
-                                 (np.zeros(q_s.size, dtype=np.intp), n_cols))
+            dense = oracle.amplitude(q_s[:, None], q_i[None, :], problem, "xy"[axis], pair)
+            full = oracle.kernel_band(q_s, q_i, problem, "xy"[axis], pair,
+                                      (np.zeros(q_s.size, dtype=np.intp), n_cols))
             assert full.width == n_cols
             assert np.array_equal(oracle.toarray(full), dense)
             assert np.array_equal(np.signbit(oracle.toarray(full)), np.signbit(dense))
             start, width = jpd_windows(q_s, q_i, problem)
-            narrow = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair, (start, width))
-            assert isinstance(narrow, RowBand) and narrow.width == width < n_cols
+            narrow = oracle.kernel_band(q_s, q_i, problem, "xy"[axis], pair, (start, width))
+            assert narrow.width == width < n_cols
             cols = start[:, None] + np.arange(width)
             rows = np.arange(q_s.size)[:, None]
             assert np.array_equal(narrow.data, dense[rows, cols])
@@ -477,7 +471,7 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
             assert np.all(out[~inside] == 0.0) and not np.any(np.signbit(out[~inside]))
             # windows that stick out of the band's
             moved = np.clip(start + width // 2, 0, n_cols - width)
-            shifted = evaluate_grid(q_s, q_i, problem, "xy"[axis], pair, (moved, width))
+            shifted = oracle.kernel_band(q_s, q_i, problem, "xy"[axis], pair, (moved, width))
             moved_cols = moved[:, None] + np.arange(width)
             assert np.array_equal(shifted.data, dense[rows, moved_cols])
             assert np.array_equal(np.signbit(shifted.data), np.signbit(dense[rows, moved_cols]))
@@ -544,7 +538,8 @@ def square_grid_masses(problem, axis):
     dq = q[1] - q[0]
     raw = fixed = 0.0
     for cs in built_slices(problem, axis):
-        band = evaluate_grid(q, q, problem, axis, (cs.lambda_signal_nm, cs.lambda_idler_nm))
+        band = oracle.amplitude_band(q, q, problem, axis,
+                                     (cs.lambda_signal_nm, cs.lambda_idler_nm))
         mass = cs.weight * np.sum(band.data * band.data) * (cs.scale_signal * dq) * dq
         raw += mass * cs.scale_idler
         fixed += mass * cs.scale_signal
@@ -583,7 +578,7 @@ def aperture_masses(problem, axis):
         lattice_s = np.linspace(q_s[0], q_s[-1], q.size + 1)
         for k, (q_i, scale_i) in enumerate(zip(idlers, (cs.scale_idler, cs.scale_signal))):
             lattice_i = np.linspace(q_i[0], q_i[-1], q.size + 1)
-            band = evaluate_grid(lattice_s, lattice_i, problem, axis, pair)
+            band = oracle.amplitude_band(lattice_s, lattice_i, problem, axis, pair)
             cells = (cs.scale_signal * (lattice_s[1] - lattice_s[0])
                      * scale_i * (lattice_i[1] - lattice_i[0]))
             masses[k] += cs.weight * np.sum(band.data * band.data) * cells
@@ -639,8 +634,8 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
         total = np.zeros((q.size, q.size))
         for cs in slices:
             q_s, *idlers = reference_momenta(central, cs, q, q)
-            amp = amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
-                            (cs.lambda_signal_nm, cs.lambda_idler_nm))
+            amp = oracle.amplitude(q_s[:, None], idlers[j][None, :], problem, axis,
+                                   (cs.lambda_signal_nm, cs.lambda_idler_nm))
             total += cs.weight * (amp * amp)
         assert jpd.axis == axis
         assert jpd.corrected is corrected
@@ -777,11 +772,11 @@ def test_camera_jpds_hold_one_slice_block_at_a_time(monkeypatch):
     peak = []
 
     def tracked(*args):
-        band = evaluate(*args)
+        values = evaluate(*args)
         alive[:] = [ref for ref in alive if ref() is not None]
-        alive.append(weakref.ref(band.data))
+        alive.append(weakref.ref(values))
         peak.append(len(alive))
-        return band
+        return values
 
     monkeypatch.setattr(spdcsim.spectral, "evaluate_grid", tracked)
     for jpd in camera_jpds(make_setup(n_slices=7, grid_n=256), "y", F):
@@ -795,12 +790,11 @@ def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
     """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
     JPD's blocks are 256 columns wide.  Both JPDs' row offsets and 5
     arrays of length N for the grid and momenta, two 64-row blocks of
-    each JPD with their row offsets, and one evaluation of a block (64 x
-    257 + 4 x 64 x 256 + 2 x 64 + 4 x 256) need 1.15 MiB, so a 1 MiB
-    budget is exceeded, and that is known before the first slice is
-    evaluated."""
+    each JPD with their row offsets, and one evaluation of a block (4 x
+    64 x 256 + 3 x 64 + 4 x 256) need 1.02 MiB, so a 1 MiB budget is
+    exceeded, and that is known before the first slice is evaluated."""
     n, slices = 256, 31
-    held = 8 * (7 * n + 4 * 64 * (n + 1) + 64 * (n + 1) + 4 * 64 * n + 2 * 64 + 4 * n)
+    held = 8 * (7 * n + 4 * 64 * (n + 1) + 4 * 64 * n + 3 * 64 + 4 * n)
     assert 2**20 < held <= 2 * 2**20
     calls = counting_evaluations(monkeypatch)
     problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)

@@ -530,7 +530,7 @@ class TestCamera:
         below that charge stops before any slice is evaluated, and the
         charge itself runs, evaluating each slice once per JPD and block."""
         n, slices = 256, 31
-        charge = 8 * (11 * n + 5 * 64 * (n + 1) + 4 * 64 * n + 2 * 64)
+        charge = 8 * (11 * n + 4 * 64 * (n + 1) + 4 * 64 * n + 3 * 64)
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []

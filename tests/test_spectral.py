@@ -24,7 +24,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from spdcsim import biphoton, spectral
-from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError, evaluate_grid
+from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError
 from spdcsim.camera import camera_jpds
 from spdcsim.config import load_config
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, idler_wavelength
@@ -312,7 +312,7 @@ def test_single_slice_far_field_equals_squared_amplitude():
     jid = far_field_jid(problem, "x")
     q = problem.square_grid()
     pair = (problem.wl.signal_nm, problem.wl.idler_nm)
-    amp = oracle.toarray(evaluate_grid(q, q, problem, "x", pair))
+    amp = oracle.toarray(oracle.amplitude_band(q, q, problem, "x", pair))
     np.testing.assert_array_equal(oracle.dense(jid), amp * amp)
 
 
@@ -322,7 +322,7 @@ def test_spectral_sum_order_invariance():
     q = problem.square_grid()
     pieces = []
     for lam_s, lam_i, w in problem.slices:
-        amp = oracle.toarray(evaluate_grid(q, q, problem, "y", (lam_s, lam_i)))
+        amp = oracle.toarray(oracle.amplitude_band(q, q, problem, "y", (lam_s, lam_i)))
         pieces.append(w * amp * amp)
     reversed_sum = sum(pieces[::-1])
     np.testing.assert_allclose(oracle.dense(jid), reversed_sum, rtol=1e-12)
@@ -352,7 +352,7 @@ def per_slice_full_matrix_sums(problem, axis):
     q = problem.square_grid()
     far = np.zeros((q.size, q.size))
     for lam_s, lam_i, weight in problem.slices:
-        amp = oracle.toarray(evaluate_grid(q, q, problem, axis, (lam_s, lam_i)))
+        amp = oracle.toarray(oracle.amplitude_band(q, q, problem, axis, (lam_s, lam_i)))
         far += weight * (amp * amp)
     return far, oracle.mode_near_field(problem, axis)[1]
 
@@ -369,10 +369,12 @@ def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis, monkeypatch)
     far, near = per_slice_full_matrix_sums(problem, axis)
     widths = set()
 
+    evaluate = spectral.evaluate_grid
+
     def recording(*args):
-        band = evaluate_grid(*args)
-        widths.add(band.width)
-        return band
+        values = evaluate(*args)
+        widths.add(values.shape[1])
+        return values
 
     monkeypatch.setattr(spectral, "evaluate_grid", recording)
     assert np.array_equal(oracle.dense(far_field_jid(problem, axis)), far)
@@ -418,15 +420,15 @@ def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
     evaluated, its row offsets and 5 arrays of length N for the grid and
     momenta, two 64-row blocks of its 77 columns with their row offsets
     (2 x 64 x 78 floats), and one evaluation of a block over at most N
-    columns (64 x 78 + 4 x 64 x 77 + 2 x 64 + 4 x 1024): 0.34 MiB.  A
+    columns (4 x 64 x 77 + 3 x 64 + 4 x 1024): 0.31 MiB.  A
     budget one byte short stops it before any slice is evaluated; the
     charge runs it, one evaluation per slice and block of rows."""
     calls = []
     evaluate = spectral.evaluate_grid
     monkeypatch.setattr(spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a))
     n, width = 1024, 77
-    charge = 8 * (6 * n + 2 * 64 * (width + 1) + 64 * (width + 1) + 4 * 64 * width + 2 * 64 + 4 * n)
-    assert charge == 360448
+    charge = 8 * (6 * n + 2 * 64 * (width + 1) + 4 * 64 * width + 3 * 64 + 4 * n)
+    assert charge == 321024
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid streaming 1 far-field band "
                        r"needs ~1 MiB \(budget 0 MiB\)$"):
@@ -436,6 +438,27 @@ def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
     assert calls == []  # nothing is evaluated until the blocks are drawn
     assert oracle.stacked(jid).width == width
     assert len(calls) == 5 * n // 64
+
+
+def test_sellmeier_indices_are_evaluated_once_per_slice_and_pass(monkeypatch):
+    """Each slice's ``SliceArms`` holds its four wavenumbers.  The far field
+    and both camera JPDs build theirs with their streams, so drawing every
+    block evaluates no Sellmeier index, and the near field evaluates 4 per
+    slice.  The shipped non-degenerate config, y, N = 1024, 7 slices, with
+    D given so that the square grid evaluates none."""
+    cfg = load_config(CONFIGS / "nondegenerate_780.yaml")
+    problem = cfg.build()
+    problem = replace(problem, diff_halfwidth=problem.diff_grid()[-1])
+    calls = []
+    index = SellmeierSet.index_ordinary
+    monkeypatch.setattr(SellmeierSet, "index_ordinary",
+                        lambda self, lam: calls.append(lam) or index(self, lam))
+    pictures = (far_field_jid(problem, "y"), *camera_jpds(problem, "y", cfg.focal_length_m))
+    calls.clear()
+    drained(*pictures)
+    assert calls == []
+    near_field_jid(problem, "y")
+    assert len(calls) == 4 * len(problem.slices) == 28
 
 
 @pytest.mark.filterwarnings("ignore:square grid step")
@@ -573,7 +596,7 @@ def drained(*pictures):
 
 @pytest.mark.parametrize(
     "path, n",
-    [(path, n) for path in ("moment_sums", "evaluate_grid") for n in (512, 1024, 2048)]
+    [("moment_sums", n) for n in (512, 1024, 2048)]
     + [(path, n) for path in ("far_field_jid", "camera_jpds", "near_field_jid")
        for n in (64, 128, 256, 512, 1024, 2048, 4096)],
 )
@@ -581,14 +604,11 @@ def test_budget_charge_bounds_the_traced_peak(monkeypatch, path, n):
     """Each path's largest budget charge is at least the peak ``tracemalloc``
     traces in a warm call, its pictures' blocks drawn inside the trace,
     and at most 1.5 times it: the shipped non-degenerate config, y, 5
-    slices (1.008-1.35 times measured; at N = 64 the camera's charge, the
-    moment engine's, clears its peak by 0.4 KiB)."""
+    slices (1.011-1.442 times measured; at N = 64 the camera's charge, the
+    moment engine's, clears its peak by 0.5 KiB)."""
     problem = default_problem(grid_n=n, n_slices=5)
-    q = problem.square_grid()
-    lam_s, lam_i, _ = problem.slices[2]
     run = {
         "moment_sums": lambda: moment_sums(problem, "y"),
-        "evaluate_grid": lambda: evaluate_grid(q, q, problem, "y", (lam_s, lam_i)),
         "far_field_jid": lambda: drained(far_field_jid(problem, "y")),
         "camera_jpds": lambda: drained(*camera_jpds(problem, "y", 0.25)),
         "near_field_jid": lambda: drained(near_field_jid(problem, "y")),
@@ -693,11 +713,7 @@ def test_near_field_double_gaussian_closed_form(monkeypatch):
     d = problem.diff_grid()[-1]
     a_sum, b_diff = problem.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
     c = math.sqrt(6.0 * b_diff)
-    monkeypatch.setattr(
-        spectral, "_arm_arguments",
-        lambda q_s, q_i, axis, pair, crystal, wl: (
-            c * q_s, -c * q_i, np.full_like(q_s, c), np.full_like(q_i, -c)),
-    )
+    monkeypatch.setattr(spectral, "slice_arms", oracle.linear_arms(c))
     near = near_field_jid(problem, "x")
     intensity = oracle.dense(near)
     assert oracle.stacked(near).width < problem.grid_n // 10
@@ -748,11 +764,7 @@ def test_moment_engine_double_gaussian_oracle(monkeypatch):
     d = problem.diff_grid()[-1]
     a_sum, b_diff = problem.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
     c = math.sqrt(6.0 * b_diff)
-    monkeypatch.setattr(
-        spectral, "_arm_arguments",
-        lambda q_s, q_i, axis, pair, crystal, wl: (
-            c * q_s, -c * q_i, np.full_like(q_s, c), np.full_like(q_i, -c)),
-    )
+    monkeypatch.setattr(spectral, "slice_arms", oracle.linear_arms(c))
     near, far, report = certify_axis(problem, "x")
     assert far.width_inferred == pytest.approx(1 / (2 * math.sqrt(a_sum + b_diff)), rel=1e-9)
     assert near.width_inferred == pytest.approx(
