@@ -6,15 +6,17 @@ The pipeline, bottom to top:
 - :mod:`spdcsim.biphoton` — per-slice arm records of the phase mismatch,
   the phase-matching kernels and the pump envelope's band, and the block
   kernel that evaluates the two-photon amplitude on a picture's windows
-- :mod:`spdcsim.spectral` — filters, spectral sampling, the ``Problem``
-  every slice loop takes down to the amplitude (with its square momentum
-  grid), the moment engine that every printed statistic comes from, and
-  the far/near-field JIDs, which are pictures only
+- :mod:`spdcsim.spectral` — filters, spectral sampling, the moment engine
+  that every printed statistic comes from, and the far/near-field JIDs,
+  which are pictures only
 - :mod:`spdcsim.stats` — summaries of the engine's raw sums, conditional
   inference, EPR width products, ridge fits
 - :mod:`spdcsim.camera` — chromatic camera mapping and its compensation
 - :mod:`spdcsim.sweep` — parameter studies over bandwidth/length/waist
-- :mod:`spdcsim.config` / :mod:`spdcsim.cli` — YAML configs and the CLI
+- :mod:`spdcsim.config` / :mod:`spdcsim.cli` — YAML configs and the CLI;
+  the ``RunConfig`` is also the one record every slice loop takes down to
+  the amplitude, with the crystal, filter, spectral slices and momentum
+  grids it derives
 """
 
 from spdcsim.biphoton import EvanescentInputError, GridMemoryError
@@ -34,7 +36,6 @@ from spdcsim.dispersion import (
 from spdcsim.spectral import (
     FilterSpec,
     JointDistribution,
-    Problem,
     far_field_jid,
     near_field_jid,
     sample_spectrum,
@@ -69,7 +70,6 @@ __all__ = [
     # spectral
     "FilterSpec",
     "JointDistribution",
-    "Problem",
     "far_field_jid",
     "near_field_jid",
     "sample_spectrum",

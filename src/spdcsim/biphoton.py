@@ -22,7 +22,8 @@ slice wavelength, k0 at the nominal one, and dk_0 = k_p(theta_p) - k_s0
 - k_i0 the collinear mismatch of the cut (``CrystalSetup.collinear_mismatch``,
 exactly 0 at the phase-matching angle).  The bracketed terms are one
 share per arm.  Everything but the momenta is a constant of the spectral
-slice: ``slice_arms`` evaluates the four wavenumbers once and keeps them,
+slice: ``slice_arms`` evaluates the four wavenumbers once, from the run's
+``config.RunConfig`` (its crystal and nominal wavelengths), and keeps them,
 with L/2, the tilt and (L/2) dk_0, in a ``SliceArms`` record, which gives
 each arm's kernel argument on any momenta.  At the phase-matching cut the
 aligned point sits at exactly zero mismatch, and off-nominal spectral
@@ -49,7 +50,7 @@ import numpy as np
 from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, wavevector_magnitude
 
 if TYPE_CHECKING:
-    from spdcsim.spectral import Problem
+    from spdcsim.config import RunConfig
 
 __all__ = [
     "EvanescentInputError",
@@ -128,13 +129,13 @@ class SliceArms:
         return a + self.offset, b, da, db
 
 
-def slice_arms(problem: Problem, axis: str, pair: tuple[float, float]) -> SliceArms:
+def slice_arms(config: RunConfig, axis: str, pair: tuple[float, float]) -> SliceArms:
     """The ``SliceArms`` of the (signal, idler) wavelengths ``pair`` on
-    ``axis`` against ``problem``'s nominal pair: four Sellmeier
+    ``axis`` against ``config``'s nominal pair: four Sellmeier
     evaluations.  Raises ValueError unless ``axis`` is "x" or "y"."""
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    crystal, wl = problem.crystal, problem.wl
+    crystal, wl = config.crystal, config.wl
     half_length = crystal.length_m / 2.0
     return SliceArms(
         _ordinary_k(crystal, pair[0]), _ordinary_k(crystal, pair[1]),
@@ -265,7 +266,7 @@ def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, i
     return np.clip(first, 0, n - width), width
 
 
-def evaluate_grid(q_s: np.ndarray, q_i: np.ndarray, problem: Problem, arms: SliceArms,
+def evaluate_grid(q_s: np.ndarray, q_i: np.ndarray, config: RunConfig, arms: SliceArms,
                   windows: tuple[np.ndarray, int]) -> np.ndarray:
     """One row block of a slice's amplitude on its windows: entry (k, l) is
     exp(-w0^2 (q_s[k] + q_i[c])^2 / 4) * kernel(a(q_s[k]) + b(q_i[c])) at
@@ -282,7 +283,7 @@ def evaluate_grid(q_s: np.ndarray, q_i: np.ndarray, problem: Problem, arms: Slic
     a, b = arms(q_s, q_i)[:2]
     start, width = windows
     idler = np.stack((q_i, b)).take(start[:, None] + np.arange(width), axis=1)
-    return _envelope_times_kernel(a[:, None], q_s[:, None], idler, problem.waist_m, problem.kernel)
+    return _envelope_times_kernel(a[:, None], q_s[:, None], idler, config.waist_m, config.kernel)
 
 
 def envelope_columns(

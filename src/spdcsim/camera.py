@@ -3,7 +3,9 @@
 A lens at focal distance maps transverse momentum to camera position,
 Y = (f/k) q, with k = 2 pi / lambda the *vacuum* wavenumber of each
 arm (the photons travel in free space between crystal and lens; this
-also makes Y = f lambda q / (2 pi) — the two common forms coincide).
+also makes Y = f lambda q / (2 pi) — the two common forms coincide),
+times the magnification M; f and M are the run config's
+``focal_length_m`` and ``magnification``.
 Non-degenerate pairs therefore land on different scales per arm: summing
 spectral slices without compensation shears the ridge away from the
 ideal -1 (to about -lambda_s/lambda_i when the signal coordinate is
@@ -27,7 +29,7 @@ slice's ``SliceArms``, built once for both JPDs, and the block is
 squared in place and added with the slice's quadrature weight.
 
 Both steps are per-slice affine maps, held as arrays over
-``Problem.slices``: the wavelengths, the scales s and the intercepts b.
+``RunConfig.slices``: the wavelengths, the scales s and the intercepts b.
 One moment-engine pass (``spectral.moment_sums``) gives the slices'
 far-field raw sums, k rows of six: on y each slice's b is fitted from
 its row, and ``_mapped`` takes the rows onto the camera, then the
@@ -60,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdcsim.spectral import JointDistribution, Problem, _slice_total, _squared_blocks, moment_sums
+from spdcsim.config import RunConfig
+from spdcsim.spectral import JointDistribution, _slice_total, _squared_blocks, moment_sums
 from spdcsim.stats import StatsSummary, ridge_fit
 
 __all__ = ["CameraJPD", "camera_jpds", "slope_report"]
@@ -72,7 +75,7 @@ class CameraJPD(JointDistribution):
     ``JointDistribution`` of plane 'camera' whose axes are the pixel
     centres' camera coordinates (meters) and whose ``intensity`` row
     blocks cover every slice's windows.  ``slices`` are the run's
-    ``Problem.slices``; ``sums`` are the slices' camera-plane raw sums
+    ``RunConfig.slices``; ``sums`` are the slices' camera-plane raw sums
     (the engine's far-field sums through ``_mapped``) added with their
     weights in that order, the moments ``slope_report`` fits.
     """
@@ -97,9 +100,7 @@ def _mapped(sums: np.ndarray, a_s, a_i, b_i=0.0) -> np.ndarray:
                             a_s * (a_i * si + b_i * s)))
 
 
-def camera_jpds(
-    problem: Problem, axis: str, focal_length_m: float, *, magnification: float = 1.0
-) -> tuple[CameraJPD, CameraJPD]:
+def camera_jpds(config: RunConfig, axis: str) -> tuple[CameraJPD, CameraJPD]:
     """The uncorrected and the corrected camera JPD of ``axis``, each a
     stream of row blocks over the spectral slices; neither is held.
 
@@ -113,15 +114,12 @@ def camera_jpds(
     slice, in sampling order, is evaluated at the momenta that land on
     the pixel centres, on that JPD's windows, and added with its weight
     (``spectral._squared_blocks``, which charges the budget and checks
-    the propagation cone first).  The focal length and the magnification
-    must be finite and positive (``ValueError``).
+    the propagation cone first).  The focal length f and the
+    magnification M are the config's.
     """
-    for name, value in (("focal length", focal_length_m), ("magnification", magnification)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    far = moment_sums(problem, axis)[:, :6]
-    lam_s, lam_i, _ = np.array(problem.slices).T
-    s_s, s_i = (_scale(focal_length_m, lam, magnification) for lam in (lam_s, lam_i))
+    far = moment_sums(config, axis)[:, :6]
+    lam_s, lam_i, _ = np.array(config.slices).T
+    s_s, s_i = (_scale(config.focal_length_m, lam, config.magnification) for lam in (lam_s, lam_i))
     b = np.zeros(len(far))  # each slice's ridge intercept (rad/m), which the correction removes
     if axis == "y":
         b = np.array([ridge_fit(StatsSummary.from_sums("far", axis, *row)).intercept
@@ -129,22 +127,22 @@ def camera_jpds(
     raw_rows = _mapped(far, s_s, s_i)
     # the corrected idler, Y_i = (M f / k_s)(q_i - b)
     fixed_rows = _mapped(raw_rows, 1.0, lam_s / lam_i, -(s_s * b))
-    raw_sums = tuple(_slice_total(problem, raw_rows).tolist())
-    fixed_sums = tuple(_slice_total(problem, fixed_rows).tolist())
+    raw_sums = tuple(_slice_total(config, raw_rows).tolist())
+    fixed_sums = tuple(_slice_total(config, fixed_rows).tolist())
     StatsSummary.from_sums("camera", axis, *raw_sums)  # a collapsed distribution stops here
 
-    q, mid = problem.square_grid(), problem.n_slices // 2
+    q, mid = config.square_grid(), config.n_slices // 2
 
     def momenta(k):  # the momenta of slice k that land on the pixel centres, per JPD
         to_signal = s_s[mid] / s_s[k]
         return q * to_signal, q * (s_i[mid] / s_i[k]), (q - b[mid]) * to_signal + b[k]
 
-    raw, fixed = _squared_blocks(problem, axis, momenta, "2 camera JPDs")
+    raw, fixed = _squared_blocks(config, axis, momenta, "2 camera JPDs")
     y_signal, y_idler = s_s[mid] * q, s_i[mid] * q
     fixed_idler = y_idler * (lam_s[mid] / lam_i[mid]) - s_s[mid] * b[mid]
     return (
-        CameraJPD("camera", axis, y_signal, y_idler, raw, False, problem.slices, raw_sums),
-        CameraJPD("camera", axis, y_signal, fixed_idler, fixed, True, problem.slices, fixed_sums),
+        CameraJPD("camera", axis, y_signal, y_idler, raw, False, config.slices, raw_sums),
+        CameraJPD("camera", axis, y_signal, fixed_idler, fixed, True, config.slices, fixed_sums),
     )
 
 

@@ -38,7 +38,7 @@ from spdcsim.dispersion import (
     effective_index,
 )
 from spdcsim.io import write_matrix_binary, write_matrix_csv, write_matrix_json
-from spdcsim.spectral import JointDistribution, Problem, certify_axis, far_field_jid, near_field_jid
+from spdcsim.spectral import JointDistribution, certify_axis, far_field_jid, near_field_jid
 from spdcsim.stats import DegenerateDistributionError, ridge_fit
 from spdcsim.sweep import SweepError, rows_to_csv, run_sweep
 
@@ -65,10 +65,10 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _stats_payload(problem: Problem, plane: str, axis: str) -> dict:
+def _stats_payload(cfg: RunConfig, plane: str, axis: str) -> dict:
     """The moment engine's summary of one plane and axis, with inference
     fields, and the ridge fitted to its moments."""
-    near, far, _ = certify_axis(problem, axis)
+    near, far, _ = certify_axis(cfg, axis)
     summary = near if plane == "near" else far
     fit = ridge_fit(summary)
     payload = summary.to_json_dict()
@@ -104,8 +104,8 @@ def _write_matrix(directory: Path, stem: str, formats, picture: JointDistributio
 
 
 def cmd_pm_angle(args: argparse.Namespace) -> int:
-    problem = _config(args).build()
-    crystal, wl, sell = problem.crystal, problem.wl, problem.crystal.sellmeier
+    cfg = _config(args).build()
+    crystal, wl, sell = cfg.crystal, cfg.wl, cfg.crystal.sellmeier
     _emit(
         {
             "pump_nm": wl.pump_nm,
@@ -125,10 +125,9 @@ def cmd_pm_angle(args: argparse.Namespace) -> int:
 
 
 def cmd_jid(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    problem = cfg.build()
-    payload = _stats_payload(problem, args.plane, args.axis)
-    jid = (far_field_jid if args.plane == "far" else near_field_jid)(problem, args.axis)
+    cfg = _config(args).build()
+    payload = _stats_payload(cfg, args.plane, args.axis)
+    jid = (far_field_jid if args.plane == "far" else near_field_jid)(cfg, args.axis)
     files = _write_matrix(Path(cfg.out_dir), f"jid_{args.plane}_{args.axis}", cfg.out_formats, jid)
     stats_path = Path(cfg.out_dir) / f"jid_{args.plane}_{args.axis}_stats.json"
     stats_path.write_text(
@@ -145,12 +144,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    problem = cfg.build()
+    cfg = _config(args).build()
     axes = (args.axis,) if args.axis else cfg.axes
     per_axis = {}
     for axis in axes:
-        near, far, report = certify_axis(problem, axis)
+        near, far, report = certify_axis(cfg, axis)
         per_axis[axis] = {
             **report.to_json_dict(),
             "near": near.to_json_dict(),
@@ -166,8 +164,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cfg.build()  # surface config/physics errors before the long run
+    cfg = _config(args).build()  # surface config/physics errors before the long run
     if "bin" in cfg.out_formats:
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
     rows = run_sweep(cfg, convergence_check=args.check_convergence)
@@ -186,10 +183,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_camera(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    problem = cfg.build()
+    cfg = _config(args).build()
     axis = args.axis or "y"
-    raw, fixed = camera_jpds(problem, axis, cfg.focal_length_m, magnification=cfg.magnification)
+    raw, fixed = camera_jpds(cfg, axis)
     # before any file is written: a collapsed distribution exits 4 and writes none
     reports = {"uncorrected": slope_report(raw), "corrected": slope_report(fixed)}
     files = []

@@ -6,25 +6,27 @@ and takes its ``RunConfig`` field's default (the canonical 405 nm ->
 780/842.4 nm configuration), but unknown keys anywhere are rejected with
 a dotted-path error so typos cannot silently fall back to defaults.
 
-``RunConfig.build()`` assembles the one ``spectral.Problem`` every
-slice loop takes, and enforces the physical invariants the schema
-cannot see (positive lengths, valid wavelength ranges, phase matching,
+The ``RunConfig`` is also the one record every slice loop takes.
+``RunConfig.build()`` derives its physics objects and enforces the
+invariants the schema cannot see (valid wavelength ranges, phase matching,
 a filter support above the pump wavelength); the command layer runs it
-immediately after parsing.
+immediately after parsing.  The budget is read in MiB and held in bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from spdcsim.biphoton import DEFAULT_MEMORY_BUDGET_BYTES
+from spdcsim.biphoton import DEFAULT_MEMORY_BUDGET_BYTES, default_diff_halfwidth
 from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, WavelengthRangeError
 from spdcsim.spectral import (
-    DEFAULT_GRID_N, DEFAULT_SPECTRAL_SLICES, MAX_SPECTRAL_SLICES, FilterSpec, Problem,
+    DEFAULT_GRID_N, DEFAULT_SPECTRAL_SLICES, MAX_SPECTRAL_SLICES, FilterSpec, sample_spectrum,
 )
 
 __all__ = [
@@ -118,6 +120,13 @@ _SWEEP_ALIASES = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's parameters (the fields, one per key of ``_KEYS``) and the
+    record every slice loop takes.  ``wl``, ``crystal``, ``filt`` and
+    ``slices`` are derived on first use and kept, once per config; a
+    ``replace()``d config derives its own.  ``sum_halfwidth`` S and
+    ``diff_halfwidth`` D bound the momentum grids (``None``: the defaults).
+    """
+
     crystal_material: str = "bbo"
     sellmeier_file: str | None = None
     length_mm: float = 1.0
@@ -133,7 +142,7 @@ class RunConfig:
     grid_n: int = DEFAULT_GRID_N
     sum_halfwidth: float | None = None
     diff_halfwidth: float | None = None
-    memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_BYTES // 2**20
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
     n_slices: int = DEFAULT_SPECTRAL_SLICES
     kernel: str = "sinc"
     focal_length_m: float = 0.25
@@ -147,7 +156,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for path, value, minimum, maximum in (
             ("grid.n", self.grid_n, 16, math.inf),
-            ("grid.memory_budget_mb", self.memory_budget_mb, 1, math.inf),
+            # the budget in its key's whole MiB, rounded up: any positive budget passes
+            ("grid.memory_budget_mb", -(-self.memory_budget_bytes // 2**20), 1, math.inf),
             ("spectral.slices", self.n_slices, 1, MAX_SPECTRAL_SLICES),
         ):
             if value < minimum:
@@ -170,6 +180,10 @@ class RunConfig:
             _fail("axes", f"must be a non-empty list of 'x'/'y', got {list(self.axes)!r}")
         if len(set(self.axes)) != len(self.axes):
             _fail("axes", f"duplicate axis in {list(self.axes)}")
+        for name, value in (("pump waist", self.waist_um), ("focal length", self.focal_length_m),
+                            ("magnification", self.magnification)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def effective_signal_nm(self) -> float:
@@ -183,8 +197,85 @@ class RunConfig:
             return self.sweep_values
         return SWEEP_DEFAULT_VALUES[self.sweep_parameter]
 
-    def build(self) -> Problem:
-        """Assemble and validate the slice-loop inputs this config describes.
+    @property
+    def waist_m(self) -> float:
+        return self.waist_um * 1e-6
+
+    @cached_property
+    def wl(self) -> SpdcWavelengths:
+        """The nominal (pump, signal, idler) wavelengths."""
+        try:
+            return SpdcWavelengths.from_pump_signal(self.pump_nm, self.effective_signal_nm)
+        except ValueError as exc:
+            key = "pump.wavelength_nm" if self.signal_nm is None else "wavelengths.signal_nm"
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    @cached_property
+    def crystal(self) -> CrystalSetup:
+        """The crystal, cut at ``theta_deg`` or else phase-matched for ``wl``."""
+        if self.sellmeier_file is not None:
+            try:
+                sell = SellmeierSet.from_file(self.sellmeier_file)
+            except ValueError as exc:
+                raise ConfigError(f"crystal.sellmeier_file: {exc}") from exc
+        else:
+            sell = SellmeierSet.bbo()
+        wl, length_m = self.wl, self.length_mm * 1e-3
+        if self.theta_deg is None:
+            return CrystalSetup.collinear(wl, sell, length_m)
+        try:
+            return CrystalSetup.at_angle(wl, sell, length_m, math.radians(self.theta_deg))
+        except WavelengthRangeError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"crystal.theta_deg: {exc}") from exc
+
+    @cached_property
+    def filt(self) -> FilterSpec:
+        """The filter, on its arm's nominal wavelength unless centred elsewhere."""
+        center = self.filter_center_nm
+        if center is None:
+            center = self.wl.signal_nm if self.filter_arm == "signal" else self.wl.idler_nm
+        return FilterSpec(self.filter_shape, center, self.filter_fwhm_nm, arm=self.filter_arm)
+
+    @cached_property
+    def slices(self) -> tuple[tuple[float, float, float], ...]:
+        """``sample_spectrum``'s (lambda_s, lambda_i, weight) triples, in sampling order."""
+        filt, pump_nm = self.filt, self.wl.pump_nm
+        try:
+            return sample_spectrum(filt, pump_nm, self.n_slices)
+        except ValueError as exc:
+            key = "filter.fwhm_nm" if filt.center_nm > pump_nm else "filter.center_nm"
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    def _diff_extent(self) -> float:
+        """D: ``diff_halfwidth``, or 5 phase-matching main-lobe widths."""
+        if self.diff_halfwidth is not None:
+            return self.diff_halfwidth
+        return default_diff_halfwidth(self.wl, self.crystal)
+
+    def square_grid(self) -> np.ndarray:
+        """The one momentum grid both arms share on either axis: ``grid_n``
+        uniform points over [-(S + D)/2, (S + D)/2], sized from the pump's
+        sum width ~2/w0 and the kernel's two orders of magnitude wider
+        difference width ~sqrt(4 pi k / L).  Default half-extents are 5x
+        each scale (truncated mass < 1e-5): S = 10 / w0 and D from
+        ``default_diff_halfwidth``.
+        """
+        s = self.sum_halfwidth
+        if s is None:
+            s = 5.0 * (2.0 / self.waist_m)
+        half = 0.5 * (s + self._diff_extent())
+        return np.linspace(-half, half, self.grid_n)
+
+    def diff_grid(self) -> np.ndarray:
+        """The moment engine's q_s - q_i grid: ``grid_n`` uniform points
+        over [-D, D]."""
+        d = self._diff_extent()
+        return np.linspace(-d, d, self.grid_n)
+
+    def build(self) -> RunConfig:
+        """Derive what this config implies, check it, and return the config.
 
         Raises ConfigError, naming the key, for contradictions the schema
         cannot see (e.g. a degenerate flag fighting an explicit signal
@@ -200,44 +291,9 @@ class RunConfig:
                     f"degenerate run requires signal = 2 x pump = "
                     f"{2.0 * self.pump_nm} nm, got {self.signal_nm}",
                 )
-        if self.sellmeier_file is not None:
-            try:
-                sell = SellmeierSet.from_file(self.sellmeier_file)
-            except ValueError as exc:
-                raise ConfigError(f"crystal.sellmeier_file: {exc}") from exc
-        else:
-            sell = SellmeierSet.bbo()
-        try:
-            wl = SpdcWavelengths.from_pump_signal(self.pump_nm, self.effective_signal_nm)
-        except ValueError as exc:
-            key = "pump.wavelength_nm" if self.signal_nm is None else "wavelengths.signal_nm"
-            raise ConfigError(f"{key}: {exc}") from exc
-        length_m = self.length_mm * 1e-3
-        if self.theta_deg is None:
-            crystal = CrystalSetup.collinear(wl, sell, length_m)
-        else:
-            try:
-                crystal = CrystalSetup.at_angle(wl, sell, length_m, math.radians(self.theta_deg))
-            except WavelengthRangeError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"crystal.theta_deg: {exc}") from exc
-        center = self.filter_center_nm
-        if center is None:
-            center = wl.signal_nm if self.filter_arm == "signal" else wl.idler_nm
-        filt = FilterSpec(self.filter_shape, center, self.filter_fwhm_nm, arm=self.filter_arm)
-        problem = Problem(
-            wl, crystal, self.waist_um * 1e-6, filt,
-            n_slices=self.n_slices, grid_n=self.grid_n,
-            sum_halfwidth=self.sum_halfwidth, diff_halfwidth=self.diff_halfwidth,
-            kernel=self.kernel, memory_budget_bytes=self.memory_budget_mb * 1024**2,
-        )
-        try:
-            problem.slices  # derives the filter's rule, once per run
-        except ValueError as exc:
-            key = "filter.fwhm_nm" if center > wl.pump_nm else "filter.center_nm"
-            raise ConfigError(f"{key}: {exc}") from exc
-        return problem
+        self.crystal  # the Sellmeier set, the wavelengths and the cut
+        self.slices  # the filter and its rule, once per config
+        return self
 
 
 def _axes(value, path):
@@ -256,6 +312,10 @@ def _formats(value, path):
 
 def _sweep_parameter(value, path):
     return _SWEEP_ALIASES[_choice(*_SWEEP_ALIASES)(value, path)]
+
+
+def _mebibytes(value, path):
+    return _integer(value, path) * 2**20
 
 
 def _sweep_values(value, path):
@@ -287,7 +347,7 @@ _KEYS = {
     "grid.n": ("grid_n", _integer),
     "grid.sum_halfwidth": ("sum_halfwidth", _optional(_positive)),
     "grid.diff_halfwidth": ("diff_halfwidth", _optional(_positive)),
-    "grid.memory_budget_mb": ("memory_budget_mb", _integer),
+    "grid.memory_budget_mb": ("memory_budget_bytes", _mebibytes),
     "spectral.slices": ("n_slices", _integer),
     "model.kernel": ("kernel", _choice("sinc", "gauss")),
     "camera.focal_length_m": ("focal_length_m", _positive),

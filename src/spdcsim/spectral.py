@@ -6,14 +6,14 @@ monochromatic slice and **incoherently across** slices: every sampled
 wavelength pair contributes its own amplitude, squared on its own, then
 added with its weight in the filter's Gauss rule, in sampling order.
 
-Every slice loop takes one ``Problem`` -- the crystal, the nominal
-wavelengths, the pump waist, the filter, the slice count, the grid
-settings, the kernel and the memory budget -- and the transverse axis,
-and passes it on down to the amplitude kernel; ``RunConfig.build()``
-assembles it, so each knob reaches the amplitude the same way in every
-command.  A spectral slice is its (lambda_s, lambda_i) pair, and every
-loop -- here and in ``camera`` -- runs over ``Problem.slices``, the
-filter's Gauss rule ``sample_spectrum`` derives once per run.
+Every slice loop takes the run's ``config.RunConfig`` -- whose crystal,
+nominal wavelengths, pump waist, filter, slice count, grid settings,
+kernel and memory budget it reads -- and the transverse axis, and passes
+it on down to the amplitude kernel, so each knob reaches the amplitude
+the same way in every command.  A spectral slice is its (lambda_s,
+lambda_i) pair, and every loop -- here and in ``camera`` -- runs over
+``RunConfig.slices``, the filter's Gauss rule ``sample_spectrum``
+derives once per config.
 
 Moment engine (``moment_sums``, weighted by ``certify_axis``; every
 printed statistic: ``certify``, ``sweep``, ``stats``, ``jid`` and the
@@ -52,8 +52,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermvander
@@ -61,7 +61,6 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 from spdcsim.biphoton import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
     RowBand,
     _ROW_BLOCK,
     _evaluation_bytes,
@@ -70,18 +69,19 @@ from spdcsim.biphoton import (
     _row_blocks,
     _windows,
     check_memory_budget,
-    default_diff_halfwidth,
     envelope_columns,
     evaluate_grid,
     slice_arms,
 )
-from spdcsim.dispersion import CrystalSetup, SpdcWavelengths, idler_wavelength
+from spdcsim.dispersion import idler_wavelength
 from spdcsim.stats import ReidReport, StatsSummary, reid_product
+
+if TYPE_CHECKING:
+    from spdcsim.config import RunConfig
 
 __all__ = [
     "FilterSpec",
     "JointDistribution",
-    "Problem",
     "transmission",
     "sample_spectrum",
     "moment_sums",
@@ -237,67 +237,6 @@ class JointDistribution:
         return float(self.axis_idler[1] - self.axis_idler[0])
 
 
-@dataclass(frozen=True)
-class Problem:
-    """One run's slice-loop inputs: the nominal wavelengths, the crystal,
-    the pump waist (m), the filter, the slice count, the grid settings,
-    the kernel and the memory budget.
-
-    ``RunConfig.build()`` assembles it; ``moment_sums``, the JID
-    builders here and ``camera``'s slice builder take it with the
-    transverse axis, and build each slice's ``biphoton.SliceArms`` from it.
-    ``sum_halfwidth`` S and ``diff_halfwidth`` D bound the sum and
-    difference coordinates; ``None`` selects their defaults.  The moment
-    engine samples D only; the square grids cover both.
-    """
-
-    wl: SpdcWavelengths
-    crystal: CrystalSetup
-    waist_m: float
-    filt: FilterSpec
-    n_slices: int = DEFAULT_SPECTRAL_SLICES
-    grid_n: int = DEFAULT_GRID_N
-    sum_halfwidth: float | None = None
-    diff_halfwidth: float | None = None
-    kernel: str = "sinc"
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
-
-    def __post_init__(self) -> None:
-        if not self.waist_m > 0:  # NaN too
-            raise ValueError(f"pump waist must be positive, got {self.waist_m}")
-
-    @cached_property
-    def slices(self) -> tuple[tuple[float, float, float], ...]:
-        """``sample_spectrum``'s (lambda_s, lambda_i, weight) triples, in sampling order."""
-        return sample_spectrum(self.filt, self.wl.pump_nm, self.n_slices)
-
-    def _diff_extent(self) -> float:
-        """D: ``diff_halfwidth``, or 5 phase-matching main-lobe widths."""
-        if self.diff_halfwidth is not None:
-            return self.diff_halfwidth
-        return default_diff_halfwidth(self.wl, self.crystal)
-
-    def square_grid(self) -> np.ndarray:
-        """The one momentum grid both arms share on either axis: ``grid_n``
-        uniform points over [-(S + D)/2, (S + D)/2], sized from the pump's
-        sum width ~2/w0 and the kernel's two orders of magnitude wider
-        difference width ~sqrt(4 pi k / L).  Default half-extents are 5x
-        each scale (truncated mass < 1e-5): S = 10 / w0 and D from
-        ``default_diff_halfwidth``.
-        """
-        s = self.sum_halfwidth
-        if s is None:
-            s = 5.0 * (2.0 / self.waist_m)
-        half = 0.5 * (s + self._diff_extent())
-        return np.linspace(-half, half, self.grid_n)
-
-    def diff_grid(self) -> np.ndarray:
-        """The moment engine's q_s - q_i grid: ``grid_n`` uniform points
-        over [-D, D]."""
-        d = self._diff_extent()
-        return np.linspace(-d, d, self.grid_n)
-
-
 #: Gauss-Hermite nodes in q_+ per slice.  Every factor of the moment
 #: integrands but the Hermite weight is smooth in q_+, so 8 suffice: 16
 #: move U by about 2e-12 at the defaults.
@@ -310,12 +249,12 @@ def _node_grid(q_plus: np.ndarray, q_minus: np.ndarray) -> tuple[np.ndarray, np.
     return 0.5 * (q_plus[:, None] + q_minus), 0.5 * (q_plus[:, None] - q_minus)
 
 
-def moment_sums(problem: Problem, axis: str) -> np.ndarray:
+def moment_sums(config: RunConfig, axis: str) -> np.ndarray:
     """Far- and near-field raw moment sums of ``axis`` per spectral slice,
     from one pass over the slices on the (q_+, q_-) node grid (module
     docstring).
 
-    Row k holds slice k of ``problem.slices``, unweighted: the sum of
+    Row k holds slice k of ``config.slices``, unweighted: the sum of
     Psi^2; the sums of {q_s, q_i, q_s^2, q_i^2, q_s q_i} Psi^2 (far
     field); and the sums of (d_s Psi)^2, (d_i Psi)^2 and d_s Psi d_i Psi
     (near field).  Quadrature factors shared by every term are left out,
@@ -328,11 +267,11 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
     grid is built, and EvanescentInputError if any node momentum reaches
     the propagation cone.
     """
-    check_memory_budget(8 * ((10 * _SUM_NODES + 1) * problem.grid_n + 9 * len(problem.slices)),
-                        problem.memory_budget_bytes, f"{_SUM_NODES} x {problem.grid_n} grid")
-    q_d = problem.diff_grid()
+    check_memory_budget(8 * ((10 * _SUM_NODES + 1) * config.grid_n + 9 * len(config.slices)),
+                        config.memory_budget_bytes, f"{_SUM_NODES} x {config.grid_n} grid")
+    q_d = config.diff_grid()
     t, h = hermgauss(_SUM_NODES)
-    w0 = problem.waist_m
+    w0 = config.waist_m
     q_plus = math.sqrt(2.0) / w0 * t
     q_s, q_i = _node_grid(q_plus, q_d)
     envelope_slope = -0.5 * w0 * w0 * q_plus[:, None]  # E'(q_+) / E(q_+)
@@ -340,10 +279,10 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
 
     def slice_sums(pair: tuple[float, float]) -> list[float]:
         # node-grid arrays are dropped once used; all of them go on return
-        u, b, da, db = slice_arms(problem, axis, pair)(q_s, q_i)
+        u, b, da, db = slice_arms(config, axis, pair)(q_s, q_i)
         u += b  # a + b
         del b
-        k, dk = _kernel_with_slope(u, problem.kernel)
+        k, dk = _kernel_with_slope(u, config.kernel)
         del u
         slope_k = envelope_slope * k
         g_s = np.multiply(dk, da, out=da)
@@ -366,21 +305,21 @@ def moment_sums(problem: Problem, axis: str) -> np.ndarray:
             sums.append(scratch.sum())
         return sums
 
-    rows = np.empty((len(problem.slices), 9))  # 72 bytes a slice, where 9 NumPy scalars hold 352
-    for row, (lam_s, lam_i, _) in zip(rows, problem.slices):
+    rows = np.empty((len(config.slices), 9))  # 72 bytes a slice, where 9 NumPy scalars hold 352
+    for row, (lam_s, lam_i, _) in zip(rows, config.slices):
         row[:] = slice_sums((lam_s, lam_i))
     return rows
 
 
-def _slice_total(problem: Problem, rows) -> np.ndarray:
-    """sum_k w_k rows[k] over ``problem.slices``, added in sampling order."""
+def _slice_total(config: RunConfig, rows) -> np.ndarray:
+    """sum_k w_k rows[k] over ``config.slices``, added in sampling order."""
     total = np.zeros(len(rows[0]))
-    for (_, _, weight), row in zip(problem.slices, rows):
+    for (_, _, weight), row in zip(config.slices, rows):
         total += weight * np.asarray(row)
     return total
 
 
-def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
+def certify_axis(config: RunConfig, axis: str) -> tuple[StatsSummary, StatsSummary, ReidReport]:
     """Near- and far-field summaries of one axis, whose properties give
     their inference, and their Reid report.
 
@@ -389,7 +328,7 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
     momentum moments of Psi^2, the near field from the gradient moments,
     whose means are exactly 0.
     """
-    total = _slice_total(problem, moment_sums(problem, axis))
+    total = _slice_total(config, moment_sums(config, axis))
     norm, q_s, q_i, q_ss, q_ii, q_si, g_ss, g_ii, g_si = total.tolist()
     near = StatsSummary.from_sums("near", axis, norm, 0.0, 0.0, g_ss, g_ii, g_si)
     far = StatsSummary.from_sums("far", axis, norm, q_s, q_i, q_ss, q_ii, q_si)
@@ -397,7 +336,7 @@ def certify_axis(problem: Problem, axis: str) -> tuple[StatsSummary, StatsSummar
 
 
 def _squared_blocks(
-    problem: Problem, axis: str, momenta: Callable[[int], tuple[np.ndarray, ...]], pictures: str,
+    config: RunConfig, axis: str, momenta: Callable[[int], tuple[np.ndarray, ...]], pictures: str,
 ) -> list[Callable[[], Iterator[RowBand]]]:
     """sum_slices w |Psi|^2 on each of one or more N x N pictures, each a
     stream of ``RowBand`` row blocks; no picture is held.
@@ -414,16 +353,16 @@ def _squared_blocks(
     on the block's windows (``evaluate_grid``), squared, weighted and
     added, as in the whole-picture sum.
     """
-    q, pump_width = problem.square_grid(), 2.0 / problem.waist_m
+    q, pump_width = config.square_grid(), 2.0 / config.waist_m
     if q[1] - q[0] > pump_width:
         warnings.warn(f"square grid step {q[1] - q[0]:.3g} rad/m is wider than the pump width "
                       f"2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the far-field "
                       f"and camera ridges", stacklevel=2)
-    n = problem.grid_n
+    n = config.grid_n
     bounds = None  # per picture: the union's first and stop column of each row
-    for k in range(len(problem.slices)):
+    for k in range(len(config.slices)):
         q_s, *idlers = momenta(k)
-        columns = np.array([envelope_columns(q_s, q_i, problem.waist_m, power=2) for q_i in idlers])
+        columns = np.array([envelope_columns(q_s, q_i, config.waist_m, power=2) for q_i in idlers])
         if bounds is None:
             bounds = columns
         np.minimum(bounds[:, 0], columns[:, 0], out=bounds[:, 0])
@@ -434,8 +373,8 @@ def _squared_blocks(
     # length n), two blocks of each (one added to, one handed out), one block's evaluation
     held = (8 * n * (len(widths) + 5) + 16 * block * sum(w + 1 for w in widths)
             + _evaluation_bytes(block, n, max(widths)))
-    check_memory_budget(held, problem.memory_budget_bytes, f"{n} x {n} grid streaming {pictures}")
-    arms = [slice_arms(problem, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in problem.slices]
+    check_memory_budget(held, config.memory_budget_bytes, f"{n} x {n} grid streaming {pictures}")
+    arms = [slice_arms(config, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in config.slices]
     for k, slice_arm in enumerate(arms):
         q_s, *idlers = momenta(k)
         for q_i in idlers:
@@ -446,9 +385,9 @@ def _squared_blocks(
             starts = start[rows]
             first, stop = starts.min(), starts.max() + width  # the block's column span
             total = np.zeros((starts.size, width))
-            for k, ((_, _, weight), slice_arm) in enumerate(zip(problem.slices, arms)):
+            for k, ((_, _, weight), slice_arm) in enumerate(zip(config.slices, arms)):
                 q_s, *idlers = momenta(k)
-                term = evaluate_grid(q_s[rows], idlers[picture][first:stop], problem, slice_arm,
+                term = evaluate_grid(q_s[rows], idlers[picture][first:stop], config, slice_arm,
                                      (starts - first, width))
                 np.multiply(term, term, out=term)  # the slice intensity on the block's windows
                 term *= weight
@@ -459,11 +398,11 @@ def _squared_blocks(
     return [partial(blocks, p, start, width) for p, (start, width) in enumerate(windows)]
 
 
-def far_field_jid(problem: Problem, axis: str) -> JointDistribution:
+def far_field_jid(config: RunConfig, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2 on
     the square grid, streamed in row blocks (``_squared_blocks``)."""
-    q = problem.square_grid()
-    (picture,) = _squared_blocks(problem, axis, lambda k: (q, q), "1 far-field band")
+    q = config.square_grid()
+    (picture,) = _squared_blocks(config, axis, lambda k: (q, q), "1 far-field band")
     return JointDistribution(plane="far", axis=axis, axis_signal=q, axis_idler=q, intensity=picture)
 
 
@@ -480,7 +419,7 @@ def position_grid(q_grid: np.ndarray) -> np.ndarray:
 _NEAR_NODES, _NEAR_MODES, _NEAR_BAND_LOSS = 16, 8, 1e-6
 
 
-def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
+def near_field_jid(config: RunConfig, axis: str) -> JointDistribution:
     """Position-plane JID: sum_slices w |psi|^2, psi the centered unitary
     transform of the slice's amplitude, on ``position_grid`` of the square
     grid, held as one band about x_s = x_i and yielded in row blocks.
@@ -498,8 +437,8 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     1 - ``_NEAR_BAND_LOSS`` of that sum: its position window 2 pi / dq is
     too few pump waists wide, or the band is capped at (N - 1)//2 lags.
     """
-    q = problem.square_grid()
-    n, dq, w0 = q.size, float(q[1] - q[0]), problem.waist_m
+    q = config.square_grid()
+    n, dq, w0 = q.size, float(q[1] - q[0]), config.waist_m
     node = 8 * _NEAR_NODES * n
 
     def charge(width):  # bytes at the peak with a band ``width`` lags wide: the band and 7
@@ -508,7 +447,7 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
         block = 8 * min(_ROW_BLOCK, n) * width
         return 8 * n * (width + 8) + 2 * node + max(7 * node, node + 26 * block)
 
-    check_memory_budget(charge(0), problem.memory_budget_bytes, f"{_NEAR_NODES} x {n} grid")
+    check_memory_budget(charge(0), config.memory_budget_bytes, f"{_NEAR_NODES} x {n} grid")
     t, h = hermgauss(_NEAR_NODES)
     q_s, q_i = _node_grid(2.0 / w0 * t, (np.arange(n) - n / 2) * (2.0 * dq))
     k = np.arange(_NEAR_MODES)
@@ -516,11 +455,11 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     scale = [dq * n * 1j**j / (math.pi * w0 * 2.0**j * math.factorial(j)) for j in k]
     projection = (h[:, None] * hermvander(t, _NEAR_MODES - 1) * scale).T
 
-    arms = [slice_arms(problem, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in problem.slices]
+    arms = [slice_arms(config, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in config.slices]
 
     def modes(slice_arm):  # i^k G_k per lag in FFT order, less the (-1)^l all modes share
         a, b = slice_arm(q_s, q_i)[:2]
-        return np.fft.ifft(projection @ _kernel(a + b, problem.kernel), axis=1)
+        return np.fft.ifft(projection @ _kernel(a + b, config.kernel), axis=1)
 
     # int a^m exp(-a^2/2) da / sqrt(2 pi) = (m - 1)!! for even m, 0 for odd
     moments = [math.prod(range(m - 1, 0, -2)) * (1 - m % 2) for m in range(2 * _NEAR_MODES)]
@@ -529,17 +468,17 @@ def near_field_jid(problem: Problem, axis: str) -> JointDistribution:
     def lag_mass(g):  # G(l)^H M G(l) per lag
         return np.einsum("kl,kl->l", g.conj(), gram @ g).real
 
-    profile = sum(w * lag_mass(modes(arm)) for (_, _, w), arm in zip(problem.slices, arms))
+    profile = sum(w * lag_mass(modes(arm)) for (_, _, w), arm in zip(config.slices, arms))
     mass = np.bincount(np.minimum(np.arange(n), n - np.arange(n)), weights=profile)  # per |lag|
     beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass at |lag| > half, per half
     half = min(int(np.argmax(beyond <= _NEAR_BAND_LOSS * profile.sum())), (n - 1) // 2)
     width = 2 * half + 1
-    check_memory_budget(charge(width), problem.memory_budget_bytes,
+    check_memory_budget(charge(width), config.memory_budget_bytes,
                         f"{n} x {n} grid holding 1 near-field band")
     x = position_grid(q)
     start = np.clip(np.arange(n) - half, 0, n - width)
     data = np.zeros((n, width))
-    for (_, _, weight), slice_arm in zip(problem.slices, arms):
+    for (_, _, weight), slice_arm in zip(config.slices, arms):
         g = modes(slice_arm)
         for rows in _row_blocks(n):
             cols = start[rows, None] + np.arange(width)

@@ -24,7 +24,6 @@ from spdcsim.biphoton import _kernel, slice_arms
 from spdcsim.camera import camera_jpds, slope_report
 from spdcsim.config import RunConfig
 from spdcsim.dispersion import (
-    CrystalSetup,
     SellmeierSet,
     SpdcWavelengths,
     idler_wavelength,
@@ -32,8 +31,6 @@ from spdcsim.dispersion import (
     walkoff_angle,
 )
 from spdcsim.spectral import (
-    FilterSpec,
-    Problem,
     certify_axis,
     far_field_jid,
     position_grid,
@@ -48,12 +45,10 @@ PUMP_NM = 405.0
 
 
 def build(signal_nm, *, length_mm=1.0, waist_um=500.0, fwhm_nm=5.0, **settings):
-    """The collinear BBO problem (the default 7 slices and N = 1024 unless
+    """The collinear BBO run (the default 7 slices and N = 1024 unless
     ``settings`` say otherwise) with a Gaussian filter on the signal."""
-    wl = SpdcWavelengths.from_pump_signal(PUMP_NM, signal_nm)
-    crystal = CrystalSetup.collinear(wl, SELL, length_mm * 1e-3)
-    filt = FilterSpec("gaussian", wl.signal_nm, fwhm_nm, arm="signal")
-    return Problem(wl, crystal, waist_um * 1e-6, filt, **settings)
+    return RunConfig(pump_nm=PUMP_NM, signal_nm=signal_nm, length_mm=length_mm,
+                     waist_um=waist_um, filter_fwhm_nm=fwhm_nm, **settings).build()
 
 
 def reid_for(axis, problem):
@@ -115,7 +110,7 @@ def camera_run():
     timed: the one pass gives the skewed and the compensated JPD."""
     problem = build(780.0)
     t0 = time.perf_counter()
-    raw, fixed = camera_jpds(problem, "y", 0.25)
+    raw, fixed = camera_jpds(problem, "y")
     skew_seconds = time.perf_counter() - t0
     return {
         "wl": problem.wl,
@@ -144,7 +139,7 @@ def test_camera_corrected_slope(camera_run):
 
 @pytest.mark.parametrize("fwhm_nm", [1.0, 10.0])
 def test_camera_corrected_slope_stable_across_bandwidth(fwhm_nm):
-    _, fixed = camera_jpds(build(780.0, fwhm_nm=fwhm_nm), "y", 0.25)
+    _, fixed = camera_jpds(build(780.0, fwhm_nm=fwhm_nm), "y")
     slope = slope_report(fixed)["slope_regression"]
     assert 0.99 <= abs(slope) <= 1.01, (
         f"corrected |slope| {abs(slope):.5f} at FWHM {fwhm_nm} nm outside [0.99, 1.01]"

@@ -23,9 +23,9 @@ from spdcsim.biphoton import (
     slice_arms,
 )
 from spdcsim.camera import camera_jpds
-from spdcsim.config import load_config
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, certify_axis, sample_spectrum
+from spdcsim.config import RunConfig, load_config
+from spdcsim.dispersion import CrystalSetup, SellmeierSet
+from spdcsim.spectral import FilterSpec, certify_axis, sample_spectrum
 
 import oracle
 
@@ -35,11 +35,10 @@ SINC_MIN = -0.21723362821122166  # global minimum of sin(u)/u
 
 
 def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6, **settings):
-    """The collinear BBO problem with a 5 nm filter on the signal;
-    ``settings`` are further ``Problem`` fields (kernel, grid_n, ...)."""
-    wl = SpdcWavelengths.from_pump_signal(405.0, signal_nm)
-    crystal = CrystalSetup.collinear(wl, BBO, length_m)
-    return Problem(wl, crystal, waist_m, FilterSpec("gaussian", signal_nm, 5.0), **settings)
+    """The collinear BBO run with a 5 nm filter on the signal;
+    ``settings`` are further ``RunConfig`` fields (kernel, grid_n, ...)."""
+    return RunConfig(signal_nm=signal_nm, length_mm=length_m * 1e3, waist_um=waist_m * 1e6,
+                     **settings).build()
 
 
 def nominal(problem):
@@ -220,10 +219,10 @@ def test_pump_envelope_underflows_cleanly():
 
 
 def test_pump_spec_rejects_nonpositive_waist():
-    problem = make_setup()
-    for waist_m in (0.0, -500e-6, math.nan):
+    config = make_setup()
+    for waist_um in (0.0, -500.0, math.nan):
         with pytest.raises(ValueError, match="waist"):
-            replace(problem, waist_m=waist_m)
+            replace(config, waist_um=waist_um)
 
 
 # -- amplitude ---------------------------------------------------------------
@@ -317,10 +316,17 @@ def test_axis_other_than_x_or_y_rejected():
     with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
         certify_axis(problem, "z")
     with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
-        camera_jpds(problem, "z", 0.25)
+        camera_jpds(problem, "z")
 
 
-def test_arm_arguments_carry_the_collinear_mismatch_of_the_cut():
+def with_crystal(monkeypatch, crystal, **settings):
+    """``make_setup``'s config with ``crystal`` seeded as its derived crystal."""
+    config = make_setup(**settings)
+    monkeypatch.setitem(vars(config), "crystal", crystal)
+    return config
+
+
+def test_arm_arguments_carry_the_collinear_mismatch_of_the_cut(monkeypatch):
     # A cut 0.1 degree off the phase-matching angle: at q = 0 the per-arm
     # shares vanish and a + b is the cut's (L/2) dk_0.
     problem = make_setup(signal_nm=780.0)
@@ -329,13 +335,15 @@ def test_arm_arguments_carry_the_collinear_mismatch_of_the_cut():
     assert crystal.collinear_mismatch == 0.0
     assert detuned.collinear_mismatch != 0.0
     zero = np.zeros(1)
-    a, b, _, _ = slice_arms(replace(problem, crystal=detuned), "x", nominal(problem))(zero, zero)
+    a, b, _, _ = slice_arms(with_crystal(monkeypatch, detuned, signal_nm=780.0), "x",
+                            nominal(problem))(zero, zero)
     assert float(a[0] + b[0]) == pytest.approx(
         0.5 * crystal.length_m * detuned.collinear_mismatch, rel=1e-12
     )
     # dk_0 is a constant: it moves a alone, and neither slope
-    shifted = replace(problem, crystal=replace(crystal,
-                                               collinear_mismatch=detuned.collinear_mismatch))
+    shifted = with_crystal(monkeypatch, replace(crystal,
+                                                collinear_mismatch=detuned.collinear_mismatch),
+                           signal_nm=780.0)
     q = np.linspace(-3e5, 3e5, 7)
     for axis in ("x", "y"):
         a, b, da, db = slice_arms(problem, axis, nominal(problem))(q, -q)

@@ -13,9 +13,8 @@ import pytest
 import spdcsim.spectral
 from spdcsim.biphoton import GridMemoryError, RowBand, _windows, envelope_columns, slice_arms
 from spdcsim.camera import CameraJPD, camera_jpds, slope_report
-from spdcsim.config import load_config
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, far_field_jid
+from spdcsim.config import RunConfig, load_config
+from spdcsim.spectral import far_field_jid
 from spdcsim.stats import DegenerateDistributionError, StatsSummary, ridge_fit
 
 import oracle
@@ -23,16 +22,14 @@ from oracle import camera_momenta, camera_slices, matrix_moments, weighted_total
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-BBO = SellmeierSet.bbo()
-F = 0.25
+F = RunConfig().focal_length_m  # the focal length every config here holds
 
 
 def make_setup(signal_nm=780.0, length_m=1e-3, waist_m=500e-6, **settings):
-    """The collinear BBO problem with a 5 nm Gaussian filter on the
-    signal; ``settings`` are further ``Problem`` fields."""
-    wl = SpdcWavelengths.from_pump_signal(405.0, signal_nm)
-    crystal = CrystalSetup.collinear(wl, BBO, length_m)
-    return Problem(wl, crystal, waist_m, FilterSpec("gaussian", signal_nm, 5.0), **settings)
+    """The collinear BBO run with a 5 nm Gaussian filter on the
+    signal; ``settings`` are further ``RunConfig`` fields."""
+    return RunConfig(signal_nm=signal_nm, length_mm=length_m * 1e3, waist_um=waist_m * 1e6,
+                     **settings).build()
 
 
 def one_slice_problem(signal_nm=780.0, n=256):
@@ -56,7 +53,7 @@ def one_slice_jpds(axis="y", signal_nm=780.0, n=256):
     """The one camera slice of a monochromatic run and both its JPDs."""
     problem = one_slice_problem(signal_nm=signal_nm, n=n)
     (cs,) = built_slices(problem, axis)
-    return cs, *camera_jpds(problem, axis, F)
+    return cs, *camera_jpds(problem, axis)
 
 
 def counting_evaluations(monkeypatch):
@@ -78,7 +75,7 @@ def evaluated_momenta(problem, axis, monkeypatch, magnification=1.0):
     each block and the idler columns of its span, which overlap, agree
     where they do and cover the grids."""
     calls = counting_evaluations(monkeypatch)
-    jpds = camera_jpds(problem, axis, F, magnification=magnification)
+    jpds = camera_jpds(replace(problem, magnification=magnification), axis)
     assert calls == []  # nothing is evaluated until the blocks are drawn
     momenta = [np.full((3, problem.grid_n), np.nan) for _ in problem.slices]
     for j, jpd in enumerate(jpds):
@@ -113,15 +110,14 @@ def test_camera_mapping_scale():
 
 def test_camera_mapping_validation(monkeypatch):
     """The focal length and the magnification must be finite and
-    positive, on either axis; nothing is evaluated otherwise."""
+    positive: no config holds another, so nothing is evaluated."""
     problem = one_slice_problem(n=64)
     calls = counting_evaluations(monkeypatch)
-    for axis in ("x", "y"):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="focal length must be finite and positive"):
-                camera_jpds(problem, axis, bad)
-            with pytest.raises(ValueError, match="magnification must be finite and positive"):
-                camera_jpds(problem, axis, F, magnification=bad)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="focal length must be finite and positive"):
+            replace(problem, focal_length_m=bad)
+        with pytest.raises(ValueError, match="magnification must be finite and positive"):
+            replace(problem, magnification=bad)
     assert calls == []
 
 
@@ -129,7 +125,7 @@ def test_map_to_camera_scales_axes():
     problem = one_slice_problem()
     jid = far_field_jid(problem, "y")
     (cs,) = built_slices(problem, "y")
-    raw, _ = camera_jpds(problem, "y", F)
+    raw, _ = camera_jpds(problem, "y")
     assert raw.axis_signal[0] == pytest.approx(
         jid.axis_signal[0] * F * 780e-9 / (2 * math.pi), rel=1e-12
     )
@@ -151,7 +147,7 @@ def test_map_to_camera_scales_axes():
     # the magnification scales both arms
     (magnified,) = built_slices(problem, "y", magnification=2.0)
     assert magnified.scale_signal == pytest.approx(2.0 * cs.scale_signal, rel=1e-15)
-    magnified_raw, _ = camera_jpds(problem, "y", F, magnification=2.0)
+    magnified_raw, _ = camera_jpds(replace(problem, magnification=2.0), "y")
     np.testing.assert_allclose(magnified_raw.axis_idler, 2.0 * raw.axis_idler, rtol=1e-15)
 
 
@@ -162,7 +158,7 @@ def test_one_slice_far_field_is_the_uncorrected_camera_band(axis):
     have equal starts, widths and values."""
     problem = one_slice_problem()
     far = oracle.stacked(far_field_jid(problem, axis))
-    raw = oracle.stacked(camera_jpds(problem, axis, F)[0])
+    raw = oracle.stacked(camera_jpds(problem, axis)[0])
     assert raw.width == far.width
     assert np.array_equal(raw.start, far.start)
     assert np.array_equal(raw.data, far.data)
@@ -233,7 +229,7 @@ def test_slice_band_is_the_squared_amplitude(axis, waist_um):
     problem = make_setup(waist_m=waist_um * 1e-6, n_slices=3, grid_n=256)
     q = problem.square_grid()
     slices = built_slices(problem, axis)
-    jpds = camera_jpds(problem, axis, F)
+    jpds = camera_jpds(problem, axis)
     for j, jpd in enumerate(jpds):
         dense = np.zeros((q.size, q.size))
         first, stop = np.full(q.size, q.size), np.zeros(q.size, dtype=int)
@@ -482,7 +478,7 @@ def test_resample_sparse_equals_dense(shape, scale, shift, axis):
 
 def build_jpds(signal_nm, n_slices, grid_n):
     """The uncorrected and the corrected y-axis JPD of ``camera_jpds``."""
-    return camera_jpds(make_setup(signal_nm=signal_nm, n_slices=n_slices, grid_n=grid_n), "y", F)
+    return camera_jpds(make_setup(signal_nm=signal_nm, n_slices=n_slices, grid_n=grid_n), "y")
 
 
 def test_single_degenerate_slice_slope():
@@ -524,7 +520,7 @@ def test_pure_scaling_slope_relation():
         matrix_moments("far", "y", far.axis_signal, far.axis_idler, oracle.dense(far))
     )
     q_display = 1.0 / q_fit.slope_principal_axis
-    rep = slope_report(camera_jpds(problem, "y", F)[0])
+    rep = slope_report(camera_jpds(problem, "y")[0])
     expected = q_display * cs.scale_signal / cs.scale_idler  # both arms share the q grid
     assert rep["slope_principal_axis"] == pytest.approx(expected, rel=0.01)
 
@@ -557,7 +553,7 @@ def test_accumulation_preserves_mass():
     width and neither sum is resolved: the square-grid mass is 59 % above
     its converged value.)"""
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=1024)
-    _, jpd = camera_jpds(problem, "y", F)
+    _, jpd = camera_jpds(problem, "y")
     total_in = square_grid_masses(problem, "y")[1]
     total_out = oracle.dense(jpd).sum() * jpd.d_signal * jpd.d_idler
     assert total_out == pytest.approx(total_in, rel=1e-4)
@@ -604,7 +600,7 @@ def test_pixel_mass_is_converged():
     masses = []
     for grid_n in (1024, 2048):
         problem = make_setup(n_slices=5, grid_n=grid_n)
-        jpds = camera_jpds(problem, "y", F)
+        jpds = camera_jpds(problem, "y")
         for jpd, reference in zip(jpds, aperture_masses(problem, "y")):
             assert pixel_mass(jpd) == pytest.approx(reference, rel=1e-8)
         masses.append([pixel_mass(jpd) for jpd in jpds])
@@ -629,7 +625,7 @@ def test_camera_jpds_equal_list_accumulation(axis, n_slices):
     slices = built_slices(problem, axis, magnification=1.5)
     central = slices[n_slices // 2]
     y_signal, *y_idlers = reference_pixels(central, q, q)
-    streamed = camera_jpds(problem, axis, F, magnification=1.5)
+    streamed = camera_jpds(replace(problem, magnification=1.5), axis)
     for j, (jpd, corrected) in enumerate(zip(streamed, (False, True))):
         total = np.zeros((q.size, q.size))
         for cs in slices:
@@ -659,9 +655,7 @@ def shipped_jpds():
         if key not in built:
             cfg = replace(load_config(CONFIGS / f"{name}.yaml"), filter_fwhm_nm=fwhm_nm)
             problem = replace(cfg.build(), grid_n=grid_n)
-            built[key] = camera_jpds(
-                problem, axis, cfg.focal_length_m, magnification=cfg.magnification
-            )
+            built[key] = camera_jpds(problem, axis)
         return built[key]
 
     return get
@@ -759,7 +753,7 @@ def test_collapsed_distribution_stops_before_any_evaluation(monkeypatch, axis):
     calls = counting_evaluations(monkeypatch)
     with pytest.raises(DegenerateDistributionError,
                        match=r"^intensity total 0\.0 is not finite and positive$"):
-        camera_jpds(cfg.build(), axis, F)
+        camera_jpds(cfg.build(), axis)
     assert calls == []
 
 
@@ -779,7 +773,7 @@ def test_camera_jpds_hold_one_slice_block_at_a_time(monkeypatch):
         return values
 
     monkeypatch.setattr(spdcsim.spectral, "evaluate_grid", tracked)
-    for jpd in camera_jpds(make_setup(n_slices=7, grid_n=256), "y", F):
+    for jpd in camera_jpds(make_setup(n_slices=7, grid_n=256), "y"):
         for _ in jpd.row_blocks():
             pass
     assert len(peak) == 2 * 7 * 4
@@ -800,10 +794,10 @@ def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
     problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^256 x 256 grid streaming 2 camera JPDs "
                        r"needs ~2 MiB \(budget 1 MiB\)$"):
-        camera_jpds(replace(problem, memory_budget_bytes=2**20), "y", F)
+        camera_jpds(replace(problem, memory_budget_bytes=2**20), "y")
     assert calls == []
     # one MiB more holds the stream
-    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=2 * 2**20), "y", F)
+    raw, fixed = camera_jpds(replace(problem, memory_budget_bytes=2 * 2**20), "y")
     for jpd in (raw, fixed):
         assert oracle.stacked(jpd).width == n
     assert len(calls) == 2 * slices * n // 64  # once per slice, JPD and block

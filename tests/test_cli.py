@@ -72,7 +72,7 @@ def test_package_exports_resolve():
                "camera_slices", "uncorrected_jpd", "corrected_jpd",
                "rescale_idler", "walkoff_correct", "CameraSlice", "spectral_slices",
                "MomentSums", "moments", "marginal_moments", "resample_conserving",
-               "SWEEPABLE", "GAUSSIAN_SUPPORT_FWHM"}
+               "SWEEPABLE", "GAUSSIAN_SUPPORT_FWHM", "Problem"}
     assert not deleted & set(spdcsim.__all__)
     for module in (spdcsim, spdcsim.camera, spdcsim.config, spdcsim.spectral, spdcsim.stats,
                    spdcsim.cli):
@@ -473,7 +473,7 @@ class TestSweep:
             assert line.endswith("; results are not converged at grid_n = 16")
 
     def test_memory_budget_bounds_sweep_like_certify(self, capsys, tmp_path):
-        """Every grid command reads the budget from the one Problem.  The
+        """Every grid command reads the budget from the one RunConfig.  The
         moment engine behind stats, certify and sweep charges its 8 x n
         node grid: 1.25 MiB at n = 2048, over a 1 MiB budget and under 2."""
         out_dir = tmp_path / "out"
@@ -591,7 +591,7 @@ class TestCamera:
         assert json.loads(out)["files"] == sorted(
             f"camera_{tag}_y.{fmt}" for tag in tags for fmt in ("csv", "bin", "json"))
         run = replace(load_config(None), grid_n=128, n_slices=3)
-        jpds = camera_jpds(run.build(), "y", run.focal_length_m, magnification=run.magnification)
+        jpds = camera_jpds(run.build(), "y")
         for tag, jpd in zip(tags, jpds):
             dense, stem = oracle.dense(jpd), out_dir / f"camera_{tag}_y"
             meta = {"plane": "camera", "axis": "y", "corrected": jpd.corrected}
@@ -647,7 +647,7 @@ class TestCamera:
         assert code == 0
         cfg = replace(load_config(None), grid_n=128, n_slices=3)
         problem = cfg.build()
-        jpds = camera_jpds(problem, "y", cfg.focal_length_m, magnification=cfg.magnification)
+        jpds = camera_jpds(problem, "y")
         for tag, jpd in zip(("uncorrected", "corrected"), jpds):
             y_s, y_i, matrix, meta = read_matrix_csv(out_dir / f"camera_{tag}_y.csv")
             assert meta == {"plane": "camera", "axis": "y", "corrected": str(jpd.corrected)}

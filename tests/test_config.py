@@ -2,6 +2,7 @@
 and assembly into validated physics objects."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -156,7 +157,7 @@ class TestBuild:
         assert RunConfig().build().crystal.collinear_mismatch == 0.0
 
     def test_grid_override_threads_through(self):
-        """Every numerical RunConfig field reaches the Problem, and the
+        """Every numerical key reaches its RunConfig field, and the
         grid settings reach its grid."""
         cfg = parse_config({
             "grid": {"n": 64, "sum_halfwidth": 1e4, "diff_halfwidth": 2e6,
@@ -175,6 +176,40 @@ class TestBuild:
         assert q.size == 64
         assert q[-1] == pytest.approx(0.5 * (1e4 + 2e6), rel=1e-12)
         assert problem.diff_grid()[-1] == 2e6
+
+
+    def test_build_returns_the_config_itself(self):
+        cfg = parse_config({"crystal": {"length_mm": 2.0}})
+        assert cfg.build() is cfg
+
+    def test_derived_objects_are_computed_once_per_config(self):
+        cfg = RunConfig(grid_n=64, n_slices=3)
+        for name in ("wl", "crystal", "filt", "slices"):
+            assert getattr(cfg, name) is getattr(cfg, name), name
+        assert cfg.build().crystal is cfg.crystal
+
+    def test_derived_objects_follow_replace(self):
+        """A replaced config derives its own objects, never its parent's."""
+        cfg = RunConfig(grid_n=64, n_slices=3).build()
+        longer = replace(cfg, length_mm=4.0)
+        assert cfg.crystal.length_m == pytest.approx(1e-3)
+        assert longer.crystal.length_m == pytest.approx(4e-3)
+        # D, 5 sqrt(4 pi k / L), halves when L is four times longer
+        assert longer.diff_grid()[-1] == pytest.approx(0.5 * cfg.diff_grid()[-1], rel=1e-12)
+        narrower = replace(cfg, filter_fwhm_nm=1.0)
+        assert narrower.filt.fwhm_nm == 1.0 and cfg.filt.fwhm_nm == 5.0
+        assert narrower.slices != cfg.slices
+        assert replace(cfg, waist_um=250.0).waist_m == pytest.approx(250e-6)
+
+    def test_memory_budget_is_held_in_bytes(self):
+        """The key is MiB and the field bytes: any positive byte count is a
+        budget, and none below one byte is."""
+        assert RunConfig(memory_budget_bytes=1).memory_budget_bytes == 1
+        assert parse_config({"grid": {"memory_budget_mb": 3}}).memory_budget_bytes == 3 * 2**20
+        for bad, mib in ((0, 0), (-2 * 2**20, -2)):
+            with pytest.raises(ConfigError) as info:
+                RunConfig(memory_budget_bytes=bad)
+            assert str(info.value) == f"grid.memory_budget_mb: must be >= 1, got {mib}"
 
 
 class TestLoadFile:

@@ -26,13 +26,12 @@ from numpy.polynomial.legendre import leggauss
 from spdcsim import biphoton, spectral
 from spdcsim.biphoton import _ROW_BLOCK, EvanescentInputError, GridMemoryError
 from spdcsim.camera import camera_jpds
-from spdcsim.config import load_config
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths, idler_wavelength
+from spdcsim.config import RunConfig, load_config
+from spdcsim.dispersion import SellmeierSet, SpdcWavelengths, idler_wavelength
 from spdcsim.spectral import (
     MAX_SPECTRAL_SLICES,
     FilterSpec,
     JointDistribution,
-    Problem,
     certify_axis,
     far_field_jid,
     moment_sums,
@@ -46,7 +45,6 @@ from spdcsim.stats import reid_product
 import oracle
 from oracle import matrix_moments, near_field_intensity
 
-BBO = SellmeierSet.bbo()
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIGMA_PER_FWHM = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 #: the outermost node of the 64-node Gauss-Hermite rule, in FWHM from the center
@@ -54,12 +52,10 @@ WIDEST_NODE_FWHM = math.sqrt(2.0) * SIGMA_PER_FWHM * hermgauss(64)[0][-1]
 
 
 def make_setup(signal_nm=810.0, length_m=1e-3, waist_m=500e-6, fwhm_nm=5.0, **settings):
-    """The collinear BBO problem with a Gaussian filter centered on the
-    signal; ``settings`` are further ``Problem`` fields."""
-    wl = SpdcWavelengths.from_pump_signal(405.0, signal_nm)
-    crystal = CrystalSetup.collinear(wl, BBO, length_m)
-    filt = FilterSpec("gaussian", signal_nm, fwhm_nm)
-    return Problem(wl, crystal, waist_m, filt, **settings)
+    """The collinear BBO run with a Gaussian filter centered on the
+    signal; ``settings`` are further ``RunConfig`` fields."""
+    return RunConfig(signal_nm=signal_nm, length_mm=length_m * 1e3, waist_um=waist_m * 1e6,
+                     filter_fwhm_nm=fwhm_nm, **settings).build()
 
 
 def table_moments(axis_s, axis_i, intensity):
@@ -453,7 +449,7 @@ def test_sellmeier_indices_are_evaluated_once_per_slice_and_pass(monkeypatch):
     index = SellmeierSet.index_ordinary
     monkeypatch.setattr(SellmeierSet, "index_ordinary",
                         lambda self, lam: calls.append(lam) or index(self, lam))
-    pictures = (far_field_jid(problem, "y"), *camera_jpds(problem, "y", cfg.focal_length_m))
+    pictures = (far_field_jid(problem, "y"), *camera_jpds(problem, "y"))
     calls.clear()
     drained(*pictures)
     assert calls == []
@@ -479,7 +475,7 @@ def test_streamed_blocks_equal_the_slice_outer_pass(axis, kernel, grid_n, config
         central = slices[n_slices // 2]
         cases = (
             ((far_field_jid(problem, axis),), lambda k: (q, q)),
-            (camera_jpds(problem, axis, cfg.focal_length_m, magnification=1.5),
+            (camera_jpds(replace(problem, magnification=1.5), axis),
              lambda k: oracle.camera_momenta(q, central, slices[k])),
         )
         for pictures, momenta in cases:
@@ -511,7 +507,7 @@ def test_near_field_degenerate_ridge_positive():
 
 
 def default_problem(**settings):
-    """The shipped non-degenerate config's ``Problem``, with ``settings`` replaced."""
+    """The shipped non-degenerate config, built, with ``settings`` replaced."""
     return replace(load_config(CONFIGS / "nondegenerate_780.yaml").build(), **settings)
 
 
@@ -610,7 +606,7 @@ def test_budget_charge_bounds_the_traced_peak(monkeypatch, path, n):
     run = {
         "moment_sums": lambda: moment_sums(problem, "y"),
         "far_field_jid": lambda: drained(far_field_jid(problem, "y")),
-        "camera_jpds": lambda: drained(*camera_jpds(problem, "y", 0.25)),
+        "camera_jpds": lambda: drained(*camera_jpds(problem, "y")),
         "near_field_jid": lambda: drained(near_field_jid(problem, "y")),
     }[path]
     charges = []

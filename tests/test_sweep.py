@@ -10,8 +10,7 @@ import math
 import pytest
 
 from spdcsim.config import RunConfig
-from spdcsim.dispersion import CrystalSetup, SellmeierSet, SpdcWavelengths
-from spdcsim.spectral import FilterSpec, Problem, certify_axis
+from spdcsim.spectral import certify_axis
 from spdcsim.sweep import (
     CSV_HEADER,
     SweepError,
@@ -72,12 +71,8 @@ class TestRunSweep:
         """A one-value sweep is exactly one pass of the plain pipeline."""
         row = run_sweep(small_cfg(sweep_values=(4.0,)))[0]
 
-        wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
-        sell = SellmeierSet.bbo()
-        crystal = CrystalSetup.collinear(wl, sell, 1.0e-3)
-        filt = FilterSpec("gaussian", 780.0, 4.0, arm="signal")
-        problem = Problem(wl, crystal, 500e-6, filt, n_slices=3, grid_n=128)
-        _, _, report = certify_axis(problem, "x")
+        config = RunConfig(signal_nm=780.0, filter_fwhm_nm=4.0, n_slices=3, grid_n=128).build()
+        _, _, report = certify_axis(config, "x")
 
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
         assert row.dq_inferred_radm == report.dq_inferred_radm
@@ -103,11 +98,9 @@ class TestRunSweep:
         """
         row = run_sweep(small_cfg(sweep_parameter=parameter, sweep_values=(value,)))[0]
 
-        wl = SpdcWavelengths.from_pump_signal(405.0, 780.0)
-        crystal = CrystalSetup.collinear(wl, SellmeierSet.bbo(), length_mm * 1e-3)
-        filt = FilterSpec("gaussian", 780.0, 5.0, arm="signal")
-        problem = Problem(wl, crystal, waist_um * 1e-6, filt, n_slices=3, grid_n=128)
-        _, _, report = certify_axis(problem, "x")
+        config = RunConfig(signal_nm=780.0, length_mm=length_mm, waist_um=waist_um, n_slices=3,
+                           grid_n=128).build()
+        _, _, report = certify_axis(config, "x")
         assert row.reid_product == report.product
         assert row.dx_inferred_um == report.dx_inferred_m * 1e6
 
