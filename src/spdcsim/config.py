@@ -187,9 +187,16 @@ class RunConfig:
 
     @property
     def effective_signal_nm(self) -> float:
-        if self.signal_nm is not None:
-            return self.signal_nm
-        return 2.0 * self.pump_nm if self.degenerate else 780.0
+        """The signal wavelength; ConfigError if a degenerate run sets another."""
+        if self.signal_nm is None:
+            return 2.0 * self.pump_nm if self.degenerate else 780.0
+        if self.degenerate and abs(self.signal_nm - 2.0 * self.pump_nm) > 1e-9:
+            _fail(
+                "wavelengths.signal_nm",
+                f"degenerate run requires signal = 2 x pump = "
+                f"{2.0 * self.pump_nm} nm, got {self.signal_nm}",
+            )
+        return self.signal_nm
 
     @property
     def effective_sweep_values(self) -> tuple[float, ...]:
@@ -204,8 +211,9 @@ class RunConfig:
     @cached_property
     def wl(self) -> SpdcWavelengths:
         """The nominal (pump, signal, idler) wavelengths."""
+        signal_nm = self.effective_signal_nm
         try:
-            return SpdcWavelengths.from_pump_signal(self.pump_nm, self.effective_signal_nm)
+            return SpdcWavelengths.from_pump_signal(self.pump_nm, signal_nm)
         except ValueError as exc:
             key = "pump.wavelength_nm" if self.signal_nm is None else "wavelengths.signal_nm"
             raise ConfigError(f"{key}: {exc}") from exc
@@ -284,13 +292,7 @@ class RunConfig:
         wavelength); wavelengths outside the dispersion data and failed
         phase matching propagate as themselves.
         """
-        if self.degenerate and self.signal_nm is not None:
-            if abs(self.signal_nm - 2.0 * self.pump_nm) > 1e-9:
-                _fail(
-                    "wavelengths.signal_nm",
-                    f"degenerate run requires signal = 2 x pump = "
-                    f"{2.0 * self.pump_nm} nm, got {self.signal_nm}",
-                )
+        self.effective_signal_nm  # a degenerate flag fighting the signal wavelength
         self.crystal  # the Sellmeier set, the wavelengths and the cut
         self.slices  # the filter and its rule, once per config
         return self

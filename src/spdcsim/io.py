@@ -2,9 +2,11 @@
 
 CSV layout: comment lines carrying the plane/axis tags, then a header
 row with the idler axis values (first cell ``signal``), then
-one row per signal coordinate.  Floats are written with ``repr``
-(shortest round-trip form), so identical inputs produce byte-identical
-files.
+one row per signal coordinate.  Floats are written as ``repr`` writes
+them (shortest round-trip form), so identical inputs produce
+byte-identical files.  A picture's values get those digits from orjson's
+Ryu writer, one row window at a time, and are put into ``repr``'s
+notation (``_row_texts``).
 
 JSON layout: ``json.dumps`` with sorted keys of the tags, both axes and
 ``intensity``, the dense matrix as a list of rows, and a newline.
@@ -46,48 +48,66 @@ __all__ = [
 MAGIC = b"SPDCJID1"
 
 
-def _row_cells(intensity: Iterable[RowBand]) -> Iterator[list[str]]:
-    """Each row of the matrix the blocks hold, as the cells ``repr(float(v))``;
-    the columns outside a row's window, and the leading and trailing runs
-    of +0.0 (not -0.0) inside it, are ``0.0`` without the ``repr``."""
+#: Ryu's one-digit negative exponents, followed here by their cell's ``,`` (left),
+#: and ``repr``'s (right).
+_NOTATION = (("e-6,", "e-06,"), ("e-7,", "e-07,"), ("e-8,", "e-08,"), ("e-9,", "e-09,"))
+
+
+def _row_texts(intensity: Iterable[RowBand], sep: str) -> Iterator[str]:
+    """Each row of the matrix the blocks hold, as the cells ``repr(float(v))``
+    joined by ``sep``; the columns outside a row's window are ``0.0``.
+
+    orjson writes the window's shortest round-trip digits (Ryu), as ``repr``
+    does, and ``_NOTATION`` pads their exponents as ``repr`` does.  The
+    cells orjson writes otherwise take ``repr``: 1e-5 <= |v| < 1e-4
+    (positional), |v| >= 1e16 (an unsigned exponent) and NaN (``null``)."""
+    import orjson
+
+    zero = "0.0" + sep
     for band in intensity:
-        data, n, width = band.data, band.n_cols, band.width
-        printable = (data != 0) | np.signbit(data)
-        first = np.where(printable.any(axis=1), printable.argmax(axis=1), width)
-        stop = width - printable[:, ::-1].argmax(axis=1)
-        for row, s, a, b in zip(data, band.start.tolist(), first.tolist(), stop.tolist()):
-            cells = ["0.0"] * n
-            cells[s + a:s + b] = map(repr, row[a:b].tolist())
-            yield cells
+        data, n, width = np.ascontiguousarray(band.data, dtype=np.float64), band.n_cols, band.width
+        size = np.abs(data)
+        odd = ~((size < 1e-5) | ((size >= 1e-4) & (size < 1e16)))  # NaN too
+        for row, s, row_odd in zip(data, band.start.tolist(), odd):
+            text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            text = text[1:-1] + "," if width else ""  # the window's cells, each followed by ","
+            for ryu, python in _NOTATION:
+                text = text.replace(ryu, python)
+            if row_odd.any():
+                cells = text.split(",")
+                for j in np.flatnonzero(row_odd).tolist():
+                    cells[j] = repr(float(row[j]))
+                text = ",".join(cells)
+            yield (zero * s + text.replace(",", sep) + zero * (n - s - width))[:-len(sep)]
 
 
 def write_matrix_csv(path: str | Path, axis_signal: np.ndarray, axis_idler: np.ndarray,
                      intensity: Iterable[RowBand], meta: dict | None = None) -> None:
     """Write the matrix the blocks ``intensity`` hold as CSV, each float as
-    ``repr(float(v))``, one row at a time (``_row_cells``)."""
+    ``repr(float(v))``, one row at a time (``_row_texts``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(["signal", *map(repr, np.asarray(axis_idler, dtype=float).tolist())]))
         fh.write("\n")
         coords = np.asarray(axis_signal, dtype=float).tolist()
-        for coord, cells in zip(coords, _row_cells(intensity)):
-            fh.write(repr(coord) + "," + ",".join(cells) + "\n")
+        for coord, text in zip(coords, _row_texts(intensity, ",")):
+            fh.write(repr(coord) + "," + text + "\n")
 
 
 def write_matrix_json(path: str | Path, axis_signal: np.ndarray, axis_idler: np.ndarray,
                       intensity: Iterable[RowBand], meta: dict | None = None) -> None:
     """Write ``json.dumps`` of ``meta``, the axes and ``intensity``, the
     matrix the blocks hold as rows, with sorted keys and a newline, one row
-    at a time (``_row_cells``: a finite float's JSON is its ``repr``)."""
+    at a time (``_row_texts``: a finite float's JSON is its ``repr``)."""
     blob = {**(meta or {}), "axis_signal": np.asarray(axis_signal, dtype=float).tolist(),
             "axis_idler": np.asarray(axis_idler, dtype=float).tolist(), "intensity": []}
     # the key is the one unescaped '"intensity": []' in the text
     head, tail = json.dumps(blob, sort_keys=True).split('"intensity": []')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + '"intensity": [')
-        for k, cells in enumerate(_row_cells(intensity)):
-            fh.write(f"{', ' if k else ''}[{', '.join(cells)}]")
+        for k, text in enumerate(_row_texts(intensity, ", ")):
+            fh.write(f"{', ' if k else ''}[{text}]")
         fh.write("]" + tail + "\n")
 
 

@@ -132,6 +132,14 @@ class TestBuild:
         with pytest.raises(ConfigError, match="degenerate"):
             cfg.build()
 
+    def test_unbuilt_contradictory_signal_raises_where_it_is_read(self):
+        cfg = RunConfig(degenerate=True, signal_nm=780.0, grid_n=64, n_slices=3)
+        message = ("wavelengths.signal_nm: degenerate run requires signal = "
+                   "2 x pump = 810.0 nm, got 780.0")
+        with pytest.raises(ConfigError) as raised:
+            certify_axis(cfg, "x")
+        assert str(raised.value) == message
+
     def test_explicit_angle(self):
         problem = parse_config({"crystal": {"theta_deg": 30.0}}).build()
         assert problem.crystal.theta_p == pytest.approx(math.radians(30.0))

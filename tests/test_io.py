@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the CSV/JSON/binary file formats."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from spdcsim.biphoton import RowBand
 from spdcsim.io import (
     MAGIC,
+    _row_texts,
     read_matrix_binary,
     read_matrix_csv,
     write_matrix_binary,
@@ -277,3 +279,48 @@ class TestBand:
         assert np.array_equal(matrix, dense)
         assert np.array_equal(np.signbit(matrix), np.signbit(dense))
 
+
+#: Where Ryu's notation and ``repr``'s part: the smallest subnormal, the one-digit
+#: exponents -9 ... -6, either side of 1e-5 and 1e-4 (the positional range that takes
+#: ``repr``) and of 1e16 (the signed exponent), the largest float, both zeros and the
+#: non-finite values.
+NOTATION_TABLE = [5e-324, 9.5e-9, 1e-8, -2.5e-7, 1e-6, np.nextafter(1e-5, 0), 1e-5,
+                  np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, sys.float_info.max,
+                  0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+
+#: Any float64 bit pattern: subnormals, NaN payloads and +-inf among them.
+RAW_ROWS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def expected_row(band, k):
+    cells = ["0.0"] * band.n_cols
+    s = int(band.start[k])
+    cells[s:s + band.width] = map(repr, band.data[k].tolist())
+    return cells
+
+
+def assert_rows_are_repr(band, sep):
+    for k, text in enumerate(_row_texts([band], sep)):
+        want = expected_row(band, k)
+        assert text == sep.join(want), [(got, w) for got, w in zip(text.split(sep), want) if got != w]
+
+
+class TestRowText:
+    """The writers' row text is ``repr`` of every cell, whatever the float."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=RAW_ROWS, sep=st.sampled_from([",", ", "]))
+    def test_any_bit_pattern_is_written_as_its_repr(self, row, sep):
+        assert_rows_are_repr(full_band(row[None, :]), sep)
+
+    @pytest.mark.parametrize("sep", [",", ", "])
+    def test_notation_table_in_every_window_position(self, sep):
+        table = np.array(NOTATION_TABLE)
+        m = table.size
+        n = m + 4
+        # windows touching column 0, in the middle and touching the last column
+        assert_rows_are_repr(RowBand(np.tile(table, (3, 1)), np.array([0, 2, 4]), n), sep)
+        # one column wide, from the first column to the last
+        starts = np.linspace(0, n - 1, m).astype(np.intp)
+        assert_rows_are_repr(RowBand(table[:, None], starts, n), sep)
