@@ -36,7 +36,8 @@ thin anti-diagonal band: outside it the float64 envelope is exactly 0.
 ``envelope_columns`` gives the band's columns per row, and
 ``evaluate_grid``, the block kernel of the pictures' stream
 (``spectral._squared_blocks``), evaluates one row block of a slice on
-its windows.
+its windows: it gathers the slice's idler tables q_i and b, made once
+on the whole grid, along them and multiplies; it takes no arm argument.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ class RowBand:
         return self.data.nbytes + self.start.nbytes
 
 
-#: Signal rows per block of the pictures' streams, one ``evaluate_grid`` gather each: the
+#: Signal rows per block of the pictures' streams, one ``evaluate_grid`` gather a slice: the
 #: temporaries of one block, not of all N rows, are held.  Of 32, 64 and 128, 64 ran
 #: ``camera_jpds`` at N = 1024 fastest (one core), as fast as one gather of all rows.
 _ROW_BLOCK = 64
@@ -248,16 +249,6 @@ def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
 
 
-def _evaluation_bytes(n_rows: int, n_cols: int, width: int) -> int:
-    """Bytes charged for one ``evaluate_grid`` call on ``n_rows`` signal rows, a span
-    of at most ``n_cols`` idler columns and windows ``width`` wide: 4 block arrays (the
-    gathered (q_i, b) tables, the first of which becomes the values it returns, beside
-    either their column indices or the kernel's temporaries, two for the Gaussian
-    kernel), the windows' row offsets, and the 1-D arm arguments and tables (2 per
-    row, 4 per column)."""
-    return 8 * (n_rows * (4 * width + 3) + 4 * n_cols)
-
-
 def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The widest of the windows [first[k], stop[k]) in 0 ... n - 1 as one
     width, and per-row starts of windows that wide which cover each one
@@ -266,24 +257,23 @@ def _windows(first: np.ndarray, stop: np.ndarray, n: int) -> tuple[np.ndarray, i
     return np.clip(first, 0, n - width), width
 
 
-def evaluate_grid(q_s: np.ndarray, q_i: np.ndarray, config: RunConfig, arms: SliceArms,
-                  windows: tuple[np.ndarray, int]) -> np.ndarray:
+def evaluate_grid(a: np.ndarray, q_s: np.ndarray, idler: tuple[np.ndarray, np.ndarray],
+                  index: np.ndarray, config: RunConfig) -> np.ndarray:
     """One row block of a slice's amplitude on its windows: entry (k, l) is
-    exp(-w0^2 (q_s[k] + q_i[c])^2 / 4) * kernel(a(q_s[k]) + b(q_i[c])) at
-    column c = start[k] + l, for ``windows`` = (start, width) inside
-    ``q_i`` and a, b from the slice's ``arms``.  No propagation phase is
-    attached: with the kernel real the amplitude is real, and only its
-    square enters any result.
+    exp(-w0^2 (q_s[k] + q_i[c])^2 / 4) * kernel(a[k] + b[c]) at column
+    c = index[k, l], for the block's signal momenta ``q_s`` and their
+    a(q_s), and the slice's idler table ``idler`` = (q_i, b(q_i)) on the
+    whole idler grid.  No propagation phase is attached: with the kernel
+    real the amplitude is real, and only its square enters any result.
 
-    The arms are taken on ``q_s`` and ``q_i``, the idler-side 1-D tables
-    q_i and b are gathered along the windows, and the envelope x kernel is
-    formed in place in the gathered q_i (``_envelope_times_kernel``), so
-    each value is the same whatever rows and columns the block spans.
+    Both idler tables are gathered along the windows and the envelope x
+    kernel is formed in place in the gathered q_i
+    (``_envelope_times_kernel``), so each value is the same whatever rows
+    and columns the block spans.
     """
-    a, b = arms(q_s, q_i)[:2]
-    start, width = windows
-    idler = np.stack((q_i, b)).take(start[:, None] + np.arange(width), axis=1)
-    return _envelope_times_kernel(a[:, None], q_s[:, None], idler, config.waist_m, config.kernel)
+    q_i, b = idler
+    return _envelope_times_kernel(a[:, None], q_s[:, None], (q_i.take(index), b.take(index)),
+                                  config.waist_m, config.kernel)
 
 
 def envelope_columns(

@@ -22,11 +22,13 @@ for the corrected JPD, its idler rescale and shift).  Slice k is
 evaluated at the momenta that land on those pixels: signal
 q s_s(mid)/s_s(k); idler q s_i(mid)/s_i(k) uncorrected and
 (q - b_mid) s_s(mid)/s_s(k) + b_k corrected, b being the slice's ridge
-intercept (0 on x).  Nothing is resampled, and no dense slice matrix is
-built: the block kernel ``evaluate_grid`` evaluates the slice's
-amplitude on the JPD's windows a block of rows at a time, with the
-slice's ``SliceArms``, built once for both JPDs, and the block is
-squared in place and added with the slice's quadrature weight.
+intercept (0 on x).  These momenta are three arrays, a row per slice,
+broadcast from the per-slice scales and intercepts.  Nothing is
+resampled, and no dense slice matrix is built: the stream makes each
+slice's arm tables once per JPD, on the whole pixel grids, and the
+block kernel ``evaluate_grid`` gathers them on the JPD's windows a
+block of rows at a time; the block is squared in place and added with
+the slice's quadrature weight.
 
 Both steps are per-slice affine maps, held as arrays over
 ``RunConfig.slices``: the wavelengths, the scales s and the intercepts b.
@@ -113,8 +115,9 @@ def camera_jpds(config: RunConfig, axis: str) -> tuple[CameraJPD, CameraJPD]:
     before any evaluation.  Then, as each JPD's blocks are drawn, each
     slice, in sampling order, is evaluated at the momenta that land on
     the pixel centres, on that JPD's windows, and added with its weight
-    (``spectral._squared_blocks``, which charges the budget and checks
-    the propagation cone first).  The focal length f and the
+    (``spectral._squared_blocks``, which charges the budget and makes
+    the slices' arm tables, checking the propagation cone, first).  The
+    focal length f and the
     magnification M are the config's.
     """
     far = moment_sums(config, axis)[:, :6]
@@ -132,12 +135,10 @@ def camera_jpds(config: RunConfig, axis: str) -> tuple[CameraJPD, CameraJPD]:
     StatsSummary.from_sums("camera", axis, *raw_sums)  # a collapsed distribution stops here
 
     q, mid = config.square_grid(), config.n_slices // 2
-
-    def momenta(k):  # the momenta of slice k that land on the pixel centres, per JPD
-        to_signal = s_s[mid] / s_s[k]
-        return q * to_signal, q * (s_i[mid] / s_i[k]), (q - b[mid]) * to_signal + b[k]
-
-    raw, fixed = _squared_blocks(config, axis, momenta, "2 camera JPDs")
+    to_signal = (s_s[mid] / s_s)[:, None]
+    # row k: the momenta of slice k that land on the pixel centres, per JPD
+    raw, fixed = _squared_blocks(config, axis, q * to_signal, (
+        q * (s_i[mid] / s_i)[:, None], (q - b[mid]) * to_signal + b[:, None]), "2 camera JPDs")
     y_signal, y_idler = s_s[mid] * q, s_i[mid] * q
     fixed_idler = y_idler * (lam_s[mid] / lam_i[mid]) - s_s[mid] * b[mid]
     return (

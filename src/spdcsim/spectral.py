@@ -36,11 +36,12 @@ grid edge in position space.
 JID builders (``far_field_jid``, ``near_field_jid``; ``jid``) give a
 picture, a ``JointDistribution`` that yields ``RowBand`` row blocks.  The
 far field is the stream the camera JPDs also take (``_squared_blocks``):
-per block of rows, each slice evaluated by the block kernel
-``evaluate_grid`` on the union of the slices' ``envelope_columns(power=2)``
-windows, squared in place, weighted and added; no picture is held.  The
-near field takes the moment engine's (q_+ node x q_- grid) frame
-(``_node_grid``): no N x N array, no 2-D FFT; it holds its band.
+it makes each slice's arm tables once, on the whole grids, and per block
+of rows the block kernel ``evaluate_grid`` gathers them on the union of
+the slices' ``envelope_columns(power=2)`` windows; each slice is squared
+in place, weighted and added; no picture is held.  The near field takes
+the moment engine's (q_+ node x q_- grid) frame (``_node_grid``): no
+N x N array, no 2-D FFT; it holds its band.
 
 Each path builds each slice's ``SliceArms`` (``slice_arms``: its four
 Sellmeier wavenumbers and the other constants of its phase mismatch)
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
@@ -63,7 +64,6 @@ from numpy.polynomial.polynomial import polyval
 from spdcsim.biphoton import (
     RowBand,
     _ROW_BLOCK,
-    _evaluation_bytes,
     _kernel,
     _kernel_with_slope,
     _row_blocks,
@@ -335,74 +335,76 @@ def certify_axis(config: RunConfig, axis: str) -> tuple[StatsSummary, StatsSumma
     return near, far, reid_product(near, far)
 
 
-def _squared_blocks(
-    config: RunConfig, axis: str, momenta: Callable[[int], tuple[np.ndarray, ...]], pictures: str,
-) -> list[Callable[[], Iterator[RowBand]]]:
+def _squared_blocks(config: RunConfig, axis: str, q_s: np.ndarray, idlers: tuple[np.ndarray, ...],
+                    pictures: str) -> list[Callable[[], Iterator[RowBand]]]:
     """sum_slices w |Psi|^2 on each of one or more N x N pictures, each a
     stream of ``RowBand`` row blocks; no picture is held.
 
-    ``momenta(k)`` gives slice k's signal momenta and one idler grid per
-    picture, and is called again where they are needed.  A picture's
+    Row k of ``q_s`` holds slice k's signal momenta, and row k of each of
+    ``idlers`` its idler momenta on one picture; the stream holds them,
+    and a view broadcast along the slices holds one row.  A picture's
     windows are the union of every slice's ``envelope_columns(power=2)``
     windows, outside which every slice's square is +0.0.  First a
     UserWarning says when the grid step is wider than the pump width 2/w0,
-    the budget is charged (``pictures`` names them), and each slice's
-    ``SliceArms`` is built, once for every picture, and checked on its
-    grids' end momenta, their largest, against the propagation cone.  Per
-    block of ``_ROW_BLOCK`` rows, each slice in sampling order is evaluated
-    on the block's windows (``evaluate_grid``), squared, weighted and
-    added, as in the whole-picture sum.
+    the budget is charged (``pictures`` names them), and the slice plan
+    is made: each slice's a(q_s) and, per picture, its b(q_i), from one
+    ``SliceArms`` call per slice and picture on the whole grids, which
+    raises EvanescentInputError if any momentum reaches the propagation
+    cone.  Per block of ``_ROW_BLOCK`` rows, each slice in sampling order
+    is gathered on the block's windows (``evaluate_grid``), squared,
+    weighted and added, as in the whole-picture sum.
     """
     q, pump_width = config.square_grid(), 2.0 / config.waist_m
     if q[1] - q[0] > pump_width:
         warnings.warn(f"square grid step {q[1] - q[0]:.3g} rad/m is wider than the pump width "
                       f"2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the far-field "
                       f"and camera ridges", stacklevel=2)
-    n = config.grid_n
-    bounds = None  # per picture: the union's first and stop column of each row
-    for k in range(len(config.slices)):
-        q_s, *idlers = momenta(k)
-        columns = np.array([envelope_columns(q_s, q_i, config.waist_m, power=2) for q_i in idlers])
-        if bounds is None:
-            bounds = columns
-        np.minimum(bounds[:, 0], columns[:, 0], out=bounds[:, 0])
-        np.maximum(bounds[:, 1], columns[:, 1], out=bounds[:, 1])
-    windows = [_windows(first, stop, n) for first, stop in bounds]
-    block, widths = min(_ROW_BLOCK, n), [width for _, width in windows]
-    # each picture's row offsets, the square grid and a slice's momenta (5 arrays of
-    # length n), two blocks of each (one added to, one handed out), one block's evaluation
-    held = (8 * n * (len(widths) + 5) + 16 * block * sum(w + 1 for w in widths)
-            + _evaluation_bytes(block, n, max(widths)))
-    check_memory_budget(held, config.memory_budget_bytes, f"{n} x {n} grid streaming {pictures}")
-    arms = [slice_arms(config, axis, (lam_s, lam_i)) for lam_s, lam_i, _ in config.slices]
-    for k, slice_arm in enumerate(arms):
-        q_s, *idlers = momenta(k)
-        for q_i in idlers:
-            slice_arm(q_s[[0, -1]], q_i[[0, -1]])
+    n, n_slices = config.grid_n, len(config.slices)
 
-    def blocks(picture: int, start: np.ndarray, width: int) -> Iterator[RowBand]:
+    def union(c, d):  # of two slices' first and stop columns per row
+        return np.minimum(c[0], d[0]), np.maximum(c[1], d[1])
+
+    windows = [_windows(*reduce(union, (envelope_columns(s, i, config.waist_m, power=2)
+                                        for s, i in zip(q_s, q_i))), n) for q_i in idlers]
+    block, widths = min(_ROW_BLOCK, n), [width for _, width in windows]
+    # the momenta and the plan (a, and b per picture, a slice); the square grid, each
+    # picture's row offsets and one SliceArms call (7 arrays of length n); two blocks of
+    # each picture (one added to, one handed out); a block's window index, and one
+    # evaluation's gathered q_i and b beside its kernel's sin(u) and u == 0 mask (the
+    # Gaussian's: two block arrays)
+    momenta = sum(m.nbytes if m.strides[0] else m[0].nbytes for m in (q_s, *idlers))
+    held = (momenta + 8 * n * (n_slices * (1 + len(widths)) + len(widths) + 8)
+            + 16 * block * sum(w + 1 for w in widths)
+            + block * max(widths) * (33 if config.kernel == "sinc" else 40))
+    check_memory_budget(held, config.memory_budget_bytes, f"{n} x {n} grid streaming {pictures}")
+    a, b = np.empty((n_slices, n)), np.empty((len(idlers), n_slices, n))
+    for k, (lam_s, lam_i, _) in enumerate(config.slices):
+        arms = slice_arms(config, axis, (lam_s, lam_i))
+        for q_i, b_i in zip(idlers, b):
+            a[k], b_i[k] = arms(q_s[k], q_i[k])[:2]
+
+    def blocks(q_i: np.ndarray, b_i: np.ndarray, start: np.ndarray, width: int) -> Iterator[RowBand]:
         for rows in _row_blocks(n):
-            starts = start[rows]
-            first, stop = starts.min(), starts.max() + width  # the block's column span
-            total = np.zeros((starts.size, width))
-            for k, ((_, _, weight), slice_arm) in enumerate(zip(config.slices, arms)):
-                q_s, *idlers = momenta(k)
-                term = evaluate_grid(q_s[rows], idlers[picture][first:stop], config, slice_arm,
-                                     (starts - first, width))
+            index = start[rows, None] + np.arange(width)
+            total = np.zeros(index.shape)
+            for k, (_, _, weight) in enumerate(config.slices):
+                term = evaluate_grid(a[k, rows], q_s[k, rows], (q_i[k], b_i[k]), index, config)
                 np.multiply(term, term, out=term)  # the slice intensity on the block's windows
                 term *= weight
                 np.add(total, term, out=total)
                 del term  # before the next evaluation
-            yield RowBand(total, starts, n)
+            yield RowBand(total, start[rows], n)
 
-    return [partial(blocks, p, start, width) for p, (start, width) in enumerate(windows)]
+    return [partial(blocks, q_i, b_i, start, width)
+            for q_i, b_i, (start, width) in zip(idlers, b, windows)]
 
 
 def far_field_jid(config: RunConfig, axis: str) -> JointDistribution:
     """Spectrally integrated momentum-plane JID: sum_slices w |Psi|^2 on
     the square grid, streamed in row blocks (``_squared_blocks``)."""
     q = config.square_grid()
-    (picture,) = _squared_blocks(config, axis, lambda k: (q, q), "1 far-field band")
+    grid = np.broadcast_to(q, (len(config.slices), q.size))
+    (picture,) = _squared_blocks(config, axis, grid, (grid,), "1 far-field band")
     return JointDistribution(plane="far", axis=axis, axis_signal=q, axis_idler=q, intensity=picture)
 
 

@@ -106,13 +106,15 @@ def amplitude_band(q_s, q_i, problem, axis, pair, windows=None):
 def kernel_band(q_s, q_i, problem, axis, pair, windows=None):
     """The package's block kernel ``evaluate_grid`` on ``windows`` = (start,
     width) of the 1-D grids, by default the pump-envelope band's, as a
-    ``RowBand``: one call per ``_ROW_BLOCK`` signal rows, each over the
-    whole idler grid, with the slice's ``slice_arms``."""
+    ``RowBand``: one call per ``_ROW_BLOCK`` signal rows, each gathering
+    the idler table (q_i, b) of the whole idler grid, with a and b from
+    the slice's ``slice_arms`` on the whole grids."""
     start, width = envelope_windows(q_s, q_i, problem) if windows is None else windows
-    arms = slice_arms(problem, axis, pair)
+    a, b = slice_arms(problem, axis, pair)(q_s, q_i)[:2]
     data = np.empty((q_s.size, width))
     for rows in _row_blocks(q_s.size):
-        data[rows] = evaluate_grid(q_s[rows], q_i, problem, arms, (start[rows], width))
+        data[rows] = evaluate_grid(a[rows], q_s[rows], (q_i, b),
+                                   start[rows, None] + np.arange(width), problem)
     return RowBand(data, start, q_i.size)
 
 

@@ -65,8 +65,9 @@ def dk_z(problem, axis, q_s, q_i):
 
 def amplitude_at(q_s, q_i, problem, axis, pair):
     """The block kernel ``evaluate_grid`` at the one point (q_s, q_i)."""
-    values = evaluate_grid(np.array([q_s], dtype=float), np.array([q_i], dtype=float), problem,
-                           slice_arms(problem, axis, pair), (np.zeros(1, dtype=np.intp), 1))
+    q_s, q_i = np.array([q_s], dtype=float), np.array([q_i], dtype=float)
+    a, b = slice_arms(problem, axis, pair)(q_s, q_i)[:2]
+    values = evaluate_grid(a, q_s, (q_i, b), np.zeros((1, 1), dtype=np.intp), problem)
     return float(values[0, 0])
 
 
@@ -537,8 +538,9 @@ def test_evaluate_grid_band_is_the_envelope_windows(waist_um):
     assert np.all(start <= first) and np.all(start + width >= stop)
     assert (width == q.size) == (waist_um == 20)
     rows = slice(0, _ROW_BLOCK)
-    values = evaluate_grid(q[rows], q, problem, slice_arms(problem, "y", nominal(problem)),
-                           (start[rows], width))
+    a, b = slice_arms(problem, "y", nominal(problem))(q, q)[:2]
+    values = evaluate_grid(a[rows], q[rows], (q, b), start[rows, None] + np.arange(width),
+                           problem)
     assert values.shape == (_ROW_BLOCK, width)
 
 
@@ -565,19 +567,19 @@ def test_evaluate_grid_on_given_windows(axis):
 def test_evaluate_grid_working_set_is_one_row_block(kernel, n):
     # One call of the block kernel on a row block of the pump-envelope
     # band over the whole idler grid holds the two idler tables gathered
-    # for the block (with their column indices, and the first of them
-    # returned), the kernel's sin(u)/u of the block and some 1-D arrays of
-    # the grid: under 8 block x width float64 arrays, where one gather for
-    # all n rows holds 2 n x width.
+    # for the block (the first of them returned) and the kernel's
+    # temporaries: under 8 block x width float64 arrays, where one gather
+    # for all n rows holds 2 n x width.
     problem = make_setup(grid_n=n, kernel=kernel)
     q, pair = problem.square_grid(), nominal(problem)
     start, width = oracle.envelope_windows(q, q, problem)
     rows = slice(n // 2, n // 2 + _ROW_BLOCK)
-    arms = slice_arms(problem, "y", pair)
-    evaluate_grid(q[rows], q, problem, arms, (start[rows], width))
+    a, b = slice_arms(problem, "y", pair)(q, q)[:2]
+    block = (a[rows], q[rows], (q, b), start[rows, None] + np.arange(width), problem)
+    evaluate_grid(*block)
     tracemalloc.start()
     try:
-        evaluate_grid(q[rows], q, problem, arms, (start[rows], width))
+        evaluate_grid(*block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

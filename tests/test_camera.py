@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import spdcsim.spectral
-from spdcsim.biphoton import GridMemoryError, RowBand, _windows, envelope_columns, slice_arms
+from spdcsim.biphoton import (
+    GridMemoryError, RowBand, SliceArms, _windows, envelope_columns, slice_arms,
+)
 from spdcsim.camera import CameraJPD, camera_jpds, slope_report
 from spdcsim.config import RunConfig, load_config
 from spdcsim.spectral import far_field_jid
@@ -72,8 +74,10 @@ def evaluated_momenta(problem, axis, monkeypatch, magnification=1.0):
     signal, uncorrected idler and corrected idler momenta its
     ``evaluate_grid`` calls received (``counting_evaluations``) as the
     blocks were drawn, once per slice, JPD and block: the signal rows of
-    each block and the idler columns of its span, which overlap, agree
-    where they do and cover the grids."""
+    each block, which cover the grid, and the idler momenta of the
+    slice's table, the same in every block.  Each call gathers the
+    block's windows, and its a and b are the slice's ``slice_arms`` on
+    those momenta."""
     calls = counting_evaluations(monkeypatch)
     jpds = camera_jpds(replace(problem, magnification=magnification), axis)
     assert calls == []  # nothing is evaluated until the blocks are drawn
@@ -81,18 +85,19 @@ def evaluated_momenta(problem, axis, monkeypatch, magnification=1.0):
     for j, jpd in enumerate(jpds):
         row = 0
         for block in jpd.row_blocks():
-            rows, first = slice(row, row + block.data.shape[0]), block.start.min()
+            rows = slice(row, row + block.data.shape[0])
             row = rows.stop
             block_calls, calls[:] = calls[:], []
             assert len(block_calls) == len(problem.slices)
-            for (lam_s, lam_i, _), got, (q_s, q_i, _, arms, _) in zip(problem.slices, momenta,
-                                                                       block_calls):
-                assert arms == slice_arms(problem, axis, (lam_s, lam_i))
-                for line, index, values in ((got[0], rows, q_s),
-                                            (got[1 + j], slice(first, first + q_i.size), q_i)):
-                    seen = ~np.isnan(line[index])
-                    assert np.array_equal(line[index][seen], values[seen])
-                    line[index] = values
+            for (lam_s, lam_i, _), got, (a, q_s, (q_i, b), index, _) in zip(
+                    problem.slices, momenta, block_calls):
+                assert np.array_equal(index, block.start[:, None] + np.arange(block.width))
+                arms = slice_arms(problem, axis, (lam_s, lam_i))(q_s, q_i)
+                assert np.array_equal(a, arms[0]) and np.array_equal(b, arms[1])
+                for line, at, values in ((got[0], rows, q_s), (got[1 + j], slice(None), q_i)):
+                    seen = ~np.isnan(line[at])
+                    assert np.array_equal(line[at][seen], values[seen])
+                    line[at] = values
     assert not any(np.isnan(got).any() for got in momenta)
     return jpds, momenta
 
@@ -780,15 +785,41 @@ def test_camera_jpds_hold_one_slice_block_at_a_time(monkeypatch):
     assert max(peak) == 1
 
 
+def test_stream_calls_each_slice_arms_once_per_jpd(monkeypatch):
+    """Both camera JPDs on the shipped non-degenerate config, N = 1024, 7
+    slices: after the moment engine's one ``SliceArms`` call a slice on its
+    8 x N node grid, the stream makes its plan with one call a slice and
+    JPD on the whole pixel grids, 14, and drawing every block calls none:
+    its 224 ``evaluate_grid`` calls, one a slice, JPD and block, only
+    gather."""
+    problem = load_config(CONFIGS / "nondegenerate_780.yaml").build()
+    n = problem.grid_n
+    assert (n, len(problem.slices)) == (1024, 7)
+    shapes = []
+    call = SliceArms.__call__
+    monkeypatch.setattr(SliceArms, "__call__", lambda self, q_s, q_i: shapes.append(
+        (np.shape(q_s), np.shape(q_i))) or call(self, q_s, q_i))
+    evaluations = counting_evaluations(monkeypatch)
+    jpds = camera_jpds(problem, "y")
+    assert shapes == [((8, n), (8, n))] * 7 + [((n,), (n,))] * 14
+    for jpd in jpds:
+        for _ in jpd.row_blocks():
+            pass
+    assert len(shapes) == 21
+    assert len(evaluations) == 2 * 7 * n // 64 == 224
+
+
 def test_camera_slices_budget_checked_before_any_evaluation(monkeypatch):
     """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
-    JPD's blocks are 256 columns wide.  Both JPDs' row offsets and 5
-    arrays of length N for the grid and momenta, two 64-row blocks of
-    each JPD with their row offsets, and one evaluation of a block (4 x
-    64 x 256 + 3 x 64 + 4 x 256) need 1.02 MiB, so a 1 MiB budget is
-    exceeded, and that is known before the first slice is evaluated."""
+    JPD's blocks are 256 columns wide.  Each slice's momenta and plan (6
+    arrays of length N: q_s, both idlers' q_i and b, and a), the grid,
+    both JPDs' row offsets and one ``SliceArms`` call (10 arrays), two
+    64-row blocks of each JPD with their row offsets, a block's window
+    index and one sinc evaluation of a block (3.125 x 64 x 256) need
+    1.40 MiB, so a 1 MiB budget is exceeded, and that is known before the
+    first slice is evaluated."""
     n, slices = 256, 31
-    held = 8 * (7 * n + 4 * 64 * (n + 1) + 4 * 64 * n + 3 * 64 + 4 * n)
+    held = 8 * ((6 * slices + 10) * n + 4 * 64 * (n + 1) + 64 * n) + 25 * 64 * n
     assert 2**20 < held <= 2 * 2**20
     calls = counting_evaluations(monkeypatch)
     problem = make_setup(waist_m=20e-6, n_slices=slices, grid_n=n)

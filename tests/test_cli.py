@@ -278,11 +278,13 @@ class TestJid:
     def test_memory_budget_charges_the_far_field_band(self, capsys, tmp_path):
         """At w0 = 20 um the pump band covers the 512 x 512 grid, so the far
         field's blocks are 512 columns wide: ``jid --plane far`` is charged
-        its row offsets and 5 arrays of length N, two 64-row blocks, and one
-        evaluation of a block, 1.79 MiB, after the moment engine's 0.32 MiB.
-        At a 1 MiB budget it exits 3 and writes nothing; at 2 MiB it runs."""
+        21 arrays of length N (its momenta, the plan of 5 slices, the grid,
+        its row offsets and one ``SliceArms`` call), two 64-row blocks, a
+        block's window index and one sinc evaluation of a block, 1.61 MiB,
+        after the moment engine's 0.32 MiB.  At a 1 MiB budget it exits 3
+        and writes nothing; at 2 MiB it runs."""
         n = 512
-        charge = 8 * (6 * n + 3 * 64 * (n + 1) + 4 * 64 * n + 2 * 64 + 4 * n)
+        charge = 8 * (21 * n + 2 * 64 * (n + 1) + 64 * n) + 25 * 64 * n
         assert 2**20 < charge <= 2 * 2**20
         for mb in (1, 2):
             cfg = write_config(tmp_path, f"pump:\n  waist_um: 20\n"
@@ -525,12 +527,13 @@ class TestCamera:
     def test_memory_budget_charges_held_sparse_bytes(self, capsys, tmp_path, monkeypatch):
         """At w0 = 20 um the pump band covers the 256 x 256 grid, so each
         JPD's blocks are 256 columns wide.  The camera's streams are
-        charged both JPDs' row offsets and 5 arrays of length N, two 64-row
-        blocks of each JPD and one evaluation of a block; a budget one MiB
+        charged each slice's momenta and plan (6 arrays of length N), 10
+        more arrays of length N, two 64-row blocks of each JPD, a block's
+        window index and one sinc evaluation of a block; a budget one MiB
         below that charge stops before any slice is evaluated, and the
         charge itself runs, evaluating each slice once per JPD and block."""
         n, slices = 256, 31
-        charge = 8 * (11 * n + 4 * 64 * (n + 1) + 4 * 64 * n + 3 * 64)
+        charge = 8 * ((6 * slices + 10) * n + 4 * 64 * (n + 1) + 64 * n) + 25 * 64 * n
         budget_mb = -(-charge // 2**20)
         assert (budget_mb - 1) * 2**20 < charge <= budget_mb * 2**20
         calls = []
@@ -561,6 +564,28 @@ class TestCamera:
                 assert sorted(p.name for p in out_dir.iterdir()) == [
                     "camera_corrected_y.csv", "camera_uncorrected_y.csv",
                 ]
+
+    def test_memory_budget_charges_the_slice_plan(self, capsys, tmp_path, monkeypatch):
+        """The camera's streams hold each slice's momenta and plan, 6 arrays
+        of length N a slice: at N = 1024 with 31 slices they are charged
+        ~2 MiB, over a 1 MiB budget that the moment engine's grid fits, so
+        ``camera`` exits 3 naming the streams before any slice is
+        evaluated, and writes nothing."""
+        calls = []
+        evaluate = spdcsim.spectral.evaluate_grid
+        monkeypatch.setattr(
+            spdcsim.spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a)
+        )
+        cfg = write_config(tmp_path, "grid:\n  memory_budget_mb: 1\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "camera", "--config", cfg, "--grid-n", "1024",
+                                 "--slices", "31", "--out", str(out_dir))
+        assert code == 3
+        assert out == ""
+        assert err == ("resource error: 1024 x 1024 grid streaming 2 camera JPDs "
+                       "needs ~2 MiB (budget 1 MiB)\n")
+        assert calls == []
+        assert not out_dir.exists()
 
     def test_csv_pictures_peak_under_2_mib_at_2048(self, capsys, tmp_path):
         """No JPD is held: ``camera --grid-n 2048`` writing CSV peaks under

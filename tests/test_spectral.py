@@ -391,11 +391,12 @@ def test_jid_builders_equal_per_slice_full_matrix_sum(grid_n, axis, monkeypatch)
 @pytest.mark.parametrize("grid_n", [1024, 2048])
 def test_far_field_holds_one_row_block_at_a_time(grid_n):
     """No picture is held: drawn block by block, the far field holds its
-    row offsets and the square grid, two ``_ROW_BLOCK``-row blocks and
-    one block's evaluation (its gathers and 1-D tables): under 8 arrays of
-    length N and 8 ``_ROW_BLOCK`` x w float64 arrays (beside the 8 of
-    length N, 5.2 and 5.1 block arrays measured), where the whole band is
-    N x w (0.6 and 2.4 MiB) and a dense matrix 8 and 32 MiB."""
+    row offsets, the square grid and its slice plan (a and b of each of 5
+    slices), two ``_ROW_BLOCK``-row blocks, a block's window index and one
+    block's evaluation (its gathers and the kernel's temporaries): under
+    the bytes of 8 arrays of length N and 8 ``_ROW_BLOCK`` x w float64
+    arrays together (0.91 and 0.90 of them measured), where the whole band
+    is N x w (0.6 and 2.4 MiB) and a dense matrix 8 and 32 MiB."""
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=grid_n)
     list(far_field_jid(replace(problem, grid_n=64), "y").row_blocks())  # first calls untraced
     widths = set()
@@ -413,18 +414,20 @@ def test_far_field_holds_one_row_block_at_a_time(grid_n):
 
 def test_far_field_budget_charges_its_band_before_any_evaluation(monkeypatch):
     """At N = 1024 the far-field stream is charged, before any slice is
-    evaluated, its row offsets and 5 arrays of length N for the grid and
-    momenta, two 64-row blocks of its 77 columns with their row offsets
-    (2 x 64 x 78 floats), and one evaluation of a block over at most N
-    columns (4 x 64 x 77 + 3 x 64 + 4 x 1024): 0.31 MiB.  A
-    budget one byte short stops it before any slice is evaluated; the
-    charge runs it, one evaluation per slice and block of rows."""
+    evaluated, 21 arrays of length N: its momenta (two rows broadcast
+    along the slices), the plan (a and b for each of 5 slices), the
+    square grid, its row offsets and one ``SliceArms`` call (7); two
+    64-row blocks of its 77 columns with their row offsets (2 x 64 x 78
+    floats), a block's window index (64 x 77) and one sinc evaluation of
+    a block (3.125 x 64 x 77): 0.40 MiB.  A budget one byte short stops
+    it before any slice is evaluated; the charge runs it, one evaluation
+    per slice and block of rows."""
     calls = []
     evaluate = spectral.evaluate_grid
     monkeypatch.setattr(spectral, "evaluate_grid", lambda *a: calls.append(a) or evaluate(*a))
     n, width = 1024, 77
-    charge = 8 * (6 * n + 2 * 64 * (width + 1) + 4 * 64 * width + 3 * 64 + 4 * n)
-    assert charge == 321024
+    charge = 8 * (21 * n + 2 * 64 * (width + 1) + 64 * width) + 25 * 64 * width
+    assert charge == 414528
     problem = make_setup(signal_nm=780.0, n_slices=5, grid_n=n)
     with pytest.raises(GridMemoryError, match=r"^1024 x 1024 grid streaming 1 far-field band "
                        r"needs ~1 MiB \(budget 0 MiB\)$"):
@@ -600,8 +603,8 @@ def test_budget_charge_bounds_the_traced_peak(monkeypatch, path, n):
     """Each path's largest budget charge is at least the peak ``tracemalloc``
     traces in a warm call, its pictures' blocks drawn inside the trace,
     and at most 1.5 times it: the shipped non-degenerate config, y, 5
-    slices (1.011-1.442 times measured; at N = 64 the camera's charge, the
-    moment engine's, clears its peak by 0.5 KiB)."""
+    slices (1.047-1.212 times measured; at N = 64 the camera's charge, its
+    streams', clears its peak by 2 KiB)."""
     problem = default_problem(grid_n=n, n_slices=5)
     run = {
         "moment_sums": lambda: moment_sums(problem, "y"),
