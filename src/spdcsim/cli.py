@@ -167,7 +167,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(args).build()  # surface config/physics errors before the long run
     if "bin" in cfg.out_formats:
         raise ConfigError("output.formats: sweep output supports csv or json, not bin")
-    rows = run_sweep(cfg, convergence_check=args.check_convergence)
+    rows = run_sweep(cfg)
     texts = {
         fmt: json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
         if fmt == "json" else rows_to_csv(rows)
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
     common(p, axis=False)
-    p.add_argument("--check-convergence", action="store_true",
-                   help="re-run extreme values at doubled grid resolution")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("camera", help="camera-plane JPDs and slope report")

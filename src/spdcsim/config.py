@@ -124,7 +124,9 @@ class RunConfig:
     record every slice loop takes.  ``wl``, ``crystal``, ``filt`` and
     ``slices`` are derived on first use and kept, once per config; a
     ``replace()``d config derives its own.  ``sum_halfwidth`` S and
-    ``diff_halfwidth`` D bound the momentum grids (``None``: the defaults).
+    ``diff_halfwidth`` D bound the pictures' square grid of ``grid_n``
+    points, and D the moment engine's fixed q_s - q_i rule, which no
+    ``grid_n`` moves (``None``: the defaults).
     """
 
     crystal_material: str = "bbo"
@@ -256,7 +258,7 @@ class RunConfig:
             key = "filter.fwhm_nm" if filt.center_nm > pump_nm else "filter.center_nm"
             raise ConfigError(f"{key}: {exc}") from exc
 
-    def _diff_extent(self) -> float:
+    def diff_extent(self) -> float:
         """D: ``diff_halfwidth``, or 5 phase-matching main-lobe widths."""
         if self.diff_halfwidth is not None:
             return self.diff_halfwidth
@@ -273,14 +275,8 @@ class RunConfig:
         s = self.sum_halfwidth
         if s is None:
             s = 5.0 * (2.0 / self.waist_m)
-        half = 0.5 * (s + self._diff_extent())
+        half = 0.5 * (s + self.diff_extent())
         return np.linspace(-half, half, self.grid_n)
-
-    def diff_grid(self) -> np.ndarray:
-        """The moment engine's q_s - q_i grid: ``grid_n`` uniform points
-        over [-D, D]."""
-        d = self._diff_extent()
-        return np.linspace(-d, d, self.grid_n)
 
     def build(self) -> RunConfig:
         """Derive what this config implies, check it, and return the config.

@@ -22,7 +22,9 @@ Per slice it works in the sum and difference coordinates
 q_+ = q_s + q_i and q_- = q_s - q_i.  The pump intensity
 exp(-w0^2 q_+^2 / 2) is exactly the Gauss-Hermite weight, so q_+ is
 sampled at ``_SUM_NODES`` Hermite nodes q_+ = sqrt(2) t / w0; q_- takes
-``grid_n`` uniform points over [-D, D], D = ``diff_halfwidth``.  For a
+``_DIFF_NODES`` Gauss-Legendre nodes over [-D, D], D = ``diff_halfwidth``
+(Davis & Rabinowitz, *Methods of Numerical Integration*, 1984), so no
+statistic depends on ``grid_n``, which sizes only the pictures.  For a
 real amplitude Psi = E(q_+) K(a(q_s) + b(q_i)) position is i d/dq, so
 the near-field moments are gradient moments,
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
@@ -239,8 +241,28 @@ class JointDistribution:
 
 #: Gauss-Hermite nodes in q_+ per slice.  Every factor of the moment
 #: integrands but the Hermite weight is smooth in q_+, so 8 suffice: 16
-#: move U by about 2e-12 at the defaults.
-_SUM_NODES = 8
+#: move U by about 2e-12 at the defaults.  And Gauss-Legendre nodes in q_-
+#: over [-D, D]: 256 move U by under 2e-12 on every shipped config.
+_SUM_NODES, _DIFF_NODES = 8, 96
+
+
+@cache
+def _moment_rule(sum_nodes: int, diff_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermite nodes t, Legendre nodes x on [-1, 1] (4 Newton steps on the
+    recurrence; ``leggauss``'s eigensolver adds 0.2 MiB of peak RSS) and
+    their product weights, a row per t; read-only, built once per process."""
+    t, h = hermgauss(sum_nodes)
+    x = np.cos(math.pi * (np.arange(diff_nodes, 0, -1) - 0.25) / (diff_nodes + 0.5))
+    for _ in range(4):
+        p, q = x, np.ones_like(x)  # P_n(x), P_(n-1)(x)
+        for k in range(2, diff_nodes + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        slope = diff_nodes * (x * p - q) / (x * x - 1.0)  # P_n'(x)
+        x = x - p / slope
+    rule = t, x, h[:, None] * (2.0 / ((1.0 - x * x) * slope * slope))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _node_grid(q_plus: np.ndarray, q_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,22 +282,19 @@ def moment_sums(config: RunConfig, axis: str) -> np.ndarray:
     (near field).  Quadrature factors shared by every term are left out,
     so only ratios to the first column carry meaning.  Each slice forms
     its products one at a time in one scratch buffer: with q_s and q_i, 10
-    node-grid arrays are charged (9.2 measured at a slice's peak), with the
-    q_- grid and the rows.
+    node-grid arrays are charged (9.5 traced at the peak), with the rows.
 
     Raises GridMemoryError if those exceed the memory budget, before the
     grid is built, and EvanescentInputError if any node momentum reaches
     the propagation cone.
     """
-    check_memory_budget(8 * ((10 * _SUM_NODES + 1) * config.grid_n + 9 * len(config.slices)),
-                        config.memory_budget_bytes, f"{_SUM_NODES} x {config.grid_n} grid")
-    q_d = config.diff_grid()
-    t, h = hermgauss(_SUM_NODES)
+    check_memory_budget(8 * (10 * _SUM_NODES * _DIFF_NODES + 9 * len(config.slices)),
+                        config.memory_budget_bytes, f"{_SUM_NODES} x {_DIFF_NODES} grid")
+    t, x, node_weights = _moment_rule(_SUM_NODES, _DIFF_NODES)
     w0 = config.waist_m
     q_plus = math.sqrt(2.0) / w0 * t
-    q_s, q_i = _node_grid(q_plus, q_d)
+    q_s, q_i = _node_grid(q_plus, config.diff_extent() * x)
     envelope_slope = -0.5 * w0 * w0 * q_plus[:, None]  # E'(q_+) / E(q_+)
-    node_weights = h[:, None]
 
     def slice_sums(pair: tuple[float, float]) -> list[float]:
         # node-grid arrays are dropped once used; all of them go on return
@@ -345,7 +364,7 @@ def _squared_blocks(config: RunConfig, axis: str, q_s: np.ndarray, idlers: tuple
     and a view broadcast along the slices holds one row.  A picture's
     windows are the union of every slice's ``envelope_columns(power=2)``
     windows, outside which every slice's square is +0.0.  First a
-    UserWarning says when the grid step is wider than the pump width 2/w0,
+    UserWarning names a pump over-count above ``_NEAR_BAND_LOSS``,
     the budget is charged (``pictures`` names them), and the slice plan
     is made: each slice's a(q_s) and, per picture, its b(q_i), from one
     ``SliceArms`` call per slice and picture on the whole grids, which
@@ -354,11 +373,14 @@ def _squared_blocks(config: RunConfig, axis: str, q_s: np.ndarray, idlers: tuple
     is gathered on the block's windows (``evaluate_grid``), squared,
     weighted and added, as in the whole-picture sum.
     """
-    q, pump_width = config.square_grid(), 2.0 / config.waist_m
-    if q[1] - q[0] > pump_width:
-        warnings.warn(f"square grid step {q[1] - q[0]:.3g} rad/m is wider than the pump width "
-                      f"2/w0 = {pump_width:.3g} rad/m; raise grid.n to resolve the far-field "
-                      f"and camera ridges", stacklevel=2)
+    q, w0 = config.square_grid(), config.waist_m
+    step = q[1] - q[0]
+    # the grid's sum over the squared pump exp(-w0^2 q_+^2 / 2) less its integral, relative
+    over = 2.0 * math.exp(-2.0 * math.pi**2 / (w0 * step) ** 2)
+    if over > _NEAR_BAND_LOSS:
+        warnings.warn(f"square grid step {step:.3g} rad/m against the pump width 2/w0 = "
+                      f"{2.0 / w0:.3g} rad/m: the far-field and camera pictures over-count the "
+                      f"pump's mass by {over:.2g}; raise grid.n to resolve them", stacklevel=2)
     n, n_slices = config.grid_n, len(config.slices)
 
     def union(c, d):  # of two slices' first and stop columns per row
@@ -417,7 +439,8 @@ def position_grid(q_grid: np.ndarray) -> np.ndarray:
 
 #: Hermite nodes t = w0 q_+ / 2 and modes H_k(t) per near-field slice (12
 #: modes or 32 nodes do not move the picture's mass in 10 digits), and the
-#: largest share of its mass the band about x_s = x_i may leave out.
+#: largest share of its mass the band about x_s = x_i may leave out (the
+#: most the far-field and camera pictures may over-count the pump's, too).
 _NEAR_NODES, _NEAR_MODES, _NEAR_BAND_LOSS = 16, 8, 1e-6
 
 

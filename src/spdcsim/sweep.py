@@ -16,7 +16,6 @@ in the output rows are um for position and rad/m for momentum.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from spdcsim.config import SWEEP_FIELDS, RunConfig
@@ -72,32 +71,15 @@ def _sweep_row(cfg: RunConfig, value: float, axis: str) -> SweepRow:
     )
 
 
-def run_sweep(cfg: RunConfig, *, convergence_check: bool = False) -> list[SweepRow]:
+def run_sweep(cfg: RunConfig) -> list[SweepRow]:
     """Evaluate every (value, axis) point of the config's sweep, in order.
 
     Any failure in the underlying pipeline aborts the whole sweep with
-    the offending value named.  With ``convergence_check`` the extreme
-    values are re-run with ``grid_n`` doubled (the moment engine's
-    difference-coordinate points) and a warning is issued if any
-    reported position width moves by more than 1%.
+    the offending value named.  Each point's numbers come from the moment
+    engine's fixed quadrature rule, so they do not depend on ``grid_n``.
     """
-    values = cfg.effective_sweep_values
-    rows = [_sweep_row(cfg, value, axis) for value in values for axis in cfg.axes]
-    if convergence_check:
-        fine = replace(cfg, grid_n=2 * cfg.grid_n)
-        for coarse in (row for row in rows if row.swept_value in (values[0], values[-1])):
-            refined = _sweep_row(fine, coarse.swept_value, coarse.axis)
-            drift = abs(refined.dx_inferred_um - coarse.dx_inferred_um) / max(
-                coarse.dx_inferred_um, 1e-300
-            )
-            if drift > 0.01:
-                warnings.warn(
-                    f"{cfg.sweep_parameter} = {coarse.swept_value} (axis {coarse.axis}): "
-                    f"position width moves {drift:.1%} when the grid is doubled; results "
-                    f"are not converged at grid_n = {cfg.grid_n}",
-                    stacklevel=2,
-                )
-    return rows
+    return [_sweep_row(cfg, value, axis)
+            for value in cfg.effective_sweep_values for axis in cfg.axes]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

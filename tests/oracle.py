@@ -35,7 +35,7 @@ from spdcsim.biphoton import (
     slice_arms,
 )
 from spdcsim.dispersion import wavevector_magnitude
-from spdcsim.spectral import _SUM_NODES, position_grid
+from spdcsim.spectral import _DIFF_NODES, _SUM_NODES, _moment_rule, position_grid
 from spdcsim.spectral import moment_sums as engine_sums
 from spdcsim.stats import StatsSummary, ridge_fit
 
@@ -203,16 +203,16 @@ def matrix_moments(plane, axis, axis_signal, axis_idler, intensity):
 def moment_sums(problem, axis):
     """``spectral.moment_sums`` with each slice's nine sums written as
     one expression per term, every node-grid product a new array, on the
-    arguments of ``arm_arguments``; the engine forms them in one scratch
-    buffer in the same operation order, so the two agree bit for bit."""
-    q_d = problem.diff_grid()
-    t, h = hermgauss(_SUM_NODES)
+    arguments of ``arm_arguments`` on the engine's rule (``_moment_rule``);
+    the engine forms them in one scratch buffer in the same operation
+    order, so the two agree bit for bit."""
+    t, x, node_weights = _moment_rule(_SUM_NODES, _DIFF_NODES)
     w0 = problem.waist_m
     q_plus = (math.sqrt(2.0) / w0 * t)[:, None]
+    q_d = problem.diff_extent() * x
     q_s = 0.5 * (q_plus + q_d)
     q_i = 0.5 * (q_plus - q_d)
     envelope_slope = -0.5 * w0 * w0 * q_plus  # E'(q_+) / E(q_+)
-    node_weights = h[:, None]
     rows = []
     for lam_s, lam_i, _ in problem.slices:
         a, b, da, db = arm_arguments(q_s, q_i, axis, (lam_s, lam_i), problem.crystal, problem.wl)

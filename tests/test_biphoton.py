@@ -414,7 +414,7 @@ def test_centered_slice_grid_shape():
     smax = 5 * 2 / problem.waist_m
     assert q[-1] == pytest.approx((smax + dmax) / 2, rel=1e-12)
     # the moment engine's difference grid spans the same default D
-    assert problem.diff_grid()[-1] == pytest.approx(dmax, rel=1e-12)
+    assert problem.diff_extent() == pytest.approx(dmax, rel=1e-12)
 
 
 def test_evaluate_grid_matches_pointwise():

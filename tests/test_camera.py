@@ -788,7 +788,7 @@ def test_camera_jpds_hold_one_slice_block_at_a_time(monkeypatch):
 def test_stream_calls_each_slice_arms_once_per_jpd(monkeypatch):
     """Both camera JPDs on the shipped non-degenerate config, N = 1024, 7
     slices: after the moment engine's one ``SliceArms`` call a slice on its
-    8 x N node grid, the stream makes its plan with one call a slice and
+    8 x 96 node grid, the stream makes its plan with one call a slice and
     JPD on the whole pixel grids, 14, and drawing every block calls none:
     its 224 ``evaluate_grid`` calls, one a slice, JPD and block, only
     gather."""
@@ -801,7 +801,7 @@ def test_stream_calls_each_slice_arms_once_per_jpd(monkeypatch):
         (np.shape(q_s), np.shape(q_i))) or call(self, q_s, q_i))
     evaluations = counting_evaluations(monkeypatch)
     jpds = camera_jpds(problem, "y")
-    assert shapes == [((8, n), (8, n))] * 7 + [((n,), (n,))] * 14
+    assert shapes == [((8, 96), (8, 96))] * 7 + [((n,), (n,))] * 14
     for jpd in jpds:
         for _ in jpd.row_blocks():
             pass

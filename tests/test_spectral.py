@@ -447,7 +447,7 @@ def test_sellmeier_indices_are_evaluated_once_per_slice_and_pass(monkeypatch):
     D given so that the square grid evaluates none."""
     cfg = load_config(CONFIGS / "nondegenerate_780.yaml")
     problem = cfg.build()
-    problem = replace(problem, diff_halfwidth=problem.diff_grid()[-1])
+    problem = replace(problem, diff_halfwidth=problem.diff_extent())
     calls = []
     index = SellmeierSet.index_ordinary
     monkeypatch.setattr(SellmeierSet, "index_ordinary",
@@ -595,7 +595,7 @@ def drained(*pictures):
 
 @pytest.mark.parametrize(
     "path, n",
-    [("moment_sums", n) for n in (512, 1024, 2048)]
+    [("moment_sums", n) for n in (64, 512, 1024, 2048, 4096)]
     + [(path, n) for path in ("far_field_jid", "camera_jpds", "near_field_jid")
        for n in (64, 128, 256, 512, 1024, 2048, 4096)],
 )
@@ -709,7 +709,7 @@ def test_near_field_double_gaussian_closed_form(monkeypatch):
     short by at most eps."""
     assert spectral._NEAR_BAND_LOSS == 1e-6  # the bounds are derived from it
     problem = make_setup(signal_nm=780.0, n_slices=1, kernel="gauss")
-    d = problem.diff_grid()[-1]
+    d = problem.diff_extent()
     a_sum, b_diff = problem.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
     c = math.sqrt(6.0 * b_diff)
     monkeypatch.setattr(spectral, "slice_arms", oracle.linear_arms(c))
@@ -754,13 +754,48 @@ def test_moment_engine_eight_hermite_nodes_match_sixteen(monkeypatch):
     np.testing.assert_allclose(eight, sixteen, rtol=1e-6, atol=0)
 
 
+@pytest.mark.parametrize("nodes", [96, 256])
+def test_moment_rule_is_numpys_gauss_rules(nodes):
+    """The engine's Legendre rule, from Newton's method, is ``leggauss``'s
+    (to 1.1e-16 in the nodes and 4.6e-13 of the largest weight measured),
+    and its weights are the products with ``hermgauss``'s, a row per node."""
+    t, x, weights = spectral._moment_rule(8, nodes)
+    t_ref, h = hermgauss(8)
+    x_ref, w = leggauss(nodes)
+    assert np.array_equal(t, t_ref)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights, h[:, None] * w, rtol=0, atol=1e-12 * h.max() * w.max())
+    assert not weights.flags.writeable
+
+
+@pytest.mark.parametrize("config, theta", [
+    pytest.param(name, None, id=name) for name in sorted(p.stem for p in CONFIGS.glob("*.yaml"))
+] + [pytest.param("nondegenerate_780", 0.0, id="theta-0"),
+     pytest.param("nondegenerate_780", -0.1, id="theta-pm-minus-0.1")])
+def test_moment_engine_rule_is_converged_in_q_minus(monkeypatch, config, theta):
+    """U from the 96 Legendre nodes in q_- is within 1e-10 relative of a
+    256-node rule on both axes (under 2e-12 measured on the shipped
+    configs), also off phase matching, where the sinc tail at +-D carries
+    most of the width: at ``theta_deg`` 0 and theta_pm - 0.1 degrees."""
+    problem = load_config(CONFIGS / f"{config}.yaml")
+    if theta is not None:
+        theta_pm = math.degrees(problem.build().crystal.theta_p)
+        problem = replace(problem, theta_deg=theta if theta == 0.0 else theta_pm + theta)
+    problem = problem.build()
+    for axis in ("x", "y"):
+        ninety_six = certify_axis(problem, axis)[2].product
+        monkeypatch.setattr(spectral, "_DIFF_NODES", 256)
+        assert certify_axis(problem, axis)[2].product == pytest.approx(ninety_six, rel=1e-10)
+        monkeypatch.undo()
+
+
 def test_moment_engine_double_gaussian_oracle(monkeypatch):
     """Linear per-arm arguments a = c q_s, b = -c q_i under the gauss
     kernel give Psi = exp(-A q_+^2 - B q_-^2) with A = w0^2 / 4 and
     B = c^2 / 6: the double Gaussian of the closed forms above, with
     closed-form gradients."""
     problem = make_setup(signal_nm=780.0, n_slices=1, kernel="gauss")
-    d = problem.diff_grid()[-1]
+    d = problem.diff_extent()
     a_sum, b_diff = problem.waist_m**2 / 4.0, 32.0 / d**2  # Psi^2 is e^-64 at q_- = D
     c = math.sqrt(6.0 * b_diff)
     monkeypatch.setattr(spectral, "slice_arms", oracle.linear_arms(c))
@@ -786,29 +821,34 @@ def test_moment_engine_rejects_evanescent_nodes():
 
 
 def test_moment_engine_charges_its_node_grid():
-    """10 arrays of 8 nodes x n points, 80 bytes per point: 0.625 MiB at
-    n = 1024, 1.25 MiB at n = 2048."""
-    budget = 2**20
-    moment_sums(make_setup(n_slices=1, grid_n=1024, memory_budget_bytes=budget), "x")
-    with pytest.raises(GridMemoryError, match=r"^8 x 2048 grid needs"):
-        moment_sums(make_setup(n_slices=1, grid_n=2048, memory_budget_bytes=budget), "x")
+    """10 arrays of 8 x 96 nodes and 9 sums a slice, 61,512 bytes for one
+    slice, whatever ``grid_n`` is: a budget one byte short refuses at
+    n = 16 and 4096 alike, and the charge runs."""
+    charge = 8 * (10 * 8 * 96 + 9)
+    assert charge == 61512
+    for n in (16, 4096):
+        moment_sums(make_setup(n_slices=1, grid_n=n, memory_budget_bytes=charge), "x")
+        with pytest.raises(GridMemoryError, match=r"^8 x 96 grid needs ~1 MiB \(budget 0 MiB\)$"):
+            moment_sums(make_setup(n_slices=1, grid_n=n, memory_budget_bytes=charge - 1), "x")
 
 
-def test_moment_engine_checks_its_budget_before_building_its_grid():
-    """The node grid is charged from ``grid_n`` before the q_- grid is
-    built: at 2**22 points (a 32 MiB grid) and a 1 MiB budget the refusal
-    peaks under 4 MiB (0.7 MiB measured)."""
+def test_moment_engine_checks_its_budget_before_building_its_grid(monkeypatch):
+    """The node grid is charged before it is built: a refusal takes no
+    ``SliceArms`` and traces under one node grid (1.5 KiB measured)."""
     moment_sums(make_setup(n_slices=1, grid_n=64), "x")  # first calls out of the trace
-    problem = make_setup(n_slices=1, grid_n=2**22, memory_budget_bytes=2**20)
+    problem = make_setup(n_slices=1, grid_n=64, memory_budget_bytes=8 * 10 * 8 * 96)
+    calls = []
+    monkeypatch.setattr(spectral, "slice_arms", lambda *a: calls.append(a))
     tracemalloc.start()
     try:
-        with pytest.raises(GridMemoryError, match=r"^8 x 4194304 grid needs ~2593 MiB "
-                           r"\(budget 1 MiB\)$"):
+        with pytest.raises(GridMemoryError) as refusal:
             moment_sums(problem, "x")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert str(refusal.value) == "8 x 96 grid needs ~1 MiB (budget 0 MiB)"
+    assert calls == []
+    assert peak < 8 * 8 * 96
 
 
 @pytest.mark.parametrize("config", ["nondegenerate_780", "degenerate_810"])
@@ -826,7 +866,7 @@ def test_moment_engine_equals_plain_expressions(axis, kernel, n_slices, config):
 def test_moment_engine_working_set_is_a_few_node_grids(kernel):
     # Each slice drops its node-grid arrays once used and forms its nine
     # products in one scratch buffer: the peak stays under 14 node grids
-    # (8 x n float64 arrays), where whole-array products need about 29.
+    # (8 x 96 float64 arrays), where whole-array products need about 29.
     problem = make_setup(signal_nm=780.0, grid_n=1024, kernel=kernel)
     moment_sums(problem, "y")  # first calls out of the trace
     tracemalloc.start()
@@ -835,4 +875,4 @@ def test_moment_engine_working_set_is_a_few_node_grids(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * spectral._SUM_NODES * problem.grid_n * 8
+    assert peak < 14 * spectral._SUM_NODES * spectral._DIFF_NODES * 8

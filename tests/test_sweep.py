@@ -109,16 +109,6 @@ class TestRunSweep:
         with pytest.raises(SweepError, match=r"filter_fwhm_nm = 2\.0"):
             run_sweep(cfg)
 
-    def test_convergence_check_leaves_rows_unchanged(self):
-        import warnings
-
-        cfg = small_cfg(sweep_values=(4.0,))
-        plain = run_sweep(cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            checked = run_sweep(cfg, convergence_check=True)
-        assert checked == plain
-
 
 class TestCsvRendering:
     def test_header_is_the_documented_schema(self):
